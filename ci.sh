@@ -145,3 +145,33 @@ cargo run -q --release --offline -p adbt-bench --bin dispatch_bench -- \
 cargo run -q --release --offline -p adbt-bench --bin dispatch_bench -- \
     --iters 60000 --reps 3 --adapt --guard 3 \
     --json results/bench_adapt.json
+
+# Oracle gate (release, ~25 s): every deterministic results/*.csv is
+# regenerated with the exact command recorded in its results/*.txt
+# header and must match the committed file byte for byte. The
+# deterministic driver (lockstep, virtual time, scheduled) makes each
+# of them bit-reproducible, so an engine change either reproduces them
+# exactly or is wrong — and one that means to move a figure must
+# regenerate it and its .txt in the same change.
+mkdir -p "$TRACE_TMP/results"
+while read -r bin csv args; do
+    # shellcheck disable=SC2086 # $args is a word list on purpose
+    cargo run -q --release --offline -p adbt-bench --bin "$bin" -- \
+        $args --csv "$TRACE_TMP/results/$csv" > /dev/null
+    cmp "$TRACE_TMP/results/$csv" "results/$csv"
+done <<'EOF'
+fig10_scalability fig10.csv --scale 0.05 --max-threads 64
+fig11_htm fig11.csv --scale 0.05 --max-threads 32
+fig12_breakdown fig12.csv --scale 0.04 --max-threads 32
+fig12_breakdown fig12_fs.csv --false-sharing --scale 0.05 --max-threads 64
+table1_profile table1.csv --scale 0.1
+table2_matrix table2.csv
+speedup_summary speedup.csv --scale 0.08 --threads 8
+ablation_fused ablation_fused.csv --scale 0.1 --threads 8
+aba_correctness aba.csv --threads 16 --ops 16000 --nodes 16 --reps 3
+EOF
+
+# The repository benchmark (e2ebench/, its own cargo workspace) builds
+# against the engine's public API; its tests run here so an API change
+# that breaks it fails CI rather than the benchmark run.
+cargo test -q --release --offline --manifest-path e2ebench/Cargo.toml

@@ -149,7 +149,7 @@ fn run_chaining(args: &Args, source: &str, reps: u32, chain: u32) {
 
 /// The flight-recorder overhead comparison (`--traced`); exits non-zero
 /// when `--guard PCT` is set and the geomean slowdown exceeds it.
-fn run_traced(args: &Args, source: &str, reps: u32, chain: u32) {
+fn run_traced(args: &Args, source: &str, reps: u32, chain: u32, guard: f64) {
     let mut table = Table::new(&["scheme", "untraced_ms", "traced_ms", "overhead_pct"]);
     let mut ratios = Vec::new();
     for kind in SchemeKind::ALL {
@@ -171,7 +171,6 @@ fn run_traced(args: &Args, source: &str, reps: u32, chain: u32) {
              path; the disabled path is a single predicted branch)"
         ),
     );
-    let guard: f64 = args.get("guard", f64::INFINITY);
     if overhead > guard {
         eprintln!("FAIL: tracing overhead {overhead:.1}% exceeds the --guard {guard}% budget");
         std::process::exit(1);
@@ -181,7 +180,7 @@ fn run_traced(args: &Args, source: &str, reps: u32, chain: u32) {
 /// The contention-profiler overhead comparison (`--profiled`); exits
 /// non-zero when `--guard PCT` is set and the geomean slowdown exceeds
 /// it.
-fn run_profiled(args: &Args, source: &str, reps: u32, chain: u32) {
+fn run_profiled(args: &Args, source: &str, reps: u32, chain: u32, guard: f64) {
     let mut table = Table::new(&["scheme", "unprofiled_ms", "profiled_ms", "overhead_pct"]);
     let mut ratios = Vec::new();
     for kind in SchemeKind::ALL {
@@ -203,7 +202,6 @@ fn run_profiled(args: &Args, source: &str, reps: u32, chain: u32) {
              path; the disabled path is a single predicted branch per charge site)"
         ),
     );
-    let guard: f64 = args.get("guard", f64::INFINITY);
     if overhead > guard {
         eprintln!("FAIL: profiling overhead {overhead:.1}% exceeds the --guard {guard}% budget");
         std::process::exit(1);
@@ -212,7 +210,7 @@ fn run_profiled(args: &Args, source: &str, reps: u32, chain: u32) {
 
 /// The tiered-translation comparison (`--tiered`); exits non-zero when
 /// `--guard PCT` is set and the geomean cold-path overhead exceeds it.
-fn run_tiered(args: &Args, reps: u32, chain: u32, iters: u32) {
+fn run_tiered(args: &Args, reps: u32, chain: u32, iters: u32, guard: f64) {
     let workloads = [("chain", program(iters)), ("alu", alu_program(iters))];
     let mut table = Table::new(&[
         "workload",
@@ -260,7 +258,6 @@ fn run_tiered(args: &Args, reps: u32, chain: u32, iters: u32) {
              branch)"
         ),
     );
-    let guard: f64 = args.get("guard", f64::INFINITY);
     if overhead > guard {
         eprintln!("FAIL: cold tiering overhead {overhead:.1}% exceeds the --guard {guard}% budget");
         std::process::exit(1);
@@ -416,7 +413,7 @@ fn sim_auto(source: &str, threads: u32, epoch: u64) -> (u64, u64, &'static str) 
 /// workload scoring `--scheme auto` against every static scheme in
 /// deterministic virtual time (`--json` lands this table, the record
 /// behind EXPERIMENTS.md's adaptive-mode table).
-fn run_adapt(args: &Args, source: &str, reps: u32, chain: u32) {
+fn run_adapt(args: &Args, source: &str, reps: u32, chain: u32, guard: f64) {
     // Part 1: armed-idle overhead on the dispatch-bound loop.
     let mut idle = Table::new(&["scheme", "static_ms", "armed_ms", "overhead_pct"]);
     let mut ratios = Vec::new();
@@ -506,7 +503,6 @@ fn run_adapt(args: &Args, source: &str, reps: u32, chain: u32) {
         ),
     );
 
-    let guard: f64 = args.get("guard", f64::INFINITY);
     if overhead > guard {
         eprintln!(
             "FAIL: armed-idle adaptive overhead {overhead:.1}% exceeds the --guard {guard}% budget"
@@ -516,20 +512,27 @@ fn run_adapt(args: &Args, source: &str, reps: u32, chain: u32) {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(
+        &[
+            "iters", "reps", "chain", "guard", "epoch", "scale", "threads",
+        ],
+        &["traced", "profiled", "tiered", "adapt"],
+    );
     let iters: u32 = args.get("iters", 300_000);
     let reps: u32 = args.get("reps", 5);
     let chain: u32 = args.get("chain", 64);
+    // Read before any measurement, so a malformed guard fails fast.
+    let guard: f64 = args.get("guard", f64::INFINITY);
     let source = program(iters);
 
     if args.flag("traced") {
-        run_traced(&args, &source, reps, chain);
+        run_traced(&args, &source, reps, chain, guard);
     } else if args.flag("profiled") {
-        run_profiled(&args, &source, reps, chain);
+        run_profiled(&args, &source, reps, chain, guard);
     } else if args.flag("tiered") {
-        run_tiered(&args, reps, chain, iters);
+        run_tiered(&args, reps, chain, iters, guard);
     } else if args.flag("adapt") {
-        run_adapt(&args, &source, reps, chain);
+        run_adapt(&args, &source, reps, chain, guard);
     } else {
         run_chaining(&args, &source, reps, chain);
     }

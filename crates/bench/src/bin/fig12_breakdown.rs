@@ -114,7 +114,7 @@ fn false_sharing_sweep(args: &Args) {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["scale", "max-threads", "programs"], &["false-sharing"]);
     if args.flag("false-sharing") {
         false_sharing_sweep(&args);
     } else {

@@ -15,45 +15,99 @@
 //!
 //! Every binary prints a human-readable table to stdout and, with
 //! `--csv PATH`, machine-readable CSV. Use `--scale` to trade runtime
-//! for noise and `--max-threads` to cap the thread ladder.
+//! for noise and `--max-threads` to cap the thread ladder. Arguments are
+//! strict ([`Args`]): anything a binary does not declare exits 2.
 
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::time::Duration;
 
-/// Simple `--flag value` argument parsing shared by the harness binaries.
+/// The value keys every harness accepts: [`Table::emit`]'s outputs.
+const OUTPUT_KEYS: [&str; 2] = ["csv", "json"];
+
+/// Strict `--key VALUE` / `--flag` argument parsing shared by the
+/// harness binaries. Each binary declares the keys it accepts; anything
+/// else — an unknown key, a key missing its value, a positional
+/// argument, or (on read) a value that does not parse — exits 2 with
+/// usage, so a typo can never silently fall back to a default.
 #[derive(Clone, Debug, Default)]
 pub struct Args {
     values: HashMap<String, String>,
     flags: Vec<String>,
+    usage: String,
 }
 
 impl Args {
-    /// Parses `std::env::args()`, treating `--key value` as a pair and a
-    /// trailing `--key` as a boolean flag.
-    pub fn parse() -> Args {
-        let mut args = Args::default();
-        let mut iter = std::env::args().skip(1).peekable();
-        while let Some(arg) = iter.next() {
-            if let Some(key) = arg.strip_prefix("--") {
-                match iter.peek() {
-                    Some(next) if !next.starts_with("--") => {
-                        args.values
-                            .insert(key.to_string(), iter.next().expect("peeked"));
-                    }
-                    _ => args.flags.push(key.to_string()),
-                }
-            }
+    /// Parses `std::env::args()` against the declared value keys (each
+    /// takes one argument) and flags (none); `--csv` and `--json` are
+    /// always accepted. `--help` prints usage and exits 0.
+    pub fn parse(values: &[&str], flags: &[&str]) -> Args {
+        let mut argv = std::env::args();
+        let bin = argv.next().unwrap_or_default();
+        let bin = bin.rsplit('/').next().unwrap_or_default().to_string();
+        let argv: Vec<String> = argv.collect();
+        if argv.iter().any(|arg| arg == "--help") {
+            println!("{}", usage(&bin, values, flags));
+            std::process::exit(0);
         }
-        args
+        Args::parse_from(&bin, argv, values, flags).unwrap_or_else(|why| {
+            eprintln!("{bin}: {why}\n{}", usage(&bin, values, flags));
+            std::process::exit(2)
+        })
     }
 
-    /// A typed value with a default.
+    /// [`Args::parse`] over an explicit argument list (without the
+    /// program name), reporting the first bad argument as an error.
+    pub fn parse_from(
+        bin: &str,
+        argv: impl IntoIterator<Item = String>,
+        values: &[&str],
+        flags: &[&str],
+    ) -> Result<Args, String> {
+        let mut args = Args {
+            usage: usage(bin, values, flags),
+            ..Args::default()
+        };
+        let mut iter = argv.into_iter().peekable();
+        while let Some(arg) = iter.next() {
+            let Some(key) = arg.strip_prefix("--") else {
+                return Err(format!("unexpected argument `{arg}`"));
+            };
+            if flags.contains(&key) {
+                args.flags.push(key.to_string());
+            } else if values.contains(&key) || OUTPUT_KEYS.contains(&key) {
+                match iter.next_if(|next| !next.starts_with("--")) {
+                    Some(value) => {
+                        args.values.insert(key.to_string(), value);
+                    }
+                    None => return Err(format!("`--{key}` needs a value")),
+                }
+            } else {
+                return Err(format!("unknown option `--{key}`"));
+            }
+        }
+        Ok(args)
+    }
+
+    /// A typed value, `Ok(None)` when absent and an error when present
+    /// but unparseable.
+    pub fn try_get<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        match self.values.get(key) {
+            None => Ok(None),
+            Some(text) => text
+                .parse()
+                .map(Some)
+                .map_err(|_| format!("bad value `{text}` for `--{key}`")),
+        }
+    }
+
+    /// A typed value with a default; an unparseable value exits 2 with
+    /// usage.
     pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.values
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        match self.try_get(key) {
+            Ok(value) => value.unwrap_or(default),
+            Err(why) => self.fail(&why),
+        }
     }
 
     /// A string value.
@@ -65,6 +119,24 @@ impl Args {
     pub fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
+
+    /// Reports a bad argument with usage and exits 2.
+    pub fn fail(&self, why: &str) -> ! {
+        eprintln!("{why}\n{}", self.usage);
+        std::process::exit(2)
+    }
+}
+
+/// `usage: BIN [--key VALUE]... [--flag]...` for the declared keys.
+fn usage(bin: &str, values: &[&str], flags: &[&str]) -> String {
+    let mut out = format!("usage: {bin}");
+    for key in values.iter().chain(&OUTPUT_KEYS) {
+        out.push_str(&format!(" [--{key} VALUE]"));
+    }
+    for flag in flags {
+        out.push_str(&format!(" [--{flag}]"));
+    }
+    out
 }
 
 /// The thread ladder the paper sweeps (Fig. 10 goes to 64); capped by
@@ -278,6 +350,46 @@ pub fn geomean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        Args::parse_from(
+            "bench",
+            argv.iter().map(|s| s.to_string()),
+            &["scale", "guard"],
+            &["traced"],
+        )
+    }
+
+    #[test]
+    fn args_accept_declared_keys_flags_and_outputs() {
+        let args = parse(&["--scale", "0.5", "--traced", "--csv", "out.csv"]).unwrap();
+        assert_eq!(args.get("scale", 1.0), 0.5);
+        assert_eq!(args.get("guard", 7.0), 7.0, "absent key keeps its default");
+        assert!(args.flag("traced"));
+        assert_eq!(args.get_str("csv"), Some("out.csv"));
+        assert!(args.usage.contains("[--guard VALUE]") && args.usage.contains("[--traced]"));
+    }
+
+    #[test]
+    fn args_reject_unknown_keys_missing_values_and_positionals() {
+        let unknown = parse(&["--gaurd", "2"]).unwrap_err();
+        assert!(unknown.contains("--gaurd"), "{unknown}");
+        assert!(parse(&["--scale"]).unwrap_err().contains("needs a value"));
+        assert!(parse(&["--scale", "--traced"])
+            .unwrap_err()
+            .contains("needs a value"));
+        assert!(parse(&["0.5"]).unwrap_err().contains("unexpected argument"));
+        // A flag does not swallow the next argument.
+        assert!(parse(&["--traced", "2"]).is_err());
+    }
+
+    #[test]
+    fn args_report_unparseable_values() {
+        let args = parse(&["--guard", "abc"]).unwrap();
+        let why = args.try_get::<f64>("guard").unwrap_err();
+        assert!(why.contains("abc") && why.contains("--guard"), "{why}");
+        assert_eq!(args.try_get::<f64>("scale"), Ok(None));
+    }
 
     #[test]
     fn ladder_caps() {

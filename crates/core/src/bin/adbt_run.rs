@@ -459,6 +459,10 @@ fn main() -> ExitCode {
         eprintln!("--replay and --sim are mutually exclusive");
         return ExitCode::from(2);
     }
+    if let Some(Err(why)) = replay.as_ref().map(|s| s.check_vcpus(threads as usize)) {
+        eprintln!("bad --replay trace for --threads {threads}: {why}");
+        return ExitCode::from(2);
+    }
     if scheme.is_none() && no_adapt {
         eprintln!(
             "--scheme auto contradicts --no-adapt: auto *is* the adaptive mode; \

@@ -4,7 +4,7 @@
 //! integration tests are thin wrappers over these.
 
 use crate::{Error, MachineBuilder};
-use adbt_engine::{MachineConfig, RunReport, Schedule, ScriptedScheduler, SimCosts, Vcpu};
+use adbt_engine::{MachineConfig, RoundRobin, RunReport, ScriptedScheduler, SimCosts, Vcpu};
 use adbt_schemes::SchemeKind;
 use adbt_workloads::litmus::{self, Expectation, Seq};
 use adbt_workloads::parsec::{self, Program};
@@ -141,6 +141,10 @@ pub fn expected_behaviour(kind: SchemeKind, seq: Seq) -> Expectation {
     }
 }
 
+/// Atom cap for a litmus run: a safety net orders of magnitude above the
+/// few dozen instructions a sequence executes.
+const LITMUS_MAX_ATOMS: u64 = 1_000_000;
+
 /// Runs one Seq1–Seq4 interleaving under a scheme in lockstep mode.
 ///
 /// # Errors
@@ -158,7 +162,8 @@ pub fn run_litmus(kind: SchemeKind, seq: Seq) -> Result<LitmusRun, Error> {
     let x = machine.symbol(x_sym)?;
 
     let vcpus = vec![Vcpu::new(1, a), Vcpu::new(2, b)];
-    let report = machine.run_lockstep(vcpus, Schedule::Explicit(litmus::schedule()));
+    let mut lockstep = RoundRobin::with_prefix(litmus::schedule());
+    let report = machine.run_scheduled(vcpus, &mut lockstep, LITMUS_MAX_ATOMS);
     let sc_status = match report.outcomes[0] {
         adbt_engine::VcpuOutcome::Exited(code) => code,
         ref other => panic!("litmus thread a did not exit cleanly: {other:?}"),

@@ -2,7 +2,7 @@
 
 use crate::Error;
 use adbt_adapt::CostModelArbiter;
-use adbt_engine::{AdaptConfig, ChaosCfg, MachineConfig, MachineCore, RunReport, Schedule, Vcpu};
+use adbt_engine::{AdaptConfig, ChaosCfg, MachineConfig, MachineCore, RunReport, Scheduler, Vcpu};
 
 use adbt_isa::asm::{assemble, Image};
 use adbt_mmu::Width;
@@ -62,7 +62,8 @@ impl MachineBuilder {
     }
 
     /// Caps translated blocks at `n` guest instructions. Use `1` for
-    /// lockstep litmus runs needing instruction-granular interleaving.
+    /// deterministic runs needing instruction-granular interleaving
+    /// (litmus lockstep, checker exploration, `--replay`).
     pub fn max_block_insns(mut self, n: u32) -> MachineBuilder {
         self.config.max_block_insns = n;
         self
@@ -83,8 +84,8 @@ impl MachineBuilder {
     }
 
     /// Caps how many blocks a threaded vCPU executes per dispatch while
-    /// following chain links (`1` disables chaining; lockstep and
-    /// simulated runs always dispatch single blocks regardless).
+    /// following chain links (`1` disables chaining; the deterministic
+    /// driver always dispatches single blocks regardless).
     pub fn chain_limit(mut self, n: u32) -> MachineBuilder {
         self.config.chain_limit = n.max(1);
         self
@@ -92,9 +93,9 @@ impl MachineBuilder {
 
     /// Sets the execution count at which a block goes hot and is
     /// promoted to a tier-2 superblock (`0` disables tiering — the
-    /// engine default). Tiering requires chaining; single-block modes
-    /// (lockstep, simulated, scheduled) and `max_block_insns(1)` builds
-    /// force it off.
+    /// engine default). Tiering requires chaining; the deterministic
+    /// driver's single-block dispatch (lockstep, simulated, scheduled)
+    /// and `max_block_insns(1)` builds force it off.
     pub fn tier_threshold(mut self, n: u32) -> MachineBuilder {
         self.config.tier_threshold = n;
         self
@@ -298,19 +299,15 @@ impl Machine {
         self.core.run_threaded(vcpus)
     }
 
-    /// Runs deterministically on the calling thread under `schedule`.
-    pub fn run_lockstep(&self, vcpus: Vec<Vcpu>, schedule: Schedule) -> RunReport {
-        self.core.run_lockstep(vcpus, schedule)
-    }
-
-    /// Runs pre-built vCPUs one atom at a time under an external
-    /// [`adbt_engine::Scheduler`] — the mode `adbt_check` enumerates
-    /// interleavings with and `adbt_run --replay` replays (see
+    /// Runs pre-built vCPUs deterministically on the calling thread, one
+    /// atom at a time under `sched` — lockstep with
+    /// [`adbt_engine::RoundRobin`], the mode `adbt_check` enumerates
+    /// interleavings with, and what `adbt_run --replay` replays (see
     /// [`MachineCore::run_scheduled`]).
-    pub fn run_scheduled(
+    pub fn run_scheduled<S: Scheduler + ?Sized>(
         &self,
         vcpus: Vec<Vcpu>,
-        sched: &mut dyn adbt_engine::Scheduler,
+        sched: &mut S,
         max_atoms: u64,
     ) -> RunReport {
         self.core.run_scheduled(vcpus, sched, max_atoms)

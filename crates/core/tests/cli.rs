@@ -98,6 +98,26 @@ fn bad_scheme_is_rejected() {
 }
 
 #[test]
+fn replay_rejects_vcpu_indices_beyond_threads() {
+    let dir = std::env::temp_dir();
+    let path = write_program(&dir, "adbt_cli_replay.s", PROGRAM);
+    let replay = |trace: &str| {
+        bin()
+            .arg(&path)
+            .args(["--threads", "2", "--replay", trace])
+            .output()
+            .unwrap()
+    };
+    let output = replay("0x3,5x14,0");
+    assert_eq!(output.status.code(), Some(2), "{output:?}");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("'5x14'"), "{stderr}");
+    // In range, the same trace shape replays and exits cleanly.
+    let output = replay("0x3,1x14,0");
+    assert!(output.status.success(), "{output:?}");
+}
+
+#[test]
 fn assembly_errors_are_reported() {
     let dir = std::env::temp_dir();
     let path = write_program(&dir, "adbt_cli_syntax.s", "bogus r1, r2\n");

@@ -105,12 +105,14 @@ fn set_nz(flags: &mut Flags, value: u32) {
 pub enum BlockRun {
     /// The block ran to its exit; the value is the next guest PC.
     Done(u32),
-    /// Scheduled mode only: execution paused at an [`Op::Yield`] /
-    /// [`Op::Window`] point; the value is the op index to resume from.
+    /// Pause-point granularity only: execution paused at an
+    /// [`Op::Yield`] / [`Op::Window`] point; the value is the op index
+    /// to resume from.
     Paused(usize),
 }
 
-/// Executes a translated block and returns the next guest PC.
+/// Executes a translated block and returns the next guest PC — the
+/// whole-block entry for callers outside the engine's dispatch loop.
 ///
 /// # Errors
 ///
@@ -119,10 +121,9 @@ pub enum BlockRun {
 pub fn run_block(ctx: &mut ExecCtx<'_>, block: &Block) -> Result<u32, Trap> {
     match run_block_from(ctx, block, 0)? {
         BlockRun::Done(next_pc) => Ok(next_pc),
-        // Pause points only fire when a scheduler asked for them, and
-        // only scheduled dispatch does; every other mode runs blocks
-        // whole.
-        BlockRun::Paused(_) => unreachable!("block paused outside scheduled mode"),
+        // Pause points only fire for a ctx the deterministic driver set
+        // to pause-point granularity; every other ctx runs blocks whole.
+        BlockRun::Paused(_) => unreachable!("block paused outside pause-point granularity"),
     }
 }
 
@@ -260,7 +261,7 @@ pub fn run_block_from(
             }
             Op::Yield => {
                 ctx.stats.yields += 1;
-                if ctx.pause_on_yield {
+                if ctx.pause_points {
                     return Ok(BlockRun::Paused(i + 1));
                 }
                 if ctx.machine.is_threaded() {
@@ -268,8 +269,8 @@ pub fn run_block_from(
                 }
             }
             Op::Window => {
-                // No-op outside scheduled runs; see `Op::Window` docs.
-                if ctx.pause_on_yield {
+                // No-op outside pause-point granularity; see `Op::Window`.
+                if ctx.pause_points {
                     return Ok(BlockRun::Paused(i + 1));
                 }
             }

@@ -18,11 +18,14 @@
 //!   guest **syscall** layer,
 //! * per-vCPU **statistics** with the paper's four-bucket overhead
 //!   breakdown ([`VcpuStats`], [`Breakdown`]),
-//! * four execution modes: **threaded** (real concurrency; all
-//!   performance results), **simulated** (virtual-time multicore; the
-//!   host-independent performance figures), **lockstep** (deterministic
-//!   round-robin interleaving; the §IV-A litmus tests), and
-//!   **scheduled** (an external [`Scheduler`] picks every atom — the
+//! * two drivers over one dispatch loop: **threaded** (real
+//!   concurrency; the wall-clock results) and one **deterministic**
+//!   driver, [`MachineCore::run_scheduled`], where a [`Scheduler`] picks
+//!   every atom on a single thread. Three schedulers cover the paper's
+//!   evidence: [`RoundRobin`] lockstep (the §IV-A litmus tests),
+//!   [`VirtualTimeScheduler`] (the virtual-time multicore behind the
+//!   host-independent performance figures, via
+//!   [`MachineCore::run_sim`]), and [`ScriptedScheduler`] replays (the
 //!   substrate `adbt-check` enumerates interleavings with).
 //!
 //! The engine is deliberately scheme-agnostic: correctness and cost of
@@ -95,9 +98,12 @@ pub use arbiter::{
 };
 pub use cache::CacheOccupancy;
 pub use exclusive::{ExclusiveBarrier, ExclusiveTelemetry, Halted};
-pub use machine::{MachineConfig, MachineCore, RunReport, Schedule, VcpuOutcome};
+pub use machine::{MachineConfig, MachineCore, RunReport, VcpuOutcome};
 pub use runtime::{ExecCtx, FaultAccess, FaultOutcome, HelperFn, HelperRegistry, Trap};
-pub use sched::{format_choices, SchedEvent, Scheduler, ScriptedScheduler};
+pub use sched::{
+    format_choices, Granularity, RoundRobin, SchedEvent, Scheduler, ScriptedScheduler,
+    VirtualTimeScheduler,
+};
 pub use scheme::{AtomicScheme, Atomicity, SchemeCostModel, StoreFamily};
 pub use state::{Flags, Monitor, Vcpu, VcpuSnapshot};
 pub use stats::{calibration, Breakdown, Calibration, SimBreakdown, SimCosts, VcpuStats};

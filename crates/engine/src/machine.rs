@@ -1,5 +1,6 @@
-//! The machine: shared services, the translation cache, and the threaded
-//! and lockstep execution loops.
+//! The machine: shared services, the translation cache, the dispatch
+//! loop, and its two drivers — real threads and the deterministic
+//! scheduler-driven run.
 
 use crate::arbiter::{
     AdaptAction, AdaptConfig, AdaptInner, AdaptRuntime, EpochObservation, EpochSignals,
@@ -12,10 +13,10 @@ use crate::exclusive::ExclusiveBarrier;
 use crate::frontend;
 use crate::interp;
 use crate::runtime::{ExecCtx, HelperFn, HelperRegistry, Trap};
-use crate::sched::{SchedEvent, Scheduler};
+use crate::sched::{Granularity, SchedEvent, Scheduler, VirtualTimeScheduler};
 use crate::scheme::AtomicScheme;
 use crate::state::Vcpu;
-use crate::stats::{Breakdown, SimBreakdown, SimCosts, SimSnapshot, VcpuStats};
+use crate::stats::{Breakdown, SimBreakdown, SimCosts, VcpuStats};
 use crate::store_test::StoreTestTable;
 use crate::watchdog::{self, VcpuBeat, WatchdogDump};
 use adbt_chaos::{ChaosCfg, ChaosPlane, ChaosSite, ChaosSnapshot, RetryPolicy};
@@ -38,8 +39,9 @@ pub struct MachineConfig {
     pub mem_size: u32,
     /// Unmapped virtual pages above physical memory (PST-REMAP's window).
     pub extra_virt_pages: u32,
-    /// Maximum guest instructions per translated block (1 for lockstep
-    /// litmus runs, larger for throughput).
+    /// Maximum guest instructions per translated block (1 for
+    /// instruction-granular deterministic runs — litmus lockstep and
+    /// the checker's scheduled exploration — larger for throughput).
     pub max_block_insns: u32,
     /// log2 of the store-test hash-table size.
     pub htable_bits: u8,
@@ -57,8 +59,6 @@ pub struct MachineConfig {
     pub htm_retry_limit: u64,
     /// Per-vCPU guest stack size in bytes.
     pub stack_size: u32,
-    /// Upper bound on lockstep steps (safety net for scheduled runs).
-    pub max_lockstep_steps: u64,
     /// Enables the rule-based translation pass (paper §VI): canonical
     /// compiler-generated LL/SC retry loops are recognized at
     /// translation time and fused into single host atomic built-ins,
@@ -67,8 +67,9 @@ pub struct MachineConfig {
     pub fuse_atomics: bool,
     /// Maximum blocks executed per dispatch before control returns to
     /// the outer loop, following patched chain links (block chaining).
-    /// Threaded runs use this value; lockstep and simulated runs always
-    /// dispatch one block at a time (their schedulers *are* the outer
+    /// Threaded runs use this value; the deterministic driver
+    /// ([`MachineCore::run_scheduled`], under any scheduler) always
+    /// dispatches one block at a time (its scheduler *is* the outer
     /// loop), so chaining never changes deterministic-mode results.
     pub chain_limit: u32,
     /// Deterministic fault-injection campaign (`None` = chaos off; the
@@ -98,10 +99,10 @@ pub struct MachineConfig {
     /// superblock (0 = tiering off; the dispatch hot path then pays a
     /// single predicted branch, same discipline as `chaos`/`trace`).
     /// Tiering requires chaining (`chain_limit > 1`): superblocks are
-    /// discovered by following patched chain links, and single-block
-    /// dispatch modes (lockstep, simulated, scheduled, and any machine
-    /// with `max_block_insns <= 1`) force it off to preserve their
-    /// block-granular determinism and the checker's interleaving atoms.
+    /// discovered by following patched chain links, so the deterministic
+    /// driver's single-block dispatch (and any machine with
+    /// `max_block_insns <= 1`) forces it off to preserve block-granular
+    /// determinism and the checker's interleaving atoms.
     pub tier_threshold: u32,
     /// Maximum original blocks stitched into one superblock (≥ 2 when
     /// tiering is on; must not exceed `chain_limit`, so a superblock
@@ -130,7 +131,6 @@ impl Default for MachineConfig {
             fault_retry_limit: 1 << 26,
             htm_retry_limit: 1 << 14,
             stack_size: 64 << 10,
-            max_lockstep_steps: 200_000_000,
             fuse_atomics: false,
             chain_limit: 64,
             chaos: None,
@@ -204,7 +204,7 @@ impl RunReport {
     }
 
     /// The simulated run's makespan in virtual-time units (`None` for
-    /// threaded/lockstep runs). This is the "execution time" all
+    /// runs without a virtual clock). This is the "execution time" all
     /// performance figures are computed from — see `DESIGN.md` on why
     /// the reproduction measures virtual rather than wall time.
     pub fn sim_time(&self) -> Option<u64> {
@@ -227,15 +227,13 @@ impl RunReport {
 /// window, tiny against a guest loop that never reaches its SC.
 const REGION_BLOCK_CAP: u32 = 10_000;
 
-/// The lockstep scheduler's policy.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Schedule {
-    /// Rotate through live vCPUs, one block each.
-    RoundRobin,
-    /// Run the listed vCPU indices first (skipping exited ones), then
-    /// fall back to round-robin — how litmus tests pin interleavings.
-    Explicit(Vec<u32>),
-}
+/// The atom cap [`MachineCore::run_sim`] runs under: a livelock safety
+/// net far above any figure workload.
+const SIM_MAX_ATOMS: u64 = 200_000_000;
+
+/// A vCPU paused inside a block at pause-point granularity: the block
+/// id and the op index to resume from.
+type Cursor = Option<(u32, usize)>;
 
 /// The shared machine: memory, scheme, services and translation cache.
 ///
@@ -283,10 +281,12 @@ pub struct MachineCore {
     /// `--scheme auto`; `None` on static machines, whose dispatch loop
     /// then pays a single predicted branch for the whole plane.
     pub(crate) adapt: Option<AdaptRuntime>,
-    /// Scheduled-mode cursors currently paused mid-block. A migration
-    /// defers while this is nonzero: retirement must only ever happen
-    /// with every vCPU at a block edge (the architectural-state
-    /// contract the checker's interleaving atoms rely on).
+    /// Deterministic-run cursors currently paused mid-block. Nobody
+    /// announces QSBR quiescence while this is nonzero (a paused block
+    /// must not be freed), and a migration defers: retirement must only
+    /// ever happen with every vCPU at a block edge (the
+    /// architectural-state contract the checker's interleaving atoms
+    /// rely on).
     pub(crate) cursor_pins: AtomicU32,
     threaded: AtomicBool,
 }
@@ -635,9 +635,13 @@ impl MachineCore {
     /// Announces QSBR quiescence for `ctx` (the caller must hold zero
     /// translation-cache borrows) and frees any limbo blocks whose grace
     /// period has elapsed. The quiescent-path cost when nothing is
-    /// pending is two atomic loads and one store.
+    /// pending is three atomic loads and one store.
+    ///
+    /// One rule for every driver: no announcement while any cursor is
+    /// paused. The deterministic driver runs all its vCPUs through one
+    /// QSBR slot, and a paused cursor holds its block across atoms.
     fn quiesce_and_reclaim(&self, ctx: &mut ExecCtx<'_>) {
-        if ctx.qsbr_slot == usize::MAX {
+        if ctx.qsbr_slot == usize::MAX || self.cursor_pins.load(Ordering::Acquire) > 0 {
             return;
         }
         self.qsbr.quiesce(ctx.qsbr_slot);
@@ -661,19 +665,50 @@ impl MachineCore {
     /// Executes up to `chain_limit` translated blocks for `ctx`,
     /// following patched chain links between them and absorbing HTM
     /// rollbacks. Returns `Some(outcome)` when the vCPU is finished,
-    /// `None` when the chain budget is exhausted (caller loops).
+    /// `None` when the chain budget is exhausted or the block paused
+    /// (caller loops). This is the engine's only dispatch loop.
     ///
     /// Every hop polls the exclusive barrier's safepoint first, so a
     /// long chain never delays a stop-the-world requester by more than
-    /// one block. With `chain_limit == 1` the behavior is exactly the
-    /// historical one-block dispatch — lockstep and simulated runs rely
-    /// on that for schedule determinism and per-block cost charging.
+    /// one block. With `chain_limit == 1` it is a one-block dispatch —
+    /// the deterministic driver relies on that for schedule determinism
+    /// and per-block cost charging.
+    ///
+    /// At pause-point granularity a block may stop at an `Op::Yield` /
+    /// `Op::Window`: `cursor` then records where, and the next step only
+    /// runs the rest of that block. Threaded runs never pause, so their
+    /// cursor stays empty.
+    // Inline into each driver: the deterministic driver is generic, so
+    // an out-of-line `step` becomes an exported symbol reached through
+    // the GOT once per atom — measured ~5% of `run_sim` time on
+    // few-instruction atoms.
+    #[inline]
     fn step(
         &self,
         ctx: &mut ExecCtx<'_>,
         l1: &mut L1Cache,
         chain_limit: u32,
+        cursor: &mut Cursor,
     ) -> Option<VcpuOutcome> {
+        if let Some((id, start)) = cursor.take() {
+            // Mid-block resume: no safepoint, no lookup — the vCPU is
+            // between two ops of an already-dispatched block, which its
+            // pin kept from being freed. Nothing quiesces while the
+            // block runs on; a re-pause pins it again.
+            self.cursor_pins.fetch_sub(1, Ordering::Release);
+            let block = self
+                .cache
+                .block(id)
+                .expect("a paused cursor pins its block against reclamation");
+            return match interp::run_block_from(ctx, block, start) {
+                Ok(interp::BlockRun::Done(next)) => {
+                    ctx.cpu.pc = next;
+                    None
+                }
+                Ok(interp::BlockRun::Paused(at)) => self.pause(cursor, id, at),
+                Err(trap) => self.trap(ctx, trap),
+            };
+        }
         // Step entry is a zero-reference point: no chain link or block
         // borrow survives from the previous step, so this thread can
         // announce QSBR quiescence and free any grace-expired blocks.
@@ -708,6 +743,7 @@ impl MachineCore {
                     parked.min(u32::MAX as u64) as u32,
                 );
             }
+            ctx.note_event(SchedEvent::Safepoint { tid: ctx.cpu.tid });
             // The entire robustness plane (chaos, watchdog, degradation)
             // costs exactly this one predicted-false branch when disabled.
             if ctx.robust {
@@ -753,7 +789,7 @@ impl MachineCore {
                                     l1.put(pc, id);
                                     id
                                 }
-                                Err(trap) => return Some(trap_outcome(ctx, trap)),
+                                Err(trap) => return Some(trap_outcome(trap)),
                             }
                         }
                     };
@@ -824,14 +860,14 @@ impl MachineCore {
                 None => Ok(()),
             };
             let exec_result = match dispatch_result {
-                Ok(()) => interp::run_block(ctx, block),
+                Ok(()) => interp::run_block_from(ctx, block, 0),
                 Err(trap) => {
                     ctx.txn = None;
                     Err(trap)
                 }
             };
             match exec_result {
-                Ok(next) => {
+                Ok(interp::BlockRun::Done(next)) => {
                     ctx.cpu.pc = next;
                     // Only static exits chain; indirect jumps and
                     // service calls go back through the lookup path.
@@ -851,51 +887,65 @@ impl MachineCore {
                         _ => None,
                     };
                 }
-                Err(Trap::Exit(code)) => return Some(VcpuOutcome::Exited(code)),
-                Err(Trap::HtmAbort(_reason)) => {
-                    ctx.stats.htm_aborts += 1;
-                    ctx.prof_htm_abort(_reason);
-                    ctx.trace(TraceKind::HtmAbort, ctx.cpu.pc, _reason.code());
-                    ctx.txn = None;
-                    ctx.discard_txn_events();
-                    match ctx.txn_restart.take() {
-                        Some((restart_pc, snapshot)) => {
-                            ctx.cpu.restore(&snapshot);
-                            ctx.cpu.pc = restart_pc;
-                            link = None;
-                            ctx.txn_retries += 1;
-                            if self.retry.exhausted(ctx.txn_retries) {
-                                return Some(VcpuOutcome::Livelocked { pc: restart_pc });
-                            }
-                            // Degradation ladder: once the configured abort
-                            // budget for a region is spent, retry it under
-                            // the stop-the-world fallback, which cannot
-                            // abort. Threaded runs only — a degraded region
-                            // spans dispatches, and the single-threaded
-                            // schedulers cannot park the other vCPUs.
-                            if self.config.htm_degrade_after > 0
-                                && self.is_threaded()
-                                && ctx.txn_retries >= self.config.htm_degrade_after
-                            {
-                                ctx.degrade_next_region = true;
-                            }
-                            // Staged backoff under abort storms keeps the
-                            // threaded engine live on hot regions (real RTM
-                            // users do the same in their retry path). The
-                            // deterministic schedulers have nothing to
-                            // yield to, so they skip it.
-                            if self.is_threaded() {
-                                ctx.stats.lock_wait_ns += self.retry.backoff(ctx.txn_retries);
-                            }
-                        }
-                        // An abort with no restart point is a scheme bug;
-                        // surface it as a crash rather than spinning.
-                        None => return Some(VcpuOutcome::Crashed(Trap::HtmAbort(_reason))),
+                Ok(interp::BlockRun::Paused(at)) => return self.pause(cursor, id, at),
+                Err(trap) => {
+                    link = None;
+                    if let Some(outcome) = self.trap(ctx, trap) {
+                        return Some(outcome);
                     }
                 }
-                Err(Trap::Livelock { pc, .. }) => return Some(VcpuOutcome::Livelocked { pc }),
-                Err(trap) => return Some(VcpuOutcome::Crashed(trap)),
             }
+        }
+        None
+    }
+
+    /// Leaves `ctx` paused at op `at` of block `id` until its next step,
+    /// pinning the block against reclamation meanwhile.
+    fn pause(&self, cursor: &mut Cursor, id: u32, at: usize) -> Option<VcpuOutcome> {
+        self.cursor_pins.fetch_add(1, Ordering::Release);
+        *cursor = Some((id, at));
+        None
+    }
+
+    /// What a trap out of a block means for the vCPU: `Some(outcome)`
+    /// when it is finished, `None` when an HTM abort rolled it back to
+    /// its region's restart point and it runs on.
+    fn trap(&self, ctx: &mut ExecCtx<'_>, trap: Trap) -> Option<VcpuOutcome> {
+        let reason = match trap {
+            Trap::HtmAbort(reason) => reason,
+            other => return Some(trap_outcome(other)),
+        };
+        ctx.stats.htm_aborts += 1;
+        ctx.prof_htm_abort(reason);
+        ctx.trace(TraceKind::HtmAbort, ctx.cpu.pc, reason.code());
+        ctx.txn = None;
+        ctx.discard_txn_events();
+        // An abort with no restart point is a scheme bug; surface it as
+        // a crash rather than spinning.
+        let Some((restart_pc, snapshot)) = ctx.txn_restart.take() else {
+            return Some(VcpuOutcome::Crashed(Trap::HtmAbort(reason)));
+        };
+        ctx.cpu.restore(&snapshot);
+        ctx.cpu.pc = restart_pc;
+        ctx.txn_retries += 1;
+        if self.retry.exhausted(ctx.txn_retries) {
+            return Some(VcpuOutcome::Livelocked { pc: restart_pc });
+        }
+        // The deterministic driver has no other thread to park or yield
+        // to, so the rest of the ladder is threaded-only.
+        if self.is_threaded() {
+            // Degradation ladder: once the configured abort budget for a
+            // region is spent, retry it under the stop-the-world
+            // fallback, which cannot abort (a degraded region spans
+            // dispatches, parking every other vCPU).
+            if self.config.htm_degrade_after > 0 && ctx.txn_retries >= self.config.htm_degrade_after
+            {
+                ctx.degrade_next_region = true;
+            }
+            // Staged backoff under abort storms keeps the threaded
+            // engine live on hot regions (real RTM users do the same in
+            // their retry path).
+            ctx.stats.lock_wait_ns += self.retry.backoff(ctx.txn_retries);
         }
         None
     }
@@ -1047,7 +1097,7 @@ impl MachineCore {
             // current pc (that is how the victim was chosen).
             ctx.prof_charge_at(pc, adbt_profile::Tier::Block, ProfMetric::Invalidation, 1);
             ctx.trace(TraceKind::Invalidate, pc, victim);
-            if ctx.record_events {
+            if ctx.pause_points {
                 ctx.note_event(SchedEvent::Invalidate {
                     tid: ctx.cpu.tid,
                     addr: pc,
@@ -1083,7 +1133,7 @@ impl MachineCore {
     /// context switch legally may — and runs epoch arbitration when
     /// this vCPU's retired-instruction epoch elapses. Retired
     /// instructions (not wall time) key the epoch, so arbitration is
-    /// deterministic under the lockstep/scheduled/simulated drivers.
+    /// reproducible under the deterministic driver, whatever its scheduler.
     #[inline(never)]
     fn adapt_hop(&self, ctx: &mut ExecCtx<'_>, adapt: &AdaptRuntime) -> Option<VcpuOutcome> {
         let generation = adapt.generation.load(Ordering::Acquire);
@@ -1203,7 +1253,7 @@ impl MachineCore {
             return None;
         }
         if self.cursor_pins.load(Ordering::Acquire) > 0 {
-            // A scheduled-mode vCPU is paused mid-block — logically not
+            // A vCPU is paused mid-block (pause-point granularity) — not
             // at a block edge. Keep the streak so the migration retries
             // as soon as every cursor drains.
             self.adapt_note(
@@ -1389,8 +1439,12 @@ impl MachineCore {
                         self.exclusive.register();
                         ctx.qsbr_slot = self.qsbr.register();
                         let chain_limit = self.config.chain_limit;
+                        // Threads never pause mid-block: stays empty.
+                        let mut cursor = None;
                         let outcome = loop {
-                            if let Some(outcome) = self.step(&mut ctx, &mut l1, chain_limit) {
+                            if let Some(outcome) =
+                                self.step(&mut ctx, &mut l1, chain_limit, &mut cursor)
+                            {
                                 break outcome;
                             }
                         };
@@ -1474,130 +1528,47 @@ impl MachineCore {
         }
     }
 
-    /// Runs the vCPUs deterministically on the calling thread, one block
-    /// per scheduled step — the mode litmus tests use to pin exact
-    /// interleavings (combine with `max_block_insns: 1` for instruction
-    /// granularity).
-    pub fn run_lockstep(&self, vcpus: Vec<Vcpu>, schedule: Schedule) -> RunReport {
-        self.threaded.store(false, Ordering::Relaxed);
-        let n = vcpus.len() as u32;
-        let start = Instant::now();
-        self.exclusive.register();
-        // One QSBR slot for the whole single-threaded run: every ctx
-        // announces through it. Sound because lockstep holds no block
-        // borrow across scheduled steps (no cursors), so any ctx's step
-        // entry is a zero-reference point for the thread.
-        let slot = self.qsbr.register();
-
-        let mut ctxs: Vec<ExecCtx<'_>> = vcpus
-            .into_iter()
-            .map(|cpu| {
-                let mut ctx = ExecCtx::new(cpu, self, n);
-                ctx.qsbr_slot = slot;
-                ctx
-            })
-            .collect();
-        let mut l1s: Vec<L1Cache> = (0..ctxs.len()).map(|_| L1Cache::new()).collect();
-        let mut outcomes: Vec<Option<VcpuOutcome>> = vec![None; ctxs.len()];
-        let mut remaining = ctxs.len();
-
-        let explicit: Vec<u32> = match &schedule {
-            Schedule::RoundRobin => Vec::new(),
-            Schedule::Explicit(steps) => steps.clone(),
-        };
-        let mut explicit_iter = explicit.into_iter();
-        let mut rr_next = 0usize;
-        let mut steps = 0u64;
-
-        while remaining > 0 && steps < self.config.max_lockstep_steps {
-            steps += 1;
-            let idx = match explicit_iter.next() {
-                Some(idx) => {
-                    let idx = idx as usize % outcomes.len();
-                    if outcomes[idx].is_some() {
-                        continue; // scheduled step on an exited vCPU
-                    }
-                    idx
-                }
-                None => {
-                    // Round-robin over live vCPUs.
-                    let mut idx = rr_next % outcomes.len();
-                    while outcomes[idx].is_some() {
-                        idx = (idx + 1) % outcomes.len();
-                    }
-                    rr_next = idx + 1;
-                    idx
-                }
-            };
-            // One block per scheduled step: chaining would let a vCPU run
-            // ahead of the schedule, so lockstep always dispatches singly.
-            if let Some(outcome) = self.step(&mut ctxs[idx], &mut l1s[idx], 1) {
-                ctxs[idx].release_region();
-                outcomes[idx] = Some(outcome);
-                remaining -= 1;
-            }
-        }
-        self.qsbr.unregister(slot);
-        self.exclusive.unregister();
-        let wall = start.elapsed();
-        let results = ctxs
-            .into_iter()
-            .zip(outcomes)
-            .map(|(ctx, outcome)| {
-                (
-                    outcome.unwrap_or(VcpuOutcome::Livelocked { pc: ctx.cpu.pc }),
-                    ctx.stats,
-                )
-            })
-            .collect();
-        self.report(results, wall, None)
-    }
-
-    /// Runs the vCPUs under an external [`Scheduler`], one **atom** at a
-    /// time on the calling thread — the mode `adbt-check` enumerates
-    /// interleavings with. An atom is one translated block, or the
-    /// partial block up to / resuming from an `Op::Yield` / `Op::Window`
-    /// pause point; combine with `max_block_insns: 1` for instruction
-    /// granularity. Every atomicity-relevant action is streamed to the
-    /// scheduler as a [`SchedEvent`].
+    /// The engine's one deterministic driver: runs the vCPUs on the
+    /// calling thread, one **atom** at a time, with `sched` picking who
+    /// runs each atom. Lockstep ([`RoundRobin`](crate::RoundRobin)), the
+    /// simulated multicore ([`MachineCore::run_sim`]) and `adbt-check`'s
+    /// exploration are all schedulers on this driver. An atom is one
+    /// translated block — or, at pause-point granularity, the partial
+    /// block up to / resuming from an `Op::Yield` / `Op::Window` pause
+    /// point, with every atomicity-relevant action streamed to the
+    /// scheduler as a [`SchedEvent`]. Combine with `max_block_insns: 1`
+    /// for instruction granularity.
     ///
     /// Runs until every vCPU finishes or `max_atoms` atoms have been
     /// dispatched; vCPUs still live at the cap report as livelocked.
-    pub fn run_scheduled(
+    pub fn run_scheduled<S: Scheduler + ?Sized>(
         &self,
         vcpus: Vec<Vcpu>,
-        sched: &mut dyn Scheduler,
+        sched: &mut S,
         max_atoms: u64,
     ) -> RunReport {
         self.threaded.store(false, Ordering::Relaxed);
-        let n = vcpus.len() as u32;
+        let n = vcpus.len();
         let start = Instant::now();
         self.exclusive.register();
-        // The driver owns the run's only QSBR slot and the ctxs never see
-        // it (`qsbr_slot` stays unset): a paused cursor keeps a block id
-        // live across atoms, so per-atom quiescence would be unsound.
-        // The dispatch loop below announces quiescence only at points
-        // where **every** cursor is empty.
+        // One thread runs every vCPU, so one QSBR slot serves them all;
+        // `step` announces through it only while no cursor is paused.
         let slot = self.qsbr.register();
-
-        let mut ctxs: Vec<ExecCtx<'_>> = vcpus
+        let pause_points = sched.granularity() == Granularity::PausePoints;
+        // Each vCPU's context, L1 cache and paused-block cursor.
+        let mut lanes: Vec<(ExecCtx<'_>, L1Cache, Cursor)> = vcpus
             .into_iter()
             .map(|cpu| {
-                let mut ctx = ExecCtx::new(cpu, self, n);
-                ctx.pause_on_yield = true;
-                ctx.record_events = true;
-                ctx
+                let mut ctx = ExecCtx::new(cpu, self, n as u32);
+                ctx.qsbr_slot = slot;
+                ctx.pause_points = pause_points;
+                (ctx, L1Cache::new(), None)
             })
             .collect();
-        let mut l1s: Vec<L1Cache> = (0..ctxs.len()).map(|_| L1Cache::new()).collect();
-        // A vCPU paused inside a block: (block id, op index to resume
-        // from). The shared cache is append-only, so the id stays valid.
-        let mut cursors: Vec<Option<(u32, usize)>> = vec![None; ctxs.len()];
-        let mut outcomes: Vec<Option<VcpuOutcome>> = vec![None; ctxs.len()];
-        let mut enabled: Vec<bool> = vec![true; ctxs.len()];
-        let mut remaining = ctxs.len();
-        let mut last: Option<usize> = None;
-
+        let mut outcomes: Vec<Option<VcpuOutcome>> = vec![None; n];
+        let mut enabled = vec![true; n];
+        let mut remaining = n;
+        let mut last = None;
         let mut atom = 0u64;
         while remaining > 0 && atom < max_atoms {
             let idx = sched.pick(atom, &enabled, last);
@@ -1605,42 +1576,32 @@ impl MachineCore {
                 enabled.get(idx).copied().unwrap_or(false),
                 "scheduler picked finished or out-of-range vCPU {idx}"
             );
+            let (ctx, l1, cursor) = &mut lanes[idx];
+            // `idx` runs for as long as the scheduler keeps it, one block
+            // per atom: the scheduler is the outer loop.
+            loop {
+                let done = self.step(ctx, l1, 1, cursor);
+                let keep = sched.charge(idx, &mut ctx.stats, &enabled);
+                if let Some(outcome) = done {
+                    ctx.release_region();
+                    outcomes[idx] = Some(outcome);
+                    enabled[idx] = false;
+                    remaining -= 1;
+                }
+                if pause_points {
+                    // Drained after the outcome so teardown events
+                    // (exclusive exits from `release_region`) reach the
+                    // scheduler too.
+                    for event in ctx.drain_events() {
+                        sched.observe(atom, event);
+                    }
+                }
+                atom += 1;
+                if !keep || !enabled[idx] || atom >= max_atoms {
+                    break;
+                }
+            }
             last = Some(idx);
-            let was_pinned = cursors[idx].is_some();
-            if let Some(outcome) =
-                self.scheduled_atom(&mut ctxs[idx], &mut l1s[idx], &mut cursors[idx])
-            {
-                ctxs[idx].release_region();
-                outcomes[idx] = Some(outcome);
-                enabled[idx] = false;
-                remaining -= 1;
-            }
-            // Mirror cursor occupancy into the machine-wide pin count:
-            // the adaptive arbiter must defer migrations while any vCPU
-            // is paused mid-block.
-            match (was_pinned, cursors[idx].is_some()) {
-                (false, true) => {
-                    self.cursor_pins.fetch_add(1, Ordering::Release);
-                }
-                (true, false) => {
-                    self.cursor_pins.fetch_sub(1, Ordering::Release);
-                }
-                _ => {}
-            }
-            // Drained after the outcome so teardown events (exclusive
-            // exits from `release_region`) reach the scheduler too.
-            for event in ctxs[idx].drain_events() {
-                sched.observe(atom, event);
-            }
-            // With no cursor live, the driver thread holds zero block
-            // borrows: announce quiescence and free grace-expired limbo.
-            if cursors.iter().all(Option::is_none) {
-                self.qsbr.quiesce(slot);
-                if self.cache.limbo_pending() {
-                    self.reclaim_now(&mut ctxs[idx]);
-                }
-            }
-            atom += 1;
         }
         // Cursors still paused at the atom cap die with their ctxs;
         // leave the machine reusable for the next run.
@@ -1648,10 +1609,12 @@ impl MachineCore {
         self.qsbr.unregister(slot);
         self.exclusive.unregister();
         let wall = start.elapsed();
-        let results = ctxs
+        let results = lanes
             .into_iter()
             .zip(outcomes)
-            .map(|(ctx, outcome)| {
+            .enumerate()
+            .map(|(idx, ((mut ctx, _, _), outcome))| {
+                sched.settle(idx, &mut ctx.stats);
                 (
                     outcome.unwrap_or(VcpuOutcome::Livelocked { pc: ctx.cpu.pc }),
                     ctx.stats,
@@ -1661,144 +1624,13 @@ impl MachineCore {
         self.report(results, wall, None)
     }
 
-    /// One scheduled atom: resume a paused block, or dispatch a fresh
-    /// one exactly the way [`MachineCore::step`] does (safepoint, robust
-    /// hop, cache lookup, engine-token observation). Returns
-    /// `Some(outcome)` when the vCPU finished.
-    fn scheduled_atom(
-        &self,
-        ctx: &mut ExecCtx<'_>,
-        l1: &mut L1Cache,
-        cursor: &mut Option<(u32, usize)>,
-    ) -> Option<VcpuOutcome> {
-        if let Some((id, resume_at)) = cursor.take() {
-            // Mid-block resume: no safepoint, no lookup — the vCPU is
-            // between two ops of an already-dispatched block. The id is
-            // guaranteed live: the driver only announces quiescence when
-            // every cursor is empty, so a paused block cannot be freed.
-            let block = self
-                .cache
-                .block(id)
-                .expect("paused cursor pins its block against reclamation");
-            return match interp::run_block_from(ctx, block, resume_at) {
-                Ok(interp::BlockRun::Done(next)) => {
-                    ctx.cpu.pc = next;
-                    None
-                }
-                Ok(interp::BlockRun::Paused(next_op)) => {
-                    *cursor = Some((id, next_op));
-                    None
-                }
-                Err(trap) => self.scheduled_trap(ctx, trap),
-            };
-        }
-        ctx.stats.exclusive_ns += self.exclusive.safepoint_for(ctx.cpu.tid);
-        ctx.note_event(SchedEvent::Safepoint { tid: ctx.cpu.tid });
-        if ctx.robust {
-            if let Some(outcome) = self.robust_hop(ctx) {
-                return Some(outcome);
-            }
-        }
-        if self.adapt.is_some() {
-            if let Some(outcome) = self.adapt_poll(ctx) {
-                return Some(outcome);
-            }
-        }
-        let pc = ctx.cpu.pc;
-        ctx.stats.dispatch_lookups += 1;
-        l1.sync(self.cache.version());
-        let id = match l1.get(pc) {
-            Some(id) => {
-                ctx.stats.l1_hits += 1;
-                id
-            }
-            None => {
-                ctx.stats.l1_misses += 1;
-                match self.lookup_or_translate(ctx, pc) {
-                    Ok(id) => {
-                        l1.put(pc, id);
-                        id
-                    }
-                    Err(trap) => return Some(trap_outcome(ctx, trap)),
-                }
-            }
-        };
-        let Some(block) = self.cache.block(id) else {
-            // Retired between resolution and dereference (only possible
-            // via an invalidation on this same atom's robust hop): let
-            // the next atom retranslate through the synced lookup path.
-            return None;
-        };
-        // Same engine-token observation as `step`: a region transaction
-        // crossing a dispatch reads the shared dispatcher structures.
-        let dispatch_result = match &mut ctx.txn {
-            Some(txn) => {
-                ctx.stats.txn_dispatches += 1;
-                (0..8)
-                    .try_for_each(|slot| txn.observe(adbt_htm::HtmDomain::engine_token(slot)))
-                    .map_err(Trap::HtmAbort)
-            }
-            None => Ok(()),
-        };
-        let exec_result = match dispatch_result {
-            Ok(()) => interp::run_block_from(ctx, block, 0),
-            Err(trap) => {
-                ctx.txn = None;
-                ctx.discard_txn_events();
-                Err(trap)
-            }
-        };
-        match exec_result {
-            Ok(interp::BlockRun::Done(next)) => {
-                ctx.cpu.pc = next;
-                None
-            }
-            Ok(interp::BlockRun::Paused(next_op)) => {
-                *cursor = Some((id, next_op));
-                None
-            }
-            Err(trap) => self.scheduled_trap(ctx, trap),
-        }
-    }
-
-    /// Trap disposition for scheduled atoms, mirroring `step`'s arms
-    /// minus the threaded-only backoff/degradation (a scheduler decides
-    /// all interleaving here, so there is nothing to back off from).
-    fn scheduled_trap(&self, ctx: &mut ExecCtx<'_>, trap: Trap) -> Option<VcpuOutcome> {
-        match trap {
-            Trap::Exit(code) => Some(VcpuOutcome::Exited(code)),
-            Trap::HtmAbort(reason) => {
-                ctx.stats.htm_aborts += 1;
-                ctx.prof_htm_abort(reason);
-                ctx.trace(TraceKind::HtmAbort, ctx.cpu.pc, reason.code());
-                ctx.txn = None;
-                ctx.discard_txn_events();
-                match ctx.txn_restart.take() {
-                    Some((restart_pc, snapshot)) => {
-                        ctx.cpu.restore(&snapshot);
-                        ctx.cpu.pc = restart_pc;
-                        ctx.txn_retries += 1;
-                        if self.retry.exhausted(ctx.txn_retries) {
-                            Some(VcpuOutcome::Livelocked { pc: restart_pc })
-                        } else {
-                            None
-                        }
-                    }
-                    None => Some(VcpuOutcome::Crashed(Trap::HtmAbort(reason))),
-                }
-            }
-            Trap::Livelock { pc, .. } => Some(VcpuOutcome::Livelocked { pc }),
-            other => Some(VcpuOutcome::Crashed(other)),
-        }
-    }
-
-    /// Runs the vCPUs on a **simulated multicore**: a deterministic
-    /// virtual-time scheduler always advances the vCPU with the smallest
-    /// virtual clock, one translated block at a time, charging each
-    /// block against the [`SimCosts`] model. Stop-the-world sections
-    /// synchronize every clock (which is exactly why exclusive-heavy
-    /// schemes stop scaling — the paper's observation, reproduced
-    /// host-independently).
+    /// Runs the vCPUs on a **simulated multicore**: the deterministic
+    /// driver under a [`VirtualTimeScheduler`], which always advances
+    /// the vCPU with the smallest virtual clock, one translated block at
+    /// a time, charging each block against the [`SimCosts`] model.
+    /// Stop-the-world sections synchronize every clock (which is exactly
+    /// why exclusive-heavy schemes stop scaling — the paper's
+    /// observation, reproduced host-independently).
     ///
     /// Interleaving is block-granular, so cross-thread races (SC
     /// failures, HTM conflicts, ABA interleavings) genuinely occur; the
@@ -1806,115 +1638,8 @@ impl MachineCore {
     /// runs are exactly reproducible. The run's "execution time" is the
     /// makespan [`RunReport::sim_time`].
     pub fn run_sim(&self, vcpus: Vec<Vcpu>, costs: &SimCosts) -> RunReport {
-        self.threaded.store(false, Ordering::Relaxed);
-        let n = vcpus.len() as u32;
-        let start = Instant::now();
-        self.exclusive.register();
-        // Same single-slot scheme as lockstep: one thread, no cursors.
-        let slot = self.qsbr.register();
-
-        let mut ctxs: Vec<ExecCtx<'_>> = vcpus
-            .into_iter()
-            .map(|cpu| {
-                let mut ctx = ExecCtx::new(cpu, self, n);
-                ctx.qsbr_slot = slot;
-                ctx
-            })
-            .collect();
-        let mut l1s: Vec<L1Cache> = (0..ctxs.len()).map(|_| L1Cache::new()).collect();
-        let mut outcomes: Vec<Option<VcpuOutcome>> = vec![None; ctxs.len()];
-        let mut vtimes: Vec<u64> = vec![0; ctxs.len()];
-        let mut remaining = ctxs.len();
-        let mut steps = 0u64;
-        let mut rng = costs.jitter_seed | 1;
-        // Least-recently-run tie-breaking. Stop-the-world syncs equalize
-        // every clock, and a fixed (lowest-index) tie-break would then
-        // starve everyone but one spinner — a waiter that syncs on every
-        // spin would never let the lock holder run.
-        let mut last_run: Vec<u64> = vec![0; ctxs.len()];
-        let mut run_counter = 0u64;
-        // The shared-resource clock for schemes' global locks: an
-        // acquisition at time t waits until the lock frees, then holds
-        // it for `lock_hold` — a queueing model of lock contention.
-        let mut lock_free_at = 0u64;
-
-        while remaining > 0 && steps < self.config.max_lockstep_steps {
-            // Advance the vCPU with the smallest virtual clock (ties go
-            // to the least recently run — fully deterministic) and keep
-            // it running for one scheduling quantum.
-            let idx = (0..ctxs.len())
-                .filter(|&i| outcomes[i].is_none())
-                .min_by_key(|&i| (vtimes[i], last_run[i], i))
-                .expect("remaining > 0");
-            run_counter += 1;
-            last_run[idx] = run_counter;
-            // Jittered quantum: varied preemption phases are what let
-            // several vCPUs be mid-operation at once (see SimCosts).
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            let base = costs.quantum.max(2);
-            let quantum = base / 2 + rng % base;
-            let limit = vtimes[idx].saturating_add(quantum);
-            while vtimes[idx] <= limit && steps < self.config.max_lockstep_steps {
-                steps += 1;
-                let snapshot = SimSnapshot::capture(&ctxs[idx].stats);
-                // Single-block dispatch: the virtual-time model charges
-                // and preempts at block granularity.
-                let done = self.step(&mut ctxs[idx], &mut l1s[idx], 1);
-                let (units, syncs, locks) = snapshot.charge(&mut ctxs[idx].stats, costs);
-                vtimes[idx] += units;
-                // Global-lock acquisitions queue on one shared resource.
-                for _ in 0..locks {
-                    if lock_free_at > vtimes[idx] {
-                        let wait = lock_free_at - vtimes[idx];
-                        vtimes[idx] += wait;
-                        ctxs[idx].stats.sim_exclusive_units += wait;
-                    }
-                    lock_free_at = vtimes[idx] + costs.lock_hold;
-                    vtimes[idx] += costs.lock_hold;
-                }
-                for _ in 0..syncs {
-                    // A stop-the-world section: the requester waits for
-                    // everyone to reach a safepoint, runs alone, then
-                    // resumes the world; laggard clocks are floored to
-                    // the section's end (they were parked through it).
-                    let t_end = vtimes[idx] + costs.safepoint_wait + costs.exclusive_section;
-                    ctxs[idx].stats.sim_exclusive_units +=
-                        costs.safepoint_wait + costs.exclusive_section;
-                    vtimes[idx] = t_end;
-                    for j in 0..vtimes.len() {
-                        if j != idx && outcomes[j].is_none() && vtimes[j] < t_end {
-                            ctxs[j].stats.sim_exclusive_units += t_end - vtimes[j];
-                            vtimes[j] = t_end;
-                        }
-                    }
-                }
-                if let Some(outcome) = done {
-                    ctxs[idx].release_region();
-                    ctxs[idx].stats.sim_time = vtimes[idx];
-                    outcomes[idx] = Some(outcome);
-                    remaining -= 1;
-                    break;
-                }
-            }
-        }
-        self.qsbr.unregister(slot);
-        self.exclusive.unregister();
-        let wall = start.elapsed();
-        let results = ctxs
-            .into_iter()
-            .zip(outcomes)
-            .zip(vtimes)
-            .map(|((mut ctx, outcome), vtime)| {
-                ctx.stats.sim_time = vtime;
-                (
-                    outcome.unwrap_or(VcpuOutcome::Livelocked { pc: ctx.cpu.pc }),
-                    ctx.stats,
-                )
-            })
-            .collect();
-        self.report(results, wall, None)
+        let mut sched = VirtualTimeScheduler::new(costs, vcpus.len());
+        self.run_scheduled(vcpus, &mut sched, SIM_MAX_ATOMS)
     }
 
     fn report(
@@ -1991,14 +1716,11 @@ impl std::fmt::Debug for MachineCore {
     }
 }
 
-fn trap_outcome(ctx: &ExecCtx<'_>, trap: Trap) -> VcpuOutcome {
+fn trap_outcome(trap: Trap) -> VcpuOutcome {
     match trap {
         Trap::Exit(code) => VcpuOutcome::Exited(code),
         Trap::Livelock { pc, .. } => VcpuOutcome::Livelocked { pc },
-        other => {
-            let _ = ctx;
-            VcpuOutcome::Crashed(other)
-        }
+        other => VcpuOutcome::Crashed(other),
     }
 }
 

@@ -236,12 +236,12 @@ pub struct ExecCtx<'m> {
     /// `stats.sc` when the window opened; the boundary hop closes the
     /// window once an SC has run under it.
     pub(crate) sc_window_mark: u64,
-    /// Scheduled mode: pause block execution at `Op::Yield`/`Op::Window`
-    /// so the scheduler can interleave inside marked windows.
-    pub(crate) pause_on_yield: bool,
-    /// Scheduled mode: stream atomicity events to the scheduler. Off on
-    /// every hot path (a single cold branch per note site).
-    pub(crate) record_events: bool,
+    /// Deterministic runs at pause-point granularity: block execution
+    /// pauses at `Op::Yield`/`Op::Window` so the scheduler can
+    /// interleave inside marked windows, and atomicity events stream to
+    /// the scheduler. Off on every hot path (a single cold branch per
+    /// note site).
+    pub(crate) pause_points: bool,
     /// Events produced since the scheduler last drained them.
     pub(crate) events: Vec<SchedEvent>,
     /// Events produced inside an open HTM region transaction: delivered
@@ -249,10 +249,9 @@ pub struct ExecCtx<'m> {
     /// on abort (speculative stores never became visible).
     pub(crate) txn_events: Vec<SchedEvent>,
     /// This thread's QSBR slot for translation-cache reclamation, set by
-    /// the run-mode entry points. `usize::MAX` means "no slot": the ctx
-    /// never announces quiescence and never blocks a grace period
-    /// (scheduled mode keeps the slot on the driver — a paused cursor
-    /// must pin its block).
+    /// the drivers (the deterministic one shares a slot among all its
+    /// ctxs). `usize::MAX` means "no slot": the ctx never announces
+    /// quiescence and never blocks a grace period.
     pub(crate) qsbr_slot: usize,
     /// Retired-instruction threshold for this vCPU's next adaptive
     /// arbitration epoch; `u64::MAX` on static machines, so the poll
@@ -304,8 +303,7 @@ impl<'m> ExecCtx<'m> {
             sc_injected: false,
             sc_window: false,
             sc_window_mark: 0,
-            pause_on_yield: false,
-            record_events: false,
+            pause_points: false,
             events: Vec::new(),
             txn_events: Vec::new(),
             qsbr_slot: usize::MAX,
@@ -318,12 +316,12 @@ impl<'m> ExecCtx<'m> {
         }
     }
 
-    /// Records an atomicity event for the scheduler (scheduled runs
-    /// only; a no-op branch everywhere else). Events raised inside an
-    /// open region transaction are buffered until it commits.
+    /// Records an atomicity event for the scheduler (pause-point
+    /// granularity only; a no-op branch everywhere else). Events raised
+    /// inside an open region transaction are buffered until it commits.
     #[inline]
     pub fn note_event(&mut self, event: SchedEvent) {
-        if !self.record_events {
+        if !self.pause_points {
             return;
         }
         if self.txn.is_some() {
@@ -430,7 +428,7 @@ impl<'m> ExecCtx<'m> {
     #[inline]
     pub fn note_ll(&mut self, addr: u32) {
         self.trace(TraceKind::LlIssue, addr, 0);
-        if self.record_events {
+        if self.pause_points {
             self.note_event(SchedEvent::Ll {
                 tid: self.cpu.tid,
                 addr,
@@ -449,7 +447,7 @@ impl<'m> ExecCtx<'m> {
         if self.prof.is_some() {
             self.prof_sc(ok);
         }
-        if self.record_events {
+        if self.pause_points {
             self.note_event(SchedEvent::Sc {
                 tid: self.cpu.tid,
                 addr,
@@ -464,7 +462,7 @@ impl<'m> ExecCtx<'m> {
     pub fn note_clrex(&mut self) {
         self.trace(TraceKind::Clrex, 0, 0);
         self.prof_charge(ProfMetric::MonitorClear, 1);
-        if self.record_events {
+        if self.pause_points {
             self.note_event(SchedEvent::Clrex { tid: self.cpu.tid });
         }
     }
@@ -557,8 +555,8 @@ impl<'m> ExecCtx<'m> {
         }
     }
 
-    /// Hands the accumulated events to the caller (the scheduled run
-    /// loop drains after every atom).
+    /// Hands the accumulated events to the caller (the deterministic
+    /// driver drains after every atom).
     pub(crate) fn drain_events(&mut self) -> Vec<SchedEvent> {
         std::mem::take(&mut self.events)
     }
@@ -594,7 +592,7 @@ impl<'m> ExecCtx<'m> {
         if let Some(plane) = &self.machine.chaos {
             plane.record(site);
         }
-        if self.record_events {
+        if self.pause_points {
             self.note_event(SchedEvent::Chaos {
                 tid: self.cpu.tid,
                 site,
@@ -823,7 +821,7 @@ impl<'m> ExecCtx<'m> {
                             }
                         }
                     }
-                    if guest_store && self.record_events {
+                    if guest_store && self.pause_points {
                         self.note_event(SchedEvent::GuestStore {
                             tid: self.cpu.tid,
                             addr: vaddr,
@@ -841,7 +839,7 @@ impl<'m> ExecCtx<'m> {
                         FaultOutcome::Done => {
                             // The handler stored it; the store is visible
                             // all the same.
-                            if guest_store && self.record_events {
+                            if guest_store && self.pause_points {
                                 self.note_event(SchedEvent::GuestStore {
                                     tid: self.cpu.tid,
                                     addr: vaddr,
@@ -1210,7 +1208,7 @@ impl<'m> ExecCtx<'m> {
             self.stats.invalidations += 1;
             self.stats.retired_blocks += summary.retired + summary.demoted;
             self.trace(TraceKind::Invalidate, vaddr, victims[0]);
-            if self.record_events {
+            if self.pause_points {
                 self.note_event(SchedEvent::Invalidate {
                     tid: self.cpu.tid,
                     addr: vaddr,
@@ -1260,7 +1258,7 @@ impl<'m> ExecCtx<'m> {
         if let Some(plane) = &self.machine.chaos {
             plane.record(ChaosSite::Invalidate);
         }
-        if self.record_events {
+        if self.pause_points {
             self.note_event(SchedEvent::Chaos {
                 tid: self.cpu.tid,
                 site: ChaosSite::Invalidate,

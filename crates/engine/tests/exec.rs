@@ -6,7 +6,7 @@
 //! depending on `adbt-schemes` (which depends on this crate).
 
 use adbt_engine::{
-    AtomicScheme, Atomicity, HelperRegistry, MachineConfig, MachineCore, Schedule, Trap,
+    AtomicScheme, Atomicity, HelperRegistry, MachineConfig, MachineCore, RoundRobin, Trap,
     VcpuOutcome,
 };
 use adbt_ir::{BlockBuilder, HelperId, Op, Slot, Src};
@@ -370,7 +370,11 @@ fn lockstep_round_robin_is_deterministic() {
         .unwrap();
         let image = assemble(code, 0x1000).unwrap();
         m.load_image(&image);
-        let report = m.run_lockstep(m.make_vcpus(3, 0x1000), Schedule::RoundRobin);
+        let report = m.run_scheduled(
+            m.make_vcpus(3, 0x1000),
+            &mut RoundRobin::default(),
+            1_000_000,
+        );
         report
             .outcomes
             .iter()
@@ -415,7 +419,11 @@ fn lockstep_explicit_schedule_orders_writes() {
     m.load_image(&image);
     // 16 steps of vCPU 1 first (enough to finish), then vCPU 0.
     let schedule: Vec<u32> = std::iter::repeat_n(1, 16).chain([0; 16]).collect();
-    let report = m.run_lockstep(m.make_vcpus(2, 0x1000), Schedule::Explicit(schedule));
+    let report = m.run_scheduled(
+        m.make_vcpus(2, 0x1000),
+        &mut RoundRobin::with_prefix(schedule),
+        1_000_000,
+    );
     assert_eq!(report.outcomes[1], VcpuOutcome::Exited(2));
     assert_eq!(report.outcomes[0], VcpuOutcome::Exited(1));
     let cell = image.symbol("cell").unwrap();

@@ -3,6 +3,7 @@
 
 use adbt_engine::{
     AtomicScheme, Atomicity, HelperRegistry, MachineConfig, MachineCore, SimCosts, VcpuOutcome,
+    VirtualTimeScheduler,
 };
 use adbt_ir::{BlockBuilder, Op, Slot, Src};
 use adbt_isa::asm::assemble;
@@ -246,20 +247,15 @@ fn sim_handles_guest_crashes() {
 
 #[test]
 fn step_cap_reports_livelock_rather_than_hanging() {
-    let m = MachineCore::new(
-        MachineConfig {
-            mem_size: 1 << 20,
-            max_lockstep_steps: 100,
-            ..MachineConfig::default()
-        },
-        Box::new(ExclusiveCas { sc: None }),
-    )
-    .unwrap();
+    let m = machine();
     let image = assemble("spin: b spin\n", 0x1_0000).unwrap();
     m.load_image(&image);
-    let report = m.run_sim(m.make_vcpus(2, 0x1_0000), &SimCosts::default());
+    let mut sched = VirtualTimeScheduler::new(&SimCosts::default(), 2);
+    let report = m.run_scheduled(m.make_vcpus(2, 0x1_0000), &mut sched, 100);
     assert!(report
         .outcomes
         .iter()
         .all(|o| matches!(o, VcpuOutcome::Livelocked { .. })));
+    // The cap counts atoms (one block each), not quanta.
+    assert_eq!(report.stats.blocks, 100);
 }

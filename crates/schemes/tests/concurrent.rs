@@ -258,9 +258,10 @@ fn pst_false_sharing_fault_path_is_exact() {
         machine.load_image(&image);
         // t0: movw,movt,svc,cmp,beq,ldrex = 6 steps; then t1 fully; then t0.
         let schedule: Vec<u32> = [0; 6].into_iter().chain([1; 16]).chain([0; 16]).collect();
-        let report = machine.run_lockstep(
+        let report = machine.run_scheduled(
             machine.make_vcpus(2, 0x1000),
-            adbt_engine::Schedule::Explicit(schedule),
+            &mut adbt_engine::RoundRobin::with_prefix(schedule),
+            1_000_000,
         );
         assert_eq!(
             report.outcomes[0],
@@ -322,9 +323,10 @@ fn pst_true_conflict_breaks_the_monitor() {
         let image = assemble(program, 0x1000).unwrap();
         machine.load_image(&image);
         let schedule: Vec<u32> = [0; 6].into_iter().chain([1; 16]).chain([0; 16]).collect();
-        let report = machine.run_lockstep(
+        let report = machine.run_scheduled(
             machine.make_vcpus(2, 0x1000),
-            adbt_engine::Schedule::Explicit(schedule),
+            &mut adbt_engine::RoundRobin::with_prefix(schedule),
+            1_000_000,
         );
         assert_eq!(
             report.outcomes[0],

@@ -2,7 +2,7 @@
 //! HST's benign hash collisions, and PST-REMAP's remap window under
 //! concurrent readers.
 
-use adbt_engine::{MachineConfig, MachineCore, Schedule, VcpuOutcome};
+use adbt_engine::{MachineConfig, MachineCore, RoundRobin, VcpuOutcome};
 use adbt_isa::asm::assemble;
 use adbt_mmu::{Perms, Width};
 use adbt_schemes::SchemeKind;
@@ -47,7 +47,11 @@ fn pst_protection_follows_the_monitor() {
     // needed: use explicit schedule then inspect after full run).
     // Lockstep runs to completion, so instead verify the protection
     // effects via the fault statistics and final state.
-    let report = m.run_lockstep(m.make_vcpus(1, 0x1_0000), Schedule::RoundRobin);
+    let report = m.run_scheduled(
+        m.make_vcpus(1, 0x1_0000),
+        &mut RoundRobin::default(),
+        1_000_000,
+    );
     assert_eq!(report.outcomes[0], VcpuOutcome::Exited(0));
     assert_eq!(m.space.load(var, Width::Word).unwrap(), 11);
     assert_eq!(
@@ -106,7 +110,11 @@ fn pst_shared_page_stays_protected_until_last_monitor() {
         .chain([0; 8])
         .chain([1; 8])
         .collect();
-    let report = m.run_lockstep(m.make_vcpus(2, 0x1_0000), Schedule::Explicit(schedule));
+    let report = m.run_scheduled(
+        m.make_vcpus(2, 0x1_0000),
+        &mut RoundRobin::with_prefix(schedule),
+        1_000_000,
+    );
     assert_eq!(
         report.outcomes[0],
         VcpuOutcome::Exited(0),
@@ -176,7 +184,11 @@ fn hst_hash_collision_fails_sc_but_retry_recovers() {
     // add,ldrex(HtableSet+MonitorArm in one step) = 10 steps), then the
     // storer completely, then t0.
     let schedule: Vec<u32> = [0; 10].into_iter().chain([1; 16]).chain([0; 32]).collect();
-    let report = m.run_lockstep(m.make_vcpus(2, 0x1_0000), Schedule::Explicit(schedule));
+    let report = m.run_scheduled(
+        m.make_vcpus(2, 0x1_0000),
+        &mut RoundRobin::with_prefix(schedule),
+        1_000_000,
+    );
     let attempts = match report.outcomes[0] {
         VcpuOutcome::Exited(code) => code,
         ref other => panic!("{other:?}"),
@@ -233,7 +245,11 @@ fn hst_weak_ignores_colliding_plain_stores() {
     let image = assemble(program, 0x1_0000).unwrap();
     m.load_image(&image);
     let schedule: Vec<u32> = [0; 10].into_iter().chain([1; 16]).chain([0; 32]).collect();
-    let report = m.run_lockstep(m.make_vcpus(2, 0x1_0000), Schedule::Explicit(schedule));
+    let report = m.run_scheduled(
+        m.make_vcpus(2, 0x1_0000),
+        &mut RoundRobin::with_prefix(schedule),
+        1_000_000,
+    );
     assert_eq!(
         report.outcomes[0],
         VcpuOutcome::Exited(1),

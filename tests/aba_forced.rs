@@ -6,7 +6,7 @@
 //! PICO-CAS must (incorrectly) succeed — leaving `top` pointing at B,
 //! which thread 2 privately holds. Every correct scheme must fail the SC.
 
-use adbt::{MachineBuilder, Schedule, SchemeKind, Vcpu, VcpuOutcome};
+use adbt::{MachineBuilder, RoundRobin, SchemeKind, Vcpu, VcpuOutcome};
 
 const BASE: u32 = 0x1_0000;
 
@@ -98,7 +98,7 @@ fn run_forced(kind: SchemeKind) -> Forced {
         .chain([1; 16]) // t1 pushes A (and exits)
         .chain([0; 8]) // t0 resumes: SC
         .collect();
-    let report = machine.run_lockstep(vcpus, Schedule::Explicit(schedule));
+    let report = machine.run_scheduled(vcpus, &mut RoundRobin::with_prefix(schedule), 1_000_000);
     let sc_status = match report.outcomes[0] {
         VcpuOutcome::Exited(code) => code,
         ref other => panic!(

@@ -230,6 +230,36 @@ fn cache_limit_is_a_hard_bound_under_churn() {
     assert_eq!(s.reclaimed_blocks, sum(|c| c.reclaimed_blocks));
 }
 
+/// The same churn on the deterministic driver at instruction
+/// granularity: every dispatch of a fresh instruction translates, so
+/// the pressure loop must flush, quiesce and reclaim on the driver's one
+/// thread. The driver shares one QSBR slot among its vCPUs and quiesces
+/// through it whenever no cursor is paused — including inside the
+/// pressure loop, which otherwise waits forever on its own grace period.
+#[test]
+fn scheduled_churn_under_cache_limit_reclaims_instead_of_livelocking() {
+    let limit = MachineCore::MIN_CACHE_LIMIT;
+    let mut machine = MachineBuilder::new(SchemeKind::Hst)
+        .memory(1 << 20)
+        .max_block_insns(1)
+        .cache_limit(limit)
+        .build()
+        .unwrap();
+    machine
+        .load_asm(&churn_program(1500, 3), IMAGE_BASE)
+        .unwrap();
+    let vcpus = machine.make_vcpus(2, IMAGE_BASE);
+    let report = machine.run_scheduled(vcpus, &mut ScriptedScheduler::new(), 200_000);
+    for outcome in &report.outcomes {
+        assert_eq!(*outcome, VcpuOutcome::Exited(0));
+    }
+    let occ = machine.core().cache_occupancy();
+    assert!(occ.peak_bytes <= limit);
+    assert!(occ.flushes >= 1, "no generational flush under pressure");
+    assert!(occ.reclaimed_segments >= 1, "no arena segment was returned");
+    assert_eq!(report.stats.reclaimed_blocks, occ.reclaimed_blocks);
+}
+
 /// An unlimited cache never flushes and never frees a segment — the
 /// lifecycle machinery stays entirely out of the way by default.
 #[test]
