@@ -105,8 +105,8 @@ cargo run -q --release --offline -p adbt-fuzz --bin adbt_fuzz -- \
 # document, a flamegraph fold, and a metrics JSONL, and the toolchain
 # re-validates its *own* output — adbt_prof --ci gates the .prof
 # schema, --check-folded the collapsed stacks, --check-metrics the
-# snapshot stream — so the emitters and validators can never drift
-# apart silently.
+# snapshot stream and the simulated run's --stats-json snapshot — so
+# the emitters and validators can never drift apart silently.
 for scheme in hst hst-weak hst-htm pst pst-remap pico-st pico-cas pico-htm; do
     cargo run -q --release --offline -p adbt --bin adbt_run -- \
         "$TRACE_TMP/soak.s" --scheme "$scheme" --threads 4 \
@@ -121,6 +121,12 @@ for scheme in hst hst-weak hst-htm pst pst-remap pico-st pico-cas pico-htm; do
         --check-folded "$TRACE_TMP/$scheme.folded"
     cargo run -q --release --offline -p adbt-profile --bin adbt_prof -- \
         --check-metrics "$TRACE_TMP/$scheme.jsonl"
+    cargo run -q --release --offline -p adbt --bin adbt_run -- \
+        "$TRACE_TMP/soak.s" --scheme "$scheme" --threads 4 \
+        --chaos seed=7,rate=0.05 --sim --stats-json \
+        > "$TRACE_TMP/$scheme.sim.json"
+    cargo run -q --release --offline -p adbt-profile --bin adbt_prof -- \
+        --check-metrics "$TRACE_TMP/$scheme.sim.json"
 done
 
 # Profiling-overhead guard: the dispatch-bound loop runs profiled vs

@@ -18,6 +18,7 @@
 //! for noise and `--max-threads` to cap the thread ladder. Arguments are
 //! strict ([`Args`]): anything a binary does not declare exits 2.
 
+use adbt::trace::validate::json_string;
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::time::Duration;
@@ -283,25 +284,6 @@ pub fn pct_cell(num: u64, den: u64) -> String {
     format!("{:.1}", pct(num as f64, den as f64))
 }
 
-/// Quotes and escapes a JSON string.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// A cell as a JSON value: integer, then finite float, then string.
 fn json_cell(cell: &str) -> String {
     if let Ok(i) = cell.parse::<i64>() {
@@ -420,7 +402,6 @@ mod tests {
 
     #[test]
     fn json_escapes_and_types() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
         assert_eq!(json_cell("-7"), "-7");
         assert_eq!(json_cell("0.5"), "0.5");
         assert_eq!(json_cell("NaN"), "\"NaN\"");

@@ -87,10 +87,13 @@
 //! `--adapt-*` flags without `--scheme auto` (they would be silently
 //! ignored).
 
-use adbt::engine::ScriptedScheduler;
+use adbt::engine::{ScriptedScheduler, Unit};
 use adbt::observe;
 use adbt::profile::export;
-use adbt::{AdaptConfig, AdaptPolicy, ChaosCfg, MachineBuilder, SchemeKind, SimCosts, VcpuOutcome};
+use adbt::{
+    AdaptConfig, AdaptPolicy, ChaosCfg, MachineBuilder, SchemeKind, SimCosts, VcpuOutcome,
+    VcpuStats,
+};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -348,6 +351,7 @@ fn main() -> ExitCode {
                 threads = args
                     .next()
                     .and_then(|v| parse_u32(&v))
+                    .filter(|&n| n > 0)
                     .unwrap_or_else(|| usage())
             }
             "--base" => {
@@ -538,6 +542,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if !machine.core().fits_vcpus(threads) {
+        eprintln!("--threads {threads}: the vCPU stacks do not fit in --memory {memory}");
+        usage()
+    }
     if let Err(e) = machine.load_asm(&source, base) {
         eprintln!("{e}");
         return ExitCode::from(2);
@@ -615,49 +623,23 @@ fn main() -> ExitCode {
     }
     if stats {
         let s = &report.stats;
-        eprintln!(
-            "insns={} loads={} stores={} ll={} sc={} sc_failures={} fused={} \
-             helpers={} htable={} faults={} mprotect={} remap={} htm_txns={} htm_aborts={}",
-            s.insns,
-            s.loads,
-            s.stores,
-            s.ll,
-            s.sc,
-            s.sc_failures,
-            s.fused_rmws,
-            s.helper_calls,
-            s.htable_sets,
-            s.page_faults,
-            s.mprotect_calls,
-            s.remap_calls,
-            s.htm_txns,
-            s.htm_aborts,
-        );
-        eprintln!(
-            "dispatch_lookups={} chain_follows={} l1_hits={} l1_misses={} translations={}",
-            s.dispatch_lookups, s.chain_follows, s.l1_hits, s.l1_misses, s.translations,
-        );
-        eprintln!(
-            "injected_faults={} sc_failures_injected={} degradations={} lock_wait_ns={}",
-            s.injected_faults, s.sc_failures_injected, s.degradations, s.lock_wait_ns,
-        );
-        eprintln!(
-            "tiering: promotions={} deopts={} superblocks={} tier_insns={} block_insns={} \
-             opt_nzcv_killed={} opt_const_folded={} opt_htable_coalesced={}",
-            s.promotions,
-            s.deopts,
-            machine.core().superblocks(),
-            s.tier_insns,
-            s.insns - s.tier_insns,
-            s.opt_nzcv_killed,
-            s.opt_const_folded,
-            s.opt_htable_coalesced,
-        );
+        // One line per unit, each listing its rows in table order.
+        for (unit, label) in [
+            (Unit::Count, "count"),
+            (Unit::Ns, "ns (wall clock, non-deterministic)"),
+            (Unit::Units, "units"),
+        ] {
+            let cells: Vec<String> = VcpuStats::COUNTERS
+                .iter()
+                .filter(|row| row.unit == unit)
+                .map(|row| format!("{}={}", row.name, row.get(s)))
+                .collect();
+            eprintln!("{label}: {}", cells.join(" "));
+        }
         let occ = machine.core().cache_occupancy();
         eprintln!(
             "cache: live_blocks={} superblocks={} bytes={} peak_bytes={} limit={} \
-             invalidations={} flushes={} retired={} reclaimed={} segments_freed={} \
-             smc_false_sharing={}",
+             invalidations={} flushes={} retired={} reclaimed={} segments_freed={}",
             occ.live_blocks,
             occ.live_superblocks,
             occ.arena_bytes,
@@ -668,7 +650,6 @@ fn main() -> ExitCode {
             occ.retired_blocks,
             occ.reclaimed_blocks,
             occ.reclaimed_segments,
-            s.smc_false_sharing,
         );
         let pct = |num: u64, den: u64| {
             if den == 0 {
@@ -685,13 +666,7 @@ fn main() -> ExitCode {
             pct(s.htm_aborts, s.htm_txns),
         );
         if machine.is_adaptive() {
-            eprintln!(
-                "adapt: epochs={} migrations={} denied={} final_scheme={}",
-                s.adapt_epochs,
-                s.adapt_migrations,
-                s.adapt_denied,
-                machine.active_scheme_name(),
-            );
+            eprintln!("adapt: final_scheme={}", machine.active_scheme_name());
         }
         if let Some(snapshot) = &report.chaos {
             let sites = snapshot
@@ -701,8 +676,7 @@ fn main() -> ExitCode {
                 .join(" ");
             eprintln!("chaos_total={} {}", snapshot.total(), sites);
         }
-        if let Some(t) = report.sim_time() {
-            eprintln!("sim_time={t} units");
+        if report.sim_time().is_some() {
             let b = report.sim_breakdown();
             eprintln!(
                 "sim_breakdown: native={} exclusive={} instrument={} mprotect={}",

@@ -298,15 +298,24 @@ pub fn run_parsec_full(
     };
     let seconds = report.wall.as_secs_f64();
 
-    // Invariants: the lock-protected plain counter at sync_page+16 and
-    // the atomic counter at sync_page+8 must equal the expected event
-    // totals — a wrong scheme (or engine bug) shows up here.
+    // Invariants: the lock-protected plain counters (sync_page+16, or
+    // one per fine-grained lock on fine_counters_page) and the atomic
+    // counter at sync_page+8 must equal the expected event totals — a
+    // wrong scheme (or engine bug) shows up here.
     let spec = generated.spec;
     let sync = machine.symbol("sync_page")?;
     let mut valid = report.all_ok();
     if let Some(per_thread) = spec.iters.checked_div(spec.lock_every) {
         let expected = per_thread as u64 * threads as u64;
-        valid &= machine.read_word(sync + 16)? as u64 == expected;
+        let locked = if spec.fine_locks > 0 {
+            let counters = machine.symbol("fine_counters_page")?;
+            (0..spec.fine_locks)
+                .map(|i| machine.read_word(counters + 4 * i).map(u64::from))
+                .sum::<Result<u64, _>>()?
+        } else {
+            machine.read_word(sync + 16)? as u64
+        };
+        valid &= locked == expected;
         if spec.atomic_adds_per_lock > 0 {
             let expected_atomic = expected * spec.atomic_adds_per_lock as u64;
             valid &= machine.read_word(sync + 8)? as u64 == expected_atomic;

@@ -1,5 +1,9 @@
 //! Smoke tests for the `adbt_run` command-line runner.
 
+use adbt::engine::Unit;
+use adbt::trace::validate::{parse_json, Json};
+use adbt::VcpuStats;
+use std::collections::HashMap;
 use std::io::Write as _;
 use std::process::Command;
 
@@ -47,19 +51,73 @@ fn runs_a_program_and_reports_output() {
     assert_eq!(chars, b"ABC", "putc output: {:?}", output.stdout);
 }
 
+/// `--stats` and `--stats-json` render the same counter table: on the
+/// deterministic simulator every row except the wall-clock `ns` ones
+/// reads the same in both.
 #[test]
 fn sim_mode_and_stats() {
     let dir = std::env::temp_dir();
     let path = write_program(&dir, "adbt_cli_sim.s", PROGRAM);
-    let output = bin()
-        .arg(&path)
-        .args(["--scheme", "pico-cas", "--threads", "2", "--sim", "--stats"])
-        .output()
-        .unwrap();
-    assert!(output.status.success(), "{output:?}");
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("sim_time="), "{stderr}");
-    assert!(stderr.contains("sc="), "{stderr}");
+    let run = |flag: &str| {
+        let output = bin()
+            .arg(&path)
+            .args(["--scheme", "pico-cas", "--threads", "2", "--sim", flag])
+            .output()
+            .unwrap();
+        assert!(output.status.success(), "{output:?}");
+        output
+    };
+    let text = String::from_utf8(run("--stats").stderr).unwrap();
+    let shown: HashMap<&str, f64> = text
+        .lines()
+        .filter_map(|line| {
+            line.strip_prefix("count: ")
+                .or_else(|| line.strip_prefix("units: "))
+        })
+        .flat_map(|cells| cells.split(' '))
+        .map(|cell| {
+            let (name, value) = cell.split_once('=').unwrap();
+            (name, value.parse().unwrap())
+        })
+        .collect();
+    let stdout = String::from_utf8(run("--stats-json").stdout).unwrap();
+    // The guest's `putc` output comes first, on the same line.
+    let doc = parse_json(stdout.trim_start_matches(|c| c != '{')).unwrap();
+    let stats = doc.get("stats").expect("stats object");
+    let rows = VcpuStats::COUNTERS
+        .iter()
+        .filter(|row| row.unit != Unit::Ns);
+    assert_eq!(shown.len(), rows.clone().count(), "{text}");
+    for row in rows {
+        let json = stats.get(row.name).and_then(Json::as_num);
+        assert_eq!(shown.get(row.name).copied(), json, "{}", row.name);
+    }
+    assert!(shown["sim_time"] > 0.0 && shown["sc"] > 0.0, "{text}");
+}
+
+/// Thread counts the machine cannot build are usage errors, not
+/// panics: zero vCPUs, and more vCPU stacks than guest memory holds.
+#[test]
+fn impossible_thread_counts_are_rejected() {
+    let dir = std::env::temp_dir();
+    let path = write_program(&dir, "adbt_cli_threads.s", "mov r0, #0\nsvc #0\n");
+    for threads in ["0", "100000"] {
+        let output = bin()
+            .arg(&path)
+            .args(["--threads", threads])
+            .output()
+            .unwrap();
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "--threads {threads}: {output:?}"
+        );
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("usage: adbt-run"),
+            "--threads {threads}: {stderr}"
+        );
+    }
 }
 
 #[test]

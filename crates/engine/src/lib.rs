@@ -106,6 +106,8 @@ pub use sched::{
 };
 pub use scheme::{AtomicScheme, Atomicity, SchemeCostModel, StoreFamily};
 pub use state::{Flags, Monitor, Vcpu, VcpuSnapshot};
-pub use stats::{calibration, Breakdown, Calibration, SimBreakdown, SimCosts, VcpuStats};
+pub use stats::{
+    calibration, Breakdown, Calibration, Counter, Merge, SimBreakdown, SimCosts, Unit, VcpuStats,
+};
 pub use store_test::StoreTestTable;
 pub use watchdog::{VcpuBeat, WatchdogDump};

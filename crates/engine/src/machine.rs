@@ -500,19 +500,25 @@ impl MachineCore {
         self.space.mem().write_slice(image.base, &image.bytes);
     }
 
+    /// Whether [`make_vcpus`](Self::make_vcpus) can build `n` vCPUs: at
+    /// least one, with their stacks fitting below the top of guest
+    /// memory.
+    pub fn fits_vcpus(&self, n: u32) -> bool {
+        let total_stack = (n as u64) * (self.config.stack_size as u64);
+        n >= 1 && total_stack < self.config.mem_size as u64
+    }
+
     /// Builds `n` vCPUs entering at `entry` with the launch ABI:
     /// `r0` = 0-based thread index, `r1` = thread count, `sp` = a private
     /// stack carved from the top of physical memory.
     ///
     /// # Panics
     ///
-    /// Panics if the stacks would not fit in guest memory.
+    /// Panics unless [`fits_vcpus`](Self::fits_vcpus) holds for `n`.
     pub fn make_vcpus(&self, n: u32, entry: u32) -> Vec<Vcpu> {
-        assert!(n >= 1, "need at least one vCPU");
-        let total_stack = (n as u64) * (self.config.stack_size as u64);
         assert!(
-            total_stack < self.config.mem_size as u64,
-            "stacks exceed guest memory"
+            self.fits_vcpus(n),
+            "{n} vCPUs: need at least one, and their stacks must fit guest memory"
         );
         (0..n)
             .map(|i| {

@@ -3,7 +3,10 @@
 //!
 //! Counters are plain `u64` fields updated by the owning vCPU thread and
 //! merged after the run, so collection adds no synchronization to the
-//! hot path. Wall-time is split into four buckets following §IV-B2:
+//! hot path. Each is declared once, as a row of
+//! [`VcpuStats::COUNTERS`]; merging, JSON, `--stats` and the counter
+//! invariants are loops over that table. Wall-time is split into four
+//! buckets following §IV-B2:
 //!
 //! * **exclusive** — waiting for / holding the stop-the-world section,
 //!   time parked at safepoints, and contended store-test entry locks;
@@ -16,378 +19,321 @@
 
 use std::time::{Duration, Instant};
 
-/// Per-vCPU event counters and timed buckets.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct VcpuStats {
+/// What a counter measures, which decides where it may be compared.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Unit {
+    /// Events. Exact, and bit-reproducible in the deterministic modes.
+    Count,
+    /// Host wall-clock nanoseconds. Two identical runs, deterministic
+    /// ones included, measure different values, so no oracle compares
+    /// them.
+    Ns,
+    /// Virtual-time cost units charged by the simulated mode (see
+    /// [`SimCosts`]); zero in every other mode.
+    Units,
+}
+
+/// How per-vCPU values combine into the machine-wide value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Merge {
+    /// The per-vCPU sum.
+    Sum,
+    /// The per-vCPU maximum (a clock: the run's makespan).
+    Max,
+}
+
+/// One row of [`VcpuStats::COUNTERS`].
+#[derive(Clone, Copy, Debug)]
+pub struct Counter {
+    /// The field name, which is also the counter's JSON key and
+    /// `--stats` label.
+    pub name: &'static str,
+    /// What the counter measures.
+    pub unit: Unit,
+    /// How per-vCPU values combine.
+    pub merge: Merge,
+    read: fn(&VcpuStats) -> u64,
+    write: fn(&mut VcpuStats) -> &mut u64,
+}
+
+impl Counter {
+    /// This counter's value in `stats`.
+    pub fn get(&self, stats: &VcpuStats) -> u64 {
+        (self.read)(stats)
+    }
+
+    /// This counter's field in `stats`.
+    fn get_mut<'a>(&self, stats: &'a mut VcpuStats) -> &'a mut u64 {
+        (self.write)(stats)
+    }
+}
+
+/// Declares [`VcpuStats`] and [`VcpuStats::COUNTERS`] from one list of
+/// rows, each a doc comment plus `name: unit merge`.
+macro_rules! counter_table {
+    (@unit count) => { Unit::Count };
+    (@unit ns) => { Unit::Ns };
+    (@unit units) => { Unit::Units };
+    (@merge sum) => { Merge::Sum };
+    (@merge max) => { Merge::Max };
+    ($($(#[$doc:meta])* $name:ident: $unit:ident $merge:ident,)*) => {
+        /// Per-vCPU event counters and timed buckets, one `u64` field per
+        /// row of [`VcpuStats::COUNTERS`].
+        #[derive(Clone, Debug, Default, PartialEq, Eq)]
+        pub struct VcpuStats {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl VcpuStats {
+            /// Every counter in declaration order, which is also the
+            /// order of the JSON keys and of `--stats`.
+            pub const COUNTERS: &'static [Counter] = &[$(Counter {
+                name: stringify!($name),
+                unit: counter_table!(@unit $unit),
+                merge: counter_table!(@merge $merge),
+                read: |s| s.$name,
+                write: |s| &mut s.$name,
+            }),*];
+        }
+    };
+}
+
+counter_table! {
     /// Guest instructions executed.
-    pub insns: u64,
+    insns: count sum,
     /// Translated blocks executed.
-    pub blocks: u64,
+    blocks: count sum,
     /// Blocks translated (translation-cache misses).
-    pub translations: u64,
+    translations: count sum,
     /// Architectural guest loads executed.
-    pub loads: u64,
+    loads: count sum,
     /// Architectural guest stores executed.
-    pub stores: u64,
+    stores: count sum,
     /// LL (`ldrex`) instructions executed.
-    pub ll: u64,
+    ll: count sum,
     /// SC (`strex`) instructions executed.
-    pub sc: u64,
+    sc: count sum,
     /// SC attempts that failed (monitor lost, hash entry stolen, CAS
     /// mismatch — per the active scheme's semantics).
-    pub sc_failures: u64,
+    sc_failures: count sum,
     /// Of `sc_failures`, those forced by the chaos plane's `ScFail`
     /// site rather than organic contention — kept separate so injected
     /// noise never pollutes contention analysis.
-    pub sc_failures_injected: u64,
+    sc_failures_injected: count sum,
     /// Runtime helper invocations.
-    pub helper_calls: u64,
+    helper_calls: count sum,
     /// Inline store-test table updates (`Op::HtableSet`).
-    pub htable_sets: u64,
+    htable_sets: count sum,
     /// Page faults routed to the scheme handler.
-    pub page_faults: u64,
+    page_faults: count sum,
     /// Of those, faults on the monitored page but a *different* address —
     /// the false-sharing faults of §IV-B2.
-    pub false_sharing_faults: u64,
+    false_sharing_faults: count sum,
     /// Stop-the-world exclusive sections entered by this vCPU.
-    pub exclusive_entries: u64,
+    exclusive_entries: count sum,
     /// Page-permission changes (`mprotect` analogue calls).
-    pub mprotect_calls: u64,
+    mprotect_calls: count sum,
     /// Page remaps (`mremap` analogue calls).
-    pub remap_calls: u64,
+    remap_calls: count sum,
     /// HTM transactions begun by this vCPU.
-    pub htm_txns: u64,
+    htm_txns: count sum,
     /// HTM aborts observed by this vCPU.
-    pub htm_aborts: u64,
+    htm_aborts: count sum,
     /// Guest `yield`s executed.
-    pub yields: u64,
+    yields: count sum,
     /// Global-lock acquisitions by scheme helpers (PICO-ST's store/LL/SC
     /// lock, PST's monitor registry). The simulator queues these on one
     /// shared resource, which is how lock contention — invisible to a
     /// single-threaded simulation — re-enters the model.
-    pub lock_acquisitions: u64,
+    lock_acquisitions: count sum,
     /// Translated-block dispatches executed while a region transaction
     /// was open (PICO-HTM): each one runs engine code *inside* the
     /// transaction, the paper's "QEMU becomes part of the transaction".
-    pub txn_dispatches: u64,
+    txn_dispatches: count sum,
     /// LL/SC retry loops fused into single host atomics by the
     /// rule-based translation pass (paper §VI).
-    pub fused_rmws: u64,
+    fused_rmws: count sum,
     /// Block dispatches that went through a cache lookup (L1 probe,
     /// possibly falling through to the sharded shared cache) because no
     /// chain link resolved the successor.
-    pub dispatch_lookups: u64,
+    dispatch_lookups: count sum,
     /// Block dispatches resolved by a patched chain link on the previous
     /// block's exit — zero lookups, the chained fast path.
-    pub chain_follows: u64,
+    chain_follows: count sum,
     /// Of `dispatch_lookups`, those satisfied by the per-vCPU L1 cache.
-    pub l1_hits: u64,
+    l1_hits: count sum,
     /// Of `dispatch_lookups`, those that missed the L1 and went to the
     /// sharded shared cache (translating on a shared-cache miss).
-    pub l1_misses: u64,
+    l1_misses: count sum,
     /// Faults fired into this vCPU by the chaos injection plane (zero
     /// unless the machine was built with `MachineConfig::chaos`).
-    pub injected_faults: u64,
+    injected_faults: count sum,
     /// Times an HTM-backed path spent its retry budget and downgraded to
     /// the stop-the-world fallback (HST-HTM's exclusive SC, PICO-HTM's
     /// exclusive region when `htm_degrade_after` is enabled).
-    pub degradations: u64,
+    degradations: count sum,
     /// Hot blocks promoted into tier-2 superblocks by this vCPU (the
     /// vCPU that won the promotion claim and built the superblock).
-    pub promotions: u64,
+    promotions: count sum,
     /// Deopt side exits taken: executions that left a superblock early,
     /// back to the block-granular tier.
-    pub deopts: u64,
+    deopts: count sum,
     /// Original-block boundaries retired inside superblocks (these
     /// blocks are also counted in `blocks`; this splits the tiers).
-    pub tier_blocks: u64,
+    tier_blocks: count sum,
     /// Guest instructions retired inside superblocks (also counted in
     /// `insns`).
-    pub tier_insns: u64,
+    tier_insns: count sum,
     /// Dead flag writes eliminated by the promotion-time optimizer.
-    pub opt_nzcv_killed: u64,
+    opt_nzcv_killed: count sum,
     /// Ops folded/propagated by the promotion-time optimizer.
-    pub opt_const_folded: u64,
+    opt_const_folded: count sum,
     /// Duplicate LL-origin hash-table marks coalesced by the
     /// promotion-time optimizer.
-    pub opt_htable_coalesced: u64,
+    opt_htable_coalesced: count sum,
     /// Invalidation batches this vCPU triggered: SMC stores over
     /// translated code plus injected invalidation-storm events.
-    pub invalidations: u64,
+    invalidations: count sum,
     /// Generational cache flushes this vCPU triggered under the
     /// `cache_limit` memory budget.
-    pub flushes: u64,
+    flushes: count sum,
     /// Blocks this vCPU retired across invalidations and flushes
     /// (original blocks plus demoted superblocks).
-    pub retired_blocks: u64,
+    retired_blocks: count sum,
     /// Limbo blocks this vCPU physically freed after their QSBR grace
     /// period elapsed.
-    pub reclaimed_blocks: u64,
+    reclaimed_blocks: count sum,
     /// Stores that faulted on a write-tracked code page but overlapped
     /// no translated byte — code/data false sharing on a code page (the
     /// SMC analogue of `false_sharing_faults`).
-    pub smc_false_sharing: u64,
+    smc_false_sharing: count sum,
     /// Adaptive-arbiter epochs this vCPU arbitrated (scored an epoch
     /// under `--scheme auto`).
-    pub adapt_epochs: u64,
+    adapt_epochs: count sum,
     /// Scheme migrations this vCPU executed.
-    pub adapt_migrations: u64,
+    adapt_migrations: count sum,
     /// Arbiter proposals the engine rejected for atomicity-class policy
     /// reasons.
-    pub adapt_denied: u64,
+    adapt_denied: count sum,
 
     /// Nanoseconds spent waiting for + holding exclusive sections and
     /// parked at safepoints.
-    pub exclusive_ns: u64,
+    exclusive_ns: ns sum,
     /// Nanoseconds spent in permission/remap work (including its
     /// stop-the-world component, which is *not* double-counted into
     /// `exclusive_ns` — the scheme owns the attribution).
-    pub mprotect_ns: u64,
+    mprotect_ns: ns sum,
     /// Nanoseconds spent in contended store-test entry locks.
-    pub lock_wait_ns: u64,
+    lock_wait_ns: ns sum,
 
     /// Simulated-mode only: this vCPU's final virtual clock, in cost
     /// units (see [`SimCosts`]).
-    pub sim_time: u64,
+    sim_time: units max,
     /// Simulated-mode only: units spent parked by stop-the-world
     /// synchronizations (the "exclusive" bucket of Fig. 12).
-    pub sim_exclusive_units: u64,
+    sim_exclusive_units: units sum,
     /// Simulated-mode only: units charged to permission/remap work.
-    pub sim_mprotect_units: u64,
+    sim_mprotect_units: units sum,
     /// Simulated-mode only: units charged to instrumentation (helper
     /// dispatch + inline table updates).
-    pub sim_instrument_units: u64,
+    sim_instrument_units: units sum,
     /// Simulated-mode only: units charged to page faults and HTM
     /// transaction management.
-    pub sim_event_units: u64,
+    sim_event_units: units sum,
 }
 
 impl VcpuStats {
-    /// Merges another vCPU's counters into this one.
+    /// Merges another vCPU's counters into this one, row by row.
     pub fn merge(&mut self, other: &VcpuStats) {
-        let VcpuStats {
-            insns,
-            blocks,
-            translations,
-            loads,
-            stores,
-            ll,
-            sc,
-            sc_failures,
-            sc_failures_injected,
-            helper_calls,
-            htable_sets,
-            page_faults,
-            false_sharing_faults,
-            exclusive_entries,
-            mprotect_calls,
-            remap_calls,
-            htm_txns,
-            htm_aborts,
-            yields,
-            lock_acquisitions,
-            txn_dispatches,
-            fused_rmws,
-            dispatch_lookups,
-            chain_follows,
-            l1_hits,
-            l1_misses,
-            injected_faults,
-            degradations,
-            promotions,
-            deopts,
-            tier_blocks,
-            tier_insns,
-            opt_nzcv_killed,
-            opt_const_folded,
-            opt_htable_coalesced,
-            invalidations,
-            flushes,
-            retired_blocks,
-            reclaimed_blocks,
-            smc_false_sharing,
-            adapt_epochs,
-            adapt_migrations,
-            adapt_denied,
-            exclusive_ns,
-            mprotect_ns,
-            lock_wait_ns,
-            sim_time,
-            sim_exclusive_units,
-            sim_mprotect_units,
-            sim_instrument_units,
-            sim_event_units,
-        } = other;
-        self.insns += insns;
-        self.blocks += blocks;
-        self.translations += translations;
-        self.loads += loads;
-        self.stores += stores;
-        self.ll += ll;
-        self.sc += sc;
-        self.sc_failures += sc_failures;
-        self.sc_failures_injected += sc_failures_injected;
-        self.helper_calls += helper_calls;
-        self.htable_sets += htable_sets;
-        self.page_faults += page_faults;
-        self.false_sharing_faults += false_sharing_faults;
-        self.exclusive_entries += exclusive_entries;
-        self.mprotect_calls += mprotect_calls;
-        self.remap_calls += remap_calls;
-        self.htm_txns += htm_txns;
-        self.htm_aborts += htm_aborts;
-        self.yields += yields;
-        self.lock_acquisitions += lock_acquisitions;
-        self.txn_dispatches += txn_dispatches;
-        self.fused_rmws += fused_rmws;
-        self.dispatch_lookups += dispatch_lookups;
-        self.chain_follows += chain_follows;
-        self.l1_hits += l1_hits;
-        self.l1_misses += l1_misses;
-        self.injected_faults += injected_faults;
-        self.degradations += degradations;
-        self.promotions += promotions;
-        self.deopts += deopts;
-        self.tier_blocks += tier_blocks;
-        self.tier_insns += tier_insns;
-        self.opt_nzcv_killed += opt_nzcv_killed;
-        self.opt_const_folded += opt_const_folded;
-        self.opt_htable_coalesced += opt_htable_coalesced;
-        self.invalidations += invalidations;
-        self.flushes += flushes;
-        self.retired_blocks += retired_blocks;
-        self.reclaimed_blocks += reclaimed_blocks;
-        self.smc_false_sharing += smc_false_sharing;
-        self.adapt_epochs += adapt_epochs;
-        self.adapt_migrations += adapt_migrations;
-        self.adapt_denied += adapt_denied;
-        self.exclusive_ns += exclusive_ns;
-        self.mprotect_ns += mprotect_ns;
-        self.lock_wait_ns += lock_wait_ns;
-        self.sim_time = self.sim_time.max(*sim_time);
-        self.sim_exclusive_units += sim_exclusive_units;
-        self.sim_mprotect_units += sim_mprotect_units;
-        self.sim_instrument_units += sim_instrument_units;
-        self.sim_event_units += sim_event_units;
+        for row in Self::COUNTERS {
+            let theirs = row.get(other);
+            let ours = row.get_mut(self);
+            *ours = match row.merge {
+                Merge::Sum => *ours + theirs,
+                Merge::Max => (*ours).max(theirs),
+            };
+        }
     }
 
-    /// Renders every counter as one JSON object — the stats block of
-    /// the `adbt-metrics-v1` snapshot schema (`adbt_run --stats-json`
-    /// and the final `--metrics` line). The exhaustive destructure
-    /// keeps the schema honest: adding a counter without exporting it
-    /// fails to compile, same discipline as [`VcpuStats::merge`].
+    /// Renders every counter as one JSON object, keys in table order:
+    /// the stats block of the `adbt-metrics-v1` snapshot schema
+    /// (`adbt_run --stats-json` and the final `--metrics` line).
     pub fn to_json(&self) -> String {
-        let VcpuStats {
-            insns,
-            blocks,
-            translations,
-            loads,
-            stores,
-            ll,
-            sc,
-            sc_failures,
-            sc_failures_injected,
-            helper_calls,
-            htable_sets,
-            page_faults,
-            false_sharing_faults,
-            exclusive_entries,
-            mprotect_calls,
-            remap_calls,
-            htm_txns,
-            htm_aborts,
-            yields,
-            lock_acquisitions,
-            txn_dispatches,
-            fused_rmws,
-            dispatch_lookups,
-            chain_follows,
-            l1_hits,
-            l1_misses,
-            injected_faults,
-            degradations,
-            promotions,
-            deopts,
-            tier_blocks,
-            tier_insns,
-            opt_nzcv_killed,
-            opt_const_folded,
-            opt_htable_coalesced,
-            invalidations,
-            flushes,
-            retired_blocks,
-            reclaimed_blocks,
-            smc_false_sharing,
-            adapt_epochs,
-            adapt_migrations,
-            adapt_denied,
-            exclusive_ns,
-            mprotect_ns,
-            lock_wait_ns,
-            sim_time,
-            sim_exclusive_units,
-            sim_mprotect_units,
-            sim_instrument_units,
-            sim_event_units,
-        } = self;
-        let fields: [(&str, u64); 51] = [
-            ("insns", *insns),
-            ("blocks", *blocks),
-            ("translations", *translations),
-            ("loads", *loads),
-            ("stores", *stores),
-            ("ll", *ll),
-            ("sc", *sc),
-            ("sc_failures", *sc_failures),
-            ("sc_failures_injected", *sc_failures_injected),
-            ("helper_calls", *helper_calls),
-            ("htable_sets", *htable_sets),
-            ("page_faults", *page_faults),
-            ("false_sharing_faults", *false_sharing_faults),
-            ("exclusive_entries", *exclusive_entries),
-            ("mprotect_calls", *mprotect_calls),
-            ("remap_calls", *remap_calls),
-            ("htm_txns", *htm_txns),
-            ("htm_aborts", *htm_aborts),
-            ("yields", *yields),
-            ("lock_acquisitions", *lock_acquisitions),
-            ("txn_dispatches", *txn_dispatches),
-            ("fused_rmws", *fused_rmws),
-            ("dispatch_lookups", *dispatch_lookups),
-            ("chain_follows", *chain_follows),
-            ("l1_hits", *l1_hits),
-            ("l1_misses", *l1_misses),
-            ("injected_faults", *injected_faults),
-            ("degradations", *degradations),
-            ("promotions", *promotions),
-            ("deopts", *deopts),
-            ("tier_blocks", *tier_blocks),
-            ("tier_insns", *tier_insns),
-            ("opt_nzcv_killed", *opt_nzcv_killed),
-            ("opt_const_folded", *opt_const_folded),
-            ("opt_htable_coalesced", *opt_htable_coalesced),
-            ("invalidations", *invalidations),
-            ("flushes", *flushes),
-            ("retired_blocks", *retired_blocks),
-            ("reclaimed_blocks", *reclaimed_blocks),
-            ("smc_false_sharing", *smc_false_sharing),
-            ("adapt_epochs", *adapt_epochs),
-            ("adapt_migrations", *adapt_migrations),
-            ("adapt_denied", *adapt_denied),
-            ("exclusive_ns", *exclusive_ns),
-            ("mprotect_ns", *mprotect_ns),
-            ("lock_wait_ns", *lock_wait_ns),
-            ("sim_time", *sim_time),
-            ("sim_exclusive_units", *sim_exclusive_units),
-            ("sim_mprotect_units", *sim_mprotect_units),
-            ("sim_instrument_units", *sim_instrument_units),
-            ("sim_event_units", *sim_event_units),
-        ];
-        let cells: Vec<String> = fields
+        let cells: Vec<String> = Self::COUNTERS
             .iter()
-            .map(|(name, value)| format!("\"{name}\":{value}"))
+            .map(|row| format!("\"{}\":{}", row.name, row.get(self)))
             .collect();
         format!("{{{}}}", cells.join(","))
+    }
+
+    /// A copy with every wall-clock (`ns`) row zeroed: what two
+    /// identical deterministic runs must agree on exactly.
+    pub fn without_wall_clock(&self) -> VcpuStats {
+        let mut stats = self.clone();
+        for row in Self::COUNTERS.iter().filter(|row| row.unit == Unit::Ns) {
+            *row.get_mut(&mut stats) = 0;
+        }
+        stats
+    }
+
+    /// Checks this merged snapshot against `per_cpu`, the snapshots it
+    /// was merged from: every failure or subset counter stays within the
+    /// counter it refines, and every row equals the per-vCPU sum (or
+    /// max). A counter that goes backwards or merges twice breaks one
+    /// of them. Returns one description per violation; empty is clean.
+    pub fn invariant_violations(&self, per_cpu: &[VcpuStats]) -> Vec<String> {
+        let s = self;
+        let bounds = [
+            ("sc_failures ≤ sc", s.sc_failures, s.sc),
+            (
+                "htm_aborts ≤ htm_txns + txn_dispatches",
+                s.htm_aborts,
+                s.htm_txns + s.txn_dispatches,
+            ),
+            (
+                "degradations ≤ exclusive_entries",
+                s.degradations,
+                s.exclusive_entries,
+            ),
+            ("tier_blocks ≤ blocks", s.tier_blocks, s.blocks),
+            ("tier_insns ≤ insns", s.tier_insns, s.insns),
+            ("deopts ≤ tier_blocks", s.deopts, s.tier_blocks),
+            (
+                "sc_failures_injected ≤ sc_failures",
+                s.sc_failures_injected,
+                s.sc_failures,
+            ),
+            (
+                "adapt_migrations ≤ adapt_epochs",
+                s.adapt_migrations,
+                s.adapt_epochs,
+            ),
+            (
+                "adapt_denied ≤ adapt_epochs",
+                s.adapt_denied,
+                s.adapt_epochs,
+            ),
+        ];
+        let mut violations: Vec<String> = bounds
+            .into_iter()
+            .filter(|(_, lhs, rhs)| lhs > rhs)
+            .map(|(what, lhs, rhs)| format!("{what}: {lhs} > {rhs}"))
+            .collect();
+        for row in Self::COUNTERS {
+            let values = per_cpu.iter().map(|c| row.get(c));
+            let (how, expected) = match row.merge {
+                Merge::Sum => ("sum", values.sum()),
+                Merge::Max => ("max", values.max().unwrap_or(0)),
+            };
+            let merged = row.get(s);
+            if merged != expected {
+                violations.push(format!(
+                    "merged {} {merged} ≠ per-vCPU {how} {expected}",
+                    row.name
+                ));
+            }
+        }
+        violations
     }
 }
 
@@ -757,26 +703,71 @@ mod tests {
         assert_eq!(b.native, 0, "native stays clamped for display");
     }
 
+    /// Every row at a distinct value: row `i` holds `1001 × (i + 1)`.
+    fn distinct() -> VcpuStats {
+        let mut stats = VcpuStats::default();
+        for (i, row) in VcpuStats::COUNTERS.iter().enumerate() {
+            *row.get_mut(&mut stats) = 1001 * (i as u64 + 1);
+        }
+        stats
+    }
+
+    /// The JSON schema is pinned key for key: the golden file is what
+    /// the hand-written renderer printed for `distinct()` before the
+    /// table existed.
     #[test]
-    fn merge_adds_everything() {
-        let mut a = VcpuStats {
-            insns: 10,
-            stores: 3,
-            exclusive_ns: 100,
-            ..VcpuStats::default()
-        };
-        let b = VcpuStats {
-            insns: 5,
-            stores: 4,
-            exclusive_ns: 50,
-            sc_failures: 2,
-            ..VcpuStats::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.insns, 15);
-        assert_eq!(a.stores, 7);
-        assert_eq!(a.exclusive_ns, 150);
-        assert_eq!(a.sc_failures, 2);
+    fn to_json_is_pinned() {
+        let golden = include_str!("../tests/data/vcpu_stats.json");
+        assert_eq!(distinct().to_json(), golden.trim_end());
+    }
+
+    #[test]
+    fn merge_sums_every_row_but_takes_the_max_clock() {
+        let one = distinct();
+        let mut merged = one.clone();
+        merged.merge(&one);
+        for row in VcpuStats::COUNTERS {
+            let expected = match row.name {
+                "sim_time" => row.get(&one),
+                _ => 2 * row.get(&one),
+            };
+            assert_eq!(row.get(&merged), expected, "{}", row.name);
+        }
+        let wall_clock: Vec<&str> = VcpuStats::COUNTERS
+            .iter()
+            .filter(|row| row.unit == Unit::Ns)
+            .map(|row| row.name)
+            .collect();
+        assert_eq!(wall_clock, ["exclusive_ns", "mprotect_ns", "lock_wait_ns"]);
+        let masked = one.without_wall_clock();
+        assert_eq!((masked.exclusive_ns, masked.lock_wait_ns), (0, 0));
+        assert_eq!(masked.insns, one.insns);
+    }
+
+    #[test]
+    fn invariant_violations_name_the_cooked_counter() {
+        let per_cpu = [distinct(), VcpuStats::default()];
+        let mut merged = VcpuStats::default();
+        per_cpu.iter().for_each(|c| merged.merge(c));
+        // `distinct` puts most subset counters above what they refine.
+        let bounds = merged.invariant_violations(&per_cpu);
+        assert!(
+            bounds.iter().any(|v| v.starts_with("sc_failures ≤ sc:")),
+            "{bounds:?}"
+        );
+        assert!(
+            !bounds.iter().any(|v| v.starts_with("merged")),
+            "{bounds:?}"
+        );
+
+        let per_cpu = [VcpuStats::default(), VcpuStats::default()];
+        let mut merged = VcpuStats::default();
+        assert!(merged.invariant_violations(&per_cpu).is_empty());
+        merged.flushes += 1;
+        assert_eq!(
+            merged.invariant_violations(&per_cpu),
+            ["merged flushes 1 ≠ per-vCPU sum 0"]
+        );
     }
 
     #[test]

@@ -149,15 +149,12 @@ fn chain_limit_does_not_affect_sim_results() {
     assert_eq!(b.stats.chain_follows, 0);
     // Everything except host wall-clock nanoseconds (Instant-measured,
     // noisy by nature) must be bit-identical per vCPU.
-    let normalize = |stats: &adbt_engine::VcpuStats| {
-        let mut s = stats.clone();
-        s.exclusive_ns = 0;
-        s.mprotect_ns = 0;
-        s.lock_wait_ns = 0;
-        s
-    };
     for (x, y) in a.per_cpu.iter().zip(&b.per_cpu) {
-        assert_eq!(normalize(x), normalize(y), "per-vCPU stats diverged");
+        assert_eq!(
+            x.without_wall_clock(),
+            y.without_wall_clock(),
+            "per-vCPU stats diverged"
+        );
     }
 }
 

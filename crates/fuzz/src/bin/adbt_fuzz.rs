@@ -63,6 +63,7 @@ fn main() -> ExitCode {
                     args.next()
                         .as_deref()
                         .and_then(parse_u64)
+                        .filter(|&n| n > 0)
                         .unwrap_or_else(|| usage()),
                 );
             }
@@ -78,9 +79,9 @@ fn main() -> ExitCode {
                 opts.gen.max_insns = args
                     .next()
                     .as_deref()
-                    .and_then(parse_u64)
+                    .and_then(|v| u32::try_from(parse_u64(v)?).ok())
                     .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage()) as u32;
+                    .unwrap_or_else(|| usage());
             }
             "--max-threads" => {
                 opts.gen.max_threads = args

@@ -296,86 +296,14 @@ pub struct SeedResult {
     pub divergence: Option<Divergence>,
 }
 
-/// Counter-invariant suite over one cell's report. Returns violation
-/// descriptions (empty = clean). `chaos_active` relaxes nothing — it
-/// only switches which chaos-related invariants apply.
+/// Counter-invariant suite over one cell's report: the table-derived
+/// [`adbt::VcpuStats::invariant_violations`] plus the chaos-on/off
+/// checks. Returns violation descriptions (empty = clean).
+/// `chaos_active` relaxes nothing — it only switches which chaos-related
+/// invariants apply.
 pub fn counter_violations(report: &RunReport, chaos_active: bool) -> Vec<String> {
-    let mut v = Vec::new();
     let s = &report.stats;
-    let mut bound = |name: &str, lhs: u64, rhs: u64| {
-        if lhs > rhs {
-            v.push(format!("{name}: {lhs} > {rhs}"));
-        }
-    };
-    bound("sc_failures ≤ sc", s.sc_failures, s.sc);
-    bound(
-        "htm_aborts ≤ htm_txns + txn_dispatches",
-        s.htm_aborts,
-        s.htm_txns + s.txn_dispatches,
-    );
-    bound(
-        "degradations ≤ exclusive_entries",
-        s.degradations,
-        s.exclusive_entries,
-    );
-    bound("tier_blocks ≤ blocks", s.tier_blocks, s.blocks);
-    bound("tier_insns ≤ insns", s.tier_insns, s.insns);
-    bound("deopts ≤ tier_blocks", s.deopts, s.tier_blocks);
-    bound(
-        "sc_failures_injected ≤ sc_failures",
-        s.sc_failures_injected,
-        s.sc_failures,
-    );
-    bound(
-        "adapt_migrations ≤ adapt_epochs",
-        s.adapt_migrations,
-        s.adapt_epochs,
-    );
-    bound(
-        "adapt_denied ≤ adapt_epochs",
-        s.adapt_denied,
-        s.adapt_epochs,
-    );
-
-    let sum =
-        |field: fn(&adbt::VcpuStats) -> u64| -> u64 { report.per_cpu.iter().map(field).sum() };
-    macro_rules! merged {
-        ($($field:ident),* $(,)?) => {$(
-            if s.$field != sum(|c| c.$field) {
-                v.push(format!(
-                    concat!("merged ", stringify!($field), " {} ≠ per-vCPU sum {}"),
-                    s.$field,
-                    sum(|c| c.$field)
-                ));
-            }
-        )*};
-    }
-    merged!(
-        insns,
-        blocks,
-        loads,
-        stores,
-        ll,
-        sc,
-        sc_failures,
-        sc_failures_injected,
-        injected_faults,
-        degradations,
-        promotions,
-        deopts,
-        tier_blocks,
-        tier_insns,
-        invalidations,
-        flushes,
-        retired_blocks,
-        reclaimed_blocks,
-        smc_false_sharing,
-        lock_wait_ns,
-        adapt_epochs,
-        adapt_migrations,
-        adapt_denied,
-    );
-
+    let mut v = s.invariant_violations(&report.per_cpu);
     if chaos_active {
         if report.chaos.is_none() {
             v.push("chaos active but snapshot missing".into());

@@ -15,7 +15,7 @@
 //! flamegraph's `guest_fn` frame.
 
 use crate::{Metric, Overflow, ProfileEntry, Tier};
-use adbt_trace::validate::{parse_json, Json};
+use adbt_trace::validate::{json_string, parse_json, Json};
 
 /// One exported profile row: the counts plus the context the consumers
 /// render (symbol, raw instruction word at the PC).
@@ -93,22 +93,6 @@ pub fn resolve_rows(
             counts: e.counts,
         })
         .collect()
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn render_counts(counts: &[u64; Metric::COUNT]) -> String {

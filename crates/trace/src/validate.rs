@@ -19,6 +19,8 @@
 //!
 //! `trace_validate` (this crate's binary) wraps [`validate_chrome_trace`]
 //! for shell use; the exporter's unit tests round-trip through it.
+//! [`json_string`] is the writer side: the one string escaper the
+//! in-tree JSON emitters share.
 
 use std::collections::HashMap;
 
@@ -234,6 +236,26 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// Quotes and escapes `s` as a JSON string — the one writer-side
+/// counterpart of [`parse_json`].
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 /// Parses a complete JSON document (trailing whitespace allowed,
 /// trailing garbage rejected).
 pub fn parse_json(text: &str) -> Result<Json, String> {
@@ -381,6 +403,17 @@ mod tests {
         assert_eq!(doc.get("c"), Some(&Json::Bool(true)));
         assert_eq!(doc.get("d"), Some(&Json::Null));
         assert_eq!(doc.get("e").unwrap().get("f"), Some(&Json::Num(0.0)));
+    }
+
+    #[test]
+    fn json_string_round_trips_through_the_parser() {
+        let nasty = "q\"b\\s/ n\n r\r t\t nul\u{0} esc\u{1b} é";
+        let quoted = json_string(nasty);
+        assert_eq!(
+            quoted,
+            "\"q\\\"b\\\\s/ n\\n r\\r t\\t nul\\u0000 esc\\u001b é\""
+        );
+        assert_eq!(parse_json(&quoted), Ok(Json::Str(nasty.to_string())));
     }
 
     #[test]

@@ -350,11 +350,18 @@ pub fn generate(program: Program, threads: u32, scale: f64) -> ParsecProgram {
             let _ = writeln!(s, "        mov   r11, r5   ; global lock");
         }
         let _ = write!(s, "{}", rt::spin_lock("lk", "r11", "r2", "r3"));
-        // Shared-data updates under the lock (plain stores to the shared
-        // page — the strong-vs-weak atomicity distinction lives here).
-        let _ = writeln!(s, "        ldr   r2, [r5, #16]");
+        // Shared-data updates under the lock (plain stores to shared
+        // data — the strong-vs-weak atomicity distinction lives here).
+        // Each fine-grained lock guards its own counter one page above
+        // it: vCPUs holding different locks must not share a word.
+        let shared = if spec.fine_locks > 0 {
+            "[r11, #4096]"
+        } else {
+            "[r5, #16]"
+        };
+        let _ = writeln!(s, "        ldr   r2, {shared}");
         let _ = writeln!(s, "        add   r2, r2, #1");
-        let _ = writeln!(s, "        str   r2, [r5, #16]");
+        let _ = writeln!(s, "        str   r2, {shared}");
         for k in 0..spec.atomic_adds_per_lock {
             let _ = writeln!(s, "        add   r10, r5, #8");
             let _ = write!(
@@ -390,7 +397,7 @@ pub fn generate(program: Program, threads: u32, scale: f64) -> ParsecProgram {
         .word 0                 ; pad
         .word 0                 ; atomic counter (+8)
         .word 0                 ; pad
-        .word 0                 ; lock-protected shared word (+16)
+        .word 0                 ; global-lock-protected shared word (+16)
         .space 236
         .align 4096
     barrier_page:
@@ -400,6 +407,9 @@ pub fn generate(program: Program, threads: u32, scale: f64) -> ParsecProgram {
         .align 4096
     fine_locks_page:
         .space 4096
+        .align 4096
+    fine_counters_page:
+        .space 4096             ; one counter per fine-grained lock
         .align 4096
     buffers:
         .space {buf}

@@ -56,99 +56,13 @@ fn assert_clean_outcomes(kind: SchemeKind, run: &StackRun) {
     }
 }
 
-/// Counter invariants that hold on *every* run, chaos or not. These are
-/// the monotonicity contracts the counter-bug sweep restored (an HTM
-/// degradation used to decrement `sc`, making the first inequality
-/// fail): failure counters never exceed their attempt counters, and the
-/// merged totals are exactly the per-vCPU sums — a counter that ever
-/// goes backwards or double-merges breaks one of the equalities.
+/// Counter invariants that hold on *every* run, chaos or not: failure
+/// and subset counters never exceed the counter they refine, and every
+/// merged total is exactly the per-vCPU sum. An HTM degradation that
+/// once decremented `sc` broke the first of them.
 fn assert_counter_invariants(kind: SchemeKind, run: &StackRun) {
-    let s = &run.report.stats;
-    assert!(
-        s.sc_failures <= s.sc,
-        "{kind}: sc_failures {} > sc {}",
-        s.sc_failures,
-        s.sc
-    );
-    assert!(
-        s.htm_aborts <= s.htm_txns + s.txn_dispatches,
-        "{kind}: htm_aborts {} > txns {} + txn_dispatches {}",
-        s.htm_aborts,
-        s.htm_txns,
-        s.txn_dispatches
-    );
-    assert!(
-        s.degradations <= s.exclusive_entries,
-        "{kind}: every degradation takes the exclusive path ({} > {})",
-        s.degradations,
-        s.exclusive_entries
-    );
-    let sum =
-        |field: fn(&adbt::VcpuStats) -> u64| -> u64 { run.report.per_cpu.iter().map(field).sum() };
-    assert_eq!(s.sc, sum(|c| c.sc), "{kind}: merged sc ≠ per-vCPU sum");
-    assert_eq!(
-        s.sc_failures,
-        sum(|c| c.sc_failures),
-        "{kind}: merged sc_failures ≠ per-vCPU sum"
-    );
-    assert_eq!(
-        s.injected_faults,
-        sum(|c| c.injected_faults),
-        "{kind}: merged injected_faults ≠ per-vCPU sum"
-    );
-    assert_eq!(
-        s.degradations,
-        sum(|c| c.degradations),
-        "{kind}: merged degradations ≠ per-vCPU sum"
-    );
-    assert_eq!(
-        s.lock_wait_ns,
-        sum(|c| c.lock_wait_ns),
-        "{kind}: merged lock_wait_ns ≠ per-vCPU sum"
-    );
-    // Tiering counters obey the same merge discipline and stay within
-    // their envelopes: tiered blocks/insns are a subset of the totals,
-    // and a deopt implies a superblock entry (hence a Boundary charge).
-    assert!(
-        s.tier_blocks <= s.blocks,
-        "{kind}: tier_blocks {} > blocks {}",
-        s.tier_blocks,
-        s.blocks
-    );
-    assert!(
-        s.tier_insns <= s.insns,
-        "{kind}: tier_insns {} > insns {}",
-        s.tier_insns,
-        s.insns
-    );
-    assert!(
-        s.deopts <= s.tier_blocks,
-        "{kind}: deopts {} > tier_blocks {}",
-        s.deopts,
-        s.tier_blocks
-    );
-    for (name, field) in [
-        (
-            "promotions",
-            (|c| c.promotions) as fn(&adbt::VcpuStats) -> u64,
-        ),
-        ("deopts", |c| c.deopts),
-        ("tier_blocks", |c| c.tier_blocks),
-        ("tier_insns", |c| c.tier_insns),
-        ("opt_nzcv_killed", |c| c.opt_nzcv_killed),
-        ("opt_const_folded", |c| c.opt_const_folded),
-        ("opt_htable_coalesced", |c| c.opt_htable_coalesced),
-        // Translation-cache lifecycle counters obey the same merge
-        // discipline as everything else.
-        ("invalidations", |c| c.invalidations),
-        ("flushes", |c| c.flushes),
-        ("retired_blocks", |c| c.retired_blocks),
-        ("reclaimed_blocks", |c| c.reclaimed_blocks),
-        ("smc_false_sharing", |c| c.smc_false_sharing),
-    ] {
-        let merged = field(s);
-        assert_eq!(merged, sum(field), "{kind}: merged {name} ≠ per-vCPU sum");
-    }
+    let violations = run.report.stats.invariant_violations(&run.report.per_cpu);
+    assert!(violations.is_empty(), "{kind}: {violations:?}");
 }
 
 /// Structural corruption beyond what livelocked (mid-operation) vCPUs

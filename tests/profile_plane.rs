@@ -54,23 +54,6 @@ fn contended_loop(iters: u32) -> String {
     )
 }
 
-/// Stats rendered with the wall-clock nanosecond counters masked out:
-/// `exclusive_ns` and friends measure host time and differ between two
-/// *identical* deterministic runs, so purity comparisons exclude them
-/// (everything else — counts, virtual time — must match exactly).
-fn deterministic_stats(stats: &adbt::VcpuStats) -> String {
-    let mut json = stats.to_json();
-    for key in ["\"exclusive_ns\":", "\"mprotect_ns\":", "\"lock_wait_ns\":"] {
-        let start = json.find(key).expect(key) + key.len();
-        let end = start
-            + json[start..]
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(json.len() - start);
-        json.replace_range(start..end, "0");
-    }
-    json
-}
-
 /// A metric's machine-wide total: attributed rows plus the overflow
 /// bucket (totals stay exact even past the probe bound).
 fn total(snapshot: &ProfileSnapshot, metric: Metric) -> u64 {
@@ -126,8 +109,8 @@ fn profile_is_off_by_default_and_observation_is_pure() {
         "profiling perturbed the flight recorder"
     );
     assert_eq!(
-        deterministic_stats(&plain.report.stats),
-        deterministic_stats(&profiled.report.stats),
+        plain.report.stats.without_wall_clock(),
+        profiled.report.stats.without_wall_clock(),
         "profiling changed the stats plane"
     );
 
@@ -221,8 +204,8 @@ fn chaos_soak_with_profiling_neither_perturbs_nor_miscounts_any_scheme() {
             "{kind}: profiling changed chaos memory"
         );
         assert_eq!(
-            deterministic_stats(&plain.report.stats),
-            deterministic_stats(&profiled.report.stats),
+            plain.report.stats.without_wall_clock(),
+            profiled.report.stats.without_wall_clock(),
             "{kind}: profiling changed chaos stats"
         );
 

@@ -222,12 +222,8 @@ fn cache_limit_is_a_hard_bound_under_churn() {
         "no arena segment was ever returned"
     );
     // The merge discipline extends to the lifecycle counters.
-    let s = &report.stats;
-    let sum =
-        |field: fn(&adbt::VcpuStats) -> u64| -> u64 { report.per_cpu.iter().map(field).sum() };
-    assert_eq!(s.flushes, sum(|c| c.flushes));
-    assert_eq!(s.retired_blocks, sum(|c| c.retired_blocks));
-    assert_eq!(s.reclaimed_blocks, sum(|c| c.reclaimed_blocks));
+    let violations = report.stats.invariant_violations(&report.per_cpu);
+    assert!(violations.is_empty(), "{violations:?}");
 }
 
 /// The same churn on the deterministic driver at instruction

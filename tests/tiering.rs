@@ -147,15 +147,10 @@ fn hot_loops_promote_and_tier_counters_are_consistent() {
     );
     assert!(s.tier_blocks > 0, "promoted code must actually run");
     assert!(s.tier_insns > 0);
-    assert!(
-        s.tier_blocks <= s.blocks,
-        "tier blocks are counted within blocks"
-    );
-    assert!(s.tier_insns <= s.insns);
-    assert!(
-        s.deopts <= s.tier_blocks,
-        "a deopt implies a superblock entry"
-    );
+    // Tier counts are subsets of the totals; a deopt implies a
+    // superblock entry.
+    let violations = s.invariant_violations(&report.per_cpu);
+    assert!(violations.is_empty(), "{violations:?}");
     assert_eq!(
         s.promotions,
         machine.core().superblocks(),
@@ -340,9 +335,8 @@ fn deopt_under_chaos_soak() {
                 run.verdict
             );
         }
-        let s = &run.report.stats;
-        assert!(s.tier_blocks <= s.blocks, "{kind}");
-        assert!(s.deopts <= s.tier_blocks, "{kind}");
+        let violations = run.report.stats.invariant_violations(&run.report.per_cpu);
+        assert!(violations.is_empty(), "{kind}: {violations:?}");
     }
 }
 
