@@ -132,12 +132,13 @@ done
 # Profiling-overhead guard: the dispatch-bound loop runs profiled vs
 # unprofiled per scheme; the geomean slowdown must stay under 5%. The
 # off path (one predicted branch per charge site) is the unprofiled
-# baseline of the same binary. Results land in results/ for trend
-# tracking.
-mkdir -p results
+# baseline of the same binary. The table goes to the temp dir, so a CI
+# run leaves the tree clean: the committed results/bench_profiling.json
+# is regenerated on purpose, with this step's command and
+# `--json results/bench_profiling.json`.
 cargo run -q --release --offline -p adbt-bench --bin dispatch_bench -- \
     --iters 150000 --reps 5 --profiled --guard 5 \
-    --json results/bench_profiling.json
+    --json "$TRACE_TMP/bench_profiling.json"
 
 # Adaptive-arbitration guard: part 1 measures the armed-idle adaptive
 # machine (epoch never elapses) against the static-with-profile
@@ -146,11 +147,13 @@ cargo run -q --release --offline -p adbt-bench --bin dispatch_bench -- \
 # machine's adaptation-off path is one predicted branch and strictly
 # cheaper than even the armed machine). Part 2 scores --scheme auto
 # against every static on the three-phase mixed workload in
-# deterministic virtual time; the table lands in results/ as the
-# record behind EXPERIMENTS.md's adaptive-mode section.
+# deterministic virtual time. The table goes to the temp dir: the
+# committed results/bench_adapt.json, the record behind
+# EXPERIMENTS.md's adaptive-mode section (E11), is regenerated on
+# purpose with the command recorded there.
 cargo run -q --release --offline -p adbt-bench --bin dispatch_bench -- \
     --iters 60000 --reps 3 --adapt --guard 3 \
-    --json results/bench_adapt.json
+    --json "$TRACE_TMP/bench_adapt.json"
 
 # Oracle gate (release, ~25 s): every deterministic results/*.csv is
 # regenerated with the exact command recorded in its results/*.txt

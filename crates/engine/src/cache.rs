@@ -87,14 +87,15 @@ const TIER_RESOLVED: u8 = 2;
 const NO_SUPERBLOCK: u32 = u32::MAX;
 
 /// Estimated bytes one cached block pins: its arena slot, the boxed
-/// block header, and the op vector's capacity. Nested allocations
-/// (helper argument vectors) are ignored — the estimate only needs to
-/// be *consistent* between reservation and free, and dominated by the
-/// op vector it does count.
+/// block header, the op vector's capacity and the tape's allocation.
+/// Nested allocations (helper argument vectors) are ignored — the
+/// estimate only needs to be *consistent* between reservation and free,
+/// and dominated by the op vector and tape it does count.
 pub(crate) fn block_footprint(block: &Block) -> u64 {
     (std::mem::size_of::<ArenaSlot>()
         + std::mem::size_of::<Block>()
-        + block.ops.capacity() * std::mem::size_of::<adbt_ir::Op>()) as u64
+        + block.ops.capacity() * std::mem::size_of::<adbt_ir::Op>()
+        + block.tape.bytes()) as u64
 }
 
 /// Per-block tiering metadata, living beside the block in its arena
@@ -519,7 +520,7 @@ impl TranslationCache {
     /// `scheme_tag` records which scheme lowered the block.
     pub(crate) fn insert(&self, pc: u32, block: Block, scheme_tag: u8) -> InsertResult {
         let footprint = block_footprint(&block);
-        let pages: Vec<u32> = page_range(&block).collect();
+        let pages = page_range(&block);
         let mut shard = self.shard(pc).write();
         if let Some(&id) = shard.get(&pc) {
             self.unreserve(footprint);
@@ -872,7 +873,7 @@ impl TranslationCache {
 }
 
 /// The code pages `[guest_pc, guest_pc + 4·guest_len)` covers.
-fn page_range(block: &Block) -> impl Iterator<Item = u32> {
+fn page_range(block: &Block) -> std::ops::RangeInclusive<u32> {
     let first = block.guest_pc >> adbt_mmu::PAGE_SHIFT;
     let last = (block.guest_pc + 4 * block.guest_len.max(1) - 1) >> adbt_mmu::PAGE_SHIFT;
     first..=last

@@ -37,7 +37,6 @@ pub fn translate(
 ) -> Result<Block, Trap> {
     ctx.stats.translations += 1;
     let max_insns = ctx.machine.config.max_block_insns.max(1);
-    let scheme = std::sync::Arc::clone(scheme);
     let mut b = BlockBuilder::new(pc);
     let mut cur = pc;
     let mut count = 0u32;

@@ -1,25 +1,46 @@
-//! The IR interpreter: executes translated blocks against a vCPU's state
-//! and the shared machine.
+//! The block executor: runs a translated block's pre-decoded tape
+//! ([`adbt_ir::Tape`]) against a vCPU's slot file and the shared
+//! machine.
+//!
+//! Each entry kind's semantics live in one place: ALU values in
+//! [`alu_value`] (flags in [`alu`]), memory in `ExecCtx::{load, store,
+//! cas_word, atomic_rmw}`, instrumentation in the helper registry.
 
 use crate::runtime::{ExecCtx, Trap};
 use crate::state::Flags;
-use adbt_ir::{Block, BlockExit, Op, Slot, Src};
+use adbt_ir::{slot_index, Block, BlockExit, Entry, Src, Val, REG_SLOTS};
 use adbt_isa::AluOp;
 
-#[inline]
-fn eval(ctx: &ExecCtx<'_>, src: Src) -> u32 {
-    match src {
-        Src::Imm(imm) => imm,
-        Src::Slot(Slot::Reg(r)) => ctx.cpu.regs[r as usize],
-        Src::Slot(Slot::Temp(t)) => ctx.cpu.temps[t as usize],
+#[inline(always)]
+fn val(slots: &[u32], v: Val) -> u32 {
+    match v {
+        Val::Slot(index) => slots[index as usize],
+        Val::Imm(bytes) => u32::from_le_bytes(bytes),
     }
 }
 
+/// Computes an ALU operation's result alone — the one definition of
+/// every op's value, which [`alu`] builds its flags around. `carry` is
+/// the C flag `adc`/`sbc` consume; every other op ignores it.
+///
+/// Shift amounts are masked to 5 bits.
 #[inline]
-fn write(ctx: &mut ExecCtx<'_>, slot: Slot, value: u32) {
-    match slot {
-        Slot::Reg(r) => ctx.cpu.regs[r as usize] = value,
-        Slot::Temp(t) => ctx.cpu.temps[t as usize] = value,
+pub fn alu_value(op: AluOp, a: u32, b: u32, carry: bool) -> u32 {
+    match op {
+        AluOp::Add => a.wrapping_add(b),
+        AluOp::Adc => a.wrapping_add(b).wrapping_add(carry as u32),
+        AluOp::Sub => a.wrapping_sub(b),
+        AluOp::Sbc => a.wrapping_sub(b).wrapping_sub(!carry as u32),
+        AluOp::Rsb => b.wrapping_sub(a),
+        AluOp::And => a & b,
+        AluOp::Orr => a | b,
+        AluOp::Eor => a ^ b,
+        AluOp::Bic => a & !b,
+        AluOp::Mul => a.wrapping_mul(b),
+        AluOp::Lsl => a << (b & 31),
+        AluOp::Lsr => a >> (b & 31),
+        AluOp::Asr => ((a as i32) >> (b & 31)) as u32,
+        AluOp::Ror => a.rotate_right(b & 31),
     }
 }
 
@@ -31,42 +52,34 @@ fn write(ctx: &mut ExecCtx<'_>, slot: Slot, value: u32) {
 /// schemes so it cannot bias comparisons).
 ///
 /// Public for property tests; guest code reaches it through translated
-/// [`Op::Alu`] ops.
+/// [`adbt_ir::Op::Alu`] ops.
 pub fn alu(op: AluOp, a: u32, b: u32, flags: Flags) -> (u32, Flags) {
+    let result = alu_value(op, a, b, flags.c);
     let carry_in = flags.c as u64;
-    let (result, c, v) = match op {
-        AluOp::Add => {
-            let wide = a as u64 + b as u64;
-            let r = wide as u32;
-            (r, wide > u32::MAX as u64, overflow_add(a, b, r))
-        }
-        AluOp::Adc => {
-            let wide = a as u64 + b as u64 + carry_in;
-            let r = wide as u32;
-            (r, wide > u32::MAX as u64, overflow_add(a, b, r))
-        }
-        AluOp::Sub => {
-            let r = a.wrapping_sub(b);
-            (r, a >= b, overflow_sub(a, b, r))
-        }
-        AluOp::Sbc => {
-            let borrow = 1 - carry_in;
-            let r = a.wrapping_sub(b).wrapping_sub(borrow as u32);
-            (r, (a as u64) >= (b as u64 + borrow), overflow_sub(a, b, r))
-        }
-        AluOp::Rsb => {
-            let r = b.wrapping_sub(a);
-            (r, b >= a, overflow_sub(b, a, r))
-        }
-        AluOp::And => keep_cv(a & b, flags),
-        AluOp::Orr => keep_cv(a | b, flags),
-        AluOp::Eor => keep_cv(a ^ b, flags),
-        AluOp::Bic => keep_cv(a & !b, flags),
-        AluOp::Mul => keep_cv(a.wrapping_mul(b), flags),
-        AluOp::Lsl => keep_cv(a << (b & 31), flags),
-        AluOp::Lsr => keep_cv(a >> (b & 31), flags),
-        AluOp::Asr => keep_cv(((a as i32) >> (b & 31)) as u32, flags),
-        AluOp::Ror => keep_cv(a.rotate_right(b & 31), flags),
+    let (c, v) = match op {
+        AluOp::Add => (
+            a as u64 + b as u64 > u32::MAX as u64,
+            overflow_add(a, b, result),
+        ),
+        AluOp::Adc => (
+            a as u64 + b as u64 + carry_in > u32::MAX as u64,
+            overflow_add(a, b, result),
+        ),
+        AluOp::Sub => (a >= b, overflow_sub(a, b, result)),
+        AluOp::Sbc => (
+            (a as u64) >= (b as u64 + (1 - carry_in)),
+            overflow_sub(a, b, result),
+        ),
+        AluOp::Rsb => (b >= a, overflow_sub(b, a, result)),
+        AluOp::And
+        | AluOp::Orr
+        | AluOp::Eor
+        | AluOp::Bic
+        | AluOp::Mul
+        | AluOp::Lsl
+        | AluOp::Lsr
+        | AluOp::Asr
+        | AluOp::Ror => (flags.c, flags.v),
     };
     (
         result,
@@ -77,11 +90,6 @@ pub fn alu(op: AluOp, a: u32, b: u32, flags: Flags) -> (u32, Flags) {
             v,
         },
     )
-}
-
-#[inline]
-fn keep_cv(result: u32, flags: Flags) -> (u32, bool, bool) {
-    (result, flags.c, flags.v)
 }
 
 #[inline]
@@ -106,8 +114,8 @@ pub enum BlockRun {
     /// The block ran to its exit; the value is the next guest PC.
     Done(u32),
     /// Pause-point granularity only: execution paused at an
-    /// [`Op::Yield`] / [`Op::Window`] point; the value is the op index
-    /// to resume from.
+    /// [`adbt_ir::Op::Yield`] / [`adbt_ir::Op::Window`] point; the value
+    /// is the op index to resume from.
     Paused(usize),
 }
 
@@ -127,8 +135,8 @@ pub fn run_block(ctx: &mut ExecCtx<'_>, block: &Block) -> Result<u32, Trap> {
     }
 }
 
-/// Executes a translated block starting at op index `start` (0 for a
-/// fresh entry; a [`BlockRun::Paused`] value to resume). Per-block
+/// Executes a translated block's tape starting at op index `start` (0
+/// for a fresh entry; a [`BlockRun::Paused`] value to resume). Per-block
 /// statistics are charged on fresh entry only, so a paused-and-resumed
 /// block counts once.
 ///
@@ -140,6 +148,7 @@ pub fn run_block_from(
     block: &Block,
     start: usize,
 ) -> Result<BlockRun, Trap> {
+    let tape = &block.tape;
     if start == 0 {
         // Superblocks charge per stitched segment via `Op::Boundary`
         // (so tiered and block-granular runs report identical per-block
@@ -151,89 +160,95 @@ pub fn run_block_from(
         if ctx.prof.is_some() {
             ctx.prof_enter(block.guest_pc, block.superblock);
         }
-        if ctx.cpu.temps.len() < block.temps as usize {
-            ctx.cpu.temps.resize(block.temps as usize, 0);
+        let slots = REG_SLOTS + block.temps as usize;
+        if ctx.cpu.slots.len() < slots {
+            ctx.cpu.slots.resize(slots, 0);
         }
     }
 
-    for (i, op) in block.ops.iter().enumerate().skip(start) {
-        match op {
-            Op::Mov {
-                dst,
-                src,
-                set_flags,
-            } => {
-                let v = eval(ctx, *src);
-                write(ctx, *dst, v);
-                if *set_flags {
-                    set_nz(&mut ctx.cpu.flags, v);
+    for (i, entry) in tape.entries().iter().enumerate().skip(start) {
+        match *entry {
+            Entry::AluRI { op, dst, a, imm } => {
+                let slots = &mut ctx.cpu.slots;
+                slots[dst as usize] = alu_value(op, slots[a as usize], imm, ctx.cpu.flags.c);
+            }
+            Entry::AluRR { op, dst, a, b } => {
+                let slots = &mut ctx.cpu.slots;
+                slots[dst as usize] =
+                    alu_value(op, slots[a as usize], slots[b as usize], ctx.cpu.flags.c);
+            }
+            Entry::Alu { op, dst, a, b } => {
+                let slots = &mut ctx.cpu.slots;
+                slots[dst as usize] = alu_value(op, val(slots, a), val(slots, b), ctx.cpu.flags.c);
+            }
+            Entry::AluFlags { op, dst, a, b } => {
+                let cpu = &mut ctx.cpu;
+                let (result, flags) = alu(op, val(&cpu.slots, a), val(&cpu.slots, b), cpu.flags);
+                cpu.slots[dst as usize] = result;
+                cpu.flags = flags;
+            }
+            Entry::Compare { op, a, b } => {
+                let cpu = &mut ctx.cpu;
+                cpu.flags = alu(op, val(&cpu.slots, a), val(&cpu.slots, b), cpu.flags).1;
+            }
+            Entry::Nop => {}
+            Entry::Mov { dst, src, flags } => {
+                let cpu = &mut ctx.cpu;
+                let v = val(&cpu.slots, src);
+                cpu.slots[dst as usize] = v;
+                if flags {
+                    set_nz(&mut cpu.flags, v);
                 }
             }
-            Op::MovNot {
-                dst,
-                src,
-                set_flags,
-            } => {
-                let v = !eval(ctx, *src);
-                write(ctx, *dst, v);
-                if *set_flags {
-                    set_nz(&mut ctx.cpu.flags, v);
+            Entry::MovNot { dst, src, flags } => {
+                let cpu = &mut ctx.cpu;
+                let v = !val(&cpu.slots, src);
+                cpu.slots[dst as usize] = v;
+                if flags {
+                    set_nz(&mut cpu.flags, v);
                 }
             }
-            Op::Alu {
-                op,
-                dst,
-                a,
-                b,
-                set_flags,
-            } => {
-                let (result, flags) = alu(*op, eval(ctx, *a), eval(ctx, *b), ctx.cpu.flags);
-                if let Some(dst) = dst {
-                    write(ctx, *dst, result);
-                }
-                if *set_flags {
-                    ctx.cpu.flags = flags;
-                }
+            Entry::InsertHigh { dst, imm } => {
+                let slot = &mut ctx.cpu.slots[dst as usize];
+                *slot = (*slot & 0xffff) | ((imm as u32) << 16);
             }
-            Op::InsertHigh { dst, imm } => {
-                let old = eval(ctx, Src::Slot(*dst));
-                write(ctx, *dst, (old & 0xffff) | ((*imm as u32) << 16));
-            }
-            Op::Load { dst, addr, width } => {
+            Entry::Load { dst, addr, width } => {
                 ctx.stats.loads += 1;
-                let vaddr = eval(ctx, *addr);
-                let v = ctx.load(vaddr, *width)?;
-                write(ctx, *dst, v);
+                let vaddr = val(&ctx.cpu.slots, addr);
+                let v = ctx.load(vaddr, width)?;
+                ctx.cpu.slots[dst as usize] = v;
             }
-            Op::Store {
+            Entry::StoreWord { src, addr } => {
+                ctx.stats.stores += 1;
+                let slots = &ctx.cpu.slots;
+                let (vaddr, value) = (slots[addr as usize], slots[src as usize]);
+                ctx.store(vaddr, adbt_mmu::Width::Word, value, true)?;
+            }
+            Entry::Store {
                 src,
                 addr,
                 width,
-                guest_store,
+                guest,
             } => {
-                if *guest_store {
+                if guest {
                     ctx.stats.stores += 1;
                 }
-                let vaddr = eval(ctx, *addr);
-                let value = eval(ctx, *src);
-                ctx.store(vaddr, *width, value, *guest_store)?;
+                let slots = &ctx.cpu.slots;
+                let (vaddr, value) = (val(slots, addr), val(slots, src));
+                ctx.store(vaddr, width, value, guest)?;
             }
-            Op::CasWord {
-                dst,
-                addr,
-                expected,
-                new,
-            } => {
-                let vaddr = eval(ctx, *addr);
-                let expected = eval(ctx, *expected);
-                let new = eval(ctx, *new);
+            Entry::CasWord { dst, args } => {
+                let slots = &ctx.cpu.slots;
+                let vaddr = val(slots, tape.operand(args, 0));
+                let expected = val(slots, tape.operand(args, 1));
+                let new = val(slots, tape.operand(args, 2));
                 let ok = ctx.cas_word(vaddr, expected, new)?;
-                write(ctx, *dst, ok as u32);
+                ctx.cpu.slots[dst as usize] = ok as u32;
             }
-            Op::Fence => std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst),
-            Op::HtableSet { addr } => {
+            Entry::Fence => std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst),
+            Entry::HtableSet { addr } => {
                 ctx.stats.htable_sets += 1;
-                let vaddr = eval(ctx, *addr);
+                let vaddr = val(&ctx.cpu.slots, addr);
                 ctx.machine.store_test.set(vaddr, ctx.cpu.tid);
                 // Under an HTM scheme the hash entry behaves like any
                 // other store target: bump its conflict token so open SC
@@ -244,22 +259,28 @@ pub fn run_block_from(
                         .notify_plain_store(ctx.machine.store_test.htm_token(vaddr));
                 }
             }
-            Op::Helper { id, args, ret } => {
+            Entry::Helper {
+                id,
+                ret,
+                args,
+                argc,
+            } => {
                 ctx.stats.helper_calls += 1;
-                // BlockBuilder::push rejects longer argument lists at
-                // block-build time, so the fixed buffer cannot truncate.
+                // Lowering rejects longer argument lists, so the fixed
+                // buffer cannot truncate.
                 let mut buf = [0u32; adbt_ir::MAX_HELPER_ARGS];
-                for (slot, arg) in buf.iter_mut().zip(args.iter()) {
-                    *slot = eval(ctx, *arg);
+                let argv = &mut buf[..argc as usize];
+                for (k, arg) in argv.iter_mut().enumerate() {
+                    *arg = val(&ctx.cpu.slots, tape.operand(args, k));
                 }
                 let machine = ctx.machine;
                 let helper = &machine.helpers[id.0 as usize];
-                let value = helper(ctx, &buf[..args.len()])?;
+                let value = helper(ctx, argv)?;
                 if let Some(ret) = ret {
-                    write(ctx, *ret, value);
+                    ctx.cpu.slots[ret as usize] = value;
                 }
             }
-            Op::Yield => {
+            Entry::Yield => {
                 ctx.stats.yields += 1;
                 if ctx.pause_points {
                     return Ok(BlockRun::Paused(i + 1));
@@ -268,25 +289,24 @@ pub fn run_block_from(
                     std::thread::yield_now();
                 }
             }
-            Op::Window => {
+            Entry::Window => {
                 // No-op outside pause-point granularity; see `Op::Window`.
                 if ctx.pause_points {
                     return Ok(BlockRun::Paused(i + 1));
                 }
             }
-            Op::MonitorArm { dst, addr } => {
+            Entry::MonitorArm { dst, addr } => {
                 ctx.stats.ll += 1;
-                let vaddr = eval(ctx, *addr);
+                let vaddr = val(&ctx.cpu.slots, addr);
                 let value = ctx.load(vaddr, adbt_mmu::Width::Word)?;
                 ctx.cpu.monitor.addr = Some(vaddr);
                 ctx.cpu.monitor.value = value;
                 ctx.note_ll(vaddr);
-                write(ctx, *dst, value);
+                ctx.cpu.slots[dst as usize] = value;
             }
-            Op::MonitorScCas { dst, addr, new } => {
+            Entry::MonitorScCas { dst, addr, new } => {
                 ctx.stats.sc += 1;
-                let vaddr = eval(ctx, *addr);
-                let new = eval(ctx, *new);
+                let (vaddr, new) = (val(&ctx.cpu.slots, addr), val(&ctx.cpu.slots, new));
                 // Injected spurious SC failure (architecturally legal on
                 // ARM). Sits here rather than in `cas_word`, which also
                 // serves plain guest CAS — those must never fail spuriously.
@@ -306,13 +326,13 @@ pub fn run_block_from(
                     ctx.stats.sc_failures += 1;
                 }
                 ctx.note_sc(vaddr, ok, new);
-                write(ctx, *dst, !ok as u32);
+                ctx.cpu.slots[dst as usize] = !ok as u32;
             }
-            Op::MonitorClear => {
+            Entry::MonitorClear => {
                 ctx.cpu.monitor.addr = None;
                 ctx.note_clrex();
             }
-            Op::AtomicRmw {
+            Entry::AtomicRmw {
                 dst,
                 op,
                 addr,
@@ -324,8 +344,8 @@ pub fn run_block_from(
                 ctx.stats.ll += 1;
                 ctx.stats.sc += 1;
                 ctx.stats.fused_rmws += 1;
-                let vaddr = eval(ctx, *addr);
-                let operand = eval(ctx, *operand);
+                let vaddr = val(&ctx.cpu.slots, addr);
+                let operand = val(&ctx.cpu.slots, operand);
                 let kind = match op {
                     adbt_ir::RmwOp::Add => adbt_mmu::RmwKind::Add,
                     adbt_ir::RmwOp::Sub => adbt_mmu::RmwKind::Sub,
@@ -338,16 +358,16 @@ pub fn run_block_from(
                 // that cannot fail — report it as that pair.
                 ctx.note_ll(vaddr);
                 ctx.note_sc(vaddr, true, old);
-                write(ctx, *dst, old);
+                ctx.cpu.slots[dst as usize] = old;
             }
-            Op::Boundary { insns } => {
+            Entry::Boundary { insns } => {
                 // A stitched original-block boundary inside a superblock:
                 // charge the per-block counters the block-granular tier
                 // would have charged on dispatch, and split the tiers.
                 ctx.stats.blocks += 1;
-                ctx.stats.insns += *insns as u64;
+                ctx.stats.insns += insns as u64;
                 ctx.stats.tier_blocks += 1;
-                ctx.stats.tier_insns += *insns as u64;
+                ctx.stats.tier_insns += insns as u64;
                 // An open region transaction observes the dispatcher's
                 // conflict tokens at every original-block boundary, just
                 // as the block-tier dispatch loop does per hop — tiering
@@ -361,13 +381,13 @@ pub fn run_block_from(
                         .map_err(Trap::HtmAbort)?;
                 }
             }
-            Op::Safepoint { resume_pc } => {
+            Entry::Safepoint { resume_pc } => {
                 // Superblock segment seam: re-map the attribution scope
                 // to the stitched segment's original block PC, so
                 // charges taken in tier-2 code land on the address a
                 // deopt would resume at.
                 if ctx.prof.is_some() {
-                    ctx.prof_remap(*resume_pc);
+                    ctx.prof_remap(resume_pc);
                 }
                 // Interior safepoint poll: a superblock must not delay an
                 // exclusive requester longer than one original block.
@@ -389,22 +409,23 @@ pub fn run_block_from(
                     if block.invalidated.is_set() {
                         ctx.stats.deopts += 1;
                         ctx.prof_charge(adbt_profile::Metric::Deopt, 1);
-                        ctx.trace(adbt_trace::TraceKind::Deopt, *resume_pc, block.guest_pc);
-                        return Ok(BlockRun::Done(*resume_pc));
+                        ctx.trace(adbt_trace::TraceKind::Deopt, resume_pc, block.guest_pc);
+                        return Ok(BlockRun::Done(resume_pc));
                     }
                 }
             }
-            Op::SideExit { cond, target } => {
-                if ctx.cpu.flags.holds(*cond) {
+            Entry::SideExit { cond, target } => {
+                if ctx.cpu.flags.holds(cond) {
                     // Deopt: the stitched trace's branch prediction went
                     // the other way. State is architectural, so resuming
                     // in the block-granular tier needs nothing but a PC.
                     ctx.stats.deopts += 1;
                     ctx.prof_charge(adbt_profile::Metric::Deopt, 1);
-                    ctx.trace(adbt_trace::TraceKind::Deopt, *target, block.guest_pc);
-                    return Ok(BlockRun::Done(*target));
+                    ctx.trace(adbt_trace::TraceKind::Deopt, target, block.guest_pc);
+                    return Ok(BlockRun::Done(target));
                 }
             }
+            Entry::Operands(_) => unreachable!("the operand pool lies past the op entries"),
         }
     }
 
@@ -421,7 +442,10 @@ pub fn run_block_from(
                 *fallthrough
             }
         }
-        BlockExit::Indirect { target } => eval(ctx, *target),
+        BlockExit::Indirect { target } => match *target {
+            Src::Slot(slot) => ctx.cpu.slots[slot_index(slot) as usize],
+            Src::Imm(imm) => imm,
+        },
         BlockExit::Svc { num, ret_addr } => {
             ctx.syscall(*num)?;
             *ret_addr
@@ -439,6 +463,100 @@ pub fn run_block_from(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AtomicScheme, Atomicity, HelperRegistry, MachineConfig, MachineCore, Vcpu};
+    use adbt_ir::{BlockBuilder, Op, Slot};
+
+    /// A scheme with no LL/SC lowering: the block below uses none.
+    struct Plain;
+
+    impl AtomicScheme for Plain {
+        fn name(&self) -> &'static str {
+            "plain"
+        }
+        fn atomicity(&self) -> Atomicity {
+            Atomicity::Incorrect
+        }
+        fn install(&mut self, _: &mut HelperRegistry) {}
+        fn lower_ll(&self, _: &mut BlockBuilder, _: Slot, _: Src) {}
+        fn lower_sc(&self, _: &mut BlockBuilder, _: Slot, _: Src, _: Src) {}
+        fn lower_clrex(&self, _: &mut BlockBuilder) {}
+    }
+
+    #[test]
+    fn pause_points_stop_and_resume_to_the_whole_block_state() {
+        let mut b = BlockBuilder::new(0x1000);
+        let t = b.temp();
+        let r3 = Slot::Reg(3);
+        b.push(Op::Mov {
+            dst: t,
+            src: Src::Imm(5),
+            set_flags: false,
+        });
+        b.push(Op::Window);
+        // The temp written before the pause is read after it.
+        b.push(Op::Alu {
+            op: AluOp::Add,
+            dst: Some(r3),
+            a: Src::Slot(t),
+            b: Src::Imm(1),
+            set_flags: false,
+        });
+        b.push(Op::Store {
+            src: Src::Slot(r3),
+            addr: Src::Imm(0x4000),
+            width: adbt_mmu::Width::Word,
+            guest_store: true,
+        });
+        b.push(Op::Yield);
+        b.push(Op::Alu {
+            op: AluOp::Mul,
+            dst: Some(r3),
+            a: Src::Slot(r3),
+            b: Src::Imm(3),
+            set_flags: true,
+        });
+        let block = b.finish(BlockExit::Jump(0x2000), 4);
+
+        let run = |pause_points: bool, stops: &[usize]| {
+            let machine = MachineCore::new(MachineConfig::default(), Box::new(Plain)).unwrap();
+            let mut ctx = ExecCtx::new(Vcpu::new(1, 0x1000), &machine, 1);
+            ctx.pause_points = pause_points;
+            let mut start = 0;
+            for &stop in stops {
+                assert_eq!(
+                    run_block_from(&mut ctx, &block, start),
+                    Ok(BlockRun::Paused(stop))
+                );
+                start = stop;
+            }
+            assert_eq!(
+                run_block_from(&mut ctx, &block, start),
+                Ok(BlockRun::Done(0x2000))
+            );
+            let stored = machine.space.mem().load(0x4000, adbt_mmu::Width::Word);
+            (
+                ctx.cpu.reg(3),
+                ctx.cpu.flags,
+                stored,
+                ctx.stats.without_wall_clock(),
+            )
+        };
+        // Paused after the window (op 1) and the yield (op 4), resuming
+        // at the next op each time; per-block counters charge once.
+        let paused = run(true, &[2, 5]);
+        let whole = run(false, &[]);
+        assert_eq!(paused, whole);
+        assert_eq!((paused.0, paused.2), (18, 6));
+        assert_eq!(
+            (
+                paused.3.blocks,
+                paused.3.insns,
+                paused.3.yields,
+                paused.3.stores
+            ),
+            (1, 4, 1, 1)
+        );
+    }
 
     fn f(n: bool, z: bool, c: bool, v: bool) -> Flags {
         Flags { n, z, c, v }

@@ -3,8 +3,9 @@
 //! This crate is the QEMU-analogue substrate the CGO'21 reproduction
 //! runs on: a multi-threaded DBT that fetches guest code (`adbt-isa`),
 //! lowers it to IR (`adbt-ir`) through a pluggable
-//! [`AtomicScheme`], caches translated blocks, and interprets them on
-//! one OS thread per vCPU against shared atomic guest memory
+//! [`AtomicScheme`], caches translated blocks, and executes their
+//! pre-decoded tapes on one OS thread per vCPU against shared atomic
+//! guest memory
 //! (`adbt-mmu`). Everything the paper's schemes need from QEMU is
 //! reimplemented here:
 //!

@@ -444,22 +444,22 @@ impl MachineCore {
     /// The scheme new translations lower under right now — the active
     /// adaptive candidate, or the construction scheme on a static
     /// machine — together with its cache scheme tag.
-    pub(crate) fn active_scheme(&self) -> (Arc<dyn AtomicScheme>, u8) {
+    pub(crate) fn active_scheme(&self) -> (&Arc<dyn AtomicScheme>, u8) {
         match &self.adapt {
             Some(adapt) => {
                 let idx = adapt.active.load(Ordering::Acquire);
-                (Arc::clone(&adapt.candidates[idx]), idx as u8)
+                (&adapt.candidates[idx], idx as u8)
             }
-            None => (Arc::clone(&self.scheme), 0),
+            None => (&self.scheme, 0),
         }
     }
 
     /// Maps a cache scheme tag back to the candidate that lowered the
     /// tagged block (static machines only ever tag with 0).
-    pub(crate) fn scheme_of(&self, tag: u8) -> Arc<dyn AtomicScheme> {
+    pub(crate) fn scheme_of(&self, tag: u8) -> &dyn AtomicScheme {
         match &self.adapt {
-            Some(adapt) => Arc::clone(&adapt.candidates[tag as usize]),
-            None => Arc::clone(&self.scheme),
+            Some(adapt) => &*adapt.candidates[tag as usize],
+            None => &*self.scheme,
         }
     }
 
@@ -547,7 +547,7 @@ impl MachineCore {
         // below is tagged with exactly the candidate that lowered it,
         // even if a migration publishes a new active index mid-translate.
         let (scheme, scheme_tag) = self.active_scheme();
-        let block = frontend::translate(ctx, pc, &scheme)?;
+        let block = frontend::translate(ctx, pc, scheme)?;
         self.ensure_cache_room(ctx, block_footprint(&block))?;
         let result = self.cache.insert(pc, block, scheme_tag);
         // Every page the new block decodes from becomes write-tracked, so

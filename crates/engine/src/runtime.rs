@@ -729,7 +729,27 @@ impl<'m> ExecCtx<'m> {
     /// # Errors
     ///
     /// Traps on unhandled faults, fault-retry livelock, or HTM abort.
+    #[inline]
     pub fn load(&mut self, vaddr: u32, width: Width) -> Result<u32, Trap> {
+        // The common case stays inline: a translated page, no open
+        // transaction. Everything else takes the out-of-line path.
+        if self.txn.is_none() {
+            if let Ok(paddr) = self.machine.space.translate(vaddr, Access::Load, width) {
+                let mem = self.machine.space.mem();
+                return Ok(if self.machine.htm_enabled {
+                    self.machine.htm.consistent_load(mem, paddr, width)
+                } else {
+                    mem.load(paddr, width)
+                });
+            }
+        }
+        self.load_slow(vaddr, width)
+    }
+
+    /// [`ExecCtx::load`]'s transactional reads and fault/retry loop.
+    #[cold]
+    #[inline(never)]
+    fn load_slow(&mut self, vaddr: u32, width: Width) -> Result<u32, Trap> {
         let mut retries = 0u64;
         loop {
             match self.machine.space.translate(vaddr, Access::Load, width) {
@@ -793,7 +813,33 @@ impl<'m> ExecCtx<'m> {
     /// # Errors
     ///
     /// Traps on unhandled faults, fault-retry livelock, or HTM abort.
+    #[inline]
     pub fn store(
+        &mut self,
+        vaddr: u32,
+        width: Width,
+        value: u32,
+        guest_store: bool,
+    ) -> Result<(), Trap> {
+        // The common case stays inline: a translated page, no open
+        // transaction, no pause points to report the store to.
+        if self.txn.is_none() && !self.pause_points {
+            if let Ok(paddr) = self.machine.space.translate(vaddr, Access::Store, width) {
+                self.machine.space.mem().store(paddr, width, value);
+                if guest_store && self.machine.htm_enabled {
+                    self.machine.htm.notify_plain_store(paddr);
+                }
+                return Ok(());
+            }
+        }
+        self.store_slow(vaddr, width, value, guest_store)
+    }
+
+    /// [`ExecCtx::store`]'s transactional and pause-point paths and its
+    /// fault/retry loop.
+    #[cold]
+    #[inline(never)]
+    fn store_slow(
         &mut self,
         vaddr: u32,
         width: Width,
@@ -1051,8 +1097,8 @@ impl<'m> ExecCtx<'m> {
         // Faults dispatch to the *active* scheme: after a migration off
         // a page-protection scheme its deactivation hook has already
         // unprotected everything, so no stale scheme can have a claim.
-        let scheme = self.machine.active_scheme().0;
-        match scheme.on_page_fault(self, fault, access) {
+        let machine = self.machine;
+        match machine.active_scheme().0.on_page_fault(self, fault, access) {
             FaultOutcome::Fatal => Err(Trap::Fault(fault)),
             outcome => {
                 *retries += 1;

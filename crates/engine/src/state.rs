@@ -1,5 +1,7 @@
 //! Per-vCPU architectural state.
 
+use adbt_ir::REG_SLOTS;
+
 /// The guest NZCV condition flags.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Flags {
@@ -36,14 +38,16 @@ pub struct Monitor {
 
 /// One virtual CPU's architectural state.
 ///
-/// `regs[13..=15]` are sp/lr/pc by ABI convention, but the interpreter
-/// keeps the *live* program counter in [`Vcpu::pc`]; `regs[15]` is not
-/// read or written by translated code (direct branches resolve at
-/// translation time, indirect branches through `bx`).
+/// `r13..=r15` are sp/lr/pc by ABI convention, but the executor keeps
+/// the *live* program counter in [`Vcpu::pc`]; `r15` is not read or
+/// written by translated code (direct branches resolve at translation
+/// time, indirect branches through `bx`).
 #[derive(Clone, Debug)]
 pub struct Vcpu {
-    /// General-purpose registers `r0..=r15`.
-    pub regs: [u32; 16],
+    /// The slot file translated code reads and writes: registers
+    /// `r0..=r15` at indices `0..REG_SLOTS`, then the running block's
+    /// temps (grown by the executor to fit each block).
+    pub(crate) slots: Vec<u32>,
     /// The live program counter.
     pub pc: u32,
     /// Condition flags.
@@ -55,8 +59,6 @@ pub struct Vcpu {
     pub monitor: Monitor,
     /// Exit code once the vCPU has executed the exit syscall.
     pub exit_code: Option<i32>,
-    /// Block-local temporaries (resized by the interpreter per block).
-    pub(crate) temps: Vec<u32>,
 }
 
 impl Vcpu {
@@ -70,33 +72,34 @@ impl Vcpu {
     pub fn new(tid: u32, entry: u32) -> Vcpu {
         assert!(tid != 0, "vCPU thread ids are 1-based");
         Vcpu {
-            regs: [0; 16],
+            slots: vec![0; REG_SLOTS],
             pc: entry,
             flags: Flags::default(),
             tid,
             monitor: Monitor::default(),
             exit_code: None,
-            temps: Vec::new(),
         }
     }
 
     /// Reads a register by index (0..=15).
     #[inline]
     pub fn reg(&self, index: u8) -> u32 {
-        self.regs[index as usize]
+        self.slots[..REG_SLOTS][index as usize]
     }
 
     /// Writes a register by index (0..=15).
     #[inline]
     pub fn set_reg(&mut self, index: u8, value: u32) {
-        self.regs[index as usize] = value;
+        self.slots[..REG_SLOTS][index as usize] = value;
     }
 
     /// A register/flag snapshot for HTM rollback (RTM aborts restore the
     /// full register state to the `xbegin` point).
     pub fn snapshot(&self) -> VcpuSnapshot {
         VcpuSnapshot {
-            regs: self.regs,
+            regs: self.slots[..REG_SLOTS]
+                .try_into()
+                .expect("the slot file starts with the registers"),
             pc: self.pc,
             flags: self.flags,
             monitor: self.monitor,
@@ -105,7 +108,7 @@ impl Vcpu {
 
     /// Restores a snapshot taken by [`Vcpu::snapshot`].
     pub fn restore(&mut self, snap: &VcpuSnapshot) {
-        self.regs = snap.regs;
+        self.slots[..REG_SLOTS].copy_from_slice(&snap.regs);
         self.pc = snap.pc;
         self.flags = snap.flags;
         self.monitor = snap.monitor;
@@ -115,7 +118,7 @@ impl Vcpu {
 /// A register-file snapshot used to roll back aborted HTM transactions.
 #[derive(Clone, Copy, Debug)]
 pub struct VcpuSnapshot {
-    regs: [u32; 16],
+    regs: [u32; REG_SLOTS],
     pc: u32,
     flags: Flags,
     monitor: Monitor,

@@ -61,7 +61,8 @@ impl StoreTestTable {
         ((addr >> 2) as usize) & self.mask
     }
 
-    /// `Htable_set`: claim the entry for `tid` — one release store.
+    /// `Htable_set`: claim the entry for `tid` — one SeqCst store (the
+    /// same ordering as every guest access).
     ///
     /// Emitted inline (IR-level) for every guest store and LL under HST;
     /// this function *is* the hot path the paper optimizes, so the
@@ -80,7 +81,7 @@ impl StoreTestTable {
         self.entries[idx].store(tid, Ordering::SeqCst);
     }
 
-    /// `Htable_check`: read the entry's current owner — one acquire load.
+    /// `Htable_check`: read the entry's current owner — one SeqCst load.
     /// The lock bit is masked off.
     #[inline]
     pub fn get(&self, addr: u32) -> u32 {

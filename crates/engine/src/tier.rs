@@ -4,7 +4,7 @@
 //! heat); a block crossing the configured threshold is *claimed* by the
 //! crossing vCPU, which walks the block's patched chain links to find
 //! the dominant successor path and stitches it into one translated unit
-//! — a **superblock** — run by the same interpreter:
+//! — a **superblock** — run by the same executor:
 //!
 //! * every original block boundary becomes an [`Op::Boundary`] (so the
 //!   per-block statistics charge exactly as block-granular dispatch
@@ -27,7 +27,7 @@ use crate::cache::TranslationCache;
 use crate::machine::MachineCore;
 use crate::runtime::ExecCtx;
 use adbt_ir::opt::{self, OptConfig, PassStats};
-use adbt_ir::{Block, BlockExit, ExitLinks, Op, Slot, Src};
+use adbt_ir::{Block, BlockExit, ExitLinks, Op, Slot, Src, Tape, MAX_TEMPS};
 use adbt_trace::TraceKind;
 
 /// What the superblock builder decided.
@@ -84,7 +84,8 @@ fn shift_src(src: Src, base: u16) -> Option<Src> {
 
 /// Rebases a segment's block-local temps by `base` so stitched segments
 /// never collide. `None` on u16 overflow (the caller rules the block
-/// out rather than risking aliasing).
+/// out rather than risking aliasing; it also caps the total at
+/// [`MAX_TEMPS`], the slot file's reach).
 fn rebase_temps(op: &Op, base: u16) -> Option<Op> {
     if base == 0 {
         return Some(op.clone());
@@ -262,7 +263,6 @@ pub(crate) fn build_superblock(
     let mut ops: Vec<Op> = Vec::new();
     let mut temp_base: u16 = 0;
     let mut guest_len: u32 = 0;
-    let mut guest_stores: u32 = 0;
     let mut has_llsc = false;
     for (k, &id) in ids.iter().enumerate() {
         let Some(seg) = cache.block(id) else {
@@ -286,12 +286,14 @@ pub(crate) fn build_superblock(
                 None => return TierBuild::Never,
             }
         }
-        let Some(next_base) = temp_base.checked_add(seg.temps) else {
+        let Some(next_base) = temp_base
+            .checked_add(seg.temps)
+            .filter(|&total| total <= MAX_TEMPS)
+        else {
             return TierBuild::Never;
         };
         temp_base = next_base;
         guest_len += seg.guest_len;
-        guest_stores += seg.guest_stores;
         has_llsc |= seg.has_llsc;
         if k + 1 < ids.len() {
             let Some(next) = cache.block(ids[k + 1]) else {
@@ -339,11 +341,13 @@ pub(crate) fn build_superblock(
     let Some(entry_block) = cache.block(entry) else {
         return TierBuild::Retry;
     };
+    let (tape, guest_stores) = Tape::lower(&ops);
     TierBuild::Built(
         Box::new(Block {
             guest_pc: entry_block.guest_pc,
             guest_len,
             ops,
+            tape,
             exit,
             temps: temp_base,
             guest_stores,
@@ -476,6 +480,78 @@ mod tests {
             sb.ops[4]
         );
         assert_eq!(sb.temps, 2);
+    }
+
+    #[test]
+    fn superblock_tape_lines_up_with_its_ops() {
+        use adbt_ir::{Entry, HelperId, Width};
+        let cache = TranslationCache::new();
+        let segment = |pc: u32, exit| {
+            let mut b = BlockBuilder::new(pc);
+            let t = b.temp();
+            b.push(Op::Alu {
+                op: AluOp::Add,
+                dst: Some(t),
+                a: Src::Slot(Slot::Reg(1)),
+                b: Src::Imm(4),
+                set_flags: false,
+            });
+            b.push(Op::Helper {
+                id: HelperId(0),
+                args: vec![Src::Slot(t), Src::Imm(2)],
+                ret: None,
+            });
+            b.push(Op::Store {
+                src: Src::Slot(Slot::Reg(2)),
+                addr: Src::Slot(t),
+                width: Width::Word,
+                guest_store: true,
+            });
+            b.push(Op::Alu {
+                op: AluOp::Sub,
+                dst: Some(Slot::Reg(6)),
+                a: Src::Slot(Slot::Reg(6)),
+                b: Src::Imm(1),
+                set_flags: true,
+            });
+            b.finish(exit, 3)
+        };
+        let a = insert(
+            &cache,
+            0x0,
+            segment(
+                0x0,
+                BlockExit::CondJump {
+                    cond: Cond::Ne,
+                    taken: 0x10,
+                    fallthrough: 0x40,
+                },
+            ),
+        );
+        let b = insert(&cache, 0x10, segment(0x10, BlockExit::Jump(0x0)));
+        link(&cache, a, b);
+        link(&cache, b, a);
+        let TierBuild::Built(sb, _, _) = build_superblock(&cache, a, 8, false, false, 0) else {
+            panic!("expected Built");
+        };
+        // One entry per stitched op — boundaries, safepoint and side exit
+        // included — each of the kind the op lowers to on its own.
+        assert_eq!(sb.tape.len(), sb.ops.len());
+        for (op, entry) in sb.ops.iter().zip(sb.tape.entries()) {
+            let (alone, _) = Tape::lower(std::slice::from_ref(op));
+            assert_eq!(
+                std::mem::discriminant(&alone.entries()[0]),
+                std::mem::discriminant(entry),
+                "{op:?} lowered to {entry:?}"
+            );
+        }
+        // The second segment's t0 was rebased to t1: slot 16 + 1.
+        assert!(sb
+            .tape
+            .entries()
+            .contains(&Entry::StoreWord { src: 2, addr: 17 }));
+        assert!(matches!(sb.tape.entries()[0], Entry::Boundary { insns: 3 }));
+        assert_eq!(sb.guest_stores, 2);
     }
 
     #[test]

@@ -1,9 +1,12 @@
-//! Randomized differential tests for the interpreter's ALU against an
+//! Randomized differential tests for the executor's ALU against an
 //! independent reference implementation of ARM's flag semantics. Cases
 //! come from a seeded xorshift generator (the workspace builds
 //! air-gapped, without a property-testing crate).
 
-use adbt_engine::{interp::alu, Flags};
+use adbt_engine::{
+    interp::{alu, alu_value},
+    Flags,
+};
 use adbt_isa::AluOp;
 
 /// Deterministic xorshift64* generator.
@@ -137,6 +140,30 @@ fn alu_matches_reference() {
         let (want, want_flags) = reference(op, a, b, flags);
         assert_eq!(got, want, "{op:?} result for a={a:#x} b={b:#x}");
         assert_eq!(got_flags, want_flags, "{op:?} flags for a={a:#x} b={b:#x}");
+    }
+}
+
+/// The flagless result the tape's ALU entries compute is the reference
+/// result, for every op and both carry-in values.
+#[test]
+fn alu_value_matches_reference() {
+    let mut rng = Rng::new(0x5eed_a1a0);
+    for op in AluOp::ALL {
+        for carry in [false, true] {
+            for _ in 0..256 {
+                let (a, b) = (rng.operand(), rng.operand());
+                let flags = Flags {
+                    c: carry,
+                    ..rng.flags()
+                };
+                let want = reference(op, a, b, flags).0;
+                assert_eq!(
+                    alu_value(op, a, b, carry),
+                    want,
+                    "{op:?} value for a={a:#x} b={b:#x} carry={carry}"
+                );
+            }
+        }
     }
 }
 

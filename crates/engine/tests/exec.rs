@@ -1,15 +1,16 @@
 //! End-to-end engine tests: assemble guest programs, run them on the
-//! threaded and lockstep engines, and check architectural results.
+//! threaded and lockstep engines, and check architectural results; and
+//! run one hand-built block per tape entry kind through the executor.
 //!
 //! These tests use a deliberately simple CAS-based scheme (equivalent to
 //! PICO-CAS) defined locally, so the engine crate is exercised without
 //! depending on `adbt-schemes` (which depends on this crate).
 
 use adbt_engine::{
-    AtomicScheme, Atomicity, HelperRegistry, MachineConfig, MachineCore, RoundRobin, Trap,
-    VcpuOutcome,
+    interp, AtomicScheme, Atomicity, ExecCtx, Flags, HelperRegistry, MachineConfig, MachineCore,
+    RoundRobin, Trap, Vcpu, VcpuOutcome,
 };
-use adbt_ir::{BlockBuilder, HelperId, Op, Slot, Src};
+use adbt_ir::{AluOp, BlockBuilder, BlockExit, Cond, Entry, HelperId, Op, RmwOp, Slot, Src};
 use adbt_isa::asm::assemble;
 use adbt_mmu::Width;
 
@@ -459,4 +460,441 @@ fn stats_profile_counts_llsc_and_stores() {
     assert_eq!(report.stats.sc_failures, 0);
     // Translation happened once per block, far fewer than executions.
     assert!(report.stats.translations < report.stats.blocks);
+}
+
+/// The guest word the entry-kind blocks read and write; r1 points at it.
+const DATA: u32 = 0x4000;
+/// Where every entry-kind block exits to.
+const NEXT: u32 = 0x2000;
+/// `DATA`'s initial contents.
+const WORD: u32 = 0x1122_3344;
+
+/// One entry kind's block: the ops that lower to it, and the hand-computed
+/// state after running them on a vCPU with r1 = `DATA`, r2 = 7, clear
+/// flags and `mem[DATA]` = `WORD`.
+struct Case {
+    kind: &'static str,
+    ops: fn(&mut BlockBuilder),
+    check: fn(&ExecCtx<'_>, Result<u32, Trap>),
+}
+
+fn kind(entry: &Entry) -> String {
+    let debug = format!("{entry:?}");
+    debug[..debug.find([' ', '(']).unwrap_or(debug.len())].to_string()
+}
+
+fn alu(op: AluOp, dst: Option<Slot>, a: Src, b: Src, set_flags: bool) -> Op {
+    Op::Alu {
+        op,
+        dst,
+        a,
+        b,
+        set_flags,
+    }
+}
+
+const R1: Src = Src::Slot(Slot::Reg(1));
+const R2: Src = Src::Slot(Slot::Reg(2));
+
+fn reg(n: u8) -> Option<Slot> {
+    Some(Slot::Reg(n))
+}
+
+fn mem(ctx: &ExecCtx<'_>, addr: u32) -> u32 {
+    ctx.machine.space.mem().load(addr, Width::Word)
+}
+
+fn flags(n: bool, z: bool, c: bool, v: bool) -> Flags {
+    Flags { n, z, c, v }
+}
+
+const CASES: &[Case] = &[
+    Case {
+        kind: "AluRI",
+        ops: |b| {
+            b.push(alu(AluOp::Add, reg(3), R1, Src::Imm(5), false));
+            // `cmp r2, #0` sets C, which `adc` consumes.
+            b.push(alu(AluOp::Sub, None, R2, Src::Imm(0), true));
+            b.push(alu(AluOp::Adc, reg(4), R2, Src::Imm(1), false));
+        },
+        check: |ctx, next| {
+            assert_eq!(next, Ok(NEXT));
+            assert_eq!((ctx.cpu.reg(3), ctx.cpu.reg(4)), (DATA + 5, 9));
+            assert_eq!(ctx.cpu.flags, flags(false, false, true, false));
+        },
+    },
+    Case {
+        kind: "AluRR",
+        ops: |b| {
+            let t = b.temp();
+            b.push(alu(AluOp::Add, Some(t), R1, R2, false));
+            b.push(alu(AluOp::Sub, reg(3), Src::Slot(t), R2, false));
+        },
+        check: |ctx, _| assert_eq!(ctx.cpu.reg(3), DATA, "(r1 + r2) - r2"),
+    },
+    Case {
+        kind: "Alu",
+        ops: |b| b.push(alu(AluOp::Sub, reg(3), Src::Imm(9), R2, false)),
+        check: |ctx, _| {
+            assert_eq!(ctx.cpu.reg(3), 2);
+            assert_eq!(ctx.cpu.flags, Flags::default());
+        },
+    },
+    Case {
+        kind: "AluFlags",
+        ops: |b| b.push(alu(AluOp::Sub, reg(3), R2, Src::Imm(7), true)),
+        check: |ctx, _| {
+            assert_eq!(ctx.cpu.reg(3), 0);
+            assert_eq!(ctx.cpu.flags, flags(false, true, true, false));
+        },
+    },
+    Case {
+        kind: "Compare",
+        ops: |b| b.push(alu(AluOp::Sub, None, R2, Src::Imm(8), true)),
+        check: |ctx, _| {
+            assert_eq!(ctx.cpu.reg(2), 7);
+            assert_eq!(ctx.cpu.flags, flags(true, false, false, false));
+        },
+    },
+    Case {
+        kind: "Nop",
+        ops: |b| b.push(alu(AluOp::Add, None, R2, Src::Imm(1), false)),
+        check: |ctx, _| {
+            assert_eq!(ctx.cpu.reg(2), 7);
+            assert_eq!(ctx.cpu.flags, Flags::default());
+        },
+    },
+    Case {
+        kind: "Mov",
+        ops: |b| {
+            let t = b.temp();
+            b.push(Op::Mov {
+                dst: t,
+                src: R2,
+                set_flags: false,
+            });
+            b.push(Op::Mov {
+                dst: Slot::Reg(4),
+                src: Src::Slot(t),
+                set_flags: false,
+            });
+            b.push(Op::Mov {
+                dst: Slot::Reg(3),
+                src: Src::Imm(0),
+                set_flags: true,
+            });
+        },
+        check: |ctx, _| {
+            assert_eq!((ctx.cpu.reg(3), ctx.cpu.reg(4)), (0, 7));
+            assert_eq!(ctx.cpu.flags, flags(false, true, false, false));
+        },
+    },
+    Case {
+        kind: "MovNot",
+        ops: |b| {
+            b.push(Op::MovNot {
+                dst: Slot::Reg(3),
+                src: R2,
+                set_flags: true,
+            })
+        },
+        check: |ctx, _| {
+            assert_eq!(ctx.cpu.reg(3), 0xffff_fff8);
+            assert_eq!(ctx.cpu.flags, flags(true, false, false, false));
+        },
+    },
+    Case {
+        kind: "InsertHigh",
+        ops: |b| {
+            b.push(Op::Mov {
+                dst: Slot::Reg(3),
+                src: Src::Imm(0xffff_1234),
+                set_flags: false,
+            });
+            b.push(Op::InsertHigh {
+                dst: Slot::Reg(3),
+                imm: 0xabcd,
+            });
+        },
+        check: |ctx, _| assert_eq!(ctx.cpu.reg(3), 0xabcd_1234),
+    },
+    Case {
+        kind: "Load",
+        ops: |b| {
+            let t = b.temp();
+            b.push(alu(AluOp::Add, Some(t), R1, Src::Imm(1), false));
+            b.push(Op::Load {
+                dst: Slot::Reg(3),
+                addr: R1,
+                width: Width::Word,
+            });
+            b.push(Op::Load {
+                dst: Slot::Reg(4),
+                addr: Src::Slot(t),
+                width: Width::Byte,
+            });
+            b.push(Op::Load {
+                dst: Slot::Reg(5),
+                addr: Src::Imm(DATA + 2),
+                width: Width::Half,
+            });
+        },
+        check: |ctx, _| {
+            assert_eq!(
+                (ctx.cpu.reg(3), ctx.cpu.reg(4), ctx.cpu.reg(5)),
+                (WORD, 0x33, 0x1122)
+            );
+            assert_eq!(ctx.stats.loads, 3);
+        },
+    },
+    Case {
+        kind: "StoreWord",
+        ops: |b| {
+            b.push(Op::Store {
+                src: R2,
+                addr: R1,
+                width: Width::Word,
+                guest_store: true,
+            })
+        },
+        check: |ctx, _| {
+            assert_eq!(mem(ctx, DATA), 7);
+            assert_eq!(ctx.stats.stores, 1);
+        },
+    },
+    Case {
+        kind: "Store",
+        ops: |b| {
+            b.push(Op::Store {
+                src: Src::Imm(0xab),
+                addr: R1,
+                width: Width::Byte,
+                guest_store: true,
+            });
+            // Scheme-internal: stored, but not counted as a guest store.
+            b.push(Op::Store {
+                src: Src::Imm(0x55),
+                addr: Src::Imm(DATA + 4),
+                width: Width::Word,
+                guest_store: false,
+            });
+        },
+        check: |ctx, _| {
+            assert_eq!((mem(ctx, DATA), mem(ctx, DATA + 4)), (0x1122_33ab, 0x55));
+            assert_eq!(ctx.stats.stores, 1);
+        },
+    },
+    Case {
+        kind: "CasWord",
+        ops: |b| {
+            for (dst, new) in [(3, 5), (4, 6)] {
+                b.push(Op::CasWord {
+                    dst: Slot::Reg(dst),
+                    addr: R1,
+                    expected: Src::Imm(WORD),
+                    new: Src::Imm(new),
+                });
+            }
+        },
+        check: |ctx, _| {
+            assert_eq!((ctx.cpu.reg(3), ctx.cpu.reg(4)), (1, 0));
+            assert_eq!(mem(ctx, DATA), 5);
+        },
+    },
+    Case {
+        kind: "Fence",
+        ops: |b| b.push(Op::Fence),
+        check: |ctx, next| {
+            assert_eq!(next, Ok(NEXT));
+            assert_eq!((ctx.cpu.reg(1), ctx.cpu.reg(2)), (DATA, 7));
+            assert_eq!(mem(ctx, DATA), WORD);
+        },
+    },
+    Case {
+        kind: "HtableSet",
+        ops: |b| b.push(Op::HtableSet { addr: R1 }),
+        check: |ctx, _| {
+            assert_eq!(ctx.machine.store_test.get(DATA), ctx.cpu.tid);
+            assert_eq!(ctx.stats.htable_sets, 1);
+        },
+    },
+    Case {
+        kind: "Helper",
+        ops: |b| {
+            // TestCas's LL (one argument) then SC (two).
+            b.push(Op::Helper {
+                id: HelperId(0),
+                args: vec![R1],
+                ret: Some(Slot::Reg(3)),
+            });
+            b.push(Op::Helper {
+                id: HelperId(1),
+                args: vec![R1, R2],
+                ret: Some(Slot::Reg(4)),
+            });
+        },
+        check: |ctx, _| {
+            assert_eq!((ctx.cpu.reg(3), ctx.cpu.reg(4)), (WORD, 0));
+            assert_eq!(mem(ctx, DATA), 7);
+            assert_eq!((ctx.stats.helper_calls, ctx.stats.sc), (2, 1));
+        },
+    },
+    Case {
+        kind: "Yield",
+        ops: |b| b.push(Op::Yield),
+        check: |ctx, next| {
+            assert_eq!(next, Ok(NEXT));
+            assert_eq!(ctx.stats.yields, 1);
+        },
+    },
+    Case {
+        kind: "Window",
+        ops: |b| b.push(Op::Window),
+        check: |ctx, next| {
+            assert_eq!(next, Ok(NEXT));
+            assert_eq!(ctx.stats.yields, 0);
+        },
+    },
+    Case {
+        kind: "MonitorArm",
+        ops: |b| {
+            b.push(Op::MonitorArm {
+                dst: Slot::Reg(3),
+                addr: R1,
+            })
+        },
+        check: |ctx, _| {
+            assert_eq!(ctx.cpu.reg(3), WORD);
+            assert_eq!(ctx.cpu.monitor.addr, Some(DATA));
+            assert_eq!(ctx.cpu.monitor.value, WORD);
+            assert_eq!((ctx.stats.ll, ctx.stats.loads), (1, 0));
+        },
+    },
+    Case {
+        kind: "MonitorScCas",
+        ops: |b| {
+            b.push(Op::MonitorArm {
+                dst: Slot::Reg(3),
+                addr: R1,
+            });
+            b.push(Op::MonitorScCas {
+                dst: Slot::Reg(4),
+                addr: R1,
+                new: R2,
+            });
+            // The SC disarmed the monitor: a second one fails.
+            b.push(Op::MonitorScCas {
+                dst: Slot::Reg(5),
+                addr: R1,
+                new: Src::Imm(9),
+            });
+        },
+        check: |ctx, _| {
+            assert_eq!((ctx.cpu.reg(4), ctx.cpu.reg(5)), (0, 1));
+            assert_eq!(mem(ctx, DATA), 7);
+            assert_eq!((ctx.stats.sc, ctx.stats.sc_failures), (2, 1));
+            assert_eq!(ctx.cpu.monitor.addr, None);
+        },
+    },
+    Case {
+        kind: "MonitorClear",
+        ops: |b| {
+            b.push(Op::MonitorArm {
+                dst: Slot::Reg(3),
+                addr: R1,
+            });
+            b.push(Op::MonitorClear);
+        },
+        check: |ctx, _| assert_eq!(ctx.cpu.monitor.addr, None),
+    },
+    Case {
+        kind: "AtomicRmw",
+        ops: |b| {
+            b.push(Op::AtomicRmw {
+                dst: Slot::Reg(3),
+                op: RmwOp::Add,
+                addr: R1,
+                operand: Src::Imm(5),
+            })
+        },
+        check: |ctx, _| {
+            assert_eq!(ctx.cpu.reg(3), WORD, "dst receives the old value");
+            assert_eq!(mem(ctx, DATA), WORD + 5);
+            let s = &ctx.stats;
+            assert_eq!((s.ll, s.sc, s.fused_rmws), (1, 1, 1));
+        },
+    },
+    Case {
+        kind: "Boundary",
+        ops: |b| b.push(Op::Boundary { insns: 3 }),
+        check: |ctx, _| {
+            // The block's own entry charge plus the boundary's.
+            let s = &ctx.stats;
+            assert_eq!((s.blocks, s.insns), (2, 4));
+            assert_eq!((s.tier_blocks, s.tier_insns), (1, 3));
+        },
+    },
+    Case {
+        kind: "Safepoint",
+        ops: |b| b.push(Op::Safepoint { resume_pc: 0x3000 }),
+        check: |ctx, next| {
+            assert_eq!(next, Ok(NEXT), "nothing pending: no park, no deopt");
+            assert_eq!(ctx.stats.deopts, 0);
+        },
+    },
+    Case {
+        kind: "SideExit",
+        ops: |b| {
+            b.push(alu(AluOp::Sub, None, R2, Src::Imm(7), true));
+            b.push(Op::SideExit {
+                cond: Cond::Ne,
+                target: 0x3000,
+            });
+            b.push(Op::SideExit {
+                cond: Cond::Eq,
+                target: 0x3004,
+            });
+            b.push(Op::Mov {
+                dst: Slot::Reg(3),
+                src: Src::Imm(1),
+                set_flags: false,
+            });
+        },
+        check: |ctx, next| {
+            assert_eq!(next, Ok(0x3004), "leaves at the first exit that holds");
+            assert_eq!(ctx.cpu.reg(3), 0, "ops past the exit do not run");
+            assert_eq!(ctx.stats.deopts, 1);
+        },
+    },
+];
+
+#[test]
+fn every_tape_entry_kind_executes() {
+    let mut seen = std::collections::BTreeSet::new();
+    for case in CASES {
+        let m = machine();
+        m.space.mem().store(DATA, Width::Word, WORD);
+        let mut b = BlockBuilder::new(0x1000);
+        (case.ops)(&mut b);
+        let block = b.finish(BlockExit::Jump(NEXT), 1);
+        let kinds: Vec<String> = block.tape.entries().iter().map(kind).collect();
+        assert!(
+            kinds.iter().any(|k| k == case.kind),
+            "{} block lowered to {kinds:?}",
+            case.kind
+        );
+        seen.extend(kinds);
+        let mut ctx = ExecCtx::new(Vcpu::new(1, 0x1000), &m, 1);
+        ctx.cpu.set_reg(1, DATA);
+        ctx.cpu.set_reg(2, 7);
+        let next = interp::run_block(&mut ctx, &block);
+        (case.check)(&ctx, next);
+        assert_eq!(
+            ctx.stats.blocks as usize,
+            1 + (case.kind == "Boundary") as usize
+        );
+    }
+    // Every kind an op can lower to ran (the pool's `Operands` entries
+    // are data, not ops).
+    assert_eq!(seen.len(), 25, "{seen:?}");
 }

@@ -1,8 +1,8 @@
-use crate::{Cond, Op, Slot, Src};
+use crate::{Cond, Op, Slot, Src, Tape, MAX_TEMPS};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
 /// The most arguments a runtime helper can take ([`Op::Helper`]); the
-/// interpreter marshals arguments through a fixed buffer of this size,
+/// executor marshals arguments through a fixed buffer of this size,
 /// so [`BlockBuilder::push`] rejects longer lists at build time.
 pub const MAX_HELPER_ARGS: usize = 8;
 
@@ -193,11 +193,15 @@ pub struct Block {
     pub guest_pc: u32,
     /// The number of guest instructions covered.
     pub guest_len: u32,
-    /// The ops, executed in order.
+    /// The ops, in order.
     pub ops: Vec<Op>,
+    /// The ops pre-decoded, one entry per op at the same index — what
+    /// the engine executes. Built with the block; `ops` stays the
+    /// inspectable form (printer, optimizer, tests).
+    pub tape: Tape,
     /// The exit.
     pub exit: BlockExit,
-    /// Number of temporaries used (the interpreter sizes its temp file
+    /// Number of temporaries used (the executor sizes the slot file
     /// from this).
     pub temps: u16,
     /// Dynamic count of architectural guest stores in `ops` (profile
@@ -207,7 +211,7 @@ pub struct Block {
     pub has_llsc: bool,
     /// Whether this is a stitched superblock (tier 2). Superblocks carry
     /// their own per-segment statistics charging ([`Op::Boundary`]) and
-    /// safepoint polls ([`Op::Safepoint`]), so the interpreter skips the
+    /// safepoint polls ([`Op::Safepoint`]), so the executor skips the
     /// per-block entry charge for them.
     pub superblock: bool,
     /// Per-exit successor links, patched on first traversal by the
@@ -273,12 +277,17 @@ impl BlockBuilder {
     }
 
     /// Allocates a fresh temporary slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics past [`MAX_TEMPS`] temps in one block.
     pub fn temp(&mut self) -> Slot {
+        assert!(
+            self.next_temp < MAX_TEMPS,
+            "more than {MAX_TEMPS} temps in one block"
+        );
         let t = Slot::Temp(self.next_temp);
-        self.next_temp = self
-            .next_temp
-            .checked_add(1)
-            .expect("more than 65535 temps in one block");
+        self.next_temp += 1;
         t
     }
 
@@ -287,15 +296,15 @@ impl BlockBuilder {
     /// # Panics
     ///
     /// Panics if a [`Op::Helper`] carries more than [`MAX_HELPER_ARGS`]
-    /// arguments. The interpreter marshals helper arguments through a
-    /// fixed 8-word buffer, so a longer list would be silently
-    /// truncated at run time; rejecting it at block-build time turns a
-    /// scheme-lowering bug into an immediate, attributable failure.
+    /// arguments. The executor marshals helper arguments through a
+    /// fixed 8-word buffer, so a longer list cannot run; rejecting it
+    /// when it is pushed turns a scheme-lowering bug into an immediate,
+    /// attributable failure.
     pub fn push(&mut self, op: Op) {
         if let Op::Helper { id, args, .. } = &op {
             assert!(
                 args.len() <= MAX_HELPER_ARGS,
-                "helper {id} takes {} args; the interpreter marshals at most {MAX_HELPER_ARGS}",
+                "helper {id} takes {} args; the executor marshals at most {MAX_HELPER_ARGS}",
                 args.len(),
             );
         }
@@ -318,25 +327,15 @@ impl BlockBuilder {
         self.ops.is_empty()
     }
 
-    /// Finalizes the block with its exit and guest instruction count.
+    /// Finalizes the block with its exit and guest instruction count,
+    /// lowering its ops to the tape.
     pub fn finish(self, exit: BlockExit, guest_len: u32) -> Block {
-        let guest_stores = self
-            .ops
-            .iter()
-            .filter(|op| {
-                matches!(
-                    op,
-                    Op::Store {
-                        guest_store: true,
-                        ..
-                    }
-                )
-            })
-            .count() as u32;
+        let (tape, guest_stores) = Tape::lower(&self.ops);
         Block {
             guest_pc: self.guest_pc,
             guest_len,
             ops: self.ops,
+            tape,
             exit,
             temps: self.next_temp,
             guest_stores,

@@ -165,7 +165,7 @@ pub enum Op {
     /// Inline store-test hash-table update: `htable[hash(addr)] = tid`.
     ///
     /// The single-store, lock-free fast path that distinguishes HST from
-    /// PICO-ST. Interpreted as one array store against the engine's
+    /// PICO-ST. Executed as one array store against the engine's
     /// [`store-test table`](crate::Op::Helper) — no helper dispatch.
     HtableSet {
         /// The guest address whose hash entry is claimed.
@@ -223,7 +223,7 @@ pub enum Op {
     /// Disarm the local monitor (guest `clrex`).
     MonitorClear,
     /// A fused atomic read-modify-write: `dst = atomic_fetch_<op>(addr,
-    /// operand)` returning the *new* value.
+    /// operand)` returning the *old* value.
     ///
     /// Emitted by the rule-based translation pass (paper §VI): a
     /// compiler-generated `ldrex; <alu>; strex; cmp; bne` retry loop is
@@ -231,8 +231,8 @@ pub enum Op {
     /// built-in — inherently ABA-free and with no per-store
     /// instrumentation or exclusion needed.
     AtomicRmw {
-        /// Receives the value *after* the update (what the guest loop
-        /// leaves in the loaded register on exit).
+        /// Receives the value *before* the update (what the guest loop's
+        /// `ldrex` leaves in the loaded register on exit).
         dst: Slot,
         /// The operation applied.
         op: RmwOp,

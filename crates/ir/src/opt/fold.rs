@@ -17,7 +17,7 @@ use crate::{AluOp, Op, Slot, Src};
 use std::collections::HashMap;
 
 /// Evaluates a carry-free ALU op over constants, mirroring the
-/// interpreter's semantics exactly (wrapping arithmetic, shift amounts
+/// executor's semantics exactly (wrapping arithmetic, shift amounts
 /// masked to 5 bits). `Adc`/`Sbc` return `None`: their value depends on
 /// the dynamic carry flag.
 fn eval_alu_value(op: AluOp, a: u32, b: u32) -> Option<u32> {

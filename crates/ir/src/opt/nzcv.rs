@@ -10,7 +10,7 @@
 //! (`Op::Alu { dst: None, set_flags }`) whose flags are dead is removed
 //! outright.
 //!
-//! Flag semantics mirror the interpreter exactly: arithmetic ALU ops
+//! Flag semantics mirror the executor exactly: arithmetic ALU ops
 //! (`add`/`adc`/`sub`/`sbc`/`rsb`) write NZCV; logical/shift/multiply
 //! ops write only N and Z (C and V are preserved); `mov`/`mvn` write
 //! N and Z. `adc`/`sbc` additionally *read* C for their value, whether

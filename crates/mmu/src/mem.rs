@@ -187,7 +187,9 @@ impl GuestMemory {
     }
 
     /// Copies `bytes` into memory starting at `paddr` (used to load
-    /// program images before execution starts).
+    /// program images before execution starts). Each whole aligned word
+    /// is one word store; only an unaligned head or tail goes byte by
+    /// byte, so the bytes around the slice survive.
     ///
     /// # Panics
     ///
@@ -197,9 +199,22 @@ impl GuestMemory {
             paddr as usize + bytes.len() <= self.size as usize,
             "image write out of bounds"
         );
-        for (i, &b) in bytes.iter().enumerate() {
-            self.store(paddr + i as u32, Width::Byte, b as u32);
+        let store_bytes = |at: u32, bytes: &[u8]| {
+            for (i, &b) in bytes.iter().enumerate() {
+                self.store(at + i as u32, Width::Byte, b as u32);
+            }
+        };
+        let head = (paddr.wrapping_neg() % 4) as usize;
+        let (head_bytes, body) = bytes.split_at(head.min(bytes.len()));
+        store_bytes(paddr, head_bytes);
+        let at = paddr + head_bytes.len() as u32;
+        let words = body.chunks_exact(4);
+        let tail = words.remainder();
+        for (i, word) in words.enumerate() {
+            let value = u32::from_le_bytes(word.try_into().expect("chunks of four"));
+            self.store(at + 4 * i as u32, Width::Word, value);
         }
+        store_bytes(at + (body.len() - tail.len()) as u32, tail);
     }
 
     /// Reads `len` bytes starting at `paddr` (used by host-side result
@@ -265,6 +280,25 @@ mod tests {
         mem.write_slice(3, &[1, 2, 3, 4, 5]);
         assert_eq!(mem.read_slice(3, 5), vec![1, 2, 3, 4, 5]);
         assert_eq!(mem.load(0, Width::Byte), 0);
+
+        // An unaligned head (6, 7), whole words (8..16) and an unaligned
+        // tail (16..19) over non-zero memory: the neighbouring bytes in
+        // the head's and tail's words survive.
+        for cell in 0..16 {
+            mem.store(cell * 4, Width::Word, 0xa5a5_a5a5);
+        }
+        let bytes: Vec<u8> = (1..=13).collect();
+        mem.write_slice(6, &bytes);
+        assert_eq!(mem.read_slice(6, 13), bytes);
+        assert_eq!(mem.load(4, Width::Word), 0x0201_a5a5);
+        assert_eq!(mem.load(8, Width::Word), 0x0605_0403);
+        assert_eq!(mem.load(12, Width::Word), 0x0a09_0807);
+        assert_eq!(mem.load(16, Width::Word), 0xa50d_0c0b);
+        assert_eq!(mem.load(20, Width::Word), 0xa5a5_a5a5);
+
+        // A slice inside one word touches only its own bytes.
+        mem.write_slice(25, &[0x11, 0x22]);
+        assert_eq!(mem.load(24, Width::Word), 0xa522_11a5);
     }
 
     #[test]

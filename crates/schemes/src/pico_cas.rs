@@ -9,7 +9,7 @@
 //! fail.
 //!
 //! Profiler attribution flows entirely through the inline ops: the
-//! engine's `Op::MonitorScCas` / `Op::MonitorClear` interpreters call
+//! engine's `Op::MonitorScCas` / `Op::MonitorClear` entries call
 //! `note_sc` / `note_clrex`, which charge `sc_fail`, `sc_streak` and
 //! `monitor_clear` to the current guest PC — so PICO-CAS needs no
 //! helper-side charge sites of its own.
