@@ -61,23 +61,6 @@ cargo run -q --release --offline -p adbt --bin adbt_run -- \
 cargo run -q --release --offline -p adbt-trace --bin trace_validate -- \
     "$TRACE_TMP/soak.json"
 
-# Tracing-overhead guard: the dispatch-bound loop (the worst case for
-# the recorder) runs traced vs untraced per scheme; the geomean
-# slowdown must stay under the budget. The disabled path is checked
-# implicitly — it is the untraced baseline of the same binary.
-cargo run -q --release --offline -p adbt-bench --bin dispatch_bench -- \
-    --iters 60000 --reps 3 --traced --guard 35
-
-# Tiering tripwire: the same dispatch-bound loop plus an ALU loop run
-# per scheme with tiering off (baseline), hot (threshold 64), and cold
-# (threshold u32::MAX — the heat counter and redirect check run but
-# never fire). The geomean cold overhead must stay under 2%: tiering
-# you don't use rides the lookup path only and is (nearly) free.
-# Longer runs than the tracing guard because a ±2% budget needs
-# individual timings well clear of scheduler jitter (~0.8% measured).
-cargo run -q --release --offline -p adbt-bench --bin dispatch_bench -- \
-    --iters 150000 --reps 5 --tiered --guard 2
-
 # Differential fuzz smoke (release, ~seconds): 32 pinned seeds of
 # generated racy-but-result-deterministic guest programs, each run
 # across all 8 schemes × {sim, sim+chaos, sim+prof, threaded,
@@ -129,32 +112,6 @@ for scheme in hst hst-weak hst-htm pst pst-remap pico-st pico-cas pico-htm; do
         --check-metrics "$TRACE_TMP/$scheme.sim.json"
 done
 
-# Profiling-overhead guard: the dispatch-bound loop runs profiled vs
-# unprofiled per scheme; the geomean slowdown must stay under 5%. The
-# off path (one predicted branch per charge site) is the unprofiled
-# baseline of the same binary. The table goes to the temp dir, so a CI
-# run leaves the tree clean: the committed results/bench_profiling.json
-# is regenerated on purpose, with this step's command and
-# `--json results/bench_profiling.json`.
-cargo run -q --release --offline -p adbt-bench --bin dispatch_bench -- \
-    --iters 150000 --reps 5 --profiled --guard 5 \
-    --json "$TRACE_TMP/bench_profiling.json"
-
-# Adaptive-arbitration guard: part 1 measures the armed-idle adaptive
-# machine (epoch never elapses) against the static-with-profile
-# baseline per scheme — the geomean overhead must stay under 3%, the
-# tripwire for "adaptation you don't run is (nearly) free" (a static
-# machine's adaptation-off path is one predicted branch and strictly
-# cheaper than even the armed machine). Part 2 scores --scheme auto
-# against every static on the three-phase mixed workload in
-# deterministic virtual time. The table goes to the temp dir: the
-# committed results/bench_adapt.json, the record behind
-# EXPERIMENTS.md's adaptive-mode section (E11), is regenerated on
-# purpose with the command recorded there.
-cargo run -q --release --offline -p adbt-bench --bin dispatch_bench -- \
-    --iters 60000 --reps 3 --adapt --guard 3 \
-    --json "$TRACE_TMP/bench_adapt.json"
-
 # Oracle gate (release, ~25 s): every deterministic results/*.csv is
 # regenerated with the exact command recorded in its results/*.txt
 # header and must match the committed file byte for byte. The
@@ -184,3 +141,54 @@ EOF
 # against the engine's public API; its tests run here so an API change
 # that breaks it fails CI rather than the benchmark run.
 cargo test -q --release --offline --manifest-path e2ebench/Cargo.toml
+
+# Wall-clock guards, last on purpose. Everything above is deterministic
+# or seed-pinned; the four guards below time the same binary against
+# itself on a shared host, where run-to-run noise can trip a budget.
+# `set -e` stops at the first trip, so running them last means a tripped
+# guard never hides a fuzz corpus, profiled soak, oracle CSV or
+# e2ebench result. A trip is reported with its value and a rerun, never
+# loosened.
+
+# Tracing-overhead guard: the dispatch-bound loop (the worst case for
+# the recorder) runs traced vs untraced per scheme; the geomean
+# slowdown must stay under the budget. The disabled path is checked
+# implicitly — it is the untraced baseline of the same binary.
+cargo run -q --release --offline -p adbt-bench --bin dispatch_bench -- \
+    --iters 60000 --reps 3 --traced --guard 35
+
+# Tiering tripwire: the same dispatch-bound loop plus an ALU loop run
+# per scheme with tiering off (baseline), hot (threshold 64), and cold
+# (threshold u32::MAX — the heat counter and redirect check run but
+# never fire). The geomean cold overhead must stay under 2%: tiering
+# you don't use rides the lookup path only and is (nearly) free.
+# Longer runs than the tracing guard because a ±2% budget needs
+# individual timings well clear of scheduler jitter (~0.8% measured).
+cargo run -q --release --offline -p adbt-bench --bin dispatch_bench -- \
+    --iters 150000 --reps 5 --tiered --guard 2
+
+# Profiling-overhead guard: the dispatch-bound loop runs profiled vs
+# unprofiled per scheme; the geomean slowdown must stay under 5%. The
+# off path (one predicted branch per charge site) is the unprofiled
+# baseline of the same binary. The table goes to the temp dir, so a CI
+# run leaves the tree clean: the committed results/bench_profiling.json
+# is regenerated on purpose, with this step's command and
+# `--json results/bench_profiling.json`.
+cargo run -q --release --offline -p adbt-bench --bin dispatch_bench -- \
+    --iters 150000 --reps 5 --profiled --guard 5 \
+    --json "$TRACE_TMP/bench_profiling.json"
+
+# Adaptive-arbitration guard: part 1 measures the armed-idle adaptive
+# machine (epoch never elapses) against the static-with-profile
+# baseline per scheme — the geomean overhead must stay under 3%, the
+# tripwire for "adaptation you don't run is (nearly) free" (a static
+# machine's adaptation-off path is one predicted branch and strictly
+# cheaper than even the armed machine). Part 2 scores --scheme auto
+# against every static on the three-phase mixed workload in
+# deterministic virtual time. The table goes to the temp dir: the
+# committed results/bench_adapt.json, the record behind
+# EXPERIMENTS.md's adaptive-mode section (E11), is regenerated on
+# purpose with the command recorded there.
+cargo run -q --release --offline -p adbt-bench --bin dispatch_bench -- \
+    --iters 60000 --reps 3 --adapt --guard 3 \
+    --json "$TRACE_TMP/bench_adapt.json"

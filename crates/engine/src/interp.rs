@@ -249,14 +249,17 @@ pub fn run_block_from(
             Entry::HtableSet { addr } => {
                 ctx.stats.htable_sets += 1;
                 let vaddr = val(&ctx.cpu.slots, addr);
-                ctx.machine.store_test.set(vaddr, ctx.cpu.tid);
+                let table = &ctx.machine.store_test;
+                if ctx.parallel {
+                    table.set(vaddr, ctx.cpu.tid);
+                } else {
+                    table.set_serial(vaddr, ctx.cpu.tid);
+                }
                 // Under an HTM scheme the hash entry behaves like any
                 // other store target: bump its conflict token so open SC
                 // transactions observing the entry abort.
                 if ctx.machine.htm_enabled {
-                    ctx.machine
-                        .htm
-                        .notify_plain_store(ctx.machine.store_test.htm_token(vaddr));
+                    ctx.notify_plain_store(table.htm_token(vaddr));
                 }
             }
             Entry::Helper {

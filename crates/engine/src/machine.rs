@@ -23,7 +23,7 @@ use adbt_chaos::{ChaosCfg, ChaosPlane, ChaosSite, ChaosSnapshot, RetryPolicy};
 use adbt_htm::{HtmDomain, HtmStats};
 use adbt_ir::{BlockExit, ChainLink};
 use adbt_isa::asm::Image;
-use adbt_mmu::AddressSpace;
+use adbt_mmu::{page_of, AddressSpace, PAGE_SHIFT, PAGE_SIZE};
 use adbt_profile::{Metric as ProfMetric, ProfileRecorder};
 use adbt_sync::epoch::Qsbr;
 use adbt_sync::Mutex;
@@ -491,13 +491,43 @@ impl MachineCore {
         self.threaded.load(Ordering::Relaxed)
     }
 
-    /// Copies an assembled image into guest memory.
+    /// Copies an assembled image into guest memory and retires every
+    /// translation decoded from the bytes it overwrites, so a machine
+    /// that already ran never runs the previous image's code. No vCPU
+    /// may be running.
     ///
     /// # Panics
     ///
     /// Panics if the image does not fit in physical memory.
     pub fn load_image(&self, image: &Image) {
         self.space.mem().write_slice(image.base, &image.bytes);
+        self.retire_code(image.base, image.bytes.len() as u32);
+    }
+
+    /// Retires the translations decoded from `[base, base + len)`
+    /// through the SMC path's [`TranslationCache::retire_batch`] and
+    /// frees them at once: with no vCPU running, their grace period has
+    /// already elapsed. A machine that never translated pays one load.
+    fn retire_code(&self, base: u32, len: u32) {
+        if self.cache.len() == 0 || len == 0 {
+            return;
+        }
+        let last = base + (len - 1);
+        let victims: Vec<u32> = (page_of(base)..=page_of(last))
+            .flat_map(|page| {
+                let start = (page << PAGE_SHIFT).max(base);
+                let end = ((page << PAGE_SHIFT) | (PAGE_SIZE - 1)).min(last);
+                self.cache.victims_for_store(start, end - start + 1)
+            })
+            .collect();
+        if victims.is_empty() {
+            return;
+        }
+        let summary = self.cache.retire_batch(&victims, self.qsbr.begin_grace());
+        for &page in &summary.untrack_pages {
+            self.space.write_untrack(page);
+        }
+        self.cache.reclaim_limbo(&self.qsbr);
     }
 
     /// Whether [`make_vcpus`](Self::make_vcpus) can build `n` vCPUs: at
@@ -1437,6 +1467,10 @@ impl MachineCore {
                     let beat = Arc::clone(beat);
                     scope.spawn(move || {
                         let mut ctx = ExecCtx::new(cpu, self, n);
+                        // A lone vCPU thread is the only host thread
+                        // touching guest state (the watchdog reads only
+                        // heartbeats): serial context.
+                        ctx.parallel = n > 1;
                         if watch {
                             ctx.robust = true;
                             ctx.beat = Some(Arc::clone(&beat));
@@ -1568,6 +1602,8 @@ impl MachineCore {
                 let mut ctx = ExecCtx::new(cpu, self, n as u32);
                 ctx.qsbr_slot = slot;
                 ctx.pause_points = pause_points;
+                // The calling thread runs every vCPU: serial context.
+                ctx.parallel = false;
                 (ctx, L1Cache::new(), None)
             })
             .collect();
@@ -1772,5 +1808,90 @@ impl L1Cache {
     #[inline]
     fn put(&mut self, pc: u32, id: u32) {
         self.slots[(pc as usize >> 2) & (L1_SIZE - 1)] = Some((pc, id));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Atomicity, RoundRobin};
+    use adbt_ir::{BlockBuilder, Op, Slot, Src};
+
+    /// A scheme whose LL is a helper recording `(tid, ctx.parallel)`:
+    /// which context the driver gave each vCPU.
+    struct RecordParallel {
+        seen: Arc<Mutex<Vec<(u32, bool)>>>,
+        probe: Option<adbt_ir::HelperId>,
+    }
+
+    impl AtomicScheme for RecordParallel {
+        fn name(&self) -> &'static str {
+            "record-parallel"
+        }
+        fn atomicity(&self) -> Atomicity {
+            Atomicity::Incorrect
+        }
+        fn install(&mut self, reg: &mut HelperRegistry) {
+            let seen = Arc::clone(&self.seen);
+            self.probe = Some(reg.register(
+                "record_parallel",
+                Box::new(move |ctx, _| {
+                    seen.lock().push((ctx.cpu.tid, ctx.parallel));
+                    Ok(0)
+                }),
+            ));
+        }
+        fn lower_ll(&self, b: &mut BlockBuilder, rd: Slot, addr: Src) {
+            b.push(Op::Helper {
+                id: self.probe.expect("installed"),
+                args: vec![addr],
+                ret: Some(rd),
+            });
+        }
+        fn lower_sc(&self, _: &mut BlockBuilder, _: Slot, _: Src, _: Src) {}
+        fn lower_clrex(&self, _: &mut BlockBuilder) {}
+    }
+
+    /// Runs `ldrex` once per vCPU under `run` and returns what the probe
+    /// recorded, sorted by tid.
+    fn record(n: u32, run: impl Fn(&MachineCore, Vec<Vcpu>) -> RunReport) -> Vec<(u32, bool)> {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let scheme = RecordParallel {
+            seen: Arc::clone(&seen),
+            probe: None,
+        };
+        let machine = MachineCore::new(MachineConfig::default(), Box::new(scheme)).unwrap();
+        let image = adbt_isa::asm::assemble("ldrex r1, [r5]\nmov r0, #0\nsvc #0\n", 0x1000)
+            .expect("assembles");
+        machine.load_image(&image);
+        let report = run(&machine, machine.make_vcpus(n, 0x1000));
+        assert!(report.all_ok(), "{:?}", report.outcomes);
+        let mut seen = seen.lock().clone();
+        seen.sort_unstable();
+        seen
+    }
+
+    #[test]
+    fn only_one_host_thread_per_run_makes_a_context_serial() {
+        let scheduled = record(3, |m, vcpus| {
+            m.run_scheduled(vcpus, &mut RoundRobin::default(), 1_000)
+        });
+        assert_eq!(scheduled, [(1, false), (2, false), (3, false)]);
+        let sim = record(2, |m, vcpus| m.run_sim(vcpus, &SimCosts::default()));
+        assert_eq!(sim, [(1, false), (2, false)]);
+        let lone = record(1, |m, vcpus| m.run_threaded(vcpus));
+        assert_eq!(lone, [(1, false)]);
+        let pair = record(2, |m, vcpus| m.run_threaded(vcpus));
+        assert_eq!(pair, [(1, true), (2, true)]);
+
+        let machine = MachineCore::new(
+            MachineConfig::default(),
+            Box::new(RecordParallel {
+                seen: Arc::default(),
+                probe: None,
+            }),
+        )
+        .unwrap();
+        assert!(ExecCtx::new(Vcpu::new(1, 0x1000), &machine, 1).parallel);
     }
 }

@@ -242,6 +242,19 @@ pub struct ExecCtx<'m> {
     /// the scheduler. Off on every hot path (a single cold branch per
     /// note site).
     pub(crate) pause_points: bool,
+    /// Whether other host threads may run this machine's vCPUs at the
+    /// same time (QEMU's `CF_PARALLEL`). [`ExecCtx::new`] sets it; only
+    /// the engine's drivers clear it, when one host thread runs every
+    /// vCPU: the deterministic driver always, the threaded one for a
+    /// single vCPU. In serial context the per-store hot sites (the
+    /// inline store, `Htable_set` and the HTM conflict-token bump) skip
+    /// host ordering but compute the same values: one host thread
+    /// performing every access in program order is sequentially
+    /// consistent without a fence. A host thread that inspects a live
+    /// serial run does so from an exclusive section, whose mutex
+    /// handshake with the parked vCPU orders the stores before it. It
+    /// is not a memory-model option.
+    pub(crate) parallel: bool,
     /// Events produced since the scheduler last drained them.
     pub(crate) events: Vec<SchedEvent>,
     /// Events produced inside an open HTM region transaction: delivered
@@ -304,6 +317,7 @@ impl<'m> ExecCtx<'m> {
             sc_window: false,
             sc_window_mark: 0,
             pause_points: false,
+            parallel: true,
             events: Vec::new(),
             txn_events: Vec::new(),
             qsbr_slot: usize::MAX,
@@ -813,7 +827,11 @@ impl<'m> ExecCtx<'m> {
     /// # Errors
     ///
     /// Traps on unhandled faults, fault-retry livelock, or HTM abort.
-    #[inline]
+    // Always inline: with a store for each context the fast path
+    // outgrew LLVM's inline threshold, and the executor paid a call per
+    // guest store (measured ~10% of `run_sim` time on the schemes whose
+    // stores have no other instrumentation).
+    #[inline(always)]
     pub fn store(
         &mut self,
         vaddr: u32,
@@ -825,14 +843,32 @@ impl<'m> ExecCtx<'m> {
         // transaction, no pause points to report the store to.
         if self.txn.is_none() && !self.pause_points {
             if let Ok(paddr) = self.machine.space.translate(vaddr, Access::Store, width) {
-                self.machine.space.mem().store(paddr, width, value);
+                let mem = self.machine.space.mem();
+                if self.parallel {
+                    mem.store(paddr, width, value);
+                } else {
+                    mem.store_serial(paddr, width, value);
+                }
                 if guest_store && self.machine.htm_enabled {
-                    self.machine.htm.notify_plain_store(paddr);
+                    self.notify_plain_store(paddr);
                 }
                 return Ok(());
             }
         }
         self.store_slow(vaddr, width, value, guest_store)
+    }
+
+    /// Bumps the HTM conflict token of a plain store's target, so open
+    /// transactions that read it fail validation: one SeqCst RMW in
+    /// parallel context, a plain +2 in serial context.
+    #[inline]
+    pub(crate) fn notify_plain_store(&self, paddr: u32) {
+        let htm = &self.machine.htm;
+        if self.parallel {
+            htm.notify_plain_store(paddr);
+        } else {
+            htm.notify_plain_store_serial(paddr);
+        }
     }
 
     /// [`ExecCtx::store`]'s transactional and pause-point paths and its

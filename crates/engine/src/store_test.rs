@@ -61,14 +61,27 @@ impl StoreTestTable {
         ((addr >> 2) as usize) & self.mask
     }
 
-    /// `Htable_set`: claim the entry for `tid` — one SeqCst store (the
-    /// same ordering as every guest access).
+    /// `Htable_set`: claim the entry for `tid` — one SeqCst store, the
+    /// ordering every guest access has between parallel host threads.
     ///
     /// Emitted inline (IR-level) for every guest store and LL under HST;
     /// this function *is* the hot path the paper optimizes, so the
     /// non-tracking configuration does nothing but the store.
     #[inline]
     pub fn set(&self, addr: u32, tid: u32) {
+        self.set_with(addr, tid, Ordering::SeqCst);
+    }
+
+    /// [`StoreTestTable::set`] in serial context: the same entry update
+    /// as one plain store — how the paper's HST marks its entry. For use
+    /// while one host thread runs every vCPU.
+    #[inline]
+    pub fn set_serial(&self, addr: u32, tid: u32) {
+        self.set_with(addr, tid, Ordering::Relaxed);
+    }
+
+    #[inline]
+    fn set_with(&self, addr: u32, tid: u32, order: Ordering) {
         let idx = self.index(addr);
         if let Some(shadow) = &self.shadow {
             self.sets.fetch_add(1, Ordering::Relaxed);
@@ -78,7 +91,7 @@ impl StoreTestTable {
                 self.collisions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        self.entries[idx].store(tid, Ordering::SeqCst);
+        self.entries[idx].store(tid, order);
     }
 
     /// `Htable_check`: read the entry's current owner — one SeqCst load.
@@ -233,6 +246,36 @@ mod tests {
         let (collisions, sets) = t.collision_stats();
         assert_eq!(sets, 3);
         assert_eq!(collisions, 1);
+    }
+
+    #[test]
+    fn serial_set_equals_set_with_and_without_tracking() {
+        for tracking in [false, true] {
+            let (ordered, serial) = (
+                StoreTestTable::new(4, tracking),
+                StoreTestTable::new(4, tracking),
+            );
+            // Repeats, a same-address overwrite, a collision (16 entries:
+            // 0x0 and 0x40 share one) and a locked entry's overwrite.
+            let sets = [(0x0, 1), (0x0, 2), (0x40, 3), (0x8, 3), (0x8, 4)];
+            for (i, &(addr, tid)) in sets.iter().enumerate() {
+                if i == 4 {
+                    assert!(ordered.try_lock(0x8, 3) && serial.try_lock(0x8, 3));
+                }
+                ordered.set(addr, tid);
+                serial.set_serial(addr, tid);
+                for entry in 0..16 {
+                    assert_eq!(
+                        serial.entries[entry].load(Ordering::SeqCst),
+                        ordered.entries[entry].load(Ordering::SeqCst),
+                        "entry {entry} after set {i}, tracking {tracking}"
+                    );
+                }
+            }
+            assert_eq!(serial.collision_stats(), ordered.collision_stats());
+            let expected = if tracking { (1, 5) } else { (0, 0) };
+            assert_eq!(serial.collision_stats(), expected);
+        }
     }
 
     #[test]

@@ -106,6 +106,9 @@ impl HtmDomain {
     /// The execution engine calls this on every plain guest store while
     /// an HTM-based scheme is active; it is the software stand-in for
     /// the cache-coherence snooping that gives real HTM strong atomicity.
+    /// Between parallel host threads the bump is one SeqCst RMW; in
+    /// serial context the engine calls
+    /// [`HtmDomain::notify_plain_store_serial`] instead.
     #[inline]
     pub fn notify_plain_store(&self, paddr: u32) {
         // Jump the version by 2, preserving evenness: a reader that saw
@@ -113,6 +116,21 @@ impl HtmDomain {
         // locked — its owner will still publish a higher even version at
         // unlock, so the reader aborts either way.
         self.entry(paddr).fetch_add(2, Ordering::SeqCst);
+    }
+
+    /// [`HtmDomain::notify_plain_store`] in serial context: the same +2
+    /// bump as a plain load and store, with no host RMW.
+    ///
+    /// For use while no other host thread touches this domain at the
+    /// same time — one host thread running every vCPU, as in the
+    /// deterministic drivers.
+    #[inline]
+    pub fn notify_plain_store_serial(&self, paddr: u32) {
+        let entry = self.entry(paddr);
+        entry.store(
+            entry.load(Ordering::Relaxed).wrapping_add(2),
+            Ordering::Relaxed,
+        );
     }
 
     /// The synthetic conflict tokens standing in for the emulator's own
@@ -229,10 +247,24 @@ mod tests {
 
     #[test]
     fn notify_bumps_version() {
-        let d = HtmDomain::default();
-        let before = d.entry(0x40).load(Ordering::SeqCst);
-        d.notify_plain_store(0x40);
-        assert_eq!(d.entry(0x40).load(Ordering::SeqCst), before + 2);
+        // Both contexts' bumps add exactly 2, so a write-locked (odd)
+        // version stays locked.
+        for serial in [false, true] {
+            let d = HtmDomain::default();
+            let bump = |paddr| {
+                if serial {
+                    d.notify_plain_store_serial(paddr)
+                } else {
+                    d.notify_plain_store(paddr)
+                }
+            };
+            let before = d.entry(0x40).load(Ordering::SeqCst);
+            bump(0x40);
+            assert_eq!(d.entry(0x40).load(Ordering::SeqCst), before + 2);
+            d.entry(0x80).store(7, Ordering::SeqCst);
+            bump(0x80);
+            assert_eq!(d.entry(0x80).load(Ordering::SeqCst), 9, "serial {serial}");
+        }
     }
 
     #[test]

@@ -28,11 +28,15 @@ pub enum RmwKind {
 /// lock-free stack, the races, and the ABA hazard, are genuine.
 ///
 /// All addresses here are *physical*; virtual translation lives in
-/// [`crate::AddressSpace`]. Accesses use sequentially consistent ordering
-/// throughout. That matches what QEMU's generated code guarantees for
-/// guest-visible accesses under its multi-threaded TCG (which conservatively
-/// fences around guest memory operations), and removes memory-model
-/// divergence as a confound when comparing emulation schemes.
+/// [`crate::AddressSpace`]. Between parallel host threads every access is
+/// sequentially consistent, which removes memory-model divergence as a
+/// confound when comparing emulation schemes. When one host thread
+/// performs every access, program order alone is sequentially
+/// consistent, so [`GuestMemory::store_serial`] stores without host
+/// ordering. QEMU draws the same line: TCG adds only the barriers the
+/// guest's memory model needs beyond the host's (none for an ARM guest
+/// on an x86 host), and emits its non-atomic code for guest atomics
+/// unless a block is translated for a parallel context (`CF_PARALLEL`).
 ///
 /// # Example
 ///
@@ -107,45 +111,41 @@ impl GuestMemory {
     pub fn store(&self, paddr: u32, width: Width, value: u32) {
         debug_assert_eq!(paddr % width.bytes(), 0, "unaligned physical store");
         let cell = self.cell(paddr);
-        match width {
-            Width::Word => cell.store(value, Ordering::SeqCst),
-            Width::Half => {
-                let shift = (paddr & 2) * 8;
-                let mask = 0xffffu32 << shift;
-                let bits = (value & 0xffff) << shift;
-                let mut current = cell.load(Ordering::SeqCst);
-                loop {
-                    let next = (current & !mask) | bits;
-                    match cell.compare_exchange_weak(
-                        current,
-                        next,
-                        Ordering::SeqCst,
-                        Ordering::SeqCst,
-                    ) {
-                        Ok(_) => break,
-                        Err(actual) => current = actual,
-                    }
-                }
-            }
-            Width::Byte => {
-                let shift = (paddr & 3) * 8;
-                let mask = 0xffu32 << shift;
-                let bits = (value & 0xff) << shift;
-                let mut current = cell.load(Ordering::SeqCst);
-                loop {
-                    let next = (current & !mask) | bits;
-                    match cell.compare_exchange_weak(
-                        current,
-                        next,
-                        Ordering::SeqCst,
-                        Ordering::SeqCst,
-                    ) {
-                        Ok(_) => break,
-                        Err(actual) => current = actual,
-                    }
-                }
-            }
+        if width == Width::Word {
+            return cell.store(value, Ordering::SeqCst);
         }
+        let (mask, bits) = lane(paddr, width, value);
+        let mut current = cell.load(Ordering::SeqCst);
+        while let Err(actual) = cell.compare_exchange_weak(
+            current,
+            (current & !mask) | bits,
+            Ordering::SeqCst,
+            Ordering::SeqCst,
+        ) {
+            current = actual;
+        }
+    }
+
+    /// [`GuestMemory::store`] in serial context: the same value lands in
+    /// the same word, with no host ordering. A sub-word store loads,
+    /// merges and stores its word instead of CAS-looping.
+    ///
+    /// For use while no other host thread accesses this memory at the
+    /// same time: one host thread performing every access in program
+    /// order is sequentially consistent without a fence, and a thread
+    /// that synchronizes with it afterwards (a join, a mutex) sees every
+    /// store.
+    #[inline]
+    pub fn store_serial(&self, paddr: u32, width: Width, value: u32) {
+        debug_assert_eq!(paddr % width.bytes(), 0, "unaligned physical store");
+        let cell = self.cell(paddr);
+        let next = if width == Width::Word {
+            value
+        } else {
+            let (mask, bits) = lane(paddr, width, value);
+            (cell.load(Ordering::Relaxed) & !mask) | bits
+        };
+        cell.store(next, Ordering::Relaxed);
     }
 
     /// Atomically compares-and-swaps the word at `paddr`.
@@ -191,6 +191,10 @@ impl GuestMemory {
     /// is one word store; only an unaligned head or tail goes byte by
     /// byte, so the bytes around the slice survive.
     ///
+    /// The stores are [`GuestMemory::store_serial`]'s: the caller must
+    /// make sure no vCPU is running. Starting a vCPU thread afterwards
+    /// publishes the bytes to it.
+    ///
     /// # Panics
     ///
     /// Panics if the range exceeds the memory size.
@@ -201,7 +205,7 @@ impl GuestMemory {
         );
         let store_bytes = |at: u32, bytes: &[u8]| {
             for (i, &b) in bytes.iter().enumerate() {
-                self.store(at + i as u32, Width::Byte, b as u32);
+                self.store_serial(at + i as u32, Width::Byte, b as u32);
             }
         };
         let head = (paddr.wrapping_neg() % 4) as usize;
@@ -212,7 +216,7 @@ impl GuestMemory {
         let tail = words.remainder();
         for (i, word) in words.enumerate() {
             let value = u32::from_le_bytes(word.try_into().expect("chunks of four"));
-            self.store(at + 4 * i as u32, Width::Word, value);
+            self.store_serial(at + 4 * i as u32, Width::Word, value);
         }
         store_bytes(at + (body.len() - tail.len()) as u32, tail);
     }
@@ -228,6 +232,18 @@ impl GuestMemory {
             .map(|i| self.load(paddr + i, Width::Byte) as u8)
             .collect()
     }
+}
+
+/// A sub-word access's byte lanes within its word, and `value`'s low
+/// bits shifted into them (little-endian): `(mask, bits)`.
+#[inline]
+fn lane(paddr: u32, width: Width, value: u32) -> (u32, u32) {
+    let (shift, lanes) = match width {
+        Width::Byte => ((paddr & 3) * 8, 0xff),
+        Width::Half => ((paddr & 2) * 8, 0xffff),
+        Width::Word => (0, u32::MAX),
+    };
+    (lanes << shift, (value & lanes) << shift)
 }
 
 impl std::fmt::Debug for GuestMemory {
@@ -262,6 +278,28 @@ mod tests {
         assert_eq!(mem.load(4, Width::Word), 0xffff_00ff);
         mem.store(6, Width::Half, 0x1234);
         assert_eq!(mem.load(4, Width::Word), 0x1234_00ff);
+    }
+
+    #[test]
+    fn serial_store_equals_store_at_every_width_and_offset() {
+        let (ordered, serial) = (GuestMemory::new(64), GuestMemory::new(64));
+        for width in [Width::Byte, Width::Half, Width::Word] {
+            for offset in (0..4).step_by(width.bytes() as usize) {
+                for mem in [&ordered, &serial] {
+                    mem.store(8, Width::Word, 0xa5c3_5a3c);
+                }
+                let value = 0x1234_5678 ^ (offset * 0x0101_0101);
+                ordered.store(8 + offset, width, value);
+                serial.store_serial(8 + offset, width, value);
+                assert_eq!(
+                    serial.load(8, Width::Word),
+                    ordered.load(8, Width::Word),
+                    "{width:?} at +{offset}"
+                );
+                assert_ne!(serial.load(8, Width::Word), 0xa5c3_5a3c);
+            }
+        }
+        assert_eq!(serial.read_slice(0, 64), ordered.read_slice(0, 64));
     }
 
     #[test]

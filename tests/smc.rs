@@ -279,6 +279,41 @@ fn no_limit_means_no_lifecycle_activity() {
     );
 }
 
+/// Reloading an image over code the machine already ran retires the old
+/// translations: each new program's exit code is observed, on every
+/// scheme and under both drivers, and the retired blocks are freed at
+/// once (no vCPU runs during a load, so no grace period is pending).
+#[test]
+fn reloading_an_image_runs_the_new_program() {
+    for kind in SchemeKind::ALL {
+        for sim in [false, true] {
+            let mut machine = MachineBuilder::new(kind).memory(1 << 20).build().unwrap();
+            for code in 1..=3 {
+                machine
+                    .load_asm(&format!("mov r0, #{code}\nsvc #0\n"), IMAGE_BASE)
+                    .unwrap();
+                let report = if sim {
+                    machine.run_sim(1, IMAGE_BASE)
+                } else {
+                    machine.run_vcpus(machine.make_vcpus(1, IMAGE_BASE))
+                };
+                assert_eq!(
+                    exit_code(&report.outcomes[0]),
+                    code,
+                    "{kind:?}, sim {sim}: load {code} ran stale code"
+                );
+            }
+            let occ = machine.core().cache_occupancy();
+            assert_eq!(
+                (occ.invalidations, occ.retired_blocks, occ.reclaimed_blocks),
+                (2, 2, 2),
+                "{kind:?}, sim {sim}"
+            );
+            assert_eq!(occ.live_blocks, 1, "{kind:?}, sim {sim}");
+        }
+    }
+}
+
 /// Scheduled mode, victim-first: the victim translates its loop before
 /// the patcher's store, so the store must fault, retire the victim's
 /// blocks, and surface as a `SchedEvent::Invalidate` at the patch atom.
