@@ -18,9 +18,9 @@ cargo test -q --release --offline --test chaos_soak \
 
 # Invalidation-storm soak (release, ~seconds): all 8 schemes run with a
 # 5% translation-invalidation storm layered on top of the fault chaos,
-# tiering on and the watchdog armed. Blocks (and superblocks) are
-# retired at dispatch boundaries mid-run and must retranslate without
-# livelock, memory-accounting drift, or counter-merge skew. Seed-pinned
+# with the watchdog armed. Blocks are retired at dispatch boundaries
+# mid-run and must retranslate without livelock, memory-accounting
+# drift, or counter-merge skew. Seed-pinned
 # in tests/chaos_soak.rs, so failures replay exactly.
 cargo test -q --release --offline --test chaos_soak \
     invalidation_storm_soak_terminates_cleanly
@@ -64,7 +64,7 @@ cargo run -q --release --offline -p adbt-trace --bin trace_validate -- \
 # Differential fuzz smoke (release, ~seconds): 32 pinned seeds of
 # generated racy-but-result-deterministic guest programs, each run
 # across all 8 schemes × {sim, sim+chaos, sim+prof, threaded,
-# threaded+tiered, scheduled} — 48 cells per seed. Every cell must
+# scheduled} — 40 cells per seed. Every cell must
 # agree on outcomes and final memory, match the generator's static
 # predictions, and pass the counter-invariant suite (sim+prof doubles
 # as the profiler's purity oracle); adbt_fuzz exits non-zero on any
@@ -143,7 +143,7 @@ EOF
 cargo test -q --release --offline --manifest-path e2ebench/Cargo.toml
 
 # Wall-clock guards, last on purpose. Everything above is deterministic
-# or seed-pinned; the four guards below time the same binary against
+# or seed-pinned; the three guards below time the same binary against
 # itself on a shared host, where run-to-run noise can trip a budget.
 # `set -e` stops at the first trip, so running them last means a tripped
 # guard never hides a fuzz corpus, profiled soak, oracle CSV or
@@ -156,16 +156,6 @@ cargo test -q --release --offline --manifest-path e2ebench/Cargo.toml
 # implicitly — it is the untraced baseline of the same binary.
 cargo run -q --release --offline -p adbt-bench --bin dispatch_bench -- \
     --iters 60000 --reps 3 --traced --guard 35
-
-# Tiering tripwire: the same dispatch-bound loop plus an ALU loop run
-# per scheme with tiering off (baseline), hot (threshold 64), and cold
-# (threshold u32::MAX — the heat counter and redirect check run but
-# never fire). The geomean cold overhead must stay under 2%: tiering
-# you don't use rides the lookup path only and is (nearly) free.
-# Longer runs than the tracing guard because a ±2% budget needs
-# individual timings well clear of scheduler jitter (~0.8% measured).
-cargo run -q --release --offline -p adbt-bench --bin dispatch_bench -- \
-    --iters 150000 --reps 5 --tiered --guard 2
 
 # Profiling-overhead guard: the dispatch-bound loop runs profiled vs
 # unprofiled per scheme; the geomean slowdown must stay under 5%. The

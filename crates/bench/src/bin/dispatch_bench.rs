@@ -11,8 +11,7 @@
 //! ```text
 //! cargo run --release -p adbt-bench --bin dispatch_bench -- \
 //!     [--iters 300000] [--reps 5] [--chain 64] [--csv dispatch.csv] \
-//!     [--traced [--guard PCT]] [--tiered [--guard PCT]] \
-//!     [--profiled [--guard PCT]]
+//!     [--traced | --profiled | --adapt] [--guard PCT]
 //! ```
 //!
 //! `--traced` switches to the flight-recorder overhead comparison: each
@@ -26,17 +25,18 @@
 //! versus on (hash probes at every charge site). `--guard PCT` is the
 //! CI tripwire for the "profiling stays within PCT percent" claim.
 //!
-//! `--tiered` switches to the tiered-translation comparison: two hot-loop
-//! workloads (the dispatch chain above and an ALU loop with dead flags
-//! and foldable constants) run per scheme at three settings — tiering
-//! off (the baseline), hot (threshold 64, reached immediately), and cold
-//! (threshold `u32::MAX`, never reached, measuring the pure bookkeeping
-//! cost of the heat counter and redirect check). `--guard PCT` exits
-//! non-zero when the geomean *cold* overhead exceeds `PCT` percent — the
-//! CI tripwire for "tiering you don't use is (nearly) free".
+//! `--adapt` measures the armed-idle adaptive machine the same way and
+//! then scores `--scheme auto` on a mixed workload (see `run_adapt`).
+//!
+//! At most one of the three modes runs, and `--guard` needs one of
+//! them. A guard passes only when the measured overhead is a finite
+//! number within the budget, so a NaN reading fails it. `--iters 0`,
+//! `--reps 0` and a `--guard` that is not a finite number ≥ 0 are
+//! rejected with exit 2, like any other bad argument.
 
 use adbt::{AdaptConfig, AdaptPolicy, MachineBuilder, SchemeKind, SimCosts};
 use adbt_bench::{geomean, pct, pct_cell, Args, Table};
+use std::cmp::Ordering;
 use std::time::Instant;
 
 /// Every iteration crosses six block boundaries (five jumps and the
@@ -56,29 +56,6 @@ fn program(iters: u32) -> String {
     )
 }
 
-/// The tiered-mode ALU workload: a hot two-block loop whose body is
-/// mostly dead flag writes and foldable constants — work the tier-2
-/// optimization pipeline eliminates but the block tier re-executes
-/// every iteration.
-fn alu_program(iters: u32) -> String {
-    format!(
-        "    mov32 r6, #{iters}\n\
-         loop:\n\
-         \x20   movs r1, r6\n\
-         \x20   mov  r2, #5\n\
-         \x20   add  r2, r2, #3\n\
-         \x20   movs r3, r2\n\
-         \x20   mov  r4, #9\n\
-         \x20   add  r4, r4, #1\n\
-         \x20   b body\n\
-         body:\n\
-         \x20   subs r6, r6, #1\n\
-         \x20   bne loop\n\
-         \x20   mov r0, #0\n\
-         \x20   svc #0\n"
-    )
-}
-
 /// Best-of-`reps` wall time for one single-threaded run, plus the
 /// counters of the last run.
 fn measure(
@@ -87,7 +64,6 @@ fn measure(
     chain_limit: u32,
     reps: u32,
     traced: bool,
-    tier_threshold: u32,
     profiled: bool,
 ) -> (f64, adbt::VcpuStats) {
     let mut best = f64::INFINITY;
@@ -98,7 +74,6 @@ fn measure(
             .chain_limit(chain_limit)
             .trace(traced)
             .profile(profiled)
-            .tier_threshold(tier_threshold)
             .build()
             .expect("machine construction");
         machine.load_asm(source, 0x1_0000).expect("assembles");
@@ -124,8 +99,8 @@ fn run_chaining(args: &Args, source: &str, reps: u32, chain: u32) {
         "chained_pct",
     ]);
     for kind in SchemeKind::ALL {
-        let (unchained, _) = measure(kind, source, 1, reps, false, 0, false);
-        let (chained, stats) = measure(kind, source, chain, reps, false, 0, false);
+        let (unchained, _) = measure(kind, source, 1, reps, false, false);
+        let (chained, stats) = measure(kind, source, chain, reps, false, false);
         table.row(vec![
             kind.name().to_string(),
             format!("{:.2}", unchained * 1e3),
@@ -147,14 +122,25 @@ fn run_chaining(args: &Args, source: &str, reps: u32, chain: u32) {
     );
 }
 
+/// Exits 1 unless `overhead` is within the `--guard` budget (when one is
+/// set). A NaN reading compares as neither, so it fails too.
+fn check_guard(what: &str, overhead: f64, guard: Option<f64>) {
+    if let Some(budget) = guard {
+        if !overhead.partial_cmp(&budget).is_some_and(Ordering::is_le) {
+            eprintln!("FAIL: {what} overhead {overhead:.1}% exceeds the --guard {budget}% budget");
+            std::process::exit(1);
+        }
+    }
+}
+
 /// The flight-recorder overhead comparison (`--traced`); exits non-zero
 /// when `--guard PCT` is set and the geomean slowdown exceeds it.
-fn run_traced(args: &Args, source: &str, reps: u32, chain: u32, guard: f64) {
+fn run_traced(args: &Args, source: &str, reps: u32, chain: u32, guard: Option<f64>) {
     let mut table = Table::new(&["scheme", "untraced_ms", "traced_ms", "overhead_pct"]);
     let mut ratios = Vec::new();
     for kind in SchemeKind::ALL {
-        let (untraced, _) = measure(kind, source, chain, reps, false, 0, false);
-        let (traced, _) = measure(kind, source, chain, reps, true, 0, false);
+        let (untraced, _) = measure(kind, source, chain, reps, false, false);
+        let (traced, _) = measure(kind, source, chain, reps, true, false);
         ratios.push(traced / untraced);
         table.row(vec![
             kind.name().to_string(),
@@ -171,21 +157,18 @@ fn run_traced(args: &Args, source: &str, reps: u32, chain: u32, guard: f64) {
              path; the disabled path is a single predicted branch)"
         ),
     );
-    if overhead > guard {
-        eprintln!("FAIL: tracing overhead {overhead:.1}% exceeds the --guard {guard}% budget");
-        std::process::exit(1);
-    }
+    check_guard("tracing", overhead, guard);
 }
 
 /// The contention-profiler overhead comparison (`--profiled`); exits
 /// non-zero when `--guard PCT` is set and the geomean slowdown exceeds
 /// it.
-fn run_profiled(args: &Args, source: &str, reps: u32, chain: u32, guard: f64) {
+fn run_profiled(args: &Args, source: &str, reps: u32, chain: u32, guard: Option<f64>) {
     let mut table = Table::new(&["scheme", "unprofiled_ms", "profiled_ms", "overhead_pct"]);
     let mut ratios = Vec::new();
     for kind in SchemeKind::ALL {
-        let (unprofiled, _) = measure(kind, source, chain, reps, false, 0, false);
-        let (profiled, _) = measure(kind, source, chain, reps, false, 0, true);
+        let (unprofiled, _) = measure(kind, source, chain, reps, false, false);
+        let (profiled, _) = measure(kind, source, chain, reps, false, true);
         ratios.push(profiled / unprofiled);
         table.row(vec![
             kind.name().to_string(),
@@ -202,66 +185,7 @@ fn run_profiled(args: &Args, source: &str, reps: u32, chain: u32, guard: f64) {
              path; the disabled path is a single predicted branch per charge site)"
         ),
     );
-    if overhead > guard {
-        eprintln!("FAIL: profiling overhead {overhead:.1}% exceeds the --guard {guard}% budget");
-        std::process::exit(1);
-    }
-}
-
-/// The tiered-translation comparison (`--tiered`); exits non-zero when
-/// `--guard PCT` is set and the geomean cold-path overhead exceeds it.
-fn run_tiered(args: &Args, reps: u32, chain: u32, iters: u32, guard: f64) {
-    let workloads = [("chain", program(iters)), ("alu", alu_program(iters))];
-    let mut table = Table::new(&[
-        "workload",
-        "scheme",
-        "baseline_ms",
-        "tiered_ms",
-        "speedup",
-        "cold_ms",
-        "cold_overhead_pct",
-        "promotions",
-        "deopts",
-        "tier_insn_pct",
-    ]);
-    let mut speedups = Vec::new();
-    let mut cold_ratios = Vec::new();
-    for (name, source) in &workloads {
-        for kind in SchemeKind::ALL {
-            let (baseline, _) = measure(kind, source, chain, reps, false, 0, false);
-            let (tiered, stats) = measure(kind, source, chain, reps, false, 64, false);
-            let (cold, _) = measure(kind, source, chain, reps, false, u32::MAX, false);
-            speedups.push(baseline / tiered);
-            cold_ratios.push(cold / baseline);
-            table.row(vec![
-                name.to_string(),
-                kind.name().to_string(),
-                format!("{:.2}", baseline * 1e3),
-                format!("{:.2}", tiered * 1e3),
-                format!("{:.2}", baseline / tiered),
-                format!("{:.2}", cold * 1e3),
-                format!("{:.1}", pct(cold - baseline, baseline)),
-                stats.promotions.to_string(),
-                stats.deopts.to_string(),
-                pct_cell(stats.tier_insns, stats.insns),
-            ]);
-        }
-    }
-    let speedup = geomean(&speedups);
-    let overhead = pct(geomean(&cold_ratios) - 1.0, 1.0);
-    table.emit_with_note(
-        args,
-        &format!(
-            "geomean tiered speedup: {speedup:.2}x; geomean cold-path overhead: \
-             {overhead:.1}% (heat counter + redirect check ride the lookup path\n\
-             only — chain follows pay nothing; tiering *off* is a single predicted\n\
-             branch)"
-        ),
-    );
-    if overhead > guard {
-        eprintln!("FAIL: cold tiering overhead {overhead:.1}% exceeds the --guard {guard}% budget");
-        std::process::exit(1);
-    }
+    check_guard("profiling", overhead, guard);
 }
 
 // ---------------------------------------------------------------------------
@@ -413,14 +337,14 @@ fn sim_auto(source: &str, threads: u32, epoch: u64) -> (u64, u64, &'static str) 
 /// workload scoring `--scheme auto` against every static scheme in
 /// deterministic virtual time (`--json` lands this table, the record
 /// behind EXPERIMENTS.md's adaptive-mode table).
-fn run_adapt(args: &Args, source: &str, reps: u32, chain: u32, guard: f64) {
+fn run_adapt(args: &Args, source: &str, reps: u32, chain: u32, guard: Option<f64>) {
     // Part 1: armed-idle overhead on the dispatch-bound loop.
     let mut idle = Table::new(&["scheme", "static_ms", "armed_ms", "overhead_pct"]);
     let mut ratios = Vec::new();
     for kind in SchemeKind::ALL {
         // Adaptive machines force the profile plane on, so the static
         // baseline arms it too — the delta isolates the adapt hop.
-        let (stat, _) = measure(kind, source, chain, reps, false, 0, true);
+        let (stat, _) = measure(kind, source, chain, reps, false, true);
         let armed = measure_armed(kind, source, chain, reps);
         ratios.push(armed / stat);
         idle.row(vec![
@@ -503,37 +427,55 @@ fn run_adapt(args: &Args, source: &str, reps: u32, chain: u32, guard: f64) {
         ),
     );
 
-    if overhead > guard {
-        eprintln!(
-            "FAIL: armed-idle adaptive overhead {overhead:.1}% exceeds the --guard {guard}% budget"
-        );
-        std::process::exit(1);
-    }
+    check_guard("armed-idle adaptive", overhead, guard);
 }
+
+/// The mode flags; at most one runs.
+const MODES: [&str; 3] = ["traced", "profiled", "adapt"];
 
 fn main() {
     let args = Args::parse(
         &[
             "iters", "reps", "chain", "guard", "epoch", "scale", "threads",
         ],
-        &["traced", "profiled", "tiered", "adapt"],
+        &MODES,
     );
+    // Every argument is checked before any measurement, so a bad one
+    // fails fast instead of after minutes of timing.
     let iters: u32 = args.get("iters", 300_000);
+    if iters == 0 {
+        // The guest's `subs`/`bne` counter would wrap to 2^32 laps.
+        args.fail("`--iters` must be at least 1");
+    }
     let reps: u32 = args.get("reps", 5);
+    if reps == 0 {
+        args.fail("`--reps` must be at least 1: zero reps time nothing");
+    }
     let chain: u32 = args.get("chain", 64);
-    // Read before any measurement, so a malformed guard fails fast.
-    let guard: f64 = args.get("guard", f64::INFINITY);
+    let modes: Vec<&str> = MODES.into_iter().filter(|m| args.flag(m)).collect();
+    if modes.len() > 1 {
+        args.fail(&format!(
+            "`--{}` and `--{}` are separate runs; pick one",
+            modes[0], modes[1]
+        ));
+    }
+    let guard: Option<f64> = args.try_get("guard").unwrap_or_else(|why| args.fail(&why));
+    if let Some(budget) = guard {
+        if !(budget.is_finite() && budget >= 0.0) {
+            args.fail(&format!(
+                "`--guard {budget}` is not a budget: give a finite percentage >= 0"
+            ));
+        }
+        if modes.is_empty() {
+            args.fail("`--guard` needs a mode to guard: --traced, --profiled or --adapt");
+        }
+    }
     let source = program(iters);
 
-    if args.flag("traced") {
-        run_traced(&args, &source, reps, chain, guard);
-    } else if args.flag("profiled") {
-        run_profiled(&args, &source, reps, chain, guard);
-    } else if args.flag("tiered") {
-        run_tiered(&args, reps, chain, iters, guard);
-    } else if args.flag("adapt") {
-        run_adapt(&args, &source, reps, chain, guard);
-    } else {
-        run_chaining(&args, &source, reps, chain);
+    match modes.first().copied() {
+        Some("traced") => run_traced(&args, &source, reps, chain, guard),
+        Some("profiled") => run_profiled(&args, &source, reps, chain, guard),
+        Some("adapt") => run_adapt(&args, &source, reps, chain, guard),
+        _ => run_chaining(&args, &source, reps, chain),
     }
 }

@@ -215,9 +215,8 @@ impl Searcher {
 
     fn machine(&self) -> Machine {
         // Single-instruction blocks give the checker its atom
-        // granularity; the engine also forces tiered translation off for
-        // such machines, so every explored schedule runs block-granular
-        // (a superblock would fuse atoms and hide interleavings).
+        // granularity, so every explored schedule runs one guest
+        // instruction per atom.
         let mut machine = MachineBuilder::new(self.scheme)
             .memory(MEM_SIZE)
             .max_block_insns(1)

@@ -6,8 +6,8 @@
 //!          [--fuse-atomics] [--dump <symbol|addr>] [--memory BYTES]
 //!          [--stats] [--chaos seed=<u64>,rate=<f64>[,invalidate=<f64>]]
 //!          [--watchdog-ms N] [--htm-degrade-after N] [--trace FILE]
-//!          [--histograms] [--tier-threshold N] [--no-tiering]
-//!          [--cache-limit BYTES] [--profile FILE] [--metrics FILE]
+//!          [--histograms] [--cache-limit BYTES] [--profile FILE]
+//!          [--metrics FILE]
 //!          [--stats-json] [--adapt-epoch N] [--adapt-policy strong|weak-ok]
 //!          [--adapt-log FILE] [--no-adapt]
 //! ```
@@ -25,20 +25,9 @@
 //! per atom, same as the checker), so a found interleaving bug can be
 //! re-executed and inspected outside the checker.
 //!
-//! Tiered translation is on by default for threaded runs: a block
-//! executed `--tier-threshold` times (default 1024) is stitched with its
-//! dominant successors into an optimized superblock. `--no-tiering`
-//! keeps every block in the baseline tier; `--tier-threshold 0` is
-//! rejected (it would promote everything on first execution — say
-//! `--no-tiering` for off, or `1` for promote-on-second-execution), and
-//! so is `--no-tiering` combined with `--tier-threshold N` (the
-//! threshold would be silently ignored).
-//! Deterministic modes (`--sim`, `--replay`) dispatch single blocks and
-//! never tier.
-//!
 //! `--cache-limit` bounds the translation cache to the given number of
-//! bytes: under pressure the engine flushes generationally (superblocks
-//! first, then the coldest original blocks) and retranslates on demand.
+//! bytes: under pressure the engine flushes generationally (oldest
+//! translations first) and retranslates on demand.
 //! `0` is rejected — the engine reads a zero limit as *unlimited*, the
 //! opposite of what typing `--cache-limit 0` means — as is any budget
 //! smaller than one arena segment. The `invalidate=` chaos key arms the
@@ -56,7 +45,7 @@
 //! `--profile FILE` arms the guest-PC contention profiler and writes an
 //! `adbt-prof-v1` document after the run: per-vCPU and merged tables
 //! attributing SC failures, exclusive waits, HTM aborts, monitor
-//! clears, invalidations and tier transitions to guest addresses, with
+//! clears and invalidations to guest addresses, with
 //! symbols resolved from the image and raw instruction words captured
 //! for disassembly. Render it with `adbt_prof FILE` (`--flamegraph`
 //! folds it for a flamegraph).
@@ -106,7 +95,6 @@ fn usage() -> ! {
          \x20               [--chaos seed=U64,rate=F64[,invalidate=F64]]\n\
          \x20               [--watchdog-ms N] [--htm-degrade-after N]\n\
          \x20               [--trace FILE] [--histograms]\n\
-         \x20               [--tier-threshold N] [--no-tiering]\n\
          \x20               [--cache-limit BYTES] [--profile FILE]\n\
          \x20               [--metrics FILE] [--stats-json]\n\
          \x20               [--adapt-epoch N] [--adapt-policy strong|weak-ok]\n\
@@ -182,27 +170,6 @@ fn parse_chaos(text: &str) -> Result<ChaosCfg, String> {
         }
         (None, _) => Err("missing `seed`".to_string()),
         (_, None) => Err("missing `rate`".to_string()),
-    }
-}
-
-/// Resolves the tiering flags to an effective threshold (0 = off).
-///
-/// `--no-tiering --tier-threshold N` is contradictory: the parsed
-/// threshold would be silently ignored, so the combination is rejected
-/// outright — same strict-validation discipline as `--tier-threshold 0`
-/// and `--cache-limit 0`. (`--no-tiering` with `--cache-limit` stays
-/// valid: a bounded cache works tier-less, it just never holds
-/// superblocks.)
-fn resolve_tier_threshold(no_tiering: bool, explicit: Option<u32>) -> Result<u32, String> {
-    match (no_tiering, explicit) {
-        (true, Some(n)) => Err(format!(
-            "--no-tiering contradicts --tier-threshold {n}: the threshold would be \
-             silently ignored; drop one of the two flags"
-        )),
-        (true, None) => Ok(0),
-        // Nonzero enforced where the flag is parsed.
-        (false, Some(n)) => Ok(n),
-        (false, None) => Ok(1024),
     }
 }
 
@@ -303,8 +270,6 @@ fn main() -> ExitCode {
     let mut htm_degrade_after: u64 = 0;
     let mut trace_out: Option<String> = None;
     let mut histograms = false;
-    let mut tier_threshold: Option<u32> = None;
-    let mut no_tiering = false;
     let mut cache_limit: u64 = 0;
     let mut profile_out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
@@ -399,21 +364,6 @@ fn main() -> ExitCode {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage())
             }
-            "--tier-threshold" => {
-                let n = args
-                    .next()
-                    .and_then(|v| parse_u32(&v))
-                    .unwrap_or_else(|| usage());
-                if n == 0 {
-                    eprintln!(
-                        "--tier-threshold 0 would promote every block on its first \
-                         execution; use --no-tiering to disable tiering, or 1 to \
-                         promote on the second execution"
-                    );
-                    usage()
-                }
-                tier_threshold = Some(n);
-            }
             "--cache-limit" => {
                 cache_limit = args
                     .next()
@@ -428,7 +378,6 @@ fn main() -> ExitCode {
                     usage()
                 }
             }
-            "--no-tiering" => no_tiering = true,
             "--entry" => entry = Some(args.next().unwrap_or_else(|| usage())),
             "--dump" => dump = Some(args.next().unwrap_or_else(|| usage())),
             "--trace" => trace_out = Some(args.next().unwrap_or_else(|| usage())),
@@ -476,7 +425,7 @@ fn main() -> ExitCode {
     }
     if scheme.is_some() {
         // Adapt knobs on a static machine would be silently ignored —
-        // same strict-validation discipline as the tiering flags.
+        // same strict-validation discipline as `--cache-limit 0`.
         let stray = [
             ("--adapt-epoch", adapt_epoch.is_some()),
             ("--adapt-policy", adapt_policy.is_some()),
@@ -496,14 +445,6 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(2);
     }
-
-    let tier_threshold = match resolve_tier_threshold(no_tiering, tier_threshold) {
-        Ok(n) => n,
-        Err(why) => {
-            eprintln!("{why}");
-            return ExitCode::from(2);
-        }
-    };
 
     let mut builder = match scheme {
         Some(kind) => MachineBuilder::new(kind),
@@ -528,7 +469,6 @@ fn main() -> ExitCode {
     .htm_degrade_after(htm_degrade_after)
     .trace(trace_out.is_some() || histograms)
     .profile(profile_out.is_some() || metrics_out.is_some())
-    .tier_threshold(tier_threshold)
     .cache_limit(cache_limit);
     if replay.is_some() {
         // Checker traces count atoms at instruction granularity; replay
@@ -638,10 +578,9 @@ fn main() -> ExitCode {
         }
         let occ = machine.core().cache_occupancy();
         eprintln!(
-            "cache: live_blocks={} superblocks={} bytes={} peak_bytes={} limit={} \
-             invalidations={} flushes={} retired={} reclaimed={} segments_freed={}",
+            "cache: live_blocks={} bytes={} peak_bytes={} limit={} invalidations={} \
+             flushes={} retired={} reclaimed={} segments_freed={}",
             occ.live_blocks,
-            occ.live_superblocks,
             occ.arena_bytes,
             occ.peak_bytes,
             cache_limit,
@@ -798,7 +737,7 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse_chaos, resolve_scheme, resolve_tier_threshold};
+    use super::{parse_chaos, resolve_scheme};
     use adbt::SchemeKind;
 
     #[test]
@@ -817,20 +756,6 @@ mod tests {
         }
         assert!(why.contains("auto"), "{why}");
         assert!(why.contains("`hts`"), "{why}");
-    }
-
-    #[test]
-    fn tiering_flags_resolve_or_conflict() {
-        // Defaults: tiering on at 1024; --no-tiering alone turns it off.
-        assert_eq!(resolve_tier_threshold(false, None), Ok(1024));
-        assert_eq!(resolve_tier_threshold(true, None), Ok(0));
-        // An explicit threshold passes through.
-        assert_eq!(resolve_tier_threshold(false, Some(64)), Ok(64));
-        // The contradictory combination is a hard error, not a silent
-        // ignore.
-        let why = resolve_tier_threshold(true, Some(64)).unwrap_err();
-        assert!(why.contains("--no-tiering"), "{why}");
-        assert!(why.contains("--tier-threshold 64"), "{why}");
     }
 
     #[test]

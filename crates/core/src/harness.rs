@@ -387,7 +387,7 @@ pub struct ProgramRun {
 
 /// Assembles `source` at [`IMAGE_BASE`] and runs `threads` vCPUs under
 /// one scheme / mode / configuration cell — the multi-config entry the
-/// differential fuzzer (`adbt_fuzz`) drives across schemes, tiering,
+/// differential fuzzer (`adbt_fuzz`) drives across schemes, modes
 /// and chaos. `entry_syms` assigns per-vCPU entry symbols round-robin
 /// (same contract as `adbt_run --entry`); empty means every vCPU starts
 /// at the image base with the standard launch ABI.
@@ -448,8 +448,7 @@ fn run_program_on(
     mut config: MachineConfig,
 ) -> Result<ProgramRun, Error> {
     if let ExecMode::Scheduled { .. } = mode {
-        // Scheduled traces count atoms at instruction granularity; the
-        // engine also forces tiering off for such machines.
+        // Scheduled traces count atoms at instruction granularity.
         config.max_block_insns = 1;
     }
     let mut machine = builder.config(config.clone()).build()?;

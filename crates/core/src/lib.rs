@@ -57,9 +57,8 @@ pub use machine::{Machine, MachineBuilder};
 pub use adbt_engine::{
     validate_adapt_log, AdaptAction, AdaptConfig, AdaptPolicy, Atomicity, Breakdown, ChaosCfg,
     ChaosSite, ChaosSnapshot, Histograms, LogHistogram, MachineConfig, ProfileEntry, ProfileMetric,
-    ProfileRecorder, ProfileSnapshot, ProfileTier, RetryPolicy, RoundRobin, RunReport,
-    SimBreakdown, SimCosts, TraceEvent, TraceKind, TraceRecorder, Trap, Vcpu, VcpuOutcome,
-    VcpuStats, WatchdogDump,
+    ProfileRecorder, ProfileSnapshot, RetryPolicy, RoundRobin, RunReport, SimBreakdown, SimCosts,
+    TraceEvent, TraceKind, TraceRecorder, Trap, Vcpu, VcpuOutcome, VcpuStats, WatchdogDump,
 };
 pub use adbt_isa::asm::{assemble, Image};
 pub use adbt_schemes::SchemeKind;

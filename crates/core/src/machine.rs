@@ -91,20 +91,11 @@ impl MachineBuilder {
         self
     }
 
-    /// Sets the execution count at which a block goes hot and is
-    /// promoted to a tier-2 superblock (`0` disables tiering — the
-    /// engine default). Tiering requires chaining; the deterministic
-    /// driver's single-block dispatch (lockstep, simulated, scheduled)
-    /// and `max_block_insns(1)` builds force it off.
+    /// Inert: sets [`MachineConfig::tier_threshold`], which the engine
+    /// does not read. Kept only because the frozen `e2ebench/` calls
+    /// it; it goes at the next change to the benchmark.
     pub fn tier_threshold(mut self, n: u32) -> MachineBuilder {
         self.config.tier_threshold = n;
-        self
-    }
-
-    /// Caps how many original blocks one superblock may stitch (must be
-    /// 2..=`chain_limit` when tiering is on).
-    pub fn superblock_limit(mut self, n: u32) -> MachineBuilder {
-        self.config.superblock_limit = n;
         self
     }
 
@@ -125,8 +116,8 @@ impl MachineBuilder {
     }
 
     /// Bounds the translation cache to `bytes` (0 = unlimited). Under
-    /// pressure the engine flushes generationally — superblocks first,
-    /// then coldest originals — and retranslates on demand, so the
+    /// pressure the engine flushes generationally — oldest translations
+    /// first — and retranslates on demand, so the
     /// working set stays under the budget at the cost of retranslation.
     /// Rejected at build time when below one arena segment
     /// ([`MachineCore::MIN_CACHE_LIMIT`]).
@@ -153,8 +144,8 @@ impl MachineBuilder {
 
     /// Enables the guest-PC contention profiler: per-vCPU fixed-size
     /// profiles attributing SC failures, exclusive waits, HTM aborts,
-    /// monitor clears, invalidations and tier transitions to the guest
-    /// address that incurred them. `false` keeps the zero-overhead
+    /// monitor clears and invalidations to the guest address that
+    /// incurred them. `false` keeps the zero-overhead
     /// default (one predicted branch per charge site, same discipline as
     /// `trace`).
     pub fn profile(mut self, on: bool) -> MachineBuilder {

@@ -26,9 +26,6 @@
 //! * an **edge index** (target id → patched predecessor links) so
 //!   retiring a block revokes every chain link pointing at it —
 //!   `adbt_ir::ChainLink` became revocable in this PR for exactly this;
-//! * a **superblock registry** (superblock id → entry block + pages) so
-//!   invalidation demotes stitched code back to the block tier and
-//!   re-opens the entry block for promotion;
 //! * a **limbo list** of retired ids stamped with their retirement
 //!   epoch, freed by [`TranslationCache::reclaim_limbo`] once the
 //!   QSBR grace period ([`adbt_sync::epoch::Qsbr`]) has elapsed.
@@ -53,8 +50,8 @@
 use adbt_ir::Block;
 use adbt_sync::epoch::Qsbr;
 use adbt_sync::{Mutex, RwLock};
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// log2 of blocks per arena segment.
@@ -71,20 +68,7 @@ const SHARDS: usize = 16;
 /// segment's fixed footprint. A limit below this could not hold even
 /// one segment of empty blocks, so flag validation rejects it.
 pub(crate) const SEGMENT_FOOTPRINT: u64 =
-    SEG_SIZE as u64 * (std::mem::size_of::<ArenaSlot>() + std::mem::size_of::<Block>()) as u64;
-
-/// Tier state of [`TierMeta::state`]: the block is cold (counting
-/// executions toward the promotion threshold).
-const TIER_COLD: u8 = 0;
-/// One vCPU won the promotion claim and is building (or has deferred
-/// building) the superblock; nobody else may try.
-const TIER_CLAIMED: u8 = 1;
-/// Promotion resolved: either `super_id` is published, or the block was
-/// ruled permanently unsuitable (`super_id` stays [`NO_SUPERBLOCK`]).
-const TIER_RESOLVED: u8 = 2;
-
-/// Sentinel in [`TierMeta::super_id`]: no superblock.
-const NO_SUPERBLOCK: u32 = u32::MAX;
+    SEG_SIZE as u64 * (std::mem::size_of::<BlockCell>() + std::mem::size_of::<Block>()) as u64;
 
 /// Estimated bytes one cached block pins: its arena slot, the boxed
 /// block header, the op vector's capacity and the tape's allocation.
@@ -92,42 +76,13 @@ const NO_SUPERBLOCK: u32 = u32::MAX;
 /// estimate only needs to be *consistent* between reservation and free,
 /// and dominated by the op vector and tape it does count.
 pub(crate) fn block_footprint(block: &Block) -> u64 {
-    (std::mem::size_of::<ArenaSlot>()
+    (std::mem::size_of::<BlockCell>()
         + std::mem::size_of::<Block>()
         + block.ops.capacity() * std::mem::size_of::<adbt_ir::Op>()
         + block.tape.bytes()) as u64
 }
 
-/// Per-block tiering metadata, living beside the block in its arena
-/// slot so the dispatch path finds it with the same index arithmetic as
-/// the block itself.
-pub(crate) struct TierMeta {
-    /// Relaxed execution counter; compared against the promotion
-    /// threshold on every counted dispatch.
-    heat: AtomicU32,
-    /// Promotion state machine: cold → claimed → resolved.
-    state: AtomicU8,
-    /// The published superblock's arena id, or [`NO_SUPERBLOCK`].
-    super_id: AtomicU32,
-    /// Index of the [`crate::AtomicScheme`] the block was lowered
-    /// under (always 0 on static machines). Written once in `push`,
-    /// before the slot is published; the adaptive arbiter and the
-    /// tier-2 walker read it to keep scheme cohorts from mixing.
-    scheme_tag: AtomicU8,
-}
-
-impl TierMeta {
-    fn new() -> TierMeta {
-        TierMeta {
-            heat: AtomicU32::new(0),
-            state: AtomicU8::new(TIER_COLD),
-            super_id: AtomicU32::new(NO_SUPERBLOCK),
-            scheme_tag: AtomicU8::new(0),
-        }
-    }
-}
-
-/// The block pointer of one arena slot: null when empty or freed,
+/// One arena slot, the block pointer: null when empty or freed,
 /// otherwise an owned `Box<Block>` published with Release. The slot —
 /// not any reader — owns the allocation; readers borrow it under the
 /// QSBR contract (see [`TranslationCache::block`]).
@@ -150,24 +105,7 @@ impl Drop for BlockCell {
     }
 }
 
-/// One arena slot: the block pointer plus its mutable tier metadata.
-/// Freed slots keep their metadata skeleton — it is arena bookkeeping,
-/// not block state, and ids are never reused.
-struct ArenaSlot {
-    block: BlockCell,
-    meta: TierMeta,
-}
-
-impl ArenaSlot {
-    fn new() -> ArenaSlot {
-        ArenaSlot {
-            block: BlockCell::new(),
-            meta: TierMeta::new(),
-        }
-    }
-}
-
-type Segment = Box<[ArenaSlot]>;
+type Segment = Box<[BlockCell]>;
 
 /// A retired block awaiting its grace period.
 struct LimboEntry {
@@ -175,17 +113,6 @@ struct LimboEntry {
     /// The QSBR epoch the retirement batch opened; freeable once every
     /// online vCPU has quiesced at or after it.
     epoch: u64,
-}
-
-/// Everything registered about one superblock, recorded at publication
-/// and consumed at demotion.
-struct SuperMeta {
-    /// The original entry block whose redirect points at this
-    /// superblock (demotion resets its tier metadata).
-    entry: u32,
-    /// Code pages the stitched segments cover — the superblock's page-
-    /// index registrations, removed when it retires.
-    pages: Vec<u32>,
 }
 
 /// The outcome of one [`TranslationCache::insert`].
@@ -203,10 +130,8 @@ pub(crate) struct InsertResult {
 /// The outcome of one retirement batch.
 #[derive(Debug, Default)]
 pub(crate) struct RetireSummary {
-    /// Original blocks retired.
+    /// Blocks retired.
     pub(crate) retired: u64,
-    /// Superblocks demoted (also retired; counted separately).
-    pub(crate) demoted: u64,
     /// Estimated bytes the retired blocks will release at reclaim.
     pub(crate) footprint: u64,
     /// Pages whose last registration disappeared — the caller must
@@ -218,10 +143,8 @@ pub(crate) struct RetireSummary {
 /// dumps, bounded-memory assertions).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheOccupancy {
-    /// Original blocks currently live (inserted, not retired).
+    /// Blocks currently live (inserted, not retired).
     pub live_blocks: u64,
-    /// Superblocks currently live.
-    pub live_superblocks: u64,
     /// Bytes currently reserved by live + limbo blocks.
     pub arena_bytes: u64,
     /// High-water mark of `arena_bytes` (never exceeds a configured
@@ -232,7 +155,7 @@ pub struct CacheOccupancy {
     pub invalidations: u64,
     /// Cache-pressure flush passes.
     pub flushes: u64,
-    /// Total blocks ever retired (originals + demoted superblocks).
+    /// Total blocks ever retired.
     pub retired_blocks: u64,
     /// Blocks physically freed after their grace period.
     pub reclaimed_blocks: u64,
@@ -247,7 +170,6 @@ impl CacheOccupancy {
     pub fn to_json(&self) -> String {
         let CacheOccupancy {
             live_blocks,
-            live_superblocks,
             arena_bytes,
             peak_bytes,
             invalidations,
@@ -257,8 +179,8 @@ impl CacheOccupancy {
             reclaimed_segments,
         } = self;
         format!(
-            "{{\"live_blocks\":{live_blocks},\"live_superblocks\":{live_superblocks},\
-             \"arena_bytes\":{arena_bytes},\"peak_bytes\":{peak_bytes},\
+            "{{\"live_blocks\":{live_blocks},\"arena_bytes\":{arena_bytes},\
+             \"peak_bytes\":{peak_bytes},\
              \"invalidations\":{invalidations},\"flushes\":{flushes},\
              \"retired_blocks\":{retired_blocks},\"reclaimed_blocks\":{reclaimed_blocks},\
              \"reclaimed_segments\":{reclaimed_segments}}}"
@@ -272,8 +194,6 @@ pub(crate) struct TranslationCache {
     shards: Vec<RwLock<HashMap<u32, u32>>>,
     segments: Vec<OnceLock<Segment>>,
     len: AtomicU32,
-    /// Superblocks currently live (pushed minus demoted).
-    superblocks: AtomicU32,
     /// Serializes appends (cold path: one lock hold per *translation*,
     /// not per dispatch).
     push_lock: Mutex<()>,
@@ -285,8 +205,6 @@ pub(crate) struct TranslationCache {
     /// Target id → `(predecessor id, taken-leg?)` of patched chain
     /// links, registered at patch time and consumed at retirement.
     edges: Mutex<HashMap<u32, Vec<(u32, bool)>>>,
-    /// Superblock id → its registration (entry block, covered pages).
-    supers: Mutex<HashMap<u32, SuperMeta>>,
     /// Retired blocks awaiting their grace period.
     limbo: Mutex<Vec<LimboEntry>>,
     /// Relaxed fast-path hint that `limbo` is non-empty, so the
@@ -316,12 +234,10 @@ impl TranslationCache {
             shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
             segments: (0..MAX_SEGS).map(|_| OnceLock::new()).collect(),
             len: AtomicU32::new(0),
-            superblocks: AtomicU32::new(0),
             push_lock: Mutex::new(()),
             seg_live: (0..MAX_SEGS).map(|_| AtomicU32::new(0)).collect(),
             page_index: Mutex::new(HashMap::new()),
             edges: Mutex::new(HashMap::new()),
-            supers: Mutex::new(HashMap::new()),
             limbo: Mutex::new(Vec::new()),
             limbo_pending: AtomicBool::new(false),
             bytes: AtomicU64::new(0),
@@ -361,7 +277,7 @@ impl TranslationCache {
     }
 
     #[inline]
-    fn slot(&self, id: u32) -> &ArenaSlot {
+    fn slot(&self, id: u32) -> &BlockCell {
         let segment = self.segments[(id >> SEG_BITS) as usize]
             .get()
             .expect("published id implies initialized segment");
@@ -381,7 +297,7 @@ impl TranslationCache {
     /// tests) are sound trivially — no reclaimer runs concurrently.
     #[inline]
     pub(crate) fn block(&self, id: u32) -> Option<&Block> {
-        let ptr = self.slot(id).block.0.load(Ordering::Acquire);
+        let ptr = self.slot(id).0.load(Ordering::Acquire);
         if ptr.is_null() {
             None
         } else {
@@ -390,101 +306,6 @@ impl TranslationCache {
             // borrows (see the contract above).
             Some(unsafe { &*ptr })
         }
-    }
-
-    /// The published superblock id for `id`, if one exists. Acquire
-    /// pairs with the Release in [`TranslationCache::publish_superblock`];
-    /// an observed id dereferences a fully initialized arena slot (the
-    /// push's own Release/Acquire covers the slot contents).
-    #[inline]
-    pub(crate) fn hot_redirect(&self, id: u32) -> Option<u32> {
-        let sid = self.slot(id).meta.super_id.load(Ordering::Acquire);
-        (sid != NO_SUPERBLOCK).then_some(sid)
-    }
-
-    /// Counts one execution of `id` toward promotion. Returns `true`
-    /// exactly once per claim cycle — when this caller's increment
-    /// crossed `threshold` and won the cold→claimed race — meaning the
-    /// caller now owns building the superblock.
-    #[inline]
-    pub(crate) fn bump_heat(&self, id: u32, threshold: u32) -> bool {
-        let meta = &self.slot(id).meta;
-        let heat = meta.heat.fetch_add(1, Ordering::Relaxed).wrapping_add(1);
-        heat >= threshold
-            && meta
-                .state
-                .compare_exchange(TIER_COLD, TIER_CLAIMED, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-    }
-
-    /// Publishes the built superblock `sid` as `id`'s hot redirect and
-    /// registers it for lifecycle tracking: `parts` are the original
-    /// blocks it stitched, whose code pages become the superblock's own
-    /// page-index registrations (so a store into *any* stitched page
-    /// demotes it, even if the overwritten original was itself already
-    /// retired). Caller must hold the claim from
-    /// [`TranslationCache::bump_heat`].
-    pub(crate) fn publish_superblock(&self, id: u32, sid: u32, parts: &[u32]) {
-        let mut pages: Vec<u32> = Vec::new();
-        {
-            let mut page_index = self.page_index.lock();
-            for &part in parts {
-                let Some(block) = self.block(part) else {
-                    continue;
-                };
-                for page in page_range(block) {
-                    let ids = page_index.entry(page).or_default();
-                    if !ids.contains(&sid) {
-                        ids.push(sid);
-                        pages.push(page);
-                    }
-                }
-            }
-        }
-        self.supers
-            .lock()
-            .insert(sid, SuperMeta { entry: id, pages });
-        let meta = &self.slot(id).meta;
-        meta.super_id.store(sid, Ordering::Release);
-        meta.state.store(TIER_RESOLVED, Ordering::Release);
-    }
-
-    /// Returns a claimed block to the cold state so promotion is retried
-    /// after its successor links warm up. Caller must hold the claim.
-    pub(crate) fn retry_promotion_later(&self, id: u32) {
-        let meta = &self.slot(id).meta;
-        meta.heat.store(0, Ordering::Relaxed);
-        meta.state.store(TIER_COLD, Ordering::Release);
-    }
-
-    /// Resolves a claimed block as permanently unsuitable for promotion
-    /// (indirect exit, un-stitchable shape). Caller must hold the claim.
-    pub(crate) fn never_promote(&self, id: u32) {
-        self.slot(id)
-            .meta
-            .state
-            .store(TIER_RESOLVED, Ordering::Release);
-    }
-
-    /// Appends a superblock to the arena *without* a PC-index entry:
-    /// superblocks are reachable only through their entry block's
-    /// redirect, never via cold lookup (so the block-granular tier
-    /// always resolves original blocks). Caller must hold a byte
-    /// reservation for the block.
-    pub(crate) fn push_anonymous(&self, block: Block, scheme_tag: u8) -> u32 {
-        let id = self.push(block, scheme_tag);
-        self.superblocks.fetch_add(1, Ordering::Relaxed);
-        id
-    }
-
-    /// The scheme tag a live block was lowered under.
-    pub(crate) fn scheme_tag(&self, id: u32) -> u8 {
-        self.slot(id).meta.scheme_tag.load(Ordering::Relaxed)
-    }
-
-    /// Superblocks currently live in the arena.
-    pub(crate) fn superblock_count(&self) -> u64 {
-        self.superblocks.load(Ordering::Relaxed) as u64
     }
 
     /// Reserves `footprint` bytes for an upcoming insert. With a limit
@@ -502,8 +323,7 @@ impl TranslationCache {
         true
     }
 
-    /// Releases an unused reservation (lost translation race, deferred
-    /// promotion).
+    /// Releases an unused reservation (lost translation race).
     pub(crate) fn unreserve(&self, footprint: u64) {
         self.bytes.fetch_sub(footprint, Ordering::Relaxed);
     }
@@ -517,8 +337,7 @@ impl TranslationCache {
     /// this call pushed it, and any code pages that now need MMU
     /// write-tracking. Caller must hold a reservation of
     /// [`block_footprint`] bytes; it is released on a lost race.
-    /// `scheme_tag` records which scheme lowered the block.
-    pub(crate) fn insert(&self, pc: u32, block: Block, scheme_tag: u8) -> InsertResult {
+    pub(crate) fn insert(&self, pc: u32, block: Block) -> InsertResult {
         let footprint = block_footprint(&block);
         let pages = page_range(&block);
         let mut shard = self.shard(pc).write();
@@ -530,7 +349,7 @@ impl TranslationCache {
                 new_pages: Vec::new(),
             };
         }
-        let id = self.push(block, scheme_tag);
+        let id = self.push(block);
         shard.insert(pc, id);
         drop(shard);
         let mut new_pages = Vec::new();
@@ -549,23 +368,19 @@ impl TranslationCache {
         }
     }
 
-    fn push(&self, block: Block, scheme_tag: u8) -> u32 {
+    fn push(&self, block: Block) -> u32 {
         let _guard = self.push_lock.lock();
         let id = self.len.load(Ordering::Relaxed);
         let seg_index = (id >> SEG_BITS) as usize;
         assert!(seg_index < MAX_SEGS, "translation cache full");
         let segment = self.segments[seg_index].get_or_init(|| {
             (0..SEG_SIZE)
-                .map(|_| ArenaSlot::new())
+                .map(|_| BlockCell::new())
                 .collect::<Vec<_>>()
                 .into_boxed_slice()
         });
         let slot = &segment[(id & (SEG_SIZE - 1)) as usize];
-        // Written before the len Release below publishes the slot, so
-        // any reader that can name `id` sees the tag.
-        slot.meta.scheme_tag.store(scheme_tag, Ordering::Relaxed);
         let prev = slot
-            .block
             .0
             .swap(Box::into_raw(Box::new(block)), Ordering::Release);
         assert!(prev.is_null(), "arena slot written twice");
@@ -592,9 +407,7 @@ impl TranslationCache {
     }
 
     /// Resolves the translations a guest store to `[addr, addr+width)`
-    /// invalidates: original blocks whose code range overlaps the
-    /// store, plus every superblock registered on the store's page
-    /// (conservatively — a demotion is always safe, merely slower).
+    /// invalidates: the blocks whose code range overlaps the store.
     /// An empty result means the tracked page faulted for an unrelated
     /// address: code/data false sharing on the page.
     pub(crate) fn victims_for_store(&self, addr: u32, width_bytes: u32) -> Vec<u32> {
@@ -608,18 +421,16 @@ impl TranslationCache {
             .copied()
             .filter(|&id| {
                 self.block(id).is_some_and(|block| {
-                    block.superblock || {
-                        let code_end = block.guest_pc + 4 * block.guest_len;
-                        addr < code_end && end > block.guest_pc
-                    }
+                    let code_end = block.guest_pc + 4 * block.guest_len;
+                    addr < code_end && end > block.guest_pc
                 })
             })
             .collect()
     }
 
     /// Retires a batch of victims: marks them invalidated, unlinks
-    /// their PC-index entries, revokes incoming chain links, demotes
-    /// superblocks stitching them, and parks them in limbo stamped with
+    /// their PC-index entries, revokes incoming chain links, and parks
+    /// them in limbo stamped with
     /// `epoch` (from [`Qsbr::begin_grace`]) for later reclamation.
     ///
     /// **Must run inside a stop-the-world exclusive window** — the
@@ -627,58 +438,27 @@ impl TranslationCache {
     /// index surgery race-free (see the module docs).
     pub(crate) fn retire_batch(&self, victims: &[u32], epoch: u64) -> RetireSummary {
         let mut summary = RetireSummary::default();
-        let mut work: Vec<u32> = victims.to_vec();
-        let mut seen: HashSet<u32> = HashSet::new();
         let mut page_index = self.page_index.lock();
         let mut edges = self.edges.lock();
-        let mut supers = self.supers.lock();
         let mut limbo = self.limbo.lock();
-        while let Some(id) = work.pop() {
-            if !seen.insert(id) {
-                continue;
-            }
+        for &id in victims {
             let Some(block) = self.block(id) else {
                 continue;
             };
+            // Also skips a victim listed twice in one batch.
             if block.invalidated.is_set() {
                 continue;
             }
             block.invalidated.set();
             summary.footprint += block_footprint(block);
-            let pages: Vec<u32>;
-            if block.superblock {
-                // Demote: clear the entry block's redirect and reset
-                // its tier state so it can heat up and re-promote
-                // against the fresh code.
-                let meta = supers.remove(&id);
-                pages = meta.as_ref().map(|m| m.pages.clone()).unwrap_or_default();
-                if let Some(meta) = meta {
-                    // The entry may itself be retired in this batch (or
-                    // an earlier one) — resetting its skeleton metadata
-                    // is still harmless.
-                    let entry_meta = &self.slot(meta.entry).meta;
-                    entry_meta.super_id.store(NO_SUPERBLOCK, Ordering::Release);
-                    entry_meta.heat.store(0, Ordering::Relaxed);
-                    entry_meta.state.store(TIER_COLD, Ordering::Release);
-                }
-                self.superblocks.fetch_sub(1, Ordering::Relaxed);
-                summary.demoted += 1;
-            } else {
-                pages = page_range(block).collect();
-                // Unlink the PC index entry — but only if it still maps
-                // to this id (a fresh retranslation may own it by now).
-                let mut shard = self.shard(block.guest_pc).write();
-                if shard.get(&block.guest_pc) == Some(&id) {
-                    shard.remove(&block.guest_pc);
-                }
-                drop(shard);
-                // A published superblock redirect dies with its entry.
-                let sid = self.slot(id).meta.super_id.load(Ordering::Acquire);
-                if sid != NO_SUPERBLOCK {
-                    work.push(sid);
-                }
-                summary.retired += 1;
+            // Unlink the PC index entry — but only if it still maps to
+            // this id (a fresh retranslation may own it by now).
+            let mut shard = self.shard(block.guest_pc).write();
+            if shard.get(&block.guest_pc) == Some(&id) {
+                shard.remove(&block.guest_pc);
             }
+            drop(shard);
+            summary.retired += 1;
             // Revoke every patched chain link pointing at the victim.
             // `revoke_if` leaves edges that were already revoked and
             // re-patched to a newer translation alone; predecessors
@@ -697,7 +477,7 @@ impl TranslationCache {
             }
             // Drop the victim's page registrations; a page with none
             // left no longer needs MMU write-tracking.
-            for page in pages {
+            for page in page_range(block) {
                 if let Some(ids) = page_index.get_mut(&page) {
                     ids.retain(|&x| x != id);
                     if ids.is_empty() {
@@ -711,9 +491,8 @@ impl TranslationCache {
         if !limbo.is_empty() {
             self.limbo_pending.store(true, Ordering::Relaxed);
         }
-        if summary.retired + summary.demoted > 0 {
-            self.retired
-                .fetch_add(summary.retired + summary.demoted, Ordering::Relaxed);
+        if summary.retired > 0 {
+            self.retired.fetch_add(summary.retired, Ordering::Relaxed);
             self.invalidations.fetch_add(1, Ordering::Relaxed);
             // Invalidate every vCPU's L1 front cache.
             self.version.fetch_add(1, Ordering::Release);
@@ -721,42 +500,25 @@ impl TranslationCache {
         summary
     }
 
-    /// A generational cache-pressure flush, coldest code first: pass 1
-    /// demotes every superblock back to its block tier; pass 2 (if pass
-    /// 1's projected release cannot bring reservations down to
-    /// `target_bytes`) retires original blocks in ascending heat order
-    /// until it can; a target no passes can reach degenerates into a
-    /// full flush. Must run inside a stop-the-world exclusive window.
+    /// A generational cache-pressure flush, oldest code first: retires
+    /// live blocks in ascending id (translation) order until the
+    /// projected release brings reservations down to `target_bytes`; a
+    /// target that cannot be reached degenerates into a full flush.
+    /// Must run inside a stop-the-world exclusive window.
     ///
     /// Bytes are actually released later, by reclamation after the
     /// grace period — the caller loops quiesce/reclaim/retry.
     pub(crate) fn flush_generational(&self, target_bytes: u64, epoch: u64) -> RetireSummary {
-        let live_sids: Vec<u32> = self.supers.lock().keys().copied().collect();
-        let mut summary = self.retire_batch(&live_sids, epoch);
         let needed = self.bytes().saturating_sub(target_bytes);
-        if summary.footprint < needed {
-            // Coldest original blocks next. Heat is a relaxed counter —
-            // an approximate order is fine, the tie-break on id keeps
-            // it deterministic.
-            let len = self.len() as u32;
-            let mut cold: Vec<(u32, u32)> = (0..len)
-                .filter(|&id| {
-                    self.block(id)
-                        .is_some_and(|b| !b.superblock && !b.invalidated.is_set())
-                })
-                .map(|id| (self.slot(id).meta.heat.load(Ordering::Relaxed), id))
-                .collect();
-            cold.sort_unstable();
-            for (_, id) in cold {
-                if summary.footprint >= needed {
-                    break;
-                }
-                let pass = self.retire_batch(&[id], epoch);
-                summary.retired += pass.retired;
-                summary.demoted += pass.demoted;
-                summary.footprint += pass.footprint;
-                summary.untrack_pages.extend(pass.untrack_pages);
+        let mut summary = RetireSummary::default();
+        for id in 0..self.len() as u32 {
+            if summary.footprint >= needed {
+                break;
             }
+            let pass = self.retire_batch(&[id], epoch);
+            summary.retired += pass.retired;
+            summary.footprint += pass.footprint;
+            summary.untrack_pages.extend(pass.untrack_pages);
         }
         self.flushes.fetch_add(1, Ordering::Relaxed);
         summary
@@ -786,8 +548,7 @@ impl TranslationCache {
                 // Debug-mode reachability check: retirement must have
                 // unlinked this block — freeing is only legal when it
                 // is marked invalidated and its guest pc no longer
-                // resolves to it through the PC index. (Superblocks are
-                // anonymous: their entry pc resolves to the original.)
+                // resolves to it through the PC index.
                 #[cfg(debug_assertions)]
                 if let Some(block) = self.block(entry.id) {
                     debug_assert!(
@@ -822,11 +583,7 @@ impl TranslationCache {
     /// drops the Box, releases the byte reservation, and counts the
     /// segment as reclaimed when its last live block goes.
     fn free_slot(&self, id: u32) {
-        let ptr = self
-            .slot(id)
-            .block
-            .0
-            .swap(std::ptr::null_mut(), Ordering::AcqRel);
+        let ptr = self.slot(id).0.swap(std::ptr::null_mut(), Ordering::AcqRel);
         assert!(!ptr.is_null(), "limbo entry {id} freed twice");
         // Safety: the pointer is the Box the cell owned; the caller
         // (reclaim) proved no reader can still hold a borrow.
@@ -857,10 +614,8 @@ impl TranslationCache {
     pub(crate) fn occupancy(&self) -> CacheOccupancy {
         let len = self.len.load(Ordering::Acquire) as u64;
         let retired = self.retired.load(Ordering::Relaxed);
-        let live_superblocks = self.superblocks.load(Ordering::Relaxed) as u64;
         CacheOccupancy {
-            live_blocks: (len - retired).saturating_sub(live_superblocks),
-            live_superblocks,
+            live_blocks: len - retired,
             arena_bytes: self.bytes(),
             peak_bytes: self.peak_bytes.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
@@ -900,7 +655,7 @@ mod tests {
     /// Reserve-then-insert, the way the engine drives the cache.
     fn insert(cache: &TranslationCache, pc: u32, block: Block) -> InsertResult {
         assert!(cache.try_reserve(block_footprint(&block)));
-        cache.insert(pc, block, 0)
+        cache.insert(pc, block)
     }
 
     #[test]
@@ -948,53 +703,6 @@ mod tests {
     }
 
     #[test]
-    fn heat_claim_fires_exactly_once_per_cycle() {
-        let cache = TranslationCache::new();
-        let id = insert(&cache, 0x3000, block_at(0x3000)).id;
-        assert!(!cache.bump_heat(id, 3));
-        assert!(!cache.bump_heat(id, 3));
-        assert!(cache.bump_heat(id, 3), "third execution crosses and claims");
-        assert!(!cache.bump_heat(id, 3), "claim is exclusive");
-        // Retry resets both heat and the claim.
-        cache.retry_promotion_later(id);
-        assert!(!cache.bump_heat(id, 3));
-        assert!(!cache.bump_heat(id, 3));
-        assert!(cache.bump_heat(id, 3), "reclaim after retry reset");
-    }
-
-    #[test]
-    fn superblock_publish_and_redirect() {
-        let cache = TranslationCache::new();
-        let id = insert(&cache, 0x4000, block_at(0x4000)).id;
-        assert_eq!(cache.hot_redirect(id), None);
-        let mut sb = block_at(0x4000);
-        sb.superblock = true;
-        assert!(cache.try_reserve(block_footprint(&sb)));
-        let sid = cache.push_anonymous(sb, 0);
-        assert_eq!(
-            cache.lookup(0x4000),
-            Some(id),
-            "anonymous push must not disturb the PC index"
-        );
-        cache.publish_superblock(id, sid, &[id]);
-        assert_eq!(cache.hot_redirect(id), Some(sid));
-        assert!(cache.block(sid).unwrap().superblock);
-        assert_eq!(cache.superblock_count(), 1);
-    }
-
-    #[test]
-    fn never_promote_blocks_reclaim() {
-        let cache = TranslationCache::new();
-        let id = insert(&cache, 0x5000, block_at(0x5000)).id;
-        assert!(cache.bump_heat(id, 1));
-        cache.never_promote(id);
-        assert_eq!(cache.hot_redirect(id), None);
-        for _ in 0..64 {
-            assert!(!cache.bump_heat(id, 1), "resolved blocks never re-claim");
-        }
-    }
-
-    #[test]
     fn concurrent_inserts_agree() {
         let cache = TranslationCache::new();
         std::thread::scope(|scope| {
@@ -1032,7 +740,6 @@ mod tests {
         let epoch = qsbr.begin_grace();
         let summary = cache.retire_batch(&[b], epoch);
         assert_eq!(summary.retired, 1);
-        assert_eq!(summary.demoted, 0);
         assert!(summary.footprint > 0);
         assert_eq!(
             summary.untrack_pages,
@@ -1051,7 +758,7 @@ mod tests {
         assert!(cache.version() > version_before, "L1 generation bumped");
         // Double retirement is a no-op.
         let again = cache.retire_batch(&[b], epoch);
-        assert_eq!(again.retired + again.demoted, 0);
+        assert_eq!(again.retired, 0);
     }
 
     #[test]
@@ -1083,49 +790,6 @@ mod tests {
     }
 
     #[test]
-    fn retiring_an_entry_block_demotes_its_superblock() {
-        let cache = TranslationCache::new();
-        let qsbr = Qsbr::new();
-        let id = insert(&cache, 0x1000, block_at(0x1000)).id;
-        let mut sb = block_at(0x1000);
-        sb.superblock = true;
-        assert!(cache.try_reserve(block_footprint(&sb)));
-        let sid = cache.push_anonymous(sb, 0);
-        cache.publish_superblock(id, sid, &[id]);
-
-        let summary = cache.retire_batch(&[id], qsbr.begin_grace());
-        assert_eq!(summary.retired, 1);
-        assert_eq!(summary.demoted, 1, "redirect target dies with its entry");
-        assert_eq!(cache.superblock_count(), 0);
-        assert!(
-            summary.untrack_pages.contains(&1),
-            "last registration on the page is gone"
-        );
-    }
-
-    #[test]
-    fn retiring_a_superblock_reopens_its_entry_for_promotion() {
-        let cache = TranslationCache::new();
-        let qsbr = Qsbr::new();
-        let id = insert(&cache, 0x1000, block_at(0x1000)).id;
-        assert!(cache.bump_heat(id, 1), "claim");
-        let mut sb = block_at(0x1000);
-        sb.superblock = true;
-        assert!(cache.try_reserve(block_footprint(&sb)));
-        let sid = cache.push_anonymous(sb, 0);
-        cache.publish_superblock(id, sid, &[id]);
-        assert_eq!(cache.hot_redirect(id), Some(sid));
-
-        let summary = cache.retire_batch(&[sid], qsbr.begin_grace());
-        assert_eq!(summary.demoted, 1);
-        assert_eq!(summary.retired, 0);
-        assert_eq!(cache.hot_redirect(id), None, "redirect cleared");
-        assert_eq!(cache.lookup(0x1000), Some(id), "entry block stays live");
-        // The entry re-heats and can claim promotion again.
-        assert!(cache.bump_heat(id, 1), "entry is promotable again");
-    }
-
-    #[test]
     fn victims_for_store_is_range_precise_for_blocks() {
         let cache = TranslationCache::new();
         let a = insert(&cache, 0x1000, block_at(0x1000)).id; // [0x1000, 0x1004)
@@ -1154,7 +818,7 @@ mod tests {
         for i in 0..3u32 {
             let pc = 0x1000 + i * 4;
             assert!(cache.try_reserve(per_block));
-            ids.push(cache.insert(pc, block_at(pc), 0).id);
+            ids.push(cache.insert(pc, block_at(pc)).id);
         }
         // Full: the fourth reservation must fail, and the peak must
         // respect the limit.
@@ -1169,6 +833,26 @@ mod tests {
         assert!(cache.reclaim_limbo(&qsbr).is_some());
         assert!(cache.try_reserve(per_block));
         assert!(cache.occupancy().peak_bytes <= 3 * per_block);
+    }
+
+    #[test]
+    fn flush_retires_the_oldest_blocks_first() {
+        let cache = TranslationCache::new();
+        let qsbr = Qsbr::new();
+        let per_block = block_footprint(&block_at(0));
+        let ids: Vec<u32> = (0..8u32)
+            .map(|i| insert(&cache, 0x1000 + i * 4, block_at(0x1000 + i * 4)).id)
+            .collect();
+        // Make room for three: the five oldest translations must go.
+        let summary = cache.flush_generational(3 * per_block, qsbr.begin_grace());
+        assert_eq!(summary.retired, 5);
+        assert_eq!(cache.occupancy().flushes, 1);
+        for (i, &id) in ids.iter().enumerate() {
+            let pc = 0x1000 + i as u32 * 4;
+            let retired = cache.block(id).unwrap().invalidated.is_set();
+            assert_eq!(retired, i < 5, "block {id} retired={retired}");
+            assert_eq!(cache.lookup(pc), (!retired).then_some(id));
+        }
     }
 
     #[test]

@@ -150,15 +150,10 @@ pub fn run_block_from(
 ) -> Result<BlockRun, Trap> {
     let tape = &block.tape;
     if start == 0 {
-        // Superblocks charge per stitched segment via `Op::Boundary`
-        // (so tiered and block-granular runs report identical per-block
-        // counters); everything else charges once on entry.
-        if !block.superblock {
-            ctx.stats.blocks += 1;
-            ctx.stats.insns += block.guest_len as u64;
-        }
+        ctx.stats.blocks += 1;
+        ctx.stats.insns += block.guest_len as u64;
         if ctx.prof.is_some() {
-            ctx.prof_enter(block.guest_pc, block.superblock);
+            ctx.prof_pc = block.guest_pc;
         }
         let slots = REG_SLOTS + block.temps as usize;
         if ctx.cpu.slots.len() < slots {
@@ -362,71 +357,6 @@ pub fn run_block_from(
                 ctx.note_ll(vaddr);
                 ctx.note_sc(vaddr, true, old);
                 ctx.cpu.slots[dst as usize] = old;
-            }
-            Entry::Boundary { insns } => {
-                // A stitched original-block boundary inside a superblock:
-                // charge the per-block counters the block-granular tier
-                // would have charged on dispatch, and split the tiers.
-                ctx.stats.blocks += 1;
-                ctx.stats.insns += insns as u64;
-                ctx.stats.tier_blocks += 1;
-                ctx.stats.tier_insns += insns as u64;
-                // An open region transaction observes the dispatcher's
-                // conflict tokens at every original-block boundary, just
-                // as the block-tier dispatch loop does per hop — tiering
-                // must not hide the QEMU-inside-the-transaction effect
-                // that dooms PICO-HTM (a chained edge can legally enter
-                // a superblock while a cross-block transaction is open).
-                if let Some(txn) = &mut ctx.txn {
-                    ctx.stats.txn_dispatches += 1;
-                    (0..8)
-                        .try_for_each(|slot| txn.observe(adbt_htm::HtmDomain::engine_token(slot)))
-                        .map_err(Trap::HtmAbort)?;
-                }
-            }
-            Entry::Safepoint { resume_pc } => {
-                // Superblock segment seam: re-map the attribution scope
-                // to the stitched segment's original block PC, so
-                // charges taken in tier-2 code land on the address a
-                // deopt would resume at.
-                if ctx.prof.is_some() {
-                    ctx.prof_remap(resume_pc);
-                }
-                // Interior safepoint poll: a superblock must not delay an
-                // exclusive requester longer than one original block.
-                let parked = ctx.machine.exclusive.safepoint_for(ctx.cpu.tid);
-                ctx.stats.exclusive_ns += parked;
-                if parked > 0 {
-                    ctx.prof_charge(adbt_profile::Metric::ParkNs, parked);
-                    ctx.trace(
-                        adbt_trace::TraceKind::SafepointPark,
-                        ctx.cpu.pc,
-                        parked.min(u32::MAX as u64) as u32,
-                    );
-                    // The world stopped while we were parked — an
-                    // invalidation batch may have retired this superblock
-                    // (a store patched one of its stitched pages). State
-                    // is architectural at the segment seam, so deopt to
-                    // the block-granular tier at the segment about to
-                    // run; no stale stitched code executes past a park.
-                    if block.invalidated.is_set() {
-                        ctx.stats.deopts += 1;
-                        ctx.prof_charge(adbt_profile::Metric::Deopt, 1);
-                        ctx.trace(adbt_trace::TraceKind::Deopt, resume_pc, block.guest_pc);
-                        return Ok(BlockRun::Done(resume_pc));
-                    }
-                }
-            }
-            Entry::SideExit { cond, target } => {
-                if ctx.cpu.flags.holds(cond) {
-                    // Deopt: the stitched trace's branch prediction went
-                    // the other way. State is architectural, so resuming
-                    // in the block-granular tier needs nothing but a PC.
-                    ctx.stats.deopts += 1;
-                    ctx.prof_charge(adbt_profile::Metric::Deopt, 1);
-                    ctx.trace(adbt_trace::TraceKind::Deopt, target, block.guest_pc);
-                    return Ok(BlockRun::Done(target));
-                }
             }
             Entry::Operands(_) => unreachable!("the operand pool lies past the op entries"),
         }

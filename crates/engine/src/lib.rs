@@ -81,13 +81,11 @@ mod scheme;
 mod state;
 mod stats;
 mod store_test;
-mod tier;
 pub mod watchdog;
 
 pub use adbt_chaos::{ChaosCfg, ChaosPlane, ChaosSite, ChaosSnapshot, ChaosStream, RetryPolicy};
 pub use adbt_profile::{
     Metric as ProfileMetric, PcProfile, ProfileEntry, ProfileRecorder, ProfileSnapshot,
-    Tier as ProfileTier,
 };
 pub use adbt_trace::{
     chrome, validate, Histograms, LogHistogram, TraceEvent, TraceHandle, TraceKind, TraceRecorder,

@@ -91,30 +91,20 @@ pub struct MachineConfig {
     pub trace: bool,
     /// Enables the guest-PC contention profiler: per-vCPU attribution
     /// tables charging SC failures, exclusive waits, HTM aborts, monitor
-    /// clears, invalidations and tier deopts to exact guest addresses
-    /// (`false` = profiling off; every charge site then costs a single
-    /// predicted branch, same discipline as `chaos`/`trace`).
+    /// clears and invalidations to exact guest addresses (`false` =
+    /// profiling off; every charge site then costs a single predicted
+    /// branch, same discipline as `chaos`/`trace`).
     pub profile: bool,
-    /// Executions of a block before it is promoted into a tier-2
-    /// superblock (0 = tiering off; the dispatch hot path then pays a
-    /// single predicted branch, same discipline as `chaos`/`trace`).
-    /// Tiering requires chaining (`chain_limit > 1`): superblocks are
-    /// discovered by following patched chain links, so the deterministic
-    /// driver's single-block dispatch (and any machine with
-    /// `max_block_insns <= 1`) forces it off to preserve block-granular
-    /// determinism and the checker's interleaving atoms.
+    /// Inert: the engine has one translation tier and reads no
+    /// threshold. Kept only because the frozen `e2ebench/` sets it; it
+    /// goes at the next change to the benchmark.
     pub tier_threshold: u32,
-    /// Maximum original blocks stitched into one superblock (≥ 2 when
-    /// tiering is on; must not exceed `chain_limit`, so a superblock
-    /// never covers more ground than one chained dispatch could).
-    pub superblock_limit: u32,
     /// Translation-cache memory budget in bytes (0 = unbounded). A hard
     /// bound: when a translation would push the cache's live-plus-limbo
     /// footprint past the limit, the translating vCPU triggers a
-    /// generational flush (superblocks demote first, then the coldest
-    /// originals) and waits for epoch reclamation to make room, instead
-    /// of growing without bound. Must be at least
-    /// [`MachineCore::MIN_CACHE_LIMIT`] when nonzero.
+    /// generational flush (oldest translations first) and waits for
+    /// epoch reclamation to make room, instead of growing without bound.
+    /// Must be at least [`MachineCore::MIN_CACHE_LIMIT`] when nonzero.
     pub cache_limit: u64,
 }
 
@@ -139,7 +129,6 @@ impl Default for MachineConfig {
             trace: false,
             profile: false,
             tier_threshold: 0,
-            superblock_limit: 16,
             cache_limit: 0,
         }
     }
@@ -313,8 +302,8 @@ impl MachineCore {
     /// # Errors
     ///
     /// Returns an error string for invalid memory configuration, an
-    /// empty or oversized candidate set, an out-of-range `initial`, or
-    /// a zero epoch length.
+    /// empty candidate set, an out-of-range `initial`, or a zero epoch
+    /// length.
     pub fn new_adaptive(
         config: MachineConfig,
         schemes: Vec<Box<dyn AtomicScheme>>,
@@ -324,13 +313,6 @@ impl MachineCore {
     ) -> Result<MachineCore, String> {
         if schemes.is_empty() {
             return Err("adaptive machine needs at least one candidate scheme".to_string());
-        }
-        if schemes.len() > u8::MAX as usize + 1 {
-            return Err(format!(
-                "at most {} candidate schemes (cache scheme tags are one byte); got {}",
-                u8::MAX as usize + 1,
-                schemes.len()
-            ));
         }
         if initial >= schemes.len() {
             return Err(format!(
@@ -350,29 +332,6 @@ impl MachineCore {
         initial: usize,
         adapt: Option<(AdaptConfig, Arc<dyn SchemeArbiter>)>,
     ) -> Result<MachineCore, String> {
-        // Instruction-granular machines (litmus lockstep, the checker's
-        // scheduled exploration) force tiering off: their atoms must stay
-        // exactly one block of at most one instruction, so the verdict
-        // matrix is byte-identical with or without a tier request.
-        if config.max_block_insns <= 1 {
-            config.tier_threshold = 0;
-        }
-        if config.tier_threshold > 0 {
-            if config.superblock_limit < 2 {
-                return Err(format!(
-                    "superblock_limit must be at least 2 when tiering is on \
-                     (a superblock stitches multiple blocks); got {}",
-                    config.superblock_limit
-                ));
-            }
-            if config.superblock_limit > config.chain_limit {
-                return Err(format!(
-                    "superblock_limit ({}) must not exceed chain_limit ({}): \
-                     a superblock must fit within one chained dispatch",
-                    config.superblock_limit, config.chain_limit
-                ));
-            }
-        }
         if config.cache_limit > 0 && config.cache_limit < MachineCore::MIN_CACHE_LIMIT {
             return Err(format!(
                 "cache_limit ({} bytes) is below the minimum of one arena segment \
@@ -443,23 +402,11 @@ impl MachineCore {
 
     /// The scheme new translations lower under right now — the active
     /// adaptive candidate, or the construction scheme on a static
-    /// machine — together with its cache scheme tag.
-    pub(crate) fn active_scheme(&self) -> (&Arc<dyn AtomicScheme>, u8) {
+    /// machine.
+    pub(crate) fn active_scheme(&self) -> &Arc<dyn AtomicScheme> {
         match &self.adapt {
-            Some(adapt) => {
-                let idx = adapt.active.load(Ordering::Acquire);
-                (&adapt.candidates[idx], idx as u8)
-            }
-            None => (&self.scheme, 0),
-        }
-    }
-
-    /// Maps a cache scheme tag back to the candidate that lowered the
-    /// tagged block (static machines only ever tag with 0).
-    pub(crate) fn scheme_of(&self, tag: u8) -> &dyn AtomicScheme {
-        match &self.adapt {
-            Some(adapt) => &*adapt.candidates[tag as usize],
-            None => &*self.scheme,
+            Some(adapt) => &adapt.candidates[adapt.active.load(Ordering::Acquire)],
+            None => &self.scheme,
         }
     }
 
@@ -573,13 +520,9 @@ impl MachineCore {
         if let Some(txn) = &mut ctx.txn {
             txn.poison();
         }
-        // Scheme and tag are resolved as one pair: the block inserted
-        // below is tagged with exactly the candidate that lowered it,
-        // even if a migration publishes a new active index mid-translate.
-        let (scheme, scheme_tag) = self.active_scheme();
-        let block = frontend::translate(ctx, pc, scheme)?;
+        let block = frontend::translate(ctx, pc, self.active_scheme())?;
         self.ensure_cache_room(ctx, block_footprint(&block))?;
-        let result = self.cache.insert(pc, block, scheme_tag);
+        let result = self.cache.insert(pc, block);
         // Every page the new block decodes from becomes write-tracked, so
         // a later guest store into it faults and invalidates (SMC).
         for &page in &result.new_pages {
@@ -630,11 +573,11 @@ impl MachineCore {
                 self.space.write_untrack(page);
             }
             ctx.stats.flushes += 1;
-            ctx.stats.retired_blocks += summary.retired + summary.demoted;
+            ctx.stats.retired_blocks += summary.retired;
             ctx.trace(
                 TraceKind::Flush,
                 summary.retired.min(u32::MAX as u64) as u32,
-                summary.demoted.min(u32::MAX as u64) as u32,
+                0,
             );
             ctx.end_exclusive();
             for _ in 0..GRACE_SPINS {
@@ -754,10 +697,6 @@ impl MachineCore {
         // successor's id so the next traversal skips the lookup, and
         // registered in the edge index so invalidation can revoke it.
         let mut link: Option<(&ChainLink, u32, bool)> = None;
-        // Tiering needs chaining: superblocks are stitched along patched
-        // chain links, and links are only patched when chains run. With
-        // tiering off this is the discipline's single predicted branch.
-        let tiering = self.config.tier_threshold > 0 && chain_limit > 1;
         for _ in 0..chain_limit.max(1) {
             // Holder-aware safepoint: identical single-load fast path, but
             // a degraded region's holder passes through its own pending
@@ -767,12 +706,7 @@ impl MachineCore {
             if parked > 0 {
                 // The park belongs to the block about to run: that is
                 // the code the stop-the-world held this vCPU away from.
-                ctx.prof_charge_at(
-                    ctx.cpu.pc,
-                    adbt_profile::Tier::Block,
-                    ProfMetric::ParkNs,
-                    parked,
-                );
+                ctx.prof_charge_at(ctx.cpu.pc, ProfMetric::ParkNs, parked);
                 ctx.trace(
                     TraceKind::SafepointPark,
                     ctx.cpu.pc,
@@ -813,7 +747,7 @@ impl MachineCore {
                     // which borrowed blocks may be freed. The edge is
                     // re-resolved by id below.
                     let patch = link.take().map(|(_, pred, taken)| (pred, taken));
-                    let mut id = match l1.get(pc) {
+                    let id = match l1.get(pc) {
                         Some(id) => {
                             ctx.stats.l1_hits += 1;
                             id
@@ -829,32 +763,6 @@ impl MachineCore {
                             }
                         }
                     };
-                    // Tier-2 redirect and heat accounting live on the
-                    // lookup path only: chain follows stay a single load,
-                    // so tiering that never fires costs nothing on the
-                    // hot dispatch loop. Heat therefore counts *lookups*
-                    // (chain-budget restarts, deopt resumes, cold edges),
-                    // which a hot loop produces steadily. The redirected
-                    // id is what gets patched below, so edges chain
-                    // straight into the superblock from then on; interior
-                    // `Op::Boundary`s re-observe the engine tokens, which
-                    // keeps open region transactions block-granular even
-                    // when a chained edge leads into a superblock.
-                    // Promotion itself is gated on `txn.is_none()` so the
-                    // builder never mutates shared cache state from
-                    // inside a simulated transaction.
-                    if tiering && ctx.txn.is_none() {
-                        match self.cache.hot_redirect(id) {
-                            Some(sid) => id = sid,
-                            None => {
-                                if self.cache.bump_heat(id, self.config.tier_threshold) {
-                                    if let Some(sid) = self.promote(ctx, id) {
-                                        id = sid;
-                                    }
-                                }
-                            }
-                        }
-                    }
                     // Patch the traversed edge and register it for
                     // revocation. The predecessor is re-resolved by id:
                     // if it was retired while we translated, its slot may
@@ -907,13 +815,8 @@ impl MachineCore {
                     ctx.cpu.pc = next;
                     // Only static exits chain; indirect jumps and
                     // service calls go back through the lookup path.
-                    // A superblock deopt resumes at a side-exit target
-                    // that matches *neither* leg of the final exit — the
-                    // equality guards send it back through the lookup.
                     link = match &block.exit {
-                        BlockExit::Jump(target) if !block.superblock || next == *target => {
-                            Some((&block.links.taken, id, true))
-                        }
+                        BlockExit::Jump(_) => Some((&block.links.taken, id, true)),
                         BlockExit::CondJump { taken, .. } if next == *taken => {
                             Some((&block.links.taken, id, true))
                         }
@@ -1126,12 +1029,12 @@ impl MachineCore {
         for &page in &summary.untrack_pages {
             self.space.write_untrack(page);
         }
-        if summary.retired + summary.demoted > 0 {
+        if summary.retired > 0 {
             ctx.stats.invalidations += 1;
-            ctx.stats.retired_blocks += summary.retired + summary.demoted;
+            ctx.stats.retired_blocks += summary.retired;
             // The injected invalidation always lands on the block at the
             // current pc (that is how the victim was chosen).
-            ctx.prof_charge_at(pc, adbt_profile::Tier::Block, ProfMetric::Invalidation, 1);
+            ctx.prof_charge_at(pc, ProfMetric::Invalidation, 1);
             ctx.trace(TraceKind::Invalidate, pc, victim);
             if ctx.pause_points {
                 ctx.note_event(SchedEvent::Invalidate {
@@ -1390,7 +1293,7 @@ impl MachineCore {
         for &page in &summary.untrack_pages {
             self.space.write_untrack(page);
         }
-        ctx.stats.retired_blocks += summary.retired + summary.demoted;
+        ctx.stats.retired_blocks += summary.retired;
         // The outgoing scheme cleans up its machine-wide residue (PST
         // unprotects its registered pages) while the world is stopped.
         adapt.candidates[active].on_deactivate(ctx);
@@ -1429,7 +1332,7 @@ impl MachineCore {
 
     /// The hottest contended guest PC machine-wide: profile entries
     /// ranked by their contention-event sum. Entries arrive pre-sorted
-    /// by `(pc, tier)` and the strict `>` keeps the first seen, so ties
+    /// by pc and the strict `>` keeps the first seen, so ties
     /// break to the lowest PC — deterministic across runs.
     fn hottest_site(&self) -> Option<(u32, u64)> {
         let rec = self.profile.as_ref()?;
@@ -1712,21 +1615,15 @@ impl MachineCore {
     }
 
     /// Number of block slots ever allocated in the shared translation
-    /// cache (original blocks plus superblocks, including retired ones —
-    /// arena ids are never reused).
+    /// cache (including retired ones — arena ids are never reused).
     pub fn cached_blocks(&self) -> usize {
         self.cache.len()
     }
 
-    /// Number of tier-2 superblocks currently live in the cache.
-    pub fn superblocks(&self) -> u64 {
-        self.cache.superblock_count()
-    }
-
     /// A point-in-time translation-cache occupancy snapshot: live
-    /// blocks and superblocks, arena footprint against the budget, and
-    /// the lifecycle counters (invalidations, flushes, reclamation) —
-    /// the data behind `adbt_run --stats` and watchdog dumps.
+    /// blocks, arena footprint against the budget, and the lifecycle
+    /// counters (invalidations, flushes, reclamation) — the data behind
+    /// `adbt_run --stats` and watchdog dumps.
     pub fn cache_occupancy(&self) -> CacheOccupancy {
         self.cache.occupancy()
     }

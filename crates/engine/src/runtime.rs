@@ -11,7 +11,7 @@ use adbt_chaos::{ChaosSite, ChaosStream};
 use adbt_htm::{AbortReason, Txn};
 use adbt_ir::HelperId;
 use adbt_mmu::{page_of, Access, FaultKind, PageFault, Width};
-use adbt_profile::{Metric as ProfMetric, PcProfile, Tier as ProfTier};
+use adbt_profile::{Metric as ProfMetric, PcProfile};
 use adbt_trace::{TraceHandle, TraceKind};
 use std::fmt;
 use std::sync::Arc;
@@ -188,18 +188,14 @@ pub struct ExecCtx<'m> {
     /// when `None`.
     pub prof: Option<Arc<PcProfile>>,
     /// The guest PC of the current attribution scope: the entered
-    /// block's PC, re-mapped to the stitched segment's original block
-    /// PC at superblock safepoints, so superblock samples attribute
-    /// deopt-accurately.
+    /// block's PC.
     pub(crate) prof_pc: u32,
-    /// The tier of the current attribution scope.
-    pub(crate) prof_tier: ProfTier,
     /// Consecutive failed SCs since the last success, charged to the
     /// streak metric (at the streak's PC) when a success ends it.
     pub(crate) prof_sc_streak: u64,
     /// Where the current SC retry streak started; a streak that spans
     /// blocks is charged to its first failure's address.
-    pub(crate) prof_streak_at: (u32, ProfTier),
+    pub(crate) prof_streak_at: u32,
     /// True while a *degraded* region is open: instead of an HTM
     /// transaction, the LL→SC window runs under the machine's exclusive
     /// section (the stop-the-world fallback on the degradation ladder).
@@ -302,9 +298,8 @@ impl<'m> ExecCtx<'m> {
             beat: None,
             prof,
             prof_pc: entry_pc,
-            prof_tier: ProfTier::Block,
             prof_sc_streak: 0,
-            prof_streak_at: (entry_pc, ProfTier::Block),
+            prof_streak_at: entry_pc,
             region_exclusive: false,
             degrade_next_region: false,
             region_blocks: 0,
@@ -345,29 +340,6 @@ impl<'m> ExecCtx<'m> {
         }
     }
 
-    /// Enters a fresh attribution scope: the dispatched block's guest
-    /// PC and tier. Called on every fresh block entry (a single
-    /// predicted branch when profiling is off, since the fields are
-    /// dead without a table to charge).
-    #[inline]
-    pub(crate) fn prof_enter(&mut self, guest_pc: u32, superblock: bool) {
-        self.prof_pc = guest_pc;
-        self.prof_tier = if superblock {
-            ProfTier::Super
-        } else {
-            ProfTier::Block
-        };
-    }
-
-    /// Re-maps the attribution scope to a stitched segment's original
-    /// block PC (superblock interior safepoints), so samples taken in
-    /// tier-2 code attribute to the same addresses a deopt would resume
-    /// at.
-    #[inline]
-    pub(crate) fn prof_remap(&mut self, segment_pc: u32) {
-        self.prof_pc = segment_pc;
-    }
-
     /// Charges `amount` of `metric` to the current attribution scope.
     /// Duration metrics are zeroed outside threaded runs — the
     /// deterministic modes measure no meaningful wall time, and charging
@@ -380,23 +352,23 @@ impl<'m> ExecCtx<'m> {
             } else {
                 amount
             };
-            prof.charge(self.prof_pc, self.prof_tier, metric, amount);
+            prof.charge(self.prof_pc, metric, amount);
         }
     }
 
     /// Charges `amount` of `metric` to an explicit guest address —
     /// used where the cost belongs to a *resolved* PC rather than the
     /// executing scope (invalidation victims resolved through the
-    /// translation cache, tier promotions).
+    /// translation cache, safepoint parks).
     #[inline]
-    pub fn prof_charge_at(&self, pc: u32, tier: ProfTier, metric: ProfMetric, amount: u64) {
+    pub fn prof_charge_at(&self, pc: u32, metric: ProfMetric, amount: u64) {
         if let Some(prof) = &self.prof {
             let amount = if metric.is_duration() && !self.machine.is_threaded() {
                 0
             } else {
                 amount
             };
-            prof.charge(pc, tier, metric, amount);
+            prof.charge(pc, metric, amount);
         }
     }
 
@@ -408,13 +380,16 @@ impl<'m> ExecCtx<'m> {
     fn prof_sc(&mut self, ok: bool) {
         if ok {
             if self.prof_sc_streak > 0 {
-                let (pc, tier) = self.prof_streak_at;
-                self.prof_charge_at(pc, tier, ProfMetric::ScStreak, self.prof_sc_streak);
+                self.prof_charge_at(
+                    self.prof_streak_at,
+                    ProfMetric::ScStreak,
+                    self.prof_sc_streak,
+                );
                 self.prof_sc_streak = 0;
             }
         } else {
             if self.prof_sc_streak == 0 {
-                self.prof_streak_at = (self.prof_pc, self.prof_tier);
+                self.prof_streak_at = self.prof_pc;
             }
             self.prof_sc_streak += 1;
             self.prof_charge(ProfMetric::ScFail, 1);
@@ -1134,7 +1109,7 @@ impl<'m> ExecCtx<'m> {
         // a page-protection scheme its deactivation hook has already
         // unprotected everything, so no stale scheme can have a claim.
         let machine = self.machine;
-        match machine.active_scheme().0.on_page_fault(self, fault, access) {
+        match machine.active_scheme().on_page_fault(self, fault, access) {
             FaultOutcome::Fatal => Err(Trap::Fault(fault)),
             outcome => {
                 *retries += 1;
@@ -1151,8 +1126,7 @@ impl<'m> ExecCtx<'m> {
 
     /// Resolves a store that faulted on a write-tracked code page — the
     /// SMC path. Retires every translation whose guest bytes overlap the
-    /// store (and, page-conservatively, superblocks stitched over the
-    /// page) under the stop-the-world window, then completes or retries
+    /// store under the stop-the-world window, then completes or retries
     /// the store. Returns `Ok(None)` when the engine has no claim (page
     /// not tracked, or ordinary permissions forbid the write too) so the
     /// fault falls through to the scheme's handler.
@@ -1273,12 +1247,7 @@ impl<'m> ExecCtx<'m> {
             if self.prof.is_some() {
                 for &victim in &victims {
                     if let Some(block) = self.machine.cache.block(victim) {
-                        let tier = if block.superblock {
-                            ProfTier::Super
-                        } else {
-                            ProfTier::Block
-                        };
-                        self.prof_charge_at(block.guest_pc, tier, ProfMetric::Invalidation, 1);
+                        self.prof_charge_at(block.guest_pc, ProfMetric::Invalidation, 1);
                     }
                 }
             }
@@ -1288,7 +1257,7 @@ impl<'m> ExecCtx<'m> {
                 self.machine.space.write_untrack(p);
             }
             self.stats.invalidations += 1;
-            self.stats.retired_blocks += summary.retired + summary.demoted;
+            self.stats.retired_blocks += summary.retired;
             self.trace(TraceKind::Invalidate, vaddr, victims[0]);
             if self.pause_points {
                 self.note_event(SchedEvent::Invalidate {

@@ -147,10 +147,12 @@ pub trait AtomicScheme: Send + Sync {
         SchemeCostModel::NEUTRAL
     }
 
-    /// Whether the tier-2 optimizer may coalesce redundant
-    /// `Op::HtableSet` marks that originate from *this scheme's LL
-    /// lowering* (an `HtableSet` immediately followed by a `MonitorArm`
-    /// on the same address).
+    /// Whether `adbt_ir::opt` may coalesce redundant `Op::HtableSet`
+    /// marks that originate from *this scheme's LL lowering* (an
+    /// `HtableSet` immediately followed by a `MonitorArm` on the same
+    /// address). No engine path runs that optimizer: the benchmark in
+    /// `e2ebench/` is the only caller of either, and both go when it
+    /// next changes.
     ///
     /// Legality: dropping a redundant LL-origin mark only risks this
     /// vCPU's own SC failing spuriously — architecturally legal on ARM.

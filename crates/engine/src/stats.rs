@@ -172,33 +172,21 @@ counter_table! {
     /// the stop-the-world fallback (HST-HTM's exclusive SC, PICO-HTM's
     /// exclusive region when `htm_degrade_after` is enabled).
     degradations: count sum,
-    /// Hot blocks promoted into tier-2 superblocks by this vCPU (the
-    /// vCPU that won the promotion claim and built the superblock).
+    /// Always 0: the engine has one translation tier. Kept only
+    /// because the frozen `e2ebench/` reads it; it goes at the next
+    /// change to the benchmark.
     promotions: count sum,
-    /// Deopt side exits taken: executions that left a superblock early,
-    /// back to the block-granular tier.
+    /// Always 0, kept for `e2ebench/` like `promotions`.
     deopts: count sum,
-    /// Original-block boundaries retired inside superblocks (these
-    /// blocks are also counted in `blocks`; this splits the tiers).
-    tier_blocks: count sum,
-    /// Guest instructions retired inside superblocks (also counted in
-    /// `insns`).
+    /// Always 0, kept for `e2ebench/` like `promotions`.
     tier_insns: count sum,
-    /// Dead flag writes eliminated by the promotion-time optimizer.
-    opt_nzcv_killed: count sum,
-    /// Ops folded/propagated by the promotion-time optimizer.
-    opt_const_folded: count sum,
-    /// Duplicate LL-origin hash-table marks coalesced by the
-    /// promotion-time optimizer.
-    opt_htable_coalesced: count sum,
     /// Invalidation batches this vCPU triggered: SMC stores over
     /// translated code plus injected invalidation-storm events.
     invalidations: count sum,
     /// Generational cache flushes this vCPU triggered under the
     /// `cache_limit` memory budget.
     flushes: count sum,
-    /// Blocks this vCPU retired across invalidations and flushes
-    /// (original blocks plus demoted superblocks).
+    /// Blocks this vCPU retired across invalidations and flushes.
     retired_blocks: count sum,
     /// Limbo blocks this vCPU physically freed after their QSBR grace
     /// period elapsed.
@@ -295,9 +283,6 @@ impl VcpuStats {
                 s.degradations,
                 s.exclusive_entries,
             ),
-            ("tier_blocks ≤ blocks", s.tier_blocks, s.blocks),
-            ("tier_insns ≤ insns", s.tier_insns, s.insns),
-            ("deopts ≤ tier_blocks", s.deopts, s.tier_blocks),
             (
                 "sc_failures_injected ≤ sc_failures",
                 s.sc_failures_injected,

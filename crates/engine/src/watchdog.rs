@@ -88,11 +88,10 @@ impl WatchdogDump {
     /// structured and rendered into the text report.
     pub fn attach_occupancy(&mut self, occupancy: CacheOccupancy) {
         self.report.push_str(&format!(
-            "translation cache: {} live blocks, {} superblocks, {} arena bytes \
-             (peak {}), {} invalidations, {} flushes, {} retired, {} reclaimed \
+            "translation cache: {} live blocks, {} arena bytes (peak {}), \
+             {} invalidations, {} flushes, {} retired, {} reclaimed \
              ({} whole segments)\n",
             occupancy.live_blocks,
-            occupancy.live_superblocks,
             occupancy.arena_bytes,
             occupancy.peak_bytes,
             occupancy.invalidations,

@@ -7,7 +7,7 @@
 //!
 //! Each seed generates one racy-but-result-deterministic guest program
 //! and runs it across every scheme × {sim, sim+chaos, sim+prof,
-//! threaded, threaded+tiered, scheduled} cell; all cells must agree on
+//! threaded, scheduled} cell; all cells must agree on
 //! outcomes and final memory, match the generator's static predictions,
 //! and pass the counter-invariant suite. The `sim+prof` cell is the
 //! contention profiler's purity oracle: profiling on must change

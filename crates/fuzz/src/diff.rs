@@ -1,8 +1,8 @@
 //! The differential execution matrix and its oracle.
 //!
 //! One seed's program runs in every cell of
-//! `scheme × {sim, sim+chaos, sim+prof, threaded, threaded+tiered,
-//! scheduled}`. The first cell (reference scheme, plain sim) is the
+//! `scheme × {sim, sim+chaos, sim+prof, threaded, scheduled}`. The
+//! first cell (reference scheme, plain sim) is the
 //! reference; every other cell must agree with it on the outcome vector
 //! and the full final memory image — code pages included, so
 //! deterministic SMC patches must land identically everywhere. The
@@ -35,8 +35,8 @@ use std::fmt::Write as _;
 /// The non-scheme axes of the matrix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CellMode {
-    /// Deterministic simulated multicore, untiered, chaos off — the
-    /// reference configuration.
+    /// Deterministic simulated multicore, chaos off — the reference
+    /// configuration.
     Sim,
     /// Sim with the deterministic fault-injection campaign (SC-failure
     /// injection plus an invalidation storm).
@@ -44,11 +44,8 @@ pub enum CellMode {
     /// Sim with the guest-PC contention profiler enabled — the purity
     /// oracle: profiling must never change outcomes or memory.
     SimProfiled,
-    /// Real OS threads, untiered, watchdog armed.
+    /// Real OS threads, watchdog armed.
     Threaded,
-    /// Real OS threads with aggressive tiering (sim never tiers, so
-    /// this is the cell that makes the tiering axis meaningful).
-    ThreadedTiered,
     /// Scheduled engine at one-instruction atoms — the cell whose
     /// recorded trace `adbt_run --replay` re-executes.
     Scheduled,
@@ -56,12 +53,11 @@ pub enum CellMode {
 
 impl CellMode {
     /// Every mode, in matrix order (reference first).
-    pub const ALL: [CellMode; 6] = [
+    pub const ALL: [CellMode; 5] = [
         CellMode::Sim,
         CellMode::SimChaos,
         CellMode::SimProfiled,
         CellMode::Threaded,
-        CellMode::ThreadedTiered,
         CellMode::Scheduled,
     ];
 
@@ -71,7 +67,6 @@ impl CellMode {
             CellMode::SimChaos => "sim+chaos",
             CellMode::SimProfiled => "sim+prof",
             CellMode::Threaded => "threaded",
-            CellMode::ThreadedTiered => "threaded+tier",
             CellMode::Scheduled => "sched",
         }
     }
@@ -92,7 +87,7 @@ pub struct Cell {
 }
 
 impl Cell {
-    /// Display name, e.g. `pico-cas/threaded+tier` or `auto[hst]/sim`.
+    /// Display name, e.g. `pico-cas/threaded` or `auto[hst]/sim`.
     pub fn name(&self) -> String {
         if self.auto {
             format!("auto[{}]/{}", self.scheme, self.mode.tag())
@@ -118,15 +113,11 @@ pub struct FuzzOpts {
     pub watchdog_ms: u64,
     /// Atom budget for scheduled cells.
     pub max_atoms: u64,
-    /// Tier threshold for the tiered cell.
-    pub tier_threshold: u32,
-    /// Superblock limit for the tiered cell.
-    pub superblock_limit: u32,
     /// Guest memory per cell.
     pub mem_size: u32,
     /// Add adaptive (`--scheme auto`) cells to the matrix: one per
     /// mode, starting on HST under the strong policy. Off by default —
-    /// the static 8×6 matrix is already the expensive part.
+    /// the static 8×5 matrix is already the expensive part.
     pub auto: bool,
     /// Arbitration epoch for the adaptive cells, in retired
     /// instructions. Aggressively short so migrations actually fire
@@ -143,8 +134,6 @@ impl Default for FuzzOpts {
             chaos_invalidate: 0.02,
             watchdog_ms: 10_000,
             max_atoms: 4_000_000,
-            tier_threshold: 8,
-            superblock_limit: 8,
             mem_size: 8 << 20,
             auto: false,
             adapt_epoch: 500,
@@ -195,11 +184,6 @@ impl FuzzOpts {
             }
             CellMode::SimProfiled => cfg.profile = true,
             CellMode::Threaded => cfg.watchdog_ms = self.watchdog_ms,
-            CellMode::ThreadedTiered => {
-                cfg.watchdog_ms = self.watchdog_ms;
-                cfg.tier_threshold = self.tier_threshold;
-                cfg.superblock_limit = self.superblock_limit;
-            }
         }
         cfg
     }
@@ -207,7 +191,7 @@ impl FuzzOpts {
     fn exec_mode(&self, cell: Cell) -> ExecMode {
         match cell.mode {
             CellMode::Sim | CellMode::SimChaos | CellMode::SimProfiled => ExecMode::Sim,
-            CellMode::Threaded | CellMode::ThreadedTiered => ExecMode::Threaded,
+            CellMode::Threaded => ExecMode::Threaded,
             CellMode::Scheduled => ExecMode::Scheduled {
                 max_atoms: self.max_atoms,
             },
@@ -657,7 +641,7 @@ mod tests {
             ..FuzzOpts::default()
         };
         let result = run_seed(3, &opts);
-        assert_eq!(result.cells, 12);
+        assert_eq!(result.cells, 10);
         assert!(
             result.divergence.is_none(),
             "{:?}",

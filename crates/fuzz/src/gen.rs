@@ -2,8 +2,7 @@
 //!
 //! Programs are built so their *results* are schedule-independent even
 //! though their *executions* race freely — that is what makes them
-//! usable as a differential oracle across schemes, modes, tiering, and
-//! chaos:
+//! usable as a differential oracle across schemes, modes, and chaos:
 //!
 //! - every shared word is assigned one commutative-associative RMW op
 //!   class (`add`, `eor`, `orr`, or `and`) and every writer of that word
@@ -19,11 +18,11 @@
 //!   just cross-cell agreement.
 //!
 //! The grammar deliberately leans on the engine's sore spots: LL/SC
-//! retry loops (scheme hot path), counted loops (tier promotion), plain
+//! retry loops (scheme hot path), counted loops (chained hot code), plain
 //! stores adjacent to code (SMC false sharing), stores straddling page
 //! boundaries (PST remap windows), byte/halfword loads from monitored
 //! words, `clrex` between atomics, and a self-modifying patch loop in
-//! the `SMC_SELF` shape that is deterministic in every mode and tier.
+//! the `SMC_SELF` shape that is deterministic in every mode.
 
 use crate::rng::SplitMix64;
 use adbt::workloads::rt;
@@ -155,7 +154,7 @@ pub enum Action {
         /// ALU immediate (≤ 4095).
         imm: u32,
     },
-    /// A counted loop of atomic RMWs — tier-promotion bait around the
+    /// A counted loop of atomic RMWs — chained hot code around the
     /// scheme hot path.
     RmwLoop {
         /// Shared-word index.
@@ -216,7 +215,7 @@ pub enum Action {
     },
     /// The `SMC_SELF` shape: a two-iteration loop that patches its own
     /// head from a donor instruction near the loop end. Contributes
-    /// `1 + delta` to the accumulator in every mode and tier.
+    /// `1 + delta` to the accumulator in every mode.
     SmcPatch {
         /// The donor instruction's accumulator delta (≤ 4095).
         delta: u32,

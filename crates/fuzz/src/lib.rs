@@ -1,11 +1,11 @@
 //! # adbt-fuzz — cross-scheme differential fuzzer
 //!
-//! The repository's schemes, modes, tiers, and chaos plane are each
+//! The repository's schemes, modes, and chaos plane are each
 //! tested in isolation; this crate tests their *agreement*. A
 //! seed-replayable generator (see [`gen`]) emits racy-but-
 //! result-deterministic guest programs, and the differential runner
 //! (see [`diff`]) executes each one across every scheme ×
-//! {sim, sim+chaos, threaded, threaded+tiered, scheduled} cell,
+//! {sim, sim+chaos, sim+prof, threaded, scheduled} cell,
 //! requiring identical outcomes and final memory everywhere — plus
 //! agreement with the generator's static predictions, plus the
 //! counter-invariant suite per cell. Any disagreement is minimized by

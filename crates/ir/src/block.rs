@@ -96,9 +96,8 @@ impl Eq for ChainLink {}
 
 /// A one-way invalidation flag on a cached block, raised (inside a
 /// stop-the-world window) when the block's guest code is overwritten or
-/// the cache is flushed. Interior superblock safepoints check it after
-/// a park so a vCPU resuming inside a stale superblock deopts to the
-/// block tier instead of finishing stale stitched code.
+/// the cache is flushed. Retirement checks it so a block retires once,
+/// and reclamation checks it before freeing the block.
 ///
 /// Like [`ChainLink`], this is cache-entry metadata, not translated
 /// code: `Clone` yields a fresh (clear) flag and equality ignores it.
@@ -209,11 +208,6 @@ pub struct Block {
     pub guest_stores: u32,
     /// Whether the block contains an LL or SC (profile metadata).
     pub has_llsc: bool,
-    /// Whether this is a stitched superblock (tier 2). Superblocks carry
-    /// their own per-segment statistics charging ([`Op::Boundary`]) and
-    /// safepoint polls ([`Op::Safepoint`]), so the executor skips the
-    /// per-block entry charge for them.
-    pub superblock: bool,
     /// Per-exit successor links, patched on first traversal by the
     /// dispatch loop (ignored by `Clone`/`PartialEq`; see [`ChainLink`]).
     pub links: ExitLinks,
@@ -340,7 +334,6 @@ impl BlockBuilder {
             temps: self.next_temp,
             guest_stores,
             has_llsc: self.has_llsc,
-            superblock: false,
             links: ExitLinks::default(),
             invalidated: InvalidFlag::default(),
         }

@@ -1,4 +1,4 @@
-use adbt_isa::{AluOp, Cond};
+use adbt_isa::AluOp;
 use adbt_mmu::Width;
 use std::fmt;
 
@@ -240,40 +240,6 @@ pub enum Op {
         addr: Src,
         /// The right-hand operand.
         operand: Src,
-    },
-    /// Superblock-only: an original-block boundary inside a stitched
-    /// superblock. Charges the per-block statistics (`blocks`, `insns`
-    /// and the tier counters) that block-granular dispatch charges on
-    /// entry, so tiered and untiered runs account identically.
-    Boundary {
-        /// Guest instructions in the original block this boundary opens.
-        insns: u32,
-    },
-    /// Superblock-only: poll the stop-the-world safepoint. Emitted at
-    /// every interior original-block boundary so a superblock never
-    /// delays an exclusive requester longer than one original block —
-    /// the same bound block-granular dispatch provides.
-    ///
-    /// `resume_pc` is the guest address of the original block the
-    /// safepoint opens. If the superblock is invalidated while this
-    /// vCPU is parked at the poll (a stop-the-world window is exactly
-    /// where invalidation runs), execution deopts here and resumes at
-    /// `resume_pc` in the block-granular tier instead of finishing the
-    /// stale stitched code.
-    Safepoint {
-        /// Guest address block-granular dispatch resumes at on deopt.
-        resume_pc: u32,
-    },
-    /// Superblock-only: a deopt side exit guarding an interior
-    /// conditional branch. When `cond` holds on the current flags,
-    /// execution leaves the superblock at `target` and control returns
-    /// to the block-granular tier; otherwise it falls through into the
-    /// next stitched segment.
-    SideExit {
-        /// Exit predicate, evaluated against NZCV.
-        cond: Cond,
-        /// Guest address execution continues at on exit.
-        target: u32,
     },
 }
 

@@ -3,10 +3,10 @@
 //! HST-family lowering marks the store-test hash table inline
 //! ([`Op::HtableSet`]) from two places: every architectural guest store,
 //! and every LL (where the mark immediately precedes the
-//! [`Op::MonitorArm`] that arms the monitor). Within one superblock a
-//! hot loop often re-marks the same address over and over; only the
-//! last writer's id matters to the table, so duplicates are pure
-//! overhead.
+//! [`Op::MonitorArm`] that arms the monitor). Within one block a loop
+//! body unrolled into straight-line code can re-mark the same address
+//! several times; only the last writer's id matters to the table, so
+//! duplicates are pure overhead.
 //!
 //! **Legality.** Only *LL-origin* marks — an `HtableSet` immediately
 //! followed by a `MonitorArm` on the same address operand — are ever
@@ -50,10 +50,7 @@ fn written_slot(op: &Op) -> Option<Slot> {
         | Op::HtableSet { .. }
         | Op::Yield
         | Op::Window
-        | Op::MonitorClear
-        | Op::Boundary { .. }
-        | Op::Safepoint { .. }
-        | Op::SideExit { .. } => None,
+        | Op::MonitorClear => None,
     }
 }
 
@@ -109,7 +106,7 @@ mod tests {
 
     #[test]
     fn duplicate_ll_marks_coalesce() {
-        // Two LLs of the same address in one superblock: the second
+        // Two LLs of the same address in one block: the second
         // mark is dropped, its monitor arm kept.
         let a = Src::Slot(Slot::Reg(4));
         let mut ops = vec![set(a), arm(a), set(a), arm(a)];

@@ -9,9 +9,7 @@
 //!
 //! [`Op::Helper`] is a full barrier: helpers receive mutable vCPU state
 //! and may rewrite any register or temp, so every known value is
-//! dropped. Side exits, safepoints and boundaries do not disturb the
-//! map — the fallthrough path's values are unchanged by a branch not
-//! taken.
+//! dropped.
 
 use crate::{AluOp, Op, Slot, Src};
 use std::collections::HashMap;
@@ -182,13 +180,7 @@ pub fn fold_constants(ops: &mut [Op]) -> u64 {
                 changed |= rewrite(operand, &known);
                 known.remove(dst);
             }
-            Op::Fence
-            | Op::Yield
-            | Op::Window
-            | Op::MonitorClear
-            | Op::Boundary { .. }
-            | Op::Safepoint { .. }
-            | Op::SideExit { .. } => {}
+            Op::Fence | Op::Yield | Op::Window | Op::MonitorClear => {}
         }
         if changed {
             folded += 1;

@@ -1,7 +1,10 @@
-//! The promotion-time IR optimization pipeline (tier 2).
+//! A block-local IR optimization pipeline.
 //!
-//! Runs over a stitched superblock's ops exactly once, when a hot block
-//! is promoted. Three passes, in a fixed order:
+//! No engine path runs it: the engine has one translation tier, which
+//! executes blocks as translated. The benchmark in `e2ebench/` is its
+//! only caller (it reports what the passes would eliminate per block);
+//! the module goes when that benchmark next changes. Three passes, in a
+//! fixed order:
 //!
 //! 1. **HST mark coalescing** ([`coalesce_htable_marks`]) — first,
 //!    because it pattern-matches the raw `HtableSet` + `MonitorArm`
@@ -15,8 +18,7 @@
 //!
 //! All passes are purely local to one op vector: they never reorder
 //! ops, never touch memory-op ordering, and treat [`crate::Op::Helper`]
-//! as a full barrier. Legality arguments live with each pass (and in
-//! DESIGN.md §3g).
+//! as a full barrier. Legality arguments live with each pass.
 
 mod coalesce;
 mod fold;
@@ -37,7 +39,7 @@ pub struct OptConfig {
     pub coalesce_htable_marks: bool,
 }
 
-/// What each pass eliminated, for the `tiering` stats section.
+/// What each pass eliminated.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PassStats {
     /// Flag writes cleared (or whole compare ops removed) by dead-NZCV
@@ -56,7 +58,7 @@ impl PassStats {
     }
 }
 
-/// Runs the full pipeline over one (super)block's ops.
+/// Runs the full pipeline over one block's ops.
 pub fn optimize(ops: &mut Vec<Op>, exit: &BlockExit, cfg: &OptConfig) -> PassStats {
     let mut stats = PassStats::default();
     if cfg.coalesce_htable_marks {

@@ -3,7 +3,7 @@
 //! A backward per-flag liveness scan. Flags are live at the block's
 //! final exit (whatever successor runs next may read them — flags are
 //! architectural state) and at every point control can leave the block
-//! early ([`Op::SideExit`], [`Op::Helper`] traps, pause points): each
+//! early ([`Op::Helper`] traps, pause points): each
 //! such op makes all four flags live again. Between those points, a
 //! flag write whose every written flag is overwritten before any read
 //! is dead: the `set_flags` is cleared, and a pure compare
@@ -143,9 +143,9 @@ pub fn kill_dead_nzcv(ops: &mut Vec<Op>, exit: &BlockExit) -> u64 {
                 }
                 live = live.union(reads);
             }
-            // Control can leave the block here (deopt, trap, pause) or
-            // the callee can observe vCPU state: everything is live.
-            Op::SideExit { .. } | Op::Helper { .. } | Op::Yield | Op::Window => {
+            // Control can leave the block here (trap, pause) or the
+            // callee can observe vCPU state: everything is live.
+            Op::Helper { .. } | Op::Yield | Op::Window => {
                 live = ALL;
             }
             // No flag effects.
@@ -158,9 +158,7 @@ pub fn kill_dead_nzcv(ops: &mut Vec<Op>, exit: &BlockExit) -> u64 {
             | Op::MonitorArm { .. }
             | Op::MonitorScCas { .. }
             | Op::MonitorClear
-            | Op::AtomicRmw { .. }
-            | Op::Boundary { .. }
-            | Op::Safepoint { .. } => {}
+            | Op::AtomicRmw { .. } => {}
         }
     }
     // `remove` is in descending index order, so each removal leaves the
@@ -251,19 +249,20 @@ mod tests {
     }
 
     #[test]
-    fn side_exit_revives_flags() {
-        // The first movs' N,Z are read by nothing locally, but a side
-        // exit between it and the overwrite hands control (and flags)
-        // back to the block tier — nothing may die across it.
+    fn helper_revives_flags() {
+        // The first movs' N,Z are read by nothing locally, but a helper
+        // between it and the overwrite sees the vCPU's flags and may
+        // trap out of the block — nothing may die across it.
         let mut ops = vec![
             Op::Mov {
                 dst: Slot::Temp(0),
                 src: Src::Imm(0),
                 set_flags: true,
             },
-            Op::SideExit {
-                cond: Cond::Eq,
-                target: 0x100,
+            Op::Helper {
+                id: crate::HelperId(0),
+                args: Vec::new(),
+                ret: None,
             },
             subs(Some(Slot::Reg(0))),
         ];

@@ -116,11 +116,6 @@ fn print_op(op: &Op) -> String {
             addr,
             operand,
         } => format!("atomic_{op:?} {dst}, [{addr}], {operand}").to_lowercase(),
-        Op::Boundary { insns } => format!("boundary ({insns} insns)"),
-        Op::Safepoint { resume_pc } => format!("safepoint (resume {resume_pc:#x})"),
-        Op::SideExit { cond, target } => {
-            format!("side_exit if {cond:?} -> {target:#x}").to_lowercase()
-        }
     }
 }
 
@@ -186,12 +181,6 @@ mod tests {
         });
         b.push(Op::Yield);
         b.push(Op::Window);
-        b.push(Op::Boundary { insns: 3 });
-        b.push(Op::Safepoint { resume_pc: 0x40 });
-        b.push(Op::SideExit {
-            cond: crate::Cond::Ne,
-            target: 0x40,
-        });
         let text = print_block(&b.finish(BlockExit::Jump(4), 12));
         for needle in [
             "movs t0",
@@ -207,9 +196,6 @@ mod tests {
             "helper#1(t0)",
             "yield",
             "window",
-            "boundary (3 insns)",
-            "safepoint (resume 0x40)",
-            "side_exit if ne -> 0x40",
             "-> jump 0x4",
         ] {
             assert!(text.contains(needle), "missing `{needle}` in:\n{text}");

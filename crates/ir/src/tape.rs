@@ -10,7 +10,7 @@
 //! each kind its meaning).
 
 use crate::block::MAX_HELPER_ARGS;
-use crate::{AluOp, Cond, HelperId, Op, RmwOp, Slot, Src, Width};
+use crate::{AluOp, HelperId, Op, RmwOp, Slot, Src, Width};
 
 /// Slot-file entries taken by the guest registers: `r<n>` lives at index
 /// `n` and temp `t` at `REG_SLOTS + t`.
@@ -241,30 +241,13 @@ pub enum Entry {
         /// The right-hand operand.
         operand: Val,
     },
-    /// [`Op::Boundary`].
-    Boundary {
-        /// Guest instructions in the original block.
-        insns: u32,
-    },
-    /// [`Op::Safepoint`].
-    Safepoint {
-        /// Guest address block-granular dispatch resumes at on deopt.
-        resume_pc: u32,
-    },
-    /// [`Op::SideExit`].
-    SideExit {
-        /// Exit predicate.
-        cond: Cond,
-        /// Guest address execution continues at on exit.
-        target: u32,
-    },
     /// Two operands of the operand pool that follows the op entries;
     /// never executed.
     Operands([Val; 2]),
 }
 
 /// A block's pre-decoded ops: entry `i` executes op `i`, so op indices
-/// (pause points, deopt sites) mean the same on the tape.
+/// (pause points) mean the same on the tape.
 ///
 /// One exact-size allocation holds the op entries followed by the
 /// operand pool of the ops whose operands do not fit an entry (helper
@@ -540,9 +523,6 @@ impl Lowering {
                 addr: val(addr),
                 operand: val(operand),
             },
-            Op::Boundary { insns } => Entry::Boundary { insns },
-            Op::Safepoint { resume_pc } => Entry::Safepoint { resume_pc },
-            Op::SideExit { cond, target } => Entry::SideExit { cond, target },
         }
     }
 }
@@ -577,9 +557,6 @@ mod tests {
             Entry::MonitorScCas { .. } => "MonitorScCas",
             Entry::MonitorClear => "MonitorClear",
             Entry::AtomicRmw { .. } => "AtomicRmw",
-            Entry::Boundary { .. } => "Boundary",
-            Entry::Safepoint { .. } => "Safepoint",
-            Entry::SideExit { .. } => "SideExit",
             Entry::Operands(_) => "Operands",
         }
     }
@@ -592,18 +569,7 @@ mod tests {
         let dsts = [Slot::Reg(2), t0];
         let srcs = [Src::Slot(Slot::Reg(3)), Src::Slot(t1), Src::Imm(7)];
         let widths = [Width::Byte, Width::Half, Width::Word];
-        let mut ops = vec![
-            Op::Fence,
-            Op::Yield,
-            Op::Window,
-            Op::MonitorClear,
-            Op::Boundary { insns: 3 },
-            Op::Safepoint { resume_pc: 0x40 },
-            Op::SideExit {
-                cond: Cond::Ne,
-                target: 0x80,
-            },
-        ];
+        let mut ops = vec![Op::Fence, Op::Yield, Op::Window, Op::MonitorClear];
         for dst in dsts {
             ops.push(Op::InsertHigh { dst, imm: 0x1234 });
             for src in srcs {
@@ -721,7 +687,7 @@ mod tests {
         for (kind, variants) in &variants_of {
             assert_eq!(variants.len(), 1, "{kind} serves {variants:?}");
         }
-        assert_eq!(variants_of.len(), 25, "every kind but Operands is used");
+        assert_eq!(variants_of.len(), 22, "every kind but Operands is used");
         assert!(!variants_of.contains_key("Operands"));
     }
 

@@ -54,11 +54,7 @@ fn context(row: &ProfRow) -> String {
 
 fn top_rows(rows: &[ProfRow], metric: Metric, n: usize) -> Vec<ProfRow> {
     let mut hot: Vec<ProfRow> = rows.iter().filter(|r| r.get(metric) > 0).cloned().collect();
-    hot.sort_by(|a, b| {
-        b.get(metric)
-            .cmp(&a.get(metric))
-            .then_with(|| (a.pc, a.tier as u8).cmp(&(b.pc, b.tier as u8)))
-    });
+    hot.sort_by(|a, b| b.get(metric).cmp(&a.get(metric)).then(a.pc.cmp(&b.pc)));
     hot.truncate(n);
     hot
 }
@@ -75,14 +71,13 @@ fn print_table(doc: &ProfDoc, metric: Metric, n: usize) {
     };
     println!("== top {} by {}{unit} ==", hot.len(), metric.name());
     println!(
-        "{:>14}  {:<5} {:>10}  {:<20} disassembly",
-        "value", "tier", "pc", "symbol"
+        "{:>14}  {:>10}  {:<20} disassembly",
+        "value", "pc", "symbol"
     );
     for row in &hot {
         println!(
-            "{:>14}  {:<5} {:#010x}  {:<20} {}",
+            "{:>14}  {:#010x}  {:<20} {}",
             row.get(metric),
-            row.tier.name(),
             row.pc,
             row.symbol,
             context(row)
@@ -198,14 +193,12 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adbt_profile::Tier;
 
     fn row(pc: u32, fails: u64) -> ProfRow {
         let mut counts = [0u64; Metric::COUNT];
         counts[Metric::ScFail as usize] = fails;
         ProfRow {
             pc,
-            tier: Tier::Block,
             symbol: "loop+0x4".to_string(),
             insn: adbt_isa::encode(&adbt_isa::Insn::Svc { imm: 0 }),
             counts,
@@ -221,48 +214,28 @@ mod tests {
     }
 
     /// Byte-stability regression for `--ci` runs: the top-N order is a
-    /// pure function of the row *values* — (metric desc, then (pc, tier)
-    /// asc) — never of the input order, so two permutations of the same
-    /// rows render identical tables across rebuilds.
+    /// pure function of the row *values* — (metric desc, then pc asc) —
+    /// never of the input order, so two permutations of the same rows
+    /// render identical tables across rebuilds.
     #[test]
     fn top_rows_order_is_independent_of_input_order() {
-        let tiered = |pc: u32, tier: Tier, fails: u64| ProfRow {
-            tier,
-            ..row(pc, fails)
-        };
-        // Adversarial ties: equal metric values across different PCs,
-        // and the same PC at both tiers.
-        let rows = vec![
-            tiered(0x40, Tier::Super, 9),
-            row(0x10, 9),
-            tiered(0x10, Tier::Super, 9),
-            row(0x40, 9),
-            row(0x20, 3),
-            row(0x30, 9),
-        ];
+        // Adversarial ties: equal metric values across different PCs.
+        let rows = vec![row(0x40, 9), row(0x10, 9), row(0x20, 3), row(0x30, 9)];
         let render = |rows: &[ProfRow]| {
             top_rows(rows, Metric::ScFail, 10)
                 .iter()
-                .map(|r| format!("{} {:#x} {}\n", r.get(Metric::ScFail), r.pc, r.tier.name()))
+                .map(|r| format!("{} {:#x}\n", r.get(Metric::ScFail), r.pc))
                 .collect::<String>()
         };
         let forward = render(&rows);
         let mut reversed = rows.clone();
         reversed.reverse();
         assert_eq!(forward, render(&reversed), "order must not leak through");
-        let expected: Vec<(u32, Tier)> = vec![
-            (0x10, Tier::Block),
-            (0x10, Tier::Super),
-            (0x30, Tier::Block),
-            (0x40, Tier::Block),
-            (0x40, Tier::Super),
-            (0x20, Tier::Block),
-        ];
-        let got: Vec<(u32, Tier)> = top_rows(&rows, Metric::ScFail, 10)
+        let got: Vec<u32> = top_rows(&rows, Metric::ScFail, 10)
             .iter()
-            .map(|r| (r.pc, r.tier))
+            .map(|r| r.pc)
             .collect();
-        assert_eq!(got, expected);
+        assert_eq!(got, [0x10, 0x30, 0x40, 0x20]);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! `adbt-isa` for disassembly context and uses the symbol as the
 //! flamegraph's `guest_fn` frame.
 
-use crate::{Metric, Overflow, ProfileEntry, Tier};
+use crate::{Metric, Overflow, ProfileEntry};
 use adbt_trace::validate::{json_string, parse_json, Json};
 
 /// One exported profile row: the counts plus the context the consumers
@@ -23,8 +23,6 @@ use adbt_trace::validate::{json_string, parse_json, Json};
 pub struct ProfRow {
     /// The attributed guest PC.
     pub pc: u32,
-    /// The tier the samples were taken in.
-    pub tier: Tier,
     /// Nearest preceding symbol, rendered `name+0xOFF` (`?` when the
     /// image had no symbol at or before the PC).
     pub symbol: String,
@@ -52,7 +50,7 @@ impl ProfRow {
 pub struct ProfVcpu {
     /// The vCPU's tid.
     pub tid: u32,
-    /// The vCPU's rows, sorted by `(pc, tier)`.
+    /// The vCPU's rows, sorted by pc.
     pub rows: Vec<ProfRow>,
     /// The vCPU's overflow bucket.
     pub overflow: Overflow,
@@ -87,7 +85,6 @@ pub fn resolve_rows(
         .iter()
         .map(|e| ProfRow {
             pc: e.pc,
-            tier: e.tier,
             symbol: symbol(e.pc),
             insn: insn(e.pc),
             counts: e.counts,
@@ -102,9 +99,8 @@ fn render_counts(counts: &[u64; Metric::COUNT]) -> String {
 
 fn render_row(row: &ProfRow) -> String {
     format!(
-        "{{\"pc\":\"{:#010x}\",\"tier\":\"{}\",\"symbol\":{},\"insn\":{},\"counts\":{}}}",
+        "{{\"pc\":\"{:#010x}\",\"symbol\":{},\"insn\":{},\"counts\":{}}}",
         row.pc,
-        row.tier.name(),
         json_string(&row.symbol),
         row.insn,
         render_counts(&row.counts)
@@ -205,11 +201,6 @@ fn parse_counts(obj: &Json, ctx: &str) -> Result<[u64; Metric::COUNT], String> {
 
 fn parse_row(obj: &Json, ctx: &str) -> Result<ProfRow, String> {
     let pc = parse_u32_field(obj, "pc", ctx)?;
-    let tier = obj
-        .get("tier")
-        .and_then(Json::as_str)
-        .and_then(Tier::from_name)
-        .ok_or_else(|| format!("{ctx}: missing or unknown tier"))?;
     let symbol = obj
         .get("symbol")
         .and_then(Json::as_str)
@@ -218,7 +209,6 @@ fn parse_row(obj: &Json, ctx: &str) -> Result<ProfRow, String> {
     let insn = parse_u32_field(obj, "insn", ctx)?;
     Ok(ProfRow {
         pc,
-        tier,
         symbol,
         insn,
         counts: parse_counts(obj, ctx)?,
@@ -300,23 +290,20 @@ pub fn parse(text: &str) -> Result<ProfDoc, String> {
 }
 
 /// The full schema gate (`adbt_prof --ci`): parse, then check that the
-/// merged section is exactly the per-vCPU sum per `(pc, tier, metric)`
+/// merged section is exactly the per-vCPU sum per `(pc, metric)`
 /// — the same merged-equals-Σ discipline the stats plane keeps.
 pub fn validate(text: &str) -> Result<ProfDoc, String> {
     let doc = parse(text)?;
-    let mut summed: Vec<(u32, Tier, [u64; Metric::COUNT])> = Vec::new();
+    let mut summed: Vec<(u32, [u64; Metric::COUNT])> = Vec::new();
     for vcpu in &doc.vcpus {
         for row in &vcpu.rows {
-            match summed
-                .iter_mut()
-                .find(|(pc, tier, _)| *pc == row.pc && *tier == row.tier)
-            {
-                Some((_, _, counts)) => {
+            match summed.iter_mut().find(|(pc, _)| *pc == row.pc) {
+                Some((_, counts)) => {
                     for (dst, src) in counts.iter_mut().zip(row.counts) {
                         *dst += src;
                     }
                 }
-                None => summed.push((row.pc, row.tier, row.counts)),
+                None => summed.push((row.pc, row.counts)),
             }
         }
     }
@@ -328,22 +315,14 @@ pub fn validate(text: &str) -> Result<ProfDoc, String> {
         ));
     }
     for row in &doc.merged {
-        let Some((_, _, counts)) = summed
-            .iter()
-            .find(|(pc, tier, _)| *pc == row.pc && *tier == row.tier)
-        else {
+        let Some((_, counts)) = summed.iter().find(|(pc, _)| *pc == row.pc) else {
             return Err(format!(
-                "merged row {:#010x}/{} absent from per-vCPU sections",
-                row.pc,
-                row.tier.name()
+                "merged row {:#010x} absent from per-vCPU sections",
+                row.pc
             ));
         };
         if *counts != row.counts {
-            return Err(format!(
-                "merged row {:#010x}/{} ≠ per-vCPU sum",
-                row.pc,
-                row.tier.name()
-            ));
+            return Err(format!("merged row {:#010x} ≠ per-vCPU sum", row.pc));
         }
     }
     Ok(doc)
@@ -358,7 +337,6 @@ mod tests {
         counts[Metric::ScFail as usize] = fails;
         ProfRow {
             pc,
-            tier: Tier::Block,
             symbol: format!("f+{:#x}", pc & 0xfff),
             insn: 0xE152_3F9C,
             counts,

@@ -2,9 +2,9 @@
 //!
 //! One line per profile row, `frame;frame;frame cost` — the format
 //! Brendan Gregg's `flamegraph.pl` and every compatible renderer eat.
-//! Our synthetic stack is `scheme;tier;guest_fn;0xPC`, so the graph
-//! groups cost by scheme, then tier, then guest function, with the
-//! exact instruction as the leaf. Air-gapped: no renderer ships in
+//! Our synthetic stack is `scheme;guest_fn;0xPC`, so the graph groups
+//! cost by scheme, then guest function, with the exact instruction as
+//! the leaf. Air-gapped: no renderer ships in
 //! tree, but [`parse_folded`] is the in-tree validator CI runs on the
 //! exporter's own output.
 
@@ -31,9 +31,8 @@ pub fn render_folded(scheme: &str, rows: &[ProfRow], metric: Metric) -> String {
             continue;
         }
         out.push_str(&format!(
-            "{};{};{};{:#010x} {}\n",
+            "{};{};{:#010x} {}\n",
             sanitize(scheme),
-            row.tier.name(),
             sanitize(row.guest_fn()),
             row.pc,
             cost
@@ -85,7 +84,6 @@ pub fn parse_folded(text: &str) -> Result<Vec<FoldedLine>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Tier;
 
     fn row(pc: u32, symbol: &str, fails: u64, waits: u64) -> ProfRow {
         let mut counts = [0u64; Metric::COUNT];
@@ -93,7 +91,6 @@ mod tests {
         counts[Metric::ExclWaitNs as usize] = waits;
         ProfRow {
             pc,
-            tier: Tier::Super,
             symbol: symbol.to_string(),
             insn: 0,
             counts,
@@ -109,15 +106,12 @@ mod tests {
         let folded = render_folded("pst", &rows, Metric::ScFail);
         let lines = parse_folded(&folded).expect("own output validates");
         assert_eq!(lines.len(), 1, "zero-cost row must be dropped");
-        assert_eq!(
-            lines[0].frames,
-            vec!["pst", "super", "victim", "0x00010000"]
-        );
+        assert_eq!(lines[0].frames, vec!["pst", "victim", "0x00010000"]);
         assert_eq!(lines[0].cost, 7);
 
         let by_wait = render_folded("pst", &rows, Metric::ExclWaitNs);
         let lines = parse_folded(&by_wait).unwrap();
-        assert_eq!(lines[0].frames[2], "attacker");
+        assert_eq!(lines[0].frames[1], "attacker");
         assert_eq!(lines[0].cost, 900);
     }
 
@@ -127,7 +121,7 @@ mod tests {
         let folded = render_folded("h s;t", &rows, Metric::ScFail);
         let lines = parse_folded(&folded).unwrap();
         assert_eq!(lines[0].frames[0], "h_s_t");
-        assert_eq!(lines[0].frames[2], "a_b_c");
+        assert_eq!(lines[0].frames[1], "a_b_c");
     }
 
     #[test]

@@ -3,10 +3,9 @@
 //! Machine-wide counters (`VcpuStats`) say *how much* a scheme pays for
 //! atomic emulation; the flight recorder says *when*. This crate says
 //! **where**: a fixed-size, open-addressed hash profile per vCPU, keyed
-//! by guest PC (and tier), charging SC failures, retry streaks,
-//! exclusive-entry waits, HTM aborts by reason, monitor clears, SMC
-//! invalidations, false sharing, and tier deopts to the guest address
-//! that incurred them.
+//! by guest PC, charging SC failures, retry streaks, exclusive-entry
+//! waits, HTM aborts by reason, monitor clears, SMC invalidations and
+//! false sharing to the guest address that incurred them.
 //!
 //! The discipline mirrors the flight recorder ([`adbt_trace`]): the
 //! *disabled* path is a single predicted branch (`Option::is_some` on
@@ -18,13 +17,10 @@
 //! writer; since every cell is one `AtomicU64`, the worst a racing read
 //! observes is a value one increment stale.
 //!
-//! Attribution PC: the engine keeps a "current segment PC" per vCPU —
-//! the entry PC of the translation block being executed, updated at
-//! every superblock safepoint so a sample taken inside a stitched
-//! superblock re-maps to the *original* block's guest PC (the same PC a
-//! deopt would resume at). Costs are therefore block-granular in the
-//! baseline tier and segment-granular (= original block PCs) inside
-//! superblocks; the tier rides along in the key so the two never mix.
+//! Attribution PC: the engine keeps a "current block PC" per vCPU — the
+//! entry PC of the translated block being executed — so costs are
+//! block-granular unless a charge site names its own PC (invalidation
+//! victims, safepoint parks, SC retry streaks).
 //!
 //! Overflow policy: the table holds [`PcProfile::CAPACITY`] slots and
 //! probes at most [`PcProfile::MAX_PROBE`] of them per charge. A charge
@@ -86,16 +82,11 @@ pub enum Metric {
     /// A monitored-page fault taken for someone else's unrelated word
     /// (the paper's false-sharing fault, PST family).
     FalseSharing = 11,
-    /// Execution left a superblock through a deopt side exit; charged
-    /// to the resume PC.
-    Deopt = 12,
-    /// A hot block at this PC was promoted into a tier-2 superblock.
-    Promote = 13,
 }
 
 impl Metric {
     /// Every metric, in wire (`counts` array) order.
-    pub const ALL: [Metric; 14] = [
+    pub const ALL: [Metric; 12] = [
         Metric::ScFail,
         Metric::ScStreak,
         Metric::ExclEntry,
@@ -108,8 +99,6 @@ impl Metric {
         Metric::Invalidation,
         Metric::SmcFalseSharing,
         Metric::FalseSharing,
-        Metric::Deopt,
-        Metric::Promote,
     ];
 
     /// The number of metrics (the length of every `counts` array).
@@ -131,8 +120,6 @@ impl Metric {
             Metric::Invalidation => "invalidation",
             Metric::SmcFalseSharing => "smc_false_sharing",
             Metric::FalseSharing => "false_sharing",
-            Metric::Deopt => "deopt",
-            Metric::Promote => "promote",
         }
     }
 
@@ -149,60 +136,11 @@ impl Metric {
     }
 }
 
-/// Which translation tier a sample was taken in. Part of the hash key:
-/// the same guest PC executing as a baseline block and as a superblock
-/// segment gets two entries, so tier cost shapes stay separable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Tier {
-    /// Baseline block-granular translation.
-    Block,
-    /// Tier-2 superblock (sample PC already re-mapped to the segment's
-    /// original block PC).
-    Super,
-}
-
-impl Tier {
-    /// Stable wire name (`.prof` documents, flamegraph frames).
-    pub fn name(self) -> &'static str {
-        match self {
-            Tier::Block => "block",
-            Tier::Super => "super",
-        }
-    }
-
-    /// Looks a tier up by its [`name`](Tier::name).
-    pub fn from_name(name: &str) -> Option<Tier> {
-        match name {
-            "block" => Some(Tier::Block),
-            "super" => Some(Tier::Super),
-            _ => None,
-        }
-    }
-
-    fn bit(self) -> u64 {
-        match self {
-            Tier::Block => 0,
-            Tier::Super => 1,
-        }
-    }
-
-    fn from_bit(bit: u64) -> Tier {
-        if bit == 0 {
-            Tier::Block
-        } else {
-            Tier::Super
-        }
-    }
-}
-
-/// One decoded profile row: a `(pc, tier)` key and its metric counts.
+/// One decoded profile row: a guest PC and its metric counts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ProfileEntry {
-    /// The guest PC costs were charged to (a block entry PC, or the
-    /// original block PC of a superblock segment).
+    /// The guest PC costs were charged to.
     pub pc: u32,
-    /// The tier the samples were taken in.
-    pub tier: Tier,
     /// One slot per [`Metric`], in [`Metric::ALL`] order.
     pub counts: [u64; Metric::COUNT],
 }
@@ -239,17 +177,17 @@ pub struct Overflow {
 /// One vCPU's decoded profile: the live rows plus the overflow bucket.
 #[derive(Clone, Debug, Default)]
 pub struct ProfileSnapshot {
-    /// Live rows, sorted by `(pc, tier)` for deterministic export.
+    /// Live rows, sorted by pc for deterministic export.
     pub entries: Vec<ProfileEntry>,
     /// The overflow bucket.
     pub overflow: Overflow,
 }
 
-/// Tag encoding: `(pc << 2) | (tier << 1) | 1`. The low bit makes every
-/// occupied tag nonzero (0 = empty slot), and pc/tier round-trip
-/// losslessly because a u64 tag has headroom above the u32 pc.
-fn tag_of(pc: u32, tier: Tier) -> u64 {
-    ((pc as u64) << 2) | (tier.bit() << 1) | 1
+/// Tag encoding: `(pc << 1) | 1`. The low bit makes every occupied tag
+/// nonzero (0 = empty slot), and the pc round-trips losslessly because
+/// a u64 tag has headroom above the u32 pc.
+fn tag_of(pc: u32) -> u64 {
+    ((pc as u64) << 1) | 1
 }
 
 /// The per-vCPU attribution table: fixed capacity, open addressing with
@@ -267,8 +205,8 @@ pub struct PcProfile {
 }
 
 impl PcProfile {
-    /// Slots per vCPU (power of two; 4096 × (1 tag + 14 counters) × 8 B
-    /// ≈ 480 KiB — fixed at construction, nothing on the hot path).
+    /// Slots per vCPU (power of two; 4096 × (1 tag + 12 counters) × 8 B
+    /// ≈ 416 KiB — fixed at construction, nothing on the hot path).
     pub const CAPACITY: usize = 1 << 12;
     /// Linear-probe bound per charge: past this, the charge goes to the
     /// overflow bucket instead of evicting or rehashing.
@@ -297,17 +235,17 @@ impl PcProfile {
         (tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - 12)) as usize
     }
 
-    /// Charges `amount` of `metric` to `(pc, tier)`. Writer-side only
+    /// Charges `amount` of `metric` to `pc`. Writer-side only
     /// (the owning vCPU's thread): tag publication and counter bumps
     /// are plain `Relaxed` load/store pairs — there is exactly one
     /// writer, and readers tolerate a stale value.
     #[inline]
-    pub fn charge(&self, pc: u32, tier: Tier, metric: Metric, amount: u64) {
+    pub fn charge(&self, pc: u32, metric: Metric, amount: u64) {
         if amount == 0 && metric.is_duration() {
             // Deterministic modes zero durations; skip the probe too.
             return;
         }
-        let tag = tag_of(pc, tier);
+        let tag = tag_of(pc);
         let mut idx = Self::home(tag) & (Self::CAPACITY - 1);
         for _ in 0..Self::MAX_PROBE {
             let cur = self.tags[idx].load(Ordering::Relaxed);
@@ -329,7 +267,7 @@ impl PcProfile {
         self.drops.store(d.wrapping_add(1), Ordering::Relaxed);
     }
 
-    /// Decodes the live rows (sorted by `(pc, tier)`) and the overflow
+    /// Decodes the live rows (sorted by pc) and the overflow
     /// bucket. Safe to call while the writer runs: counters are single
     /// `AtomicU64`s, so a racing read is at most one increment stale.
     pub fn snapshot(&self) -> ProfileSnapshot {
@@ -347,12 +285,11 @@ impl PcProfile {
                 continue;
             }
             entries.push(ProfileEntry {
-                pc: (tag >> 2) as u32,
-                tier: Tier::from_bit((tag >> 1) & 1),
+                pc: (tag >> 1) as u32,
                 counts,
             });
         }
-        entries.sort_by_key(|e| (e.pc, e.tier));
+        entries.sort_by_key(|e| e.pc);
         let mut overflow = Overflow {
             drops: self.drops.load(Ordering::Relaxed),
             ..Overflow::default()
@@ -399,7 +336,7 @@ impl ProfileRecorder {
         out
     }
 
-    /// The machine-wide merge: per-vCPU rows summed by `(pc, tier)`,
+    /// The machine-wide merge: per-vCPU rows summed by pc,
     /// overflow buckets summed — so merged totals are exactly the
     /// per-vCPU sums (the same discipline `VcpuStats::merge` keeps).
     pub fn merged(&self) -> ProfileSnapshot {
@@ -415,7 +352,7 @@ impl ProfileRecorder {
     }
 }
 
-/// Merges any number of snapshots by `(pc, tier)`.
+/// Merges any number of snapshots by pc.
 pub fn merge_snapshots<'a>(
     snapshots: impl IntoIterator<Item = &'a ProfileSnapshot>,
 ) -> ProfileSnapshot {
@@ -423,10 +360,7 @@ pub fn merge_snapshots<'a>(
     let mut overflow = Overflow::default();
     for snap in snapshots {
         for entry in &snap.entries {
-            match merged
-                .iter_mut()
-                .find(|e| e.pc == entry.pc && e.tier == entry.tier)
-            {
+            match merged.iter_mut().find(|e| e.pc == entry.pc) {
                 Some(e) => {
                     for (dst, src) in e.counts.iter_mut().zip(entry.counts) {
                         *dst += src;
@@ -440,7 +374,7 @@ pub fn merge_snapshots<'a>(
         }
         overflow.drops += snap.overflow.drops;
     }
-    merged.sort_by_key(|e| (e.pc, e.tier));
+    merged.sort_by_key(|e| e.pc);
     ProfileSnapshot {
         entries: merged,
         overflow,
@@ -459,7 +393,7 @@ pub fn top_entries(
         None => e.total_events(),
     };
     let mut ranked: Vec<ProfileEntry> = entries.iter().copied().filter(|e| value(e) > 0).collect();
-    ranked.sort_by_key(|e| (std::cmp::Reverse(value(e)), e.pc, e.tier));
+    ranked.sort_by_key(|e| (std::cmp::Reverse(value(e)), e.pc));
     ranked.truncate(n);
     ranked
 }
@@ -474,12 +408,7 @@ pub fn render_entry(entry: &ProfileEntry) -> String {
             parts.push(format!("{}={v}", metric.name()));
         }
     }
-    format!(
-        "pc={:#010x} tier={:<5} {}",
-        entry.pc,
-        entry.tier.name(),
-        parts.join(" ")
-    )
+    format!("pc={:#010x} {}", entry.pc, parts.join(" "))
 }
 
 #[cfg(test)]
@@ -504,41 +433,30 @@ mod tests {
     #[test]
     fn charge_and_snapshot_round_trip() {
         let p = PcProfile::new(1);
-        p.charge(0x1_0000, Tier::Block, Metric::ScFail, 1);
-        p.charge(0x1_0000, Tier::Block, Metric::ScFail, 2);
-        p.charge(0x1_0000, Tier::Super, Metric::Deopt, 1);
-        p.charge(0x2_0004, Tier::Block, Metric::ExclWaitNs, 500);
-        let snap = p.snapshot();
-        assert_eq!(snap.entries.len(), 3);
-        let first = &snap.entries[0];
-        assert_eq!((first.pc, first.tier), (0x1_0000, Tier::Block));
-        assert_eq!(first.get(Metric::ScFail), 3);
-        assert_eq!(snap.entries[1].tier, Tier::Super);
-        assert_eq!(snap.entries[1].get(Metric::Deopt), 1);
-        assert_eq!(snap.entries[2].get(Metric::ExclWaitNs), 500);
-        assert_eq!(snap.overflow.drops, 0);
-    }
-
-    #[test]
-    fn same_pc_different_tier_are_distinct_rows() {
-        let p = PcProfile::new(1);
-        p.charge(0x40, Tier::Block, Metric::ScFail, 1);
-        p.charge(0x40, Tier::Super, Metric::ScFail, 10);
+        p.charge(0x1_0000, Metric::ScFail, 1);
+        p.charge(0x1_0000, Metric::ScFail, 2);
+        p.charge(0x1_0000, Metric::MonitorClear, 1);
+        p.charge(0x2_0004, Metric::ExclWaitNs, 500);
         let snap = p.snapshot();
         assert_eq!(snap.entries.len(), 2);
-        assert_eq!(snap.entries[0].get(Metric::ScFail), 1);
-        assert_eq!(snap.entries[1].get(Metric::ScFail), 10);
+        let first = &snap.entries[0];
+        assert_eq!(first.pc, 0x1_0000);
+        assert_eq!(first.get(Metric::ScFail), 3);
+        assert_eq!(first.get(Metric::MonitorClear), 1);
+        assert_eq!(snap.entries[1].pc, 0x2_0004);
+        assert_eq!(snap.entries[1].get(Metric::ExclWaitNs), 500);
+        assert_eq!(snap.overflow.drops, 0);
     }
 
     #[test]
     fn zero_duration_charges_do_not_allocate_rows() {
         // Deterministic modes charge 0 ns; the row must not appear.
         let p = PcProfile::new(1);
-        p.charge(0x40, Tier::Block, Metric::ExclWaitNs, 0);
+        p.charge(0x40, Metric::ExclWaitNs, 0);
         assert!(p.snapshot().entries.is_empty());
         // A zero *count* charge still lands (it marks the site), but an
         // all-zero row is dropped from the snapshot.
-        p.charge(0x40, Tier::Block, Metric::ScFail, 0);
+        p.charge(0x40, Metric::ScFail, 0);
         assert!(p.snapshot().entries.is_empty());
     }
 
@@ -549,7 +467,7 @@ mod tests {
         // distinct PCs that some charges must overflow.
         let mut attributed = 0u64;
         for pc in 0..(PcProfile::CAPACITY as u32 + 4096) {
-            p.charge(pc * 4, Tier::Block, Metric::ScFail, 1);
+            p.charge(pc * 4, Metric::ScFail, 1);
             attributed += 1;
         }
         let snap = p.snapshot();
@@ -569,10 +487,9 @@ mod tests {
     #[test]
     fn recorder_merges_per_vcpu_tables() {
         let rec = ProfileRecorder::new();
-        rec.profile(1).charge(0x100, Tier::Block, Metric::ScFail, 2);
-        rec.profile(2).charge(0x100, Tier::Block, Metric::ScFail, 3);
-        rec.profile(2)
-            .charge(0x200, Tier::Block, Metric::MonitorClear, 1);
+        rec.profile(1).charge(0x100, Metric::ScFail, 2);
+        rec.profile(2).charge(0x100, Metric::ScFail, 3);
+        rec.profile(2).charge(0x200, Metric::MonitorClear, 1);
         let merged = rec.merged();
         assert_eq!(merged.entries.len(), 2);
         assert_eq!(merged.entries[0].get(Metric::ScFail), 5);
@@ -601,9 +518,9 @@ mod tests {
     #[test]
     fn top_n_ranks_by_metric_and_total() {
         let p = PcProfile::new(1);
-        p.charge(0x10, Tier::Block, Metric::ScFail, 5);
-        p.charge(0x20, Tier::Block, Metric::ScFail, 9);
-        p.charge(0x30, Tier::Block, Metric::Deopt, 100);
+        p.charge(0x10, Metric::ScFail, 5);
+        p.charge(0x20, Metric::ScFail, 9);
+        p.charge(0x30, Metric::MonitorClear, 100);
         let snap = p.snapshot();
         let by_fail = top_entries(&snap.entries, Some(Metric::ScFail), 8);
         assert_eq!(by_fail.len(), 2);
@@ -619,11 +536,10 @@ mod tests {
         counts[Metric::ScFail as usize] = 7;
         let line = render_entry(&ProfileEntry {
             pc: 0x1_0000,
-            tier: Tier::Super,
             counts,
         });
         assert!(line.contains("pc=0x00010000"), "{line}");
         assert!(line.contains("sc_fail=7"), "{line}");
-        assert!(!line.contains("deopt"), "{line}");
+        assert!(!line.contains("monitor_clear"), "{line}");
     }
 }

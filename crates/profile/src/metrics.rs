@@ -157,12 +157,11 @@ pub fn validate_metrics_jsonl(text: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ProfileEntry, Tier};
+    use crate::ProfileEntry;
 
     fn snapshot() -> ProfileSnapshot {
         let mut entry = ProfileEntry {
             pc: 0x1_0000,
-            tier: Tier::Block,
             counts: [0; Metric::COUNT],
         };
         entry.counts[Metric::ScFail as usize] = 4;
@@ -214,7 +213,7 @@ mod tests {
             Some(5.0),
             "overflow bucket must count toward totals"
         );
-        assert!(parsed.get("totals").unwrap().get("deopt").is_none());
+        assert!(parsed.get("totals").unwrap().get("false_sharing").is_none());
         assert_eq!(parsed.get("dropped").and_then(Json::as_num), Some(1.0));
     }
 

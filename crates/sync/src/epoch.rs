@@ -24,7 +24,7 @@
 //!
 //! Threads that go **offline** ([`Qsbr::unregister`]) stop blocking
 //! grace — a thread that exited holds nothing. Threads that *never*
-//! quiesce (parked mid-superblock, spinning in a helper) block grace
+//! quiesce (paused mid-block, spinning in a helper) block grace
 //! indefinitely; that is the safety property, not a bug: their held
 //! references stay valid until they next reach a zero-reference point.
 //!

@@ -98,36 +98,28 @@ pub enum TraceKind {
     /// A plain guest store (checker timelines only — never recorded on
     /// the threaded hot path).
     GuestStore = 21,
-    /// A hot block was promoted into a tier-2 superblock; `addr` is the
-    /// entry block's guest pc, `value` the superblock's cache id.
-    Promote = 22,
-    /// Execution left a superblock through a deopt side exit back to the
-    /// block-granular tier; `addr` is the resume pc, `value` the
-    /// superblock's entry pc.
-    Deopt = 23,
     /// A translated block was invalidated (SMC store, chaos storm);
     /// `addr` is the victim's guest pc, `value` its cache id.
-    Invalidate = 24,
+    Invalidate = 22,
     /// A cache-pressure flush pass retired a batch of blocks; `addr` is
-    /// the number of blocks retired, `value` the number of superblocks
-    /// demoted.
-    Flush = 25,
+    /// the number of blocks retired (`value` is unused, 0).
+    Flush = 23,
     /// Epoch reclamation freed retired translations after a grace
     /// period; `addr` is the number of blocks freed, `value` the number
     /// of fully-reclaimed arena segments so far.
-    Reclaim = 26,
+    Reclaim = 24,
     /// The adaptive arbiter scored an epoch; `addr` is the hot site (0
     /// if none), `value` packs the action in the high half-word and the
     /// target candidate index in the low.
-    AdaptDecision = 27,
+    AdaptDecision = 25,
     /// The adaptive arbiter executed a scheme migration; `addr` is the
     /// hot site (0 if none), `value` the new active candidate index.
-    AdaptMigrate = 28,
+    AdaptMigrate = 26,
 }
 
 impl TraceKind {
     /// Every kind, in discriminant order (used by decode and tests).
-    pub const ALL: [TraceKind; 28] = [
+    pub const ALL: [TraceKind; 26] = [
         TraceKind::LlIssue,
         TraceKind::ScOk,
         TraceKind::ScFail,
@@ -149,8 +141,6 @@ impl TraceKind {
         TraceKind::Chaos,
         TraceKind::Heartbeat,
         TraceKind::GuestStore,
-        TraceKind::Promote,
-        TraceKind::Deopt,
         TraceKind::Invalidate,
         TraceKind::Flush,
         TraceKind::Reclaim,
@@ -182,8 +172,6 @@ impl TraceKind {
             TraceKind::Chaos => "chaos",
             TraceKind::Heartbeat => "heartbeat",
             TraceKind::GuestStore => "store",
-            TraceKind::Promote => "promote",
-            TraceKind::Deopt => "deopt",
             TraceKind::Invalidate => "invalidate",
             TraceKind::Flush => "flush",
             TraceKind::Reclaim => "reclaim",

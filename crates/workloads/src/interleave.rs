@@ -40,8 +40,7 @@
 //!   body; the victim's iterations are bounded, so every schedule
 //!   terminates whether the patch lands early, late, or never.
 //! * [`Litmus::SmcSuper`] — the patch lands inside a hot two-block loop
-//!   (the shape tiering stitches into a superblock), forcing demotion
-//!   back to the block-granular tier when tiering is on.
+//!   whose chained latch must be retranslated mid-loop.
 
 use crate::stack::{self, StackConfig};
 
@@ -58,7 +57,7 @@ pub enum Litmus {
     SmcSelf,
     /// A thread patches *another* thread's translated loop body (SMC).
     SmcCross,
-    /// The patch lands inside a promotable hot loop (SMC + tiering).
+    /// The patch lands inside a hot two-block loop (SMC + chaining).
     SmcSuper,
 }
 
@@ -269,13 +268,13 @@ const SMC_CROSS: &str = r#"
 "#;
 
 /// Patch inside a hot loop: eight iterations of a two-block loop (body +
-/// latch, the shape tiering stitches into a superblock), with the latch
-/// instruction patched when four iterations remain. With the default
+/// latch, chained to each other), with the latch instruction patched
+/// when four iterations remain. With the default
 /// translation-block size: four pre-patch latch passes add 1 each, the
 /// patching pass still runs its already-translated stale latch (+1), and
 /// the three remaining passes run the retranslated latch (+3 each) —
-/// exit 4 + 1 + 9 = 14. A stale superblock surviving the patch (no
-/// demotion) would keep adding 1 and exit below 14.
+/// exit 4 + 1 + 9 = 14. A stale latch surviving the patch (a chain link
+/// left unrevoked) would keep adding 1 and exit below 14.
 const SMC_SUPER: &str = r#"
     hot:
         mov   r0, #0

@@ -157,10 +157,6 @@ fn threaded_soak_with_watchdog_terminates_cleanly() {
             chaos: Some(ChaosCfg::new(SEED, RATE)),
             watchdog_ms: 5_000,
             htm_degrade_after: 4,
-            // Aggressive tiering under injection: superblocks must deopt
-            // and degrade like any other translated code.
-            tier_threshold: 16,
-            superblock_limit: 8,
             ..MachineConfig::default()
         };
         let run = run_stack_with(kind, 4, stack_config(1_000), config, None).unwrap();
@@ -185,10 +181,6 @@ fn threaded_soak_with_watchdog_terminates_cleanly() {
 fn threaded_sc_storm_terminates_without_watchdog() {
     let config = MachineConfig {
         chaos: Some(ChaosCfg::new(SEED, 0.25)),
-        // Storm-rate injection with tiering on: promoted code must not
-        // interfere with the degradation ladder's progress guarantee.
-        tier_threshold: 16,
-        superblock_limit: 8,
         ..MachineConfig::default()
     };
     let run = run_stack_with(SchemeKind::Hst, 4, stack_config(150), config, None).unwrap();
@@ -214,10 +206,6 @@ fn invalidation_storm_soak_terminates_cleanly() {
         let config = MachineConfig {
             chaos: Some(ChaosCfg::new(SEED, RATE).with_invalidate(0.05)),
             watchdog_ms: 10_000,
-            // Tiering on: storm invalidations must also demote live
-            // superblocks without stranding a vCPU.
-            tier_threshold: 16,
-            superblock_limit: 8,
             ..MachineConfig::default()
         };
         let run = run_stack_with(kind, 4, stack_config(300), config, None).unwrap();

@@ -184,6 +184,85 @@ fn chaining_preserves_results_under_every_scheme() {
     }
 }
 
+/// `MachineConfig::tier_threshold` is inert: the engine has one
+/// translation tier and never reads it. Single-vCPU hot loops run on
+/// real threads count exactly the same at threshold 1 as at the
+/// default, and the e2ebench shim counters stay 0. The loops: one whose
+/// body mixes constants, dead flag writes, plain and exclusive accesses
+/// to one word, and one whose branch alternates direction every
+/// iteration (2000 odd passes add 1, 2000 even passes add 2).
+#[test]
+fn tier_threshold_is_inert_on_every_scheme() {
+    let straight = "    mov32 r5, counter\n\
+                    \x20   mov32 r6, #2000\n\
+                    loop:\n\
+                    \x20   mov   r2, #5\n\
+                    \x20   add   r2, r2, #3\n\
+                    \x20   ldr   r3, [r5]\n\
+                    \x20   add   r3, r3, #1\n\
+                    \x20   str   r3, [r5]\n\
+                    \x20   ldrex r4, [r5]\n\
+                    \x20   strex r7, r4, [r5]\n\
+                    \x20   movs  r1, r6\n\
+                    \x20   subs  r6, r6, #1\n\
+                    \x20   bne   loop\n\
+                    \x20   mov   r0, #0\n\
+                    \x20   svc   #0\n\
+                    \x20   .align 4096\n\
+                    counter:\n\
+                    \x20   .word 0\n";
+    let alternating = "    mov32 r5, counter\n\
+                       \x20   mov32 r6, #4000\n\
+                       loop:\n\
+                       \x20   ands  r1, r6, #1\n\
+                       \x20   beq   even\n\
+                       \x20   ldr   r2, [r5]\n\
+                       \x20   add   r2, r2, #1\n\
+                       \x20   str   r2, [r5]\n\
+                       \x20   b     next\n\
+                       even:\n\
+                       \x20   ldr   r2, [r5]\n\
+                       \x20   add   r2, r2, #2\n\
+                       \x20   str   r2, [r5]\n\
+                       next:\n\
+                       \x20   subs  r6, r6, #1\n\
+                       \x20   bne   loop\n\
+                       \x20   mov   r0, #0\n\
+                       \x20   svc   #0\n\
+                       \x20   .align 4096\n\
+                       counter:\n\
+                       \x20   .word 0\n";
+    for (program, expected) in [(straight, 2_000), (alternating, 2_000 + 2_000 * 2)] {
+        for kind in SchemeKind::ALL {
+            let run = |tier_threshold: u32| {
+                let config = MachineConfig {
+                    mem_size: 4 << 20,
+                    tier_threshold,
+                    ..MachineConfig::default()
+                };
+                let mut machine = MachineBuilder::new(kind).config(config).build().unwrap();
+                machine.load_asm(program, 0x1_0000).unwrap();
+                let report = machine.run(1, 0x1_0000);
+                assert!(report.all_ok(), "{kind}: {:?}", report.outcomes);
+                let counter = machine.symbol("counter").unwrap();
+                assert_eq!(machine.read_word(counter).unwrap(), expected, "{kind}");
+                let violations = report.stats.invariant_violations(&report.per_cpu);
+                assert!(violations.is_empty(), "{kind}: {violations:?}");
+                report.stats.without_wall_clock()
+            };
+            let default = run(MachineConfig::default().tier_threshold);
+            let hot = run(1);
+            assert_eq!(hot, default, "{kind}: tier_threshold changed the run");
+            assert_eq!(
+                (hot.promotions, hot.deopts, hot.tier_insns),
+                (0, 0, 0),
+                "{kind}"
+            );
+            assert!(hot.chain_follows > 0, "{kind}: the loop must chain");
+        }
+    }
+}
+
 /// The machine facade exposes enough to write custom experiments.
 #[test]
 fn facade_round_trip() {

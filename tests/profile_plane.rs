@@ -408,7 +408,6 @@ fn scheduled_aba_llsc_charges_exactly_one_sc_fail_at_the_victims_strex() {
         "sc_fail charged to {:#x}, strex is at {strex_pc:#x}",
         charged[0].pc
     );
-    assert_eq!(charged[0].tier, adbt::profile::Tier::Block);
 
     // PICO-CAS under the identical schedule: the value is back to 100,
     // so its SC *succeeds* — zero sc_fail anywhere. The profile showing

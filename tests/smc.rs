@@ -1,20 +1,17 @@
 //! The translation-cache lifecycle, end to end: SMC invalidation,
 //! epoch-based reclamation, and bounded-memory operation.
 //!
-//! Four contracts are on trial:
+//! Three contracts are on trial:
 //!
 //! 1. **SMC is honored everywhere** — a guest store into its own (or
-//!    another vCPU's) translated code invalidates the stale translation
-//!    on every scheme, with tiering off and on, and the retranslated
-//!    code's semantics are observed deterministically.
-//! 2. **Tiering is still an optimization** — a patch landing inside a
-//!    promoted superblock demotes it; the guest-visible result matches
-//!    the block-granular run exactly.
-//! 3. **Bounded memory** — under a `cache_limit` budget a
+//!    another vCPU's) translated code, or into a hot chained loop,
+//!    invalidates the stale translation on every scheme, and the
+//!    retranslated code's semantics are observed deterministically.
+//! 2. **Bounded memory** — under a `cache_limit` budget a
 //!    translation-churn workload never exceeds the budget (asserted from
 //!    the occupancy counters), keeps making progress (no `Livelocked`),
 //!    and actually reclaims: retire → grace → free.
-//! 4. **Scheduled-mode observability** — the checker substrate surfaces
+//! 3. **Scheduled-mode observability** — the checker substrate surfaces
 //!    invalidations as `SchedEvent::Invalidate`, at the atom the patch
 //!    landed, so schedules around SMC are explorable and replayable.
 
@@ -24,12 +21,8 @@ use adbt::workloads::IMAGE_BASE;
 use adbt::{Machine, MachineBuilder, SchemeKind, Vcpu, VcpuOutcome};
 
 /// Builds a machine for a litmus-style two-entry program.
-fn build(kind: SchemeKind, tier_threshold: u32, source: &str) -> Machine {
-    let mut builder = MachineBuilder::new(kind).memory(1 << 20);
-    if tier_threshold > 0 {
-        builder = builder.tier_threshold(tier_threshold).superblock_limit(8);
-    }
-    let mut machine = builder.build().unwrap();
+fn build(kind: SchemeKind, source: &str) -> Machine {
+    let mut machine = MachineBuilder::new(kind).memory(1 << 20).build().unwrap();
     machine.load_asm(source, IMAGE_BASE).unwrap();
     machine
 }
@@ -50,33 +43,31 @@ fn exit_code(outcome: &VcpuOutcome) -> i32 {
     }
 }
 
-/// Store-to-own-code on all eight schemes, tiering off and on: the
-/// patched instruction must be observed on the very next loop pass
-/// (exit 8), and the store must be accounted as an invalidation.
+/// Store-to-own-code on all eight schemes: the patched instruction must
+/// be observed on the very next loop pass (exit 8), and the store must
+/// be accounted as an invalidation.
 #[test]
-fn smc_self_patch_lands_on_all_schemes_with_and_without_tiering() {
+fn smc_self_patch_lands_on_all_schemes() {
     let program = Litmus::SmcSelf.program();
     for kind in SchemeKind::ALL {
-        for threshold in [0, 2] {
-            let machine = build(kind, threshold, &program.source);
-            let vcpus = litmus_vcpus(&machine, &["patcher", "bystander"]);
-            let report = machine.run_vcpus(vcpus);
-            assert_eq!(
-                exit_code(&report.outcomes[0]),
-                8,
-                "{kind} tier={threshold}: stale translation survived the self-patch"
-            );
-            assert_eq!(exit_code(&report.outcomes[1]), 0, "{kind} tier={threshold}");
-            assert!(
-                report.stats.invalidations >= 1,
-                "{kind} tier={threshold}: the SMC store was not accounted as an invalidation"
-            );
-            let occ = machine.core().cache_occupancy();
-            assert!(
-                occ.retired_blocks >= 1,
-                "{kind} tier={threshold}: invalidation retired nothing"
-            );
-        }
+        let machine = build(kind, &program.source);
+        let vcpus = litmus_vcpus(&machine, &["patcher", "bystander"]);
+        let report = machine.run_vcpus(vcpus);
+        assert_eq!(
+            exit_code(&report.outcomes[0]),
+            8,
+            "{kind}: stale translation survived the self-patch"
+        );
+        assert_eq!(exit_code(&report.outcomes[1]), 0, "{kind}");
+        assert!(
+            report.stats.invalidations >= 1,
+            "{kind}: the SMC store was not accounted as an invalidation"
+        );
+        let occ = machine.core().cache_occupancy();
+        assert!(
+            occ.retired_blocks >= 1,
+            "{kind}: invalidation retired nothing"
+        );
     }
 }
 
@@ -87,27 +78,22 @@ fn smc_self_patch_lands_on_all_schemes_with_and_without_tiering() {
 fn smc_cross_patch_terminates_on_all_schemes() {
     let program = Litmus::SmcCross.program();
     for kind in SchemeKind::ALL {
-        for threshold in [0, 2] {
-            let machine = build(kind, threshold, &program.source);
-            let vcpus = litmus_vcpus(&machine, &["victim", "patcher"]);
-            let report = machine.run_vcpus(vcpus);
-            let victim = exit_code(&report.outcomes[0]);
-            assert!(
-                victim <= 6,
-                "{kind} tier={threshold}: impossible exit {victim}"
-            );
-            assert_eq!(exit_code(&report.outcomes[1]), 0, "{kind} tier={threshold}");
-        }
+        let machine = build(kind, &program.source);
+        let vcpus = litmus_vcpus(&machine, &["victim", "patcher"]);
+        let report = machine.run_vcpus(vcpus);
+        let victim = exit_code(&report.outcomes[0]);
+        assert!(victim <= 6, "{kind}: impossible exit {victim}");
+        assert_eq!(exit_code(&report.outcomes[1]), 0, "{kind}");
     }
 }
 
-/// A patch inside a *promoted* hot loop: 120 iterations of the two-block
-/// shape tiering stitches, with the latch patched (`+1` → `+3`) when 60
-/// iterations remain. Block-granular arithmetic: 60 pre-patch passes add
-/// 1, the patching pass still runs its already-translated stale latch
-/// (+1), and the 59 remaining passes run the retranslated latch (+3
-/// each) — exit 60 + 1 + 177 = 238. The tiered run must promote, get
-/// demoted by the invalidation, and land on the *same* exit code.
+/// A patch inside a hot loop: 120 iterations of a two-block loop whose
+/// blocks chain to each other, with the latch patched (`+1` → `+3`) when
+/// 60 iterations remain. Block-granular arithmetic: 60 pre-patch passes
+/// add 1, the patching pass still runs its already-translated stale
+/// latch (+1), and the 59 remaining passes run the retranslated latch
+/// (+3 each) — exit 60 + 1 + 177 = 238. A chain link left pointing at
+/// the stale latch would keep adding 1 and exit below 238.
 const HOT_PATCH: &str = r#"
     hot:
         mov   r0, #0
@@ -132,27 +118,18 @@ const HOT_PATCH: &str = r#"
 "#;
 
 #[test]
-fn smc_inside_superblock_demotes_and_matches_untiered() {
+fn smc_inside_a_hot_loop_lands_on_all_schemes() {
     for kind in SchemeKind::ALL {
-        let run = |threshold: u32| {
-            let machine = build(kind, threshold, HOT_PATCH);
-            let vcpus = vec![Vcpu::new(1, machine.symbol("hot").unwrap())];
-            let report = machine.run_vcpus(vcpus);
-            (exit_code(&report.outcomes[0]), report.stats)
-        };
-        let (untiered, _) = run(0);
-        assert_eq!(untiered, 238, "{kind}: block-granular SMC arithmetic broke");
-        let (tiered, stats) = run(2);
+        let machine = build(kind, HOT_PATCH);
+        let vcpus = vec![Vcpu::new(1, machine.symbol("hot").unwrap())];
+        let report = machine.run_vcpus(vcpus);
         assert_eq!(
-            tiered, untiered,
-            "{kind}: tiering changed the guest-visible SMC semantics"
+            exit_code(&report.outcomes[0]),
+            238,
+            "{kind}: block-granular SMC arithmetic broke"
         );
         assert!(
-            stats.promotions >= 1,
-            "{kind}: the hot loop never promoted — the demotion path went untested"
-        );
-        assert!(
-            stats.invalidations >= 1,
+            report.stats.invalidations >= 1,
             "{kind}: the mid-loop patch was not accounted as an invalidation"
         );
     }
@@ -188,8 +165,6 @@ fn cache_limit_is_a_hard_bound_under_churn() {
     let mut machine = MachineBuilder::new(SchemeKind::Hst)
         .memory(1 << 20)
         .cache_limit(limit)
-        .tier_threshold(2)
-        .superblock_limit(8)
         .watchdog_ms(30_000)
         .build()
         .unwrap();
