@@ -25,6 +25,13 @@ cargo test -q --release --offline --test chaos_soak \
 cargo test -q --release --offline --test chaos_soak \
     invalidation_storm_soak_terminates_cleanly
 
+# Threaded SMC and chaining tests, again in release (~a second): chain
+# links to retired blocks are revoked lazily, when a vCPU next follows
+# them, which is a threaded timing path, and the optimized build
+# interleaves the vCPU threads differently from the debug run above.
+cargo test -q --release --offline --test smc
+cargo test -q --release --offline -p adbt-engine --test chaining
+
 # Systematic interleaving check (release, ~a second): all 8 schemes ×
 # all 3 litmus programs under the bounded-preemption explorer. The
 # search is fully deterministic (no seeds — it *enumerates* schedules),

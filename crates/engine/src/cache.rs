@@ -15,7 +15,10 @@
 //!   period is a caller bug that panics, never a use-after-free;
 //! * **16 PC-hashed shards** of `RwLock<HashMap<pc, id>>` — the cold
 //!   lookup path. Sharding keeps one vCPU's cold-code translation from
-//!   serializing every other vCPU's misses.
+//!   serializing every other vCPU's misses. Guest addresses are hashed
+//!   with [`AddrHash`], a multiplicative hash: the keys come from the
+//!   emulated machine's own address space, so SipHash's resistance to
+//!   crafted collisions buys nothing here.
 //!
 //! Around them live the **lifecycle indexes**, all cold-path only:
 //!
@@ -23,22 +26,24 @@
 //!   code invalidation: every page backing translated code is
 //!   write-tracked in the MMU, and a guest store into one resolves its
 //!   victims here;
-//! * an **edge index** (target id → patched predecessor links) so
-//!   retiring a block revokes every chain link pointing at it —
-//!   `adbt_ir::ChainLink` became revocable in this PR for exactly this;
 //! * a **limbo list** of retired ids stamped with their retirement
 //!   epoch, freed by [`TranslationCache::reclaim_limbo`] once the
 //!   QSBR grace period ([`adbt_sync::epoch::Qsbr`]) has elapsed.
+//!
+//! There is no index of chain links: retirement leaves incoming links
+//! pointing at the victim, and the dispatch loop validates a link on
+//! follow (the target must still be live and not invalidated), revoking
+//! a stale one and taking the lookup path instead.
 //!
 //! # Mutation discipline
 //!
 //! Retirement ([`TranslationCache::retire_batch`]) and flushes run only
 //! inside the engine's stop-the-world exclusive window: every other
 //! vCPU is parked at a safepoint, so the lifecycle indexes see a single
-//! mutator and the revocation of a chain link cannot race a patch.
-//! Reclamation runs *outside* the window, gated purely by the epoch
-//! scheme. Inserts and edge registrations run concurrently under their
-//! own locks.
+//! mutator and every victim's `invalidated` flag is raised before any
+//! vCPU follows a link again. Reclamation runs *outside* the window,
+//! gated purely by the epoch scheme. Inserts run concurrently under the
+//! shard and page-index locks.
 //!
 //! # Memory accounting
 //!
@@ -50,7 +55,9 @@
 use adbt_ir::Block;
 use adbt_sync::epoch::Qsbr;
 use adbt_sync::{Mutex, RwLock};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -107,6 +114,34 @@ impl Drop for BlockCell {
 
 type Segment = Box<[BlockCell]>;
 
+/// A map keyed by guest address (a PC or a code page number).
+type AddrMap<V> = HashMap<u32, V, BuildHasherDefault<AddrHash>>;
+
+/// The hasher of every guest-address map: one multiply by the 64-bit
+/// golden ratio, then the high half folded into the low half. The fold
+/// matters: the map picks buckets by the hash's low bits, and every PC
+/// in one shard shares bits 2–5, so a bare multiply would leave those
+/// PCs in 1/64 of the buckets.
+#[derive(Default)]
+struct AddrHash(u64);
+
+impl Hasher for AddrHash {
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        let h = u64::from(x).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("AddrHash hashes u32 guest addresses only");
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// A retired block awaiting its grace period.
 struct LimboEntry {
     id: u32,
@@ -132,8 +167,6 @@ pub(crate) struct InsertResult {
 pub(crate) struct RetireSummary {
     /// Blocks retired.
     pub(crate) retired: u64,
-    /// Estimated bytes the retired blocks will release at reclaim.
-    pub(crate) footprint: u64,
     /// Pages whose last registration disappeared — the caller must
     /// un-write-track them in the MMU.
     pub(crate) untrack_pages: Vec<u32>,
@@ -191,7 +224,7 @@ impl CacheOccupancy {
 /// The shared translation cache: sharded PC index over a segmented
 /// block arena, plus the lifecycle indexes (see the module docs).
 pub(crate) struct TranslationCache {
-    shards: Vec<RwLock<HashMap<u32, u32>>>,
+    shards: Vec<RwLock<AddrMap<u32>>>,
     segments: Vec<OnceLock<Segment>>,
     len: AtomicU32,
     /// Serializes appends (cold path: one lock hold per *translation*,
@@ -201,10 +234,7 @@ pub(crate) struct TranslationCache {
     /// reaches zero is a *reclaimed* segment.
     seg_live: Vec<AtomicU32>,
     /// Code page → ids of translations backed by it.
-    page_index: Mutex<HashMap<u32, Vec<u32>>>,
-    /// Target id → `(predecessor id, taken-leg?)` of patched chain
-    /// links, registered at patch time and consumed at retirement.
-    edges: Mutex<HashMap<u32, Vec<(u32, bool)>>>,
+    page_index: Mutex<AddrMap<Vec<u32>>>,
     /// Retired blocks awaiting their grace period.
     limbo: Mutex<Vec<LimboEntry>>,
     /// Relaxed fast-path hint that `limbo` is non-empty, so the
@@ -213,7 +243,8 @@ pub(crate) struct TranslationCache {
     limbo_pending: AtomicBool,
     /// Bytes reserved by live + limbo blocks.
     bytes: AtomicU64,
-    /// High-water mark of `bytes`.
+    /// High-water mark of `bytes` as of its last decrease; `bytes`
+    /// only rises in between, so `max(peak_bytes, bytes)` is the peak.
     peak_bytes: AtomicU64,
     /// Hard byte limit for reservations (0 = unlimited).
     limit: AtomicU64,
@@ -231,13 +262,14 @@ pub(crate) struct TranslationCache {
 impl TranslationCache {
     pub(crate) fn new() -> TranslationCache {
         TranslationCache {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..SHARDS)
+                .map(|_| RwLock::new(AddrMap::default()))
+                .collect(),
             segments: (0..MAX_SEGS).map(|_| OnceLock::new()).collect(),
             len: AtomicU32::new(0),
             push_lock: Mutex::new(()),
             seg_live: (0..MAX_SEGS).map(|_| AtomicU32::new(0)).collect(),
-            page_index: Mutex::new(HashMap::new()),
-            edges: Mutex::new(HashMap::new()),
+            page_index: Mutex::new(AddrMap::default()),
             limbo: Mutex::new(Vec::new()),
             limbo_pending: AtomicBool::new(false),
             bytes: AtomicU64::new(0),
@@ -264,7 +296,7 @@ impl TranslationCache {
     }
 
     #[inline]
-    fn shard(&self, pc: u32) -> &RwLock<HashMap<u32, u32>> {
+    fn shard(&self, pc: u32) -> &RwLock<AddrMap<u32>> {
         // Low bits beyond the word alignment; adjacent blocks land in
         // different shards.
         &self.shards[(pc as usize >> 2) % SHARDS]
@@ -311,21 +343,29 @@ impl TranslationCache {
     /// Reserves `footprint` bytes for an upcoming insert. With a limit
     /// configured the reservation is all-or-nothing: on `false` nothing
     /// was reserved and the caller must make room (flush + reclaim)
-    /// before retrying.
+    /// before retrying. It is one read-modify-write: a `fetch_add` with
+    /// no limit, a compare-exchange loop under one, which never
+    /// publishes a total above the limit, so concurrent translators
+    /// cannot fail each other's reservations spuriously.
     pub(crate) fn try_reserve(&self, footprint: u64) -> bool {
         let limit = self.limit.load(Ordering::Relaxed);
-        let total = self.bytes.fetch_add(footprint, Ordering::Relaxed) + footprint;
-        if limit > 0 && total > limit {
-            self.bytes.fetch_sub(footprint, Ordering::Relaxed);
-            return false;
+        if limit == 0 {
+            self.bytes.fetch_add(footprint, Ordering::Relaxed);
+            return true;
         }
-        self.peak_bytes.fetch_max(total, Ordering::Relaxed);
-        true
+        self.bytes
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |total| {
+                Some(total + footprint).filter(|&next| next <= limit)
+            })
+            .is_ok()
     }
 
-    /// Releases an unused reservation (lost translation race).
+    /// Releases a reservation (a lost translation race, or a freed
+    /// block), recording the total before the release as a peak
+    /// candidate.
     pub(crate) fn unreserve(&self, footprint: u64) {
-        self.bytes.fetch_sub(footprint, Ordering::Relaxed);
+        let before = self.bytes.fetch_sub(footprint, Ordering::Relaxed);
+        self.peak_bytes.fetch_max(before, Ordering::Relaxed);
     }
 
     /// Current reserved bytes (live + limbo).
@@ -341,16 +381,17 @@ impl TranslationCache {
         let footprint = block_footprint(&block);
         let pages = page_range(&block);
         let mut shard = self.shard(pc).write();
-        if let Some(&id) = shard.get(&pc) {
-            self.unreserve(footprint);
-            return InsertResult {
-                id,
-                fresh: false,
-                new_pages: Vec::new(),
-            };
-        }
-        let id = self.push(block);
-        shard.insert(pc, id);
+        let id = match shard.entry(pc) {
+            Entry::Occupied(entry) => {
+                self.unreserve(footprint);
+                return InsertResult {
+                    id: *entry.get(),
+                    fresh: false,
+                    new_pages: Vec::new(),
+                };
+            }
+            Entry::Vacant(entry) => *entry.insert(self.push(block)),
+        };
         drop(shard);
         let mut new_pages = Vec::new();
         let mut page_index = self.page_index.lock();
@@ -373,12 +414,8 @@ impl TranslationCache {
         let id = self.len.load(Ordering::Relaxed);
         let seg_index = (id >> SEG_BITS) as usize;
         assert!(seg_index < MAX_SEGS, "translation cache full");
-        let segment = self.segments[seg_index].get_or_init(|| {
-            (0..SEG_SIZE)
-                .map(|_| BlockCell::new())
-                .collect::<Vec<_>>()
-                .into_boxed_slice()
-        });
+        let segment = self.segments[seg_index]
+            .get_or_init(|| (0..SEG_SIZE).map(|_| BlockCell::new()).collect());
         let slot = &segment[(id & (SEG_SIZE - 1)) as usize];
         let prev = slot
             .0
@@ -393,17 +430,6 @@ impl TranslationCache {
     /// Number of ids ever allocated (including retired ones).
     pub(crate) fn len(&self) -> usize {
         self.len.load(Ordering::Acquire) as usize
-    }
-
-    /// Registers a patched chain link `pred --taken?--> target` so
-    /// retiring `target` can revoke it. Called from the dispatch loop's
-    /// patch site — once per edge per lifetime, never per traversal.
-    pub(crate) fn register_edge(&self, target: u32, pred: u32, taken: bool) {
-        self.edges
-            .lock()
-            .entry(target)
-            .or_default()
-            .push((pred, taken));
     }
 
     /// Resolves the translations a guest store to `[addr, addr+width)`
@@ -429,17 +455,18 @@ impl TranslationCache {
     }
 
     /// Retires a batch of victims: marks them invalidated, unlinks
-    /// their PC-index entries, revokes incoming chain links, and parks
-    /// them in limbo stamped with
+    /// their PC-index entries, and parks them in limbo stamped with
     /// `epoch` (from [`Qsbr::begin_grace`]) for later reclamation.
+    /// Incoming chain links keep the victim's id; the dispatch loop
+    /// revokes each one when it next finds the target invalidated.
     ///
     /// **Must run inside a stop-the-world exclusive window** — the
-    /// single-mutator discipline is what makes link revocation and
-    /// index surgery race-free (see the module docs).
+    /// single-mutator discipline makes the index surgery race-free, and
+    /// raises every victim's flag before any vCPU follows a link again
+    /// (see the module docs).
     pub(crate) fn retire_batch(&self, victims: &[u32], epoch: u64) -> RetireSummary {
         let mut summary = RetireSummary::default();
         let mut page_index = self.page_index.lock();
-        let mut edges = self.edges.lock();
         let mut limbo = self.limbo.lock();
         for &id in victims {
             let Some(block) = self.block(id) else {
@@ -450,7 +477,6 @@ impl TranslationCache {
                 continue;
             }
             block.invalidated.set();
-            summary.footprint += block_footprint(block);
             // Unlink the PC index entry — but only if it still maps to
             // this id (a fresh retranslation may own it by now).
             let mut shard = self.shard(block.guest_pc).write();
@@ -459,22 +485,6 @@ impl TranslationCache {
             }
             drop(shard);
             summary.retired += 1;
-            // Revoke every patched chain link pointing at the victim.
-            // `revoke_if` leaves edges that were already revoked and
-            // re-patched to a newer translation alone; predecessors
-            // freed in earlier batches read as `None` and are skipped.
-            if let Some(preds) = edges.remove(&id) {
-                for (pred, taken) in preds {
-                    if let Some(pred_block) = self.block(pred) {
-                        let link = if taken {
-                            &pred_block.links.taken
-                        } else {
-                            &pred_block.links.fallthrough
-                        };
-                        link.revoke_if(id);
-                    }
-                }
-            }
             // Drop the victim's page registrations; a page with none
             // left no longer needs MMU write-tracking.
             for page in page_range(block) {
@@ -500,26 +510,29 @@ impl TranslationCache {
         summary
     }
 
-    /// A generational cache-pressure flush, oldest code first: retires
-    /// live blocks in ascending id (translation) order until the
-    /// projected release brings reservations down to `target_bytes`; a
-    /// target that cannot be reached degenerates into a full flush.
+    /// A generational cache-pressure flush, oldest code first: picks
+    /// live blocks in ascending id (translation) order until their
+    /// footprint brings reservations down to `target_bytes`, then
+    /// retires them as one batch — one invalidation, one L1 generation.
+    /// A target that cannot be reached degenerates into a full flush.
     /// Must run inside a stop-the-world exclusive window.
     ///
     /// Bytes are actually released later, by reclamation after the
     /// grace period — the caller loops quiesce/reclaim/retry.
     pub(crate) fn flush_generational(&self, target_bytes: u64, epoch: u64) -> RetireSummary {
         let needed = self.bytes().saturating_sub(target_bytes);
-        let mut summary = RetireSummary::default();
+        let mut victims = Vec::new();
+        let mut footprint = 0;
         for id in 0..self.len() as u32 {
-            if summary.footprint >= needed {
+            if footprint >= needed {
                 break;
             }
-            let pass = self.retire_batch(&[id], epoch);
-            summary.retired += pass.retired;
-            summary.footprint += pass.footprint;
-            summary.untrack_pages.extend(pass.untrack_pages);
+            if let Some(block) = self.block(id).filter(|b| !b.invalidated.is_set()) {
+                footprint += block_footprint(block);
+                victims.push(id);
+            }
         }
+        let summary = self.retire_batch(&victims, epoch);
         self.flushes.fetch_add(1, Ordering::Relaxed);
         summary
     }
@@ -614,10 +627,11 @@ impl TranslationCache {
     pub(crate) fn occupancy(&self) -> CacheOccupancy {
         let len = self.len.load(Ordering::Acquire) as u64;
         let retired = self.retired.load(Ordering::Relaxed);
+        let bytes = self.bytes();
         CacheOccupancy {
             live_blocks: len - retired,
-            arena_bytes: self.bytes(),
-            peak_bytes: self.peak_bytes.load(Ordering::Relaxed),
+            arena_bytes: bytes,
+            peak_bytes: self.peak_bytes.load(Ordering::Relaxed).max(bytes),
             invalidations: self.invalidations.load(Ordering::Relaxed),
             flushes: self.flushes.load(Ordering::Relaxed),
             retired_blocks: retired,
@@ -727,35 +741,33 @@ mod tests {
     }
 
     #[test]
-    fn retire_unlinks_index_revokes_edges_and_parks_in_limbo() {
+    fn retire_unlinks_index_flags_and_parks_in_limbo_but_keeps_links() {
         let cache = TranslationCache::new();
         let qsbr = Qsbr::new();
         let a = insert(&cache, 0x1000, block_at(0x1000)).id;
         let b = insert(&cache, 0x1004, block_at(0x1004)).id;
-        // a's taken link is patched to b, and the edge is registered.
+        // a's taken link is patched to b.
         cache.block(a).unwrap().links.taken.set(b);
-        cache.register_edge(b, a, true);
         let version_before = cache.version();
 
         let epoch = qsbr.begin_grace();
         let summary = cache.retire_batch(&[b], epoch);
         assert_eq!(summary.retired, 1);
-        assert!(summary.footprint > 0);
         assert_eq!(
             summary.untrack_pages,
             Vec::<u32>::new(),
             "a still backs page 1"
         );
         assert_eq!(cache.lookup(0x1004), None, "PC index entry unlinked");
-        assert_eq!(
-            cache.block(a).unwrap().links.taken.get(),
-            None,
-            "incoming chain link revoked"
-        );
         assert!(cache.block(b).unwrap().invalidated.is_set());
         assert!(cache.limbo_pending());
         assert_eq!(cache.limbo_len(), 1);
         assert!(cache.version() > version_before, "L1 generation bumped");
+        assert_eq!(
+            cache.block(a).unwrap().links.taken.get(),
+            Some(b),
+            "incoming links are left for the dispatcher to revoke on follow"
+        );
         // Double retirement is a no-op.
         let again = cache.retire_batch(&[b], epoch);
         assert_eq!(again.retired, 0);
@@ -843,10 +855,14 @@ mod tests {
         let ids: Vec<u32> = (0..8u32)
             .map(|i| insert(&cache, 0x1000 + i * 4, block_at(0x1000 + i * 4)).id)
             .collect();
+        let version_before = cache.version();
         // Make room for three: the five oldest translations must go.
         let summary = cache.flush_generational(3 * per_block, qsbr.begin_grace());
         assert_eq!(summary.retired, 5);
-        assert_eq!(cache.occupancy().flushes, 1);
+        let occ = cache.occupancy();
+        assert_eq!(occ.flushes, 1);
+        assert_eq!(occ.invalidations, 1, "a flush pass is one batch");
+        assert_eq!(cache.version(), version_before + 1, "one L1 generation");
         for (i, &id) in ids.iter().enumerate() {
             let pc = 0x1000 + i as u32 * 4;
             let retired = cache.block(id).unwrap().invalidated.is_set();
@@ -875,5 +891,53 @@ mod tests {
             assert!(cache.block(id).is_none());
         }
         assert_eq!(cache.occupancy().arena_bytes, 0);
+    }
+
+    #[test]
+    fn addr_hash_spreads_one_shards_pcs_over_the_low_bits() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<AddrHash>::default();
+        // 4096 word-aligned PCs with equal bits 2–5: all in shard 5.
+        let mut low: Vec<u64> = (0..4096u32)
+            .map(|i| build.hash_one((i << 6) | (5 << 2)) & 0xfff)
+            .collect();
+        low.sort_unstable();
+        low.dedup();
+        // A bare multiply leaves 64 distinct values; the fold about 2 000.
+        assert!(
+            low.len() >= 1024,
+            "{} distinct low-12-bit hashes",
+            low.len()
+        );
+    }
+
+    #[test]
+    fn peak_bytes_is_the_exact_high_water_mark() {
+        let cache = TranslationCache::new();
+        let (a, b, c) = (700, 500, 300);
+        assert!(cache.try_reserve(a));
+        assert!(cache.try_reserve(b));
+        cache.unreserve(a);
+        assert!(cache.try_reserve(c));
+        let occ = cache.occupancy();
+        assert_eq!(occ.arena_bytes, b + c);
+        assert_eq!(occ.peak_bytes, a + b);
+    }
+
+    #[test]
+    fn a_reservation_that_would_cross_the_limit_changes_nothing() {
+        let cache = TranslationCache::new();
+        cache.set_limit(1000);
+        assert!(cache.try_reserve(600));
+        cache.unreserve(100);
+        let before = cache.occupancy();
+        assert!(!cache.try_reserve(501), "500 + 501 crosses the limit");
+        assert_eq!(cache.occupancy(), before);
+        assert_eq!((before.arena_bytes, before.peak_bytes), (500, 600));
+        assert!(cache.try_reserve(500), "exactly the limit fits");
+        assert_eq!(cache.occupancy().peak_bytes, 1000);
+        assert!(!cache.try_reserve(1));
+        cache.unreserve(1000);
+        assert_eq!(cache.occupancy().peak_bytes, 1000, "never above the limit");
     }
 }

@@ -471,9 +471,7 @@ impl MachineCore {
             return;
         }
         let summary = self.cache.retire_batch(&victims, self.qsbr.begin_grace());
-        for &page in &summary.untrack_pages {
-            self.space.write_untrack(page);
-        }
+        self.untrack(&summary);
         self.cache.reclaim_limbo(&self.qsbr);
     }
 
@@ -534,6 +532,14 @@ impl MachineCore {
         Ok(result.id)
     }
 
+    /// Stops write-tracking the code pages a retirement left without
+    /// any translation.
+    pub(crate) fn untrack(&self, summary: &RetireSummary) {
+        for &page in &summary.untrack_pages {
+            self.space.write_untrack(page);
+        }
+    }
+
     /// Reserves `footprint` bytes of cache budget for a new translation,
     /// flushing generationally and waiting out reclamation grace periods
     /// under memory pressure. With no limit configured the fast path is a
@@ -569,9 +575,7 @@ impl MachineCore {
             }
             let epoch = self.qsbr.begin_grace();
             let summary = self.cache.flush_generational(target, epoch);
-            for &page in &summary.untrack_pages {
-                self.space.write_untrack(page);
-            }
+            self.untrack(&summary);
             ctx.stats.flushes += 1;
             ctx.stats.retired_blocks += summary.retired;
             ctx.trace(
@@ -694,8 +698,7 @@ impl MachineCore {
         self.quiesce_and_reclaim(ctx);
         // The previous hop's exit link for the edge just taken, plus the
         // predecessor's id and which leg it is — patched with the
-        // successor's id so the next traversal skips the lookup, and
-        // registered in the edge index so invalidation can revoke it.
+        // successor's id so the next traversal skips the lookup.
         let mut link: Option<(&ChainLink, u32, bool)> = None;
         for _ in 0..chain_limit.max(1) {
             // Holder-aware safepoint: identical single-load fast path, but
@@ -729,17 +732,31 @@ impl MachineCore {
                 }
             }
             let pc = ctx.cpu.pc;
-            let id = match link.and_then(|(slot, _, _)| slot.get()) {
-                Some(id) => {
+            // Retirement leaves incoming links in place, so a link is
+            // validated on follow: ids are never reused, a retired
+            // block's flag was raised inside the stop-the-world window
+            // before this vCPU resumed, and a reclaimed slot reads
+            // `None`. A stale link is revoked (a compare-exchange on the
+            // stale id, so a fresh patch by another vCPU survives) and
+            // the lookup lane below re-patches it.
+            let follow = link.and_then(|(slot, _, _)| {
+                let id = slot.get()?;
+                let live = self.cache.block(id).filter(|b| !b.invalidated.is_set());
+                if live.is_none() {
+                    slot.revoke_if(id);
+                }
+                Some((id, live?))
+            });
+            let (id, block) = match follow {
+                Some(hop) => {
                     ctx.stats.chain_follows += 1;
-                    id
+                    hop
                 }
                 None => {
                     ctx.stats.dispatch_lookups += 1;
-                    // The lookup lane (never the chain-follow fast path)
-                    // absorbs invalidation: a retire batch bumps the
-                    // cache version, and a stale L1 here would resurrect
-                    // retired ids.
+                    // The lookup lane absorbs invalidation: a retire
+                    // batch bumps the cache version, and a stale L1 here
+                    // would resurrect retired ids.
                     l1.sync(self.cache.version());
                     // Drop the borrowed predecessor link before
                     // translating: translation may hit the cache limit,
@@ -763,11 +780,11 @@ impl MachineCore {
                             }
                         }
                     };
-                    // Patch the traversed edge and register it for
-                    // revocation. The predecessor is re-resolved by id:
-                    // if it was retired while we translated, its slot may
-                    // be gone and the edge is simply not patched (the
-                    // next traversal takes the lookup path again).
+                    // Patch the traversed edge. The predecessor is
+                    // re-resolved by id: if it was retired while we
+                    // translated, its slot may be gone and the edge is
+                    // simply not patched (the next traversal takes the
+                    // lookup path again).
                     if let Some((pred, taken)) = patch {
                         if let Some(pred_block) = self.cache.block(pred) {
                             let slot = if taken {
@@ -776,19 +793,17 @@ impl MachineCore {
                                 &pred_block.links.fallthrough
                             };
                             slot.set(id);
-                            self.cache.register_edge(id, pred, taken);
                             ctx.trace(TraceKind::ChainPatch, pc, id);
                         }
                     }
-                    id
+                    let Some(block) = self.cache.block(id) else {
+                        // The id lost a race with a retirement batch
+                        // between resolution and dereference (a stale L1
+                        // entry): go back through the lookup.
+                        continue;
+                    };
+                    (id, block)
                 }
-            };
-            let Some(block) = self.cache.block(id) else {
-                // The id lost a race with a retirement batch between
-                // resolution and dereference (stale chain link or L1
-                // entry): drop the edge and go back through the lookup.
-                link = None;
-                continue;
             };
             // A region transaction spanning block dispatches reads the
             // engine's shared dispatcher structures — their conflict tokens
@@ -1026,9 +1041,7 @@ impl MachineCore {
         }
         let epoch = self.qsbr.begin_grace();
         let summary = self.cache.retire_batch(&[victim], epoch);
-        for &page in &summary.untrack_pages {
-            self.space.write_untrack(page);
-        }
+        self.untrack(&summary);
         if summary.retired > 0 {
             ctx.stats.invalidations += 1;
             ctx.stats.retired_blocks += summary.retired;
@@ -1290,9 +1303,7 @@ impl MachineCore {
             ctx.stats.flushes += 1;
             self.cache.flush_generational(0, grace)
         };
-        for &page in &summary.untrack_pages {
-            self.space.write_untrack(page);
-        }
+        self.untrack(&summary);
         ctx.stats.retired_blocks += summary.retired;
         // The outgoing scheme cleans up its machine-wide residue (PST
         // unprotects its registered pages) while the world is stopped.
@@ -1671,8 +1682,8 @@ struct L1Cache {
     /// Shared-cache invalidation version this L1 last synced with; a
     /// mismatch (one retire batch anywhere) drops every entry, so a
     /// retired id can never be served from here. Checked on the lookup
-    /// lane only — the chain-follow fast path is protected by link
-    /// revocation instead.
+    /// lane only — the chain-follow fast path validates the link's
+    /// target instead.
     version: u32,
 }
 
@@ -1790,5 +1801,82 @@ mod tests {
         )
         .unwrap();
         assert!(ExecCtx::new(Vcpu::new(1, 0x1000), &machine, 1).parallel);
+    }
+
+    /// A chain link to a retired block is validated on follow: the next
+    /// hop must not follow it, must count a lookup instead, must run the
+    /// fresh translation, and must leave the link patched to it — both
+    /// while the stale block sits in limbo and after its slot is freed.
+    #[test]
+    fn stale_chain_links_are_revoked_and_repatched_on_follow() {
+        let machine = MachineCore::new(
+            MachineConfig::default(),
+            Box::new(RecordParallel {
+                seen: Arc::default(),
+                probe: None,
+            }),
+        )
+        .unwrap();
+        let image = adbt_isa::asm::assemble(
+            "lp:\n    add r1, r1, #1\n    b   next\nnext:\n    add r2, r2, #1\n    b   lp\n",
+            0x1000,
+        )
+        .expect("assembles");
+        machine.load_image(&image);
+        let patch = |imm: u32| {
+            adbt_isa::asm::assemble(&format!("add r2, r2, #{imm}\n"), 0x1008).expect("assembles")
+        };
+        let mut ctx = ExecCtx::new(Vcpu::new(1, 0x1000), &machine, 1);
+        let mut l1 = L1Cache::new();
+        let mut cursor = None;
+        // One step runs `lp` then `next`, returning to `lp`; the second
+        // hop follows `lp`'s taken link once the first step patched it.
+        let mut hop = |ctx: &mut ExecCtx<'_>| {
+            let (follows, lookups) = (ctx.stats.chain_follows, ctx.stats.dispatch_lookups);
+            assert_eq!(machine.step(ctx, &mut l1, 2, &mut cursor), None);
+            assert_eq!(ctx.cpu.pc, 0x1000);
+            (
+                ctx.stats.chain_follows - follows,
+                ctx.stats.dispatch_lookups - lookups,
+            )
+        };
+        let link = |machine: &MachineCore| {
+            let lp = machine.cache.lookup(0x1000).expect("lp is cached");
+            machine.cache.block(lp).unwrap().links.taken.get()
+        };
+        assert_eq!(hop(&mut ctx), (0, 2), "cold: both blocks look up");
+        let stale = machine.cache.lookup(0x1008).expect("next is cached");
+        assert_eq!(link(&machine), Some(stale));
+        assert_eq!(hop(&mut ctx), (1, 1), "warm: the second hop follows");
+        assert_eq!(ctx.cpu.reg(2), 2);
+
+        // Retired, still in limbo: the link reads the stale id.
+        machine.space.mem().write_slice(0x1008, &patch(16).bytes);
+        machine
+            .cache
+            .retire_batch(&[stale], machine.qsbr.begin_grace());
+        assert_eq!(link(&machine), Some(stale));
+        assert_eq!(
+            hop(&mut ctx),
+            (0, 2),
+            "an invalidated target is not followed"
+        );
+        assert_eq!(ctx.cpu.reg(2), 2 + 16, "the fresh translation ran");
+        let fresh = machine.cache.lookup(0x1008).expect("retranslated");
+        assert_ne!(fresh, stale);
+        assert_eq!(link(&machine), Some(fresh), "the link is re-patched");
+        assert_eq!(hop(&mut ctx), (1, 1));
+        assert_eq!(ctx.cpu.reg(2), 2 + 16 + 16);
+
+        // Retired and reclaimed: the link's target slot reads `None`.
+        machine.load_image(&patch(64));
+        assert!(machine.cache.block(fresh).is_none(), "slot reclaimed");
+        assert_eq!(link(&machine), Some(fresh));
+        assert_eq!(hop(&mut ctx), (0, 2), "a freed target is not followed");
+        assert_eq!(ctx.cpu.reg(2), 2 + 16 + 16 + 64);
+        let newest = machine.cache.lookup(0x1008).expect("retranslated");
+        assert_ne!(newest, fresh);
+        assert_eq!(link(&machine), Some(newest), "the link is re-patched");
+        assert_eq!(hop(&mut ctx), (1, 1));
     }
 }

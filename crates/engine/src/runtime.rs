@@ -1253,9 +1253,7 @@ impl<'m> ExecCtx<'m> {
             }
             let epoch = self.machine.qsbr.begin_grace();
             let summary = self.machine.cache.retire_batch(&victims, epoch);
-            for &p in &summary.untrack_pages {
-                self.machine.space.write_untrack(p);
-            }
+            self.machine.untrack(&summary);
             self.stats.invalidations += 1;
             self.stats.retired_blocks += summary.retired;
             self.trace(TraceKind::Invalidate, vaddr, victims[0]);

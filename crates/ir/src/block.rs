@@ -11,18 +11,20 @@ pub const MAX_HELPER_ARGS: usize = 8;
 const UNPATCHED: u32 = u32::MAX;
 
 /// A revocable successor link on a cached block's exit: the arena id of
-/// the next block, patched by the first vCPU to traverse the edge and
-/// *revoked* when the target is invalidated (self-modifying code, cache
-/// flush). A revoked link reads as unpatched, sending the next
-/// traversal back through the PC index — which no longer maps the stale
-/// target — and may then be re-patched to the fresh translation.
+/// the next block, patched by the first vCPU to traverse the edge.
+/// Invalidating the target (self-modifying code, cache flush) leaves the
+/// link in place; the dispatcher validates the target on every follow
+/// and *revokes* a link whose target is invalidated or freed. A revoked
+/// link reads as unpatched, sending the traversal back through the PC
+/// index — which no longer maps the stale target — and is then
+/// re-patched to the fresh translation.
 ///
-/// Patching races are benign: all concurrent patchers of a live edge
-/// store the id the PC index maps the target to, and revocation runs
-/// only inside stop-the-world windows, so a patch racing a revoke
-/// cannot happen. `set` still uses a compare-exchange from the sentinel
-/// so the first writer wins — later writers with the *same* id are
-/// no-ops and a stale writer cannot clobber a re-patched edge.
+/// Revocation therefore runs outside stop-the-world windows, racing
+/// patches by other vCPUs. Both sides are compare-exchanges on specific
+/// values: `set` only replaces the unpatched sentinel (the first writer
+/// wins, later writers with the *same* id are no-ops) and `revoke_if`
+/// only replaces the stale id, so two vCPUs fixing the same stale link
+/// cannot clobber a fresh patch.
 ///
 /// Links are identity-free metadata of the *cache entry*, not of the
 /// translated code: `Clone` yields a fresh unpatched link and equality
@@ -56,16 +58,9 @@ impl ChainLink {
             .compare_exchange(UNPATCHED, id, Ordering::Release, Ordering::Relaxed);
     }
 
-    /// Revokes the link unconditionally; the next traversal goes back
-    /// through the PC index. Callers run inside a stop-the-world window.
-    #[inline]
-    pub fn revoke(&self) {
-        self.0.store(UNPATCHED, Ordering::Release);
-    }
-
-    /// Revokes the link only if it still points at `victim` — the edge
-    /// index may hold stale registrations for edges that were already
-    /// revoked and re-patched to a newer translation.
+    /// Revokes the link only if it still points at `victim` — another
+    /// vCPU may already have revoked it and re-patched it to a newer
+    /// translation.
     #[inline]
     pub fn revoke_if(&self, victim: u32) {
         let _ = self
@@ -97,6 +92,7 @@ impl Eq for ChainLink {}
 /// A one-way invalidation flag on a cached block, raised (inside a
 /// stop-the-world window) when the block's guest code is overwritten or
 /// the cache is flushed. Retirement checks it so a block retires once,
+/// the dispatcher checks it before following a chain link to the block,
 /// and reclamation checks it before freeing the block.
 ///
 /// Like [`ChainLink`], this is cache-entry metadata, not translated
@@ -420,7 +416,7 @@ mod tests {
         let link = ChainLink::new();
         link.set(3);
         assert_eq!(link.get(), Some(3));
-        link.revoke();
+        link.revoke_if(3);
         assert_eq!(link.get(), None);
         // After revocation the edge is patchable again.
         link.set(5);

@@ -274,7 +274,7 @@ const SMC_CROSS: &str = r#"
 /// patching pass still runs its already-translated stale latch (+1), and
 /// the three remaining passes run the retranslated latch (+3 each) —
 /// exit 4 + 1 + 9 = 14. A stale latch surviving the patch (a chain link
-/// left unrevoked) would keep adding 1 and exit below 14.
+/// followed to the retired latch) would keep adding 1 and exit below 14.
 const SMC_SUPER: &str = r#"
     hot:
         mov   r0, #0

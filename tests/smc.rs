@@ -187,6 +187,14 @@ fn cache_limit_is_a_hard_bound_under_churn() {
     );
     assert!(occ.arena_bytes <= limit);
     assert!(occ.flushes >= 1, "no generational flush under pressure");
+    // The program stores no code: every invalidation is a flush pass,
+    // and a pass counts once however many blocks it retires.
+    assert!(
+        occ.invalidations <= occ.flushes,
+        "{} invalidations from {} flushes",
+        occ.invalidations,
+        occ.flushes
+    );
     assert!(occ.retired_blocks >= 1);
     assert!(
         occ.reclaimed_blocks >= 1,
