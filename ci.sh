@@ -120,28 +120,29 @@ for scheme in hst hst-weak hst-htm pst pst-remap pico-st pico-cas pico-htm; do
 done
 
 # Oracle gate (release, ~25 s): every deterministic results/*.csv is
-# regenerated with the exact command recorded in its results/*.txt
-# header and must match the committed file byte for byte. The
-# deterministic driver (lockstep, virtual time, scheduled) makes each
-# of them bit-reproducible, so an engine change either reproduces them
-# exactly or is wrong — and one that means to move a figure must
-# regenerate it and its .txt in the same change.
+# regenerated by the adbt_bench experiment of the same name, with the
+# exact arguments recorded in its results/*.txt header, and must match
+# the committed file byte for byte. The deterministic driver (lockstep,
+# virtual time, scheduled) makes each of them bit-reproducible, so an
+# engine change either reproduces them exactly or is wrong — and one
+# that means to move a figure must regenerate it and its .txt in the
+# same change.
 mkdir -p "$TRACE_TMP/results"
-while read -r bin csv args; do
+while read -r name args; do
     # shellcheck disable=SC2086 # $args is a word list on purpose
-    cargo run -q --release --offline -p adbt-bench --bin "$bin" -- \
-        $args --csv "$TRACE_TMP/results/$csv" > /dev/null
-    cmp "$TRACE_TMP/results/$csv" "results/$csv"
+    cargo run -q --release --offline -p adbt-bench --bin adbt_bench -- \
+        "$name" $args --csv "$TRACE_TMP/results/$name.csv" > /dev/null
+    cmp "$TRACE_TMP/results/$name.csv" "results/$name.csv"
 done <<'EOF'
-fig10_scalability fig10.csv --scale 0.05 --max-threads 64
-fig11_htm fig11.csv --scale 0.05 --max-threads 32
-fig12_breakdown fig12.csv --scale 0.04 --max-threads 32
-fig12_breakdown fig12_fs.csv --false-sharing --scale 0.05 --max-threads 64
-table1_profile table1.csv --scale 0.1
-table2_matrix table2.csv
-speedup_summary speedup.csv --scale 0.08 --threads 8
-ablation_fused ablation_fused.csv --scale 0.1 --threads 8
-aba_correctness aba.csv --threads 16 --ops 16000 --nodes 16 --reps 3
+fig10 --scale 0.05 --max-threads 64
+fig11 --scale 0.05 --max-threads 32
+fig12 --scale 0.04 --max-threads 32
+fig12_fs --scale 0.05 --max-threads 64
+table1 --scale 0.1
+table2
+speedup --scale 0.08 --threads 8
+ablation_fused --scale 0.1 --threads 8
+aba --threads 16 --ops 16000 --nodes 16 --reps 3
 EOF
 
 # The repository benchmark (e2ebench/, its own cargo workspace) builds
@@ -161,8 +162,8 @@ cargo test -q --release --offline --manifest-path e2ebench/Cargo.toml
 # the recorder) runs traced vs untraced per scheme; the geomean
 # slowdown must stay under the budget. The disabled path is checked
 # implicitly — it is the untraced baseline of the same binary.
-cargo run -q --release --offline -p adbt-bench --bin dispatch_bench -- \
-    --iters 60000 --reps 3 --traced --guard 35
+cargo run -q --release --offline -p adbt-bench --bin adbt_bench -- \
+    trace_overhead --iters 60000 --reps 3 --guard 35
 
 # Profiling-overhead guard: the dispatch-bound loop runs profiled vs
 # unprofiled per scheme; the geomean slowdown must stay under 5%. The
@@ -171,8 +172,8 @@ cargo run -q --release --offline -p adbt-bench --bin dispatch_bench -- \
 # run leaves the tree clean: the committed results/bench_profiling.json
 # is regenerated on purpose, with this step's command and
 # `--json results/bench_profiling.json`.
-cargo run -q --release --offline -p adbt-bench --bin dispatch_bench -- \
-    --iters 150000 --reps 5 --profiled --guard 5 \
+cargo run -q --release --offline -p adbt-bench --bin adbt_bench -- \
+    profile_overhead --iters 150000 --reps 5 --guard 5 \
     --json "$TRACE_TMP/bench_profiling.json"
 
 # Adaptive-arbitration guard: part 1 measures the armed-idle adaptive
@@ -186,6 +187,6 @@ cargo run -q --release --offline -p adbt-bench --bin dispatch_bench -- \
 # committed results/bench_adapt.json, the record behind
 # EXPERIMENTS.md's adaptive-mode section (E11), is regenerated on
 # purpose with the command recorded there.
-cargo run -q --release --offline -p adbt-bench --bin dispatch_bench -- \
-    --iters 60000 --reps 3 --adapt --guard 3 \
+cargo run -q --release --offline -p adbt-bench --bin adbt_bench -- \
+    adapt --iters 60000 --reps 3 --guard 3 \
     --json "$TRACE_TMP/bench_adapt.json"

@@ -1,143 +1,284 @@
 //! # adbt-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation (see
-//! `DESIGN.md` §5 for the experiment index):
+//! One binary, `adbt_bench <experiment> [--key VALUE]...`, regenerates
+//! every table and figure of the paper's evaluation (see `DESIGN.md` §5
+//! for the experiment index) and runs the harness's own wall-clock
+//! measurements:
 //!
-//! | binary | regenerates |
+//! | experiment | regenerates |
 //! |---|---|
-//! | `aba_correctness` | §IV-A ABA rates (E1) |
-//! | `table2_matrix` | Table II + litmus verdicts (E2, E7) |
-//! | `fig10_scalability` | Fig. 10 scalability curves (E3) |
-//! | `fig11_htm` | Fig. 11 HTM-scheme comparison (E4) |
-//! | `fig12_breakdown` | Fig. 12 overhead breakdown (E5, E9) |
-//! | `table1_profile` | Table I instruction profile (E6) |
-//! | `speedup_summary` | §IV-B headline speedups (E8) |
+//! | `aba` | §IV-A ABA rates (E1) |
+//! | `table2` | Table II + litmus verdicts (E2, E7) |
+//! | `fig10` | Fig. 10 scalability curves (E3) |
+//! | `fig11` | Fig. 11 HTM-scheme comparison (E4) |
+//! | `fig12` | Fig. 12 overhead breakdown (E5) |
+//! | `fig12_fs` | §IV-B2 PST false-sharing growth (E9) |
+//! | `table1` | Table I instruction profile (E6) |
+//! | `speedup` | §IV-B headline speedups (E8) |
+//! | `ablation_fused` | §VI fused-atomics ablation (A1) |
+//! | `dispatch` | block chaining off vs on |
+//! | `trace_overhead` | flight-recorder overhead guard |
+//! | `profile_overhead` | contention-profiler overhead guard |
+//! | `adapt` | armed-idle adaptive guard + `--scheme auto` mixed workload (E11) |
+//! | `micro` | substrate micro-benchmarks |
 //!
-//! Every binary prints a human-readable table to stdout and, with
-//! `--csv PATH`, machine-readable CSV. Use `--scale` to trade runtime
-//! for noise and `--max-threads` to cap the thread ladder. Arguments are
-//! strict ([`Args`]): anything a binary does not declare exits 2.
+//! The experiments print a human-readable table to stdout and, with
+//! `--csv PATH` or `--json PATH`, write it machine-readably. Each
+//! experiment declares the [`Key`]s it accepts and each key its
+//! [`Domain`]; [`main`] checks every argument against them, and creates
+//! the output files, before anything runs. Anything else exits 2 with
+//! the usage line, so a typo or a degenerate value can never fall back
+//! to a default, panic after minutes of measuring, or hang.
 
+use adbt::harness::{run_parsec_full, ParsecRun};
 use adbt::trace::validate::json_string;
+use adbt::workloads::parsec::Program;
+use adbt::{MachineConfig, SchemeKind, SimCosts, VcpuOutcome};
 use std::collections::HashMap;
+use std::fs::File;
 use std::io::Write as _;
 use std::time::Duration;
 
-/// The value keys every harness accepts: [`Table::emit`]'s outputs.
-const OUTPUT_KEYS: [&str; 2] = ["csv", "json"];
+/// The values a [`Key`] accepts.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Domain {
+    /// A whole number >= 1 (`u32`).
+    Count,
+    /// A whole number >= 0 (`u32`).
+    Natural,
+    /// A finite number > 0.
+    Scale,
+    /// A finite percentage >= 0.
+    Budget,
+    /// Comma-separated kernel names.
+    Programs,
+    /// One kernel name.
+    Program,
+    /// A file the experiment writes, created before it runs.
+    Output,
+    /// A switch that takes no value.
+    Flag,
+}
 
-/// Strict `--key VALUE` / `--flag` argument parsing shared by the
-/// harness binaries. Each binary declares the keys it accepts; anything
-/// else — an unknown key, a key missing its value, a positional
-/// argument, or (on read) a value that does not parse — exits 2 with
-/// usage, so a typo can never silently fall back to a default.
-#[derive(Clone, Debug, Default)]
+impl Domain {
+    /// `None` when `text` is a value of this domain, else what a value
+    /// must be.
+    fn reject(self, text: &str) -> Option<String> {
+        // `None`, an unparseable value, orders below every number.
+        let count = text.parse::<u32>().ok();
+        let number = text.parse::<f64>().ok().filter(|x| x.is_finite());
+        let programs = parse_programs(text).map(|list| list.len());
+        let kernels = Program::ALL.map(|p| p.name()).join(", ");
+        let (ok, want) = match self {
+            Domain::Count => (count >= Some(1), "a whole number >= 1".into()),
+            Domain::Natural => (count.is_some(), "a whole number >= 0".into()),
+            Domain::Scale => (number > Some(0.0), "a finite number > 0".into()),
+            Domain::Budget => (number >= Some(0.0), "a finite percentage >= 0".into()),
+            Domain::Programs => (
+                programs.is_some(),
+                format!("a comma-separated list of {kernels}"),
+            ),
+            Domain::Program => (programs == Some(1), format!("one of {kernels}")),
+            Domain::Output | Domain::Flag => (true, String::new()),
+        };
+        (!ok).then_some(want)
+    }
+}
+
+/// One `--key` an experiment may accept.
+#[derive(Clone, Copy, Debug)]
+pub struct Key {
+    /// The name after `--`.
+    pub name: &'static str,
+    /// The values it accepts.
+    pub domain: Domain,
+}
+
+impl Key {
+    /// `--name`, accepting `domain`.
+    pub const fn new(name: &'static str, domain: Domain) -> Key {
+        Key { name, domain }
+    }
+}
+
+/// The keys every experiment accepts: where [`Table::emit`] copies the
+/// table as CSV and as JSON.
+const OUTPUTS: [(Key, &str); 2] = [
+    (Key::new("csv", Domain::Output), ""),
+    (Key::new("json", Domain::Output), ""),
+];
+
+/// One runnable experiment: the artefact it regenerates, the keys it
+/// accepts with their defaults, and the function that runs it.
+#[derive(Clone, Copy, Debug)]
+pub struct Experiment {
+    /// The name on the command line, and of its `results/` file.
+    pub name: &'static str,
+    /// What it regenerates.
+    pub artefact: &'static str,
+    /// Accepted keys with their defaults (`""` is unset), besides
+    /// `--csv` and `--json`.
+    pub keys: &'static [(Key, &'static str)],
+    /// Runs it on checked arguments.
+    pub run: fn(&Args),
+}
+
+impl Experiment {
+    /// Every key it accepts, with its default.
+    fn all_keys(&self) -> impl Iterator<Item = &(Key, &'static str)> {
+        self.keys.iter().chain(&OUTPUTS)
+    }
+
+    /// `usage: adbt_bench NAME [--key DEFAULT]... [--flag]...`, with
+    /// `VALUE` for a key without a default.
+    pub fn usage(&self) -> String {
+        let mut out = format!("usage: adbt_bench {}", self.name);
+        for (key, default) in self.all_keys() {
+            let value = match (key.domain, *default) {
+                (Domain::Flag, _) => "",
+                (_, "") => " VALUE",
+                _ => &format!(" {default}"),
+            };
+            out.push_str(&format!(" [--{}{value}]", key.name));
+        }
+        out
+    }
+}
+
+/// Runs the experiment named by the first command-line argument. A bad
+/// argument exits 2 with the usage line before anything runs; `--help`
+/// prints the experiment list, or the named experiment's usage line.
+pub fn main(experiments: &[Experiment]) {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let help = argv.iter().any(|arg| arg == "--help");
+    let named = argv
+        .first()
+        .and_then(|name| experiments.iter().find(|e| e.name == name));
+    let Some(experiment) = named else {
+        let mut out = String::from("usage: adbt_bench <experiment> [--key VALUE]...\n\n");
+        for e in experiments {
+            out.push_str(&format!("  {:<17} {}\n", e.name, e.artefact));
+        }
+        out.push_str("\n`adbt_bench <experiment> --help` lists its keys and defaults.");
+        if help {
+            println!("{out}");
+            std::process::exit(0);
+        }
+        if let Some(name) = argv.first() {
+            eprintln!("adbt_bench: unknown experiment `{name}`");
+        }
+        eprintln!("{out}");
+        std::process::exit(2)
+    };
+    let (name, usage) = (experiment.name, experiment.usage());
+    if help {
+        println!("{name}: {}\n{usage}", experiment.artefact);
+        std::process::exit(0);
+    }
+    match Args::parse(experiment, &argv[1..]) {
+        Ok(args) => (experiment.run)(&args),
+        Err(why) => {
+            eprintln!("adbt_bench {name}: {why}\n{usage}");
+            std::process::exit(2)
+        }
+    }
+}
+
+/// An experiment's checked arguments: every key it accepts with its
+/// given or default value, and its output files, already created.
+#[derive(Debug)]
 pub struct Args {
-    values: HashMap<String, String>,
-    flags: Vec<String>,
-    usage: String,
+    values: HashMap<&'static str, String>,
+    outputs: Vec<(&'static str, String, File)>,
 }
 
 impl Args {
-    /// Parses `std::env::args()` against the declared value keys (each
-    /// takes one argument) and flags (none); `--csv` and `--json` are
-    /// always accepted. `--help` prints usage and exits 0.
-    pub fn parse(values: &[&str], flags: &[&str]) -> Args {
-        let mut argv = std::env::args();
-        let bin = argv.next().unwrap_or_default();
-        let bin = bin.rsplit('/').next().unwrap_or_default().to_string();
-        let argv: Vec<String> = argv.collect();
-        if argv.iter().any(|arg| arg == "--help") {
-            println!("{}", usage(&bin, values, flags));
-            std::process::exit(0);
-        }
-        Args::parse_from(&bin, argv, values, flags).unwrap_or_else(|why| {
-            eprintln!("{bin}: {why}\n{}", usage(&bin, values, flags));
-            std::process::exit(2)
-        })
-    }
-
-    /// [`Args::parse`] over an explicit argument list (without the
-    /// program name), reporting the first bad argument as an error.
-    pub fn parse_from(
-        bin: &str,
-        argv: impl IntoIterator<Item = String>,
-        values: &[&str],
-        flags: &[&str],
-    ) -> Result<Args, String> {
-        let mut args = Args {
-            usage: usage(bin, values, flags),
-            ..Args::default()
-        };
-        let mut iter = argv.into_iter().peekable();
+    /// Parses `--key VALUE` pairs and switches against the keys
+    /// `experiment` declares. The first unknown key, missing value,
+    /// positional argument, value outside its key's domain or output
+    /// file that cannot be created is an error; outputs are created
+    /// only once everything else has passed.
+    pub fn parse(experiment: &Experiment, argv: &[String]) -> Result<Args, String> {
+        let mut values: HashMap<&'static str, String> = experiment
+            .all_keys()
+            .filter(|(_, default)| !default.is_empty())
+            .map(|(key, default)| (key.name, default.to_string()))
+            .collect();
+        let mut iter = argv.iter().peekable();
         while let Some(arg) = iter.next() {
-            let Some(key) = arg.strip_prefix("--") else {
+            let Some(name) = arg.strip_prefix("--") else {
                 return Err(format!("unexpected argument `{arg}`"));
             };
-            if flags.contains(&key) {
-                args.flags.push(key.to_string());
-            } else if values.contains(&key) || OUTPUT_KEYS.contains(&key) {
-                match iter.next_if(|next| !next.starts_with("--")) {
-                    Some(value) => {
-                        args.values.insert(key.to_string(), value);
-                    }
-                    None => return Err(format!("`--{key}` needs a value")),
-                }
-            } else {
-                return Err(format!("unknown option `--{key}`"));
+            let Some((key, _)) = experiment.all_keys().find(|(key, _)| key.name == name) else {
+                return Err(format!("unknown option `--{name}`"));
+            };
+            let value = match key.domain {
+                Domain::Flag => String::new(),
+                _ => iter
+                    .next_if(|next| !next.starts_with("--"))
+                    .ok_or_else(|| format!("`--{name}` needs a value"))?
+                    .clone(),
+            };
+            values.insert(key.name, value);
+        }
+        let mut outputs = Vec::new();
+        for (key, _) in experiment.all_keys() {
+            let Some(value) = values.get(key.name) else {
+                continue;
+            };
+            if let Some(want) = key.domain.reject(value) {
+                return Err(format!("`--{} {value}` is not {want}", key.name));
+            }
+            if key.domain == Domain::Output {
+                let file =
+                    File::create(value).map_err(|e| format!("cannot create {value}: {e}"))?;
+                outputs.push((key.name, value.clone(), file));
             }
         }
-        Ok(args)
+        Ok(Args { values, outputs })
     }
 
-    /// A typed value, `Ok(None)` when absent and an error when present
-    /// but unparseable.
-    pub fn try_get<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
-        match self.values.get(key) {
-            None => Ok(None),
-            Some(text) => text
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("bad value `{text}` for `--{key}`")),
-        }
+    /// The value of `key`, or `None` when it has no default and was not
+    /// given.
+    ///
+    /// # Panics
+    ///
+    /// When the value does not parse as `T`: the experiment reads a key
+    /// with a type its domain does not guarantee.
+    pub fn get_opt<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
+        let text = self.values.get(key)?;
+        let value = text.parse().ok();
+        Some(value.unwrap_or_else(|| panic!("`--{key} {text}` passed its domain but not its type")))
     }
 
-    /// A typed value with a default; an unparseable value exits 2 with
-    /// usage.
-    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        match self.try_get(key) {
-            Ok(value) => value.unwrap_or(default),
-            Err(why) => self.fail(&why),
-        }
+    /// The value of a key declared with a default.
+    ///
+    /// # Panics
+    ///
+    /// As [`get_opt`](Args::get_opt), and when `key` has no value.
+    pub fn get<T: std::str::FromStr>(&self, key: &str) -> T {
+        self.get_opt(key)
+            .unwrap_or_else(|| panic!("`--{key}` is read but not declared with a default"))
     }
 
-    /// A string value.
-    pub fn get_str(&self, key: &str) -> Option<&str> {
-        self.values.get(key).map(String::as_str)
+    /// The kernels a [`Domain::Programs`] or [`Domain::Program`] key
+    /// names.
+    pub fn programs(&self, key: &str) -> Vec<Program> {
+        parse_programs(&self.values[key]).expect("checked against the key's domain")
     }
 
-    /// Whether a boolean flag is present.
+    /// Whether a [`Domain::Flag`] key was given.
     pub fn flag(&self, key: &str) -> bool {
-        self.flags.iter().any(|f| f == key)
-    }
-
-    /// Reports a bad argument with usage and exits 2.
-    pub fn fail(&self, why: &str) -> ! {
-        eprintln!("{why}\n{}", self.usage);
-        std::process::exit(2)
+        self.values.contains_key(key)
     }
 }
 
-/// `usage: BIN [--key VALUE]... [--flag]...` for the declared keys.
-fn usage(bin: &str, values: &[&str], flags: &[&str]) -> String {
-    let mut out = format!("usage: {bin}");
-    for key in values.iter().chain(&OUTPUT_KEYS) {
-        out.push_str(&format!(" [--{key} VALUE]"));
-    }
-    for flag in flags {
-        out.push_str(&format!(" [--{flag}]"));
-    }
-    out
+/// The kernels a comma-separated list names, in its order; `None` when
+/// any name is unknown.
+fn parse_programs(list: &str) -> Option<Vec<Program>> {
+    list.split(',')
+        .map(|name| Program::from_name(name.trim()))
+        .collect()
 }
 
 /// The thread ladder the paper sweeps (Fig. 10 goes to 64); capped by
@@ -149,34 +290,111 @@ pub fn thread_ladder(max: u32) -> Vec<u32> {
         .collect()
 }
 
-/// The default thread cap: the host's available parallelism (the paper
-/// oversubscribes beyond physical cores too, so callers may raise it).
-pub fn default_max_threads() -> u32 {
-    std::thread::available_parallelism()
-        .map(|n| n.get() as u32)
-        .unwrap_or(8)
-        .clamp(4, 64)
+/// Whether any vCPU of `run` stopped making progress.
+pub fn livelocked(run: &ParsecRun) -> bool {
+    run.report
+        .outcomes
+        .iter()
+        .any(|o| matches!(o, VcpuOutcome::Livelocked { .. }))
+}
+
+/// One cell of a [`Sweep`]: a kernel run under one scheme at one thread
+/// count.
+#[derive(Clone, Debug)]
+pub struct Cell {
+    /// The kernel.
+    pub program: Program,
+    /// The scheme.
+    pub scheme: SchemeKind,
+    /// The guest thread count.
+    pub threads: u32,
+    /// The run.
+    pub run: ParsecRun,
+}
+
+impl Cell {
+    /// The program, scheme and thread-count cells that start a row.
+    pub fn labels(&self) -> [(&'static str, String); 3] {
+        [
+            ("program", self.program.name().to_string()),
+            ("scheme", self.scheme.name().to_string()),
+            ("threads", self.threads.to_string()),
+        ]
+    }
+}
+
+/// A kernel × scheme × thread-count sweep on the simulated multicore, in
+/// deterministic virtual time: the one loop behind every kernel table.
+#[derive(Clone, Debug, Default)]
+pub struct Sweep<'a> {
+    /// Kernels, outermost.
+    pub programs: &'a [Program],
+    /// Schemes per kernel.
+    pub schemes: &'a [SchemeKind],
+    /// Thread counts per scheme, innermost.
+    pub threads: &'a [u32],
+    /// Work factor (see `adbt::workloads::parsec::generate`).
+    pub scale: f64,
+    /// The engine configuration of every cell.
+    pub config: MachineConfig,
+    /// Names each kernel on stderr as its cells start.
+    pub progress: bool,
+    /// Keeps livelocked cells, which Fig. 11 reports, instead of failing.
+    pub allow_livelock: bool,
+}
+
+impl Sweep<'_> {
+    /// Runs every cell in order.
+    ///
+    /// # Panics
+    ///
+    /// When a cell breaks its kernel's invariants, unless it livelocked
+    /// and [`allow_livelock`](Sweep::allow_livelock) is set.
+    pub fn run(&self) -> Vec<Cell> {
+        let mut cells = Vec::new();
+        for &program in self.programs {
+            if self.progress {
+                eprintln!("running {program} ...");
+            }
+            for &scheme in self.schemes {
+                for &threads in self.threads {
+                    let config = self.config.clone();
+                    let costs = Some(SimCosts::default());
+                    let run = run_parsec_full(scheme, program, threads, self.scale, config, costs)
+                        .expect("machine construction");
+                    assert!(
+                        run.valid || (self.allow_livelock && livelocked(&run)),
+                        "{scheme} x {program} x {threads}: kernel invariants failed"
+                    );
+                    cells.push(Cell {
+                        program,
+                        scheme,
+                        threads,
+                        run,
+                    });
+                }
+            }
+        }
+        cells
+    }
 }
 
 /// A rectangular result table that renders both human-readable and CSV.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Table {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
-    /// Creates a table with the given column names.
-    pub fn new(header: &[&str]) -> Table {
-        Table {
-            header: header.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
+    /// Appends a row of `(column, cell)` pairs. The first row names the
+    /// columns; every later row must name the same ones in order.
+    pub fn row<'a>(&mut self, cells: impl IntoIterator<Item = (&'a str, String)>) {
+        let (names, cells): (Vec<&str>, Vec<String>) = cells.into_iter().unzip();
+        if self.rows.is_empty() {
+            self.header = names.iter().map(|name| name.to_string()).collect();
         }
-    }
-
-    /// Appends a row (must match the header length).
-    pub fn row(&mut self, cells: Vec<String>) {
-        assert_eq!(cells.len(), self.header.len(), "row/header mismatch");
+        assert!(self.header == names, "row/header mismatch: {names:?}");
         self.rows.push(cells);
     }
 
@@ -209,14 +427,8 @@ impl Table {
 
     /// Renders CSV.
     pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.header.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
+        let lines = std::iter::once(&self.header).chain(&self.rows);
+        lines.map(|cells| cells.join(",") + "\n").collect()
     }
 
     /// Renders a JSON array of row objects keyed by column name (numbers
@@ -243,19 +455,18 @@ impl Table {
         out
     }
 
-    /// Prints the table and optionally writes CSV (`--csv PATH`) and/or
-    /// JSON (`--json PATH`).
+    /// Prints the table and writes it to the `--csv` and `--json` files
+    /// the arguments created.
     pub fn emit(&self, args: &Args) {
         println!("{}", self.render());
-        if let Some(path) = args.get_str("csv") {
-            let mut file =
-                std::fs::File::create(path).unwrap_or_else(|e| panic!("cannot create {path}: {e}"));
-            file.write_all(self.to_csv().as_bytes())
-                .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-            eprintln!("wrote {path}");
-        }
-        if let Some(path) = args.get_str("json") {
-            std::fs::write(path, self.to_json())
+        for (key, path, file) in &args.outputs {
+            let text = if *key == "csv" {
+                self.to_csv()
+            } else {
+                self.to_json()
+            };
+            let mut file: &File = file;
+            file.write_all(text.as_bytes())
                 .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
             eprintln!("wrote {path}");
         }
@@ -297,9 +508,9 @@ fn json_cell(cell: &str) -> String {
     json_string(cell)
 }
 
-/// Runs `f` `reps` times and returns the minimum duration (the paper
-/// averages three runs; minimum-of-N is the standard noise-floor
-/// estimator for interpreted workloads).
+/// Runs `f` `reps` times and returns the minimum duration with the value
+/// of that run (the paper averages three runs; minimum-of-N is the
+/// standard noise-floor estimator for interpreted workloads).
 pub fn time_best<T>(reps: u32, mut f: impl FnMut() -> (Duration, T)) -> (Duration, T) {
     let mut best: Option<(Duration, T)> = None;
     for _ in 0..reps.max(1) {
@@ -333,23 +544,45 @@ pub fn geomean(values: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
+    const TEST: Experiment = Experiment {
+        name: "test",
+        artefact: "a test",
+        keys: &[
+            (Key::new("scale", Domain::Scale), "0.1"),
+            (Key::new("guard", Domain::Budget), ""),
+            (Key::new("traced", Domain::Flag), ""),
+            (Key::new("programs", Domain::Programs), "x264"),
+        ],
+        run: |_| {},
+    };
+
     fn parse(argv: &[&str]) -> Result<Args, String> {
-        Args::parse_from(
-            "bench",
-            argv.iter().map(|s| s.to_string()),
-            &["scale", "guard"],
-            &["traced"],
-        )
+        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        Args::parse(&TEST, &argv)
     }
 
     #[test]
-    fn args_accept_declared_keys_flags_and_outputs() {
-        let args = parse(&["--scale", "0.5", "--traced", "--csv", "out.csv"]).unwrap();
-        assert_eq!(args.get("scale", 1.0), 0.5);
-        assert_eq!(args.get("guard", 7.0), 7.0, "absent key keeps its default");
+    fn args_accept_declared_keys_flags_and_defaults() {
+        let args = parse(&["--scale", "0.5", "--traced", "--programs", "freqmine, x264"]).unwrap();
+        assert_eq!(args.get::<f64>("scale"), 0.5);
+        assert_eq!(args.get_opt::<f64>("guard"), None, "no default, not given");
         assert!(args.flag("traced"));
-        assert_eq!(args.get_str("csv"), Some("out.csv"));
-        assert!(args.usage.contains("[--guard VALUE]") && args.usage.contains("[--traced]"));
+        assert_eq!(
+            args.programs("programs"),
+            vec![Program::Freqmine, Program::X264]
+        );
+        let args = parse(&[]).unwrap();
+        assert_eq!(
+            args.get::<f64>("scale"),
+            0.1,
+            "absent key keeps its default"
+        );
+        assert!(!args.flag("traced"));
+        let usage = TEST.usage();
+        assert!(
+            usage.contains("[--scale 0.1] [--guard VALUE] [--traced]"),
+            "{usage}"
+        );
     }
 
     #[test]
@@ -366,11 +599,30 @@ mod tests {
     }
 
     #[test]
-    fn args_report_unparseable_values() {
-        let args = parse(&["--guard", "abc"]).unwrap();
-        let why = args.try_get::<f64>("guard").unwrap_err();
-        assert!(why.contains("abc") && why.contains("--guard"), "{why}");
-        assert_eq!(args.try_get::<f64>("scale"), Ok(None));
+    fn args_reject_values_outside_their_domain() {
+        for (argv, why) in [
+            (["--scale", "0"], "`--scale 0` is not a finite number > 0"),
+            (["--scale", "abc"], "`--scale abc`"),
+            (["--guard", "-1"], "`--guard -1` is not a finite percentage"),
+            (["--programs", "x264,bogus"], "`--programs x264,bogus`"),
+        ] {
+            let err = parse(&argv).unwrap_err();
+            assert!(err.contains(why), "{argv:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn domains_bound_counts_and_numbers() {
+        let accepts = |domain: Domain, text| domain.reject(text).is_none();
+        assert!(!accepts(Domain::Count, "0") && accepts(Domain::Count, "1"));
+        assert!(!accepts(Domain::Count, "-1") && !accepts(Domain::Count, "1.5"));
+        assert!(accepts(Domain::Natural, "0") && !accepts(Domain::Natural, "-1"));
+        for bad in ["0", "-0.5", "nan", "inf"] {
+            assert!(!accepts(Domain::Scale, bad), "{bad}");
+        }
+        assert!(accepts(Domain::Scale, "1e-3"));
+        assert!(accepts(Domain::Budget, "0") && !accepts(Domain::Budget, "nan"));
+        assert!(accepts(Domain::Program, "freqmine") && !accepts(Domain::Program, "freqmine,x264"));
     }
 
     #[test]
@@ -382,8 +634,8 @@ mod tests {
 
     #[test]
     fn table_renders_and_csvs() {
-        let mut t = Table::new(&["a", "bb"]);
-        t.row(vec!["1".into(), "2".into()]);
+        let mut t = Table::default();
+        t.row([("a", "1".into()), ("bb", "2".into())]);
         let text = t.render();
         assert!(text.contains("a"));
         assert!(text.contains("bb"));
@@ -391,9 +643,21 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "row/header mismatch")]
+    fn table_rows_name_the_same_columns() {
+        let mut t = Table::default();
+        t.row([("a", "1".into())]);
+        t.row([("b", "2".into())]);
+    }
+
+    #[test]
     fn table_to_json_types_cells() {
-        let mut t = Table::new(&["name", "count", "ratio"]);
-        t.row(vec!["hst".into(), "42".into(), "2.03".into()]);
+        let mut t = Table::default();
+        t.row([
+            ("name", "hst".into()),
+            ("count", "42".into()),
+            ("ratio", "2.03".into()),
+        ]);
         let json = t.to_json();
         assert!(json.contains("\"name\": \"hst\""), "{json}");
         assert!(json.contains("\"count\": 42"), "{json}");

@@ -32,13 +32,25 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Unmapped virtual pages above physical memory (PST-REMAP's window).
+const EXTRA_VIRT_PAGES: u32 = 64;
+/// log2 of the HTM versioned-lock table size.
+const HTM_INDEX_BITS: u8 = 16;
+/// HTM write-set capacity in words.
+const HTM_WRITE_CAPACITY: usize = 512;
+/// Page-fault retries per access before declaring livelock.
+pub(crate) const FAULT_RETRY_LIMIT: u64 = 1 << 26;
+/// Consecutive HTM region aborts before declaring livelock — the
+/// threshold past which PICO-HTM's abort storm is called out.
+const HTM_RETRY_LIMIT: u64 = 1 << 14;
+/// Per-vCPU guest stack size in bytes.
+const STACK_SIZE: u32 = 64 << 10;
+
 /// Machine construction parameters.
 #[derive(Clone, Debug)]
 pub struct MachineConfig {
     /// Physical guest memory in bytes (page-aligned).
     pub mem_size: u32,
-    /// Unmapped virtual pages above physical memory (PST-REMAP's window).
-    pub extra_virt_pages: u32,
     /// Maximum guest instructions per translated block (1 for
     /// instruction-granular deterministic runs — litmus lockstep and
     /// the checker's scheduled exploration — larger for throughput).
@@ -48,17 +60,6 @@ pub struct MachineConfig {
     /// Track store-test collisions (profiling runs only; adds a shadow
     /// word per entry).
     pub track_collisions: bool,
-    /// log2 of the HTM versioned-lock table size.
-    pub htm_index_bits: u8,
-    /// HTM write-set capacity in words.
-    pub htm_write_capacity: usize,
-    /// Page-fault retries per access before declaring livelock.
-    pub fault_retry_limit: u64,
-    /// Consecutive HTM region aborts before declaring livelock — the
-    /// threshold past which PICO-HTM's abort storm is called out.
-    pub htm_retry_limit: u64,
-    /// Per-vCPU guest stack size in bytes.
-    pub stack_size: u32,
     /// Enables the rule-based translation pass (paper §VI): canonical
     /// compiler-generated LL/SC retry loops are recognized at
     /// translation time and fused into single host atomic built-ins,
@@ -112,15 +113,9 @@ impl Default for MachineConfig {
     fn default() -> MachineConfig {
         MachineConfig {
             mem_size: 32 << 20,
-            extra_virt_pages: 64,
             max_block_insns: 32,
             htable_bits: 16,
             track_collisions: false,
-            htm_index_bits: 16,
-            htm_write_capacity: 512,
-            fault_retry_limit: 1 << 26,
-            htm_retry_limit: 1 << 14,
-            stack_size: 64 << 10,
             fuse_atomics: false,
             chain_limit: 64,
             chaos: None,
@@ -345,7 +340,7 @@ impl MachineCore {
         if adapt.is_some() {
             config.profile = true;
         }
-        let space = AddressSpace::new(config.mem_size, config.extra_virt_pages)?;
+        let space = AddressSpace::new(config.mem_size, EXTRA_VIRT_PAGES)?;
         // Every candidate installs into the one registry: helper ids are
         // disjoint, so blocks lowered under different candidates coexist
         // in one cache without relinking.
@@ -361,7 +356,7 @@ impl MachineCore {
             adapt.map(|(cfg, arbiter)| AdaptRuntime::new(candidates, initial, cfg, arbiter));
         Ok(MachineCore {
             space,
-            htm: HtmDomain::new(config.htm_index_bits, config.htm_write_capacity),
+            htm: HtmDomain::new(HTM_INDEX_BITS, HTM_WRITE_CAPACITY),
             store_test: StoreTestTable::new(config.htable_bits, config.track_collisions),
             exclusive: ExclusiveBarrier::new(),
             scheme,
@@ -373,7 +368,7 @@ impl MachineCore {
             trace: config.trace.then(|| Arc::new(TraceRecorder::new())),
             profile: config.profile.then(|| Arc::new(ProfileRecorder::new())),
             retry: RetryPolicy {
-                max_attempts: config.htm_retry_limit,
+                max_attempts: HTM_RETRY_LIMIT,
                 yield_after: 8,
                 // Sleeping starts exactly where degradation does, so the
                 // storm path never sleeps (each µs-sleep is a real
@@ -479,7 +474,7 @@ impl MachineCore {
     /// least one, with their stacks fitting below the top of guest
     /// memory.
     pub fn fits_vcpus(&self, n: u32) -> bool {
-        let total_stack = (n as u64) * (self.config.stack_size as u64);
+        let total_stack = (n as u64) * (STACK_SIZE as u64);
         n >= 1 && total_stack < self.config.mem_size as u64
     }
 
@@ -502,7 +497,7 @@ impl MachineCore {
                 cpu.set_reg(1, n);
                 cpu.set_reg(
                     adbt_isa::Reg::SP.index(),
-                    self.config.mem_size - i * self.config.stack_size,
+                    self.config.mem_size - i * STACK_SIZE,
                 );
                 cpu
             })

@@ -2,7 +2,7 @@
 //! registry, and the per-thread execution context.
 
 use crate::arbiter::EpochSignals;
-use crate::machine::MachineCore;
+use crate::machine::{MachineCore, FAULT_RETRY_LIMIT};
 use crate::sched::SchedEvent;
 use crate::state::{Vcpu, VcpuSnapshot};
 use crate::stats::VcpuStats;
@@ -1095,7 +1095,7 @@ impl<'m> ExecCtx<'m> {
             if let FaultAccess::Store { value, width } = access {
                 if let Some(outcome) = self.smc_store(fault.vaddr, value, width)? {
                     *retries += 1;
-                    if *retries > self.machine.config.fault_retry_limit {
+                    if *retries > FAULT_RETRY_LIMIT {
                         return Err(Trap::Livelock {
                             pc: self.cpu.pc,
                             what: "page-fault retry storm",
@@ -1113,7 +1113,7 @@ impl<'m> ExecCtx<'m> {
             FaultOutcome::Fatal => Err(Trap::Fault(fault)),
             outcome => {
                 *retries += 1;
-                if *retries > self.machine.config.fault_retry_limit {
+                if *retries > FAULT_RETRY_LIMIT {
                     return Err(Trap::Livelock {
                         pc: self.cpu.pc,
                         what: "page-fault retry storm",
@@ -1193,7 +1193,7 @@ impl<'m> ExecCtx<'m> {
                 self.stats.page_faults += 1;
                 self.trace(TraceKind::PageFault, fault.vaddr, 0);
                 *retries += 1;
-                if *retries > self.machine.config.fault_retry_limit {
+                if *retries > FAULT_RETRY_LIMIT {
                     return Err(Trap::Livelock {
                         pc: self.cpu.pc,
                         what: "page-fault retry storm",
