@@ -144,6 +144,13 @@ speedup --scale 0.08 --threads 8
 ablation_fused --scale 0.1 --threads 8
 aba --threads 16 --ops 16000 --nodes 16 --reps 3
 EOF
+# The bench tables' JSON writer is checked the same way: `adapt`'s
+# --json table is its deterministic half (the mixed workload in virtual
+# time; a short timed half runs too, with no guard), and it must match
+# the committed record behind EXPERIMENTS.md's E11 byte for byte.
+cargo run -q --release --offline -p adbt-bench --bin adbt_bench -- \
+    adapt --iters 1000 --reps 1 --json "$TRACE_TMP/bench_adapt.json" > /dev/null
+cmp "$TRACE_TMP/bench_adapt.json" results/bench_adapt.json
 
 # The repository benchmark (e2ebench/, its own cargo workspace) builds
 # against the engine's public API; its tests run here so an API change

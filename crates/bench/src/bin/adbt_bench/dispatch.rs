@@ -242,12 +242,15 @@ fn mixed_phases(iters: u32) -> [(&'static str, String); 3] {
     [("llsc", llsc), ("htm", htm), ("smc", smc)]
 }
 
+/// Guest memory of each `adapt` phase machine; it bounds `--threads`.
+pub const PHASE_MEMORY: u32 = 1 << 20;
+
 /// Virtual-time makespan of one phase on `threads` vCPUs of the machine
 /// `builder` makes, with the run's migration count and the scheme it
 /// ended on.
 fn sim_phase(builder: MachineBuilder, source: &str, threads: u32) -> (u64, u64, &'static str) {
     let mut machine = builder
-        .memory(1 << 20)
+        .memory(PHASE_MEMORY)
         .build()
         .expect("machine construction");
     machine.load_asm(source, ENTRY).expect("assembles");

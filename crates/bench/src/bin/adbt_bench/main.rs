@@ -14,12 +14,24 @@ mod dispatch;
 mod micro;
 mod paper;
 
+use adbt::engine::{MachineCore, MAX_THREADED_VCPUS};
+use adbt::workloads::parsec;
 use adbt_bench::{Domain, Experiment, Key};
 
 // The key table: every key an experiment accepts, and the values it takes.
 const SCALE: Key = Key::new("scale", Domain::Scale);
-const THREADS: Key = Key::new("threads", Domain::Count);
-const MAX_THREADS: Key = Key::new("max-threads", Domain::Count);
+/// A kernel is generated for at most `parsec::MAX_THREADS` threads.
+const THREADS: Key = Key::new("threads", Domain::Upto(parsec::MAX_THREADS));
+/// The top of the thread ladder, whose last rung is `parsec::MAX_THREADS`.
+const MAX_THREADS: Key = Key::new("max-threads", Domain::Upto(parsec::MAX_THREADS));
+/// `aba --threaded` runs one OS thread per vCPU; the simulated run takes
+/// the same bound.
+const STACK_THREADS: Key = Key::new("threads", Domain::Upto(MAX_THREADED_VCPUS));
+/// `adapt` runs each phase on a machine of `dispatch::PHASE_MEMORY` bytes.
+const PHASE_THREADS: Key = Key::new(
+    "threads",
+    Domain::Upto(MachineCore::max_vcpus(dispatch::PHASE_MEMORY)),
+);
 const PROGRAMS: Key = Key::new("programs", Domain::Programs);
 const PROGRAM: Key = Key::new("program", Domain::Program);
 const REPS: Key = Key::new("reps", Domain::Count);
@@ -47,7 +59,7 @@ const EXPERIMENTS: &[Experiment] = &[
         artefact: "§IV-A ABA rates (E1)",
         run: paper::aba,
         keys: &[
-            (THREADS, "16"),
+            (STACK_THREADS, "16"),
             (OPS, "65535"),
             (NODES, "64"),
             (REPS, "3"),
@@ -151,7 +163,7 @@ const EXPERIMENTS: &[Experiment] = &[
             (GUARD, ""),
             (EPOCH, "400"),
             (PHASE_ITERS, "12000"),
-            (THREADS, "4"),
+            (PHASE_THREADS, "4"),
         ],
     },
     Experiment {

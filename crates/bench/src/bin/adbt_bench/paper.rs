@@ -383,9 +383,10 @@ pub fn speedup(args: &Args) {
 /// (freqmine, whose `__atomic_fetch_add` loops are exactly the canonical
 /// pattern).
 pub fn ablation_fused(args: &Args) {
+    let program = args.programs("program");
     let sweep = |fuse_atomics| {
         Sweep {
-            programs: &args.programs("program"),
+            programs: &program,
             schemes: &[Hst, HstWeak, Pst, PicoSt, PicoCas],
             threads: &[args.get("threads")],
             scale: args.get("scale"),
@@ -414,10 +415,13 @@ pub fn ablation_fused(args: &Args) {
     }
     table.emit_with_note(
         args,
-        "\nthe pass fuses {program}'s atomic-add loops into host atomics; spin-lock\n\
+        &format!(
+            "\nthe pass fuses {}'s atomic-add loops into host atomics; spin-lock\n\
              acquires (test-before-set shape) are NOT canonical and stay on the scheme\n\
              path — the residual_llsc column. Expected: big wins for the schemes whose\n\
              per-SC machinery is expensive (hst's stop-the-world, pst's mprotect),\n\
              nothing for pico-cas (its SC was already one CAS).",
+            program[0]
+        ),
     );
 }

@@ -31,7 +31,7 @@
 //! to a default, panic after minutes of measuring, or hang.
 
 use adbt::harness::{run_parsec_full, ParsecRun};
-use adbt::trace::validate::json_string;
+use adbt::trace::json::JsonWriter;
 use adbt::workloads::parsec::Program;
 use adbt::{MachineConfig, SchemeKind, SimCosts, VcpuOutcome};
 use std::collections::HashMap;
@@ -44,6 +44,8 @@ use std::time::Duration;
 pub enum Domain {
     /// A whole number >= 1 (`u32`).
     Count,
+    /// A whole number >= 1 and <= the bound (`u32`).
+    Upto(u32),
     /// A whole number >= 0 (`u32`).
     Natural,
     /// A finite number > 0.
@@ -71,6 +73,10 @@ impl Domain {
         let kernels = Program::ALL.map(|p| p.name()).join(", ");
         let (ok, want) = match self {
             Domain::Count => (count >= Some(1), "a whole number >= 1".into()),
+            Domain::Upto(max) => (
+                count >= Some(1) && count <= Some(max),
+                format!("a whole number >= 1 and <= {max}"),
+            ),
             Domain::Natural => (count.is_some(), "a whole number >= 0".into()),
             Domain::Scale => (number > Some(0.0), "a finite number > 0".into()),
             Domain::Budget => (number >= Some(0.0), "a finite percentage >= 0".into()),
@@ -431,28 +437,25 @@ impl Table {
         lines.map(|cells| cells.join(",") + "\n").collect()
     }
 
-    /// Renders a JSON array of row objects keyed by column name (numbers
-    /// stay numbers where they parse). Hand-rolled — the workspace builds
-    /// air-gapped, with no JSON crate available.
+    /// Renders a JSON array of row objects keyed by column name, one row
+    /// per line. A cell that parses as an integer or a finite float is
+    /// written as that number, any other cell as a string.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        let mut w = JsonWriter::spaced();
+        w.arr();
+        for row in &self.rows {
+            w.pad("\n  ").obj();
+            for (key, cell) in self.header.iter().zip(row) {
+                w.key(key);
+                match (cell.parse::<i64>(), cell.parse::<f64>()) {
+                    (Ok(i), _) => w.raw(i),
+                    (_, Ok(f)) if f.is_finite() => w.raw(f),
+                    _ => w.str(cell),
+                };
             }
-            out.push_str("\n  {");
-            for (j, (key, cell)) in self.header.iter().zip(row).enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&json_string(key));
-                out.push_str(": ");
-                out.push_str(&json_cell(cell));
-            }
-            out.push('}');
+            w.end();
         }
-        out.push_str("\n]\n");
-        out
+        w.pad("\n").end().finish() + "\n"
     }
 
     /// Prints the table and writes it to the `--csv` and `--json` files
@@ -493,19 +496,6 @@ pub fn pct(num: f64, den: f64) -> f64 {
 /// A counter ratio as the standard one-decimal percentage cell.
 pub fn pct_cell(num: u64, den: u64) -> String {
     format!("{:.1}", pct(num as f64, den as f64))
-}
-
-/// A cell as a JSON value: integer, then finite float, then string.
-fn json_cell(cell: &str) -> String {
-    if let Ok(i) = cell.parse::<i64>() {
-        return i.to_string();
-    }
-    if let Ok(f) = cell.parse::<f64>() {
-        if f.is_finite() {
-            return format!("{f}");
-        }
-    }
-    json_string(cell)
 }
 
 /// Runs `f` `reps` times and returns the minimum duration with the value
@@ -664,12 +654,26 @@ mod tests {
         assert!(json.contains("\"ratio\": 2.03"), "{json}");
     }
 
+    /// The JSON layout, pinned byte for byte: one row object per line,
+    /// integers and finite floats as numbers, everything else quoted.
     #[test]
-    fn json_escapes_and_types() {
-        assert_eq!(json_cell("-7"), "-7");
-        assert_eq!(json_cell("0.5"), "0.5");
-        assert_eq!(json_cell("NaN"), "\"NaN\"");
-        assert_eq!(json_cell("hst-htm"), "\"hst-htm\"");
+    fn table_json_is_pinned() {
+        let mut t = Table::default();
+        for (scheme, count, ratio) in [
+            ("hst", "42", "2.03"),
+            ("pico-cas", "-7", "1.50"),
+            ("q\"uote", "0", "NaN"),
+            ("hst-htm", "", "inf"),
+        ] {
+            t.row([
+                ("scheme", scheme.into()),
+                ("count", count.into()),
+                ("ratio", ratio.into()),
+            ]);
+        }
+        let golden = include_str!("../tests/data/table.json");
+        assert_eq!(t.to_json(), golden);
+        assert_eq!(Table::default().to_json(), "[\n]\n");
     }
 
     #[test]

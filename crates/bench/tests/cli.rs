@@ -92,6 +92,34 @@ fn thread_counts_must_be_positive() {
     }
 }
 
+/// Kernels are generated for at most 64 threads, a threaded run takes
+/// at most 64 vCPUs, and `adapt`'s 1 MiB machines hold 15 guest stacks.
+#[test]
+fn thread_counts_must_fit_what_runs_them() {
+    for experiment in ["speedup", "table1", "ablation_fused", "aba"] {
+        assert_rejected(
+            &[experiment, "--threads", "65"],
+            "`--threads 65` is not a whole number >= 1 and <= 64",
+        );
+    }
+    assert_rejected(&["aba", "--threads", "256"], "and <= 64");
+    assert_rejected(&["aba", "--threaded", "--threads", "65"], "and <= 64");
+    assert_rejected(
+        &["adapt", "--threads", "16"],
+        "`--threads 16` is not a whole number >= 1 and <= 15",
+    );
+}
+
+#[test]
+fn thread_ladders_stop_at_64() {
+    for experiment in ["fig10", "fig11", "fig12", "fig12_fs"] {
+        assert_rejected(
+            &[experiment, "--max-threads", "512"],
+            "`--max-threads 512` is not a whole number >= 1 and <= 64",
+        );
+    }
+}
+
 #[test]
 fn thread_ladders_must_be_nonempty() {
     for experiment in ["fig10", "fig11", "fig12", "fig12_fs"] {

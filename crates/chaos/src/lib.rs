@@ -212,12 +212,8 @@ impl ChaosSnapshot {
     /// Renders the per-site counts as one JSON object keyed by site
     /// name (all sites, fired or not, so consumers see a stable shape).
     pub fn to_json(&self) -> String {
-        let cells: Vec<String> = ChaosSite::ALL
-            .into_iter()
-            .zip(self.counts)
-            .map(|(site, count)| format!("\"{}\":{}", site.name(), count))
-            .collect();
-        format!("{{{}}}", cells.join(","))
+        let sites = ChaosSite::ALL.map(ChaosSite::name);
+        adbt_trace::json::object(sites.into_iter().zip(self.counts))
     }
 }
 
@@ -320,6 +316,16 @@ impl RetryPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The `chaos` block of `adbt-metrics-v1`: every site, fired or not.
+    #[test]
+    fn snapshot_json_is_pinned() {
+        let snapshot = ChaosSnapshot {
+            counts: std::array::from_fn(|i| 7 * i as u64),
+        };
+        let golden = include_str!("../tests/data/chaos_snapshot.json");
+        assert_eq!(snapshot.to_json(), golden.trim_end());
+    }
 
     #[test]
     fn rate_zero_never_fires_and_rate_one_always_fires() {

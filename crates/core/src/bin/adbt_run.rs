@@ -25,6 +25,13 @@
 //! per atom, same as the checker), so a found interleaving bug can be
 //! re-executed and inspected outside the checker.
 //!
+//! A threaded run takes at most 64 vCPUs (each vCPU thread holds one
+//! translation-reclamation slot); `--sim` and `--replay` run every vCPU
+//! on one host thread and take as many as guest memory has stacks for.
+//! The `--trace`, `--profile`, `--metrics` and `--adapt-log` files are
+//! created before the machine is built, so an unwritable path exits 2
+//! before the guest runs.
+//!
 //! `--cache-limit` bounds the translation cache to the given number of
 //! bytes: under pressure the engine flushes generationally (oldest
 //! translations first) and retranslates on demand.
@@ -76,7 +83,7 @@
 //! `--adapt-*` flags without `--scheme auto` (they would be silently
 //! ignored).
 
-use adbt::engine::{ScriptedScheduler, Unit};
+use adbt::engine::{ScriptedScheduler, Unit, MAX_THREADED_VCPUS};
 use adbt::observe;
 use adbt::profile::export;
 use adbt::{
@@ -412,6 +419,13 @@ fn main() -> ExitCode {
         eprintln!("--replay and --sim are mutually exclusive");
         return ExitCode::from(2);
     }
+    if threads > MAX_THREADED_VCPUS && !sim && replay.is_none() {
+        eprintln!(
+            "--threads {threads}: a threaded run takes at most {MAX_THREADED_VCPUS} vCPUs \
+             (--sim and --replay take more)"
+        );
+        usage()
+    }
     if let Some(Err(why)) = replay.as_ref().map(|s| s.check_vcpus(threads as usize)) {
         eprintln!("bad --replay trace for --threads {threads}: {why}");
         return ExitCode::from(2);
@@ -444,6 +458,15 @@ fn main() -> ExitCode {
              renderings carry the same snapshot — pick one"
         );
         return ExitCode::from(2);
+    }
+    // Create every output file now, so a path that cannot be written
+    // fails before the run rather than after it.
+    let outputs = [&trace_out, &profile_out, &metrics_out, &adapt_log_out];
+    for path in outputs.into_iter().flatten() {
+        if let Err(e) = std::fs::File::create(path) {
+            eprintln!("cannot create {path}: {e}");
+            return ExitCode::from(2);
+        }
     }
 
     let mut builder = match scheme {

@@ -83,9 +83,10 @@ pub mod engine {
     pub use adbt_engine::*;
 }
 
-/// The flight-recorder exporters (Chrome trace-event JSON + validator).
+/// The flight-recorder exporters (Chrome trace-event JSON + validator)
+/// and the JSON writer and parser every emitter and validator shares.
 pub mod trace {
-    pub use adbt_engine::{chrome, validate};
+    pub use adbt_engine::{chrome, json, validate};
 }
 
 /// The guest-PC contention profiler: attribution plane, `.prof` export,

@@ -12,6 +12,7 @@
 //! `tests/profile_plane.rs` pins the Livelocked case.
 
 use crate::Machine;
+use adbt_engine::json::JsonWriter;
 use adbt_engine::{RunReport, Vcpu};
 use adbt_profile::metrics;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -22,7 +23,7 @@ use std::time::{Duration, Instant};
 pub fn profile_summary_json(machine: &Machine) -> String {
     match &machine.core().profile {
         Some(rec) => metrics::profile_summary(&rec.merged()),
-        None => "null".to_string(),
+        None => JsonWriter::new().null().finish(),
     }
 }
 

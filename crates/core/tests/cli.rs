@@ -1,7 +1,7 @@
 //! Smoke tests for the `adbt_run` command-line runner.
 
 use adbt::engine::Unit;
-use adbt::trace::validate::{parse_json, Json};
+use adbt::trace::json::{parse_json, Json};
 use adbt::VcpuStats;
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -118,6 +118,43 @@ fn impossible_thread_counts_are_rejected() {
             "--threads {threads}: {stderr}"
         );
     }
+}
+
+/// Exit 2 with the usage line or `why` on stderr, and nothing run.
+fn assert_rejected(args: &[&str], why: &str) {
+    let dir = std::env::temp_dir();
+    let path = write_program(&dir, "adbt_cli_rejected.s", PROGRAM);
+    let output = bin().arg(&path).args(args).output().unwrap();
+    assert_eq!(output.status.code(), Some(2), "{args:?}: {output:?}");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains(why), "{args:?}: {stderr}");
+    assert!(output.stdout.is_empty(), "{args:?} ran the guest first");
+}
+
+/// Each vCPU thread of a threaded run holds one of 64 QSBR slots; the
+/// deterministic modes run every vCPU on one host thread.
+#[test]
+fn threaded_runs_take_at_most_64_vcpus() {
+    assert_rejected(&["--threads", "65"], "usage: adbt-run");
+    let dir = std::env::temp_dir();
+    let path = write_program(&dir, "adbt_cli_65.s", PROGRAM);
+    let output = bin()
+        .arg(&path)
+        .args(["--threads", "65", "--sim"])
+        .output()
+        .unwrap();
+    assert!(output.status.success(), "{output:?}");
+}
+
+#[test]
+fn output_files_are_created_before_the_run() {
+    for flag in ["--trace", "--profile", "--metrics"] {
+        assert_rejected(&[flag, "/nonexistent/dir/t.json"], "cannot create");
+    }
+    assert_rejected(
+        &["--scheme", "auto", "--adapt-log", "/nonexistent/dir/t.json"],
+        "cannot create",
+    );
 }
 
 #[test]

@@ -13,6 +13,7 @@
 use crate::scheme::{AtomicScheme, Atomicity, SchemeCostModel, StoreFamily};
 use crate::stats::VcpuStats;
 use adbt_sync::Mutex;
+use adbt_trace::json::{parse_json, Json, JsonWriter};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -329,7 +330,8 @@ impl AdaptRuntime {
         }
     }
 
-    /// Renders one `adbt-adapt-v1` decision line.
+    /// Renders one `adbt-adapt-v1` decision line; a `u64::MAX` score
+    /// (an ineligible candidate) is written as `null`.
     pub(crate) fn log_line(
         &self,
         epoch: u64,
@@ -339,79 +341,71 @@ impl AdaptRuntime {
         site: Option<u32>,
         scores: &[u64],
     ) -> String {
-        let active = self.active.load(Ordering::Relaxed);
-        let mut rendered = String::new();
-        for (i, s) in scores.iter().enumerate() {
-            if i > 0 {
-                rendered.push(',');
-            }
-            if *s == u64::MAX {
-                rendered.push_str("null");
-            } else {
-                rendered.push_str(&s.to_string());
-            }
-        }
-        let site = match site {
-            Some(pc) => format!("\"{pc:#010x}\""),
-            None => "null".to_string(),
+        let active = self.infos[self.active.load(Ordering::Relaxed)].name;
+        let mut w = JsonWriter::new();
+        w.obj().key("schema").str(LOG_SCHEMA).field("epoch", epoch);
+        w.field("tid", tid).key("active").str(active);
+        w.key("target").str(self.infos[target].name);
+        w.key("action").str(action.name()).key("site");
+        match site {
+            Some(pc) => w.str(&format!("{pc:#010x}")),
+            None => w.null(),
         };
-        format!(
-            "{{\"schema\":\"adbt-adapt-v1\",\"epoch\":{epoch},\"tid\":{tid},\
-             \"active\":\"{}\",\"target\":\"{}\",\"action\":\"{}\",\"site\":{site},\
-             \"scores\":[{rendered}]}}",
-            self.infos[active].name,
-            self.infos[target].name,
-            action.name(),
-        )
+        w.key("scores").arr();
+        for &score in scores {
+            match score {
+                u64::MAX => w.null(),
+                score => w.raw(score),
+            };
+        }
+        w.end().end().finish()
     }
 }
 
+/// The schema tag of every decision-log line.
+const LOG_SCHEMA: &str = "adbt-adapt-v1";
+
 /// Validates an `adbt-adapt-v1` decision log (one JSON object per
 /// line). Returns the number of lines on success, or a description of
-/// the first violation. Deliberately schema-shaped rather than a full
-/// JSON parser — the same discipline `validate_metrics_jsonl` follows.
+/// the first violation.
 pub fn validate_adapt_log(text: &str) -> Result<usize, String> {
-    let mut n = 0usize;
-    for (idx, line) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        if line.trim().is_empty() {
-            return Err(format!("line {lineno}: blank line"));
-        }
-        if !line.starts_with("{\"schema\":\"adbt-adapt-v1\",") || !line.ends_with('}') {
-            return Err(format!("line {lineno}: not an adbt-adapt-v1 object"));
-        }
-        for key in [
-            "\"epoch\":",
-            "\"tid\":",
-            "\"active\":",
-            "\"target\":",
-            "\"action\":",
-            "\"site\":",
-            "\"scores\":[",
-        ] {
-            if !line.contains(key) {
-                return Err(format!("line {lineno}: missing {key}"));
-            }
-        }
-        let action = line
-            .split("\"action\":\"")
-            .nth(1)
-            .and_then(|rest| rest.split('"').next())
-            .unwrap_or("");
-        let known = [
-            AdaptAction::Hold,
-            AdaptAction::Deny,
-            AdaptAction::Pending,
-            AdaptAction::Cooldown,
-            AdaptAction::Defer,
-            AdaptAction::Migrate,
-        ];
-        if !known.iter().any(|a| a.name() == action) {
-            return Err(format!("line {lineno}: unknown action {action:?}"));
-        }
-        n += 1;
+    for (i, line) in text.lines().enumerate() {
+        check_log_line(line).map_err(|e| format!("line {}: {e}", i + 1))?;
     }
-    Ok(n)
+    Ok(text.lines().count())
+}
+
+/// Checks one decision line: its schema tag and every field's type.
+fn check_log_line(line: &str) -> Result<(), String> {
+    let line = parse_json(line)?;
+    if line.str_field("schema")? != LOG_SCHEMA {
+        return Err(format!("not an {LOG_SCHEMA} object"));
+    }
+    line.u64_field("epoch")?;
+    line.u64_field("tid")?;
+    line.str_field("active")?;
+    line.str_field("target")?;
+    let action = line.str_field("action")?;
+    let known = [
+        AdaptAction::Hold,
+        AdaptAction::Deny,
+        AdaptAction::Pending,
+        AdaptAction::Cooldown,
+        AdaptAction::Defer,
+        AdaptAction::Migrate,
+    ];
+    if !known.iter().any(|a| a.name() == action) {
+        return Err(format!("unknown action {action:?}"));
+    }
+    if *line.field("site")? != Json::Null {
+        line.u32_field("site")?;
+    }
+    for score in line.arr_field("scores")? {
+        if *score != Json::Null && score.as_u64().is_none() {
+            return Err(format!("bad score {score:?}"));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -450,6 +444,54 @@ mod tests {
         assert_eq!(sig.cost_under(&SchemeCostModel::NEUTRAL), 1000);
     }
 
+    /// A candidate that only has a name.
+    struct Named(&'static str);
+
+    impl AtomicScheme for Named {
+        fn name(&self) -> &'static str {
+            self.0
+        }
+        fn atomicity(&self) -> Atomicity {
+            Atomicity::Strong
+        }
+        fn install(&mut self, _: &mut crate::HelperRegistry) {}
+        fn lower_ll(&self, _: &mut adbt_ir::BlockBuilder, _: adbt_ir::Slot, _: adbt_ir::Src) {}
+        fn lower_sc(
+            &self,
+            _: &mut adbt_ir::BlockBuilder,
+            _: adbt_ir::Slot,
+            _: adbt_ir::Src,
+            _: adbt_ir::Src,
+        ) {
+        }
+        fn lower_clrex(&self, _: &mut adbt_ir::BlockBuilder) {}
+    }
+
+    /// An arbiter that always holds.
+    struct HoldAll;
+
+    impl SchemeArbiter for HoldAll {
+        fn decide(&self, obs: &EpochObservation<'_>) -> Proposal {
+            Proposal {
+                target: obs.active,
+                scores: Vec::new(),
+            }
+        }
+    }
+
+    /// One decision line, pinned byte for byte: a `null` site and an
+    /// ineligible candidate's `null` score.
+    #[test]
+    fn log_line_is_pinned() {
+        let candidates: Vec<Arc<dyn AtomicScheme>> =
+            vec![Arc::new(Named("hst")), Arc::new(Named("pst"))];
+        let runtime = AdaptRuntime::new(candidates, 1, AdaptConfig::default(), Arc::new(HoldAll));
+        let line = runtime.log_line(7, 2, AdaptAction::Pending, 0, None, &[120, u64::MAX]);
+        let golden = include_str!("../tests/data/adapt_log_line.json");
+        assert_eq!(line, golden.trim_end());
+        assert_eq!(validate_adapt_log(&line), Ok(1));
+    }
+
     #[test]
     fn adapt_log_validator_accepts_rendered_lines() {
         let line = "{\"schema\":\"adbt-adapt-v1\",\"epoch\":3,\"tid\":0,\
@@ -461,5 +503,16 @@ mod tests {
         assert!(validate_adapt_log("").is_ok());
         let bad = line.replace("migrate", "explode");
         assert!(validate_adapt_log(&bad).unwrap_err().contains("explode"));
+        for bad in [
+            "{\"schema\":\"adbt-adapt-v1\",\"epoch\":\"tid\":\"active\":\"target\":\
+             \"action\":\"hold\",\"site\":\"scores\":[}",
+            &line.replace("[100,null,200]", "[100,null,200,]"),
+            &line.replace(
+                "\"epoch\":3,\"tid\":0,\"active\":\"hst\",\"target\":\"pst\"",
+                "\"epoch\":-5,\"tid\":\"x\",\"active\":7,\"target\":null",
+            ),
+        ] {
+            assert!(validate_adapt_log(bad).is_err(), "{bad}");
+        }
     }
 }

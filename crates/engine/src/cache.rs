@@ -210,14 +210,17 @@ impl CacheOccupancy {
             retired_blocks,
             reclaimed_blocks,
             reclaimed_segments,
-        } = self;
-        format!(
-            "{{\"live_blocks\":{live_blocks},\"arena_bytes\":{arena_bytes},\
-             \"peak_bytes\":{peak_bytes},\
-             \"invalidations\":{invalidations},\"flushes\":{flushes},\
-             \"retired_blocks\":{retired_blocks},\"reclaimed_blocks\":{reclaimed_blocks},\
-             \"reclaimed_segments\":{reclaimed_segments}}}"
-        )
+        } = *self;
+        adbt_trace::json::object([
+            ("live_blocks", live_blocks),
+            ("arena_bytes", arena_bytes),
+            ("peak_bytes", peak_bytes),
+            ("invalidations", invalidations),
+            ("flushes", flushes),
+            ("retired_blocks", retired_blocks),
+            ("reclaimed_blocks", reclaimed_blocks),
+            ("reclaimed_segments", reclaimed_segments),
+        ])
     }
 }
 
@@ -661,6 +664,23 @@ impl std::fmt::Debug for TranslationCache {
 mod tests {
     use super::*;
     use adbt_ir::{BlockBuilder, BlockExit};
+
+    /// The occupancy block of `adbt-metrics-v1`, pinned key for key.
+    #[test]
+    fn occupancy_json_is_pinned() {
+        let occupancy = CacheOccupancy {
+            live_blocks: 11,
+            arena_bytes: 22,
+            peak_bytes: 33,
+            invalidations: 44,
+            flushes: 55,
+            retired_blocks: 66,
+            reclaimed_blocks: 77,
+            reclaimed_segments: 88,
+        };
+        let golden = include_str!("../tests/data/cache_occupancy.json");
+        assert_eq!(occupancy.to_json(), golden.trim_end());
+    }
 
     fn block_at(pc: u32) -> Block {
         BlockBuilder::new(pc).finish(BlockExit::Jump(pc + 4), 1)

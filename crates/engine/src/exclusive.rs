@@ -34,8 +34,8 @@ impl ExclusiveTelemetry {
     /// Renders the snapshot as one JSON object — the `exclusive` block
     /// of the `adbt-metrics-v1` schema.
     pub fn to_json(&self) -> String {
-        let ExclusiveTelemetry { sections, wait_ns } = self;
-        format!("{{\"sections\":{sections},\"wait_ns\":{wait_ns}}}")
+        let ExclusiveTelemetry { sections, wait_ns } = *self;
+        adbt_trace::json::object([("sections", sections), ("wait_ns", wait_ns)])
     }
 }
 
@@ -285,6 +285,17 @@ mod tests {
         assert_eq!(t.sections, 1);
         assert_eq!(t.wait_ns, waited);
         assert!(t.to_json().starts_with("{\"sections\":1,\"wait_ns\":"));
+    }
+
+    /// The `exclusive` block of `adbt-metrics-v1`, pinned key for key.
+    #[test]
+    fn telemetry_json_is_pinned() {
+        let telemetry = ExclusiveTelemetry {
+            sections: 3,
+            wait_ns: 12_345,
+        };
+        let golden = include_str!("../tests/data/exclusive_telemetry.json");
+        assert_eq!(telemetry.to_json(), golden.trim_end());
     }
 
     /// An exclusive section must be atomic with respect to work done

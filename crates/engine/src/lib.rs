@@ -88,8 +88,8 @@ pub use adbt_profile::{
     Metric as ProfileMetric, PcProfile, ProfileEntry, ProfileRecorder, ProfileSnapshot,
 };
 pub use adbt_trace::{
-    chrome, validate, Histograms, LogHistogram, TraceEvent, TraceHandle, TraceKind, TraceRecorder,
-    TraceRing, WATCHDOG_TAIL,
+    chrome, json, validate, Histograms, LogHistogram, TraceEvent, TraceHandle, TraceKind,
+    TraceRecorder, TraceRing, WATCHDOG_TAIL,
 };
 pub use arbiter::{
     validate_adapt_log, AdaptAction, AdaptConfig, AdaptPolicy, CandidateInfo, EpochObservation,
@@ -97,7 +97,7 @@ pub use arbiter::{
 };
 pub use cache::CacheOccupancy;
 pub use exclusive::{ExclusiveBarrier, ExclusiveTelemetry, Halted};
-pub use machine::{MachineConfig, MachineCore, RunReport, VcpuOutcome};
+pub use machine::{MachineConfig, MachineCore, RunReport, VcpuOutcome, MAX_THREADED_VCPUS};
 pub use runtime::{ExecCtx, FaultAccess, FaultOutcome, HelperFn, HelperRegistry, Trap};
 pub use sched::{
     format_choices, Granularity, RoundRobin, SchedEvent, Scheduler, ScriptedScheduler,

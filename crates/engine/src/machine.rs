@@ -25,7 +25,7 @@ use adbt_ir::{BlockExit, ChainLink};
 use adbt_isa::asm::Image;
 use adbt_mmu::{page_of, AddressSpace, PAGE_SHIFT, PAGE_SIZE};
 use adbt_profile::{Metric as ProfMetric, ProfileRecorder};
-use adbt_sync::epoch::Qsbr;
+use adbt_sync::epoch::{Qsbr, MAX_PARTICIPANTS};
 use adbt_sync::Mutex;
 use adbt_trace::{TraceKind, TraceRecorder, WATCHDOG_TAIL};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -45,6 +45,10 @@ pub(crate) const FAULT_RETRY_LIMIT: u64 = 1 << 26;
 const HTM_RETRY_LIMIT: u64 = 1 << 14;
 /// Per-vCPU guest stack size in bytes.
 const STACK_SIZE: u32 = 64 << 10;
+
+/// The most vCPUs [`MachineCore::run_threaded`] takes: each vCPU thread
+/// holds one of the QSBR tracker's fixed participant slots.
+pub const MAX_THREADED_VCPUS: u32 = MAX_PARTICIPANTS as u32;
 
 /// Machine construction parameters.
 #[derive(Clone, Debug)]
@@ -474,8 +478,13 @@ impl MachineCore {
     /// least one, with their stacks fitting below the top of guest
     /// memory.
     pub fn fits_vcpus(&self, n: u32) -> bool {
-        let total_stack = (n as u64) * (STACK_SIZE as u64);
-        n >= 1 && total_stack < self.config.mem_size as u64
+        (1..=MachineCore::max_vcpus(self.config.mem_size)).contains(&n)
+    }
+
+    /// The most vCPUs whose stacks fit below the top of `mem_size` bytes
+    /// of guest memory.
+    pub const fn max_vcpus(mem_size: u32) -> u32 {
+        mem_size.saturating_sub(1) / STACK_SIZE
     }
 
     /// Builds `n` vCPUs entering at `entry` with the launch ABI:
@@ -1359,7 +1368,17 @@ impl MachineCore {
 
     /// Runs the vCPUs on real OS threads until all exit (or fail); the
     /// mode every performance experiment uses.
+    ///
+    /// # Panics
+    ///
+    /// Before spawning any thread, when given more than
+    /// [`MAX_THREADED_VCPUS`] vCPUs.
     pub fn run_threaded(&self, vcpus: Vec<Vcpu>) -> RunReport {
+        assert!(
+            vcpus.len() <= MAX_THREADED_VCPUS as usize,
+            "{} vCPUs: a threaded run takes at most {MAX_THREADED_VCPUS}",
+            vcpus.len()
+        );
         self.threaded.store(true, Ordering::Relaxed);
         self.exclusive.reset_halt();
         let n = vcpus.len() as u32;

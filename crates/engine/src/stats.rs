@@ -247,11 +247,7 @@ impl VcpuStats {
     /// the stats block of the `adbt-metrics-v1` snapshot schema
     /// (`adbt_run --stats-json` and the final `--metrics` line).
     pub fn to_json(&self) -> String {
-        let cells: Vec<String> = Self::COUNTERS
-            .iter()
-            .map(|row| format!("\"{}\":{}", row.name, row.get(self)))
-            .collect();
-        format!("{{{}}}", cells.join(","))
+        adbt_trace::json::object(Self::COUNTERS.iter().map(|row| (row.name, row.get(self))))
     }
 
     /// A copy with every wall-clock (`ns`) row zeroed: what two

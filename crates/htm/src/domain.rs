@@ -30,12 +30,15 @@ impl HtmStats {
             capacity_aborts,
             explicit_aborts,
             interference_aborts,
-        } = self;
-        format!(
-            "{{\"begun\":{begun},\"committed\":{committed},\
-             \"conflict_aborts\":{conflict_aborts},\"capacity_aborts\":{capacity_aborts},\
-             \"explicit_aborts\":{explicit_aborts},\"interference_aborts\":{interference_aborts}}}"
-        )
+        } = *self;
+        adbt_trace::json::object([
+            ("begun", begun),
+            ("committed", committed),
+            ("conflict_aborts", conflict_aborts),
+            ("capacity_aborts", capacity_aborts),
+            ("explicit_aborts", explicit_aborts),
+            ("interference_aborts", interference_aborts),
+        ])
     }
 }
 
@@ -237,6 +240,21 @@ impl std::fmt::Debug for HtmDomain {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The `htm` block of `adbt-metrics-v1`, pinned key for key.
+    #[test]
+    fn stats_json_is_pinned() {
+        let stats = HtmStats {
+            begun: 1,
+            committed: 2,
+            conflict_aborts: 3,
+            capacity_aborts: 4,
+            explicit_aborts: 5,
+            interference_aborts: 6,
+        };
+        let golden = include_str!("../tests/data/htm_stats.json");
+        assert_eq!(stats.to_json(), golden.trim_end());
+    }
 
     #[test]
     fn distinct_words_hash_to_distinct_entries_when_table_is_large() {

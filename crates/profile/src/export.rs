@@ -1,9 +1,8 @@
 //! The `.prof` document: JSON written by `adbt_run --profile`, read by
 //! `adbt_prof`.
 //!
-//! Hand-rolled writer (the workspace builds air-gapped, no JSON crate);
-//! the parser reuses the minimal recursive-descent JSON parser from the
-//! trace validator. [`validate`] is the schema gate `adbt_prof --ci`
+//! Written and parsed through `adbt_trace::json`, the workspace's one
+//! JSON writer and parser. [`validate`] is the schema gate `adbt_prof --ci`
 //! runs on its own input: schema tag, metric-name vector matching this
 //! build's [`Metric::ALL`], well-formed entries, and a merged section
 //! that is exactly the per-vCPU sum.
@@ -15,7 +14,7 @@
 //! flamegraph's `guest_fn` frame.
 
 use crate::{Metric, Overflow, ProfileEntry};
-use adbt_trace::validate::{json_string, parse_json, Json};
+use adbt_trace::json::{parse_json, Json, JsonWriter};
 
 /// One exported profile row: the counts plus the context the consumers
 /// render (symbol, raw instruction word at the PC).
@@ -92,136 +91,87 @@ pub fn resolve_rows(
         .collect()
 }
 
-fn render_counts(counts: &[u64; Metric::COUNT]) -> String {
-    let cells: Vec<String> = counts.iter().map(|c| c.to_string()).collect();
-    format!("[{}]", cells.join(","))
-}
-
-fn render_row(row: &ProfRow) -> String {
-    format!(
-        "{{\"pc\":\"{:#010x}\",\"symbol\":{},\"insn\":{},\"counts\":{}}}",
-        row.pc,
-        json_string(&row.symbol),
-        row.insn,
-        render_counts(&row.counts)
-    )
-}
-
-fn render_overflow(overflow: &Overflow) -> String {
-    format!(
-        "{{\"drops\":{},\"counts\":{}}}",
-        overflow.drops,
-        render_counts(&overflow.counts)
-    )
-}
-
-/// Renders the document.
+/// Renders the document: a header line, then one line per vCPU section
+/// and per row.
 pub fn render(doc: &ProfDoc) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"schema\":\"{SCHEMA}\",\"scheme\":{},\"clock\":{},\n\"metrics\":[",
-        json_string(&doc.scheme),
-        json_string(&doc.clock)
-    ));
-    for (i, metric) in Metric::ALL.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&json_string(metric.name()));
+    let mut w = JsonWriter::new();
+    w.obj().key("schema").str(SCHEMA);
+    w.key("scheme").str(&doc.scheme);
+    w.key("clock").str(&doc.clock);
+    w.pad("\n").key("metrics").arr();
+    for metric in Metric::ALL {
+        w.str(metric.name());
     }
-    out.push_str("],\n\"vcpus\":[");
-    for (i, vcpu) in doc.vcpus.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n{{\"tid\":{},\"overflow\":{},\"entries\":[",
-            vcpu.tid,
-            render_overflow(&vcpu.overflow)
-        ));
-        for (j, row) in vcpu.rows.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push('\n');
-            out.push_str(&render_row(row));
-        }
-        out.push_str("]}");
+    w.end().pad("\n").key("vcpus").arr();
+    for vcpu in &doc.vcpus {
+        w.pad("\n").obj().field("tid", vcpu.tid);
+        w.key("overflow").obj().field("drops", vcpu.overflow.drops);
+        render_counts(&mut w, &vcpu.overflow.counts).end();
+        render_rows(w.key("entries"), &vcpu.rows).end();
     }
-    out.push_str("],\n\"merged\":[");
-    for (j, row) in doc.merged.iter().enumerate() {
-        if j > 0 {
-            out.push(',');
-        }
-        out.push('\n');
-        out.push_str(&render_row(row));
-    }
-    out.push_str("]}\n");
-    out
+    w.end().pad("\n").key("merged");
+    render_rows(&mut w, &doc.merged).end().finish() + "\n"
 }
 
-fn parse_u32_field(obj: &Json, key: &str, ctx: &str) -> Result<u32, String> {
-    match obj.get(key) {
-        Some(Json::Num(n)) if *n >= 0.0 && *n <= u32::MAX as f64 => Ok(*n as u32),
-        Some(Json::Str(s)) => {
-            let hex = s.strip_prefix("0x").unwrap_or(s);
-            u32::from_str_radix(hex, 16).map_err(|_| format!("{ctx}: bad {key} `{s}`"))
-        }
-        _ => Err(format!("{ctx}: missing numeric {key}")),
+fn render_counts<'w>(w: &'w mut JsonWriter, counts: &[u64]) -> &'w mut JsonWriter {
+    w.key("counts").arr();
+    for count in counts {
+        w.raw(count);
     }
+    w.end()
 }
 
-fn parse_u64_field(obj: &Json, key: &str, ctx: &str) -> Result<u64, String> {
-    match obj.get(key).and_then(Json::as_num) {
-        Some(n) if n >= 0.0 => Ok(n as u64),
-        _ => Err(format!("{ctx}: missing numeric {key}")),
+/// An array of rows, one per line.
+fn render_rows<'w>(w: &'w mut JsonWriter, rows: &[ProfRow]) -> &'w mut JsonWriter {
+    w.arr();
+    for row in rows {
+        let pc = format!("{:#010x}", row.pc);
+        w.pad("\n").obj().key("pc").str(&pc);
+        w.key("symbol").str(&row.symbol).field("insn", row.insn);
+        render_counts(w, &row.counts).end();
     }
+    w.end()
 }
 
-fn parse_counts(obj: &Json, ctx: &str) -> Result<[u64; Metric::COUNT], String> {
-    let Some(Json::Arr(items)) = obj.get("counts") else {
-        return Err(format!("{ctx}: missing counts array"));
-    };
-    if items.len() != Metric::COUNT {
-        return Err(format!(
-            "{ctx}: counts has {} cells, want {}",
-            items.len(),
-            Metric::COUNT
-        ));
-    }
-    let mut counts = [0u64; Metric::COUNT];
-    for (slot, item) in counts.iter_mut().zip(items) {
-        *slot = item
-            .as_num()
-            .filter(|n| *n >= 0.0)
-            .ok_or_else(|| format!("{ctx}: non-numeric count"))? as u64;
-    }
-    Ok(counts)
+fn parse_counts(obj: &Json) -> Result<[u64; Metric::COUNT], String> {
+    let counts = obj.arr_field("counts")?.iter().map(Json::as_u64);
+    let counts: Vec<u64> = counts.collect::<Option<_>>().ok_or("non-numeric count")?;
+    let cells = counts.len();
+    counts
+        .try_into()
+        .map_err(|_| format!("counts has {cells} cells, want {}", Metric::COUNT))
 }
 
-fn parse_row(obj: &Json, ctx: &str) -> Result<ProfRow, String> {
-    let pc = parse_u32_field(obj, "pc", ctx)?;
-    let symbol = obj
-        .get("symbol")
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("{ctx}: missing symbol"))?
-        .to_string();
-    let insn = parse_u32_field(obj, "insn", ctx)?;
+fn parse_row(row: &Json) -> Result<ProfRow, String> {
     Ok(ProfRow {
-        pc,
-        symbol,
-        insn,
-        counts: parse_counts(obj, ctx)?,
+        pc: row.u32_field("pc")?,
+        symbol: row.str_field("symbol")?.to_string(),
+        insn: row.u32_field("insn")?,
+        counts: parse_counts(row)?,
     })
 }
 
-fn parse_overflow(obj: &Json, ctx: &str) -> Result<Overflow, String> {
-    let Some(overflow) = obj.get("overflow") else {
-        return Err(format!("{ctx}: missing overflow"));
-    };
-    Ok(Overflow {
-        drops: parse_u64_field(overflow, "drops", ctx)?,
-        counts: parse_counts(overflow, ctx)?,
+/// Parses every item of an array; an error names the item as `{what}
+/// {index}`.
+fn parse_each<T>(
+    items: &[Json],
+    what: &str,
+    parse: fn(&Json) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let at = |i| move |e| format!("{what} {i}: {e}");
+    let items = items.iter().enumerate();
+    items.map(|(i, item)| parse(item).map_err(at(i))).collect()
+}
+
+fn parse_vcpu(vcpu: &Json) -> Result<ProfVcpu, String> {
+    let overflow = vcpu.field("overflow")?;
+    Ok(ProfVcpu {
+        tid: vcpu.u32_field("tid")?,
+        rows: parse_each(vcpu.arr_field("entries")?, "entry", parse_row)?,
+        overflow: Overflow {
+            drops: overflow.u64_field("drops")?,
+            counts: parse_counts(overflow)?,
+        },
     })
 }
 
@@ -229,63 +179,23 @@ fn parse_overflow(obj: &Json, ctx: &str) -> Result<Overflow, String> {
 /// vector against this build.
 pub fn parse(text: &str) -> Result<ProfDoc, String> {
     let doc = parse_json(text)?;
-    match doc.get("schema").and_then(Json::as_str) {
-        Some(SCHEMA) => {}
-        Some(other) => return Err(format!("unknown schema `{other}` (want {SCHEMA})")),
-        None => return Err("missing schema tag".to_string()),
+    match doc.str_field("schema")? {
+        SCHEMA => {}
+        other => return Err(format!("unknown schema `{other}` (want {SCHEMA})")),
     }
-    let scheme = doc
-        .get("scheme")
-        .and_then(Json::as_str)
-        .ok_or("missing scheme")?
-        .to_string();
-    let clock = doc
-        .get("clock")
-        .and_then(Json::as_str)
-        .ok_or("missing clock")?
-        .to_string();
-    let Some(Json::Arr(metrics)) = doc.get("metrics") else {
-        return Err("missing metrics array".to_string());
-    };
     let expected: Vec<&str> = Metric::ALL.into_iter().map(Metric::name).collect();
+    let metrics = doc.arr_field("metrics")?;
     let got: Vec<&str> = metrics.iter().filter_map(Json::as_str).collect();
     if got != expected {
         return Err(format!(
             "metric vector mismatch: document has {got:?}, this build wants {expected:?}"
         ));
     }
-    let Some(Json::Arr(vcpus)) = doc.get("vcpus") else {
-        return Err("missing vcpus array".to_string());
-    };
-    let mut parsed_vcpus = Vec::with_capacity(vcpus.len());
-    for (i, vcpu) in vcpus.iter().enumerate() {
-        let ctx = format!("vcpu section {i}");
-        let tid = parse_u32_field(vcpu, "tid", &ctx)?;
-        let Some(Json::Arr(entries)) = vcpu.get("entries") else {
-            return Err(format!("{ctx}: missing entries array"));
-        };
-        let mut rows = Vec::with_capacity(entries.len());
-        for (j, entry) in entries.iter().enumerate() {
-            rows.push(parse_row(entry, &format!("{ctx} entry {j}"))?);
-        }
-        parsed_vcpus.push(ProfVcpu {
-            tid,
-            rows,
-            overflow: parse_overflow(vcpu, &ctx)?,
-        });
-    }
-    let Some(Json::Arr(merged)) = doc.get("merged") else {
-        return Err("missing merged array".to_string());
-    };
-    let mut merged_rows = Vec::with_capacity(merged.len());
-    for (j, entry) in merged.iter().enumerate() {
-        merged_rows.push(parse_row(entry, &format!("merged entry {j}"))?);
-    }
     Ok(ProfDoc {
-        scheme,
-        clock,
-        vcpus: parsed_vcpus,
-        merged: merged_rows,
+        scheme: doc.str_field("scheme")?.to_string(),
+        clock: doc.str_field("clock")?.to_string(),
+        vcpus: parse_each(doc.arr_field("vcpus")?, "vcpu section", parse_vcpu)?,
+        merged: parse_each(doc.arr_field("merged")?, "merged entry", parse_row)?,
     })
 }
 
@@ -361,6 +271,16 @@ mod tests {
             ],
             merged: vec![row(0x1_0000, 5), row(0x1_0010, 1)],
         }
+    }
+
+    /// The document, pinned byte for byte, overflow bucket included.
+    #[test]
+    fn render_is_pinned() {
+        let mut pinned = doc();
+        pinned.vcpus[1].overflow.drops = 2;
+        pinned.vcpus[1].overflow.counts[Metric::ScFail as usize] = 3;
+        let golden = include_str!("../tests/data/profile.prof");
+        assert_eq!(render(&pinned), golden);
     }
 
     #[test]

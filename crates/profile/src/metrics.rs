@@ -15,7 +15,7 @@
 //! single stdout object.
 
 use crate::{Metric, ProfileSnapshot};
-use adbt_trace::validate::{parse_json, Json};
+use adbt_trace::json::{object, parse_json, Json, JsonWriter};
 
 /// The schema tag every line carries.
 pub const SCHEMA: &str = "adbt-metrics-v1";
@@ -33,25 +33,12 @@ pub fn profile_summary(snapshot: &ProfileSnapshot) -> String {
     for (dst, src) in totals.iter_mut().zip(snapshot.overflow.counts) {
         *dst += src;
     }
-    let mut out = format!(
-        "{{\"entries\":{},\"dropped\":{},\"totals\":{{",
-        snapshot.entries.len(),
-        snapshot.overflow.drops
-    );
-    let mut first = true;
-    for metric in Metric::ALL {
-        let total = totals[metric as usize];
-        if total == 0 {
-            continue;
-        }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!("\"{}\":{}", metric.name(), total));
-    }
-    out.push_str("}}");
-    out
+    let mut w = JsonWriter::new();
+    w.obj().field("entries", snapshot.entries.len());
+    w.field("dropped", snapshot.overflow.drops);
+    let totals = Metric::ALL.map(|metric| (metric.name(), totals[metric as usize]));
+    w.field("totals", object(totals.into_iter().filter(|&(_, n)| n > 0)));
+    w.end().finish()
 }
 
 /// Composes one metrics line. `extras` are `(key, pre-rendered JSON
@@ -65,40 +52,56 @@ pub fn render_line(
     profile: &str,
     extras: &[(&str, String)],
 ) -> String {
-    let mut out = format!(
-        "{{\"schema\":\"{SCHEMA}\",\"seq\":{seq},\"final\":{is_final},\
-         \"elapsed_ns\":{elapsed_ns},\"scheme\":\"{scheme}\",\"profile\":{profile}"
-    );
+    let mut w = JsonWriter::new();
+    w.obj().key("schema").str(SCHEMA).field("seq", seq);
+    w.field("final", is_final).field("elapsed_ns", elapsed_ns);
+    w.key("scheme").str(scheme).field("profile", profile);
     for (key, value) in extras {
-        out.push_str(&format!(",\"{key}\":{value}"));
+        w.field(key, value);
     }
-    out.push('}');
-    out
+    w.end().finish()
 }
 
-fn check_profile(line: &Json, n: usize) -> Result<(), String> {
-    let Some(profile) = line.get("profile") else {
-        return Err(format!("line {n}: missing profile"));
-    };
+fn check_profile(line: &Json) -> Result<(), String> {
+    let profile = line.field("profile")?;
     if matches!(profile, Json::Null) {
         return Ok(()); // profiling was off for this run
     }
-    for key in ["entries", "dropped"] {
-        match profile.get(key).and_then(Json::as_num) {
-            Some(v) if v >= 0.0 => {}
-            _ => return Err(format!("line {n}: profile missing numeric {key}")),
+    profile.u64_field("entries")?;
+    profile.u64_field("dropped")?;
+    for (key, value) in profile.obj_field("totals")? {
+        if Metric::from_name(key).is_none() {
+            return Err(format!("unknown metric `{key}` in totals"));
+        }
+        if value.as_u64().is_none() {
+            return Err(format!("non-numeric total `{key}`"));
         }
     }
-    let Some(Json::Obj(totals)) = profile.get("totals") else {
-        return Err(format!("line {n}: profile missing totals object"));
-    };
-    for (key, value) in totals {
-        if Metric::from_name(key).is_none() {
-            return Err(format!("line {n}: unknown metric `{key}` in totals"));
-        }
-        if value.as_num().filter(|v| *v >= 0.0).is_none() {
-            return Err(format!("line {n}: non-numeric total `{key}`"));
-        }
+    Ok(())
+}
+
+/// Checks line `seq` (0-based) of a stream whose last line is `is_last`.
+fn check_line(raw: &str, seq: u64, is_last: bool) -> Result<(), String> {
+    let line = parse_json(raw)?;
+    match line.str_field("schema")? {
+        SCHEMA => {}
+        other => return Err(format!("bad schema tag `{other}`")),
+    }
+    match line.u64_field("seq")? {
+        got if got == seq => {}
+        got => return Err(format!("seq {got}, want {seq}")),
+    }
+    if *line.field("final")? != Json::Bool(is_last) {
+        return Err(format!(
+            "final flag must be {is_last} (only the last line is final)"
+        ));
+    }
+    line.u64_field("elapsed_ns")?;
+    line.str_field("scheme")?;
+    line.obj_field("occupancy")?;
+    check_profile(&line)?;
+    if is_last {
+        line.obj_field("stats")?;
     }
     Ok(())
 }
@@ -113,43 +116,8 @@ pub fn validate_metrics_jsonl(text: &str) -> Result<usize, String> {
         return Err("no metrics lines".to_string());
     }
     for (i, raw) in lines.iter().enumerate() {
-        let n = i + 1;
-        let line = parse_json(raw).map_err(|e| format!("line {n}: {e}"))?;
-        match line.get("schema").and_then(Json::as_str) {
-            Some(SCHEMA) => {}
-            other => return Err(format!("line {n}: bad schema tag {other:?}")),
-        }
-        match line.get("seq").and_then(Json::as_num) {
-            Some(seq) if seq == i as f64 => {}
-            other => return Err(format!("line {n}: seq {other:?}, want {i}")),
-        }
         let is_last = i + 1 == lines.len();
-        match line.get("final") {
-            Some(Json::Bool(b)) if *b == is_last => {}
-            _ => {
-                return Err(format!(
-                    "line {n}: final flag must be {is_last} (only the last line is final)"
-                ))
-            }
-        }
-        if line
-            .get("elapsed_ns")
-            .and_then(Json::as_num)
-            .filter(|v| *v >= 0.0)
-            .is_none()
-        {
-            return Err(format!("line {n}: missing numeric elapsed_ns"));
-        }
-        if line.get("scheme").and_then(Json::as_str).is_none() {
-            return Err(format!("line {n}: missing scheme"));
-        }
-        if !matches!(line.get("occupancy"), Some(Json::Obj(_))) {
-            return Err(format!("line {n}: missing occupancy object"));
-        }
-        check_profile(&line, n)?;
-        if is_last && !matches!(line.get("stats"), Some(Json::Obj(_))) {
-            return Err(format!("line {n}: final line must carry the stats block"));
-        }
+        check_line(raw, i as u64, is_last).map_err(|e| format!("line {}: {e}", i + 1))?;
     }
     Ok(lines.len())
 }
@@ -188,6 +156,13 @@ mod tests {
             &profile_summary(&snapshot()),
             &extras,
         )
+    }
+
+    /// A final line with its profile summary, pinned byte for byte.
+    #[test]
+    fn line_is_pinned() {
+        let golden = include_str!("../tests/data/metrics_line.json");
+        assert_eq!(line(2, true, true), golden.trim_end());
     }
 
     #[test]

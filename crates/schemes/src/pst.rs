@@ -11,7 +11,7 @@
 //! suspend-everyone cost that dominates PST's profile (Fig. 12).
 //!
 //! **PST-REMAP** keeps PST's LL but replaces the SC's stop-the-world
-//! permission dance with `mremap`: the page moves to a per-thread alias
+//! permission dance with `mremap`: the page moves to an alias page
 //! with write permission, the original becomes unmapped (accesses fault
 //! `MAPERR` and wait), the SC writes through the alias, and the page
 //! moves back. No thread suspension — at the price of two remaps per SC.
@@ -498,12 +498,10 @@ impl AtomicScheme for PstRemap {
                 }
                 if ok {
                     let page = addr >> PAGE_SHIFT;
-                    // Per-thread alias slot in the high window, so two
-                    // SCs on different pages can remap concurrently...
-                    // except the registry lock serializes them anyway;
-                    // the per-tid slot keeps the address arithmetic
-                    // collision-free.
-                    let alias_page = ctx.machine.space.high_window_base() + (ctx.cpu.tid - 1);
+                    // The registry lock is held from the check above to
+                    // the move back below, so one alias page serves
+                    // every vCPU, however many there are.
+                    let alias_page = ctx.machine.space.high_window_base();
                     let start = Instant::now();
                     ctx.stats.remap_calls += 2;
                     // One event per remap pair: away to the alias + back.

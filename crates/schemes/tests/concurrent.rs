@@ -2,7 +2,7 @@
 //! LL/SC counter exact, keep SC mutual exclusion, and expose its
 //! documented cost signature (instrumentation counts, faults, aborts).
 
-use adbt_engine::{MachineConfig, MachineCore, VcpuOutcome};
+use adbt_engine::{MachineConfig, MachineCore, SimCosts, VcpuOutcome};
 use adbt_isa::asm::assemble;
 use adbt_mmu::Width;
 use adbt_schemes::SchemeKind;
@@ -10,11 +10,11 @@ use adbt_schemes::SchemeKind;
 const THREADS: u32 = 8;
 const ITERS: u32 = 2_000;
 
-fn counter_program() -> String {
+fn counter_program(iters: u32) -> String {
     format!(
         r#"
         mov32 r5, counter
-        mov32 r6, #{ITERS}
+        mov32 r6, #{iters}
     outer:
     retry:
         ldrex r1, [r5]
@@ -42,7 +42,7 @@ fn run_counter(kind: SchemeKind, threads: u32) -> (MachineCore, adbt_engine::Run
         kind.build(),
     )
     .unwrap();
-    let image = assemble(&counter_program(), 0x1000).unwrap();
+    let image = assemble(&counter_program(ITERS), 0x1000).unwrap();
     machine.load_image(&image);
     let report = machine.run_threaded(machine.make_vcpus(threads, 0x1000));
     let counter = image.symbol("counter").unwrap();
@@ -88,6 +88,23 @@ fn contended_counter_is_exact_under_every_scheme() {
             );
         }
     }
+}
+
+/// PST-REMAP's SC borrows one alias page in the machine's 64-page high
+/// window, so more vCPUs than the window has pages still count exactly.
+#[test]
+fn pst_remap_counts_exactly_past_64_vcpus() {
+    let config = MachineConfig {
+        mem_size: 8 << 20,
+        ..MachineConfig::default()
+    };
+    let machine = MachineCore::new(config, SchemeKind::PstRemap.build()).unwrap();
+    let image = assemble(&counter_program(20), 0x1000).unwrap();
+    machine.load_image(&image);
+    let report = machine.run_sim(machine.make_vcpus(65, 0x1000), &SimCosts::default());
+    assert!(report.all_ok(), "outcomes {:?}", report.outcomes);
+    let counter = image.symbol("counter").unwrap();
+    assert_eq!(machine.space.load(counter, Width::Word), Ok(65 * 20));
 }
 
 /// Single-threaded runs must never fail an SC (no competition).

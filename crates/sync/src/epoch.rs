@@ -31,8 +31,8 @@
 //! The scheme is deliberately minimal: no per-thread deferral lists
 //! (the cache keeps one global limbo list under its own lock — retiring
 //! is rare), no epoch wrapping (a `u64` advancing once per invalidation
-//! batch outlives any run), and a fixed slot array (the engine caps
-//! vCPU counts far below [`MAX_PARTICIPANTS`]).
+//! batch outlives any run), and a fixed slot array (the engine's
+//! threaded runs take at most [`MAX_PARTICIPANTS`] vCPUs).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -75,9 +75,12 @@ impl Qsbr {
     ///
     /// # Panics
     ///
-    /// Panics if all [`MAX_PARTICIPANTS`] slots are taken — the engine
-    /// registers one participant per vCPU thread and caps thread counts
-    /// far below the array size, so exhaustion is a wiring bug.
+    /// Panics if all [`MAX_PARTICIPANTS`] slots are taken. The engine
+    /// registers one participant per vCPU thread, and its
+    /// `MachineCore::run_threaded` refuses more than `MAX_PARTICIPANTS`
+    /// vCPUs before spawning any (`adbt_run` and `adbt_bench` reject such
+    /// thread counts as usage errors first), so exhaustion is a wiring
+    /// bug.
     pub fn register(&self) -> usize {
         for (i, slot) in self.slots.iter().enumerate() {
             let epoch = self.global.load(Ordering::SeqCst);

@@ -10,10 +10,11 @@
 //! deterministic instruction clock is emitted as-is (one "µs" per
 //! instruction — the shape, not the wall time, is the point there).
 //!
-//! The writer is hand-rolled: the workspace builds air-gapped with no
-//! JSON crate. Its output is what `validate::validate_chrome_trace`
+//! The document is written through [`crate::json::JsonWriter`], one
+//! event per line. Its output is what `validate::validate_chrome_trace`
 //! accepts — CI round-trips one through the other.
 
+use crate::json::JsonWriter;
 use crate::{TraceEvent, TraceKind};
 
 /// Which clock stamped the events (see [`crate::TraceEvent::ts`]).
@@ -52,34 +53,16 @@ pub fn render_with_extras(
     clock: Clock,
     extras: &[(&str, String)],
 ) -> String {
-    let mut out = String::from("{\"traceEvents\":[\n");
-    let mut first = true;
-    let mut push = |line: String, first: &mut bool| {
-        if !*first {
-            out.push_str(",\n");
-        }
-        *first = false;
-        out.push_str(&line);
-    };
-
-    push(
-        format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"ts\":0,\"pid\":{PID},\"tid\":0,\
-             \"args\":{{\"name\":\"adbt\"}}}}"
-        ),
-        &mut first,
-    );
+    let mut w = JsonWriter::new();
+    w.obj().key("traceEvents").arr();
+    open_event(&mut w, "process_name", "M", "0", 0).key("args");
+    w.obj().key("name").str("adbt").end().end();
     for &(tid, _) in per_vcpu {
-        push(
-            format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"ts\":0,\"pid\":{PID},\"tid\":{tid},\
-                 \"args\":{{\"name\":\"vcpu {tid}\"}}}}"
-            ),
-            &mut first,
-        );
+        open_event(&mut w, "thread_name", "M", "0", tid).key("args");
+        w.obj().key("name").str(&format!("vcpu {tid}")).end().end();
     }
 
-    for (tid, events) in per_vcpu {
+    for &(tid, ref events) in per_vcpu {
         // Pre-scan: an exit whose enter was overwritten by ring
         // wraparound has no matching "B" left in the ring. Dropping such
         // exits (the old repair) erased the section entirely; instead,
@@ -104,14 +87,9 @@ pub fn render_with_extras(
         }
         let first_ts = events.first().map_or(0, |e| e.ts);
         for _ in 0..orphans {
-            push(
-                format!(
-                    "{{\"name\":\"exclusive\",\"ph\":\"B\",\"ts\":{},\"pid\":{PID},\
-                     \"tid\":{tid},\"args\":{{\"waited_ns\":0,\"synthesized\":true}}}}",
-                    clock.ts(first_ts)
-                ),
-                &mut first,
-            );
+            open_event(&mut w, "exclusive", "B", &clock.ts(first_ts), tid);
+            w.key("args").obj().field("waited_ns", 0);
+            w.field("synthesized", true).end().end();
         }
 
         let mut open_spans = orphans;
@@ -122,14 +100,10 @@ pub fn render_with_extras(
             match event.kind {
                 TraceKind::ExclusiveEnter => {
                     open_spans += 1;
-                    push(
-                        format!(
-                            "{{\"name\":\"exclusive\",\"ph\":\"B\",\"ts\":{ts},\"pid\":{PID},\
-                             \"tid\":{tid},\"args\":{{\"waited_ns\":{}}}}}",
-                            event.value
-                        ),
-                        &mut first,
-                    );
+                    open_event(&mut w, "exclusive", "B", &ts, tid)
+                        .key("args")
+                        .obj();
+                    w.field("waited_ns", event.value).end().end();
                 }
                 TraceKind::ExclusiveExit => {
                     // Unreachable after the pre-scan (every orphan got a
@@ -139,48 +113,42 @@ pub fn render_with_extras(
                         continue;
                     }
                     open_spans -= 1;
-                    push(
-                        format!(
-                            "{{\"name\":\"exclusive\",\"ph\":\"E\",\"ts\":{ts},\"pid\":{PID},\
-                             \"tid\":{tid}}}"
-                        ),
-                        &mut first,
-                    );
+                    open_event(&mut w, "exclusive", "E", &ts, tid).end();
                 }
                 kind => {
-                    push(
-                        format!(
-                            "{{\"name\":\"{}\",\"ph\":\"i\",\"ts\":{ts},\"pid\":{PID},\
-                             \"tid\":{tid},\"s\":\"t\",\
-                             \"args\":{{\"addr\":\"{:#010x}\",\"value\":{}}}}}",
-                            kind.name(),
-                            event.addr,
-                            event.value
-                        ),
-                        &mut first,
-                    );
+                    let addr = format!("{:#010x}", event.addr);
+                    open_event(&mut w, kind.name(), "i", &ts, tid)
+                        .key("s")
+                        .str("t");
+                    w.key("args").obj().key("addr").str(&addr);
+                    w.field("value", event.value).end().end();
                 }
             }
         }
         // A run halted mid-section (watchdog) leaves spans open; close
         // them at the track's final timestamp so viewers render them.
         for _ in 0..open_spans {
-            push(
-                format!(
-                    "{{\"name\":\"exclusive\",\"ph\":\"E\",\"ts\":{},\"pid\":{PID},\"tid\":{tid}}}",
-                    clock.ts(last_ts)
-                ),
-                &mut first,
-            );
+            open_event(&mut w, "exclusive", "E", &clock.ts(last_ts), tid).end();
         }
     }
 
-    out.push_str("\n],\n\"displayTimeUnit\":\"ns\"");
+    w.pad("\n").end().pad("\n").key("displayTimeUnit").str("ns");
     for (key, value) in extras {
-        out.push_str(&format!(",\n\"{key}\":{value}"));
+        w.pad("\n").field(key, value);
     }
-    out.push_str("}\n");
-    out
+    w.end().finish() + "\n"
+}
+
+/// Opens one event on its own line, with the fields every event has.
+fn open_event<'w>(
+    w: &'w mut JsonWriter,
+    name: &str,
+    ph: &str,
+    ts: &str,
+    tid: u32,
+) -> &'w mut JsonWriter {
+    w.pad("\n").obj().key("name").str(name).key("ph").str(ph);
+    w.field("ts", ts).field("pid", PID).field("tid", tid)
 }
 
 #[cfg(test)]
@@ -196,6 +164,40 @@ mod tests {
             addr: 0x1000,
             value: 7,
         }
+    }
+
+    /// A whole document, pinned byte for byte: metadata, instants, a
+    /// synthesized open for an orphan exit, a real span, a span left
+    /// open at the end of its track, and an extra top-level key.
+    #[test]
+    fn document_is_pinned() {
+        let per_vcpu = vec![
+            (
+                1,
+                vec![
+                    event(1_000, 1, TraceKind::LlIssue),
+                    event(2_500, 1, TraceKind::ExclusiveExit),
+                    event(3_000, 1, TraceKind::ExclusiveEnter),
+                    event(4_100, 1, TraceKind::ExclusiveExit),
+                    event(5_001, 1, TraceKind::ScOk),
+                ],
+            ),
+            (
+                2,
+                vec![
+                    event(1_500, 2, TraceKind::ScFailInjected),
+                    event(2_000, 2, TraceKind::ExclusiveEnter),
+                    event(2_999, 2, TraceKind::Translate),
+                ],
+            ),
+        ];
+        let json = render_with_extras(
+            &per_vcpu,
+            Clock::Nanos,
+            &[("histograms", crate::Histograms::new().to_json())],
+        );
+        let golden = include_str!("../tests/data/chrome_trace.json");
+        assert_eq!(json, golden);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! vCPU threads feed the same histogram without coordination; the
 //! summary statistics are read after the run.
 
+use crate::json::{object, JsonWriter};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of buckets: value 0, then one per leading-bit position.
@@ -127,30 +128,18 @@ impl LogHistogram {
         out
     }
 
-    /// Hand-rolled JSON object (the workspace builds air-gapped).
+    /// JSON object: the summary statistics plus one `{lo, hi, count}`
+    /// object per non-empty bucket.
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[",
-            self.count(),
-            self.sum(),
-            self.min(),
-            self.max()
-        );
-        let mut first = true;
-        for i in 0..BUCKETS {
-            let n = self.bucket(i);
-            if n == 0 {
-                continue;
-            }
+        let mut w = JsonWriter::new();
+        w.obj().field("count", self.count());
+        w.field("sum", self.sum()).field("min", self.min());
+        w.field("max", self.max()).key("buckets").arr();
+        for i in (0..BUCKETS).filter(|&i| self.bucket(i) > 0) {
             let (lo, hi) = LogHistogram::bucket_bounds(i);
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("{{\"lo\":{lo},\"hi\":{hi},\"count\":{n}}}"));
+            w.raw(object([("lo", lo), ("hi", hi), ("count", self.bucket(i))]));
         }
-        out.push_str("]}");
-        out
+        w.end().end().finish()
     }
 }
 
@@ -205,12 +194,11 @@ impl Histograms {
 
     /// JSON object keyed by histogram name.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"sc_retry\":{},\"exclusive_wait\":{},\"htm_abort_streak\":{}}}",
-            self.sc_retry.to_json(),
-            self.exclusive_wait.to_json(),
-            self.htm_abort_streak.to_json()
-        )
+        object([
+            ("sc_retry", self.sc_retry.to_json()),
+            ("exclusive_wait", self.exclusive_wait.to_json()),
+            ("htm_abort_streak", self.htm_abort_streak.to_json()),
+        ])
     }
 }
 
@@ -268,6 +256,29 @@ mod tests {
         assert_eq!(h.max(), 0);
         assert_eq!(h.mean(), 0.0);
         assert!(h.to_json().contains("\"buckets\":[]"));
+    }
+
+    /// One histogram's JSON, pinned: empty buckets skipped, the top
+    /// bucket's saturated `hi` printed in full.
+    #[test]
+    fn histogram_json_is_pinned() {
+        let h = LogHistogram::new();
+        for v in [0, 1, 3, 700, 800, u64::MAX] {
+            h.record(v);
+        }
+        let golden = include_str!("../tests/data/log_histogram.json");
+        assert_eq!(h.to_json(), golden.trim_end());
+    }
+
+    /// The three histograms' JSON object, pinned, one of them empty.
+    #[test]
+    fn histograms_json_is_pinned() {
+        let h = Histograms::new();
+        h.sc_retry.record(500);
+        h.sc_retry.record(2);
+        h.htm_abort_streak.record(3);
+        let golden = include_str!("../tests/data/histograms.json");
+        assert_eq!(h.to_json(), golden.trim_end());
     }
 
     #[test]

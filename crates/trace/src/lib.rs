@@ -28,11 +28,13 @@
 //! histograms ([`hist`]) for SC-retry latency, exclusive-entry wait,
 //! and HTM abort-streak length. Export goes through [`chrome`] (Chrome
 //! trace-event JSON, loadable in Perfetto) and is checked by the
-//! in-tree validator in [`validate`] — the workspace builds air-gapped,
-//! so both the writer and the checker are hand-rolled here.
+//! in-tree validator in [`validate`]. Both sit on [`json`], the one
+//! JSON writer and parser every emitter and validator in the workspace
+//! shares.
 
 pub mod chrome;
 pub mod hist;
+pub mod json;
 pub mod validate;
 
 pub use hist::{Histograms, LogHistogram};

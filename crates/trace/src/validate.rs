@@ -2,9 +2,8 @@
 //!
 //! The workspace builds air-gapped, so CI cannot load an emitted trace
 //! into Perfetto to prove it is well-formed. This module is the stand-in
-//! gate: a minimal recursive-descent JSON parser (strings, numbers,
-//! bools, null, arrays, objects — everything the trace writer emits)
-//! plus the structural rules a trace-event document must satisfy:
+//! gate: it parses the document with [`crate::json::parse_json`] and
+//! checks the structural rules a trace-event document must satisfy:
 //!
 //! * the top level is an object with a `traceEvents` array,
 //! * every event is an object carrying `name` (string), `ph` (a known
@@ -19,257 +18,9 @@
 //!
 //! `trace_validate` (this crate's binary) wraps [`validate_chrome_trace`]
 //! for shell use; the exporter's unit tests round-trip through it.
-//! [`json_string`] is the writer side: the one string escaper the
-//! in-tree JSON emitters share.
 
+use crate::json::{parse_json, Json};
 use std::collections::HashMap;
-
-/// A parsed JSON value (numbers as f64, like the format itself).
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Object field lookup (first match).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, what: &str) -> String {
-        format!("{what} at byte {}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn eat_literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected '{lit}'")))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.eat_literal("true", Json::Bool(true)),
-            Some(b'f') => self.eat_literal("false", Json::Bool(false)),
-            Some(b'n') => self.eat_literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(other) => Err(self.err(&format!("unexpected byte '{}'", other as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("truncated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("non-ascii \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogates are not paired here; the trace
-                            // writer never emits them.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(self.err(&format!("bad escape '\\{}'", other as char))),
-                    }
-                }
-                Some(_) => {
-                    let start = self.pos;
-                    while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\') {
-                        self.pos += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid utf-8 in string"))?;
-                    out.push_str(chunk);
-                }
-                None => return Err(self.err("unterminated string")),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err(&format!("bad number '{text}'")))
-    }
-}
-
-/// Quotes and escapes `s` as a JSON string — the one writer-side
-/// counterpart of [`parse_json`].
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Parses a complete JSON document (trailing whitespace allowed,
-/// trailing garbage rejected).
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut parser = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let value = parser.value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(parser.err("trailing garbage after document"));
-    }
-    Ok(value)
-}
 
 /// What a validated trace contains.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -288,12 +39,7 @@ pub struct TraceCheck {
 /// and the first structural problem otherwise.
 pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
     let doc = parse_json(text)?;
-    let events = doc
-        .get("traceEvents")
-        .ok_or("top-level object has no \"traceEvents\"")?;
-    let Json::Arr(events) = events else {
-        return Err("\"traceEvents\" is not an array".to_string());
-    };
+    let events = doc.arr_field("traceEvents")?;
 
     let mut check = TraceCheck {
         events: events.len(),
@@ -308,34 +54,20 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
     }
     let mut tracks: HashMap<(u64, u64), Track> = HashMap::new();
     for (i, event) in events.iter().enumerate() {
-        let ctx = |what: &str| format!("event {i}: {what}");
+        let ctx = |what: String| format!("event {i}: {what}");
         if !matches!(event, Json::Obj(_)) {
-            return Err(ctx("not an object"));
+            return Err(ctx("not an object".to_string()));
         }
-        let name = event
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ctx("missing string \"name\""))?;
-        let ph = event
-            .get("ph")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ctx("missing string \"ph\""))?;
-        let ts = event
-            .get("ts")
-            .and_then(Json::as_num)
-            .ok_or_else(|| ctx("missing numeric \"ts\""))?;
+        let name = event.str_field("name").map_err(ctx)?;
+        let ph = event.str_field("ph").map_err(ctx)?;
+        let ts = event.num_field("ts").map_err(ctx)?;
         if !ts.is_finite() || ts < 0.0 {
-            return Err(ctx(&format!("bad ts {ts}")));
+            return Err(ctx(format!("bad ts {ts}")));
         }
-        let pid = event
-            .get("pid")
-            .and_then(Json::as_num)
-            .ok_or_else(|| ctx("missing numeric \"pid\""))?;
-        let tid = event
-            .get("tid")
-            .and_then(Json::as_num)
-            .ok_or_else(|| ctx("missing numeric \"tid\""))?;
-        let track = (pid as u64, tid as u64);
+        let track = (
+            event.u64_field("pid").map_err(ctx)?,
+            event.u64_field("tid").map_err(ctx)?,
+        );
         let state = tracks.entry(track).or_insert_with(|| {
             check.tracks += 1;
             Track::default()
@@ -343,7 +75,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
         match ph {
             "B" | "E" => {
                 if ts < state.last_dur_ts {
-                    return Err(ctx(&format!(
+                    return Err(ctx(format!(
                         "\"{ph}\" for '{name}' at ts {ts} goes backwards on track \
                          {track:?} (previous duration ts {})",
                         state.last_dur_ts
@@ -354,12 +86,12 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
                     state.open.push(name.to_string());
                 } else {
                     let Some(opened) = state.open.pop() else {
-                        return Err(ctx(&format!(
+                        return Err(ctx(format!(
                             "\"E\" for '{name}' with no open \"B\" on track {track:?}"
                         )));
                     };
                     if opened != name {
-                        return Err(ctx(&format!(
+                        return Err(ctx(format!(
                             "\"E\" for '{name}' closes open \"B\" for '{opened}' on \
                              track {track:?} (spans must nest by name)"
                         )));
@@ -369,7 +101,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
             }
             "i" | "I" => check.instants += 1,
             "X" | "M" | "C" => {}
-            other => return Err(ctx(&format!("unknown phase \"{other}\""))),
+            other => return Err(ctx(format!("unknown phase \"{other}\""))),
         }
     }
     for (track, state) in tracks {
@@ -386,50 +118,6 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parser_handles_the_json_the_writer_emits() {
-        let doc = parse_json(r#"{"a":[1,2.5,-3e2],"b":"x\n\"y\"","c":true,"d":null,"e":{"f":0}}"#)
-            .unwrap();
-        assert_eq!(
-            doc.get("a"),
-            Some(&Json::Arr(vec![
-                Json::Num(1.0),
-                Json::Num(2.5),
-                Json::Num(-300.0),
-            ]))
-        );
-        assert_eq!(doc.get("b").unwrap().as_str(), Some("x\n\"y\""));
-        assert_eq!(doc.get("c"), Some(&Json::Bool(true)));
-        assert_eq!(doc.get("d"), Some(&Json::Null));
-        assert_eq!(doc.get("e").unwrap().get("f"), Some(&Json::Num(0.0)));
-    }
-
-    #[test]
-    fn json_string_round_trips_through_the_parser() {
-        let nasty = "q\"b\\s/ n\n r\r t\t nul\u{0} esc\u{1b} é";
-        let quoted = json_string(nasty);
-        assert_eq!(
-            quoted,
-            "\"q\\\"b\\\\s/ n\\n r\\r t\\t nul\\u0000 esc\\u001b é\""
-        );
-        assert_eq!(parse_json(&quoted), Ok(Json::Str(nasty.to_string())));
-    }
-
-    #[test]
-    fn parser_rejects_malformed_documents() {
-        for bad in [
-            "",
-            "{",
-            "[1,]",
-            "{\"a\":}",
-            "{} junk",
-            "\"unterminated",
-            "{'a':1}",
-        ] {
-            assert!(parse_json(bad).is_err(), "{bad:?} should not parse");
-        }
-    }
 
     fn wrap(events: &str) -> String {
         format!("{{\"traceEvents\":[{events}]}}")
