@@ -32,15 +32,6 @@ cargo test -q --release --offline --test chaos_soak \
 cargo test -q --release --offline --test smc
 cargo test -q --release --offline -p adbt-engine --test chaining
 
-# Systematic interleaving check (release, ~a second): all 8 schemes ×
-# all 3 litmus programs under the bounded-preemption explorer. The
-# search is fully deterministic (no seeds — it *enumerates* schedules),
-# and --ci exits non-zero unless the verdict matrix matches the paper:
-# PICO-CAS flagged on both ABA litmuses, PICO-ST on the store-test
-# window, every other scheme clean.
-cargo run -q --release --offline -p adbt-check --bin adbt_check -- \
-    --ci --budget 800 --preemptions 2
-
 # Traced chaos soak (release, ~a second): a contended LL/SC counter
 # runs with the flight recorder armed and chaos injected, exports a
 # Chrome trace-event JSON, and the in-tree validator must accept it —
@@ -151,6 +142,17 @@ EOF
 cargo run -q --release --offline -p adbt-bench --bin adbt_bench -- \
     adapt --iters 1000 --reps 1 --json "$TRACE_TMP/bench_adapt.json" > /dev/null
 cmp "$TRACE_TMP/bench_adapt.json" results/bench_adapt.json
+# Systematic interleaving check (release, ~a second): all 8 schemes ×
+# all 6 litmus programs under the bounded-preemption explorer. The
+# search is fully deterministic (no seeds — it *enumerates* schedules),
+# and --ci exits non-zero unless the verdict matrix matches the paper:
+# PICO-CAS flagged on both ABA litmuses, PICO-ST on the store-test
+# window, every other scheme clean. The exit code covers verdicts only;
+# the stdout's per-cell run counts pin the explorer's schedule
+# enumeration, so it must match results/check_ci.txt byte for byte.
+cargo run -q --release --offline -p adbt-check --bin adbt_check -- \
+    --ci --budget 800 --preemptions 2 > "$TRACE_TMP/check_ci.txt"
+cmp "$TRACE_TMP/check_ci.txt" results/check_ci.txt
 
 # The repository benchmark (e2ebench/, its own cargo workspace) builds
 # against the engine's public API; its tests run here so an API change

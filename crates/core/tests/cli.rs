@@ -132,18 +132,22 @@ fn assert_rejected(args: &[&str], why: &str) {
 }
 
 /// Each vCPU thread of a threaded run holds one of 64 QSBR slots; the
-/// deterministic modes run every vCPU on one host thread.
+/// deterministic modes, simulated and replayed, run every vCPU on one
+/// host thread and take more.
 #[test]
 fn threaded_runs_take_at_most_64_vcpus() {
     assert_rejected(&["--threads", "65"], "usage: adbt-run");
     let dir = std::env::temp_dir();
     let path = write_program(&dir, "adbt_cli_65.s", PROGRAM);
-    let output = bin()
-        .arg(&path)
-        .args(["--threads", "65", "--sim"])
-        .output()
-        .unwrap();
-    assert!(output.status.success(), "{output:?}");
+    for mode in [&["--sim"][..], &["--replay", "0"]] {
+        let output = bin()
+            .arg(&path)
+            .args(["--threads", "65"])
+            .args(mode)
+            .output()
+            .unwrap();
+        assert!(output.status.success(), "{mode:?}: {output:?}");
+    }
 }
 
 #[test]

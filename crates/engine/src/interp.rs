@@ -24,7 +24,10 @@ fn val(slots: &[u32], v: Val) -> u32 {
 /// the C flag `adc`/`sbc` consume; every other op ignores it.
 ///
 /// Shift amounts are masked to 5 bits.
-#[inline]
+// Always inlined: each flagless ALU kind's executor arm passes a
+// constant `op`, and inlining is what folds this match, and the unused
+// carry load, away.
+#[inline(always)]
 pub fn alu_value(op: AluOp, a: u32, b: u32, carry: bool) -> u32 {
     match op {
         AluOp::Add => a.wrapping_add(b),
@@ -135,6 +138,31 @@ pub fn run_block(ctx: &mut ExecCtx<'_>, block: &Block) -> Result<u32, Trap> {
     }
 }
 
+/// Expands to the executor's one `match` on a tape entry: an arm for
+/// each flagless ALU kind of [`adbt_ir::alu_kinds!`], which calls
+/// [`alu_value`] with that kind's op as a constant, then `$arms`, the
+/// arms of every other kind. `$cpu` is the vCPU whose slot file the ALU
+/// kinds read and write.
+macro_rules! match_entry {
+    ([$($op:ident $ri:ident $rr:ident,)*] $entry:expr, $cpu:expr, { $($arms:tt)* }) => {
+        match $entry {
+            $(
+                Entry::$ri { dst, a, imm } => {
+                    let cpu = &mut $cpu;
+                    let value = alu_value(AluOp::$op, cpu.slots[a as usize], imm, cpu.flags.c);
+                    cpu.slots[dst as usize] = value;
+                }
+                Entry::$rr { dst, a, b } => {
+                    let cpu = &mut $cpu;
+                    let (a, b) = (cpu.slots[a as usize], cpu.slots[b as usize]);
+                    cpu.slots[dst as usize] = alu_value(AluOp::$op, a, b, cpu.flags.c);
+                }
+            )*
+            $($arms)*
+        }
+    };
+}
+
 /// Executes a translated block's tape starting at op index `start` (0
 /// for a fresh entry; a [`BlockRun::Paused`] value to resume). Per-block
 /// statistics are charged on fresh entry only, so a paused-and-resumed
@@ -162,16 +190,7 @@ pub fn run_block_from(
     }
 
     for (i, entry) in tape.entries().iter().enumerate().skip(start) {
-        match *entry {
-            Entry::AluRI { op, dst, a, imm } => {
-                let slots = &mut ctx.cpu.slots;
-                slots[dst as usize] = alu_value(op, slots[a as usize], imm, ctx.cpu.flags.c);
-            }
-            Entry::AluRR { op, dst, a, b } => {
-                let slots = &mut ctx.cpu.slots;
-                slots[dst as usize] =
-                    alu_value(op, slots[a as usize], slots[b as usize], ctx.cpu.flags.c);
-            }
+        adbt_ir::alu_kinds!(match_entry, *entry, ctx.cpu, {
             Entry::Alu { op, dst, a, b } => {
                 let slots = &mut ctx.cpu.slots;
                 slots[dst as usize] = alu_value(op, val(slots, a), val(slots, b), ctx.cpu.flags.c);
@@ -359,7 +378,7 @@ pub fn run_block_from(
                 ctx.cpu.slots[dst as usize] = old;
             }
             Entry::Operands(_) => unreachable!("the operand pool lies past the op entries"),
-        }
+        });
     }
 
     let next_pc = match &block.exit {

@@ -622,7 +622,8 @@ impl MachineCore {
     /// Announces QSBR quiescence for `ctx` (the caller must hold zero
     /// translation-cache borrows) and frees any limbo blocks whose grace
     /// period has elapsed. The quiescent-path cost when nothing is
-    /// pending is three atomic loads and one store.
+    /// pending and no batch has been retired since the last call is four
+    /// atomic loads and no store.
     ///
     /// One rule for every driver: no announcement while any cursor is
     /// paused. The deterministic driver runs all its vCPUs through one

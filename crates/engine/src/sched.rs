@@ -50,7 +50,7 @@
 //! [`Op::Window`]: adbt_ir::Op::Window
 //! [`Op::Yield`]: adbt_ir::Op::Yield
 
-use crate::stats::{SimCosts, SimSnapshot, VcpuStats};
+use crate::stats::{SimCosts, VcpuStats};
 use adbt_chaos::ChaosSite;
 use adbt_mmu::Width;
 
@@ -207,15 +207,58 @@ pub struct VirtualTimeScheduler {
     /// let the lock holder run).
     last_run: Vec<u64>,
     rng: u64,
+    /// `costs.quantum` clamped to at least 2: quanta are drawn from
+    /// `[base / 2, base / 2 + base)`.
+    base: FastMod,
     /// The clock at which the running vCPU's quantum ends.
     quantum_end: u64,
     /// When the schemes' global lock frees up.
     lock_free_at: u64,
-    /// Each vCPU's counters as of its last charge.
-    seen: Vec<SimSnapshot>,
+    /// What each vCPU had been charged for at its last charge.
+    charged: Vec<Charged>,
     /// Units each vCPU spent parked by other vCPUs' stop-the-world
     /// sections, credited to its stats at settlement.
     parked: Vec<u64>,
+}
+
+/// A vCPU's totals as of its last charge: its weighted total
+/// ([`SimCosts::weighted`]) and the two counters the scheduler queues
+/// itself. A charge is the difference to the current totals.
+#[derive(Clone, Copy, Debug, Default)]
+struct Charged {
+    units: u64,
+    exclusive_entries: u64,
+    lock_acquisitions: u64,
+}
+
+/// `n % d` for one fixed divisor `d`, by Lemire's fastmod ("Faster
+/// Remainder by Direct Computation", 2019): three multiplications
+/// instead of a division. With `m = ⌈2¹²⁸ / d⌉` and 128 fractional
+/// bits — at least 64 + log₂ `d` — it is exact for every `u64` `n` and
+/// every `d ≥ 1`.
+#[derive(Clone, Copy, Debug)]
+struct FastMod {
+    d: u64,
+    m: u128,
+}
+
+impl FastMod {
+    fn new(d: u64) -> FastMod {
+        // For d = 1 this wraps to 0, which makes every remainder 0.
+        let m = (u128::MAX / d as u128).wrapping_add(1);
+        FastMod { d, m }
+    }
+
+    /// `n % self.d`: the high 64 bits of `(m · n mod 2¹²⁸) · d`, a
+    /// 192-bit product taken in two 128-bit halves.
+    #[inline]
+    fn rem(self, n: u64) -> u64 {
+        let frac = self.m.wrapping_mul(n as u128);
+        let d = self.d as u128;
+        let high = (frac >> 64) * d;
+        let low = (frac as u64 as u128) * d;
+        ((high + (low >> 64)) >> 64) as u64
+    }
 }
 
 impl VirtualTimeScheduler {
@@ -226,9 +269,10 @@ impl VirtualTimeScheduler {
             clocks: vec![0; vcpus],
             last_run: vec![0; vcpus],
             rng: costs.jitter_seed | 1,
+            base: FastMod::new(costs.quantum.max(2)),
             quantum_end: 0,
             lock_free_at: 0,
-            seen: vec![SimSnapshot::default(); vcpus],
+            charged: vec![Charged::default(); vcpus],
             parked: vec![0; vcpus],
         }
     }
@@ -237,18 +281,27 @@ impl VirtualTimeScheduler {
 impl Scheduler for VirtualTimeScheduler {
     /// Starts a quantum for the live vCPU with the smallest clock.
     fn pick(&mut self, atom: u64, enabled: &[bool], _last: Option<usize>) -> usize {
-        let idx = (0..enabled.len())
-            .filter(|&i| enabled[i])
-            .min_by_key(|&i| (self.clocks[i], self.last_run[i], i))
-            .expect("pick() called with no enabled vCPU");
+        // The smallest `(clock, last_run)` key among live vCPUs, with no
+        // branch per vCPU: a finished vCPU's key is `u128::MAX`, above
+        // every live key (one would need a clock and a start atom of
+        // `u64::MAX` both), and a strict `<` keeps the lowest index on
+        // ties.
+        let (mut best, mut idx) = (u128::MAX, usize::MAX);
+        for (i, &live) in enabled.iter().enumerate() {
+            let key = (self.clocks[i] as u128) << 64 | self.last_run[i] as u128;
+            let key = if live { key } else { u128::MAX };
+            let less = key < best;
+            best = if less { key } else { best };
+            idx = if less { i } else { idx };
+        }
+        assert!(idx < enabled.len(), "pick() called with no enabled vCPU");
         self.last_run[idx] = atom + 1;
         // Jittered quantum: varied preemption phases are what let
         // several vCPUs be mid-operation at once (see SimCosts).
         self.rng ^= self.rng << 13;
         self.rng ^= self.rng >> 7;
         self.rng ^= self.rng << 17;
-        let base = self.costs.quantum.max(2);
-        let quantum = base / 2 + self.rng % base;
+        let quantum = self.base.d / 2 + self.base.rem(self.rng);
         self.quantum_end = self.clocks[idx].saturating_add(quantum);
         idx
     }
@@ -260,10 +313,22 @@ impl Scheduler for VirtualTimeScheduler {
     // Inline: the driver calls this once per atom.
     #[inline]
     fn charge(&mut self, idx: usize, stats: &mut VcpuStats, enabled: &[bool]) -> bool {
-        let (units, syncs, locks) = self.seen[idx].charge(stats, &self.costs);
-        self.seen[idx] = SimSnapshot::capture(stats);
+        let now = Charged {
+            units: self.costs.weighted(stats),
+            exclusive_entries: stats.exclusive_entries,
+            lock_acquisitions: stats.lock_acquisitions,
+        };
+        let last = std::mem::replace(&mut self.charged[idx], now);
+        debug_assert!(
+            now.units >= last.units,
+            "vCPU {idx}'s weighted total fell from {} to {}",
+            last.units,
+            now.units
+        );
+        let syncs = now.exclusive_entries - last.exclusive_entries;
+        let locks = now.lock_acquisitions - last.lock_acquisitions;
         let costs = &self.costs;
-        let mut clock = self.clocks[idx] + units;
+        let mut clock = self.clocks[idx] + (now.units - last.units);
         // Global-lock acquisitions queue on one shared resource: wait
         // until the lock frees, then hold it for `lock_hold`.
         for _ in 0..locks {
@@ -293,7 +358,17 @@ impl Scheduler for VirtualTimeScheduler {
         clock <= self.quantum_end
     }
 
+    /// Credits the parked units and the final clock, and prices the
+    /// three per-event buckets from the final counters. That equals the
+    /// sum of every block's share: each priced counter starts at zero
+    /// and moves only inside a charged atom (the driver's
+    /// `release_region` after the last one moves none), so the
+    /// per-block deltas telescope.
     fn settle(&mut self, idx: usize, stats: &mut VcpuStats) {
+        let (instrument, mprotect, events) = self.costs.buckets(stats);
+        stats.sim_instrument_units = instrument;
+        stats.sim_mprotect_units = mprotect;
+        stats.sim_event_units = events;
         stats.sim_exclusive_units += self.parked[idx];
         stats.sim_time = self.clocks[idx];
     }
@@ -320,8 +395,6 @@ pub struct ScriptedScheduler {
     used: u64,
     /// The vCPU index chosen at each atom, in order.
     pub choices: Vec<u32>,
-    /// Bitmask of enabled vCPUs at each atom (bit `i` = vCPU `i`).
-    pub enabled_masks: Vec<u64>,
     /// Every event observed, tagged with its atom number.
     pub events: Vec<(u64, SchedEvent)>,
 }
@@ -454,12 +527,6 @@ impl Scheduler for ScriptedScheduler {
             }
         };
         self.choices.push(idx as u32);
-        let mask = enabled
-            .iter()
-            .enumerate()
-            .filter(|&(_, &e)| e)
-            .fold(0u64, |m, (i, _)| m | (1 << i));
-        self.enabled_masks.push(mask);
         idx
     }
 
@@ -648,5 +715,86 @@ mod tests {
         // A second charge sees only the delta since the first.
         vt.charge(0, &mut stats, &[true, true, false]);
         assert_eq!(vt.clocks[0], end);
+    }
+
+    /// Charges advance the clock by each block's share of the weighted
+    /// total, and `settle` prices the buckets from the final counters,
+    /// which is the sum of every block's share of each bucket.
+    #[test]
+    fn virtual_time_charges_deltas_and_settles_the_buckets() {
+        let costs = SimCosts::default();
+        let mut vt = VirtualTimeScheduler::new(&costs, 1);
+        let mut stats = VcpuStats::default();
+        let blocks: [(u64, u64, u64, u64); 3] = [(10, 2, 1, 0), (4, 0, 0, 1), (7, 1, 3, 2)];
+        let (mut clock, mut instrument, mut events) = (0, 0, 0);
+        for (insns, stores, helpers, translations) in blocks {
+            stats.insns += insns;
+            stats.stores += stores;
+            stats.helper_calls += helpers;
+            stats.translations += translations;
+            vt.charge(0, &mut stats, &[true]);
+            instrument += helpers * costs.helper_call;
+            events += translations * costs.translation;
+            clock += insns * costs.insn + stores * costs.memory_access;
+            clock += helpers * costs.helper_call + translations * costs.translation;
+            assert_eq!(vt.clocks[0], clock);
+        }
+        assert_eq!(stats.sim_instrument_units, 0, "charges leave the buckets");
+        vt.settle(0, &mut stats);
+        assert_eq!(
+            (
+                stats.sim_instrument_units,
+                stats.sim_mprotect_units,
+                stats.sim_event_units
+            ),
+            (instrument, 0, events)
+        );
+        assert_eq!(stats.sim_time, clock);
+    }
+
+    /// The scan's picks are the `min_by_key((clock, last_run, index))`
+    /// picks it replaced, over live subsets of every shape.
+    #[test]
+    fn virtual_time_pick_matches_the_lexicographic_minimum() {
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for round in 0..2_000u64 {
+            let n = 1 + (next() % 9) as usize;
+            let mut vt = VirtualTimeScheduler::new(&SimCosts::default(), n);
+            // Few distinct values, so ties in both fields are common.
+            vt.clocks = (0..n).map(|_| next() % 4 * (u64::MAX / 4)).collect();
+            vt.last_run = (0..n).map(|_| next() % 3).collect();
+            let mut enabled: Vec<bool> = (0..n).map(|_| next() % 3 != 0).collect();
+            enabled[(next() % n as u64) as usize] = true;
+            let want = (0..n)
+                .filter(|&i| enabled[i])
+                .min_by_key(|&i| (vt.clocks[i], vt.last_run[i], i))
+                .unwrap();
+            assert_eq!(vt.pick(round, &enabled, None), want, "{vt:?} {enabled:?}");
+        }
+    }
+
+    #[test]
+    fn fastmod_is_exact_for_every_divisor() {
+        let divisors = [2, 3, 60, 120, 121, 1 << 40, u64::MAX / 3, u64::MAX];
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        for d in divisors {
+            let fast = FastMod::new(d);
+            let edges = [0, 1, d - 1, d, d.wrapping_add(1), u64::MAX];
+            for n in edges {
+                assert_eq!(fast.rem(n), n % d, "{n} % {d}");
+            }
+            for _ in 0..10_000 {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                assert_eq!(fast.rem(rng), rng % d, "{rng} % {d}");
+            }
+        }
     }
 }

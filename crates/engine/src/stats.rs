@@ -410,76 +410,36 @@ impl Default for SimCosts {
     }
 }
 
-/// A snapshot of the counters the simulator charges for; the per-block
-/// delta is converted to virtual-time units.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct SimSnapshot {
-    insns: u64,
-    loads: u64,
-    stores: u64,
-    ll: u64,
-    sc: u64,
-    helper_calls: u64,
-    htable_sets: u64,
-    page_faults: u64,
-    mprotect_calls: u64,
-    remap_calls: u64,
-    htm_txns: u64,
-    htm_aborts: u64,
-    yields: u64,
-    exclusive_entries: u64,
-    translations: u64,
-    lock_acquisitions: u64,
-    txn_dispatches: u64,
-}
-
-impl SimSnapshot {
-    pub(crate) fn capture(stats: &VcpuStats) -> SimSnapshot {
-        SimSnapshot {
-            insns: stats.insns,
-            loads: stats.loads,
-            stores: stats.stores,
-            ll: stats.ll,
-            sc: stats.sc,
-            helper_calls: stats.helper_calls,
-            htable_sets: stats.htable_sets,
-            page_faults: stats.page_faults,
-            mprotect_calls: stats.mprotect_calls,
-            remap_calls: stats.remap_calls,
-            htm_txns: stats.htm_txns,
-            htm_aborts: stats.htm_aborts,
-            yields: stats.yields,
-            exclusive_entries: stats.exclusive_entries,
-            translations: stats.translations,
-            lock_acquisitions: stats.lock_acquisitions,
-            txn_dispatches: stats.txn_dispatches,
-        }
+impl SimCosts {
+    /// The units `stats`' counters cost in the three per-event buckets:
+    /// `(instrument, mprotect, events)` — helper dispatch and inline
+    /// table updates; permission changes and remaps; page faults, HTM
+    /// and translations.
+    #[inline]
+    pub(crate) fn buckets(&self, stats: &VcpuStats) -> (u64, u64, u64) {
+        let instrument =
+            stats.helper_calls * self.helper_call + stats.htable_sets * self.htable_set;
+        let mprotect = stats.mprotect_calls * self.mprotect + stats.remap_calls * self.remap;
+        let events = stats.page_faults * self.page_fault
+            + stats.htm_txns * self.htm_txn
+            + stats.htm_aborts * self.htm_abort
+            + stats.txn_dispatches * self.txn_dispatch
+            + stats.translations * self.translation;
+        (instrument, mprotect, events)
     }
 
-    /// Charges the delta since this snapshot against `costs`, updating
-    /// the per-bucket unit counters, and returns
-    /// `(total units, stop-the-world sections, global-lock acquisitions)`.
-    pub(crate) fn charge(&self, stats: &mut VcpuStats, costs: &SimCosts) -> (u64, u64, u64) {
-        let instrument = (stats.helper_calls - self.helper_calls) * costs.helper_call
-            + (stats.htable_sets - self.htable_sets) * costs.htable_set;
-        let mprotect = (stats.mprotect_calls - self.mprotect_calls) * costs.mprotect
-            + (stats.remap_calls - self.remap_calls) * costs.remap;
-        let events = (stats.page_faults - self.page_faults) * costs.page_fault
-            + (stats.htm_txns - self.htm_txns) * costs.htm_txn
-            + (stats.htm_aborts - self.htm_aborts) * costs.htm_abort
-            + (stats.txn_dispatches - self.txn_dispatches) * costs.txn_dispatch
-            + (stats.translations - self.translations) * costs.translation;
-        let native = (stats.insns - self.insns) * costs.insn
-            + (stats.loads - self.loads + stats.stores - self.stores) * costs.memory_access
-            + (stats.ll - self.ll + stats.sc - self.sc) * costs.llsc
-            + (stats.yields - self.yields) * costs.yield_hint;
-        stats.sim_instrument_units += instrument;
-        stats.sim_mprotect_units += mprotect;
-        stats.sim_event_units += events;
-        let total = instrument + mprotect + events + native;
-        let syncs = stats.exclusive_entries - self.exclusive_entries;
-        let locks = stats.lock_acquisitions - self.lock_acquisitions;
-        (total, syncs, locks)
+    /// Σ cost × counter over every counter this model prices: the units
+    /// `stats` has cost so far, before the scheduler's global-lock and
+    /// stop-the-world charges. A block costs the growth of this sum
+    /// across it.
+    #[inline]
+    pub(crate) fn weighted(&self, stats: &VcpuStats) -> u64 {
+        let (instrument, mprotect, events) = self.buckets(stats);
+        let native = stats.insns * self.insn
+            + (stats.loads + stats.stores) * self.memory_access
+            + (stats.ll + stats.sc) * self.llsc
+            + stats.yields * self.yield_hint;
+        instrument + mprotect + events + native
     }
 }
 
@@ -633,23 +593,50 @@ impl SimBreakdown {
 mod tests {
     use super::*;
 
+    /// Every counter the model prices, each at its own value, and the
+    /// sum written out by hand: the weighted total is Σ cost × counter,
+    /// and the buckets split off all of it but plain emulation.
     #[test]
-    fn sim_snapshot_charges_deltas() {
+    fn weighted_total_prices_every_counter_once() {
         let costs = SimCosts::default();
-        let mut stats = VcpuStats::default();
-        let snap = SimSnapshot::capture(&stats);
-        stats.insns = 10;
-        stats.stores = 2;
-        stats.helper_calls = 1;
-        stats.exclusive_entries = 1;
-        let (units, syncs, locks) = snap.charge(&mut stats, &costs);
-        assert_eq!(syncs, 1);
-        assert_eq!(locks, 0);
+        let stats = VcpuStats {
+            insns: 1_000,
+            loads: 200,
+            stores: 300,
+            ll: 7,
+            sc: 6,
+            helper_calls: 5,
+            htable_sets: 40,
+            page_faults: 2,
+            mprotect_calls: 3,
+            remap_calls: 4,
+            htm_txns: 8,
+            htm_aborts: 9,
+            yields: 11,
+            translations: 12,
+            txn_dispatches: 13,
+            // Not priced per event: the scheduler queues these itself.
+            exclusive_entries: 100,
+            lock_acquisitions: 100,
+            ..VcpuStats::default()
+        };
+        let instrument = 5 * costs.helper_call + 40 * costs.htable_set;
+        let mprotect = 3 * costs.mprotect + 4 * costs.remap;
+        let events = 2 * costs.page_fault
+            + 8 * costs.htm_txn
+            + 9 * costs.htm_abort
+            + 13 * costs.txn_dispatch
+            + 12 * costs.translation;
+        assert_eq!(costs.buckets(&stats), (instrument, mprotect, events));
+        let native = 1_000 * costs.insn
+            + 500 * costs.memory_access
+            + 13 * costs.llsc
+            + 11 * costs.yield_hint;
         assert_eq!(
-            units,
-            10 * costs.insn + 2 * costs.memory_access + costs.helper_call
+            costs.weighted(&stats),
+            instrument + mprotect + events + native
         );
-        assert_eq!(stats.sim_instrument_units, costs.helper_call);
+        assert_eq!(costs.weighted(&VcpuStats::default()), 0);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! air-gapped, without a property-testing crate).
 
 use adbt_engine::{
-    interp::{alu, alu_value},
-    Flags,
+    interp::{self, alu, alu_value},
+    AtomicScheme, Atomicity, ExecCtx, Flags, HelperRegistry, MachineConfig, MachineCore, Vcpu,
 };
+use adbt_ir::{BlockBuilder, BlockExit, Op, Slot, Src};
 use adbt_isa::AluOp;
 
 /// Deterministic xorshift64* generator.
@@ -162,6 +163,81 @@ fn alu_value_matches_reference() {
                     want,
                     "{op:?} value for a={a:#x} b={b:#x} carry={carry}"
                 );
+            }
+        }
+    }
+}
+
+/// A scheme with no LL/SC lowering: the blocks below use none.
+struct NoLlSc;
+
+impl AtomicScheme for NoLlSc {
+    fn name(&self) -> &'static str {
+        "no-llsc"
+    }
+    fn atomicity(&self) -> Atomicity {
+        Atomicity::Incorrect
+    }
+    fn install(&mut self, _: &mut HelperRegistry) {}
+    fn lower_ll(&self, _: &mut BlockBuilder, _: Slot, _: Src) {}
+    fn lower_sc(&self, _: &mut BlockBuilder, _: Slot, _: Src, _: Src) {}
+    fn lower_clrex(&self, _: &mut BlockBuilder) {}
+}
+
+/// The executor writes what `alu_value` defines, for every op, with
+/// slot ∘ immediate, slot ∘ slot and immediate ∘ slot operands and
+/// either carry: each op's two flagless kinds and the generic `Alu`
+/// kind run through a lowered block and `interp::run_block`.
+#[test]
+fn executor_writes_alu_value_for_every_op_and_shape() {
+    let machine = MachineCore::new(MachineConfig::default(), Box::new(NoLlSc)).unwrap();
+    let (ra, rb) = (Slot::Reg(1), Slot::Reg(2));
+    let mut rng = Rng::new(0xe8ec_a1a0);
+    for op in AluOp::ALL {
+        for carry in [false, true] {
+            for _ in 0..64 {
+                let (a, b) = (rng.operand(), rng.operand());
+                let shapes = [
+                    (Src::Slot(ra), Src::Imm(b)),
+                    (Src::Slot(ra), Src::Slot(rb)),
+                    (Src::Imm(a), Src::Slot(rb)),
+                ];
+                let mut builder = BlockBuilder::new(0x1000);
+                for (dst, (x, y)) in (4..).zip(shapes) {
+                    builder.push(Op::Alu {
+                        op,
+                        dst: Some(Slot::Reg(dst)),
+                        a: x,
+                        b: y,
+                        set_flags: false,
+                    });
+                }
+                let block = builder.finish(BlockExit::Jump(0x2000), 1);
+                let kinds: Vec<String> = block
+                    .tape
+                    .entries()
+                    .iter()
+                    .map(|entry| format!("{entry:?}").split(' ').next().unwrap().to_string())
+                    .collect();
+                assert_eq!(
+                    kinds,
+                    [format!("{op:?}RI"), format!("{op:?}RR"), "Alu".into()]
+                );
+
+                let mut ctx = ExecCtx::new(Vcpu::new(1, 0x1000), &machine, 1);
+                ctx.cpu.set_reg(1, a);
+                ctx.cpu.set_reg(2, b);
+                ctx.cpu.flags.c = carry;
+                assert_eq!(interp::run_block(&mut ctx, &block), Ok(0x2000));
+                let want = alu_value(op, a, b, carry);
+                for (dst, shape) in (4..).zip(["slot∘imm", "slot∘slot", "imm∘slot"]) {
+                    assert_eq!(
+                        ctx.cpu.reg(dst),
+                        want,
+                        "{op:?} {shape} a={a:#x} b={b:#x} carry={carry}"
+                    );
+                }
+                assert_eq!(ctx.cpu.flags.c, carry, "{op:?} wrote flags");
             }
         }
     }

@@ -510,7 +510,7 @@ fn flags(n: bool, z: bool, c: bool, v: bool) -> Flags {
 
 const CASES: &[Case] = &[
     Case {
-        kind: "AluRI",
+        kind: "AdcRI",
         ops: |b| {
             b.push(alu(AluOp::Add, reg(3), R1, Src::Imm(5), false));
             // `cmp r2, #0` sets C, which `adc` consumes.
@@ -524,7 +524,7 @@ const CASES: &[Case] = &[
         },
     },
     Case {
-        kind: "AluRR",
+        kind: "SubRR",
         ops: |b| {
             let t = b.temp();
             b.push(alu(AluOp::Add, Some(t), R1, R2, false));
@@ -849,7 +849,46 @@ fn every_tape_entry_kind_executes() {
         (case.check)(&ctx, next);
         assert_eq!(ctx.stats.blocks, 1);
     }
+    for &(op, want) in ALU_KINDS {
+        let m = machine();
+        let mut b = BlockBuilder::new(0x1000);
+        b.push(alu(op, reg(3), R1, Src::Imm(3), false));
+        b.push(alu(op, reg(4), R1, R2, false));
+        let block = b.finish(BlockExit::Jump(NEXT), 1);
+        let kinds: Vec<String> = block.tape.entries().iter().map(kind).collect();
+        assert_eq!(kinds, [format!("{op:?}RI"), format!("{op:?}RR")]);
+        seen.extend(kinds);
+        let mut ctx = ExecCtx::new(Vcpu::new(1, 0x1000), &m, 1);
+        ctx.cpu.set_reg(1, ALU_A);
+        ctx.cpu.set_reg(2, 3);
+        ctx.cpu.flags.c = true;
+        assert_eq!(interp::run_block(&mut ctx, &block), Ok(NEXT));
+        assert_eq!((ctx.cpu.reg(3), ctx.cpu.reg(4)), (want, want), "{op:?}");
+        assert_eq!(ctx.cpu.flags, flags(false, false, true, false), "{op:?}");
+    }
     // Every kind an op can lower to ran (the pool's `Operands` entries
-    // are data, not ops).
-    assert_eq!(seen.len(), 22, "{seen:?}");
+    // are data, not ops): 20, plus two per ALU op.
+    assert_eq!(seen.len(), 20 + 2 * AluOp::ALL.len(), "{seen:?}");
 }
+
+/// The left operand of the `ALU_KINDS` blocks.
+const ALU_A: u32 = 0x8000_0005;
+
+/// Each ALU op's hand-computed value of `ALU_A ∘ 3` with C set, as its
+/// slot ∘ immediate and slot ∘ slot kinds must write it.
+const ALU_KINDS: &[(AluOp, u32)] = &[
+    (AluOp::Add, 0x8000_0008),
+    (AluOp::Adc, 0x8000_0009),
+    (AluOp::Sub, 0x8000_0002),
+    (AluOp::Sbc, 0x8000_0002),
+    (AluOp::Rsb, 0x7fff_fffe),
+    (AluOp::And, 0x0000_0001),
+    (AluOp::Orr, 0x8000_0007),
+    (AluOp::Eor, 0x8000_0006),
+    (AluOp::Bic, 0x8000_0004),
+    (AluOp::Mul, 0x8000_000f),
+    (AluOp::Lsl, 0x0000_0028),
+    (AluOp::Lsr, 0x1000_0000),
+    (AluOp::Asr, 0xf000_0000),
+    (AluOp::Ror, 0xb000_0000),
+];

@@ -5,7 +5,10 @@
 //! the vCPU's *slot file* — guest registers at `0..REG_SLOTS`, then the
 //! block's temps — or inline immediates, and the hottest op shapes get
 //! entry kinds of their own, so the executor never re-inspects an
-//! operand's shape for them. Each op shape lowers to exactly one kind;
+//! operand's shape for them. The two flagless ALU shapes with slot
+//! operands get one kind per [`AluOp`] (see [`alu_kinds!`]), so they
+//! cost one dispatch, not a second one on the op. Each op shape lowers
+//! to exactly one kind;
 //! the tape carries no semantics of its own (the engine's executor gives
 //! each kind its meaning).
 
@@ -68,183 +71,242 @@ impl Val {
     }
 }
 
-/// One pre-decoded op (or, past a tape's op entries, two operands of its
-/// operand pool). Slot operands are slot-file indices.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Entry {
-    /// [`Op::Alu`] without flags into a slot, from slot `a` and an
-    /// immediate.
-    AluRI {
-        /// The operation.
-        op: AluOp,
-        /// Destination slot.
-        dst: u16,
-        /// Left operand slot.
-        a: u16,
-        /// Right operand.
-        imm: u32,
-    },
-    /// [`Op::Alu`] without flags into a slot, from slots `a` and `b`.
-    AluRR {
-        /// The operation.
-        op: AluOp,
-        /// Destination slot.
-        dst: u16,
-        /// Left operand slot.
-        a: u16,
-        /// Right operand slot.
-        b: u16,
-    },
-    /// [`Op::Alu`] without flags into a slot, from any other operand
-    /// shape.
-    Alu {
-        /// The operation.
-        op: AluOp,
-        /// Destination slot.
-        dst: u16,
-        /// Left operand.
-        a: Val,
-        /// Right operand.
-        b: Val,
-    },
-    /// [`Op::Alu`] setting NZCV and writing a slot.
-    AluFlags {
-        /// The operation.
-        op: AluOp,
-        /// Destination slot.
-        dst: u16,
-        /// Left operand.
-        a: Val,
-        /// Right operand.
-        b: Val,
-    },
-    /// [`Op::Alu`] setting NZCV with no destination: the compare/test
-    /// family.
-    Compare {
-        /// The operation.
-        op: AluOp,
-        /// Left operand.
-        a: Val,
-        /// Right operand.
-        b: Val,
-    },
-    /// [`Op::Alu`] with neither a destination nor flags: no effect.
-    Nop,
-    /// [`Op::Mov`].
-    Mov {
-        /// Destination slot.
-        dst: u16,
-        /// Source value.
-        src: Val,
-        /// Update N and Z.
-        flags: bool,
-    },
-    /// [`Op::MovNot`].
-    MovNot {
-        /// Destination slot.
-        dst: u16,
-        /// Source value, inverted.
-        src: Val,
-        /// Update N and Z.
-        flags: bool,
-    },
-    /// [`Op::InsertHigh`].
-    InsertHigh {
-        /// Destination slot.
-        dst: u16,
-        /// The new high half.
-        imm: u16,
-    },
-    /// [`Op::Load`].
-    Load {
-        /// Destination slot.
-        dst: u16,
-        /// Virtual address.
-        addr: Val,
-        /// Access width.
-        width: Width,
-    },
-    /// [`Op::Store`] of a guest word from a slot to a slot's address.
-    StoreWord {
-        /// Slot holding the value.
-        src: u16,
-        /// Slot holding the virtual address.
-        addr: u16,
-    },
-    /// Every other [`Op::Store`] shape.
-    Store {
-        /// Value to store.
-        src: Val,
-        /// Virtual address.
-        addr: Val,
-        /// Access width.
-        width: Width,
-        /// Whether this is an architectural guest store.
-        guest: bool,
-    },
-    /// [`Op::CasWord`]; its address, expected and new values are pool
-    /// operands 0, 1 and 2 at `args` (see [`Tape::operand`]).
-    CasWord {
-        /// Destination slot (1 on success, 0 on failure).
-        dst: u16,
-        /// Operand-pool index.
-        args: u32,
-    },
-    /// [`Op::Fence`].
-    Fence,
-    /// [`Op::HtableSet`].
-    HtableSet {
-        /// The guest address whose hash entry is claimed.
-        addr: Val,
-    },
-    /// [`Op::Helper`]; its `argc` arguments are pool operands at `args`.
-    Helper {
-        /// Which helper to call.
-        id: HelperId,
-        /// Where the return value goes, if anywhere.
-        ret: Option<u16>,
-        /// Operand-pool index of the first argument.
-        args: u32,
-        /// Argument count (at most [`MAX_HELPER_ARGS`]).
-        argc: u8,
-    },
-    /// [`Op::Yield`].
-    Yield,
-    /// [`Op::Window`].
-    Window,
-    /// [`Op::MonitorArm`].
-    MonitorArm {
-        /// Destination slot.
-        dst: u16,
-        /// Virtual address of the synchronization variable.
-        addr: Val,
-    },
-    /// [`Op::MonitorScCas`].
-    MonitorScCas {
-        /// Destination slot (strex status).
-        dst: u16,
-        /// Virtual address of the synchronization variable.
-        addr: Val,
-        /// The value to store on success.
-        new: Val,
-    },
-    /// [`Op::MonitorClear`].
-    MonitorClear,
-    /// [`Op::AtomicRmw`].
-    AtomicRmw {
-        /// Destination slot.
-        dst: u16,
-        /// The operation.
-        op: RmwOp,
-        /// Virtual address of the word.
-        addr: Val,
-        /// The right-hand operand.
-        operand: Val,
-    },
-    /// Two operands of the operand pool that follows the op entries;
-    /// never executed.
-    Operands([Val; 2]),
+/// Passes the flagless ALU kinds to the macro `$then`: for each
+/// [`AluOp`], in encoding order, the op and its two kinds (slot ∘
+/// immediate, then slot ∘ slot) as `[$(Op RI RR,)*]`, followed by the
+/// rest of the arguments.
+///
+/// This is the one list of those kinds. [`Entry`] is declared from it
+/// and the engine's executor generates its arm for each kind from it, so
+/// every op has both kinds and none falls back to a generic one.
+#[macro_export]
+macro_rules! alu_kinds {
+    ($then:ident $(, $($rest:tt)*)?) => {
+        $then! {
+            [
+                Add AddRI AddRR,
+                Adc AdcRI AdcRR,
+                Sub SubRI SubRR,
+                Sbc SbcRI SbcRR,
+                Rsb RsbRI RsbRR,
+                And AndRI AndRR,
+                Orr OrrRI OrrRR,
+                Eor EorRI EorRR,
+                Bic BicRI BicRR,
+                Mul MulRI MulRR,
+                Lsl LslRI LslRR,
+                Lsr LsrRI LsrRR,
+                Asr AsrRI AsrRR,
+                Ror RorRI RorRR,
+            ]
+            $($($rest)*)?
+        }
+    };
 }
+
+/// Declares [`Entry`], its flagless ALU kinds from [`alu_kinds!`] first.
+macro_rules! declare_entry {
+    ([$($op:ident $ri:ident $rr:ident,)*]) => {
+        /// One pre-decoded op (or, past a tape's op entries, two operands
+        /// of its operand pool). Slot operands are slot-file indices.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum Entry {
+            $(
+                #[doc = concat!(
+                    "[`Op::Alu`] [`AluOp::", stringify!($op), "`] without flags into a slot,",
+                    " from slot `a` and an immediate."
+                )]
+                $ri {
+                    /// Destination slot.
+                    dst: u16,
+                    /// Left operand slot.
+                    a: u16,
+                    /// Right operand.
+                    imm: u32,
+                },
+                #[doc = concat!(
+                    "[`Op::Alu`] [`AluOp::", stringify!($op), "`] without flags into a slot,",
+                    " from slots `a` and `b`."
+                )]
+                $rr {
+                    /// Destination slot.
+                    dst: u16,
+                    /// Left operand slot.
+                    a: u16,
+                    /// Right operand slot.
+                    b: u16,
+                },
+            )*
+            /// [`Op::Alu`] without flags into a slot, from any other
+            /// operand shape.
+            Alu {
+                /// The operation.
+                op: AluOp,
+                /// Destination slot.
+                dst: u16,
+                /// Left operand.
+                a: Val,
+                /// Right operand.
+                b: Val,
+            },
+            /// [`Op::Alu`] setting NZCV and writing a slot.
+            AluFlags {
+                /// The operation.
+                op: AluOp,
+                /// Destination slot.
+                dst: u16,
+                /// Left operand.
+                a: Val,
+                /// Right operand.
+                b: Val,
+            },
+            /// [`Op::Alu`] setting NZCV with no destination: the compare/test
+            /// family.
+            Compare {
+                /// The operation.
+                op: AluOp,
+                /// Left operand.
+                a: Val,
+                /// Right operand.
+                b: Val,
+            },
+            /// [`Op::Alu`] with neither a destination nor flags: no effect.
+            Nop,
+            /// [`Op::Mov`].
+            Mov {
+                /// Destination slot.
+                dst: u16,
+                /// Source value.
+                src: Val,
+                /// Update N and Z.
+                flags: bool,
+            },
+            /// [`Op::MovNot`].
+            MovNot {
+                /// Destination slot.
+                dst: u16,
+                /// Source value, inverted.
+                src: Val,
+                /// Update N and Z.
+                flags: bool,
+            },
+            /// [`Op::InsertHigh`].
+            InsertHigh {
+                /// Destination slot.
+                dst: u16,
+                /// The new high half.
+                imm: u16,
+            },
+            /// [`Op::Load`].
+            Load {
+                /// Destination slot.
+                dst: u16,
+                /// Virtual address.
+                addr: Val,
+                /// Access width.
+                width: Width,
+            },
+            /// [`Op::Store`] of a guest word from a slot to a slot's address.
+            StoreWord {
+                /// Slot holding the value.
+                src: u16,
+                /// Slot holding the virtual address.
+                addr: u16,
+            },
+            /// Every other [`Op::Store`] shape.
+            Store {
+                /// Value to store.
+                src: Val,
+                /// Virtual address.
+                addr: Val,
+                /// Access width.
+                width: Width,
+                /// Whether this is an architectural guest store.
+                guest: bool,
+            },
+            /// [`Op::CasWord`]; its address, expected and new values are pool
+            /// operands 0, 1 and 2 at `args` (see [`Tape::operand`]).
+            CasWord {
+                /// Destination slot (1 on success, 0 on failure).
+                dst: u16,
+                /// Operand-pool index.
+                args: u32,
+            },
+            /// [`Op::Fence`].
+            Fence,
+            /// [`Op::HtableSet`].
+            HtableSet {
+                /// The guest address whose hash entry is claimed.
+                addr: Val,
+            },
+            /// [`Op::Helper`]; its `argc` arguments are pool operands at `args`.
+            Helper {
+                /// Which helper to call.
+                id: HelperId,
+                /// Where the return value goes, if anywhere.
+                ret: Option<u16>,
+                /// Operand-pool index of the first argument.
+                args: u32,
+                /// Argument count (at most [`MAX_HELPER_ARGS`]).
+                argc: u8,
+            },
+            /// [`Op::Yield`].
+            Yield,
+            /// [`Op::Window`].
+            Window,
+            /// [`Op::MonitorArm`].
+            MonitorArm {
+                /// Destination slot.
+                dst: u16,
+                /// Virtual address of the synchronization variable.
+                addr: Val,
+            },
+            /// [`Op::MonitorScCas`].
+            MonitorScCas {
+                /// Destination slot (strex status).
+                dst: u16,
+                /// Virtual address of the synchronization variable.
+                addr: Val,
+                /// The value to store on success.
+                new: Val,
+            },
+            /// [`Op::MonitorClear`].
+            MonitorClear,
+            /// [`Op::AtomicRmw`].
+            AtomicRmw {
+                /// Destination slot.
+                dst: u16,
+                /// The operation.
+                op: RmwOp,
+                /// Virtual address of the word.
+                addr: Val,
+                /// The right-hand operand.
+                operand: Val,
+            },
+            /// Two operands of the operand pool that follows the op entries;
+            /// never executed.
+            Operands([Val; 2]),
+        }
+
+        impl Entry {
+            /// `op`'s flagless slot ← slot ∘ immediate kind.
+            fn alu_ri(op: AluOp, dst: u16, a: u16, imm: u32) -> Entry {
+                match op {
+                    $(AluOp::$op => Entry::$ri { dst, a, imm },)*
+                }
+            }
+
+            /// `op`'s flagless slot ← slot ∘ slot kind.
+            fn alu_rr(op: AluOp, dst: u16, a: u16, b: u16) -> Entry {
+                match op {
+                    $(AluOp::$op => Entry::$rr { dst, a, b },)*
+                }
+            }
+        }
+    };
+}
+
+alu_kinds!(declare_entry);
 
 /// A block's pre-decoded ops: entry `i` executes op `i`, so op indices
 /// (pause points) mean the same on the tape.
@@ -370,24 +432,14 @@ impl Lowering {
                 a: Src::Slot(a),
                 b: Src::Imm(imm),
                 set_flags: false,
-            } => Entry::AluRI {
-                op,
-                dst: slot(dst),
-                a: slot(a),
-                imm,
-            },
+            } => Entry::alu_ri(op, slot(dst), slot(a), imm),
             Op::Alu {
                 op,
                 dst: Some(dst),
                 a: Src::Slot(a),
                 b: Src::Slot(b),
                 set_flags: false,
-            } => Entry::AluRR {
-                op,
-                dst: slot(dst),
-                a: slot(a),
-                b: slot(b),
-            },
+            } => Entry::alu_rr(op, slot(dst), slot(a), slot(b)),
             Op::Alu {
                 op,
                 dst: Some(dst),
@@ -533,37 +585,15 @@ mod tests {
     use crate::{BlockBuilder, BlockExit};
     use std::collections::{BTreeMap, BTreeSet};
 
-    fn kind(entry: &Entry) -> &'static str {
-        match entry {
-            Entry::AluRI { .. } => "AluRI",
-            Entry::AluRR { .. } => "AluRR",
-            Entry::Alu { .. } => "Alu",
-            Entry::AluFlags { .. } => "AluFlags",
-            Entry::Compare { .. } => "Compare",
-            Entry::Nop => "Nop",
-            Entry::Mov { .. } => "Mov",
-            Entry::MovNot { .. } => "MovNot",
-            Entry::InsertHigh { .. } => "InsertHigh",
-            Entry::Load { .. } => "Load",
-            Entry::StoreWord { .. } => "StoreWord",
-            Entry::Store { .. } => "Store",
-            Entry::CasWord { .. } => "CasWord",
-            Entry::Fence => "Fence",
-            Entry::HtableSet { .. } => "HtableSet",
-            Entry::Helper { .. } => "Helper",
-            Entry::Yield => "Yield",
-            Entry::Window => "Window",
-            Entry::MonitorArm { .. } => "MonitorArm",
-            Entry::MonitorScCas { .. } => "MonitorScCas",
-            Entry::MonitorClear => "MonitorClear",
-            Entry::AtomicRmw { .. } => "AtomicRmw",
-            Entry::Operands(_) => "Operands",
-        }
+    /// An entry's kind: its variant name.
+    fn kind(entry: &Entry) -> String {
+        let debug = format!("{entry:?}");
+        debug[..debug.find([' ', '(']).unwrap_or(debug.len())].to_string()
     }
 
     /// Every op variant in every operand shape: register, temp and
-    /// immediate operands; flags on and off; `dst: None`; byte, half and
-    /// word widths; every helper arity.
+    /// immediate operands; flags on and off; `dst: None`; every ALU op;
+    /// byte, half and word widths; every helper arity.
     fn every_shape(b: &mut BlockBuilder) -> Vec<Op> {
         let (t0, t1) = (b.temp(), b.temp());
         let dsts = [Slot::Reg(2), t0];
@@ -616,17 +646,19 @@ mod tests {
                 }
             }
         }
-        for dst in [None, Some(Slot::Reg(2)), Some(t0)] {
-            for a in srcs {
-                for b in srcs {
-                    for set_flags in [false, true] {
-                        ops.push(Op::Alu {
-                            op: AluOp::Add,
-                            dst,
-                            a,
-                            b,
-                            set_flags,
-                        });
+        for op in AluOp::ALL {
+            for dst in [None, Some(Slot::Reg(2)), Some(t0)] {
+                for a in srcs {
+                    for b in srcs {
+                        for set_flags in [false, true] {
+                            ops.push(Op::Alu {
+                                op,
+                                dst,
+                                a,
+                                b,
+                                set_flags,
+                            });
+                        }
                     }
                 }
             }
@@ -675,10 +707,23 @@ mod tests {
         // Each op shape lowers to exactly one kind, and no kind serves
         // two op variants: nothing runs one variant through a kind meant
         // for another, and every kind is reachable.
-        let mut variants_of: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
+        let mut variants_of: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
         for (op, entry) in block.ops.iter().zip(block.tape.entries()) {
             let (again, _) = Tape::lower(std::slice::from_ref(op));
             assert_eq!(kind(&again.entries()[0]), kind(entry), "{op:?}");
+            // A flagless ALU op with a slot destination and slot `a` gets
+            // the kind named after its op: `<Op>RI` or `<Op>RR`.
+            if let Op::Alu {
+                op: alu,
+                dst: Some(_),
+                a: Src::Slot(_),
+                b,
+                set_flags: false,
+            } = *op
+            {
+                let shape = if matches!(b, Src::Imm(_)) { "RI" } else { "RR" };
+                assert_eq!(kind(entry), format!("{alu:?}{shape}"), "{op:?}");
+            }
             variants_of
                 .entry(kind(entry))
                 .or_default()
@@ -687,7 +732,12 @@ mod tests {
         for (kind, variants) in &variants_of {
             assert_eq!(variants.len(), 1, "{kind} serves {variants:?}");
         }
-        assert_eq!(variants_of.len(), 22, "every kind but Operands is used");
+        // 20 kinds, plus two per ALU op for the flagless slot shapes.
+        assert_eq!(
+            variants_of.len(),
+            20 + 2 * AluOp::ALL.len(),
+            "every kind but Operands is used"
+        );
         assert!(!variants_of.contains_key("Operands"));
     }
 
@@ -727,14 +777,12 @@ mod tests {
         assert_eq!(
             tape.entries(),
             [
-                Entry::AluRI {
-                    op: AluOp::Eor,
+                Entry::EorRI {
                     dst: 1,
                     a: 2,
                     imm: 9
                 },
-                Entry::AluRR {
-                    op: AluOp::Eor,
+                Entry::EorRR {
                     dst: 16,
                     a: 1,
                     b: 2

@@ -100,12 +100,31 @@ impl Qsbr {
     }
 
     /// Announces a quiescent state: the calling thread holds zero arena
-    /// references right now. One global load plus one own-slot store —
-    /// cheap enough for once-per-dispatch-step use.
+    /// references right now. One global load and one own-slot load, plus
+    /// an own-slot store only when the global epoch has moved since the
+    /// slot's last announcement — cheap enough for once-per-dispatch-step
+    /// use.
+    ///
+    /// Skipping the store when the slot already holds the global epoch
+    /// `E` is safe:
+    ///
+    /// * The slot already holds the value the store would write, so no
+    ///   [`Qsbr::grace_elapsed`] answer changes.
+    /// * The batch that made epoch `E` was retired in a stop-the-world
+    ///   window while this thread was parked (or, if this thread retired
+    ///   it, mid-step). The thread stored `E` only after that, so nothing
+    ///   it has touched since is in a batch stamped at or below `E`.
+    /// * A later batch moves the global epoch, so the next announcement
+    ///   stores, and its SeqCst store orders everything before it.
     #[inline]
     pub fn quiesce(&self, slot: usize) {
         let epoch = self.global.load(Ordering::SeqCst);
-        self.slots[slot].store(epoch, Ordering::SeqCst);
+        let local = &self.slots[slot];
+        // Only this thread writes its slot while registered, so a
+        // relaxed load reads its own last announcement.
+        if local.load(Ordering::Relaxed) != epoch {
+            local.store(epoch, Ordering::SeqCst);
+        }
     }
 
     /// Opens a grace period for a retirement batch, returning the epoch
@@ -162,6 +181,23 @@ mod tests {
         let epoch = q.begin_grace();
         assert!(!q.grace_elapsed(epoch), "reader never passed a safepoint");
         q.quiesce(slot);
+        assert!(q.grace_elapsed(epoch));
+    }
+
+    #[test]
+    fn quiescing_twice_in_one_epoch_leaves_the_slot_alone() {
+        let q = Qsbr::new();
+        let slot = q.register();
+        let before = q.local_epoch(slot);
+        q.quiesce(slot);
+        q.quiesce(slot);
+        assert_eq!(q.local_epoch(slot), before);
+        // A grace opened afterwards still waits for the next quiesce,
+        // which stores the new epoch.
+        let epoch = q.begin_grace();
+        assert!(!q.grace_elapsed(epoch), "no announcement since the grace");
+        q.quiesce(slot);
+        assert_eq!(q.local_epoch(slot), Some(epoch));
         assert!(q.grace_elapsed(epoch));
     }
 
