@@ -72,14 +72,6 @@ cargo run -q --release --offline -p adbt-trace --bin trace_validate -- \
 cargo run -q --release --offline -p adbt-fuzz --bin adbt_fuzz -- \
     --ci --seeds 32 --max-insns 256 --out "$TRACE_TMP/fuzz-artifacts"
 
-# Adaptive fuzz smoke (release, ~seconds): 8 pinned seeds rerun with
-# the arbiter-driven auto cells appended to the matrix — an adaptive
-# machine under an aggressively short epoch must agree with every
-# static reference in every execution mode, migrations and all.
-cargo run -q --release --offline -p adbt-fuzz --bin adbt_fuzz -- \
-    --ci --seeds 8 --max-insns 256 --auto \
-    --out "$TRACE_TMP/fuzz-auto-artifacts"
-
 # Profiled chaos soak (release, ~seconds): the same seed-pinned
 # contended counter runs on every scheme with the guest-PC contention
 # profiler armed on top of fault injection. Each run writes a .prof
@@ -135,13 +127,6 @@ speedup --scale 0.08 --threads 8
 ablation_fused --scale 0.1 --threads 8
 aba --threads 16 --ops 16000 --nodes 16 --reps 3
 EOF
-# The bench tables' JSON writer is checked the same way: `adapt`'s
-# --json table is its deterministic half (the mixed workload in virtual
-# time; a short timed half runs too, with no guard), and it must match
-# the committed record behind EXPERIMENTS.md's E11 byte for byte.
-cargo run -q --release --offline -p adbt-bench --bin adbt_bench -- \
-    adapt --iters 1000 --reps 1 --json "$TRACE_TMP/bench_adapt.json" > /dev/null
-cmp "$TRACE_TMP/bench_adapt.json" results/bench_adapt.json
 # Systematic interleaving check (release, ~a second): all 8 schemes ×
 # all 6 litmus programs under the bounded-preemption explorer. The
 # search is fully deterministic (no seeds — it *enumerates* schedules),
@@ -160,7 +145,7 @@ cmp "$TRACE_TMP/check_ci.txt" results/check_ci.txt
 cargo test -q --release --offline --manifest-path e2ebench/Cargo.toml
 
 # Wall-clock guards, last on purpose. Everything above is deterministic
-# or seed-pinned; the three guards below time the same binary against
+# or seed-pinned; the two guards below time the same binary against
 # itself on a shared host, where run-to-run noise can trip a budget.
 # `set -e` stops at the first trip, so running them last means a tripped
 # guard never hides a fuzz corpus, profiled soak, oracle CSV or
@@ -184,18 +169,3 @@ cargo run -q --release --offline -p adbt-bench --bin adbt_bench -- \
 cargo run -q --release --offline -p adbt-bench --bin adbt_bench -- \
     profile_overhead --iters 150000 --reps 5 --guard 5 \
     --json "$TRACE_TMP/bench_profiling.json"
-
-# Adaptive-arbitration guard: part 1 measures the armed-idle adaptive
-# machine (epoch never elapses) against the static-with-profile
-# baseline per scheme — the geomean overhead must stay under 3%, the
-# tripwire for "adaptation you don't run is (nearly) free" (a static
-# machine's adaptation-off path is one predicted branch and strictly
-# cheaper than even the armed machine). Part 2 scores --scheme auto
-# against every static on the three-phase mixed workload in
-# deterministic virtual time. The table goes to the temp dir: the
-# committed results/bench_adapt.json, the record behind
-# EXPERIMENTS.md's adaptive-mode section (E11), is regenerated on
-# purpose with the command recorded there.
-cargo run -q --release --offline -p adbt-bench --bin adbt_bench -- \
-    adapt --iters 60000 --reps 3 --guard 3 \
-    --json "$TRACE_TMP/bench_adapt.json"

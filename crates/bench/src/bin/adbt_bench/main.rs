@@ -14,7 +14,7 @@ mod dispatch;
 mod micro;
 mod paper;
 
-use adbt::engine::{MachineCore, MAX_THREADED_VCPUS};
+use adbt::engine::MAX_THREADED_VCPUS;
 use adbt::workloads::parsec;
 use adbt_bench::{Domain, Experiment, Key};
 
@@ -27,11 +27,6 @@ const MAX_THREADS: Key = Key::new("max-threads", Domain::Upto(parsec::MAX_THREAD
 /// `aba --threaded` runs one OS thread per vCPU; the simulated run takes
 /// the same bound.
 const STACK_THREADS: Key = Key::new("threads", Domain::Upto(MAX_THREADED_VCPUS));
-/// `adapt` runs each phase on a machine of `dispatch::PHASE_MEMORY` bytes.
-const PHASE_THREADS: Key = Key::new(
-    "threads",
-    Domain::Upto(MachineCore::max_vcpus(dispatch::PHASE_MEMORY)),
-);
 const PROGRAMS: Key = Key::new("programs", Domain::Programs);
 const PROGRAM: Key = Key::new("program", Domain::Program);
 const REPS: Key = Key::new("reps", Domain::Count);
@@ -43,9 +38,6 @@ const THREADED: Key = Key::new("threaded", Domain::Flag);
 const ITERS: Key = Key::new("iters", Domain::Count);
 const CHAIN: Key = Key::new("chain", Domain::Count);
 const GUARD: Key = Key::new("guard", Domain::Budget);
-const EPOCH: Key = Key::new("epoch", Domain::Count);
-/// `adapt --scale` counts guest loop iterations per phase.
-const PHASE_ITERS: Key = Key::new("scale", Domain::Count);
 
 /// The keys of the dispatch-loop experiments.
 const LOOP: [(Key, &str); 3] = [(ITERS, "300000"), (REPS, "5"), (CHAIN, "64")];
@@ -151,20 +143,6 @@ const EXPERIMENTS: &[Experiment] = &[
         artefact: "contention-profiler overhead guard",
         run: dispatch::profile_overhead,
         keys: OVERHEAD,
-    },
-    Experiment {
-        name: "adapt",
-        artefact: "armed-idle adaptive guard + auto mixed workload (E11)",
-        run: dispatch::adapt,
-        keys: &[
-            LOOP[0],
-            LOOP[1],
-            LOOP[2],
-            (GUARD, ""),
-            (EPOCH, "400"),
-            (PHASE_ITERS, "12000"),
-            (PHASE_THREADS, "4"),
-        ],
     },
     Experiment {
         name: "micro",

@@ -19,7 +19,6 @@
 //! | `dispatch` | block chaining off vs on |
 //! | `trace_overhead` | flight-recorder overhead guard |
 //! | `profile_overhead` | contention-profiler overhead guard |
-//! | `adapt` | armed-idle adaptive guard + `--scheme auto` mixed workload (E11) |
 //! | `micro` | substrate micro-benchmarks |
 //!
 //! The experiments print a human-readable table to stdout and, with

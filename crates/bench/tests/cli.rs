@@ -3,8 +3,7 @@
 //! so a run can never panic after minutes of work, hang, or pass a guard
 //! by measuring nothing.
 
-use std::process::{Command, Output, Stdio};
-use std::time::{Duration, Instant};
+use std::process::{Command, Output};
 
 fn run(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_adbt_bench"))
@@ -84,7 +83,7 @@ fn programs_must_be_known() {
 
 #[test]
 fn thread_counts_must_be_positive() {
-    for experiment in ["speedup", "table1", "ablation_fused", "aba", "adapt"] {
+    for experiment in ["speedup", "table1", "ablation_fused", "aba"] {
         assert_rejected(
             &[experiment, "--threads", "0"],
             "`--threads 0` is not a whole number >= 1",
@@ -92,8 +91,8 @@ fn thread_counts_must_be_positive() {
     }
 }
 
-/// Kernels are generated for at most 64 threads, a threaded run takes
-/// at most 64 vCPUs, and `adapt`'s 1 MiB machines hold 15 guest stacks.
+/// Kernels are generated for at most 64 threads, and a threaded run
+/// takes at most 64 vCPUs.
 #[test]
 fn thread_counts_must_fit_what_runs_them() {
     for experiment in ["speedup", "table1", "ablation_fused", "aba"] {
@@ -104,10 +103,6 @@ fn thread_counts_must_fit_what_runs_them() {
     }
     assert_rejected(&["aba", "--threads", "256"], "and <= 64");
     assert_rejected(&["aba", "--threaded", "--threads", "65"], "and <= 64");
-    assert_rejected(
-        &["adapt", "--threads", "16"],
-        "`--threads 16` is not a whole number >= 1 and <= 15",
-    );
 }
 
 #[test]
@@ -161,35 +156,8 @@ fn kernel_scales_must_be_finite_and_positive() {
 }
 
 #[test]
-fn adapt_phases_and_epochs_must_be_nonempty() {
-    assert_rejected(&["adapt", "--scale", "0"], "`--scale 0`");
-    assert_rejected(&["adapt", "--scale", "0.5"], "`--scale 0.5`");
-    assert_rejected(&["adapt", "--epoch", "0"], "`--epoch 0`");
-}
-
-#[test]
-fn a_one_iteration_adapt_phase_terminates() {
-    // Halving one iteration used to leave the self-patching phase a
-    // zero count, which wraps to 2^32 laps.
-    let mut child = Command::new(env!("CARGO_BIN_EXE_adbt_bench"))
-        .args(["adapt", "--scale", "1", "--iters", "1", "--reps", "1"])
-        .stdout(Stdio::null())
-        .spawn()
-        .unwrap();
-    let deadline = Instant::now() + Duration::from_secs(120);
-    while child.try_wait().unwrap().is_none() {
-        if Instant::now() > deadline {
-            child.kill().unwrap();
-            panic!("adapt --scale 1 still running after 120 s");
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    assert!(child.wait().unwrap().success());
-}
-
-#[test]
 fn chain_limits_must_be_positive() {
-    for experiment in ["dispatch", "trace_overhead", "profile_overhead", "adapt"] {
+    for experiment in ["dispatch", "trace_overhead", "profile_overhead"] {
         assert_rejected(&[experiment, "--chain", "0"], "`--chain 0`");
     }
 }
@@ -211,14 +179,7 @@ fn help_lists_every_experiment_and_each_ones_keys() {
     let output = run(&["--help"]);
     assert_eq!(output.status.code(), Some(0), "{output:?}");
     let stdout = String::from_utf8_lossy(&output.stdout);
-    for name in [
-        "aba",
-        "table2",
-        "fig12_fs",
-        "ablation_fused",
-        "adapt",
-        "micro",
-    ] {
+    for name in ["aba", "table2", "fig12_fs", "ablation_fused", "micro"] {
         assert!(stdout.contains(&format!("  {name} ")), "{stdout}");
     }
     let output = run(&["fig10", "--help"]);

@@ -75,12 +75,14 @@ fn parse_args() -> Args {
                 });
                 args.litmuses = vec![litmus];
             }
-            "--budget" => args.opts.budget = parse_num(&value("--budget"), "--budget"),
+            "--budget" => args.opts.budget = parse_count(&value("--budget"), "--budget"),
             "--preemptions" => {
                 args.opts.max_preemptions =
                     parse_num(&value("--preemptions"), "--preemptions") as usize
             }
-            "--max-atoms" => args.opts.max_atoms = parse_num(&value("--max-atoms"), "--max-atoms"),
+            "--max-atoms" => {
+                args.opts.max_atoms = parse_count(&value("--max-atoms"), "--max-atoms")
+            }
             "--export-trace" => args.export_trace = Some(value("--export-trace")),
             "--ci" => args.ci = true,
             "--help" | "-h" => usage(),
@@ -98,6 +100,17 @@ fn parse_num(text: &str, flag: &str) -> u64 {
         eprintln!("{flag}: bad number '{text}'");
         usage()
     })
+}
+
+/// A count of at least 1: a zero budget or atom cap explores nothing,
+/// and every pair would read clean after one empty run.
+fn parse_count(text: &str, flag: &str) -> u64 {
+    let n = parse_num(text, flag);
+    if n == 0 {
+        eprintln!("{flag} 0 explores nothing; every pair would read clean");
+        usage()
+    }
+    n
 }
 
 fn print_report(report: &PairReport) {

@@ -1,15 +1,13 @@
 //! `adbt-run` — run a guest assembly program from the command line.
 //!
 //! ```text
-//! adbt-run <program.s> [--scheme hst|auto] [--threads 4] [--base 0x10000]
+//! adbt-run <program.s> [--scheme hst] [--threads 4] [--base 0x10000]
 //!          [--entry <symbol|addr>] [--sim] [--replay <trace>]
 //!          [--fuse-atomics] [--dump <symbol|addr>] [--memory BYTES]
 //!          [--stats] [--chaos seed=<u64>,rate=<f64>[,invalidate=<f64>]]
 //!          [--watchdog-ms N] [--htm-degrade-after N] [--trace FILE]
 //!          [--histograms] [--cache-limit BYTES] [--profile FILE]
-//!          [--metrics FILE]
-//!          [--stats-json] [--adapt-epoch N] [--adapt-policy strong|weak-ok]
-//!          [--adapt-log FILE] [--no-adapt]
+//!          [--metrics FILE] [--stats-json]
 //! ```
 //!
 //! The program is assembled at `--base`, each vCPU starts at `--entry`
@@ -28,9 +26,9 @@
 //! A threaded run takes at most 64 vCPUs (each vCPU thread holds one
 //! translation-reclamation slot); `--sim` and `--replay` run every vCPU
 //! on one host thread and take as many as guest memory has stacks for.
-//! The `--trace`, `--profile`, `--metrics` and `--adapt-log` files are
-//! created before the machine is built, so an unwritable path exits 2
-//! before the guest runs.
+//! The `--trace`, `--profile` and `--metrics` files are created before
+//! the machine is built, so an unwritable path exits 2 before the guest
+//! runs.
 //!
 //! `--cache-limit` bounds the translation cache to the given number of
 //! bytes: under pressure the engine flushes generationally (oldest
@@ -68,28 +66,11 @@
 //! `--stats-json` prints the same final snapshot as a single JSON
 //! object on stdout instead of the `--stats` text (combining the two is
 //! rejected — pick one rendering).
-//!
-//! `--scheme auto` arms **adaptive mode**: all eight schemes are
-//! installed as migration candidates and the online arbiter
-//! (`adbt-adapt`) moves the machine between them as the workload's
-//! observed profile shifts — contended LL/SC toward HST, HTM abort
-//! storms away from the HTM schemes, fault storms away from the PST
-//! family. `--adapt-epoch N` sets the retired-instruction epoch between
-//! arbitrations (default 20000), `--adapt-policy strong|weak-ok` the
-//! atomicity-class lattice migrations may traverse (default `strong`:
-//! never weaken), and `--adapt-log FILE` retains the `adbt-adapt-v1`
-//! decision log. `--no-adapt` documents that a run is deliberately
-//! static; combining it with `--scheme auto` is rejected, as are the
-//! `--adapt-*` flags without `--scheme auto` (they would be silently
-//! ignored).
 
 use adbt::engine::{ScriptedScheduler, Unit, MAX_THREADED_VCPUS};
 use adbt::observe;
 use adbt::profile::export;
-use adbt::{
-    AdaptConfig, AdaptPolicy, ChaosCfg, MachineBuilder, SchemeKind, SimCosts, VcpuOutcome,
-    VcpuStats,
-};
+use adbt::{ChaosCfg, MachineBuilder, SchemeKind, SimCosts, VcpuOutcome, VcpuStats};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -104,9 +85,7 @@ fn usage() -> ! {
          \x20               [--trace FILE] [--histograms]\n\
          \x20               [--cache-limit BYTES] [--profile FILE]\n\
          \x20               [--metrics FILE] [--stats-json]\n\
-         \x20               [--adapt-epoch N] [--adapt-policy strong|weak-ok]\n\
-         \x20               [--adapt-log FILE] [--no-adapt]\n\
-         schemes: {}, auto",
+         schemes: {}",
         SchemeKind::ALL.map(|k| k.name()).join(", ")
     );
     std::process::exit(2)
@@ -180,20 +159,15 @@ fn parse_chaos(text: &str) -> Result<ChaosCfg, String> {
     }
 }
 
-/// Resolves `--scheme`'s argument: a static scheme, `auto` (adaptive
-/// mode, `Ok(None)`), or an error that lists every valid name — a bare
-/// "unknown scheme" message helps nobody pick the right one.
-fn resolve_scheme(name: &str) -> Result<Option<SchemeKind>, String> {
-    if name.eq_ignore_ascii_case("auto") {
-        return Ok(None);
-    }
-    match SchemeKind::from_name(name) {
-        Some(kind) => Ok(Some(kind)),
-        None => Err(format!(
-            "unknown scheme `{name}`; valid schemes: {}, auto",
+/// Resolves `--scheme`'s argument, or an error that lists every valid
+/// name — a bare "unknown scheme" message helps nobody pick the right one.
+fn resolve_scheme(name: &str) -> Result<SchemeKind, String> {
+    SchemeKind::from_name(name).ok_or_else(|| {
+        format!(
+            "unknown scheme `{name}`; valid schemes: {}",
             SchemeKind::ALL.map(|k| k.name()).join(", ")
-        )),
-    }
+        )
+    })
 }
 
 fn parse_u32(text: &str) -> Option<u32> {
@@ -252,7 +226,7 @@ fn build_prof_doc(machine: &adbt::Machine, clock: &str) -> export::ProfDoc {
         .collect();
     let merged = rec.merged();
     export::ProfDoc {
-        scheme: machine.scheme_label().to_string(),
+        scheme: machine.scheme().name().to_string(),
         clock: clock.to_string(),
         vcpus,
         merged: export::resolve_rows(&merged.entries, |pc| nearest_symbol(image, pc), word),
@@ -261,8 +235,7 @@ fn build_prof_doc(machine: &adbt::Machine, clock: &str) -> export::ProfDoc {
 
 fn main() -> ExitCode {
     let mut source_path: Option<String> = None;
-    // `None` = `--scheme auto` (adaptive mode).
-    let mut scheme: Option<SchemeKind> = Some(SchemeKind::Hst);
+    let mut scheme = SchemeKind::Hst;
     let mut threads: u32 = 1;
     let mut base: u32 = 0x1_0000;
     let mut entry: Option<String> = None;
@@ -281,10 +254,6 @@ fn main() -> ExitCode {
     let mut profile_out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
     let mut stats_json = false;
-    let mut adapt_epoch: Option<u64> = None;
-    let mut adapt_policy: Option<AdaptPolicy> = None;
-    let mut adapt_log_out: Option<String> = None;
-    let mut no_adapt = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -296,29 +265,6 @@ fn main() -> ExitCode {
                     usage()
                 });
             }
-            "--adapt-epoch" => {
-                adapt_epoch = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-                if adapt_epoch == Some(0) {
-                    eprintln!(
-                        "--adapt-epoch 0 would arbitrate at every dispatch; the epoch \
-                         must be at least 1 retired instruction"
-                    );
-                    usage()
-                }
-            }
-            "--adapt-policy" => {
-                let name = args.next().unwrap_or_else(|| usage());
-                adapt_policy = Some(AdaptPolicy::from_name(&name).unwrap_or_else(|| {
-                    eprintln!("unknown --adapt-policy `{name}` (want strong or weak-ok)");
-                    usage()
-                }));
-            }
-            "--adapt-log" => adapt_log_out = Some(args.next().unwrap_or_else(|| usage())),
-            "--no-adapt" => no_adapt = true,
             "--threads" => {
                 threads = args
                     .next()
@@ -430,28 +376,6 @@ fn main() -> ExitCode {
         eprintln!("bad --replay trace for --threads {threads}: {why}");
         return ExitCode::from(2);
     }
-    if scheme.is_none() && no_adapt {
-        eprintln!(
-            "--scheme auto contradicts --no-adapt: auto *is* the adaptive mode; \
-             pick a static scheme to run without the arbiter"
-        );
-        return ExitCode::from(2);
-    }
-    if scheme.is_some() {
-        // Adapt knobs on a static machine would be silently ignored —
-        // same strict-validation discipline as `--cache-limit 0`.
-        let stray = [
-            ("--adapt-epoch", adapt_epoch.is_some()),
-            ("--adapt-policy", adapt_policy.is_some()),
-            ("--adapt-log", adapt_log_out.is_some()),
-        ]
-        .into_iter()
-        .find_map(|(flag, set)| set.then_some(flag));
-        if let Some(flag) = stray {
-            eprintln!("{flag} has no effect without --scheme auto");
-            return ExitCode::from(2);
-        }
-    }
     if stats && stats_json {
         eprintln!(
             "--stats and --stats-json are mutually exclusive: the text and JSON \
@@ -461,7 +385,7 @@ fn main() -> ExitCode {
     }
     // Create every output file now, so a path that cannot be written
     // fails before the run rather than after it.
-    let outputs = [&trace_out, &profile_out, &metrics_out, &adapt_log_out];
+    let outputs = [&trace_out, &profile_out, &metrics_out];
     for path in outputs.into_iter().flatten() {
         if let Err(e) = std::fs::File::create(path) {
             eprintln!("cannot create {path}: {e}");
@@ -469,30 +393,15 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut builder = match scheme {
-        Some(kind) => MachineBuilder::new(kind),
-        None => {
-            let mut cfg = AdaptConfig::default();
-            if let Some(epoch) = adapt_epoch {
-                cfg.epoch_insns = epoch;
-            }
-            if let Some(policy) = adapt_policy {
-                cfg.policy = policy;
-            }
-            cfg.log = adapt_log_out.is_some();
-            // HST first: the paper's headline strong scheme is the
-            // sensible prior until the profile says otherwise.
-            MachineBuilder::adaptive(SchemeKind::Hst, cfg)
-        }
-    }
-    .memory(memory)
-    .fuse_atomics(fuse)
-    .chaos(chaos)
-    .watchdog_ms(watchdog_ms)
-    .htm_degrade_after(htm_degrade_after)
-    .trace(trace_out.is_some() || histograms)
-    .profile(profile_out.is_some() || metrics_out.is_some())
-    .cache_limit(cache_limit);
+    let mut builder = MachineBuilder::new(scheme)
+        .memory(memory)
+        .fuse_atomics(fuse)
+        .chaos(chaos)
+        .watchdog_ms(watchdog_ms)
+        .htm_degrade_after(htm_degrade_after)
+        .trace(trace_out.is_some() || histograms)
+        .profile(profile_out.is_some() || metrics_out.is_some())
+        .cache_limit(cache_limit);
     if replay.is_some() {
         // Checker traces count atoms at instruction granularity; replay
         // must translate the same single-instruction blocks.
@@ -627,9 +536,6 @@ fn main() -> ExitCode {
             pct(s.sc_failures, s.sc),
             pct(s.htm_aborts, s.htm_txns),
         );
-        if machine.is_adaptive() {
-            eprintln!("adapt: final_scheme={}", machine.active_scheme_name());
-        }
         if let Some(snapshot) = &report.chaos {
             let sites = snapshot
                 .fired()
@@ -722,15 +628,6 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(out) = &adapt_log_out {
-        let mut text = machine.adapt_log().join("\n");
-        text.push('\n');
-        if let Err(e) = std::fs::write(out, text) {
-            eprintln!("cannot write adapt log to {out}: {e}");
-            return ExitCode::from(2);
-        }
-    }
-
     if let Some(dump) = &report.watchdog {
         eprintln!(
             "watchdog: no vCPU progressed for {watchdog_ms} ms; stalled tids {:?}",
@@ -764,11 +661,23 @@ mod tests {
     use adbt::SchemeKind;
 
     #[test]
-    fn scheme_argument_resolves_static_names_and_auto() {
-        assert_eq!(resolve_scheme("hst"), Ok(Some(SchemeKind::Hst)));
-        assert_eq!(resolve_scheme("pico-cas"), Ok(Some(SchemeKind::PicoCas)));
-        assert_eq!(resolve_scheme("auto"), Ok(None));
-        assert_eq!(resolve_scheme("AUTO"), Ok(None));
+    fn scheme_argument_resolves_static_names_and_rejects_auto() {
+        assert_eq!(resolve_scheme("hst"), Ok(SchemeKind::Hst));
+        assert_eq!(resolve_scheme("pico-cas"), Ok(SchemeKind::PicoCas));
+        for retired in ["auto", "AUTO"] {
+            let why = resolve_scheme(retired).unwrap_err();
+            assert!(
+                why.starts_with(&format!("unknown scheme `{retired}`")),
+                "{why}"
+            );
+            let names: Vec<&str> = why
+                .split_once("valid schemes: ")
+                .unwrap()
+                .1
+                .split(", ")
+                .collect();
+            assert_eq!(names, SchemeKind::ALL.map(|k| k.name()), "{why}");
+        }
     }
 
     #[test]
@@ -777,7 +686,6 @@ mod tests {
         for kind in SchemeKind::ALL {
             assert!(why.contains(kind.name()), "missing {}: {why}", kind.name());
         }
-        assert!(why.contains("auto"), "{why}");
         assert!(why.contains("`hts`"), "{why}");
     }
 

@@ -8,6 +8,8 @@ pub enum Error {
     Asm(adbt_isa::AsmError),
     /// Machine construction failed (invalid memory configuration, …).
     Machine(String),
+    /// An assembled image cannot be loaded where it was asked to go.
+    Load(String),
     /// A guest address was invalid for the requested host-side access.
     Memory(adbt_mmu::PageFault),
     /// A named symbol was missing from the loaded image.
@@ -21,6 +23,7 @@ impl fmt::Display for Error {
         match self {
             Error::Asm(e) => write!(f, "assembly error: {e}"),
             Error::Machine(msg) => write!(f, "machine construction failed: {msg}"),
+            Error::Load(msg) => write!(f, "cannot load image: {msg}"),
             Error::Memory(fault) => write!(f, "host-side memory access failed: {fault}"),
             Error::MissingSymbol(name) => write!(f, "symbol `{name}` not found in image"),
             Error::NoImage => f.write_str("no program image loaded"),
@@ -62,6 +65,9 @@ mod tests {
         });
         assert!(asm.to_string().contains("line 3"));
         assert!(Error::NoImage.to_string().contains("no program"));
+        assert!(Error::Load("base 0x1".into())
+            .to_string()
+            .starts_with("cannot load image: base 0x1"));
         assert!(Error::MissingSymbol("top".into())
             .to_string()
             .contains("`top`"));

@@ -402,56 +402,13 @@ pub fn run_program(
     threads: u32,
     entry_syms: &[&str],
     mode: ExecMode,
-    config: MachineConfig,
-) -> Result<ProgramRun, Error> {
-    run_program_on(
-        MachineBuilder::new(kind),
-        source,
-        threads,
-        entry_syms,
-        mode,
-        config,
-    )
-}
-
-/// [`run_program`] on an **adaptive** machine (`--scheme auto`): all
-/// eight schemes installed as migration candidates, `initial` first,
-/// the online arbiter moving between them as the profile shifts. The
-/// differential suites run this against every static scheme — under
-/// the strong policy a migrating machine must be observationally
-/// identical to a static one on deterministic programs.
-pub fn run_program_adaptive(
-    initial: SchemeKind,
-    adapt: adbt_engine::AdaptConfig,
-    source: &str,
-    threads: u32,
-    entry_syms: &[&str],
-    mode: ExecMode,
-    config: MachineConfig,
-) -> Result<ProgramRun, Error> {
-    run_program_on(
-        MachineBuilder::adaptive(initial, adapt),
-        source,
-        threads,
-        entry_syms,
-        mode,
-        config,
-    )
-}
-
-fn run_program_on(
-    builder: MachineBuilder,
-    source: &str,
-    threads: u32,
-    entry_syms: &[&str],
-    mode: ExecMode,
     mut config: MachineConfig,
 ) -> Result<ProgramRun, Error> {
     if let ExecMode::Scheduled { .. } = mode {
         // Scheduled traces count atoms at instruction granularity.
         config.max_block_insns = 1;
     }
-    let mut machine = builder.config(config.clone()).build()?;
+    let mut machine = MachineBuilder::new(kind).config(config).build()?;
     machine.load_asm(source, IMAGE_BASE)?;
     let mut entries = Vec::with_capacity(entry_syms.len());
     for sym in entry_syms {

@@ -55,10 +55,10 @@ pub use machine::{Machine, MachineBuilder};
 
 // The substrate, re-exported under stable paths.
 pub use adbt_engine::{
-    validate_adapt_log, AdaptAction, AdaptConfig, AdaptPolicy, Atomicity, Breakdown, ChaosCfg,
-    ChaosSite, ChaosSnapshot, Histograms, LogHistogram, MachineConfig, ProfileEntry, ProfileMetric,
-    ProfileRecorder, ProfileSnapshot, RetryPolicy, RoundRobin, RunReport, SimBreakdown, SimCosts,
-    TraceEvent, TraceKind, TraceRecorder, Trap, Vcpu, VcpuOutcome, VcpuStats, WatchdogDump,
+    Atomicity, Breakdown, ChaosCfg, ChaosSite, ChaosSnapshot, Histograms, LogHistogram,
+    MachineConfig, ProfileEntry, ProfileMetric, ProfileRecorder, ProfileSnapshot, RetryPolicy,
+    RoundRobin, RunReport, SimBreakdown, SimCosts, TraceEvent, TraceKind, TraceRecorder, Trap,
+    Vcpu, VcpuOutcome, VcpuStats, WatchdogDump,
 };
 pub use adbt_isa::asm::{assemble, Image};
 pub use adbt_schemes::SchemeKind;
@@ -98,9 +98,4 @@ pub mod profile {
 /// The scheme implementations.
 pub mod schemes {
     pub use adbt_schemes::*;
-}
-
-/// The online scheme arbiter (`--scheme auto` / adaptive mode).
-pub mod adapt {
-    pub use adbt_adapt::*;
 }

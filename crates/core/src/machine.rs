@@ -1,13 +1,11 @@
 //! The user-facing machine wrapper.
 
 use crate::Error;
-use adbt_adapt::CostModelArbiter;
-use adbt_engine::{AdaptConfig, ChaosCfg, MachineConfig, MachineCore, RunReport, Scheduler, Vcpu};
+use adbt_engine::{ChaosCfg, MachineConfig, MachineCore, RunReport, Scheduler, Vcpu};
 
 use adbt_isa::asm::{assemble, Image};
 use adbt_mmu::Width;
 use adbt_schemes::SchemeKind;
-use std::sync::Arc;
 
 /// Builds a [`Machine`] for one atomic-emulation scheme.
 ///
@@ -27,7 +25,6 @@ use std::sync::Arc;
 pub struct MachineBuilder {
     kind: SchemeKind,
     config: MachineConfig,
-    adapt: Option<AdaptConfig>,
 }
 
 impl MachineBuilder {
@@ -37,21 +34,6 @@ impl MachineBuilder {
         MachineBuilder {
             kind,
             config: MachineConfig::default(),
-            adapt: None,
-        }
-    }
-
-    /// Starts a builder in **adaptive mode** (`--scheme auto`): all
-    /// eight schemes are installed as migration candidates, `initial`
-    /// runs first, and the online arbiter ([`CostModelArbiter`] with
-    /// the engine's hysteresis/cooldown defaults) migrates the machine
-    /// between them as the workload's profile shifts. The profiler is
-    /// forced on — the arbiter feeds on it.
-    pub fn adaptive(initial: SchemeKind, adapt: AdaptConfig) -> MachineBuilder {
-        MachineBuilder {
-            kind: initial,
-            config: MachineConfig::default(),
-            adapt: Some(adapt),
         }
     }
 
@@ -165,77 +147,26 @@ impl MachineBuilder {
     ///
     /// [`Error::Machine`] for invalid configuration.
     pub fn build(self) -> Result<Machine, Error> {
-        let core = match self.adapt {
-            Some(adapt) => {
-                let candidates = SchemeKind::ALL.map(|k| k.build()).into_iter().collect();
-                let initial = SchemeKind::ALL
-                    .iter()
-                    .position(|k| *k == self.kind)
-                    .expect("SchemeKind::ALL is exhaustive");
-                MachineCore::new_adaptive(
-                    self.config,
-                    candidates,
-                    initial,
-                    adapt,
-                    Arc::new(CostModelArbiter::new()),
-                )
-            }
-            None => MachineCore::new(self.config, self.kind.build()),
-        }
-        .map_err(Error::Machine)?;
+        let core = MachineCore::new(self.config, self.kind.build()).map_err(Error::Machine)?;
         Ok(Machine {
             core,
             kind: self.kind,
-            adaptive: self.adapt.is_some(),
             image: None,
         })
     }
 }
 
-/// A guest machine bound to one scheme (or, in adaptive mode, a
-/// migrating set of schemes), with a loaded program image.
+/// A guest machine bound to one scheme, with a loaded program image.
 pub struct Machine {
     core: MachineCore,
     kind: SchemeKind,
-    adaptive: bool,
     image: Option<Image>,
 }
 
 impl Machine {
-    /// The scheme this machine runs — in adaptive mode, the *initial*
-    /// scheme (see [`Machine::active_scheme_name`] for where the
-    /// arbiter has moved it since).
+    /// The scheme this machine runs.
     pub fn scheme(&self) -> SchemeKind {
         self.kind
-    }
-
-    /// Whether the online arbiter is armed (built via
-    /// [`MachineBuilder::adaptive`]).
-    pub fn is_adaptive(&self) -> bool {
-        self.adaptive
-    }
-
-    /// The label runs should be attributed to: the scheme name for a
-    /// static machine, `"auto"` for an adaptive one (the active scheme
-    /// changes mid-run, so no single name is honest).
-    pub fn scheme_label(&self) -> &'static str {
-        if self.adaptive {
-            "auto"
-        } else {
-            self.kind.name()
-        }
-    }
-
-    /// The currently-active scheme's name (the initial scheme's name on
-    /// a static machine).
-    pub fn active_scheme_name(&self) -> &'static str {
-        self.core.active_scheme_name()
-    }
-
-    /// The retained `adbt-adapt-v1` decision log — empty unless the
-    /// machine is adaptive and [`AdaptConfig::log`] was set.
-    pub fn adapt_log(&self) -> Vec<String> {
-        self.core.adapt_log()
     }
 
     /// The underlying engine machine (memory, stats services, …).
@@ -247,9 +178,23 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// [`Error::Asm`] on assembly failure.
+    /// [`Error::Asm`] on assembly failure, and [`Error::Load`] when `base`
+    /// is not word-aligned (every instruction fetch would be unaligned)
+    /// or the image does not fit in guest memory.
     pub fn load_asm(&mut self, source: &str, base: u32) -> Result<&Image, Error> {
+        if !base.is_multiple_of(4) {
+            return Err(Error::Load(format!(
+                "base {base:#x} is not a multiple of 4"
+            )));
+        }
         let image = assemble(source, base)?;
+        let end = u64::from(base) + image.bytes.len() as u64;
+        let mem = self.core.space.mem().size();
+        if end > u64::from(mem) {
+            return Err(Error::Load(format!(
+                "[{base:#x}, {end:#x}) does not fit in {mem:#x} bytes of guest memory"
+            )));
+        }
         self.core.load_image(&image);
         self.image = Some(image);
         Ok(self.image.as_ref().expect("just set"))
@@ -342,7 +287,6 @@ impl std::fmt::Debug for Machine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Machine")
             .field("scheme", &self.kind)
-            .field("adaptive", &self.adaptive)
             .field("image_loaded", &self.image.is_some())
             .finish()
     }

@@ -61,7 +61,7 @@ pub fn final_metrics_line(
         seq,
         true,
         elapsed_ns,
-        machine.scheme_label(),
+        machine.scheme().name(),
         &profile_summary_json(machine),
         &snapshot_extras(machine, Some(report)),
     )
@@ -97,7 +97,7 @@ pub fn run_with_metrics(
                     sampled.len() as u64,
                     false,
                     start.elapsed().as_nanos() as u64,
-                    machine.scheme_label(),
+                    machine.scheme().name(),
                     &profile_summary_json(machine),
                     &snapshot_extras(machine, None),
                 ));

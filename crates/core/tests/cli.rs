@@ -122,8 +122,12 @@ fn impossible_thread_counts_are_rejected() {
 
 /// Exit 2 with the usage line or `why` on stderr, and nothing run.
 fn assert_rejected(args: &[&str], why: &str) {
-    let dir = std::env::temp_dir();
-    let path = write_program(&dir, "adbt_cli_rejected.s", PROGRAM);
+    assert_rejects_program("adbt_cli_rejected.s", PROGRAM, args, why);
+}
+
+/// [`assert_rejected`] for `source`, written to the temp file `name`.
+fn assert_rejects_program(name: &str, source: &str, args: &[&str], why: &str) {
+    let path = write_program(&std::env::temp_dir(), name, source);
     let output = bin().arg(&path).args(args).output().unwrap();
     assert_eq!(output.status.code(), Some(2), "{args:?}: {output:?}");
     let stderr = String::from_utf8_lossy(&output.stderr);
@@ -155,10 +159,36 @@ fn output_files_are_created_before_the_run() {
     for flag in ["--trace", "--profile", "--metrics"] {
         assert_rejected(&[flag, "/nonexistent/dir/t.json"], "cannot create");
     }
-    assert_rejected(
-        &["--scheme", "auto", "--adapt-log", "/nonexistent/dir/t.json"],
-        "cannot create",
+}
+
+/// A branch-free image: it assembles at any base that leaves room for
+/// its 8 bytes below 2^32.
+const TWO_INSNS: &str = "mov r0, #0\nsvc #0\n";
+
+/// An unaligned base assembles, and the guest would then crash on its
+/// first fetch.
+#[test]
+fn an_unaligned_base_is_rejected() {
+    assert_rejects_program(
+        "adbt_cli_unaligned.s",
+        TWO_INSNS,
+        &["--base", "0x10001"],
+        "cannot load image: base 0x10001 is not a multiple of 4",
     );
+}
+
+/// An image at the end of guest memory (32 MiB by default), or in the
+/// last 16 bytes of the address space, is an error, not a panic.
+#[test]
+fn an_image_beyond_guest_memory_is_rejected() {
+    for base in ["0x2000000", "0xfffffff0"] {
+        assert_rejects_program(
+            "adbt_cli_oob.s",
+            TWO_INSNS,
+            &["--base", base],
+            "does not fit in 0x2000000 bytes of guest memory",
+        );
+    }
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! The translator frontend: decodes guest instructions and lowers them
-//! to IR, invoking the active scheme's hooks for LL/SC and store
+//! to IR, invoking the machine's scheme hooks for LL/SC and store
 //! instrumentation.
 
 use crate::runtime::{ExecCtx, Trap};
@@ -26,10 +26,6 @@ pub(crate) fn mmu_width(width: IsaWidth) -> Width {
 ///
 /// Traps only if instruction *fetch* faults unrecoverably (data-side
 /// faults are runtime events, not translation events).
-///
-/// The caller names the scheme to lower under: on an adaptive machine
-/// the active candidate is resolved *once* per translation, so the
-/// emitted block and its cache scheme tag can never disagree.
 pub fn translate(
     ctx: &mut ExecCtx<'_>,
     pc: u32,

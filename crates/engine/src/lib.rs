@@ -69,7 +69,6 @@
 //! # }
 //! ```
 
-mod arbiter;
 mod cache;
 mod exclusive;
 pub mod frontend;
@@ -91,10 +90,6 @@ pub use adbt_trace::{
     chrome, json, validate, Histograms, LogHistogram, TraceEvent, TraceHandle, TraceKind,
     TraceRecorder, TraceRing, WATCHDOG_TAIL,
 };
-pub use arbiter::{
-    validate_adapt_log, AdaptAction, AdaptConfig, AdaptPolicy, CandidateInfo, EpochObservation,
-    EpochSignals, Proposal, SchemeArbiter,
-};
 pub use cache::CacheOccupancy;
 pub use exclusive::{ExclusiveBarrier, ExclusiveTelemetry, Halted};
 pub use machine::{MachineConfig, MachineCore, RunReport, VcpuOutcome, MAX_THREADED_VCPUS};
@@ -103,7 +98,7 @@ pub use sched::{
     format_choices, Granularity, RoundRobin, SchedEvent, Scheduler, ScriptedScheduler,
     VirtualTimeScheduler,
 };
-pub use scheme::{AtomicScheme, Atomicity, SchemeCostModel, StoreFamily};
+pub use scheme::{AtomicScheme, Atomicity};
 pub use state::{Flags, Monitor, Vcpu, VcpuSnapshot};
 pub use stats::{
     calibration, Breakdown, Calibration, Counter, Merge, SimBreakdown, SimCosts, Unit, VcpuStats,

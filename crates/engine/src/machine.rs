@@ -2,10 +2,6 @@
 //! loop, and its two drivers — real threads and the deterministic
 //! scheduler-driven run.
 
-use crate::arbiter::{
-    AdaptAction, AdaptConfig, AdaptInner, AdaptRuntime, EpochObservation, EpochSignals,
-    SchemeArbiter,
-};
 use crate::cache::{
     block_footprint, CacheOccupancy, RetireSummary, TranslationCache, SEGMENT_FOOTPRINT,
 };
@@ -239,7 +235,7 @@ pub struct MachineCore {
     pub store_test: StoreTestTable,
     /// The stop-the-world exclusive barrier.
     pub exclusive: ExclusiveBarrier,
-    /// The active atomic-emulation scheme.
+    /// The atomic-emulation scheme every translation lowers under.
     pub scheme: Arc<dyn AtomicScheme>,
     /// Registered runtime helpers, indexed by `HelperId`.
     pub helpers: Vec<HelperFn>,
@@ -265,16 +261,9 @@ pub struct MachineCore {
     /// passed a zero-reference safepoint.
     pub(crate) qsbr: Qsbr,
     pub(crate) cache: TranslationCache,
-    /// The adaptive-arbitration runtime when the machine runs with
-    /// `--scheme auto`; `None` on static machines, whose dispatch loop
-    /// then pays a single predicted branch for the whole plane.
-    pub(crate) adapt: Option<AdaptRuntime>,
     /// Deterministic-run cursors currently paused mid-block. Nobody
-    /// announces QSBR quiescence while this is nonzero (a paused block
-    /// must not be freed), and a migration defers: retirement must only
-    /// ever happen with every vCPU at a block edge (the
-    /// architectural-state contract the checker's interleaving atoms
-    /// rely on).
+    /// announces QSBR quiescence while this is nonzero: a paused block
+    /// must not be freed.
     pub(crate) cursor_pins: AtomicU32,
     threaded: AtomicBool,
 }
@@ -287,49 +276,7 @@ impl MachineCore {
     /// Returns an error string for invalid memory configuration.
     pub fn new(
         config: MachineConfig,
-        scheme: Box<dyn AtomicScheme>,
-    ) -> Result<MachineCore, String> {
-        MachineCore::build(config, vec![scheme], 0, None)
-    }
-
-    /// Builds an **adaptive** machine: every candidate scheme installs
-    /// its helpers into the one registry, new translations lower under
-    /// the active candidate (initially `initial`), and the arbiter may
-    /// migrate the machine between candidates at block-edge epochs.
-    /// Forces the profile plane on — hot-site ranking needs it.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error string for invalid memory configuration, an
-    /// empty candidate set, an out-of-range `initial`, or a zero epoch
-    /// length.
-    pub fn new_adaptive(
-        config: MachineConfig,
-        schemes: Vec<Box<dyn AtomicScheme>>,
-        initial: usize,
-        adapt: AdaptConfig,
-        arbiter: Arc<dyn SchemeArbiter>,
-    ) -> Result<MachineCore, String> {
-        if schemes.is_empty() {
-            return Err("adaptive machine needs at least one candidate scheme".to_string());
-        }
-        if initial >= schemes.len() {
-            return Err(format!(
-                "initial candidate index {initial} out of range for {} candidates",
-                schemes.len()
-            ));
-        }
-        if adapt.epoch_insns == 0 {
-            return Err("adapt epoch length must be at least 1 instruction".to_string());
-        }
-        MachineCore::build(config, schemes, initial, Some((adapt, arbiter)))
-    }
-
-    fn build(
-        mut config: MachineConfig,
-        mut schemes: Vec<Box<dyn AtomicScheme>>,
-        initial: usize,
-        adapt: Option<(AdaptConfig, Arc<dyn SchemeArbiter>)>,
+        mut scheme: Box<dyn AtomicScheme>,
     ) -> Result<MachineCore, String> {
         if config.cache_limit > 0 && config.cache_limit < MachineCore::MIN_CACHE_LIMIT {
             return Err(format!(
@@ -339,31 +286,17 @@ impl MachineCore {
                 MachineCore::MIN_CACHE_LIMIT
             ));
         }
-        // Adaptive machines force the profile plane on: hot-site ranking
-        // (which code a migration retires for retranslation) reads it.
-        if adapt.is_some() {
-            config.profile = true;
-        }
         let space = AddressSpace::new(config.mem_size, EXTRA_VIRT_PAGES)?;
-        // Every candidate installs into the one registry: helper ids are
-        // disjoint, so blocks lowered under different candidates coexist
-        // in one cache without relinking.
         let mut registry = HelperRegistry::new();
-        for scheme in &mut schemes {
-            scheme.install(&mut registry);
-        }
+        scheme.install(&mut registry);
         let (helper_names, helpers) = registry.into_parts();
-        let candidates: Vec<Arc<dyn AtomicScheme>> = schemes.into_iter().map(Arc::from).collect();
-        let htm_enabled = candidates.iter().any(|s| s.requires_htm());
-        let scheme = Arc::clone(&candidates[initial]);
-        let adapt =
-            adapt.map(|(cfg, arbiter)| AdaptRuntime::new(candidates, initial, cfg, arbiter));
+        let htm_enabled = scheme.requires_htm();
         Ok(MachineCore {
             space,
             htm: HtmDomain::new(HTM_INDEX_BITS, HTM_WRITE_CAPACITY),
             store_test: StoreTestTable::new(config.htable_bits, config.track_collisions),
             exclusive: ExclusiveBarrier::new(),
-            scheme,
+            scheme: Arc::from(scheme),
             helpers,
             helper_names,
             htm_enabled,
@@ -392,38 +325,10 @@ impl MachineCore {
                 cache.set_limit(config.cache_limit);
                 cache
             },
-            adapt,
             cursor_pins: AtomicU32::new(0),
             threaded: AtomicBool::new(false),
             config,
         })
-    }
-
-    /// The scheme new translations lower under right now — the active
-    /// adaptive candidate, or the construction scheme on a static
-    /// machine.
-    pub(crate) fn active_scheme(&self) -> &Arc<dyn AtomicScheme> {
-        match &self.adapt {
-            Some(adapt) => &adapt.candidates[adapt.active.load(Ordering::Acquire)],
-            None => &self.scheme,
-        }
-    }
-
-    /// The name of the scheme currently lowering new translations.
-    pub fn active_scheme_name(&self) -> &'static str {
-        match &self.adapt {
-            Some(adapt) => adapt.infos[adapt.active.load(Ordering::Acquire)].name,
-            None => self.scheme.name(),
-        }
-    }
-
-    /// The retained `adbt-adapt-v1` decision log — empty unless the
-    /// machine is adaptive and [`AdaptConfig::log`] is on.
-    pub fn adapt_log(&self) -> Vec<String> {
-        match &self.adapt {
-            Some(adapt) => adapt.inner.lock().log.clone(),
-            None => Vec::new(),
-        }
     }
 
     /// The smallest accepted nonzero [`MachineConfig::cache_limit`]: one
@@ -522,7 +427,7 @@ impl MachineCore {
         if let Some(txn) = &mut ctx.txn {
             txn.poison();
         }
-        let block = frontend::translate(ctx, pc, self.active_scheme())?;
+        let block = frontend::translate(ctx, pc, &self.scheme)?;
         self.ensure_cache_room(ctx, block_footprint(&block))?;
         let result = self.cache.insert(pc, block);
         // Every page the new block decodes from becomes write-tracked, so
@@ -726,13 +631,6 @@ impl MachineCore {
             // costs exactly this one predicted-false branch when disabled.
             if ctx.robust {
                 if let Some(outcome) = self.robust_hop(ctx) {
-                    return Some(outcome);
-                }
-            }
-            // The adaptive plane costs exactly this one predicted-false
-            // branch on static machines, same discipline as `robust`.
-            if self.adapt.is_some() {
-                if let Some(outcome) = self.adapt_poll(ctx) {
                     return Some(outcome);
                 }
             }
@@ -1063,308 +961,6 @@ impl MachineCore {
         }
         ctx.end_exclusive();
         None
-    }
-
-    /// The adaptive plane's per-hop poll, entered only on `--scheme
-    /// auto` machines. The fast path is two compares against
-    /// vCPU-local state — migration generation unchanged and the
-    /// retired-instruction epoch not yet elapsed — and stays inline so
-    /// an *armed but idle* arbiter costs a few cycles per hop, not an
-    /// outlined call. (The generation load is `Acquire`, a plain load
-    /// on x86-64.) Everything rarer lives in [`Self::adapt_hop`].
-    #[inline(always)]
-    fn adapt_poll(&self, ctx: &mut ExecCtx<'_>) -> Option<VcpuOutcome> {
-        let adapt = self.adapt.as_ref()?;
-        if adapt.generation.load(Ordering::Acquire) == ctx.adapt_generation
-            && ctx.stats.insns < ctx.adapt_next_epoch
-        {
-            return None;
-        }
-        self.adapt_hop(ctx, adapt)
-    }
-
-    /// The adaptive plane's outlined slow path, entered when
-    /// [`Self::adapt_poll`] sees a migration generation change or an
-    /// elapsed epoch. Observes migration generations — clearing the
-    /// local exclusive monitor across a scheme change, exactly as a
-    /// context switch legally may — and runs epoch arbitration when
-    /// this vCPU's retired-instruction epoch elapses. Retired
-    /// instructions (not wall time) key the epoch, so arbitration is
-    /// reproducible under the deterministic driver, whatever its scheduler.
-    #[inline(never)]
-    fn adapt_hop(&self, ctx: &mut ExecCtx<'_>, adapt: &AdaptRuntime) -> Option<VcpuOutcome> {
-        let generation = adapt.generation.load(Ordering::Acquire);
-        if generation != ctx.adapt_generation {
-            ctx.adapt_generation = generation;
-            if ctx.cpu.monitor.addr.is_some() {
-                // An LL armed under the pre-migration scheme must never
-                // satisfy an SC lowered under the new one: spurious SC
-                // *failure* is architecturally legal, spurious success
-                // is not.
-                ctx.cpu.monitor.addr = None;
-                ctx.prof_charge(ProfMetric::MonitorClear, 1);
-            }
-        }
-        if ctx.stats.insns < ctx.adapt_next_epoch {
-            return None;
-        }
-        // Arbitrating under our own open region transaction could
-        // migrate out from under its speculative writes; the epoch
-        // stays armed and re-polls at the next hop (commit and abort
-        // both get there).
-        if ctx.txn.is_some() {
-            return None;
-        }
-        ctx.adapt_next_epoch = ctx.stats.insns.saturating_add(adapt.config.epoch_insns);
-        self.adapt_epoch(ctx, adapt)
-    }
-
-    /// One arbitration epoch: sample this vCPU's signal deltas, ask the
-    /// arbiter for a proposal, and push it through the policy gates —
-    /// cooldown, hold, atomicity class, hysteresis, paused cursors —
-    /// executing the migration only when every gate passes.
-    fn adapt_epoch(&self, ctx: &mut ExecCtx<'_>, adapt: &AdaptRuntime) -> Option<VcpuOutcome> {
-        let now = EpochSignals::capture(&ctx.stats);
-        let signals = now.delta_from(&ctx.adapt_sample);
-        ctx.adapt_sample = now;
-        // Losing the race simply skips this epoch's arbitration; the
-        // signals above were still consumed, so the next epoch scores
-        // fresh deltas.
-        let mut inner = adapt.inner.try_lock()?;
-        ctx.stats.adapt_epochs += 1;
-        inner.epoch += 1;
-        let epoch = inner.epoch;
-        let active = adapt.active.load(Ordering::Relaxed);
-        let hot_site = self.hottest_site();
-        let proposal = adapt.arbiter.decide(&EpochObservation {
-            epoch,
-            active,
-            candidates: &adapt.infos,
-            policy: adapt.config.policy,
-            signals,
-            hot_site,
-        });
-        // An out-of-range proposal is an arbiter bug; clamp rather than
-        // index out of bounds.
-        let target = proposal.target.min(adapt.infos.len() - 1);
-        let site = hot_site.map(|(pc, _)| pc);
-        if inner.cooldown_left > 0 {
-            inner.cooldown_left -= 1;
-            self.adapt_note(
-                ctx,
-                adapt,
-                &mut inner,
-                epoch,
-                AdaptAction::Cooldown,
-                target,
-                site,
-                &proposal.scores,
-            );
-            return None;
-        }
-        if target == active {
-            inner.streak = 0;
-            self.adapt_note(
-                ctx,
-                adapt,
-                &mut inner,
-                epoch,
-                AdaptAction::Hold,
-                target,
-                site,
-                &proposal.scores,
-            );
-            return None;
-        }
-        if !adapt.class_move_ok(active, target) {
-            ctx.stats.adapt_denied += 1;
-            inner.streak = 0;
-            self.adapt_note(
-                ctx,
-                adapt,
-                &mut inner,
-                epoch,
-                AdaptAction::Deny,
-                target,
-                site,
-                &proposal.scores,
-            );
-            return None;
-        }
-        if inner.streak_target != target {
-            inner.streak_target = target;
-            inner.streak = 0;
-        }
-        inner.streak += 1;
-        if inner.streak < adapt.config.hysteresis {
-            self.adapt_note(
-                ctx,
-                adapt,
-                &mut inner,
-                epoch,
-                AdaptAction::Pending,
-                target,
-                site,
-                &proposal.scores,
-            );
-            return None;
-        }
-        if self.cursor_pins.load(Ordering::Acquire) > 0 {
-            // A vCPU is paused mid-block (pause-point granularity) — not
-            // at a block edge. Keep the streak so the migration retries
-            // as soon as every cursor drains.
-            self.adapt_note(
-                ctx,
-                adapt,
-                &mut inner,
-                epoch,
-                AdaptAction::Defer,
-                target,
-                site,
-                &proposal.scores,
-            );
-            return None;
-        }
-        self.adapt_migrate(
-            ctx,
-            adapt,
-            &mut inner,
-            epoch,
-            active,
-            target,
-            site,
-            &proposal.scores,
-        )
-    }
-
-    /// Records one epoch decision: an [`TraceKind::AdaptDecision`] ring
-    /// event (`addr` = hot site or 0, `value` = action in the high half,
-    /// target index in the low) plus an `adbt-adapt-v1` log line when
-    /// the decision log is retained.
-    #[allow(clippy::too_many_arguments)]
-    fn adapt_note(
-        &self,
-        ctx: &mut ExecCtx<'_>,
-        adapt: &AdaptRuntime,
-        inner: &mut AdaptInner,
-        epoch: u64,
-        action: AdaptAction,
-        target: usize,
-        site: Option<u32>,
-        scores: &[u64],
-    ) {
-        ctx.trace(
-            TraceKind::AdaptDecision,
-            site.unwrap_or(0),
-            ((action as u32) << 16) | target as u32,
-        );
-        if adapt.config.log {
-            let line = adapt.log_line(epoch, ctx.cpu.tid, action, target, site, scores);
-            inner.log.push(line);
-        }
-    }
-
-    /// Executes a scheme migration under the stop-the-world window:
-    /// retire the code the move invalidates (targeted at the hot site
-    /// within a store family, a full generational flush across
-    /// families), run the outgoing scheme's deactivation hook, abort
-    /// in-flight region transactions, then publish the new active index
-    /// and generation. Every parked vCPU is at a block edge, so the
-    /// architectural-state contract holds by construction.
-    #[cold]
-    #[allow(clippy::too_many_arguments)]
-    fn adapt_migrate(
-        &self,
-        ctx: &mut ExecCtx<'_>,
-        adapt: &AdaptRuntime,
-        inner: &mut AdaptInner,
-        epoch: u64,
-        active: usize,
-        target: usize,
-        site: Option<u32>,
-        scores: &[u64],
-    ) -> Option<VcpuOutcome> {
-        if ctx.start_exclusive().is_err() {
-            return Some(VcpuOutcome::Livelocked { pc: ctx.cpu.pc });
-        }
-        let same_family = adapt.infos[active].family == adapt.infos[target].family;
-        let grace = self.qsbr.begin_grace();
-        let summary = if same_family {
-            // Same store-instrumentation family: old-scheme blocks stay
-            // sound next to new ones, so only the hot site — the code
-            // the move is *for* — is retired for retranslation. With no
-            // hot site there is nothing to retire; cold code migrates
-            // lazily as invalidation and flushing recycle it.
-            match site {
-                Some(pc) => {
-                    let victims = self.cache.victims_for_store(pc, 4);
-                    self.cache.retire_batch(&victims, grace)
-                }
-                None => RetireSummary::default(),
-            }
-        } else {
-            // Cross-family: the families disagree about store
-            // instrumentation, so no old block may run again.
-            ctx.stats.flushes += 1;
-            self.cache.flush_generational(0, grace)
-        };
-        self.untrack(&summary);
-        ctx.stats.retired_blocks += summary.retired;
-        // The outgoing scheme cleans up its machine-wide residue (PST
-        // unprotects its registered pages) while the world is stopped.
-        adapt.candidates[active].on_deactivate(ctx);
-        // Poison every engine conflict token: an in-flight region
-        // transaction aborts at its next dispatch, rolls back to its
-        // LL, and retries under code translated by the new scheme.
-        for slot in 0..8 {
-            self.htm
-                .notify_plain_store(adbt_htm::HtmDomain::engine_token(slot));
-        }
-        // Note the decision while the old index is still live, so the
-        // log line reads active=outgoing, target=incoming.
-        self.adapt_note(
-            ctx,
-            adapt,
-            inner,
-            epoch,
-            AdaptAction::Migrate,
-            target,
-            site,
-            scores,
-        );
-        adapt.active.store(target, Ordering::Release);
-        adapt.generation.fetch_add(1, Ordering::Release);
-        // Observe our own migration now — this hop's generation check
-        // already ran for the current block edge.
-        ctx.adapt_generation = adapt.generation.load(Ordering::Relaxed);
-        ctx.cpu.monitor.addr = None;
-        ctx.stats.adapt_migrations += 1;
-        inner.cooldown_left = adapt.config.cooldown;
-        inner.streak = 0;
-        ctx.trace(TraceKind::AdaptMigrate, site.unwrap_or(0), target as u32);
-        ctx.end_exclusive();
-        None
-    }
-
-    /// The hottest contended guest PC machine-wide: profile entries
-    /// ranked by their contention-event sum. Entries arrive pre-sorted
-    /// by pc and the strict `>` keeps the first seen, so ties
-    /// break to the lowest PC — deterministic across runs.
-    fn hottest_site(&self) -> Option<(u32, u64)> {
-        let rec = self.profile.as_ref()?;
-        let snapshot = rec.merged();
-        let mut best: Option<(u32, u64)> = None;
-        for entry in &snapshot.entries {
-            let score = entry.get(ProfMetric::ScFail)
-                + entry.get(ProfMetric::HtmConflict)
-                + entry.get(ProfMetric::HtmCapacity)
-                + entry.get(ProfMetric::FalseSharing)
-                + entry.get(ProfMetric::Invalidation);
-            if score > 0 && best.is_none_or(|(_, s)| score > s) {
-                best = Some((entry.pc, score));
-            }
-        }
-        best
     }
 
     /// Runs the vCPUs on real OS threads until all exit (or fail); the

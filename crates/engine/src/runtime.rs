@@ -1,7 +1,6 @@
 //! The runtime layer translated code interacts with: traps, the helper
 //! registry, and the per-thread execution context.
 
-use crate::arbiter::EpochSignals;
 use crate::machine::{MachineCore, FAULT_RETRY_LIMIT};
 use crate::sched::SchedEvent;
 use crate::state::{Vcpu, VcpuSnapshot};
@@ -262,17 +261,6 @@ pub struct ExecCtx<'m> {
     /// ctxs). `usize::MAX` means "no slot": the ctx never announces
     /// quiescence and never blocks a grace period.
     pub(crate) qsbr_slot: usize,
-    /// Retired-instruction threshold for this vCPU's next adaptive
-    /// arbitration epoch; `u64::MAX` on static machines, so the poll
-    /// never fires.
-    pub(crate) adapt_next_epoch: u64,
-    /// Cumulative-counter sample the next epoch's signal deltas are
-    /// computed against.
-    pub(crate) adapt_sample: EpochSignals,
-    /// Last migration generation this vCPU observed; a mismatch at a
-    /// block edge clears the exclusive monitor (an LL armed under the
-    /// old scheme must not satisfy an SC lowered under the new one).
-    pub(crate) adapt_generation: u64,
 }
 
 impl<'m> ExecCtx<'m> {
@@ -316,12 +304,6 @@ impl<'m> ExecCtx<'m> {
             events: Vec::new(),
             txn_events: Vec::new(),
             qsbr_slot: usize::MAX,
-            adapt_next_epoch: machine
-                .adapt
-                .as_ref()
-                .map_or(u64::MAX, |a| a.config.epoch_insns),
-            adapt_sample: EpochSignals::default(),
-            adapt_generation: 0,
         }
     }
 
@@ -1105,11 +1087,8 @@ impl<'m> ExecCtx<'m> {
                 }
             }
         }
-        // Faults dispatch to the *active* scheme: after a migration off
-        // a page-protection scheme its deactivation hook has already
-        // unprotected everything, so no stale scheme can have a claim.
         let machine = self.machine;
-        match machine.active_scheme().on_page_fault(self, fault, access) {
+        match machine.scheme.on_page_fault(self, fault, access) {
             FaultOutcome::Fatal => Err(Trap::Fault(fault)),
             outcome => {
                 *retries += 1;

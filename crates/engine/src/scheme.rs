@@ -36,75 +36,6 @@ impl fmt::Display for Atomicity {
     }
 }
 
-/// The store-instrumentation discipline a scheme's translated code
-/// follows. Blocks from two schemes may coexist in one translation
-/// cache only when their families match: a scheme whose SC consults the
-/// store-test table is unsound next to blocks whose stores never mark
-/// it, and vice versa. The adaptive arbiter therefore executes
-/// cross-family migrations as a full cache flush and same-family
-/// migrations as a targeted per-site retirement.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum StoreFamily {
-    /// Stores mark the store-test hash table inline (HST, HST-HTM).
-    Htable,
-    /// Stores are plain; conflicts surface as page-protection faults
-    /// (PST, PST-REMAP).
-    Page,
-    /// Every store routes through a locked helper (PICO-ST).
-    Locked,
-    /// Stores are uninstrumented (HST-WEAK, PICO-CAS, PICO-HTM).
-    Plain,
-}
-
-impl fmt::Display for StoreFamily {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            StoreFamily::Htable => "htable",
-            StoreFamily::Page => "page",
-            StoreFamily::Locked => "locked",
-            StoreFamily::Plain => "plain",
-        })
-    }
-}
-
-/// Per-scheme cost weights for the adaptive arbiter's epoch scoring, in
-/// the same abstract units as [`crate::SimCosts`] (only ratios matter).
-/// Each weight prices one observable workload signal under this scheme;
-/// the arbiter's predicted epoch cost is the dot product of these
-/// weights with the epoch's observed signal deltas.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SchemeCostModel {
-    /// Cost added per plain guest store (inline table mark, locked
-    /// helper dispatch, …).
-    pub store_unit: u64,
-    /// Cost per SC attempt (exclusive section, mprotect round trip, HTM
-    /// transaction, …).
-    pub sc_unit: u64,
-    /// Cost per *failed* SC — the scheme's retry-path price.
-    pub sc_retry_unit: u64,
-    /// Sensitivity to contention: cost per contended-site event (SC
-    /// failures and HTM aborts are the proxies). Nonzero for HTM-backed
-    /// schemes, whose transactions abort under the same interleavings
-    /// that fail an SC.
-    pub contention_unit: u64,
-    /// Cost per page-protection event (faults, false sharing) — the
-    /// PST-family storm signal.
-    pub fault_unit: u64,
-}
-
-impl SchemeCostModel {
-    /// A neutral model: only the baseline instruction stream is priced.
-    /// Schemes that do not override [`AtomicScheme::cost_model`] score
-    /// identically and the arbiter never prefers one over another.
-    pub const NEUTRAL: SchemeCostModel = SchemeCostModel {
-        store_unit: 0,
-        sc_unit: 0,
-        sc_retry_unit: 0,
-        contention_unit: 0,
-        fault_unit: 0,
-    };
-}
-
 /// An LL/SC emulation scheme: translation-time lowering hooks plus
 /// runtime fault handling.
 ///
@@ -130,21 +61,6 @@ pub trait AtomicScheme: Send + Sync {
     /// reporting only).
     fn uses_page_protection(&self) -> bool {
         false
-    }
-
-    /// The store-instrumentation discipline this scheme's translated
-    /// blocks follow (see [`StoreFamily`] for the coexistence rules the
-    /// adaptive arbiter enforces). The default matches the default
-    /// no-op [`AtomicScheme::instrument_store`].
-    fn store_family(&self) -> StoreFamily {
-        StoreFamily::Plain
-    }
-
-    /// The scheme's cost weights for adaptive arbitration (see
-    /// [`SchemeCostModel`]). The neutral default makes a scheme
-    /// invisible to the arbiter's preference order.
-    fn cost_model(&self) -> SchemeCostModel {
-        SchemeCostModel::NEUTRAL
     }
 
     /// Whether `adbt_ir::opt` may coalesce redundant `Op::HtableSet`
@@ -210,15 +126,6 @@ pub trait AtomicScheme: Send + Sync {
     ) -> FaultOutcome {
         let _ = (ctx, fault, access);
         FaultOutcome::Fatal
-    }
-
-    /// Called on the outgoing scheme when an adaptive migration moves
-    /// the machine off it, inside the migration's stop-the-world window
-    /// (every other vCPU is parked at a block edge). Schemes that leave
-    /// machine-wide residue behind — PST's write-protected pages — must
-    /// clean it up here; the default has nothing to undo.
-    fn on_deactivate(&self, ctx: &mut ExecCtx<'_>) {
-        let _ = ctx;
     }
 }
 

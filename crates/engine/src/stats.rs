@@ -195,14 +195,6 @@ counter_table! {
     /// no translated byte — code/data false sharing on a code page (the
     /// SMC analogue of `false_sharing_faults`).
     smc_false_sharing: count sum,
-    /// Adaptive-arbiter epochs this vCPU arbitrated (scored an epoch
-    /// under `--scheme auto`).
-    adapt_epochs: count sum,
-    /// Scheme migrations this vCPU executed.
-    adapt_migrations: count sum,
-    /// Arbiter proposals the engine rejected for atomicity-class policy
-    /// reasons.
-    adapt_denied: count sum,
 
     /// Nanoseconds spent waiting for + holding exclusive sections and
     /// parked at safepoints.
@@ -283,16 +275,6 @@ impl VcpuStats {
                 "sc_failures_injected ≤ sc_failures",
                 s.sc_failures_injected,
                 s.sc_failures,
-            ),
-            (
-                "adapt_migrations ≤ adapt_epochs",
-                s.adapt_migrations,
-                s.adapt_epochs,
-            ),
-            (
-                "adapt_denied ≤ adapt_epochs",
-                s.adapt_denied,
-                s.adapt_epochs,
             ),
         ];
         let mut violations: Vec<String> = bounds

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! adbt_fuzz [--seeds N] [--seed S] [--max-insns N] [--max-threads N]
-//!           [--out DIR] [--ci] [--auto]
+//!           [--out DIR] [--ci]
 //! ```
 //!
 //! Each seed generates one racy-but-result-deterministic guest program
@@ -14,16 +14,15 @@
 //! nothing observable. Divergences are minimized and written as
 //! replayable artifacts under `--out` (default `fuzz-artifacts/`): the
 //! minimized program, a repro report, the scheduled replay trace, a
-//! Chrome trace, and a guest-PC profile summary.
+//! Chrome trace, and a guest-PC profile summary. The `--out` directory
+//! is created before the campaign starts, so a path that cannot hold
+//! the artifacts exits 2 before any seed runs.
 //!
 //! `--seed S` fuzzes exactly that seed. `--seeds N` fuzzes `N`
 //! consecutive seeds (from `--seed`, or 0). `--ci` selects the pinned
 //! CI corpus (start seed [`adbt_fuzz::CI_CORPUS_START`], 32 seeds,
 //! 256-instruction budget) — deterministic, so a red CI step names the
-//! exact seed to replay locally. `--auto` appends adaptive
-//! (`--scheme auto`) cells to the matrix: an arbiter-driven machine
-//! under an aggressively short epoch must still agree with the static
-//! reference in every mode.
+//! exact seed to replay locally.
 //!
 //! Exit status: 0 = corpus clean, 1 = divergence(s) found (artifacts
 //! written), 2 = usage error.
@@ -35,7 +34,7 @@ use std::process::ExitCode;
 fn usage() -> ! {
     eprintln!(
         "usage: adbt_fuzz [--seeds N] [--seed S] [--max-insns N] [--max-threads N]\n\
-         \x20                [--out DIR] [--ci] [--auto]"
+         \x20                [--out DIR] [--ci]"
     );
     std::process::exit(2);
 }
@@ -93,7 +92,6 @@ fn main() -> ExitCode {
             }
             "--out" => out = PathBuf::from(args.next().unwrap_or_else(|| usage())),
             "--ci" => ci = true,
-            "--auto" => opts.auto = true,
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown argument `{other}`");
@@ -112,19 +110,24 @@ fn main() -> ExitCode {
         (false, true) => 1,
         (false, false) => 16,
     });
+    // Create the artifact directory now, so a path that cannot be
+    // written fails before the campaign rather than when a divergence's
+    // minimized repro needs it.
+    if let Err(e) = std::fs::create_dir_all(&out) {
+        eprintln!("cannot create {}: {e}", out.display());
+        return ExitCode::from(2);
+    }
 
     println!(
-        "adbt_fuzz: {} seed(s) from {:#018x} — {} schemes, {} cells{}, ≤{} insns, ≤{} threads",
+        "adbt_fuzz: {} seed(s) from {:#018x} — {} schemes, {} cells, ≤{} insns, ≤{} threads",
         seeds,
         start,
         opts.schemes.len(),
         opts.cells().len(),
-        if opts.auto { " (auto armed)" } else { "" },
         opts.gen.max_insns,
         opts.gen.max_threads,
     );
 
-    let mut failed_writes = false;
     let divergences = run_campaign(&opts, start, seeds, |result: &SeedResult| {
         match &result.divergence {
             None => println!(
@@ -138,7 +141,6 @@ fn main() -> ExitCode {
                 );
                 if let Err(e) = write_artifacts(&out, d) {
                     eprintln!("warning: could not write artifacts: {e}");
-                    failed_writes = true;
                 }
             }
         }
@@ -153,7 +155,6 @@ fn main() -> ExitCode {
             divergences.len(),
             out.display()
         );
-        let _ = failed_writes;
         ExitCode::from(1)
     }
 }

@@ -27,9 +27,9 @@
 //! into a replayable artifact.
 
 use crate::gen::{Action, FuzzProgram, GenConfig, ProgramSpec};
-use adbt::harness::{run_program, run_program_adaptive, ExecMode, ProgramRun};
+use adbt::harness::{run_program, ExecMode, ProgramRun};
 use adbt::workloads::IMAGE_BASE;
-use adbt::{AdaptConfig, ChaosCfg, MachineConfig, RunReport, SchemeKind, VcpuOutcome};
+use adbt::{ChaosCfg, MachineConfig, RunReport, SchemeKind, VcpuOutcome};
 use std::fmt::Write as _;
 
 /// The non-scheme axes of the matrix.
@@ -75,25 +75,16 @@ impl CellMode {
 /// One cell of the matrix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Cell {
-    /// The atomic-emulation scheme under test (the *initial* scheme for
-    /// an adaptive cell).
+    /// The atomic-emulation scheme under test.
     pub scheme: SchemeKind,
     /// The execution configuration.
     pub mode: CellMode,
-    /// Adaptive cell: the machine starts on `scheme` with the online
-    /// arbiter armed (strong policy, aggressive epoch) and must still
-    /// agree with the static reference.
-    pub auto: bool,
 }
 
 impl Cell {
-    /// Display name, e.g. `pico-cas/threaded` or `auto[hst]/sim`.
+    /// Display name, e.g. `pico-cas/threaded`.
     pub fn name(&self) -> String {
-        if self.auto {
-            format!("auto[{}]/{}", self.scheme, self.mode.tag())
-        } else {
-            format!("{}/{}", self.scheme, self.mode.tag())
-        }
+        format!("{}/{}", self.scheme, self.mode.tag())
     }
 }
 
@@ -115,14 +106,6 @@ pub struct FuzzOpts {
     pub max_atoms: u64,
     /// Guest memory per cell.
     pub mem_size: u32,
-    /// Add adaptive (`--scheme auto`) cells to the matrix: one per
-    /// mode, starting on HST under the strong policy. Off by default —
-    /// the static 8×5 matrix is already the expensive part.
-    pub auto: bool,
-    /// Arbitration epoch for the adaptive cells, in retired
-    /// instructions. Aggressively short so migrations actually fire
-    /// inside small generated programs.
-    pub adapt_epoch: u64,
 }
 
 impl Default for FuzzOpts {
@@ -135,36 +118,17 @@ impl Default for FuzzOpts {
             watchdog_ms: 10_000,
             max_atoms: 4_000_000,
             mem_size: 8 << 20,
-            auto: false,
-            adapt_epoch: 500,
         }
     }
 }
 
 impl FuzzOpts {
-    /// The full cell list, reference first; adaptive cells (when armed)
-    /// last, so the reference is always a static machine.
+    /// The full cell list, reference first.
     pub fn cells(&self) -> Vec<Cell> {
-        let mut cells = Vec::new();
-        for &scheme in &self.schemes {
-            for mode in CellMode::ALL {
-                cells.push(Cell {
-                    scheme,
-                    mode,
-                    auto: false,
-                });
-            }
-        }
-        if self.auto {
-            for mode in CellMode::ALL {
-                cells.push(Cell {
-                    scheme: SchemeKind::Hst,
-                    mode,
-                    auto: true,
-                });
-            }
-        }
-        cells
+        self.schemes
+            .iter()
+            .flat_map(|&scheme| CellMode::ALL.map(|mode| Cell { scheme, mode }))
+            .collect()
     }
 
     fn config(&self, seed: u64, cell: Cell) -> MachineConfig {
@@ -200,30 +164,15 @@ impl FuzzOpts {
 
     fn run_cell(&self, seed: u64, cell: Cell, prog: &FuzzProgram) -> Result<ProgramRun, String> {
         let entries: Vec<&str> = prog.entries.iter().map(String::as_str).collect();
-        let run = if cell.auto {
-            run_program_adaptive(
-                cell.scheme,
-                AdaptConfig {
-                    epoch_insns: self.adapt_epoch.max(1),
-                    ..AdaptConfig::default()
-                },
-                &prog.source,
-                prog.entries.len() as u32,
-                &entries,
-                self.exec_mode(cell),
-                self.config(seed, cell),
-            )
-        } else {
-            run_program(
-                cell.scheme,
-                &prog.source,
-                prog.entries.len() as u32,
-                &entries,
-                self.exec_mode(cell),
-                self.config(seed, cell),
-            )
-        };
-        run.map_err(|e| format!("{}: cell failed to run: {e}", cell.name()))
+        run_program(
+            cell.scheme,
+            &prog.source,
+            prog.entries.len() as u32,
+            &entries,
+            self.exec_mode(cell),
+            self.config(seed, cell),
+        )
+        .map_err(|e| format!("{}: cell failed to run: {e}", cell.name()))
     }
 }
 
@@ -512,7 +461,6 @@ fn build_artifact(
     let sched = Cell {
         scheme: cell.scheme,
         mode: CellMode::Scheduled,
-        auto: cell.auto,
     };
     let replay_trace = opts
         .run_cell(seed, sched, &prog)
@@ -524,7 +472,6 @@ fn build_artifact(
         Cell {
             scheme: cell.scheme,
             mode: CellMode::Sim,
-            auto: cell.auto,
         },
     );
     traced_cfg.trace = true;
@@ -544,7 +491,6 @@ fn build_artifact(
     let profiled = Cell {
         scheme: cell.scheme,
         mode: CellMode::SimProfiled,
-        auto: cell.auto,
     };
     let profile_summary = opts
         .run_cell(seed, profiled, &prog)
@@ -668,7 +614,6 @@ mod tests {
         let cell = Cell {
             scheme: SchemeKind::Hst,
             mode: CellMode::Threaded,
-            auto: false,
         };
         let artifact = build_artifact(11, &opts, cell, "detail", "min detail", &spec);
         assert!(artifact.source.contains("t0_entry"));
@@ -711,7 +656,6 @@ mod tests {
                 Cell {
                     scheme: SchemeKind::Hst,
                     mode: CellMode::Sim,
-                    auto: false,
                 },
                 &prog,
             )
@@ -743,12 +687,10 @@ mod tests {
         let sim = Cell {
             scheme: SchemeKind::Hst,
             mode: CellMode::Sim,
-            auto: false,
         };
         let threaded = Cell {
             scheme: SchemeKind::Hst,
             mode: CellMode::Threaded,
-            auto: false,
         };
         let reference = opts.run_cell(5, sim, &prog).unwrap();
         assert!(compare_to_reference(threaded, &reference, &reference).is_none());
@@ -782,7 +724,6 @@ mod tests {
         let sim = Cell {
             scheme: SchemeKind::Hst,
             mode: CellMode::Sim,
-            auto: false,
         };
         let reference = opts.run_cell(5, sim, &prog).unwrap();
         assert!(check_predictions(&prog, &reference).is_none());
@@ -818,7 +759,6 @@ mod tests {
                 Cell {
                     scheme: SchemeKind::Hst,
                     mode: CellMode::Sim,
-                    auto: false,
                 },
                 &prog,
             )

@@ -2,13 +2,17 @@
 
 use std::process::Command;
 
-fn assert_rejected(args: &[&str]) {
+fn rejection(args: &[&str]) -> String {
     let output = Command::new(env!("CARGO_BIN_EXE_adbt_fuzz"))
         .args(args)
         .output()
         .unwrap();
     assert_eq!(output.status.code(), Some(2), "{args:?}: {output:?}");
-    let stderr = String::from_utf8_lossy(&output.stderr);
+    String::from_utf8_lossy(&output.stderr).into_owned()
+}
+
+fn assert_rejected(args: &[&str]) {
+    let stderr = rejection(args);
     assert!(stderr.contains("usage: adbt_fuzz"), "{args:?}: {stderr}");
 }
 
@@ -20,4 +24,14 @@ fn campaigns_that_check_nothing_are_rejected() {
     assert_rejected(&["--ci", "--seeds", "0"]);
     assert_rejected(&["--max-insns", "0"]);
     assert_rejected(&["--seeds", "1", "--max-insns", "4294967296"]);
+}
+
+/// An artifact directory that cannot be created is an error before the
+/// campaign, not a warning when a divergence's repro is lost. The path
+/// runs through a regular file, so no user may create it.
+#[test]
+fn an_uncreatable_out_directory_is_rejected_before_fuzzing() {
+    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/artifacts");
+    let stderr = rejection(&["--seeds", "1", "--out", out]);
+    assert!(stderr.contains(&format!("cannot create {out}")), "{stderr}");
 }

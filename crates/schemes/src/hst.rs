@@ -16,8 +16,7 @@
 //!   the stop-the-world path after repeated aborts. *Strong.*
 
 use adbt_engine::{
-    AtomicScheme, Atomicity, ChaosSite, ExecCtx, HelperRegistry, RetryPolicy, SchemeCostModel,
-    StoreFamily, TraceKind, Trap,
+    AtomicScheme, Atomicity, ChaosSite, ExecCtx, HelperRegistry, RetryPolicy, TraceKind, Trap,
 };
 use adbt_htm::AbortReason;
 use adbt_ir::{BlockBuilder, HelperId, Op, Slot, Src};
@@ -102,22 +101,6 @@ impl AtomicScheme for Hst {
         Atomicity::Strong
     }
 
-    fn store_family(&self) -> StoreFamily {
-        StoreFamily::Htable
-    }
-
-    fn cost_model(&self) -> SchemeCostModel {
-        // Inline table mark per store; each SC runs a stop-the-world
-        // exclusive section (safepoint wait + section, SimCosts ratios).
-        SchemeCostModel {
-            store_unit: 1,
-            sc_unit: 80,
-            sc_retry_unit: 80,
-            contention_unit: 0,
-            fault_unit: 0,
-        }
-    }
-
     fn install(&mut self, reg: &mut HelperRegistry) {
         self.sc = Some(reg.register(
             "hst_sc",
@@ -181,19 +164,6 @@ impl AtomicScheme for HstWeak {
 
     fn atomicity(&self) -> Atomicity {
         Atomicity::Weak
-    }
-
-    // Stores are uninstrumented — the default `StoreFamily::Plain`.
-
-    fn cost_model(&self) -> SchemeCostModel {
-        // LL and SC are each one helper call; plain stores cost nothing.
-        SchemeCostModel {
-            store_unit: 0,
-            sc_unit: 25,
-            sc_retry_unit: 25,
-            contention_unit: 0,
-            fault_unit: 0,
-        }
     }
 
     fn install(&mut self, reg: &mut HelperRegistry) {
@@ -329,22 +299,6 @@ impl AtomicScheme for HstHtm {
 
     fn requires_htm(&self) -> bool {
         true
-    }
-
-    fn store_family(&self) -> StoreFamily {
-        StoreFamily::Htable
-    }
-
-    fn cost_model(&self) -> SchemeCostModel {
-        // Inline table mark per store; each SC is one HTM transaction,
-        // and contention shows up as transaction aborts.
-        SchemeCostModel {
-            store_unit: 1,
-            sc_unit: 40,
-            sc_retry_unit: 60,
-            contention_unit: 60,
-            fault_unit: 0,
-        }
     }
 
     fn install(&mut self, reg: &mut HelperRegistry) {

@@ -14,7 +14,7 @@
 //! `monitor_clear` to the current guest PC — so PICO-CAS needs no
 //! helper-side charge sites of its own.
 
-use adbt_engine::{AtomicScheme, Atomicity, HelperRegistry, SchemeCostModel};
+use adbt_engine::{AtomicScheme, Atomicity, HelperRegistry};
 use adbt_ir::{BlockBuilder, Op, Slot, Src};
 
 /// The QEMU-4.1 baseline scheme. Entirely inline: LL lowers to
@@ -39,21 +39,6 @@ impl AtomicScheme for PicoCas {
 
     fn atomicity(&self) -> Atomicity {
         Atomicity::Incorrect
-    }
-
-    // Stores are uninstrumented — the default `StoreFamily::Plain`.
-
-    fn cost_model(&self) -> SchemeCostModel {
-        // Everything is inline; the SC is one CAS. The cheapest scheme
-        // there is — and incorrect, which is the policy plane's problem,
-        // not the cost model's.
-        SchemeCostModel {
-            store_unit: 0,
-            sc_unit: 5,
-            sc_retry_unit: 5,
-            contention_unit: 0,
-            fault_unit: 0,
-        }
     }
 
     fn install(&mut self, _reg: &mut HelperRegistry) {}

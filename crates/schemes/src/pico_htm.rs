@@ -11,7 +11,7 @@
 //! [`adbt_engine::VcpuOutcome::Livelocked`] once the per-region retry
 //! budget is exhausted.
 
-use adbt_engine::{AtomicScheme, Atomicity, HelperRegistry, ProfileMetric, SchemeCostModel};
+use adbt_engine::{AtomicScheme, Atomicity, HelperRegistry, ProfileMetric};
 use adbt_ir::{BlockBuilder, HelperId, Op, Slot, Src};
 use adbt_mmu::Width;
 
@@ -41,23 +41,6 @@ impl AtomicScheme for PicoHtm {
 
     fn requires_htm(&self) -> bool {
         true
-    }
-
-    // Stores are uninstrumented — the default `StoreFamily::Plain`
-    // (conflict detection rides the HTM domain, not the translation).
-
-    fn cost_model(&self) -> SchemeCostModel {
-        // Each LL→SC region is one cross-block transaction; contention
-        // is doubly expensive because the engine's own dispatch reads
-        // join the read set (the QEMU-inside-the-transaction effect), so
-        // abort storms compound.
-        SchemeCostModel {
-            store_unit: 0,
-            sc_unit: 40,
-            sc_retry_unit: 60,
-            contention_unit: 120,
-            fault_unit: 0,
-        }
     }
 
     fn install(&mut self, reg: &mut HelperRegistry) {

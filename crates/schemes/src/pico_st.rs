@@ -19,10 +19,7 @@
 //! as a no-op and interleaves at block boundaries, where the
 //! helper+store pair is never split.
 
-use adbt_engine::{
-    AtomicScheme, Atomicity, ChaosSite, ExecCtx, HelperRegistry, ProfileMetric, SchemeCostModel,
-    StoreFamily,
-};
+use adbt_engine::{AtomicScheme, Atomicity, ChaosSite, ExecCtx, HelperRegistry, ProfileMetric};
 use adbt_ir::{BlockBuilder, HelperId, Op, Slot, Src};
 use adbt_mmu::Width;
 use adbt_sync::{Mutex, MutexGuard};
@@ -119,23 +116,6 @@ impl AtomicScheme for PicoSt {
 
     fn atomicity(&self) -> Atomicity {
         Atomicity::Strong
-    }
-
-    fn store_family(&self) -> StoreFamily {
-        StoreFamily::Locked
-    }
-
-    fn cost_model(&self) -> SchemeCostModel {
-        // *Every* plain store routes through the locked helper — the
-        // paper's headline PICO-ST cost — and contention queues on the
-        // one global lock.
-        SchemeCostModel {
-            store_unit: 40,
-            sc_unit: 40,
-            sc_retry_unit: 40,
-            contention_unit: 30,
-            fault_unit: 0,
-        }
     }
 
     fn install(&mut self, reg: &mut HelperRegistry) {

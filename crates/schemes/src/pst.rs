@@ -22,7 +22,7 @@
 
 use adbt_engine::{
     AtomicScheme, Atomicity, ChaosSite, ExecCtx, FaultAccess, FaultOutcome, HelperRegistry,
-    ProfileMetric, SchemeCostModel, StoreFamily, TraceKind, Trap,
+    ProfileMetric, TraceKind, Trap,
 };
 use adbt_ir::{BlockBuilder, HelperId, Op, Slot, Src};
 use adbt_mmu::{FaultKind, PageFault, Perms, Width, PAGE_SHIFT, PAGE_SIZE};
@@ -106,26 +106,6 @@ fn timed_protect(ctx: &mut ExecCtx<'_>, page: u32, perms: Perms) -> Result<(), T
     ctx.end_exclusive();
     ctx.stats.mprotect_ns += start.elapsed().as_nanos() as u64;
     Ok(())
-}
-
-/// Migration-off cleanup shared by both PST variants: drop every armed
-/// monitor and reopen the pages they held write-protected. Runs inside
-/// the migration's stop-the-world window, where every other vCPU is
-/// parked at a block edge — a point the registry is never held across —
-/// so the try-lock only ever fails if the machine is tearing down.
-fn pst_deactivate(shared: &PstShared, ctx: &mut ExecCtx<'_>) {
-    let Some(mut reg) = shared.registry.try_lock() else {
-        return;
-    };
-    let mut pages: Vec<u32> = reg.pages.drain().map(|(page, _)| page).collect();
-    pages.sort_unstable();
-    for page in pages {
-        // Direct protect, not `timed_protect`: the caller already holds
-        // the exclusive window.
-        ctx.machine.space.protect(page, Perms::RWX);
-        ctx.stats.mprotect_calls += 1;
-        ctx.trace(TraceKind::Mprotect, page << PAGE_SHIFT, 1);
-    }
 }
 
 /// Whether a store of `width` bytes at `addr` touches the monitored word.
@@ -291,27 +271,6 @@ impl AtomicScheme for Pst {
         true
     }
 
-    fn store_family(&self) -> StoreFamily {
-        StoreFamily::Page
-    }
-
-    fn cost_model(&self) -> SchemeCostModel {
-        // Plain stores are free; each SC is an mprotect round trip under
-        // a stop-the-world section, and every protection fault a
-        // competitor takes costs another one.
-        SchemeCostModel {
-            store_unit: 0,
-            sc_unit: 3100,
-            sc_retry_unit: 100,
-            contention_unit: 0,
-            fault_unit: 3000,
-        }
-    }
-
-    fn on_deactivate(&self, ctx: &mut ExecCtx<'_>) {
-        pst_deactivate(&self.shared, ctx);
-    }
-
     fn install(&mut self, reg: &mut HelperRegistry) {
         let shared = Arc::clone(&self.shared);
         self.ll = Some(reg.register(
@@ -455,26 +414,6 @@ impl AtomicScheme for PstRemap {
 
     fn uses_page_protection(&self) -> bool {
         true
-    }
-
-    fn store_family(&self) -> StoreFamily {
-        StoreFamily::Page
-    }
-
-    fn cost_model(&self) -> SchemeCostModel {
-        // Like PST, but the SC's page trip is the cheaper remap pair
-        // rather than two mprotect round trips.
-        SchemeCostModel {
-            store_unit: 0,
-            sc_unit: 1600,
-            sc_retry_unit: 100,
-            contention_unit: 0,
-            fault_unit: 1500,
-        }
-    }
-
-    fn on_deactivate(&self, ctx: &mut ExecCtx<'_>) {
-        pst_deactivate(&self.shared, ctx);
     }
 
     fn install(&mut self, reg: &mut HelperRegistry) {

@@ -110,18 +110,11 @@ pub enum TraceKind {
     /// period; `addr` is the number of blocks freed, `value` the number
     /// of fully-reclaimed arena segments so far.
     Reclaim = 24,
-    /// The adaptive arbiter scored an epoch; `addr` is the hot site (0
-    /// if none), `value` packs the action in the high half-word and the
-    /// target candidate index in the low.
-    AdaptDecision = 25,
-    /// The adaptive arbiter executed a scheme migration; `addr` is the
-    /// hot site (0 if none), `value` the new active candidate index.
-    AdaptMigrate = 26,
 }
 
 impl TraceKind {
     /// Every kind, in discriminant order (used by decode and tests).
-    pub const ALL: [TraceKind; 26] = [
+    pub const ALL: [TraceKind; 24] = [
         TraceKind::LlIssue,
         TraceKind::ScOk,
         TraceKind::ScFail,
@@ -146,8 +139,6 @@ impl TraceKind {
         TraceKind::Invalidate,
         TraceKind::Flush,
         TraceKind::Reclaim,
-        TraceKind::AdaptDecision,
-        TraceKind::AdaptMigrate,
     ];
 
     /// The short name exporters print (`Perfetto` track-event names).
@@ -177,8 +168,6 @@ impl TraceKind {
             TraceKind::Invalidate => "invalidate",
             TraceKind::Flush => "flush",
             TraceKind::Reclaim => "reclaim",
-            TraceKind::AdaptDecision => "adapt_decision",
-            TraceKind::AdaptMigrate => "adapt_migrate",
         }
     }
 
