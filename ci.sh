@@ -101,6 +101,13 @@ for scheme in hst hst-weak hst-htm pst pst-remap pico-st pico-cas pico-htm; do
     cargo run -q --release --offline -p adbt-profile --bin adbt_prof -- \
         --check-metrics "$TRACE_TMP/$scheme.sim.json"
 done
+# A flamegraph costed by a wall-clock column: the threaded profile's
+# exclusive_ns is charged at every exclusive entry and safepoint park.
+cargo run -q --release --offline -p adbt-profile --bin adbt_prof -- \
+    "$TRACE_TMP/pst.prof" --flamegraph "$TRACE_TMP/pst.exclusive.folded" \
+    --cost exclusive_ns
+cargo run -q --release --offline -p adbt-profile --bin adbt_prof -- \
+    --check-folded "$TRACE_TMP/pst.exclusive.folded"
 
 # Oracle gate (release, ~25 s): every deterministic results/*.csv is
 # regenerated by the adbt_bench experiment of the same name, with the
@@ -127,6 +134,19 @@ speedup --scale 0.08 --threads 8
 ablation_fused --scale 0.1 --threads 8
 aba --threads 16 --ops 16000 --nodes 16 --reps 3
 EOF
+# The profile plane, pinned (release, ~a second): the same soak,
+# simulated, writes one .prof document per scheme, and their
+# concatenation must match results/profile_soak.txt byte for byte. The
+# simulated runs are deterministic and charge the wall-clock columns
+# nothing, so a change to what the profiler charges, or where, shows
+# here and is committed on purpose.
+for scheme in hst hst-weak hst-htm pst pst-remap pico-st pico-cas pico-htm; do
+    cargo run -q --release --offline -p adbt --bin adbt_run -- \
+        "$TRACE_TMP/soak.s" --scheme "$scheme" --threads 4 \
+        --chaos seed=7,rate=0.05 --sim --profile "$TRACE_TMP/$scheme.sim.prof"
+    cat "$TRACE_TMP/$scheme.sim.prof" >> "$TRACE_TMP/profile_soak.txt"
+done
+cmp "$TRACE_TMP/profile_soak.txt" results/profile_soak.txt
 # Systematic interleaving check (release, ~a second): all 8 schemes ×
 # all 6 litmus programs under the bounded-preemption explorer. The
 # search is fully deterministic (no seeds — it *enumerates* schedules),

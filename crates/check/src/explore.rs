@@ -41,7 +41,7 @@ use crate::oracle;
 use adbt::engine::{format_choices, SchedEvent, Scheduler};
 use adbt::workloads::interleave::Litmus;
 use adbt::workloads::IMAGE_BASE;
-use adbt::{assemble, Image, Machine, MachineBuilder, SchemeKind, Vcpu, VcpuOutcome};
+use adbt::{assemble, Error, Image, Machine, MachineBuilder, SchemeKind, Vcpu, VcpuOutcome};
 
 /// Guest memory per checker machine. Small on purpose: a fresh machine
 /// is built per run, and the litmus images plus two 64 KiB guest stacks
@@ -213,17 +213,16 @@ impl Searcher {
         }
     }
 
-    fn machine(&self) -> Machine {
+    fn machine(&self) -> Result<Machine, Error> {
         // Single-instruction blocks give the checker its atom
         // granularity, so every explored schedule runs one guest
         // instruction per atom.
         let mut machine = MachineBuilder::new(self.scheme)
             .memory(MEM_SIZE)
             .max_block_insns(1)
-            .build()
-            .expect("checker machine config is valid");
-        machine.load_image(self.image.clone());
-        machine
+            .build()?;
+        machine.load_image(self.image.clone())?;
+        Ok(machine)
     }
 
     fn vcpus(&self, machine: &Machine) -> Vec<Vcpu> {
@@ -243,7 +242,9 @@ impl Searcher {
     /// One deterministic scheduled run under the given switch set.
     fn execute(&mut self, switches: &[(u64, u32)]) -> Record {
         self.runs += 1;
-        let machine = self.machine();
+        let machine = self
+            .machine()
+            .unwrap_or_else(|e| panic!("{} × {}: {e}", self.scheme, self.litmus));
         let vcpus = self.vcpus(&machine);
         let mut sched = SwitchScheduler::new(switches);
         let report = machine.run_scheduled(vcpus, &mut sched, self.opts.max_atoms);

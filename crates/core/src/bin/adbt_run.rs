@@ -48,12 +48,16 @@
 //! wait, HTM abort streaks) alongside `--stats`.
 //!
 //! `--profile FILE` arms the guest-PC contention profiler and writes an
-//! `adbt-prof-v1` document after the run: per-vCPU and merged tables
-//! attributing SC failures, exclusive waits, HTM aborts, monitor
-//! clears and invalidations to guest addresses, with
+//! `adbt-prof-v2` document after the run: per-vCPU and merged tables
+//! splitting by guest address the counter rows that can be charged to
+//! one — `sc_failures`, `monitor_clears`, `false_sharing_faults`,
+//! `exclusive_entries`, `htm_aborts`, `retired_blocks`,
+//! `smc_false_sharing`, `exclusive_ns` and `lock_wait_ns` — with
 //! symbols resolved from the image and raw instruction words captured
-//! for disassembly. Render it with `adbt_prof FILE` (`--flamegraph`
-//! folds it for a flamegraph).
+//! for disassembly. Each column sums (with the overflow bucket) to its
+//! `--stats` row; the two `ns` columns stay zero under `--sim` and
+//! `--replay`, which measure no wall time. Render it with `adbt_prof
+//! FILE` (`--flamegraph` folds it for a flamegraph).
 //!
 //! `--metrics FILE` writes an `adbt-metrics-v1` JSONL stream: threaded
 //! runs are sampled periodically (~20 Hz) while they execute, and every
@@ -69,7 +73,7 @@
 
 use adbt::engine::{ScriptedScheduler, Unit, MAX_THREADED_VCPUS};
 use adbt::observe;
-use adbt::profile::export;
+use adbt::profile::{export, ProfileSnapshot};
 use adbt::{ChaosCfg, MachineBuilder, SchemeKind, SimCosts, VcpuOutcome, VcpuStats};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -203,7 +207,7 @@ fn nearest_symbol(image: &adbt::Image, pc: u32) -> String {
     }
 }
 
-/// Builds the `adbt-prof-v1` document from the recorder plus the image
+/// Builds the `adbt-prof-v2` document from the recorder plus the image
 /// (symbols) and post-run guest memory (instruction words — SMC patches
 /// show up as the *final* word at the PC, which is what a human reading
 /// the disassembly context wants).
@@ -215,21 +219,23 @@ fn build_prof_doc(machine: &adbt::Machine, clock: &str) -> export::ProfDoc {
         .expect("caller armed the profiler");
     let image = machine.image().expect("image loaded");
     let word = |pc: u32| machine.read_word(pc).unwrap_or(0);
+    let rows = |snap: &ProfileSnapshot| {
+        export::resolve_rows(&snap.entries, |pc| nearest_symbol(image, pc), word)
+    };
     let vcpus = rec
         .snapshot_all()
         .into_iter()
         .map(|(tid, snap)| export::ProfVcpu {
             tid,
-            rows: export::resolve_rows(&snap.entries, |pc| nearest_symbol(image, pc), word),
+            rows: rows(&snap),
             overflow: snap.overflow,
-        })
-        .collect();
-    let merged = rec.merged();
+        });
     export::ProfDoc {
         scheme: machine.scheme().name().to_string(),
         clock: clock.to_string(),
-        vcpus,
-        merged: export::resolve_rows(&merged.entries, |pc| nearest_symbol(image, pc), word),
+        metrics: rec.columns().iter().map(|c| c.to_string()).collect(),
+        vcpus: vcpus.collect(),
+        merged: rows(&rec.merged()),
     }
 }
 

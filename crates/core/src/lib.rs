@@ -56,9 +56,9 @@ pub use machine::{Machine, MachineBuilder};
 // The substrate, re-exported under stable paths.
 pub use adbt_engine::{
     Atomicity, Breakdown, ChaosCfg, ChaosSite, ChaosSnapshot, Histograms, LogHistogram,
-    MachineConfig, ProfileEntry, ProfileMetric, ProfileRecorder, ProfileSnapshot, RetryPolicy,
-    RoundRobin, RunReport, SimBreakdown, SimCosts, TraceEvent, TraceKind, TraceRecorder, Trap,
-    Vcpu, VcpuOutcome, VcpuStats, WatchdogDump,
+    MachineConfig, ProfileEntry, ProfileRecorder, ProfileSnapshot, RetryPolicy, RoundRobin,
+    RunReport, SimBreakdown, SimCosts, Stat, TraceEvent, TraceKind, TraceRecorder, Trap, Vcpu,
+    VcpuOutcome, VcpuStats, WatchdogDump,
 };
 pub use adbt_isa::asm::{assemble, Image};
 pub use adbt_schemes::SchemeKind;

@@ -125,11 +125,10 @@ impl MachineBuilder {
     }
 
     /// Enables the guest-PC contention profiler: per-vCPU fixed-size
-    /// profiles attributing SC failures, exclusive waits, HTM aborts,
-    /// monitor clears and invalidations to the guest address that
-    /// incurred them. `false` keeps the zero-overhead
-    /// default (one predicted branch per charge site, same discipline as
-    /// `trace`).
+    /// profiles splitting the counter rows flagged `pc` by the guest
+    /// address that incurred them. `false` keeps the zero-overhead
+    /// default (one predicted branch per counted event, same discipline
+    /// as `trace`).
     pub fn profile(mut self, on: bool) -> MachineBuilder {
         self.config.profile = on;
         self
@@ -178,33 +177,45 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// [`Error::Asm`] on assembly failure, and [`Error::Load`] when `base`
-    /// is not word-aligned (every instruction fetch would be unaligned)
-    /// or the image does not fit in guest memory.
+    /// [`Error::Asm`] on assembly failure, and [`Error::Load`] as
+    /// [`load_image`](Self::load_image) returns it.
     pub fn load_asm(&mut self, source: &str, base: u32) -> Result<&Image, Error> {
+        // An unaligned base is refused before the assembler trips over
+        // the unaligned branch targets it makes.
+        self.check_load(base, 0)?;
+        let image = assemble(source, base)?;
+        self.load_image(image)
+    }
+
+    /// Loads a pre-assembled image.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Load`], with nothing written, when the image's base is
+    /// not word-aligned (every instruction fetch would be unaligned) or
+    /// the image does not fit in guest memory.
+    pub fn load_image(&mut self, image: Image) -> Result<&Image, Error> {
+        self.check_load(image.base, image.bytes.len())?;
+        self.core.load_image(&image);
+        self.image = Some(image);
+        Ok(self.image.as_ref().expect("just set"))
+    }
+
+    /// Whether `len` bytes can be loaded at `base`.
+    fn check_load(&self, base: u32, len: usize) -> Result<(), Error> {
         if !base.is_multiple_of(4) {
             return Err(Error::Load(format!(
                 "base {base:#x} is not a multiple of 4"
             )));
         }
-        let image = assemble(source, base)?;
-        let end = u64::from(base) + image.bytes.len() as u64;
+        let end = u64::from(base) + len as u64;
         let mem = self.core.space.mem().size();
         if end > u64::from(mem) {
             return Err(Error::Load(format!(
                 "[{base:#x}, {end:#x}) does not fit in {mem:#x} bytes of guest memory"
             )));
         }
-        self.core.load_image(&image);
-        self.image = Some(image);
-        Ok(self.image.as_ref().expect("just set"))
-    }
-
-    /// Loads a pre-assembled image.
-    pub fn load_image(&mut self, image: Image) -> &Image {
-        self.core.load_image(&image);
-        self.image = Some(image);
-        self.image.as_ref().expect("just set")
+        Ok(())
     }
 
     /// The loaded image, if any.
@@ -322,6 +333,32 @@ mod tests {
             .outcomes
             .iter()
             .all(|o| *o == adbt_engine::VcpuOutcome::Exited(7)));
+    }
+
+    /// Loads a two-instruction image assembled at `base` into 1 MiB of
+    /// guest memory: `load_image` checks it as `load_asm` checks its
+    /// own, and a rejected image leaves nothing loaded.
+    fn load_two_insns_at(base: u32) -> Result<(), Error> {
+        let mut machine = MachineBuilder::new(SchemeKind::Hst)
+            .memory(1 << 20)
+            .build()?;
+        let image = assemble("mov r0, #0\nsvc #0\n", base)?;
+        let loaded = machine.load_image(image).map(|_| ());
+        assert_eq!(machine.image().is_some(), loaded.is_ok());
+        loaded
+    }
+
+    #[test]
+    fn load_image_rejects_an_unaligned_base() {
+        let why = "base 0x1002 is not a multiple of 4";
+        assert_eq!(load_two_insns_at(0x1002), Err(Error::Load(why.into())));
+    }
+
+    #[test]
+    fn load_image_rejects_an_image_beyond_guest_memory() {
+        let why = "[0xffffc, 0x100004) does not fit in 0x100000 bytes of guest memory";
+        assert_eq!(load_two_insns_at(0xf_fffc), Err(Error::Load(why.into())));
+        assert_eq!(load_two_insns_at(0xf_fff8), Ok(()));
     }
 
     #[test]

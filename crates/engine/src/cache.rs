@@ -165,8 +165,8 @@ pub(crate) struct InsertResult {
 /// The outcome of one retirement batch.
 #[derive(Debug, Default)]
 pub(crate) struct RetireSummary {
-    /// Blocks retired.
-    pub(crate) retired: u64,
+    /// The guest PC of each block retired, one entry per block.
+    pub(crate) pcs: Vec<u32>,
     /// Pages whose last registration disappeared — the caller must
     /// un-write-track them in the MMU.
     pub(crate) untrack_pages: Vec<u32>,
@@ -487,7 +487,7 @@ impl TranslationCache {
                 shard.remove(&block.guest_pc);
             }
             drop(shard);
-            summary.retired += 1;
+            summary.pcs.push(block.guest_pc);
             // Drop the victim's page registrations; a page with none
             // left no longer needs MMU write-tracking.
             for page in page_range(block) {
@@ -504,8 +504,9 @@ impl TranslationCache {
         if !limbo.is_empty() {
             self.limbo_pending.store(true, Ordering::Relaxed);
         }
-        if summary.retired > 0 {
-            self.retired.fetch_add(summary.retired, Ordering::Relaxed);
+        if !summary.pcs.is_empty() {
+            let retired = summary.pcs.len() as u64;
+            self.retired.fetch_add(retired, Ordering::Relaxed);
             self.invalidations.fetch_add(1, Ordering::Relaxed);
             // Invalidate every vCPU's L1 front cache.
             self.version.fetch_add(1, Ordering::Release);
@@ -772,7 +773,7 @@ mod tests {
 
         let epoch = qsbr.begin_grace();
         let summary = cache.retire_batch(&[b], epoch);
-        assert_eq!(summary.retired, 1);
+        assert_eq!(summary.pcs, [0x1004], "the retired block's guest PC");
         assert_eq!(
             summary.untrack_pages,
             Vec::<u32>::new(),
@@ -790,7 +791,7 @@ mod tests {
         );
         // Double retirement is a no-op.
         let again = cache.retire_batch(&[b], epoch);
-        assert_eq!(again.retired, 0);
+        assert!(again.pcs.is_empty());
     }
 
     #[test]
@@ -861,7 +862,7 @@ mod tests {
         // grace period the reservation succeeds again.
         let epoch = qsbr.begin_grace();
         let summary = cache.flush_generational(3 * per_block / 2, epoch);
-        assert!(summary.retired >= 2, "flush retired {}", summary.retired);
+        assert!(summary.pcs.len() >= 2, "flush retired {:?}", summary.pcs);
         assert!(cache.reclaim_limbo(&qsbr).is_some());
         assert!(cache.try_reserve(per_block));
         assert!(cache.occupancy().peak_bytes <= 3 * per_block);
@@ -878,7 +879,7 @@ mod tests {
         let version_before = cache.version();
         // Make room for three: the five oldest translations must go.
         let summary = cache.flush_generational(3 * per_block, qsbr.begin_grace());
-        assert_eq!(summary.retired, 5);
+        assert_eq!(summary.pcs.len(), 5);
         let occ = cache.occupancy();
         assert_eq!(occ.flushes, 1);
         assert_eq!(occ.invalidations, 1, "a flush pass is one batch");

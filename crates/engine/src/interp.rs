@@ -339,9 +339,6 @@ pub fn run_block_from(
                     }
                 };
                 ctx.cpu.monitor.addr = None;
-                if !ok {
-                    ctx.stats.sc_failures += 1;
-                }
                 ctx.note_sc(vaddr, ok, new);
                 ctx.cpu.slots[dst as usize] = !ok as u32;
             }

@@ -83,9 +83,7 @@ mod store_test;
 pub mod watchdog;
 
 pub use adbt_chaos::{ChaosCfg, ChaosPlane, ChaosSite, ChaosSnapshot, ChaosStream, RetryPolicy};
-pub use adbt_profile::{
-    Metric as ProfileMetric, PcProfile, ProfileEntry, ProfileRecorder, ProfileSnapshot,
-};
+pub use adbt_profile::{PcProfile, ProfileEntry, ProfileRecorder, ProfileSnapshot};
 pub use adbt_trace::{
     chrome, json, validate, Histograms, LogHistogram, TraceEvent, TraceHandle, TraceKind,
     TraceRecorder, TraceRing, WATCHDOG_TAIL,
@@ -101,7 +99,8 @@ pub use sched::{
 pub use scheme::{AtomicScheme, Atomicity};
 pub use state::{Flags, Monitor, Vcpu, VcpuSnapshot};
 pub use stats::{
-    calibration, Breakdown, Calibration, Counter, Merge, SimBreakdown, SimCosts, Unit, VcpuStats,
+    calibration, Breakdown, Calibration, Counter, Merge, SimBreakdown, SimCosts, Stat, Unit,
+    VcpuStats,
 };
 pub use store_test::StoreTestTable;
 pub use watchdog::{VcpuBeat, WatchdogDump};

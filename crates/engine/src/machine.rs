@@ -12,7 +12,7 @@ use crate::runtime::{ExecCtx, HelperFn, HelperRegistry, Trap};
 use crate::sched::{Granularity, SchedEvent, Scheduler, VirtualTimeScheduler};
 use crate::scheme::AtomicScheme;
 use crate::state::Vcpu;
-use crate::stats::{Breakdown, SimBreakdown, SimCosts, VcpuStats};
+use crate::stats::{Breakdown, SimBreakdown, SimCosts, Stat, Unit, VcpuStats};
 use crate::store_test::StoreTestTable;
 use crate::watchdog::{self, VcpuBeat, WatchdogDump};
 use adbt_chaos::{ChaosCfg, ChaosPlane, ChaosSite, ChaosSnapshot, RetryPolicy};
@@ -20,7 +20,7 @@ use adbt_htm::{HtmDomain, HtmStats};
 use adbt_ir::{BlockExit, ChainLink};
 use adbt_isa::asm::Image;
 use adbt_mmu::{page_of, AddressSpace, PAGE_SHIFT, PAGE_SIZE};
-use adbt_profile::{Metric as ProfMetric, ProfileRecorder};
+use adbt_profile::{ProfileEntry, ProfileRecorder};
 use adbt_sync::epoch::{Qsbr, MAX_PARTICIPANTS};
 use adbt_sync::Mutex;
 use adbt_trace::{TraceKind, TraceRecorder, WATCHDOG_TAIL};
@@ -91,10 +91,11 @@ pub struct MachineConfig {
     /// single predicted branch, same discipline as `chaos`).
     pub trace: bool,
     /// Enables the guest-PC contention profiler: per-vCPU attribution
-    /// tables charging SC failures, exclusive waits, HTM aborts, monitor
-    /// clears and invalidations to exact guest addresses (`false` =
-    /// profiling off; every charge site then costs a single predicted
-    /// branch, same discipline as `chaos`/`trace`).
+    /// tables charging the counter rows flagged `pc` (SC failures,
+    /// monitor clears, exclusive entries and waits, HTM aborts, retired
+    /// blocks, false sharing, lock waits) to exact guest addresses
+    /// (`false` = profiling off; every counted event then costs a single
+    /// predicted branch, same discipline as `chaos`/`trace`).
     pub profile: bool,
     /// Inert: the engine has one translation tier and reads no
     /// threshold. Kept only because the frozen `e2ebench/` sets it; it
@@ -303,7 +304,9 @@ impl MachineCore {
             output: Mutex::new(Vec::new()),
             chaos: config.chaos.map(|cfg| Arc::new(ChaosPlane::new(cfg))),
             trace: config.trace.then(|| Arc::new(TraceRecorder::new())),
-            profile: config.profile.then(|| Arc::new(ProfileRecorder::new())),
+            profile: config
+                .profile
+                .then(|| Arc::new(ProfileRecorder::new(VcpuStats::pc_columns()))),
             retry: RetryPolicy {
                 max_attempts: HTM_RETRY_LIMIT,
                 yield_after: 8,
@@ -486,12 +489,8 @@ impl MachineCore {
             let summary = self.cache.flush_generational(target, epoch);
             self.untrack(&summary);
             ctx.stats.flushes += 1;
-            ctx.stats.retired_blocks += summary.retired;
-            ctx.trace(
-                TraceKind::Flush,
-                summary.retired.min(u32::MAX as u64) as u32,
-                0,
-            );
+            ctx.count_retired(&summary.pcs);
+            ctx.trace(TraceKind::Flush, summary.pcs.len() as u32, 0);
             ctx.end_exclusive();
             for _ in 0..GRACE_SPINS {
                 // Keep announcing our own quiescence (we hold no cache
@@ -500,7 +499,8 @@ impl MachineCore {
                 // starved vCPUs stay live; then try to reclaim and
                 // re-reserve.
                 self.quiesce_and_reclaim(ctx);
-                ctx.stats.exclusive_ns += self.exclusive.safepoint_for(ctx.cpu.tid);
+                let parked = self.exclusive.safepoint_for(ctx.cpu.tid);
+                ctx.count(Stat::exclusive_ns, parked);
                 if self.cache.try_reserve(footprint) {
                     return Ok(());
                 }
@@ -615,11 +615,10 @@ impl MachineCore {
             // a degraded region's holder passes through its own pending
             // exclusive instead of self-deadlocking.
             let parked = self.exclusive.safepoint_for(ctx.cpu.tid);
-            ctx.stats.exclusive_ns += parked;
             if parked > 0 {
                 // The park belongs to the block about to run: that is
                 // the code the stop-the-world held this vCPU away from.
-                ctx.prof_charge_at(ctx.cpu.pc, ProfMetric::ParkNs, parked);
+                ctx.count_at(ctx.cpu.pc, Stat::exclusive_ns, parked);
                 ctx.trace(
                     TraceKind::SafepointPark,
                     ctx.cpu.pc,
@@ -772,9 +771,7 @@ impl MachineCore {
             Trap::HtmAbort(reason) => reason,
             other => return Some(trap_outcome(other)),
         };
-        ctx.stats.htm_aborts += 1;
-        ctx.prof_htm_abort(reason);
-        ctx.trace(TraceKind::HtmAbort, ctx.cpu.pc, reason.code());
+        ctx.note_htm_abort(ctx.cpu.pc, reason);
         ctx.txn = None;
         ctx.discard_txn_events();
         // An abort with no restart point is a scheme bug; surface it as
@@ -802,7 +799,7 @@ impl MachineCore {
             // Staged backoff under abort storms keeps the threaded
             // engine live on hot regions (real RTM users do the same in
             // their retry path).
-            ctx.stats.lock_wait_ns += self.retry.backoff(ctx.txn_retries);
+            ctx.count(Stat::lock_wait_ns, self.retry.backoff(ctx.txn_retries));
         }
         None
     }
@@ -899,7 +896,8 @@ impl MachineCore {
                             return Some(VcpuOutcome::Livelocked { pc: ctx.cpu.pc });
                         }
                     } else {
-                        ctx.stats.lock_wait_ns += self.retry.backoff(ctx.sc_fail_streak);
+                        let backoff = self.retry.backoff(ctx.sc_fail_streak);
+                        ctx.count(Stat::lock_wait_ns, backoff);
                     }
                 }
             } else {
@@ -916,10 +914,11 @@ impl MachineCore {
                 // Spurious monitor clear at a block boundary —
                 // architecturally legal at any time on ARM.
                 ctx.cpu.monitor.addr = None;
-                ctx.prof_charge(ProfMetric::MonitorClear, 1);
+                ctx.count(Stat::monitor_clears, 1);
             }
             if ctx.chaos_roll(ChaosSite::SafepointDelay) {
-                ctx.stats.exclusive_ns += ctx.chaos_stall();
+                let stall = ctx.chaos_stall();
+                ctx.count(Stat::exclusive_ns, stall);
             }
             if ctx.roll_invalidate() {
                 if let Some(outcome) = self.chaos_invalidate(ctx) {
@@ -945,12 +944,9 @@ impl MachineCore {
         let epoch = self.qsbr.begin_grace();
         let summary = self.cache.retire_batch(&[victim], epoch);
         self.untrack(&summary);
-        if summary.retired > 0 {
+        if !summary.pcs.is_empty() {
             ctx.stats.invalidations += 1;
-            ctx.stats.retired_blocks += summary.retired;
-            // The injected invalidation always lands on the block at the
-            // current pc (that is how the victim was chosen).
-            ctx.prof_charge_at(pc, ProfMetric::Invalidation, 1);
+            ctx.count_retired(&summary.pcs);
             ctx.trace(TraceKind::Invalidate, pc, victim);
             if ctx.pause_points {
                 ctx.note_event(SchedEvent::Invalidate {
@@ -1076,13 +1072,19 @@ impl MachineCore {
                 }
                 // And where each stalled vCPU was paying, when the
                 // attribution plane is on: its top profile entries.
+                // Ranked by events: the count columns' sum (wall-clock
+                // nanoseconds would swamp it).
                 if let Some(rec) = &self.profile {
+                    let rank = |entry: &ProfileEntry| -> u64 {
+                        let rows = VcpuStats::COUNTERS.iter().filter(|r| r.unit == Unit::Count);
+                        rows.filter_map(|r| r.column).map(|c| entry.counts[c]).sum()
+                    };
                     let profiles = dump
                         .stalled_tids
                         .iter()
-                        .map(|&tid| (tid, rec.top_n(tid, None, 8)))
+                        .map(|&tid| (tid, rec.top_n(tid, rank, 8)))
                         .collect();
-                    dump.attach_profiles(profiles);
+                    dump.attach_profiles(rec.columns(), profiles);
                 }
                 *fired.lock() = Some(dump);
                 // Release every parked or waiting thread; robust_hop turns

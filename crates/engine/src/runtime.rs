@@ -4,13 +4,13 @@
 use crate::machine::{MachineCore, FAULT_RETRY_LIMIT};
 use crate::sched::SchedEvent;
 use crate::state::{Vcpu, VcpuSnapshot};
-use crate::stats::VcpuStats;
+use crate::stats::{Stat, Unit, VcpuStats};
 use crate::watchdog::VcpuBeat;
 use adbt_chaos::{ChaosSite, ChaosStream};
 use adbt_htm::{AbortReason, Txn};
 use adbt_ir::HelperId;
 use adbt_mmu::{page_of, Access, FaultKind, PageFault, Width};
-use adbt_profile::{Metric as ProfMetric, PcProfile};
+use adbt_profile::PcProfile;
 use adbt_trace::{TraceHandle, TraceKind};
 use std::fmt;
 use std::sync::Arc;
@@ -183,18 +183,12 @@ pub struct ExecCtx<'m> {
     /// Liveness heartbeat sampled by the watchdog (threaded runs only).
     pub beat: Option<Arc<VcpuBeat>>,
     /// This vCPU's guest-PC attribution table, when the machine runs
-    /// with profiling. Every charge site is a single predicted branch
-    /// when `None`.
+    /// with profiling. [`ExecCtx::count`] charges it behind a single
+    /// predicted branch when `None`.
     pub prof: Option<Arc<PcProfile>>,
     /// The guest PC of the current attribution scope: the entered
     /// block's PC.
     pub(crate) prof_pc: u32,
-    /// Consecutive failed SCs since the last success, charged to the
-    /// streak metric (at the streak's PC) when a success ends it.
-    pub(crate) prof_sc_streak: u64,
-    /// Where the current SC retry streak started; a streak that spans
-    /// blocks is charged to its first failure's address.
-    pub(crate) prof_streak_at: u32,
     /// True while a *degraded* region is open: instead of an HTM
     /// transaction, the LL→SC window runs under the machine's exclusive
     /// section (the stop-the-world fallback on the degradation ladder).
@@ -269,7 +263,7 @@ impl<'m> ExecCtx<'m> {
         let chaos = machine.chaos.as_ref().map(|plane| plane.stream(cpu.tid));
         let trace = machine.trace.as_ref().map(|rec| rec.handle(cpu.tid));
         let prof = machine.profile.as_ref().map(|rec| rec.profile(cpu.tid));
-        let entry_pc = cpu.pc;
+        let prof_pc = cpu.pc;
         let robust = chaos.is_some()
             || machine.config.watchdog_ms > 0
             || machine.config.htm_degrade_after > 0;
@@ -285,9 +279,7 @@ impl<'m> ExecCtx<'m> {
             trace,
             beat: None,
             prof,
-            prof_pc: entry_pc,
-            prof_sc_streak: 0,
-            prof_streak_at: entry_pc,
+            prof_pc,
             region_exclusive: false,
             degrade_next_region: false,
             region_blocks: 0,
@@ -322,75 +314,55 @@ impl<'m> ExecCtx<'m> {
         }
     }
 
-    /// Charges `amount` of `metric` to the current attribution scope.
-    /// Duration metrics are zeroed outside threaded runs — the
+    /// Adds `n` to `stat`'s row and, when the row is a profile column
+    /// and the profiler is armed, charges `n` to the current attribution
+    /// scope: one call per counted event keeps the profile's columns the
+    /// per-PC split of their rows.
+    #[inline]
+    pub fn count(&mut self, stat: Stat, n: u64) {
+        self.count_at(self.prof_pc, stat, n);
+    }
+
+    /// [`count`](Self::count), charged to `pc` instead of the current
+    /// scope — for costs that belong to a resolved PC (a retired
+    /// block's, or the block a park held this vCPU away from).
+    #[inline]
+    pub(crate) fn count_at(&mut self, pc: u32, stat: Stat, n: u64) {
+        *self.stats.field(stat) += n;
+        if self.prof.is_some() {
+            self.charge(pc, stat, n);
+        }
+    }
+
+    /// The profiled half of [`count_at`](Self::count_at), out of line.
+    /// Wall-clock rows are charged only in threaded runs: the
     /// deterministic modes measure no meaningful wall time, and charging
     /// scheduler noise would break their replay purity.
-    #[inline]
-    pub fn prof_charge(&self, metric: ProfMetric, amount: u64) {
-        if let Some(prof) = &self.prof {
-            let amount = if metric.is_duration() && !self.machine.is_threaded() {
-                0
-            } else {
-                amount
-            };
-            prof.charge(self.prof_pc, metric, amount);
-        }
-    }
-
-    /// Charges `amount` of `metric` to an explicit guest address —
-    /// used where the cost belongs to a *resolved* PC rather than the
-    /// executing scope (invalidation victims resolved through the
-    /// translation cache, safepoint parks).
-    #[inline]
-    pub fn prof_charge_at(&self, pc: u32, metric: ProfMetric, amount: u64) {
-        if let Some(prof) = &self.prof {
-            let amount = if metric.is_duration() && !self.machine.is_threaded() {
-                0
-            } else {
-                amount
-            };
-            prof.charge(pc, metric, amount);
-        }
-    }
-
-    /// Profile disposition of an SC outcome: failures charge the
-    /// failure metric here and extend the retry streak; the success
-    /// ending a streak charges the streak's accumulated length to the
-    /// address where it started.
-    #[cold]
-    fn prof_sc(&mut self, ok: bool) {
-        if ok {
-            if self.prof_sc_streak > 0 {
-                self.prof_charge_at(
-                    self.prof_streak_at,
-                    ProfMetric::ScStreak,
-                    self.prof_sc_streak,
-                );
-                self.prof_sc_streak = 0;
+    #[inline(never)]
+    fn charge(&self, pc: u32, stat: Stat, n: u64) {
+        let row = stat.counter();
+        if let (Some(prof), Some(column)) = (&self.prof, row.column) {
+            if row.unit != Unit::Ns || self.machine.is_threaded() {
+                prof.charge(pc, column, n);
             }
-        } else {
-            if self.prof_sc_streak == 0 {
-                self.prof_streak_at = self.prof_pc;
-            }
-            self.prof_sc_streak += 1;
-            self.prof_charge(ProfMetric::ScFail, 1);
         }
     }
 
-    /// Charges an HTM abort to the current scope, split by reason.
-    /// Public so schemes with internal HTM retry loops (HST-HTM) can
-    /// attribute their aborts the same way the run loop does.
-    #[inline]
-    pub fn prof_htm_abort(&self, reason: AbortReason) {
-        if self.prof.is_some() {
-            let metric = match reason {
-                AbortReason::Conflict => ProfMetric::HtmConflict,
-                AbortReason::Capacity => ProfMetric::HtmCapacity,
-                _ => ProfMetric::HtmOther,
-            };
-            self.prof_charge(metric, 1);
+    /// Counts one retired block per guest PC a retirement batch reports,
+    /// each charged to its own block.
+    pub(crate) fn count_retired(&mut self, pcs: &[u32]) {
+        for &pc in pcs {
+            self.count_at(pc, Stat::retired_blocks, 1);
         }
+    }
+
+    /// Notes an HTM abort of the transaction at `addr`: counts it and
+    /// records the `htm_abort` trace event, whose payload is the
+    /// reason's code. Public so schemes with internal HTM retry loops
+    /// (HST-HTM) note their aborts the way the run loop does.
+    pub fn note_htm_abort(&mut self, addr: u32, reason: AbortReason) {
+        self.count(Stat::htm_aborts, 1);
+        self.trace(TraceKind::HtmAbort, addr, reason.code());
     }
 
     /// Notes that this vCPU's LL armed its monitor on `addr`. Scheme
@@ -407,16 +379,17 @@ impl<'m> ExecCtx<'m> {
         }
     }
 
-    /// Notes an SC outcome on `addr`. Scheme helpers that resolve the SC
-    /// themselves (rather than through `Op::MonitorScCas`) must call
-    /// this *after* the store's visibility is decided.
+    /// Notes an SC outcome on `addr`, counting a failure. Scheme helpers
+    /// that resolve the SC themselves (rather than through
+    /// `Op::MonitorScCas`) must call this *after* the store's visibility
+    /// is decided, and not at all when the SC traps.
     #[inline]
     pub fn note_sc(&mut self, addr: u32, ok: bool, value: u32) {
+        if !ok {
+            self.count(Stat::sc_failures, 1);
+        }
         if self.trace.is_some() {
             self.trace_sc(addr, ok, value);
-        }
-        if self.prof.is_some() {
-            self.prof_sc(ok);
         }
         if self.pause_points {
             self.note_event(SchedEvent::Sc {
@@ -432,7 +405,7 @@ impl<'m> ExecCtx<'m> {
     #[inline]
     pub fn note_clrex(&mut self) {
         self.trace(TraceKind::Clrex, 0, 0);
-        self.prof_charge(ProfMetric::MonitorClear, 1);
+        self.count(Stat::monitor_clears, 1);
         if self.pause_points {
             self.note_event(SchedEvent::Clrex { tid: self.cpu.tid });
         }
@@ -491,13 +464,16 @@ impl<'m> ExecCtx<'m> {
         }
     }
 
-    /// Records an exclusive-section entry: the opening edge of the
-    /// span in the flight recorder plus the entry-wait histogram. Like
-    /// [`Self::trace_ts`], deterministic modes suppress the measured
-    /// wall-clock wait (always an uncontended acquire there — the
-    /// measured nanoseconds are scheduler noise that would make traces
-    /// of identical runs differ byte-for-byte).
-    fn trace_exclusive_enter(&self, waited: u64) {
+    /// Records an entry into the stop-the-world section after `waited`
+    /// ns of waiting: the entry and the wait, the opening edge of the
+    /// span in the flight recorder plus the entry-wait histogram, and
+    /// the scheduler event. Like [`Self::trace_ts`], the trace suppresses
+    /// the measured wait in deterministic modes (always an uncontended
+    /// acquire there — the measured nanoseconds are scheduler noise that
+    /// would make traces of identical runs differ byte-for-byte).
+    fn entered_exclusive(&mut self, waited: u64) {
+        self.count(Stat::exclusive_entries, 1);
+        self.count(Stat::exclusive_ns, waited);
         if let Some(handle) = &self.trace {
             let waited = if self.machine.is_threaded() {
                 waited
@@ -513,6 +489,15 @@ impl<'m> ExecCtx<'m> {
                 saturated,
             );
         }
+        self.note_event(SchedEvent::ExclusiveEnter { tid: self.cpu.tid });
+    }
+
+    /// Leaves the stop-the-world section and records the exit: the
+    /// span's closing edge and the scheduler event.
+    fn leave_exclusive(&mut self) {
+        self.machine.exclusive.end_exclusive();
+        self.trace(TraceKind::ExclusiveExit, 0, 0);
+        self.note_event(SchedEvent::ExclusiveExit { tid: self.cpu.tid });
     }
 
     /// Records a completed HTM abort streak (ended by a commit or a
@@ -546,6 +531,14 @@ impl<'m> ExecCtx<'m> {
     /// chaos plane.
     #[inline]
     pub fn chaos_roll(&mut self, site: ChaosSite) -> bool {
+        self.roll(site, ChaosStream::roll)
+    }
+
+    /// Draws from this vCPU's chaos stream with `draw` and, on a hit,
+    /// records the injection at `site`: the counter, the trace event, the
+    /// plane's per-site tally and the scheduler event.
+    #[inline]
+    fn roll(&mut self, site: ChaosSite, draw: fn(&mut ChaosStream) -> bool) -> bool {
         // Degraded rungs (exclusive HTM regions, held SC windows) are
         // injection-free: they are the ladder's guaranteed-completion
         // fallback, so nothing may spuriously fail inside them.
@@ -555,7 +548,7 @@ impl<'m> ExecCtx<'m> {
         let Some(stream) = &mut self.chaos else {
             return false;
         };
-        if !stream.roll() {
+        if !draw(stream) {
             return false;
         }
         self.stats.injected_faults += 1;
@@ -641,15 +634,11 @@ impl<'m> ExecCtx<'m> {
         self.discard_txn_events();
         if self.region_exclusive {
             self.region_exclusive = false;
-            self.machine.exclusive.end_exclusive();
-            self.trace(TraceKind::ExclusiveExit, 0, 0);
-            self.note_event(SchedEvent::ExclusiveExit { tid: self.cpu.tid });
+            self.leave_exclusive();
         }
         if self.sc_window {
             self.sc_window = false;
-            self.machine.exclusive.end_exclusive();
-            self.trace(TraceKind::ExclusiveExit, 0, 0);
-            self.note_event(SchedEvent::ExclusiveExit { tid: self.cpu.tid });
+            self.leave_exclusive();
         }
     }
 
@@ -668,17 +657,12 @@ impl<'m> ExecCtx<'m> {
             return false;
         };
         self.stats.degradations += 1;
-        self.stats.exclusive_entries += 1;
-        self.stats.exclusive_ns += waited;
-        self.prof_charge(ProfMetric::ExclEntry, 1);
-        self.prof_charge(ProfMetric::ExclWaitNs, waited);
         self.trace(
             TraceKind::Degrade,
             self.cpu.pc,
             self.sc_fail_streak.min(u32::MAX as u64) as u32,
         );
-        self.trace_exclusive_enter(waited);
-        self.note_event(SchedEvent::ExclusiveEnter { tid: self.cpu.tid });
+        self.entered_exclusive(waited);
         self.sc_window = true;
         self.sc_window_mark = self.stats.sc;
         self.region_blocks = 0;
@@ -689,9 +673,7 @@ impl<'m> ExecCtx<'m> {
     pub(crate) fn close_sc_window(&mut self) {
         self.sc_window = false;
         self.region_blocks = 0;
-        self.machine.exclusive.end_exclusive();
-        self.trace(TraceKind::ExclusiveExit, 0, 0);
-        self.note_event(SchedEvent::ExclusiveExit { tid: self.cpu.tid });
+        self.leave_exclusive();
     }
 
     /// Performs a guest load, routing faults to the scheme handler and
@@ -1076,13 +1058,7 @@ impl<'m> ExecCtx<'m> {
         if fault.kind == FaultKind::Protected {
             if let FaultAccess::Store { value, width } = access {
                 if let Some(outcome) = self.smc_store(fault.vaddr, value, width)? {
-                    *retries += 1;
-                    if *retries > FAULT_RETRY_LIMIT {
-                        return Err(Trap::Livelock {
-                            pc: self.cpu.pc,
-                            what: "page-fault retry storm",
-                        });
-                    }
+                    self.retry_fault(retries)?;
                     return Ok(outcome);
                 }
             }
@@ -1091,16 +1067,23 @@ impl<'m> ExecCtx<'m> {
         match machine.scheme.on_page_fault(self, fault, access) {
             FaultOutcome::Fatal => Err(Trap::Fault(fault)),
             outcome => {
-                *retries += 1;
-                if *retries > FAULT_RETRY_LIMIT {
-                    return Err(Trap::Livelock {
-                        pc: self.cpu.pc,
-                        what: "page-fault retry storm",
-                    });
-                }
+                self.retry_fault(retries)?;
                 Ok(outcome)
             }
         }
+    }
+
+    /// Counts one more retry of a faulting access; past
+    /// `FAULT_RETRY_LIMIT` the access is a livelock, not a loop.
+    fn retry_fault(&self, retries: &mut u64) -> Result<(), Trap> {
+        *retries += 1;
+        if *retries > FAULT_RETRY_LIMIT {
+            return Err(Trap::Livelock {
+                pc: self.cpu.pc,
+                what: "page-fault retry storm",
+            });
+        }
+        Ok(())
     }
 
     /// Resolves a store that faulted on a write-tracked code page — the
@@ -1171,13 +1154,7 @@ impl<'m> ExecCtx<'m> {
             claim => {
                 self.stats.page_faults += 1;
                 self.trace(TraceKind::PageFault, fault.vaddr, 0);
-                *retries += 1;
-                if *retries > FAULT_RETRY_LIMIT {
-                    return Err(Trap::Livelock {
-                        pc: self.cpu.pc,
-                        what: "page-fault retry storm",
-                    });
-                }
+                self.retry_fault(retries)?;
                 Ok(Some(claim))
             }
         }
@@ -1216,25 +1193,15 @@ impl<'m> ExecCtx<'m> {
             // translated code and unrelated data, and this store hit
             // only data. Nothing to retire — the page stays tracked, so
             // such stores keep paying the fault-and-bypass toll.
-            self.stats.smc_false_sharing += 1;
-            self.prof_charge(ProfMetric::SmcFalseSharing, 1);
+            self.count(Stat::smc_false_sharing, 1);
         } else {
-            // Attribute the invalidation to each victim's *original*
-            // guest PC, resolved through the translation cache before
-            // the batch retires them — the patched code pays, not the
-            // patching store's block.
-            if self.prof.is_some() {
-                for &victim in &victims {
-                    if let Some(block) = self.machine.cache.block(victim) {
-                        self.prof_charge_at(block.guest_pc, ProfMetric::Invalidation, 1);
-                    }
-                }
-            }
+            // Each retired block is charged to its own guest PC: the
+            // patched code pays, not the patching store's block.
             let epoch = self.machine.qsbr.begin_grace();
             let summary = self.machine.cache.retire_batch(&victims, epoch);
             self.machine.untrack(&summary);
             self.stats.invalidations += 1;
-            self.stats.retired_blocks += summary.retired;
+            self.count_retired(&summary.pcs);
             self.trace(TraceKind::Invalidate, vaddr, victims[0]);
             if self.pause_points {
                 self.note_event(SchedEvent::Invalidate {
@@ -1270,35 +1237,13 @@ impl<'m> ExecCtx<'m> {
     /// campaigns replay byte-identically.
     #[inline]
     pub(crate) fn roll_invalidate(&mut self) -> bool {
-        // Same suppression as `chaos_roll`: degraded rungs are the
-        // ladder's guaranteed-completion fallback.
-        if self.region_exclusive || self.sc_window {
-            return false;
-        }
-        let Some(stream) = &mut self.chaos else {
-            return false;
-        };
-        if !stream.roll_invalidate() {
-            return false;
-        }
-        self.stats.injected_faults += 1;
-        self.trace(TraceKind::Chaos, 0, ChaosSite::Invalidate as u32);
-        if let Some(plane) = &self.machine.chaos {
-            plane.record(ChaosSite::Invalidate);
-        }
-        if self.pause_points {
-            self.note_event(SchedEvent::Chaos {
-                tid: self.cpu.tid,
-                site: ChaosSite::Invalidate,
-            });
-        }
-        true
+        self.roll(ChaosSite::Invalidate, ChaosStream::roll_invalidate)
     }
 
-    /// Enters the machine's stop-the-world exclusive section, charging
-    /// the wait to the exclusive profile bucket. A no-op while a
-    /// degraded SC window is held — the machine is already stopped and
-    /// this vCPU is the holder.
+    /// Enters the machine's stop-the-world exclusive section, counting
+    /// the entry and its wait (`exclusive_entries`, `exclusive_ns`) once
+    /// it is granted. A no-op while a degraded SC window is held — the
+    /// machine is already stopped and this vCPU is the holder.
     ///
     /// # Errors
     ///
@@ -1309,19 +1254,15 @@ impl<'m> ExecCtx<'m> {
         if self.sc_window {
             return Ok(());
         }
-        self.stats.exclusive_entries += 1;
         if self.robust && self.chaos_roll(ChaosSite::ExclusiveStall) {
             // An injected stall on the way into the exclusive section
             // (requester descheduled at the worst moment).
-            self.stats.exclusive_ns += self.chaos_stall();
+            let stall = self.chaos_stall();
+            self.count(Stat::exclusive_ns, stall);
         }
         match self.machine.exclusive.start_exclusive() {
             Ok(waited) => {
-                self.stats.exclusive_ns += waited;
-                self.prof_charge(ProfMetric::ExclEntry, 1);
-                self.prof_charge(ProfMetric::ExclWaitNs, waited);
-                self.trace_exclusive_enter(waited);
-                self.note_event(SchedEvent::ExclusiveEnter { tid: self.cpu.tid });
+                self.entered_exclusive(waited);
                 Ok(())
             }
             Err(_halted) => Err(Trap::Livelock {
@@ -1336,12 +1277,9 @@ impl<'m> ExecCtx<'m> {
     /// the window reliably spans the whole LL→SC attempt regardless of
     /// which scheme helper runs inside it.
     pub fn end_exclusive(&mut self) {
-        if self.sc_window {
-            return;
+        if !self.sc_window {
+            self.leave_exclusive();
         }
-        self.machine.exclusive.end_exclusive();
-        self.trace(TraceKind::ExclusiveExit, 0, 0);
-        self.note_event(SchedEvent::ExclusiveExit { tid: self.cpu.tid });
     }
 
     /// Opens a cross-block HTM transaction whose abort rolls execution
@@ -1368,18 +1306,13 @@ impl<'m> ExecCtx<'m> {
                     what: "machine halted while awaiting exclusivity",
                 })?;
             self.stats.degradations += 1;
-            self.stats.exclusive_entries += 1;
-            self.stats.exclusive_ns += waited;
-            self.prof_charge(ProfMetric::ExclEntry, 1);
-            self.prof_charge(ProfMetric::ExclWaitNs, waited);
             self.trace_htm_streak(self.txn_retries);
             self.trace(
                 TraceKind::Degrade,
                 restart_pc,
                 self.txn_retries.min(u32::MAX as u64) as u32,
             );
-            self.trace_exclusive_enter(waited);
-            self.note_event(SchedEvent::ExclusiveEnter { tid: self.cpu.tid });
+            self.entered_exclusive(waited);
             self.region_exclusive = true;
             self.region_blocks = 0;
             self.txn_restart = None;
@@ -1409,9 +1342,7 @@ impl<'m> ExecCtx<'m> {
             self.region_blocks = 0;
             self.txn_restart = None;
             self.txn_retries = 0;
-            self.machine.exclusive.end_exclusive();
-            self.trace(TraceKind::ExclusiveExit, 0, 0);
-            self.note_event(SchedEvent::ExclusiveExit { tid: self.cpu.tid });
+            self.leave_exclusive();
             return Ok(());
         }
         match self.txn.take() {

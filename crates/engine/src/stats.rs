@@ -4,9 +4,10 @@
 //! Counters are plain `u64` fields updated by the owning vCPU thread and
 //! merged after the run, so collection adds no synchronization to the
 //! hot path. Each is declared once, as a row of
-//! [`VcpuStats::COUNTERS`]; merging, JSON, `--stats` and the counter
-//! invariants are loops over that table. Wall-time is split into four
-//! buckets following §IV-B2:
+//! [`VcpuStats::COUNTERS`]; merging, JSON, `--stats`, the counter
+//! invariants and the guest-PC profile's columns (the rows flagged `pc`,
+//! bumped and charged together by `ExecCtx::count`) are loops over that
+//! table. Wall-time is split into four buckets following §IV-B2:
 //!
 //! * **exclusive** — waiting for / holding the stop-the-world section,
 //!   time parked at safepoints, and contended store-test entry locks;
@@ -52,8 +53,12 @@ pub struct Counter {
     pub unit: Unit,
     /// How per-vCPU values combine.
     pub merge: Merge,
+    /// The row's column in the guest-PC profile, for the rows flagged
+    /// `pc`: events the engine charges to the guest PC that incurred
+    /// them. Columns number the flagged rows in table order.
+    pub column: Option<usize>,
     read: fn(&VcpuStats) -> u64,
-    write: fn(&mut VcpuStats) -> &mut u64,
+    stat: Stat,
 }
 
 impl Counter {
@@ -61,22 +66,34 @@ impl Counter {
     pub fn get(&self, stats: &VcpuStats) -> u64 {
         (self.read)(stats)
     }
+}
 
-    /// This counter's field in `stats`.
-    fn get_mut<'a>(&self, stats: &'a mut VcpuStats) -> &'a mut u64 {
-        (self.write)(stats)
+/// Row `row`'s profile column: its rank among the rows `flags` marks.
+const fn pc_column(flags: &[bool], row: usize) -> Option<usize> {
+    let (mut i, mut column) = (0, 0);
+    while i < row {
+        column += flags[i] as usize;
+        i += 1;
+    }
+    if flags[row] {
+        Some(column)
+    } else {
+        None
     }
 }
 
-/// Declares [`VcpuStats`] and [`VcpuStats::COUNTERS`] from one list of
-/// rows, each a doc comment plus `name: unit merge`.
+/// Declares [`VcpuStats`], [`VcpuStats::COUNTERS`] and [`Stat`] from one
+/// list of rows, each a doc comment plus `name: unit merge`, and `pc`
+/// after the merge rule for a row the profiler charges to guest PCs.
 macro_rules! counter_table {
     (@unit count) => { Unit::Count };
     (@unit ns) => { Unit::Ns };
     (@unit units) => { Unit::Units };
     (@merge sum) => { Merge::Sum };
     (@merge max) => { Merge::Max };
-    ($($(#[$doc:meta])* $name:ident: $unit:ident $merge:ident,)*) => {
+    (@pc) => { false };
+    (@pc pc) => { true };
+    ($($(#[$doc:meta])* $name:ident: $unit:ident $merge:ident $($pc:ident)?,)*) => {
         /// Per-vCPU event counters and timed buckets, one `u64` field per
         /// row of [`VcpuStats::COUNTERS`].
         #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -84,18 +101,45 @@ macro_rules! counter_table {
             $($(#[$doc])* pub $name: u64,)*
         }
 
+        /// Names one row of [`VcpuStats::COUNTERS`]: one variant per
+        /// row, spelled as its field, in table order.
+        #[allow(non_camel_case_types)]
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum Stat {
+            $($(#[$doc])* $name,)*
+        }
+
         impl VcpuStats {
+            /// Which rows are profile columns, in table order.
+            const PC_FLAGS: &'static [bool] = &[$(counter_table!(@pc $($pc)?)),*];
+
             /// Every counter in declaration order, which is also the
             /// order of the JSON keys and of `--stats`.
             pub const COUNTERS: &'static [Counter] = &[$(Counter {
                 name: stringify!($name),
                 unit: counter_table!(@unit $unit),
                 merge: counter_table!(@merge $merge),
+                column: pc_column(Self::PC_FLAGS, Stat::$name as usize),
                 read: |s| s.$name,
-                write: |s| &mut s.$name,
+                stat: Stat::$name,
             }),*];
+
+            /// The field `stat` names: a direct field access once the
+            /// caller's `stat` is a constant.
+            #[inline]
+            pub(crate) fn field(&mut self, stat: Stat) -> &mut u64 {
+                match stat { $(Stat::$name => &mut self.$name,)* }
+            }
         }
     };
+}
+
+impl Stat {
+    /// The row this names.
+    #[inline]
+    pub(crate) const fn counter(self) -> &'static Counter {
+        &VcpuStats::COUNTERS[self as usize]
+    }
 }
 
 counter_table! {
@@ -115,11 +159,15 @@ counter_table! {
     sc: count sum,
     /// SC attempts that failed (monitor lost, hash entry stolen, CAS
     /// mismatch — per the active scheme's semantics).
-    sc_failures: count sum,
+    sc_failures: count sum pc,
     /// Of `sc_failures`, those forced by the chaos plane's `ScFail`
     /// site rather than organic contention — kept separate so injected
     /// noise never pollutes contention analysis.
     sc_failures_injected: count sum,
+    /// Exclusive-monitor clears other than by an SC: a guest `clrex`,
+    /// or one injected by the chaos plane's `MonitorClear` site. A fresh
+    /// LL re-arming the monitor is not a clear, under any scheme.
+    monitor_clears: count sum pc,
     /// Runtime helper invocations.
     helper_calls: count sum,
     /// Inline store-test table updates (`Op::HtableSet`).
@@ -128,9 +176,9 @@ counter_table! {
     page_faults: count sum,
     /// Of those, faults on the monitored page but a *different* address —
     /// the false-sharing faults of §IV-B2.
-    false_sharing_faults: count sum,
+    false_sharing_faults: count sum pc,
     /// Stop-the-world exclusive sections entered by this vCPU.
-    exclusive_entries: count sum,
+    exclusive_entries: count sum pc,
     /// Page-permission changes (`mprotect` analogue calls).
     mprotect_calls: count sum,
     /// Page remaps (`mremap` analogue calls).
@@ -138,7 +186,7 @@ counter_table! {
     /// HTM transactions begun by this vCPU.
     htm_txns: count sum,
     /// HTM aborts observed by this vCPU.
-    htm_aborts: count sum,
+    htm_aborts: count sum pc,
     /// Guest `yield`s executed.
     yields: count sum,
     /// Global-lock acquisitions by scheme helpers (PICO-ST's store/LL/SC
@@ -187,24 +235,24 @@ counter_table! {
     /// `cache_limit` memory budget.
     flushes: count sum,
     /// Blocks this vCPU retired across invalidations and flushes.
-    retired_blocks: count sum,
+    retired_blocks: count sum pc,
     /// Limbo blocks this vCPU physically freed after their QSBR grace
     /// period elapsed.
     reclaimed_blocks: count sum,
     /// Stores that faulted on a write-tracked code page but overlapped
     /// no translated byte — code/data false sharing on a code page (the
     /// SMC analogue of `false_sharing_faults`).
-    smc_false_sharing: count sum,
+    smc_false_sharing: count sum pc,
 
     /// Nanoseconds spent waiting for + holding exclusive sections and
     /// parked at safepoints.
-    exclusive_ns: ns sum,
+    exclusive_ns: ns sum pc,
     /// Nanoseconds spent in permission/remap work (including its
     /// stop-the-world component, which is *not* double-counted into
     /// `exclusive_ns` — the scheme owns the attribution).
     mprotect_ns: ns sum,
     /// Nanoseconds spent in contended store-test entry locks.
-    lock_wait_ns: ns sum,
+    lock_wait_ns: ns sum pc,
 
     /// Simulated-mode only: this vCPU's final virtual clock, in cost
     /// units (see [`SimCosts`]).
@@ -223,11 +271,18 @@ counter_table! {
 }
 
 impl VcpuStats {
+    /// The guest-PC profile's column names: the `pc` rows, in table
+    /// order.
+    pub fn pc_columns() -> Vec<&'static str> {
+        let rows = Self::COUNTERS.iter().filter(|row| row.column.is_some());
+        rows.map(|row| row.name).collect()
+    }
+
     /// Merges another vCPU's counters into this one, row by row.
     pub fn merge(&mut self, other: &VcpuStats) {
         for row in Self::COUNTERS {
             let theirs = row.get(other);
-            let ours = row.get_mut(self);
+            let ours = self.field(row.stat);
             *ours = match row.merge {
                 Merge::Sum => *ours + theirs,
                 Merge::Max => (*ours).max(theirs),
@@ -247,7 +302,7 @@ impl VcpuStats {
     pub fn without_wall_clock(&self) -> VcpuStats {
         let mut stats = self.clone();
         for row in Self::COUNTERS.iter().filter(|row| row.unit == Unit::Ns) {
-            *row.get_mut(&mut stats) = 0;
+            *stats.field(row.stat) = 0;
         }
         stats
     }
@@ -657,14 +712,14 @@ mod tests {
     fn distinct() -> VcpuStats {
         let mut stats = VcpuStats::default();
         for (i, row) in VcpuStats::COUNTERS.iter().enumerate() {
-            *row.get_mut(&mut stats) = 1001 * (i as u64 + 1);
+            *stats.field(row.stat) = 1001 * (i as u64 + 1);
         }
         stats
     }
 
-    /// The JSON schema is pinned key for key: the golden file is what
-    /// the hand-written renderer printed for `distinct()` before the
-    /// table existed.
+    /// The JSON schema is pinned key for key: the golden file holds
+    /// `distinct()` rendered, one key per row in table order, so a new
+    /// row moves the values of every row after it.
     #[test]
     fn to_json_is_pinned() {
         let golden = include_str!("../tests/data/vcpu_stats.json");
@@ -692,6 +747,19 @@ mod tests {
         let masked = one.without_wall_clock();
         assert_eq!((masked.exclusive_ns, masked.lock_wait_ns), (0, 0));
         assert_eq!(masked.insns, one.insns);
+    }
+
+    /// The profile's columns are the `pc` rows, numbered in table order,
+    /// and a `Stat` names its own row.
+    #[test]
+    fn pc_rows_are_the_profile_columns_in_table_order() {
+        let pc = "sc_failures monitor_clears false_sharing_faults exclusive_entries htm_aborts \
+                  retired_blocks smc_false_sharing exclusive_ns lock_wait_ns";
+        assert_eq!(VcpuStats::pc_columns().join(" "), pc);
+        let columns = VcpuStats::COUNTERS.iter().filter_map(|r| r.column);
+        assert!(columns.eq(0..9), "columns number the pc rows in order");
+        assert_eq!(Stat::lock_wait_ns.counter().name, "lock_wait_ns");
+        assert_eq!(Stat::insns.counter().column, None);
     }
 
     #[test]

@@ -117,15 +117,16 @@ impl WatchdogDump {
     }
 
     /// Attaches the hottest profile entries per stalled vCPU, both
-    /// structured and rendered into the text report — the attribution
-    /// plane's view of where each stalled thread was paying.
-    pub fn attach_profiles(&mut self, profiles: Vec<(u32, Vec<ProfileEntry>)>) {
+    /// structured and rendered (cells named by `columns`) into the text
+    /// report — the attribution plane's view of where each stalled
+    /// thread was paying.
+    pub fn attach_profiles(&mut self, columns: &[&str], profiles: Vec<(u32, Vec<ProfileEntry>)>) {
         self.report.push_str("hottest profile entries:\n");
         for (tid, entries) in &profiles {
             self.report.push_str(&format!("  vcpu tid={tid}:\n"));
             for entry in entries {
-                self.report
-                    .push_str(&format!("    {}\n", adbt_profile::render_entry(entry)));
+                let line = adbt_profile::render_entry(columns, entry);
+                self.report.push_str(&format!("    {line}\n"));
             }
         }
         self.profiles = profiles;

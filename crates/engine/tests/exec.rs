@@ -59,9 +59,7 @@ impl AtomicScheme for TestCas {
                     _ => false,
                 };
                 ctx.cpu.monitor.addr = None;
-                if !ok {
-                    ctx.stats.sc_failures += 1;
-                }
+                ctx.note_sc(addr, ok, new);
                 Ok(!ok as u32) // strex: 0 = success
             }),
         ));

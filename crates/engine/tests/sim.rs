@@ -32,9 +32,8 @@ impl AtomicScheme for ExclusiveCas {
                 let ok = ctx.cpu.monitor.addr == Some(addr);
                 if ok {
                     ctx.store(addr, Width::Word, new, false)?;
-                } else {
-                    ctx.stats.sc_failures += 1;
                 }
+                ctx.note_sc(addr, ok, new);
                 ctx.cpu.monitor.addr = None;
                 ctx.end_exclusive();
                 Ok(!ok as u32)

@@ -4,12 +4,17 @@
 //!
 //! ```text
 //! adbt_prof out.prof                       # top-10 table per hot metric
-//! adbt_prof out.prof --metric sc_fail --top 25
-//! adbt_prof out.prof --flamegraph out.folded [--cost excl_wait_ns]
+//! adbt_prof out.prof --metric NAME --top 25
+//! adbt_prof out.prof --flamegraph out.folded [--cost NAME]
 //! adbt_prof out.prof --ci                  # schema gate, no output
 //! adbt_prof --check-folded out.folded      # validate a folded file
 //! adbt_prof --check-metrics out.jsonl      # validate a metrics stream
 //! ```
+//!
+//! A metric is a column of the document: `--metric` and `--cost` take
+//! names from its `metrics` vector (the counter rows the run charged to
+//! guest PCs), and an unknown name exits 2 with the document's names.
+//! `--cost` defaults to the first one.
 //!
 //! `--ci` and the `--check-*` modes exit non-zero on the first schema
 //! violation; ci.sh runs them on the toolchain's own output so the
@@ -18,16 +23,23 @@
 use adbt_profile::export::{self, ProfDoc, ProfRow};
 use adbt_profile::fold::{parse_folded, render_folded};
 use adbt_profile::metrics::validate_metrics_jsonl;
-use adbt_profile::Metric;
 
 fn usage() -> ! {
     eprintln!(
         "usage: adbt_prof FILE [--top N] [--metric NAME] [--flamegraph OUT [--cost NAME]] [--ci]\n\
          \u{20}      adbt_prof --check-folded FILE | --check-metrics FILE\n\
-         metrics: {}",
-        Metric::ALL.map(Metric::name).join(" ")
+         NAME is one of the document's `metrics`"
     );
     std::process::exit(2);
+}
+
+/// Resolves a `--metric`/`--cost` name against the document's own
+/// `metrics` vector; the error lists the names it has.
+fn resolve(doc: &ProfDoc, flag: &str, name: &str) -> Result<usize, String> {
+    doc.metric(name).ok_or_else(|| {
+        let names = doc.metrics.join(" ");
+        format!("{flag} `{name}` is not a metric of this document; it has: {names}")
+    })
 }
 
 fn read(path: &str) -> String {
@@ -52,24 +64,20 @@ fn context(row: &ProfRow) -> String {
     }
 }
 
-fn top_rows(rows: &[ProfRow], metric: Metric, n: usize) -> Vec<ProfRow> {
-    let mut hot: Vec<ProfRow> = rows.iter().filter(|r| r.get(metric) > 0).cloned().collect();
-    hot.sort_by(|a, b| b.get(metric).cmp(&a.get(metric)).then(a.pc.cmp(&b.pc)));
+fn top_rows(rows: &[ProfRow], metric: usize, n: usize) -> Vec<ProfRow> {
+    let value = |r: &ProfRow| r.counts[metric];
+    let mut hot: Vec<ProfRow> = rows.iter().filter(|r| value(r) > 0).cloned().collect();
+    hot.sort_by(|a, b| value(b).cmp(&value(a)).then(a.pc.cmp(&b.pc)));
     hot.truncate(n);
     hot
 }
 
-fn print_table(doc: &ProfDoc, metric: Metric, n: usize) {
+fn print_table(doc: &ProfDoc, metric: usize, n: usize) {
     let hot = top_rows(&doc.merged, metric, n);
     if hot.is_empty() {
         return;
     }
-    let unit = if metric.is_duration() {
-        format!(" ({})", doc.clock)
-    } else {
-        String::new()
-    };
-    println!("== top {} by {}{unit} ==", hot.len(), metric.name());
+    println!("== top {} by {} ==", hot.len(), doc.metrics[metric]);
     println!(
         "{:>14}  {:>10}  {:<20} disassembly",
         "value", "pc", "symbol"
@@ -77,18 +85,14 @@ fn print_table(doc: &ProfDoc, metric: Metric, n: usize) {
     for row in &hot {
         println!(
             "{:>14}  {:#010x}  {:<20} {}",
-            row.get(metric),
+            row.counts[metric],
             row.pc,
             row.symbol,
             context(row)
         );
     }
     let dropped: u64 = doc.vcpus.iter().map(|v| v.overflow.drops).sum();
-    let spilled: u64 = doc
-        .vcpus
-        .iter()
-        .map(|v| v.overflow.counts[metric as usize])
-        .sum();
+    let spilled: u64 = doc.vcpus.iter().map(|v| v.overflow.counts[metric]).sum();
     if spilled > 0 {
         println!(
             "{:>14}  (overflow bucket: {} events across {} dropped charges lost PC attribution)",
@@ -102,9 +106,9 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut file: Option<String> = None;
     let mut top = 10usize;
-    let mut metric: Option<Metric> = None;
+    let mut metric: Option<String> = None;
     let mut flamegraph: Option<String> = None;
-    let mut cost: Option<Metric> = None;
+    let mut cost: Option<String> = None;
     let mut ci = false;
     let mut check_folded: Option<String> = None;
     let mut check_metrics: Option<String> = None;
@@ -114,9 +118,9 @@ fn main() {
         let mut value = || it.next().cloned().unwrap_or_else(|| usage());
         match arg.as_str() {
             "--top" => top = value().parse().unwrap_or_else(|_| usage()),
-            "--metric" => metric = Some(Metric::from_name(&value()).unwrap_or_else(|| usage())),
+            "--metric" => metric = Some(value()),
             "--flamegraph" => flamegraph = Some(value()),
-            "--cost" => cost = Some(Metric::from_name(&value()).unwrap_or_else(|| usage())),
+            "--cost" => cost = Some(value()),
             "--ci" => ci = true,
             "--check-folded" => check_folded = Some(value()),
             "--check-metrics" => check_metrics = Some(value()),
@@ -146,6 +150,15 @@ fn main() {
         Ok(doc) => doc,
         Err(why) => fail(&path, &why),
     };
+    let column = |flag: &str, name: &Option<String>| -> Option<usize> {
+        let name = name.as_ref()?;
+        Some(resolve(&doc, flag, name).unwrap_or_else(|why| {
+            eprintln!("adbt_prof: {why}");
+            std::process::exit(2)
+        }))
+    };
+    let metric = column("--metric", &metric);
+    let cost = column("--cost", &cost).unwrap_or(0);
     if ci {
         println!(
             "adbt_prof: {path}: schema ok ({} vcpus, {} merged rows)",
@@ -156,7 +169,6 @@ fn main() {
     }
 
     if let Some(out) = flamegraph {
-        let cost = cost.unwrap_or(Metric::ScFail);
         let folded = render_folded(&doc.scheme, &doc.merged, cost);
         if let Err(why) = parse_folded(&folded) {
             fail("internal: rendered folded output is invalid", &why);
@@ -167,7 +179,7 @@ fn main() {
         println!(
             "adbt_prof: wrote {} folded lines (cost {}) to {out}",
             folded.lines().count(),
-            cost.name()
+            doc.metrics[cost]
         );
         return;
     }
@@ -183,7 +195,7 @@ fn main() {
     match metric {
         Some(m) => print_table(&doc, m, top),
         None => {
-            for m in Metric::ALL {
+            for m in 0..doc.metrics.len() {
                 print_table(&doc, m, top);
             }
         }
@@ -195,20 +207,18 @@ mod tests {
     use super::*;
 
     fn row(pc: u32, fails: u64) -> ProfRow {
-        let mut counts = [0u64; Metric::COUNT];
-        counts[Metric::ScFail as usize] = fails;
         ProfRow {
             pc,
             symbol: "loop+0x4".to_string(),
             insn: adbt_isa::encode(&adbt_isa::Insn::Svc { imm: 0 }),
-            counts,
+            counts: vec![fails],
         }
     }
 
     #[test]
     fn top_rows_ranks_and_truncates() {
         let rows = vec![row(0x10, 1), row(0x20, 9), row(0x30, 0), row(0x40, 9)];
-        let top = top_rows(&rows, Metric::ScFail, 2);
+        let top = top_rows(&rows, 0, 2);
         assert_eq!(top.len(), 2);
         assert_eq!((top[0].pc, top[1].pc), (0x20, 0x40), "ties break by pc");
     }
@@ -222,19 +232,16 @@ mod tests {
         // Adversarial ties: equal metric values across different PCs.
         let rows = vec![row(0x40, 9), row(0x10, 9), row(0x20, 3), row(0x30, 9)];
         let render = |rows: &[ProfRow]| {
-            top_rows(rows, Metric::ScFail, 10)
+            top_rows(rows, 0, 10)
                 .iter()
-                .map(|r| format!("{} {:#x}\n", r.get(Metric::ScFail), r.pc))
+                .map(|r| format!("{} {:#x}\n", r.counts[0], r.pc))
                 .collect::<String>()
         };
         let forward = render(&rows);
         let mut reversed = rows.clone();
         reversed.reverse();
         assert_eq!(forward, render(&reversed), "order must not leak through");
-        let got: Vec<u32> = top_rows(&rows, Metric::ScFail, 10)
-            .iter()
-            .map(|r| r.pc)
-            .collect();
+        let got: Vec<u32> = top_rows(&rows, 0, 10).iter().map(|r| r.pc).collect();
         assert_eq!(got, [0x10, 0x30, 0x40, 0x20]);
     }
 
@@ -246,5 +253,19 @@ mod tests {
             ..row(0x10, 1)
         };
         assert!(context(&garbage).starts_with(".word"));
+    }
+
+    #[test]
+    fn metric_names_resolve_against_the_document() {
+        let doc = ProfDoc {
+            scheme: "hst".to_string(),
+            clock: "insns".to_string(),
+            metrics: ["sc_failures", "exclusive_ns"].map(String::from).to_vec(),
+            vcpus: Vec::new(),
+            merged: Vec::new(),
+        };
+        assert_eq!(resolve(&doc, "--cost", "exclusive_ns"), Ok(1));
+        let why = resolve(&doc, "--metric", "sc_fail").unwrap_err();
+        assert!(why.ends_with("it has: sc_failures exclusive_ns"), "{why}");
     }
 }

@@ -3,9 +3,12 @@
 //!
 //! Written and parsed through `adbt_trace::json`, the workspace's one
 //! JSON writer and parser. [`validate`] is the schema gate `adbt_prof --ci`
-//! runs on its own input: schema tag, metric-name vector matching this
-//! build's [`Metric::ALL`], well-formed entries, and a merged section
-//! that is exactly the per-vCPU sum.
+//! runs on its own input: schema tag, a `metrics` vector naming the
+//! columns, entries whose `counts` arrays have one cell per column, and a
+//! merged section that is exactly the per-vCPU sum. The columns are the
+//! counter rows the engine charges to guest PCs; the document carries
+//! their names, so a reader resolves a metric against the document, not
+//! against its own build.
 //!
 //! Entries carry the raw instruction word at the charged PC (read from
 //! guest memory *after* the run, so SMC patches show their final form)
@@ -13,7 +16,7 @@
 //! `adbt-isa` for disassembly context and uses the symbol as the
 //! flamegraph's `guest_fn` frame.
 
-use crate::{Metric, Overflow, ProfileEntry};
+use crate::{Overflow, ProfileEntry};
 use adbt_trace::json::{parse_json, Json, JsonWriter};
 
 /// One exported profile row: the counts plus the context the consumers
@@ -27,16 +30,11 @@ pub struct ProfRow {
     pub symbol: String,
     /// The raw guest instruction word at `pc` at export time.
     pub insn: u32,
-    /// Per-[`Metric`] counts, wire order.
-    pub counts: [u64; Metric::COUNT],
+    /// One count per column of the document's `metrics` vector.
+    pub counts: Vec<u64>,
 }
 
 impl ProfRow {
-    /// The value of one metric.
-    pub fn get(&self, metric: Metric) -> u64 {
-        self.counts[metric as usize]
-    }
-
     /// The `guest_fn` flamegraph frame: the symbol's base name (offset
     /// stripped).
     pub fn guest_fn(&self) -> &str {
@@ -61,9 +59,11 @@ pub struct ProfDoc {
     /// The scheme the run used (its CLI name).
     pub scheme: String,
     /// `"ns"` for threaded runs, `"insns"` for deterministic modes —
-    /// which clock the duration metrics were measured in (deterministic
-    /// modes zero them; the tag keeps consumers honest).
+    /// which clock the run kept (deterministic modes charge the
+    /// wall-clock columns nothing; the tag keeps consumers honest).
     pub clock: String,
+    /// The column names, one per cell of every `counts` array.
+    pub metrics: Vec<String>,
     /// Per-vCPU sections, sorted by tid.
     pub vcpus: Vec<ProfVcpu>,
     /// The machine-wide merge (sum of the per-vCPU sections).
@@ -71,7 +71,14 @@ pub struct ProfDoc {
 }
 
 /// The schema tag every document starts with.
-pub const SCHEMA: &str = "adbt-prof-v1";
+pub const SCHEMA: &str = "adbt-prof-v2";
+
+impl ProfDoc {
+    /// The column called `name`, if the document has one.
+    pub fn metric(&self, name: &str) -> Option<usize> {
+        self.metrics.iter().position(|m| m == name)
+    }
+}
 
 /// Resolves a `ProfileEntry` into a `ProfRow` via caller-supplied
 /// context lookups (symbol and instruction word at a PC).
@@ -86,7 +93,7 @@ pub fn resolve_rows(
             pc: e.pc,
             symbol: symbol(e.pc),
             insn: insn(e.pc),
-            counts: e.counts,
+            counts: e.counts.clone(),
         })
         .collect()
 }
@@ -99,8 +106,8 @@ pub fn render(doc: &ProfDoc) -> String {
     w.key("scheme").str(&doc.scheme);
     w.key("clock").str(&doc.clock);
     w.pad("\n").key("metrics").arr();
-    for metric in Metric::ALL {
-        w.str(metric.name());
+    for metric in &doc.metrics {
+        w.str(metric);
     }
     w.end().pad("\n").key("vcpus").arr();
     for vcpu in &doc.vcpus {
@@ -133,21 +140,23 @@ fn render_rows<'w>(w: &'w mut JsonWriter, rows: &[ProfRow]) -> &'w mut JsonWrite
     w.end()
 }
 
-fn parse_counts(obj: &Json) -> Result<[u64; Metric::COUNT], String> {
+fn parse_counts(obj: &Json, width: usize) -> Result<Vec<u64>, String> {
     let counts = obj.arr_field("counts")?.iter().map(Json::as_u64);
     let counts: Vec<u64> = counts.collect::<Option<_>>().ok_or("non-numeric count")?;
-    let cells = counts.len();
-    counts
-        .try_into()
-        .map_err(|_| format!("counts has {cells} cells, want {}", Metric::COUNT))
+    match counts.len() {
+        cells if cells == width => Ok(counts),
+        cells => Err(format!(
+            "counts has {cells} cells, want {width} (one per metric)"
+        )),
+    }
 }
 
-fn parse_row(row: &Json) -> Result<ProfRow, String> {
+fn parse_row(row: &Json, width: usize) -> Result<ProfRow, String> {
     Ok(ProfRow {
         pc: row.u32_field("pc")?,
         symbol: row.str_field("symbol")?.to_string(),
         insn: row.u32_field("insn")?,
-        counts: parse_counts(row)?,
+        counts: parse_counts(row, width)?,
     })
 }
 
@@ -156,46 +165,56 @@ fn parse_row(row: &Json) -> Result<ProfRow, String> {
 fn parse_each<T>(
     items: &[Json],
     what: &str,
-    parse: fn(&Json) -> Result<T, String>,
+    parse: impl Fn(&Json) -> Result<T, String>,
 ) -> Result<Vec<T>, String> {
     let at = |i| move |e| format!("{what} {i}: {e}");
     let items = items.iter().enumerate();
     items.map(|(i, item)| parse(item).map_err(at(i))).collect()
 }
 
-fn parse_vcpu(vcpu: &Json) -> Result<ProfVcpu, String> {
+fn parse_vcpu(vcpu: &Json, width: usize) -> Result<ProfVcpu, String> {
     let overflow = vcpu.field("overflow")?;
     Ok(ProfVcpu {
         tid: vcpu.u32_field("tid")?,
-        rows: parse_each(vcpu.arr_field("entries")?, "entry", parse_row)?,
+        rows: parse_each(vcpu.arr_field("entries")?, "entry", |r| parse_row(r, width))?,
         overflow: Overflow {
             drops: overflow.u64_field("drops")?,
-            counts: parse_counts(overflow)?,
+            counts: parse_counts(overflow, width)?,
         },
     })
 }
 
-/// Parses a `.prof` document, checking the schema tag and the metric
-/// vector against this build.
+/// Parses a `.prof` document: the schema tag, the `metrics` vector (at
+/// least one name, each distinct), and sections whose `counts` arrays
+/// have one cell per metric.
 pub fn parse(text: &str) -> Result<ProfDoc, String> {
     let doc = parse_json(text)?;
     match doc.str_field("schema")? {
         SCHEMA => {}
         other => return Err(format!("unknown schema `{other}` (want {SCHEMA})")),
     }
-    let expected: Vec<&str> = Metric::ALL.into_iter().map(Metric::name).collect();
-    let metrics = doc.arr_field("metrics")?;
-    let got: Vec<&str> = metrics.iter().filter_map(Json::as_str).collect();
-    if got != expected {
-        return Err(format!(
-            "metric vector mismatch: document has {got:?}, this build wants {expected:?}"
-        ));
+    let names = doc
+        .arr_field("metrics")?
+        .iter()
+        .map(|m| m.as_str().map(String::from));
+    let metrics: Vec<String> = names
+        .collect::<Option<_>>()
+        .ok_or("non-string metric name")?;
+    if metrics.is_empty() {
+        return Err("no metrics".to_string());
     }
+    if let Some(i) = (1..metrics.len()).find(|&i| metrics[..i].contains(&metrics[i])) {
+        return Err(format!("metric `{}` named twice", metrics[i]));
+    }
+    let width = metrics.len();
+    let vcpu = |v: &Json| parse_vcpu(v, width);
+    let row = |r: &Json| parse_row(r, width);
     Ok(ProfDoc {
         scheme: doc.str_field("scheme")?.to_string(),
         clock: doc.str_field("clock")?.to_string(),
-        vcpus: parse_each(doc.arr_field("vcpus")?, "vcpu section", parse_vcpu)?,
-        merged: parse_each(doc.arr_field("merged")?, "merged entry", parse_row)?,
+        vcpus: parse_each(doc.arr_field("vcpus")?, "vcpu section", vcpu)?,
+        merged: parse_each(doc.arr_field("merged")?, "merged entry", row)?,
+        metrics,
     })
 }
 
@@ -204,16 +223,16 @@ pub fn parse(text: &str) -> Result<ProfDoc, String> {
 /// — the same merged-equals-Σ discipline the stats plane keeps.
 pub fn validate(text: &str) -> Result<ProfDoc, String> {
     let doc = parse(text)?;
-    let mut summed: Vec<(u32, [u64; Metric::COUNT])> = Vec::new();
+    let mut summed: Vec<(u32, Vec<u64>)> = Vec::new();
     for vcpu in &doc.vcpus {
         for row in &vcpu.rows {
             match summed.iter_mut().find(|(pc, _)| *pc == row.pc) {
                 Some((_, counts)) => {
-                    for (dst, src) in counts.iter_mut().zip(row.counts) {
+                    for (dst, src) in counts.iter_mut().zip(&row.counts) {
                         *dst += src;
                     }
                 }
-                None => summed.push((row.pc, row.counts)),
+                None => summed.push((row.pc, row.counts.clone())),
             }
         }
     }
@@ -242,31 +261,36 @@ pub fn validate(text: &str) -> Result<ProfDoc, String> {
 mod tests {
     use super::*;
 
+    const METRICS: [&str; 3] = ["sc_failures", "monitor_clears", "exclusive_ns"];
+
     fn row(pc: u32, fails: u64) -> ProfRow {
-        let mut counts = [0u64; Metric::COUNT];
-        counts[Metric::ScFail as usize] = fails;
         ProfRow {
             pc,
             symbol: format!("f+{:#x}", pc & 0xfff),
             insn: 0xE152_3F9C,
-            counts,
+            counts: vec![fails, 0, 0],
         }
     }
 
     fn doc() -> ProfDoc {
+        let overflow = Overflow {
+            counts: vec![0; METRICS.len()],
+            drops: 0,
+        };
         ProfDoc {
             scheme: "hst".to_string(),
             clock: "ns".to_string(),
+            metrics: METRICS.map(str::to_string).to_vec(),
             vcpus: vec![
                 ProfVcpu {
                     tid: 1,
                     rows: vec![row(0x1_0000, 2)],
-                    overflow: Overflow::default(),
+                    overflow: overflow.clone(),
                 },
                 ProfVcpu {
                     tid: 2,
                     rows: vec![row(0x1_0000, 3), row(0x1_0010, 1)],
-                    overflow: Overflow::default(),
+                    overflow,
                 },
             ],
             merged: vec![row(0x1_0000, 5), row(0x1_0010, 1)],
@@ -278,7 +302,7 @@ mod tests {
     fn render_is_pinned() {
         let mut pinned = doc();
         pinned.vcpus[1].overflow.drops = 2;
-        pinned.vcpus[1].overflow.counts[Metric::ScFail as usize] = 3;
+        pinned.vcpus[1].overflow.counts[0] = 3;
         let golden = include_str!("../tests/data/profile.prof");
         assert_eq!(render(&pinned), golden);
     }
@@ -289,12 +313,14 @@ mod tests {
         let text = render(&original);
         let parsed = validate(&text).expect("own output validates");
         assert_eq!(parsed, original);
+        assert_eq!(parsed.metric("monitor_clears"), Some(1));
+        assert_eq!(parsed.metric("sc_fail"), None);
     }
 
     #[test]
     fn validate_rejects_cooked_merges() {
         let mut cooked = doc();
-        cooked.merged[0].counts[Metric::ScFail as usize] += 1;
+        cooked.merged[0].counts[0] += 1;
         let why = validate(&render(&cooked)).unwrap_err();
         assert!(why.contains("≠ per-vCPU sum"), "{why}");
 
@@ -306,10 +332,24 @@ mod tests {
 
     #[test]
     fn parse_rejects_schema_and_metric_drift() {
-        let text = render(&doc()).replace(SCHEMA, "adbt-prof-v0");
+        let text = render(&doc()).replace(SCHEMA, "adbt-prof-v1");
         assert!(parse(&text).unwrap_err().contains("schema"));
-        let text = render(&doc()).replace("\"sc_fail\"", "\"sc_failz\"");
-        assert!(parse(&text).unwrap_err().contains("metric vector"));
+
+        let mut short = doc();
+        short.merged[1].counts.pop();
+        let why = parse(&render(&short)).unwrap_err();
+        assert!(
+            why.contains("merged entry 1: counts has 2 cells, want 3"),
+            "{why}"
+        );
+
+        let text = render(&doc()).replace("\"exclusive_ns\"", "\"sc_failures\"");
+        assert!(parse(&text).unwrap_err().contains("named twice"));
+        let none = ProfDoc {
+            metrics: Vec::new(),
+            ..doc()
+        };
+        assert_eq!(parse(&render(&none)).unwrap_err(), "no metrics");
         assert!(parse("{}").is_err());
         assert!(parse("not json").is_err());
     }

@@ -9,7 +9,6 @@
 //! exporter's own output.
 
 use crate::export::ProfRow;
-use crate::Metric;
 
 /// One parsed folded line.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -20,13 +19,14 @@ pub struct FoldedLine {
     pub cost: u64,
 }
 
-/// Renders merged profile rows as folded stacks, charging `metric` as
-/// the cost. Zero-cost rows are skipped (a folded line with cost 0 is
-/// legal but renders as nothing and bloats the file).
-pub fn render_folded(scheme: &str, rows: &[ProfRow], metric: Metric) -> String {
+/// Renders merged profile rows as folded stacks, charging column
+/// `metric` (an index into the document's `metrics` vector) as the cost.
+/// Zero-cost rows are skipped (a folded line with cost 0 is legal but
+/// renders as nothing and bloats the file).
+pub fn render_folded(scheme: &str, rows: &[ProfRow], metric: usize) -> String {
     let mut out = String::new();
     for row in rows {
-        let cost = row.get(metric);
+        let cost = row.counts[metric];
         if cost == 0 {
             continue;
         }
@@ -85,15 +85,13 @@ pub fn parse_folded(text: &str) -> Result<Vec<FoldedLine>, String> {
 mod tests {
     use super::*;
 
+    /// Column 0 counts failures, column 1 waits.
     fn row(pc: u32, symbol: &str, fails: u64, waits: u64) -> ProfRow {
-        let mut counts = [0u64; Metric::COUNT];
-        counts[Metric::ScFail as usize] = fails;
-        counts[Metric::ExclWaitNs as usize] = waits;
         ProfRow {
             pc,
             symbol: symbol.to_string(),
             insn: 0,
-            counts,
+            counts: vec![fails, waits],
         }
     }
 
@@ -103,13 +101,13 @@ mod tests {
             row(0x1_0000, "victim+0x0", 7, 0),
             row(0x1_0010, "attacker+0x4", 0, 900),
         ];
-        let folded = render_folded("pst", &rows, Metric::ScFail);
+        let folded = render_folded("pst", &rows, 0);
         let lines = parse_folded(&folded).expect("own output validates");
         assert_eq!(lines.len(), 1, "zero-cost row must be dropped");
         assert_eq!(lines[0].frames, vec!["pst", "victim", "0x00010000"]);
         assert_eq!(lines[0].cost, 7);
 
-        let by_wait = render_folded("pst", &rows, Metric::ExclWaitNs);
+        let by_wait = render_folded("pst", &rows, 1);
         let lines = parse_folded(&by_wait).unwrap();
         assert_eq!(lines[0].frames[1], "attacker");
         assert_eq!(lines[0].cost, 900);
@@ -118,7 +116,7 @@ mod tests {
     #[test]
     fn sanitize_defangs_structural_characters() {
         let rows = vec![row(0x20, "a;b c+0x0", 1, 0)];
-        let folded = render_folded("h s;t", &rows, Metric::ScFail);
+        let folded = render_folded("h s;t", &rows, 0);
         let lines = parse_folded(&folded).unwrap();
         assert_eq!(lines[0].frames[0], "h_s_t");
         assert_eq!(lines[0].frames[1], "a_b_c");

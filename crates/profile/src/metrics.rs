@@ -13,31 +13,33 @@
 //! line envelope and ships the validator CI runs on the emitter's own
 //! output. `adbt_run --stats-json` reuses the final-line schema as a
 //! single stdout object.
+//!
+//! The profile summary's totals are keyed by the profile's column names,
+//! which are counter-table row names: on the final line every total
+//! names a row of the `stats` block and never exceeds it. Wall-clock
+//! rows are charged to the profile only in threaded runs, so in the
+//! deterministic modes such a row exceeds its total; every other row
+//! equals it.
 
-use crate::{Metric, ProfileSnapshot};
+use crate::ProfileSnapshot;
 use adbt_trace::json::{object, parse_json, Json, JsonWriter};
 
 /// The schema tag every line carries.
 pub const SCHEMA: &str = "adbt-metrics-v1";
 
 /// Renders the profile-summary object embedded in each line: row and
-/// drop counts plus machine-wide totals per metric (zero metrics
+/// drop counts plus machine-wide totals per column (zero totals
 /// omitted to keep periodic lines small).
 pub fn profile_summary(snapshot: &ProfileSnapshot) -> String {
-    let mut totals = [0u64; Metric::COUNT];
-    for entry in &snapshot.entries {
-        for (dst, src) in totals.iter_mut().zip(entry.counts) {
-            *dst += src;
-        }
-    }
-    for (dst, src) in totals.iter_mut().zip(snapshot.overflow.counts) {
-        *dst += src;
-    }
+    let totals = snapshot
+        .columns
+        .iter()
+        .enumerate()
+        .map(|(column, &name)| (name, snapshot.total(column)));
     let mut w = JsonWriter::new();
     w.obj().field("entries", snapshot.entries.len());
     w.field("dropped", snapshot.overflow.drops);
-    let totals = Metric::ALL.map(|metric| (metric.name(), totals[metric as usize]));
-    w.field("totals", object(totals.into_iter().filter(|&(_, n)| n > 0)));
+    w.field("totals", object(totals.filter(|&(_, n)| n > 0)));
     w.end().finish()
 }
 
@@ -69,12 +71,17 @@ fn check_profile(line: &Json) -> Result<(), String> {
     }
     profile.u64_field("entries")?;
     profile.u64_field("dropped")?;
+    let stats = line.get("stats");
     for (key, value) in profile.obj_field("totals")? {
-        if Metric::from_name(key).is_none() {
-            return Err(format!("unknown metric `{key}` in totals"));
-        }
-        if value.as_u64().is_none() {
-            return Err(format!("non-numeric total `{key}`"));
+        let total = value.as_u64().ok_or(format!("non-numeric total `{key}`"))?;
+        match stats.map(|stats| stats.get(key).and_then(Json::as_u64)) {
+            Some(None) => return Err(format!("profile total `{key}` names no stats row")),
+            Some(Some(row)) if total > row => {
+                return Err(format!(
+                    "profile total `{key}` = {total} exceeds its row {row}"
+                ))
+            }
+            _ => {}
         }
     }
     Ok(())
@@ -125,28 +132,28 @@ pub fn validate_metrics_jsonl(text: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ProfileEntry;
+    use crate::{Overflow, ProfileEntry};
 
     fn snapshot() -> ProfileSnapshot {
-        let mut entry = ProfileEntry {
-            pc: 0x1_0000,
-            counts: [0; Metric::COUNT],
-        };
-        entry.counts[Metric::ScFail as usize] = 4;
-        entry.counts[Metric::MonitorClear as usize] = 2;
-        let mut snap = ProfileSnapshot {
-            entries: vec![entry],
-            overflow: Default::default(),
-        };
-        snap.overflow.counts[Metric::ScFail as usize] = 1;
-        snap.overflow.drops = 1;
-        snap
+        ProfileSnapshot {
+            columns: vec!["sc_failures", "monitor_clears", "false_sharing_faults"],
+            entries: vec![ProfileEntry {
+                pc: 0x1_0000,
+                counts: vec![4, 2, 0],
+            }],
+            overflow: Overflow {
+                counts: vec![1, 0, 0],
+                drops: 1,
+            },
+        }
     }
+
+    const STATS: &str = "{\"sc_failures\":5,\"monitor_clears\":2,\"false_sharing_faults\":0}";
 
     fn line(seq: u64, is_final: bool, with_stats: bool) -> String {
         let mut extras = vec![("occupancy", "{\"blocks\":3}".to_string())];
         if with_stats {
-            extras.push(("stats", "{\"insns\":100}".to_string()));
+            extras.push(("stats", STATS.to_string()));
         }
         render_line(
             seq,
@@ -183,12 +190,13 @@ mod tests {
         assert_eq!(
             parsed
                 .get("totals")
-                .and_then(|t| t.get("sc_fail"))
+                .and_then(|t| t.get("sc_failures"))
                 .and_then(Json::as_num),
             Some(5.0),
             "overflow bucket must count toward totals"
         );
-        assert!(parsed.get("totals").unwrap().get("false_sharing").is_none());
+        let totals = parsed.get("totals").unwrap();
+        assert!(totals.get("false_sharing_faults").is_none());
         assert_eq!(parsed.get("dropped").and_then(Json::as_num), Some(1.0));
     }
 
@@ -209,9 +217,17 @@ mod tests {
         assert!(validate_metrics_jsonl(&no_stats)
             .unwrap_err()
             .contains("stats"));
-        let cooked = line(0, true, true).replace("sc_fail", "sc_failz");
+        let unknown =
+            line(0, true, true).replace("\"totals\":{\"sc_failures\"", "\"totals\":{\"sc_failz\"");
+        assert!(validate_metrics_jsonl(&unknown)
+            .unwrap_err()
+            .contains("`sc_failz` names no stats row"));
+        let cooked = line(0, true, true).replace(
+            "\"sc_failures\":5,\"monitor_clears\":2,",
+            "\"sc_failures\":4,\"monitor_clears\":2,",
+        );
         assert!(validate_metrics_jsonl(&cooked)
             .unwrap_err()
-            .contains("unknown metric"));
+            .contains("`sc_failures` = 5 exceeds its row 4"));
     }
 }

@@ -16,7 +16,7 @@
 //!   the stop-the-world path after repeated aborts. *Strong.*
 
 use adbt_engine::{
-    AtomicScheme, Atomicity, ChaosSite, ExecCtx, HelperRegistry, RetryPolicy, TraceKind, Trap,
+    AtomicScheme, Atomicity, ChaosSite, ExecCtx, HelperRegistry, RetryPolicy, Stat, TraceKind, Trap,
 };
 use adbt_htm::AbortReason;
 use adbt_ir::{BlockBuilder, HelperId, Op, Slot, Src};
@@ -67,7 +67,6 @@ fn hst_sc_world_stop(ctx: &mut ExecCtx<'_>, addr: u32, new: u32) -> Result<u32, 
     let result = if ok {
         ctx.store(addr, Width::Word, new, false).map(|()| 0)
     } else {
-        ctx.stats.sc_failures += 1;
         Ok(1)
     };
     if let Ok(status) = result {
@@ -85,7 +84,6 @@ fn hst_sc_exclusive(ctx: &mut ExecCtx<'_>, addr: u32, new: u32) -> Result<u32, T
     // before paying for the stop-the-world section.
     if ctx.chaos_sc_fail() {
         ctx.cpu.monitor.addr = None;
-        ctx.stats.sc_failures += 1;
         ctx.note_sc(addr, false, new);
         return Ok(1);
     }
@@ -186,7 +184,7 @@ impl AtomicScheme for HstWeak {
                     std::hint::spin_loop();
                 });
                 if let Some(since) = contended {
-                    ctx.stats.lock_wait_ns += since.elapsed().as_nanos() as u64;
+                    ctx.count(Stat::lock_wait_ns, since.elapsed().as_nanos() as u64);
                 }
                 let value = ctx.load(addr, Width::Word)?;
                 ctx.cpu.monitor.addr = Some(addr);
@@ -202,7 +200,6 @@ impl AtomicScheme for HstWeak {
                 ctx.stats.sc += 1;
                 if ctx.chaos_sc_fail() {
                     ctx.cpu.monitor.addr = None;
-                    ctx.stats.sc_failures += 1;
                     ctx.note_sc(addr, false, new);
                     return Ok(1);
                 }
@@ -214,10 +211,11 @@ impl AtomicScheme for HstWeak {
                 if armed && ctx.machine.store_test.try_lock(addr, ctx.cpu.tid) {
                     let result = ctx.store(addr, Width::Word, new, false);
                     ctx.machine.store_test.unlock(addr, ctx.cpu.tid);
-                    ctx.note_sc(addr, result.is_ok(), new);
-                    result.map(|()| 0)
+                    // A trapping store reports no outcome, as in HST.
+                    result?;
+                    ctx.note_sc(addr, true, new);
+                    Ok(0)
                 } else {
-                    ctx.stats.sc_failures += 1;
                     ctx.note_sc(addr, false, new);
                     Ok(1)
                 }
@@ -310,7 +308,6 @@ impl AtomicScheme for HstHtm {
                 ctx.stats.sc += 1;
                 if ctx.chaos_sc_fail() {
                     ctx.cpu.monitor.addr = None;
-                    ctx.stats.sc_failures += 1;
                     ctx.note_sc(addr, false, new);
                     return Ok(1);
                 }
@@ -318,7 +315,6 @@ impl AtomicScheme for HstHtm {
                 // is already gone.
                 if !sc_precondition(ctx, addr) {
                     ctx.cpu.monitor.addr = None;
-                    ctx.stats.sc_failures += 1;
                     ctx.note_sc(addr, false, new);
                     return Ok(1);
                 }
@@ -336,15 +332,9 @@ impl AtomicScheme for HstHtm {
                 // One unified retry shape: spin, then yield, then — once
                 // the budget is spent — degrade to stop-the-world.
                 let backoff = |ctx: &mut ExecCtx<'_>, attempt: u64, reason: AbortReason| {
-                    ctx.stats.htm_aborts += 1;
-                    ctx.prof_htm_abort(reason);
-                    ctx.trace(
-                        TraceKind::HtmAbort,
-                        addr,
-                        attempt.min(u32::MAX as u64) as u32,
-                    );
+                    ctx.note_htm_abort(addr, reason);
                     if threaded {
-                        ctx.stats.lock_wait_ns += retry.backoff(attempt);
+                        ctx.count(Stat::lock_wait_ns, retry.backoff(attempt));
                     }
                 };
                 while {
@@ -375,7 +365,6 @@ impl AtomicScheme for HstHtm {
                     }
                     if !sc_precondition(ctx, addr) {
                         ctx.cpu.monitor.addr = None;
-                        ctx.stats.sc_failures += 1;
                         ctx.note_sc(addr, false, new);
                         return Ok(1);
                     }

@@ -8,11 +8,11 @@
 //! (§IV-A Seq2–Seq4), the SC succeeds when the architecture says it must
 //! fail.
 //!
-//! Profiler attribution flows entirely through the inline ops: the
-//! engine's `Op::MonitorScCas` / `Op::MonitorClear` entries call
-//! `note_sc` / `note_clrex`, which charge `sc_fail`, `sc_streak` and
-//! `monitor_clear` to the current guest PC — so PICO-CAS needs no
-//! helper-side charge sites of its own.
+//! Counting flows entirely through the inline ops: the engine's
+//! `Op::MonitorScCas` / `Op::MonitorClear` entries call `note_sc` /
+//! `note_clrex`, which count `sc_failures` and `monitor_clears` and
+//! charge them to the current guest PC — so PICO-CAS needs no
+//! helper-side count sites of its own.
 
 use adbt_engine::{AtomicScheme, Atomicity, HelperRegistry};
 use adbt_ir::{BlockBuilder, Op, Slot, Src};

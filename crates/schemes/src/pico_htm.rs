@@ -11,7 +11,7 @@
 //! [`adbt_engine::VcpuOutcome::Livelocked`] once the per-region retry
 //! budget is exhausted.
 
-use adbt_engine::{AtomicScheme, Atomicity, HelperRegistry, ProfileMetric};
+use adbt_engine::{AtomicScheme, Atomicity, HelperRegistry};
 use adbt_ir::{BlockBuilder, HelperId, Op, Slot, Src};
 use adbt_mmu::Width;
 
@@ -55,10 +55,6 @@ impl AtomicScheme for PicoHtm {
                 // exclusive section, which a bare `txn.take()` would leak.
                 if ctx.region_active() {
                     ctx.release_region();
-                    // The discarded reservation is a monitor clear the
-                    // inline `Op::MonitorClear` path never sees — charge
-                    // it here so back-to-back LLs show up in the profile.
-                    ctx.prof_charge(ProfileMetric::MonitorClear, 1);
                 }
                 // `xbegin` with full register rollback to the LL itself
                 // (or, when the abort budget is spent, the stop-the-world
@@ -91,7 +87,6 @@ impl AtomicScheme for PicoHtm {
                 // holds exclusivity instead of a transaction.
                 if !armed || !ctx.region_active() {
                     ctx.release_region();
-                    ctx.stats.sc_failures += 1;
                     ctx.note_sc(addr, false, new);
                     return Ok(1);
                 }

@@ -19,7 +19,7 @@
 //! as a no-op and interleaves at block boundaries, where the
 //! helper+store pair is never split.
 
-use adbt_engine::{AtomicScheme, Atomicity, ChaosSite, ExecCtx, HelperRegistry, ProfileMetric};
+use adbt_engine::{AtomicScheme, Atomicity, ChaosSite, ExecCtx, HelperRegistry, Stat};
 use adbt_ir::{BlockBuilder, HelperId, Op, Slot, Src};
 use adbt_mmu::Width;
 use adbt_sync::{Mutex, MutexGuard};
@@ -51,20 +51,14 @@ fn lock_registry<'a>(
     // Injected lock-acquire stall: models a descheduled lock holder.
     if ctx.robust && ctx.chaos_roll(ChaosSite::LockStall) {
         let stall = ctx.chaos_stall();
-        ctx.stats.lock_wait_ns += stall;
-        ctx.prof_charge(ProfileMetric::ExclWaitNs, stall);
+        ctx.count(Stat::lock_wait_ns, stall);
     }
     if let Some(guard) = shared.try_lock() {
         return guard;
     }
     let start = Instant::now();
     let guard = shared.lock();
-    let waited = start.elapsed().as_nanos() as u64;
-    ctx.stats.lock_wait_ns += waited;
-    // PICO-ST's global registry lock plays the role the exclusive
-    // barrier plays elsewhere, so contended waits land in the same
-    // profile bucket and the hot guest PCs show up under `excl_wait_ns`.
-    ctx.prof_charge(ProfileMetric::ExclWaitNs, waited);
+    ctx.count(Stat::lock_wait_ns, start.elapsed().as_nanos() as u64);
     guard
 }
 
@@ -165,7 +159,6 @@ impl AtomicScheme for PicoSt {
                     // registry entry so a retry without a fresh LL
                     // cannot spuriously succeed.
                     guard.monitors.remove(&ctx.cpu.tid);
-                    ctx.stats.sc_failures += 1;
                     Ok(1)
                 };
                 drop(guard);

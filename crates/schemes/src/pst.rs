@@ -21,8 +21,8 @@
 //! tables + TLB shootdown (see DESIGN.md for the substitution argument).
 
 use adbt_engine::{
-    AtomicScheme, Atomicity, ChaosSite, ExecCtx, FaultAccess, FaultOutcome, HelperRegistry,
-    ProfileMetric, TraceKind, Trap,
+    AtomicScheme, Atomicity, ChaosSite, ExecCtx, FaultAccess, FaultOutcome, HelperRegistry, Stat,
+    TraceKind, Trap,
 };
 use adbt_ir::{BlockBuilder, HelperId, Op, Slot, Src};
 use adbt_mmu::{FaultKind, PageFault, Perms, Width, PAGE_SHIFT, PAGE_SIZE};
@@ -60,16 +60,18 @@ fn lock_registry<'a>(shared: &'a PstShared, ctx: &mut ExecCtx<'_>) -> MutexGuard
         // Injected stall on the way to the registry lock (holder
         // descheduled mid-acquire); widens the contention windows the
         // fault handler and SC race through.
-        ctx.stats.lock_wait_ns += ctx.chaos_stall();
+        let stall = ctx.chaos_stall();
+        ctx.count(Stat::lock_wait_ns, stall);
     }
     if let Some(guard) = shared.registry.try_lock() {
         return guard;
     }
     let start = Instant::now();
     loop {
-        ctx.stats.exclusive_ns += ctx.machine.exclusive.safepoint();
+        let parked = ctx.machine.exclusive.safepoint();
+        ctx.count(Stat::exclusive_ns, parked);
         if let Some(guard) = shared.registry.try_lock() {
-            ctx.stats.lock_wait_ns += start.elapsed().as_nanos() as u64;
+            ctx.count(Stat::lock_wait_ns, start.elapsed().as_nanos() as u64);
             return guard;
         }
         std::thread::yield_now();
@@ -207,8 +209,7 @@ fn handle_protected_store(
     list.retain(|m| m.tid == tid || !overlaps(m.addr, fault.vaddr, width));
     let broke_any = list.len() != before;
     if !broke_any {
-        ctx.stats.false_sharing_faults += 1;
-        ctx.prof_charge(ProfileMetric::FalseSharing, 1);
+        ctx.count(Stat::false_sharing_faults, 1);
         ctx.trace(TraceKind::FalseSharing, fault.vaddr, 0);
     }
     if list.is_empty() {
@@ -322,8 +323,6 @@ impl AtomicScheme for Pst {
                     }
                     ctx.end_exclusive();
                     ctx.stats.mprotect_ns += start.elapsed().as_nanos() as u64;
-                } else {
-                    ctx.stats.sc_failures += 1;
                 }
                 drop(guard);
                 ctx.cpu.monitor.addr = None;
@@ -476,8 +475,6 @@ impl AtomicScheme for PstRemap {
                         .move_page(alias_page, page, perms)
                         .expect("alias was just mapped");
                     ctx.stats.mprotect_ns += start.elapsed().as_nanos() as u64;
-                } else {
-                    ctx.stats.sc_failures += 1;
                 }
                 drop(guard);
                 ctx.cpu.monitor.addr = None;

@@ -10,27 +10,28 @@
 //! 2. **Merged = Σ per-vCPU** — every profile counter obeys the same
 //!    merge discipline `VcpuStats` does, overflow bucket included.
 //! 3. **Chaos soak, all schemes** — profiling rides a fault-injection
-//!    campaign on all eight schemes without perturbing it, and the
-//!    cross-plane identities hold: profiled `sc_fail` equals the stats
-//!    plane's `sc_failures`, profiled HTM-abort reasons sum to
-//!    `htm_aborts`.
+//!    campaign on all eight schemes without perturbing it, and every
+//!    profile column (rows plus overflow) sums to its counter row, in
+//!    sim runs (where the wall-clock columns read 0) and in threaded
+//!    runs under an invalidation storm with the watchdog armed (where
+//!    every column counts).
 //! 4. **Crash-proof metrics** — the `--metrics` stream ends with its
 //!    `"final":true` snapshot even when the watchdog halts a livelocked
 //!    run; the stream validates against the `adbt-metrics-v1` schema.
 //! 5. **Exact attribution** — a schedule that deschedules the
 //!    `aba_llsc` victim between its LL and SC charges exactly one
-//!    `sc_fail` to the victim's `strex` PC under HST, and none under
+//!    `sc_failures` to the victim's `strex` PC under HST, and none under
 //!    value-comparing PICO-CAS (the ABA bug is invisible to it — which
 //!    is the bug).
 
-use adbt::engine::{SchedEvent, ScriptedScheduler};
+use adbt::engine::{SchedEvent, ScriptedScheduler, Unit};
 use adbt::harness::{run_program, ExecMode, ProgramRun};
-use adbt::profile::{Metric, ProfileSnapshot};
+use adbt::profile::ProfileSnapshot;
 use adbt::workloads::interleave::Litmus;
 use adbt::workloads::IMAGE_BASE;
 use adbt::{
     assemble, ChaosCfg, Machine, MachineBuilder, MachineConfig, RunReport, SchemeKind, Vcpu,
-    VcpuOutcome,
+    VcpuOutcome, VcpuStats,
 };
 use adbt_isa::{decode, Insn, INSN_SIZE};
 
@@ -54,11 +55,27 @@ fn contended_loop(iters: u32) -> String {
     )
 }
 
-/// A metric's machine-wide total: attributed rows plus the overflow
-/// bucket (totals stay exact even past the probe bound).
-fn total(snapshot: &ProfileSnapshot, metric: Metric) -> u64 {
-    snapshot.entries.iter().map(|e| e.get(metric)).sum::<u64>()
-        + snapshot.overflow.counts[metric as usize]
+/// The `sc_failures` column's machine-wide total: attributed rows plus
+/// the overflow bucket (totals stay exact even past the probe bound).
+fn sc_failures(snapshot: &ProfileSnapshot) -> u64 {
+    snapshot.total(snapshot.column("sc_failures").expect("an SC column"))
+}
+
+/// The cross-plane identity, one loop over the counter table: the
+/// profile's columns are the rows flagged `pc`, and each column's total
+/// is its row's value — except a wall-clock row outside a threaded run,
+/// which the profile charges nothing.
+fn assert_identity(what: &str, snap: &ProfileSnapshot, stats: &VcpuStats, threaded: bool) {
+    assert_eq!(snap.columns, VcpuStats::pc_columns(), "{what}: columns");
+    let rows = VcpuStats::COUNTERS
+        .iter()
+        .filter(|row| row.column.is_some());
+    for row in rows {
+        let charged = threaded || row.unit != Unit::Ns;
+        let want = if charged { row.get(stats) } else { 0 };
+        let total = snap.total(row.column.unwrap());
+        assert_eq!(total, want, "{what}: profile column {} ≠ its row", row.name);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -114,13 +131,10 @@ fn profile_is_off_by_default_and_observation_is_pure() {
         "profiling changed the stats plane"
     );
 
-    // The profiled run saw real contention...
-    assert!(total(snap, Metric::ScFail) > 0, "no contention profiled");
-    // ...but deterministic modes charge no durations, so replay purity
-    // can never depend on wall time.
-    for metric in Metric::ALL.into_iter().filter(|m| m.is_duration()) {
-        assert_eq!(total(snap, metric), 0, "{} in a sim run", metric.name());
-    }
+    // The profiled run saw real contention, and deterministic modes
+    // charge no wall time, so replay purity can never depend on it.
+    assert!(sc_failures(snap) > 0, "no contention profiled");
+    assert_identity("hst sim", snap, &profiled.report.stats, false);
 }
 
 // ---------------------------------------------------------------------------
@@ -143,26 +157,22 @@ fn merged_profile_equals_per_vcpu_sums_for_every_metric() {
     let per_vcpu = rec.snapshot_all();
     assert_eq!(per_vcpu.len(), threads as usize, "one table per vCPU");
     let merged = rec.merged();
+    // Snapshots drop all-zero rows, so any row is a charged one.
     assert!(
-        merged.entries.iter().any(|e| e.total_events() > 0),
+        !merged.entries.is_empty(),
         "threaded contention run profiled nothing"
     );
-    for metric in Metric::ALL {
-        let sum: u64 = per_vcpu.iter().map(|(_, s)| total(s, metric)).sum();
-        assert_eq!(
-            total(&merged, metric),
-            sum,
-            "merged {} ≠ per-vCPU sum",
-            metric.name()
-        );
+    for (column, name) in merged.columns.iter().enumerate() {
+        let sum: u64 = per_vcpu.iter().map(|(_, s)| s.total(column)).sum();
+        assert_eq!(merged.total(column), sum, "merged {name} ≠ per-vCPU sum");
     }
     let drops: u64 = per_vcpu.iter().map(|(_, s)| s.overflow.drops).sum();
     assert_eq!(merged.overflow.drops, drops, "merged drops ≠ per-vCPU sum");
 
-    // Cross-plane identity on a threaded run: every SC failure the
-    // stats plane counted was charged to some PC (or the overflow
-    // bucket) — the profiler drops totals never.
-    assert_eq!(total(&merged, Metric::ScFail), report.stats.sc_failures);
+    // Cross-plane identity on a threaded run: every event the stats
+    // plane counted in a flagged row was charged to some PC (or the
+    // overflow bucket) — the profiler drops totals never.
+    assert_identity("hst threaded", &merged, &report.stats, true);
 }
 
 // ---------------------------------------------------------------------------
@@ -209,25 +219,40 @@ fn chaos_soak_with_profiling_neither_perturbs_nor_miscounts_any_scheme() {
             "{kind}: profiling changed chaos stats"
         );
 
-        // Cross-plane identities: the attribution plane and the counter
-        // plane agree exactly, per scheme.
+        // Cross-plane identity: the attribution plane and the counter
+        // plane agree exactly, per scheme and per flagged row.
         let snap = profiled.profile.as_ref().expect("recorder armed");
         let s = &profiled.report.stats;
-        assert_eq!(
-            total(snap, Metric::ScFail),
-            s.sc_failures,
-            "{kind}: profiled sc_fail ≠ sc_failures"
-        );
-        let aborts = total(snap, Metric::HtmConflict)
-            + total(snap, Metric::HtmCapacity)
-            + total(snap, Metric::HtmOther);
-        assert_eq!(aborts, s.htm_aborts, "{kind}: profiled aborts ≠ htm_aborts");
+        assert_identity(&format!("{kind} sim"), snap, s, false);
         // Injection at rate 0.05 over hundreds of SCs must leave marks
         // somewhere the profiler sees.
         assert!(
             s.sc_failures + s.htm_aborts > 0,
             "{kind}: chaos campaign injected nothing"
         );
+    }
+}
+
+/// The same identity on real threads, where every column counts: the
+/// wall-clock ones too, and `retired_blocks` under an invalidation
+/// storm. The watchdog is armed, so a wedged scheme ends the run
+/// instead of the test.
+#[test]
+fn threaded_invalidation_soak_profile_columns_sum_to_their_rows() {
+    let config = MachineConfig {
+        chaos: Some(ChaosCfg::new(7, 0.05).with_invalidate(0.01)),
+        watchdog_ms: 30_000,
+        profile: true,
+        ..MachineConfig::default()
+    };
+    for kind in SchemeKind::ALL {
+        let threaded = ExecMode::Threaded;
+        let run = run_program(kind, &contended_loop(300), 4, &[], threaded, config.clone());
+        let run = run.unwrap();
+        let s = &run.report.stats;
+        let snap = run.profile.as_ref().expect("recorder armed");
+        assert_identity(&format!("{kind} threaded"), snap, s, true);
+        assert!(s.retired_blocks > 0, "{kind}: the storm retired nothing");
     }
 }
 
@@ -385,8 +410,7 @@ fn scheduled_aba_llsc_charges_exactly_one_sc_fail_at_the_victims_strex() {
     let schedule = [(0, ll_atom + 1), (1, u64::MAX)];
 
     // HST fails the SC — and the profiler must pin that failure to the
-    // victim's strex, exactly once, with no streak (the victim never
-    // retries).
+    // victim's strex, exactly once.
     let (machine, report, _) = scheduled_aba(SchemeKind::Hst, &source, &schedule);
     assert_eq!(
         format!("{:?}", report.outcomes),
@@ -395,22 +419,22 @@ fn scheduled_aba_llsc_charges_exactly_one_sc_fail_at_the_victims_strex() {
     );
     assert_eq!(report.stats.sc_failures, 1);
     let merged = machine.core().profile.as_ref().unwrap().merged();
-    assert_eq!(total(&merged, Metric::ScFail), 1);
-    assert_eq!(total(&merged, Metric::ScStreak), 0, "no SC ever retried");
+    assert_eq!(sc_failures(&merged), 1);
+    let fail = merged.column("sc_failures").unwrap();
     let charged: Vec<_> = merged
         .entries
         .iter()
-        .filter(|e| e.get(Metric::ScFail) > 0)
+        .filter(|e| e.counts[fail] > 0)
         .collect();
     assert_eq!(charged.len(), 1, "one failing site: {merged:?}");
     assert_eq!(
         charged[0].pc, strex_pc,
-        "sc_fail charged to {:#x}, strex is at {strex_pc:#x}",
+        "sc_failures charged to {:#x}, strex is at {strex_pc:#x}",
         charged[0].pc
     );
 
     // PICO-CAS under the identical schedule: the value is back to 100,
-    // so its SC *succeeds* — zero sc_fail anywhere. The profile showing
+    // so its SC *succeeds* — zero sc_failures anywhere. The profile showing
     // nothing at the strex is the paper's ABA bug, made visible by its
     // absence.
     let (machine, report, _) = scheduled_aba(SchemeKind::PicoCas, &source, &schedule);
@@ -420,5 +444,5 @@ fn scheduled_aba_llsc_charges_exactly_one_sc_fail_at_the_victims_strex() {
         "PICO-CAS's SC should succeed incorrectly (the ABA bug)"
     );
     let merged = machine.core().profile.as_ref().unwrap().merged();
-    assert_eq!(total(&merged, Metric::ScFail), 0);
+    assert_eq!(sc_failures(&merged), 0);
 }

@@ -10,9 +10,12 @@
 //!    watchdog halt the run with the last flight-recorder events of
 //!    every stalled vCPU attached to its diagnostic dump.
 //! 3. **Off by default** — an untouched config allocates no recorder.
+//! 4. **Payloads follow the schema** — an `htm_abort` event's value is
+//!    its abort reason's code, from both HTM schemes.
 
 use adbt::trace::{chrome, validate};
-use adbt::{ChaosCfg, MachineBuilder, SchemeKind, TraceKind, VcpuOutcome};
+use adbt::{ChaosCfg, MachineBuilder, SchemeKind, SimCosts, TraceKind, VcpuOutcome};
+use adbt_htm::AbortReason;
 
 const SEED: u64 = 0xADB7_7ACE;
 
@@ -251,6 +254,42 @@ fn lifecycle_events_flow_through_the_recorder_and_validator() {
     );
     let json = chrome::render(&snaps, chrome::Clock::Nanos);
     validate::validate_chrome_trace(&json).expect("SMC trace JSON is valid");
+}
+
+/// `TraceKind::HtmAbort` carries the `AbortReason` code (1–4) in its
+/// value. Under the soak's chaos campaign, simulated on 4 vCPUs, both
+/// HTM schemes abort and every value is a code; HST-HTM's aborts are
+/// all injected at commit (`Txn::abort`, an explicit abort), so they
+/// all read 3.
+#[test]
+fn htm_abort_payloads_are_reason_codes() {
+    use AbortReason::*;
+    let codes = [Conflict, Capacity, Explicit, EngineInterference].map(AbortReason::code);
+    for (kind, want) in [
+        (SchemeKind::HstHtm, &[Explicit.code()][..]),
+        (SchemeKind::PicoHtm, &codes),
+    ] {
+        let chaos = Some(ChaosCfg::new(7, 0.05));
+        let builder = MachineBuilder::new(kind).chaos(chaos).trace(true);
+        let mut machine = builder.build().unwrap();
+        machine.load_asm(&contended_loop(2000), 0x1_0000).unwrap();
+        let vcpus = machine.make_vcpus(4, 0x1_0000);
+        let report = machine.core().run_sim(vcpus, &SimCosts::default());
+        assert!(report.all_ok(), "{kind}: {:?}", report.outcomes);
+        let rec = machine.core().trace.clone().expect("recorder armed");
+        let events: Vec<_> = rec
+            .snapshot_all()
+            .into_iter()
+            .flat_map(|(_, e)| e)
+            .collect();
+        let aborts = events.iter().filter(|e| e.kind == TraceKind::HtmAbort);
+        let values: Vec<u32> = aborts.map(|e| e.value).collect();
+        let ok = !values.is_empty() && values.iter().all(|v| want.contains(v));
+        assert!(
+            ok,
+            "{kind}: htm_abort values {values:?}, want codes {want:?}"
+        );
+    }
 }
 
 #[test]
