@@ -147,6 +147,20 @@ for scheme in hst hst-weak hst-htm pst pst-remap pico-st pico-cas pico-htm; do
     cat "$TRACE_TMP/$scheme.sim.prof" >> "$TRACE_TMP/profile_soak.txt"
 done
 cmp "$TRACE_TMP/profile_soak.txt" results/profile_soak.txt
+# The trace plane, pinned (release, ~a second): an 8-iteration copy of
+# the soak, simulated with --trace on every scheme; the concatenated
+# Chrome documents must match results/trace_soak.txt byte for byte.
+# Simulated runs stamp retired-instruction counts, so the documents are
+# deterministic, and a change to which events the recorder keeps, or
+# where, shows here and is committed on purpose.
+sed 's/#2000/#8/' "$TRACE_TMP/soak.s" > "$TRACE_TMP/soak8.s"
+for scheme in hst hst-weak hst-htm pst pst-remap pico-st pico-cas pico-htm; do
+    cargo run -q --release --offline -p adbt --bin adbt_run -- \
+        "$TRACE_TMP/soak8.s" --scheme "$scheme" --threads 4 \
+        --chaos seed=7,rate=0.05 --sim --trace "$TRACE_TMP/$scheme.trace.json"
+    cat "$TRACE_TMP/$scheme.trace.json" >> "$TRACE_TMP/trace_soak.txt"
+done
+cmp "$TRACE_TMP/trace_soak.txt" results/trace_soak.txt
 # Systematic interleaving check (release, ~a second): all 8 schemes ×
 # all 6 litmus programs under the bounded-preemption explorer. The
 # search is fully deterministic (no seeds — it *enumerates* schedules),
@@ -158,6 +172,13 @@ cmp "$TRACE_TMP/profile_soak.txt" results/profile_soak.txt
 cargo run -q --release --offline -p adbt-check --bin adbt_check -- \
     --ci --budget 800 --preemptions 2 > "$TRACE_TMP/check_ci.txt"
 cmp "$TRACE_TMP/check_ci.txt" results/check_ci.txt
+# The exported counterexample, pinned: PICO-CAS × aba_stack's minimized
+# violation, rendered from the scheduler's log, must match
+# results/check_trace.json byte for byte.
+cargo run -q --release --offline -p adbt-check --bin adbt_check -- \
+    --scheme pico-cas --litmus aba_stack \
+    --export-trace "$TRACE_TMP/check_trace.json" > /dev/null
+cmp "$TRACE_TMP/check_trace.json" results/check_trace.json
 
 # The repository benchmark (e2ebench/, its own cargo workspace) builds
 # against the engine's public API; its tests run here so an API change

@@ -14,9 +14,13 @@
 //! litmuses, PICO-ST on the store window, everything else clean.
 //!
 //! `--export-trace FILE` additionally writes the *first* violation's
-//! event stream as Chrome trace-event JSON (Perfetto-loadable, atom
-//! clock — the same exchange format `adbt_run --trace` emits). Combine
-//! with `--scheme`/`--litmus` to pick which counterexample to export.
+//! log as Chrome trace-event JSON (Perfetto-loadable, atom clock — the
+//! same exchange format `adbt_run --trace` emits). Combine with
+//! `--scheme`/`--litmus` to pick which counterexample to export; each
+//! may be given once. FILE is created before the search, so a path
+//! that cannot be written exits 2 before any pair is checked; when no
+//! pair violates, nothing is exported, stderr says so, and no FILE is
+//! left behind.
 
 use adbt::workloads::interleave::Litmus;
 use adbt::SchemeKind;
@@ -35,17 +39,26 @@ fn usage() -> ! {
 }
 
 struct Args {
-    schemes: Vec<SchemeKind>,
-    litmuses: Vec<Litmus>,
+    scheme: Option<SchemeKind>,
+    litmus: Option<Litmus>,
     opts: CheckOpts,
     ci: bool,
     export_trace: Option<String>,
 }
 
+/// Sets a filter given at most once: a repeated one is a usage error,
+/// where the last would silently win.
+fn once<T>(slot: &mut Option<T>, flag: &str, value: T) {
+    if slot.replace(value).is_some() {
+        eprintln!("{flag} given twice");
+        usage()
+    }
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
-        schemes: SchemeKind::ALL.to_vec(),
-        litmuses: Litmus::ALL.to_vec(),
+        scheme: None,
+        litmus: None,
         opts: CheckOpts::default(),
         ci: false,
         export_trace: None,
@@ -65,7 +78,7 @@ fn parse_args() -> Args {
                     eprintln!("unknown scheme '{name}'");
                     usage()
                 });
-                args.schemes = vec![scheme];
+                once(&mut args.scheme, "--scheme", scheme);
             }
             "--litmus" => {
                 let name = value("--litmus");
@@ -73,7 +86,7 @@ fn parse_args() -> Args {
                     eprintln!("unknown litmus '{name}'");
                     usage()
                 });
-                args.litmuses = vec![litmus];
+                once(&mut args.litmus, "--litmus", litmus);
             }
             "--budget" => args.opts.budget = parse_count(&value("--budget"), "--budget"),
             "--preemptions" => {
@@ -136,10 +149,20 @@ fn print_report(report: &PairReport) {
 
 fn main() {
     let args = parse_args();
+    let schemes = args.scheme.map_or(SchemeKind::ALL.to_vec(), |s| vec![s]);
+    let litmuses = args.litmus.map_or(Litmus::ALL.to_vec(), |l| vec![l]);
+    // Create the export file now, so a path that cannot be written fails
+    // before the search rather than at the first violation.
+    if let Some(path) = &args.export_trace {
+        if let Err(e) = std::fs::File::create(path) {
+            eprintln!("cannot create {path}: {e}");
+            std::process::exit(2);
+        }
+    }
     let mut reports = Vec::new();
     let mut export_to = args.export_trace.clone();
-    for &scheme in &args.schemes {
-        for &litmus in &args.litmuses {
+    for &scheme in &schemes {
+        for &litmus in &litmuses {
             let report = check_pair(scheme, litmus, &args.opts);
             print_report(&report);
             if let (Some(path), Some(v)) = (export_to.as_deref(), &report.violation) {
@@ -183,6 +206,13 @@ fn main() {
                 "clean"
             },
         );
+    }
+    if let Some(path) = export_to {
+        eprintln!("no pair violated: nothing exported, {path} removed");
+        if let Err(e) = std::fs::remove_file(&path) {
+            eprintln!("cannot remove {path}: {e}");
+            std::process::exit(2);
+        }
     }
     if args.ci && !mismatches.is_empty() {
         std::process::exit(1);

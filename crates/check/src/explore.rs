@@ -38,7 +38,7 @@
 //! replay exactly.
 
 use crate::oracle;
-use adbt::engine::{format_choices, SchedEvent, Scheduler};
+use adbt::engine::{format_choices, Scheduler, TraceEvent};
 use adbt::workloads::interleave::Litmus;
 use adbt::workloads::IMAGE_BASE;
 use adbt::{assemble, Error, Image, Machine, MachineBuilder, SchemeKind, Vcpu, VcpuOutcome};
@@ -79,10 +79,10 @@ pub struct Violation {
     pub preemptions: usize,
     /// The oracle's description of the illegal SC.
     pub detail: String,
-    /// The minimized run's full `(atom, event)` stream — the evidence
-    /// the oracle judged, exportable as a Perfetto timeline
-    /// ([`crate::export::violation_trace_json`]).
-    pub events: Vec<(u64, SchedEvent)>,
+    /// The minimized run's log, each event stamped with its atom
+    /// number — the evidence the oracle judged, exportable as a
+    /// Perfetto timeline ([`crate::export::violation_trace_json`]).
+    pub events: Vec<TraceEvent>,
 }
 
 /// The checker's verdict for one (scheme, litmus) pair.
@@ -117,7 +117,7 @@ struct SwitchScheduler {
     switches: Vec<(u64, u32)>,
     choices: Vec<u32>,
     masks: Vec<u64>,
-    events: Vec<(u64, SchedEvent)>,
+    events: Vec<TraceEvent>,
 }
 
 impl SwitchScheduler {
@@ -159,8 +159,8 @@ impl Scheduler for SwitchScheduler {
         idx
     }
 
-    fn observe(&mut self, atom: u64, event: SchedEvent) {
-        self.events.push((atom, event));
+    fn observe(&mut self, event: TraceEvent) {
+        self.events.push(event);
     }
 }
 
@@ -168,7 +168,7 @@ impl Scheduler for SwitchScheduler {
 struct Record {
     choices: Vec<u32>,
     masks: Vec<u64>,
-    events: Vec<(u64, SchedEvent)>,
+    events: Vec<TraceEvent>,
     violation: Option<String>,
 }
 

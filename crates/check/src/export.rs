@@ -1,100 +1,52 @@
 //! Exporting a checker counterexample as Chrome trace-event JSON.
 //!
-//! The oracle judges runs from the scheduler's
-//! [`SchedEvent`](adbt::engine::SchedEvent) stream; this module renders
-//! that same stream in the flight recorder's exchange format, so a
-//! minimized violation loads into Perfetto (or `chrome://tracing`) next
-//! to any `adbt_run --trace` capture. Timestamps are atom numbers —
-//! the checker's instruction-granular clock, the same positions a
-//! `--replay` of the violation trace steps through.
+//! The oracle judges runs from the scheduler's log, which holds the
+//! flight recorder's own [`TraceEvent`]s; this module renders that log
+//! in the recorder's exchange format, so a minimized violation loads
+//! into Perfetto (or `chrome://tracing`) next to any `adbt_run --trace`
+//! capture. Timestamps are atom numbers — the checker's
+//! instruction-granular clock, the same positions a `--replay` of the
+//! violation trace steps through.
 
 use crate::Violation;
-use adbt::engine::SchedEvent;
 use adbt::trace::chrome::{self, Clock};
-use adbt::{TraceEvent, TraceKind};
+use adbt::TraceEvent;
+use std::collections::BTreeMap;
 
-/// Maps one scheduler event to its flight-recorder equivalent.
-fn map(atom: u64, event: &SchedEvent) -> TraceEvent {
-    let (tid, kind, addr, value) = match *event {
-        SchedEvent::Ll { tid, addr } => (tid, TraceKind::LlIssue, addr, 0),
-        SchedEvent::Sc {
-            tid,
-            addr,
-            ok,
-            value,
-        } => {
-            let kind = if ok {
-                TraceKind::ScOk
-            } else {
-                TraceKind::ScFail
-            };
-            (tid, kind, addr, value)
-        }
-        SchedEvent::GuestStore { tid, addr, width } => {
-            (tid, TraceKind::GuestStore, addr, width.bytes())
-        }
-        SchedEvent::Clrex { tid } => (tid, TraceKind::Clrex, 0, 0),
-        SchedEvent::Safepoint { tid } => (tid, TraceKind::SafepointPark, 0, 0),
-        SchedEvent::ExclusiveEnter { tid } => (tid, TraceKind::ExclusiveEnter, 0, 0),
-        SchedEvent::ExclusiveExit { tid } => (tid, TraceKind::ExclusiveExit, 0, 0),
-        SchedEvent::Chaos { tid, site } => (tid, TraceKind::Chaos, 0, site as u32),
-        SchedEvent::Invalidate { tid, addr } => (tid, TraceKind::Invalidate, addr, 0),
-    };
-    TraceEvent {
-        ts: atom,
-        tid,
-        kind,
-        addr,
-        value,
-    }
-}
-
-/// Renders a violation's event stream as a Chrome trace-event document,
-/// one track per vCPU, on the atom clock.
+/// Renders a violation's log as a Chrome trace-event document, one
+/// track per vCPU, on the atom clock.
 pub fn violation_trace_json(violation: &Violation) -> String {
-    let mut per_vcpu: Vec<(u32, Vec<TraceEvent>)> = Vec::new();
-    for &(atom, ref event) in &violation.events {
-        let mapped = map(atom, event);
-        match per_vcpu.iter_mut().find(|(tid, _)| *tid == mapped.tid) {
-            Some((_, events)) => events.push(mapped),
-            None => per_vcpu.push((mapped.tid, vec![mapped])),
-        }
+    let mut per_vcpu: BTreeMap<u32, Vec<TraceEvent>> = BTreeMap::new();
+    for &event in &violation.events {
+        per_vcpu.entry(event.tid).or_default().push(event);
     }
-    per_vcpu.sort_by_key(|&(tid, _)| tid);
-    chrome::render(&per_vcpu, Clock::Insns)
+    chrome::render(&Vec::from_iter(per_vcpu), Clock::Insns)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use adbt::trace::validate::validate_chrome_trace;
+    use adbt::TraceKind;
 
     fn sample_violation() -> Violation {
+        let event = |ts, tid, kind, addr, value| TraceEvent {
+            ts,
+            tid,
+            kind,
+            addr,
+            value,
+        };
         Violation {
             trace: "0x2,1x3,0".to_string(),
             preemptions: 1,
             detail: "test".to_string(),
             events: vec![
-                (0, SchedEvent::Ll { tid: 1, addr: 0x40 }),
-                (1, SchedEvent::ExclusiveEnter { tid: 2 }),
-                (
-                    2,
-                    SchedEvent::GuestStore {
-                        tid: 2,
-                        addr: 0x40,
-                        width: adbt::mmu::Width::Word,
-                    },
-                ),
-                (3, SchedEvent::ExclusiveExit { tid: 2 }),
-                (
-                    4,
-                    SchedEvent::Sc {
-                        tid: 1,
-                        addr: 0x40,
-                        ok: true,
-                        value: 7,
-                    },
-                ),
+                event(0, 1, TraceKind::LlIssue, 0x40, 0),
+                event(1, 2, TraceKind::ExclusiveEnter, 0, 0),
+                event(2, 2, TraceKind::GuestStore, 0x40, 4),
+                event(3, 2, TraceKind::ExclusiveExit, 0, 0),
+                event(4, 1, TraceKind::ScOk, 0x40, 7),
             ],
         }
     }
@@ -103,7 +55,7 @@ mod tests {
     fn export_validates_and_groups_by_tid() {
         let json = violation_trace_json(&sample_violation());
         let check = validate_chrome_trace(&json).expect("export is valid");
-        // 5 mapped events + process/thread-name metadata; the
+        // 5 events + process/thread-name metadata; the
         // Enter/Exit pair folds into one span.
         assert_eq!(check.instants, 3);
         assert_eq!(check.spans, 1);

@@ -9,7 +9,10 @@
 //!    capped by a run budget — see [`explore`]),
 //! 2. judges every run with the **shadow-monitor oracle** ([`oracle`]),
 //!    an independent model of architectural LL/SC legality fed by the
-//!    [`SchedEvent`](adbt::engine::SchedEvent) stream, and
+//!    scheduler's log — the flight recorder's
+//!    [`TraceEvent`](adbt::TraceEvent)s, stamped with atom numbers, one
+//!    stream for the oracle and the exported timeline ([`export`]) —
+//!    and
 //! 3. shrinks a failing schedule to a minimal switch set and renders it
 //!    as a replayable trace (`adbt_run --replay <trace>`).
 //!

@@ -1,11 +1,14 @@
 //! The shadow-monitor oracle: architectural LL/SC legality, judged from
-//! the scheduler's event stream.
+//! the scheduler's log.
 //!
 //! The oracle keeps one *shadow monitor* per vCPU — an independent,
 //! trivially-correct model of what an exclusive monitor is allowed to
-//! observe — and replays the run's [`SchedEvent`] stream against it. A
-//! scheme is wrong when a store-conditional it reported as *successful*
-//! is one the architecture would have to fail.
+//! observe — and replays the run's log of [`TraceEvent`]s (the flight
+//! recorder's events, stamped with atom numbers) against it. A scheme
+//! is wrong when a store-conditional it reported as *successful* is one
+//! the architecture would have to fail. It reads five kinds: `ll`,
+//! `sc_ok`, the two SC failures, `clrex` and `store`; every other event
+//! in the log is context for a human reader.
 //!
 //! Rules, per §2 of the ARM-style LL/SC contract the guest ISA models:
 //!
@@ -21,17 +24,16 @@
 //!   are judged against the weak rules and plain-store interference is
 //!   legal for them.
 //! * An SC may *fail* spuriously at any time (the architecture permits
-//!   it), so `ok = false` is never a violation. Only `ok = true` while
-//!   the shadow monitor is unarmed, armed on a different word, or broken
-//!   is flagged.
+//!   it), so a failed SC is never a violation. Only an `sc_ok` while the
+//!   shadow monitor is unarmed, armed on a different word, or broken is
+//!   flagged.
 //!
 //! [`Atomicity::Incorrect`] (PICO-CAS) is judged against the **weak**
 //! rules: the scheme claims at least LL/SC-vs-LL/SC correctness, and
 //! that is already the claim ABA refutes. Judging it as strong would
 //! only add plain-store counterexamples to a scheme we already flag.
 
-use adbt::engine::SchedEvent;
-use adbt::Atomicity;
+use adbt::{Atomicity, TraceEvent, TraceKind};
 use std::collections::HashMap;
 
 /// One vCPU's shadow monitor: armed on a word, possibly broken by a
@@ -49,15 +51,17 @@ fn overlaps(mon: u32, addr: u32, bytes: u32) -> bool {
     lo < mon_hi && mon_lo < hi
 }
 
-/// Replays `events` against the shadow monitors, judging with the rules
-/// for `atomicity`. Returns the first violation as a human-readable
-/// description, or `None` for a clean run.
-pub fn judge(atomicity: Atomicity, events: &[(u64, SchedEvent)]) -> Option<String> {
+/// Replays `events` (stamped with atom numbers) against the shadow
+/// monitors, judging with the rules for `atomicity`. Returns the first
+/// violation as a human-readable description, or `None` for a clean
+/// run.
+pub fn judge(atomicity: Atomicity, events: &[TraceEvent]) -> Option<String> {
     let strong = matches!(atomicity, Atomicity::Strong);
     let mut shadows: HashMap<u32, Shadow> = HashMap::new();
-    for &(atom, event) in events {
-        match event {
-            SchedEvent::Ll { tid, addr } => {
+    for e in events {
+        let (atom, tid, kind, addr, value) = (e.ts, e.tid, e.kind, e.addr, e.value);
+        match kind {
+            TraceKind::LlIssue => {
                 shadows.insert(
                     tid,
                     Shadow {
@@ -66,14 +70,15 @@ pub fn judge(atomicity: Atomicity, events: &[(u64, SchedEvent)]) -> Option<Strin
                     },
                 );
             }
-            SchedEvent::Clrex { tid } => {
+            TraceKind::Clrex => {
                 shadows.remove(&tid);
             }
-            SchedEvent::GuestStore { tid, addr, width } if strong => {
+            // A store's payload is its width in bytes.
+            TraceKind::GuestStore if strong => {
                 for (&owner, shadow) in shadows.iter_mut() {
                     if owner != tid
                         && shadow.broken_by.is_none()
-                        && overlaps(shadow.addr, addr, width.bytes())
+                        && overlaps(shadow.addr, addr, value)
                     {
                         shadow.broken_by = Some(format!(
                             "plain store by tid {tid} to {addr:#x} at atom {atom}"
@@ -81,13 +86,8 @@ pub fn judge(atomicity: Atomicity, events: &[(u64, SchedEvent)]) -> Option<Strin
                     }
                 }
             }
-            SchedEvent::Sc {
-                tid,
-                addr,
-                ok,
-                value,
-            } => {
-                if ok {
+            TraceKind::ScOk | TraceKind::ScFail | TraceKind::ScFailInjected => {
+                if kind == TraceKind::ScOk {
                     let verdict = match shadows.get(&tid) {
                         None => Some("its monitor was never armed".to_string()),
                         Some(s) if s.addr != addr => Some(format!(
@@ -131,31 +131,36 @@ pub fn judge(atomicity: Atomicity, events: &[(u64, SchedEvent)]) -> Option<Strin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adbt::mmu::Width;
 
-    fn ll(tid: u32, addr: u32) -> SchedEvent {
-        SchedEvent::Ll { tid, addr }
-    }
-    fn sc(tid: u32, addr: u32, ok: bool) -> SchedEvent {
-        SchedEvent::Sc {
+    fn event(tid: u32, kind: TraceKind, addr: u32, value: u32) -> TraceEvent {
+        TraceEvent {
+            ts: 0,
             tid,
+            kind,
             addr,
-            ok,
-            value: 7,
+            value,
         }
     }
-    fn st(tid: u32, addr: u32) -> SchedEvent {
-        SchedEvent::GuestStore {
-            tid,
-            addr,
-            width: Width::Word,
-        }
+    fn ll(tid: u32, addr: u32) -> TraceEvent {
+        event(tid, TraceKind::LlIssue, addr, 0)
     }
-    fn seq(events: &[SchedEvent]) -> Vec<(u64, SchedEvent)> {
+    fn sc(tid: u32, addr: u32, ok: bool) -> TraceEvent {
+        let kind = if ok {
+            TraceKind::ScOk
+        } else {
+            TraceKind::ScFail
+        };
+        event(tid, kind, addr, 7)
+    }
+    fn st(tid: u32, addr: u32) -> TraceEvent {
+        event(tid, TraceKind::GuestStore, addr, 4)
+    }
+    /// Stamps each event with its position as the atom number.
+    fn seq(events: &[TraceEvent]) -> Vec<TraceEvent> {
         events
             .iter()
             .enumerate()
-            .map(|(i, &e)| (i as u64, e))
+            .map(|(i, &e)| TraceEvent { ts: i as u64, ..e })
             .collect()
     }
 
@@ -221,7 +226,7 @@ mod tests {
     fn clrex_disarms() {
         let ev = seq(&[
             ll(1, 0x100),
-            SchedEvent::Clrex { tid: 1 },
+            event(1, TraceKind::Clrex, 0, 0),
             sc(1, 0x100, true),
         ]);
         assert!(judge(Atomicity::Strong, &ev).is_some());

@@ -1,12 +1,14 @@
 //! Argument validation of the `adbt_check` command line.
 
-use std::process::Command;
+use std::process::{Command, Output};
+
+fn run(args: &[&str]) -> Output {
+    let bin = env!("CARGO_BIN_EXE_adbt_check");
+    Command::new(bin).args(args).output().unwrap()
+}
 
 fn assert_rejected(args: &[&str]) {
-    let output = Command::new(env!("CARGO_BIN_EXE_adbt_check"))
-        .args(args)
-        .output()
-        .unwrap();
+    let output = run(args);
     assert_eq!(output.status.code(), Some(2), "{args:?}: {output:?}");
     assert!(
         output.stdout.is_empty(),
@@ -26,4 +28,46 @@ fn explorations_that_check_nothing_are_rejected() {
     assert_rejected(&[
         "--scheme", "pico-cas", "--litmus", "aba_llsc", "--budget", "0",
     ]);
+}
+
+/// `--scheme` and `--litmus` filter to one value each. Given twice, the
+/// last one used to win silently: `--scheme hst --scheme pico-cas`
+/// checked only PICO-CAS.
+#[test]
+fn repeated_filters_are_rejected() {
+    assert_rejected(&["--scheme", "hst", "--scheme", "pico-cas"]);
+    assert_rejected(&["--litmus", "aba_llsc", "--litmus", "store_window"]);
+}
+
+/// The export file is created before the search: a path that cannot be
+/// written exits 2 with nothing checked, where it used to surface only
+/// at the first violation, after the pairs before it had run.
+#[test]
+fn an_uncreatable_export_file_is_rejected_before_checking() {
+    let path = "/nonexistent/dir/x.json";
+    let output = run(&["--ci", "--export-trace", path]);
+    assert_eq!(output.status.code(), Some(2), "{output:?}");
+    assert!(output.stdout.is_empty(), "checked before rejecting");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    let want = format!("cannot create {path}");
+    assert!(stderr.contains(&want), "{stderr}");
+}
+
+/// With no violation there is nothing to export: stderr says so and no
+/// file is left behind, created or not.
+#[test]
+fn a_clean_check_exports_nothing_and_says_so() {
+    let path = concat!(env!("CARGO_TARGET_TMPDIR"), "/adbt_check_clean.json");
+    let output = run(&[
+        "--scheme",
+        "hst",
+        "--litmus",
+        "aba_llsc",
+        "--export-trace",
+        path,
+    ]);
+    assert_eq!(output.status.code(), Some(0), "{output:?}");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("nothing exported"), "{stderr}");
+    assert!(!std::path::Path::new(path).exists(), "{path} left behind");
 }

@@ -43,7 +43,9 @@
 //! `--trace FILE` arms the flight recorder and writes the run's events
 //! as Chrome trace-event JSON (load it in Perfetto or `chrome://tracing`;
 //! timestamps are wall nanoseconds for threaded runs and retired
-//! instructions for `--sim`/`--replay`). `--histograms` prints the
+//! instructions for `--sim`/`--replay`; a `--replay` trace also carries
+//! each plain guest store, which the checker's oracle judges from the
+//! same events). `--histograms` prints the
 //! log2-bucketed latency histograms (SC-retry latency, exclusive-entry
 //! wait, HTM abort streaks) alongside `--stats`.
 //!

@@ -10,6 +10,7 @@ use crate::runtime::{ExecCtx, Trap};
 use crate::state::Flags;
 use adbt_ir::{slot_index, Block, BlockExit, Entry, Src, Val, REG_SLOTS};
 use adbt_isa::AluOp;
+use adbt_trace::TraceKind;
 
 #[inline(always)]
 fn val(slots: &[u32], v: Val) -> u32 {
@@ -318,7 +319,7 @@ pub fn run_block_from(
                 let value = ctx.load(vaddr, adbt_mmu::Width::Word)?;
                 ctx.cpu.monitor.addr = Some(vaddr);
                 ctx.cpu.monitor.value = value;
-                ctx.note_ll(vaddr);
+                ctx.trace(TraceKind::LlIssue, vaddr, 0);
                 ctx.cpu.slots[dst as usize] = value;
             }
             Entry::MonitorScCas { dst, addr, new } => {
@@ -370,7 +371,7 @@ pub fn run_block_from(
                 let old = ctx.atomic_rmw(vaddr, kind, operand)?;
                 // A fused RMW is an LL immediately followed by an SC
                 // that cannot fail — report it as that pair.
-                ctx.note_ll(vaddr);
+                ctx.trace(TraceKind::LlIssue, vaddr, 0);
                 ctx.note_sc(vaddr, true, old);
                 ctx.cpu.slots[dst as usize] = old;
             }

@@ -93,8 +93,7 @@ pub use exclusive::{ExclusiveBarrier, ExclusiveTelemetry, Halted};
 pub use machine::{MachineConfig, MachineCore, RunReport, VcpuOutcome, MAX_THREADED_VCPUS};
 pub use runtime::{ExecCtx, FaultAccess, FaultOutcome, HelperFn, HelperRegistry, Trap};
 pub use sched::{
-    format_choices, Granularity, RoundRobin, SchedEvent, Scheduler, ScriptedScheduler,
-    VirtualTimeScheduler,
+    format_choices, Granularity, RoundRobin, Scheduler, ScriptedScheduler, VirtualTimeScheduler,
 };
 pub use scheme::{AtomicScheme, Atomicity};
 pub use state::{Flags, Monitor, Vcpu, VcpuSnapshot};

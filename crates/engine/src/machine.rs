@@ -9,7 +9,7 @@ use crate::exclusive::ExclusiveBarrier;
 use crate::frontend;
 use crate::interp;
 use crate::runtime::{ExecCtx, HelperFn, HelperRegistry, Trap};
-use crate::sched::{Granularity, SchedEvent, Scheduler, VirtualTimeScheduler};
+use crate::sched::{Granularity, Scheduler, VirtualTimeScheduler};
 use crate::scheme::AtomicScheme;
 use crate::state::Vcpu;
 use crate::stats::{Breakdown, SimBreakdown, SimCosts, Stat, Unit, VcpuStats};
@@ -625,7 +625,6 @@ impl MachineCore {
                     parked.min(u32::MAX as u64) as u32,
                 );
             }
-            ctx.note_event(SchedEvent::Safepoint { tid: ctx.cpu.tid });
             // The entire robustness plane (chaos, watchdog, degradation)
             // costs exactly this one predicted-false branch when disabled.
             if ctx.robust {
@@ -771,9 +770,10 @@ impl MachineCore {
             Trap::HtmAbort(reason) => reason,
             other => return Some(trap_outcome(other)),
         };
-        ctx.note_htm_abort(ctx.cpu.pc, reason);
+        // The aborted region's held log entries go with its stores.
         ctx.txn = None;
-        ctx.discard_txn_events();
+        ctx.txn_events.clear();
+        ctx.note_htm_abort(ctx.cpu.pc, reason);
         // An abort with no restart point is a scheme bug; surface it as
         // a crash rather than spinning.
         let Some((restart_pc, snapshot)) = ctx.txn_restart.take() else {
@@ -941,20 +941,7 @@ impl MachineCore {
         if ctx.start_exclusive().is_err() {
             return Some(VcpuOutcome::Livelocked { pc });
         }
-        let epoch = self.qsbr.begin_grace();
-        let summary = self.cache.retire_batch(&[victim], epoch);
-        self.untrack(&summary);
-        if !summary.pcs.is_empty() {
-            ctx.stats.invalidations += 1;
-            ctx.count_retired(&summary.pcs);
-            ctx.trace(TraceKind::Invalidate, pc, victim);
-            if ctx.pause_points {
-                ctx.note_event(SchedEvent::Invalidate {
-                    tid: ctx.cpu.tid,
-                    addr: pc,
-                });
-            }
-        }
+        ctx.invalidate(pc, &[victim]);
         ctx.end_exclusive();
         None
     }
@@ -1102,9 +1089,9 @@ impl MachineCore {
     /// exploration are all schedulers on this driver. An atom is one
     /// translated block — or, at pause-point granularity, the partial
     /// block up to / resuming from an `Op::Yield` / `Op::Window` pause
-    /// point, with every atomicity-relevant action streamed to the
-    /// scheduler as a [`SchedEvent`]. Combine with `max_block_insns: 1`
-    /// for instruction granularity.
+    /// point, with every event [`ExecCtx::trace`] raises logged to the
+    /// scheduler, stamped with its atom number. Combine with
+    /// `max_block_insns: 1` for instruction granularity.
     ///
     /// Runs until every vCPU finishes or `max_atoms` atoms have been
     /// dispatched; vCPUs still live at the cap report as livelocked.
@@ -1161,8 +1148,9 @@ impl MachineCore {
                     // Drained after the outcome so teardown events
                     // (exclusive exits from `release_region`) reach the
                     // scheduler too.
-                    for event in ctx.drain_events() {
-                        sched.observe(atom, event);
+                    for mut event in ctx.events.drain(..) {
+                        event.ts = atom;
+                        sched.observe(event);
                     }
                 }
                 atom += 1;

@@ -2,7 +2,6 @@
 //! registry, and the per-thread execution context.
 
 use crate::machine::{MachineCore, FAULT_RETRY_LIMIT};
-use crate::sched::SchedEvent;
 use crate::state::{Vcpu, VcpuSnapshot};
 use crate::stats::{Stat, Unit, VcpuStats};
 use crate::watchdog::VcpuBeat;
@@ -11,7 +10,7 @@ use adbt_htm::{AbortReason, Txn};
 use adbt_ir::HelperId;
 use adbt_mmu::{page_of, Access, FaultKind, PageFault, Width};
 use adbt_profile::PcProfile;
-use adbt_trace::{TraceHandle, TraceKind};
+use adbt_trace::{TraceEvent, TraceHandle, TraceKind};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -227,9 +226,9 @@ pub struct ExecCtx<'m> {
     pub(crate) sc_window_mark: u64,
     /// Deterministic runs at pause-point granularity: block execution
     /// pauses at `Op::Yield`/`Op::Window` so the scheduler can
-    /// interleave inside marked windows, and atomicity events stream to
-    /// the scheduler. Off on every hot path (a single cold branch per
-    /// note site).
+    /// interleave inside marked windows, and every event
+    /// [`ExecCtx::trace`] raises is also logged for the scheduler. Off
+    /// on every hot path (a single cold branch per trace site).
     pub(crate) pause_points: bool,
     /// Whether other host threads may run this machine's vCPUs at the
     /// same time (QEMU's `CF_PARALLEL`). [`ExecCtx::new`] sets it; only
@@ -244,12 +243,14 @@ pub struct ExecCtx<'m> {
     /// handshake with the parked vCPU orders the stores before it. It
     /// is not a memory-model option.
     pub(crate) parallel: bool,
-    /// Events produced since the scheduler last drained them.
-    pub(crate) events: Vec<SchedEvent>,
-    /// Events produced inside an open HTM region transaction: delivered
-    /// on commit (the region is atomic at its commit point), discarded
-    /// on abort (speculative stores never became visible).
-    pub(crate) txn_events: Vec<SchedEvent>,
+    /// The scheduler's log: events raised since the driver last drained
+    /// it, which stamps each with its atom number.
+    pub(crate) events: Vec<TraceEvent>,
+    /// Log entries raised inside an open HTM region transaction: held
+    /// until the region commits (the region is atomic at its commit
+    /// point) and dropped if it aborts (its speculative stores never
+    /// became visible).
+    pub(crate) txn_events: Vec<TraceEvent>,
     /// This thread's QSBR slot for translation-cache reclamation, set by
     /// the drivers (the deterministic one shares a slot among all its
     /// ctxs). `usize::MAX` means "no slot": the ctx never announces
@@ -299,21 +300,6 @@ impl<'m> ExecCtx<'m> {
         }
     }
 
-    /// Records an atomicity event for the scheduler (pause-point
-    /// granularity only; a no-op branch everywhere else). Events raised
-    /// inside an open region transaction are buffered until it commits.
-    #[inline]
-    pub fn note_event(&mut self, event: SchedEvent) {
-        if !self.pause_points {
-            return;
-        }
-        if self.txn.is_some() {
-            self.txn_events.push(event);
-        } else {
-            self.events.push(event);
-        }
-    }
-
     /// Adds `n` to `stat`'s row and, when the row is a profile column
     /// and the profiler is armed, charges `n` to the current attribution
     /// scope: one call per counted event keeps the profile's columns the
@@ -356,27 +342,38 @@ impl<'m> ExecCtx<'m> {
         }
     }
 
+    /// Notes an HTM transaction beginning at `addr` after `retries`
+    /// aborts: counts it and records `htm_begin`. Public, like the two
+    /// notes below, so schemes with internal HTM retry loops (HST-HTM)
+    /// note their transactions the way the region path does.
+    pub fn note_htm_begin(&mut self, addr: u32, retries: u64) {
+        self.stats.htm_txns += 1;
+        self.trace(TraceKind::HtmBegin, addr, saturate(retries));
+    }
+
+    /// Notes an HTM commit at `addr` that ended an abort streak of
+    /// `streak`: delivers the log entries a region transaction held,
+    /// then records `htm_commit` and the streak's histogram sample.
+    pub fn note_htm_commit(&mut self, addr: u32, streak: u64) {
+        self.events.append(&mut self.txn_events);
+        self.trace(TraceKind::HtmCommit, addr, saturate(streak));
+        self.trace_htm_streak(streak);
+    }
+
     /// Notes an HTM abort of the transaction at `addr`: counts it and
     /// records the `htm_abort` trace event, whose payload is the
-    /// reason's code. Public so schemes with internal HTM retry loops
-    /// (HST-HTM) note their aborts the way the run loop does.
+    /// reason's code.
     pub fn note_htm_abort(&mut self, addr: u32, reason: AbortReason) {
         self.count(Stat::htm_aborts, 1);
         self.trace(TraceKind::HtmAbort, addr, reason.code());
     }
 
-    /// Notes that this vCPU's LL armed its monitor on `addr`. Scheme
-    /// helpers that arm the monitor themselves (rather than through
-    /// `Op::MonitorArm`) must call this.
-    #[inline]
-    pub fn note_ll(&mut self, addr: u32) {
-        self.trace(TraceKind::LlIssue, addr, 0);
-        if self.pause_points {
-            self.note_event(SchedEvent::Ll {
-                tid: self.cpu.tid,
-                addr,
-            });
-        }
+    /// Notes a step down the degradation ladder at `addr`, after a
+    /// streak of `streak` failed attempts: counts it and records
+    /// `degrade`.
+    pub fn note_degrade(&mut self, addr: u32, streak: u64) {
+        self.stats.degradations += 1;
+        self.trace(TraceKind::Degrade, addr, saturate(streak));
     }
 
     /// Notes an SC outcome on `addr`, counting a failure. Scheme helpers
@@ -388,16 +385,8 @@ impl<'m> ExecCtx<'m> {
         if !ok {
             self.count(Stat::sc_failures, 1);
         }
-        if self.trace.is_some() {
+        if self.trace.is_some() || self.pause_points {
             self.trace_sc(addr, ok, value);
-        }
-        if self.pause_points {
-            self.note_event(SchedEvent::Sc {
-                tid: self.cpu.tid,
-                addr,
-                ok,
-                value,
-            });
         }
     }
 
@@ -406,9 +395,6 @@ impl<'m> ExecCtx<'m> {
     pub fn note_clrex(&mut self) {
         self.trace(TraceKind::Clrex, 0, 0);
         self.count(Stat::monitor_clears, 1);
-        if self.pause_points {
-            self.note_event(SchedEvent::Clrex { tid: self.cpu.tid });
-        }
     }
 
     /// Current flight-recorder timestamp: nanoseconds since the
@@ -424,80 +410,100 @@ impl<'m> ExecCtx<'m> {
         }
     }
 
-    /// Appends one event to this vCPU's flight-recorder ring. The
-    /// disabled path is a single predicted branch; the enabled path is
-    /// a clock read plus four relaxed stores.
+    /// Raises one event, the engine's one event call: appends it to
+    /// this vCPU's flight-recorder ring when tracing is on and, at
+    /// pause-point granularity, to the scheduler's log. Each disabled
+    /// sink is a single predicted branch; the ring costs a clock read
+    /// plus four relaxed stores.
     #[inline]
-    pub fn trace(&self, kind: TraceKind, addr: u32, value: u32) {
-        if let Some(handle) = &self.trace {
-            handle.ring.record(self.trace_ts(handle), kind, addr, value);
+    pub fn trace(&mut self, kind: TraceKind, addr: u32, value: u32) {
+        self.record(kind, addr, value);
+    }
+
+    /// [`trace`](Self::trace), returning the ring's timestamp when
+    /// tracing is on.
+    #[inline]
+    fn record(&mut self, kind: TraceKind, addr: u32, value: u32) -> Option<u64> {
+        let ts = self.trace.as_ref().map(|handle| {
+            let ts = self.trace_ts(handle);
+            handle.ring.record(ts, kind, addr, value);
+            ts
+        });
+        if self.pause_points {
+            self.log(kind, addr, value);
+        }
+        ts
+    }
+
+    /// Appends one event to the scheduler's log, or holds it while a
+    /// region transaction is open. The driver stamps it with its atom
+    /// number when it drains the log.
+    #[cold]
+    fn log(&mut self, kind: TraceKind, addr: u32, value: u32) {
+        let event = TraceEvent {
+            ts: 0,
+            tid: self.cpu.tid,
+            kind,
+            addr,
+            value,
+        };
+        if self.txn.is_some() {
+            self.txn_events.push(event);
+        } else {
+            self.events.push(event);
         }
     }
 
-    /// The SC-outcome trace site: labels the failure organic vs
-    /// injected, tracks the retry streak's start, and feeds the
-    /// SC-retry-latency histogram when a success ends the streak.
+    /// The SC-outcome event: labels the failure organic vs injected,
+    /// tracks the retry streak's start, and feeds the SC-retry-latency
+    /// histogram when a success ends the streak.
     #[cold]
     fn trace_sc(&mut self, addr: u32, ok: bool, value: u32) {
-        let handle = self.trace.clone().expect("caller checked self.trace");
-        let ts = self.trace_ts(&handle);
-        if ok {
-            self.sc_injected = false;
-            if let Some(since) = self.sc_fail_since.take() {
-                handle
-                    .recorder
-                    .hists
-                    .sc_retry
-                    .record(ts.saturating_sub(since));
-            }
-            handle.ring.record(ts, TraceKind::ScOk, addr, value);
-        } else {
-            if self.sc_fail_since.is_none() {
-                self.sc_fail_since = Some(ts);
-            }
-            let kind = if std::mem::take(&mut self.sc_injected) {
-                TraceKind::ScFailInjected
-            } else {
-                TraceKind::ScFail
-            };
-            handle.ring.record(ts, kind, addr, value);
+        let kind = match (ok, std::mem::take(&mut self.sc_injected)) {
+            (true, _) => TraceKind::ScOk,
+            (false, true) => TraceKind::ScFailInjected,
+            (false, false) => TraceKind::ScFail,
+        };
+        let (Some(ts), Some(handle)) = (self.record(kind, addr, value), &self.trace) else {
+            return;
+        };
+        if !ok {
+            self.sc_fail_since.get_or_insert(ts);
+        } else if let Some(since) = self.sc_fail_since.take() {
+            handle
+                .recorder
+                .hists
+                .sc_retry
+                .record(ts.saturating_sub(since));
         }
     }
 
     /// Records an entry into the stop-the-world section after `waited`
-    /// ns of waiting: the entry and the wait, the opening edge of the
-    /// span in the flight recorder plus the entry-wait histogram, and
-    /// the scheduler event. Like [`Self::trace_ts`], the trace suppresses
-    /// the measured wait in deterministic modes (always an uncontended
-    /// acquire there — the measured nanoseconds are scheduler noise that
-    /// would make traces of identical runs differ byte-for-byte).
+    /// ns of waiting: the entry and the wait, the entry-wait histogram,
+    /// and the opening edge of the span. Like [`Self::trace_ts`], the
+    /// event suppresses the measured wait in deterministic modes (always
+    /// an uncontended acquire there — the measured nanoseconds are
+    /// scheduler noise that would make traces of identical runs differ
+    /// byte-for-byte).
     fn entered_exclusive(&mut self, waited: u64) {
         self.count(Stat::exclusive_entries, 1);
         self.count(Stat::exclusive_ns, waited);
+        let waited = if self.machine.is_threaded() {
+            waited
+        } else {
+            0
+        };
         if let Some(handle) = &self.trace {
-            let waited = if self.machine.is_threaded() {
-                waited
-            } else {
-                0
-            };
             handle.recorder.hists.exclusive_wait.record(waited);
-            let saturated = waited.min(u32::MAX as u64) as u32;
-            handle.ring.record(
-                self.trace_ts(handle),
-                TraceKind::ExclusiveEnter,
-                0,
-                saturated,
-            );
         }
-        self.note_event(SchedEvent::ExclusiveEnter { tid: self.cpu.tid });
+        self.trace(TraceKind::ExclusiveEnter, 0, saturate(waited));
     }
 
-    /// Leaves the stop-the-world section and records the exit: the
-    /// span's closing edge and the scheduler event.
+    /// Leaves the stop-the-world section and records the span's closing
+    /// edge.
     fn leave_exclusive(&mut self) {
         self.machine.exclusive.end_exclusive();
         self.trace(TraceKind::ExclusiveExit, 0, 0);
-        self.note_event(SchedEvent::ExclusiveExit { tid: self.cpu.tid });
     }
 
     /// Records a completed HTM abort streak (ended by a commit or a
@@ -511,21 +517,6 @@ impl<'m> ExecCtx<'m> {
         }
     }
 
-    /// Hands the accumulated events to the caller (the deterministic
-    /// driver drains after every atom).
-    pub(crate) fn drain_events(&mut self) -> Vec<SchedEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Makes an aborted region transaction's buffered events disappear
-    /// along with its speculative stores.
-    #[inline]
-    pub(crate) fn discard_txn_events(&mut self) {
-        if !self.txn_events.is_empty() {
-            self.txn_events.clear();
-        }
-    }
-
     /// Rolls the chaos dice for `site`: returns `true` (and records the
     /// injection) when a fault should fire here. Always `false` without a
     /// chaos plane.
@@ -535,8 +526,8 @@ impl<'m> ExecCtx<'m> {
     }
 
     /// Draws from this vCPU's chaos stream with `draw` and, on a hit,
-    /// records the injection at `site`: the counter, the trace event, the
-    /// plane's per-site tally and the scheduler event.
+    /// records the injection at `site`: the counter, the event and the
+    /// plane's per-site tally.
     #[inline]
     fn roll(&mut self, site: ChaosSite, draw: fn(&mut ChaosStream) -> bool) -> bool {
         // Degraded rungs (exclusive HTM regions, held SC windows) are
@@ -555,12 +546,6 @@ impl<'m> ExecCtx<'m> {
         self.trace(TraceKind::Chaos, 0, site as u32);
         if let Some(plane) = &self.machine.chaos {
             plane.record(site);
-        }
-        if self.pause_points {
-            self.note_event(SchedEvent::Chaos {
-                tid: self.cpu.tid,
-                site,
-            });
         }
         true
     }
@@ -631,7 +616,7 @@ impl<'m> ExecCtx<'m> {
         self.txn_restart = None;
         self.txn_retries = 0;
         self.region_blocks = 0;
-        self.discard_txn_events();
+        self.txn_events.clear();
         if self.region_exclusive {
             self.region_exclusive = false;
             self.leave_exclusive();
@@ -656,12 +641,7 @@ impl<'m> ExecCtx<'m> {
         let Ok(waited) = self.machine.exclusive.start_exclusive_as(self.cpu.tid) else {
             return false;
         };
-        self.stats.degradations += 1;
-        self.trace(
-            TraceKind::Degrade,
-            self.cpu.pc,
-            self.sc_fail_streak.min(u32::MAX as u64) as u32,
-        );
+        self.note_degrade(self.cpu.pc, self.sc_fail_streak);
         self.entered_exclusive(waited);
         self.sc_window = true;
         self.sc_window_mark = self.stats.sc;
@@ -712,7 +692,6 @@ impl<'m> ExecCtx<'m> {
                             Ok(v) => Ok(v),
                             Err(reason) => {
                                 self.txn = None;
-                                self.discard_txn_events();
                                 Err(Trap::HtmAbort(reason))
                             }
                         },
@@ -831,7 +810,6 @@ impl<'m> ExecCtx<'m> {
                                 txn.store(self.machine.space.mem(), paddr, width, value)
                             {
                                 self.txn = None;
-                                self.discard_txn_events();
                                 return Err(Trap::HtmAbort(reason));
                             }
                         }
@@ -842,14 +820,7 @@ impl<'m> ExecCtx<'m> {
                             }
                         }
                     }
-                    if guest_store && self.pause_points {
-                        self.note_event(SchedEvent::GuestStore {
-                            tid: self.cpu.tid,
-                            addr: vaddr,
-                            width,
-                        });
-                    }
-                    return Ok(());
+                    break;
                 }
                 Err(fault) => {
                     match self.handle_fault(
@@ -857,23 +828,18 @@ impl<'m> ExecCtx<'m> {
                         FaultAccess::Store { value, width },
                         &mut retries,
                     )? {
-                        FaultOutcome::Done => {
-                            // The handler stored it; the store is visible
-                            // all the same.
-                            if guest_store && self.pause_points {
-                                self.note_event(SchedEvent::GuestStore {
-                                    tid: self.cpu.tid,
-                                    addr: vaddr,
-                                    width,
-                                });
-                            }
-                            return Ok(());
-                        }
+                        // The handler stored it; the store is visible all
+                        // the same.
+                        FaultOutcome::Done => break,
                         _ => continue,
                     }
                 }
             }
         }
+        if guest_store && self.pause_points {
+            self.trace(TraceKind::GuestStore, vaddr, width.bytes());
+        }
+        Ok(())
     }
 
     /// A fused host atomic read-modify-write on a guest word (the §VI
@@ -1026,14 +992,17 @@ impl<'m> ExecCtx<'m> {
     /// Routes one fault to the scheme handler. Non-fatal outcomes bump
     /// `retries` (so even a misbehaving handler cannot loop the engine
     /// forever) and are returned for the caller to act on.
+    // Out of line: inlined into `fetch_word`, which translation calls
+    // once per guest instruction, it cost e2ebench's `big-code` about 6%
+    // of its guest MIPS (interleaved 30 s runs on a 2-CPU x86-64 host).
+    #[inline(never)]
     fn handle_fault(
         &mut self,
         fault: PageFault,
         access: FaultAccess,
         retries: &mut u64,
     ) -> Result<FaultOutcome, Trap> {
-        self.stats.page_faults += 1;
-        self.trace(TraceKind::PageFault, fault.vaddr, 0);
+        self.note_fault(fault.vaddr);
         // A halted machine means the watchdog declared the run dead:
         // fault handlers that wait on exclusivity (PST's protect paths)
         // can no longer succeed, so convert what would be an unbounded
@@ -1071,6 +1040,12 @@ impl<'m> ExecCtx<'m> {
                 Ok(outcome)
             }
         }
+    }
+
+    /// Counts a page fault at `vaddr` and records `page_fault`.
+    fn note_fault(&mut self, vaddr: u32) {
+        self.stats.page_faults += 1;
+        self.trace(TraceKind::PageFault, vaddr, 0);
     }
 
     /// Counts one more retry of a faulting access; past
@@ -1121,7 +1096,6 @@ impl<'m> ExecCtx<'m> {
                 if let Some(txn) = &mut self.txn {
                     if let Err(reason) = txn.store(self.machine.space.mem(), paddr, width, value) {
                         self.txn = None;
-                        self.discard_txn_events();
                         return Err(Trap::HtmAbort(reason));
                     }
                 } else {
@@ -1152,8 +1126,7 @@ impl<'m> ExecCtx<'m> {
         match self.smc_settle(fault.vaddr, Width::Word)? {
             SmcClaim::NotOurs => Ok(None),
             claim => {
-                self.stats.page_faults += 1;
-                self.trace(TraceKind::PageFault, fault.vaddr, 0);
+                self.note_fault(fault.vaddr);
                 self.retry_fault(retries)?;
                 Ok(Some(claim))
             }
@@ -1195,20 +1168,7 @@ impl<'m> ExecCtx<'m> {
             // such stores keep paying the fault-and-bypass toll.
             self.count(Stat::smc_false_sharing, 1);
         } else {
-            // Each retired block is charged to its own guest PC: the
-            // patched code pays, not the patching store's block.
-            let epoch = self.machine.qsbr.begin_grace();
-            let summary = self.machine.cache.retire_batch(&victims, epoch);
-            self.machine.untrack(&summary);
-            self.stats.invalidations += 1;
-            self.count_retired(&summary.pcs);
-            self.trace(TraceKind::Invalidate, vaddr, victims[0]);
-            if self.pause_points {
-                self.note_event(SchedEvent::Invalidate {
-                    tid: self.cpu.tid,
-                    addr: vaddr,
-                });
-            }
+            self.invalidate(vaddr, &victims);
         }
         if !held_region {
             self.end_exclusive();
@@ -1228,6 +1188,23 @@ impl<'m> ExecCtx<'m> {
             return Ok(SmcClaim::Untracked);
         }
         Ok(SmcClaim::Bypass)
+    }
+
+    /// Retires the translations `victims` for a write at `addr` (a guest
+    /// store over translated code, or an injected storm at the current
+    /// pc), inside the caller's stop-the-world window: counts the
+    /// invalidation and each retired block, charged to its own guest PC
+    /// (the patched code pays, not the patching store's block), and
+    /// records `invalidate` with the first victim's id.
+    pub(crate) fn invalidate(&mut self, addr: u32, victims: &[u32]) {
+        let epoch = self.machine.qsbr.begin_grace();
+        let summary = self.machine.cache.retire_batch(victims, epoch);
+        self.machine.untrack(&summary);
+        if !summary.pcs.is_empty() {
+            self.stats.invalidations += 1;
+            self.count_retired(&summary.pcs);
+            self.trace(TraceKind::Invalidate, addr, victims[0]);
+        }
     }
 
     /// Rolls the separately-rated chaos dice for an injected translation
@@ -1305,13 +1282,8 @@ impl<'m> ExecCtx<'m> {
                     pc: self.cpu.pc,
                     what: "machine halted while awaiting exclusivity",
                 })?;
-            self.stats.degradations += 1;
             self.trace_htm_streak(self.txn_retries);
-            self.trace(
-                TraceKind::Degrade,
-                restart_pc,
-                self.txn_retries.min(u32::MAX as u64) as u32,
-            );
+            self.note_degrade(restart_pc, self.txn_retries);
             self.entered_exclusive(waited);
             self.region_exclusive = true;
             self.region_blocks = 0;
@@ -1319,12 +1291,7 @@ impl<'m> ExecCtx<'m> {
             self.txn_retries = 0;
             return Ok(());
         }
-        self.stats.htm_txns += 1;
-        self.trace(
-            TraceKind::HtmBegin,
-            restart_pc,
-            self.txn_retries.min(u32::MAX as u64) as u32,
-        );
+        self.note_htm_begin(restart_pc, self.txn_retries);
         self.txn_restart = Some((restart_pc, self.cpu.snapshot()));
         self.txn = Some(self.machine.htm.begin());
         Ok(())
@@ -1352,7 +1319,6 @@ impl<'m> ExecCtx<'m> {
                     // at any time for any reason (interrupt, cache
                     // eviction, ...). Buffered writes are discarded.
                     let _ = txn.abort();
-                    self.discard_txn_events();
                     let reason = if self.chaos_flip() {
                         AbortReason::Conflict
                     } else {
@@ -1371,26 +1337,14 @@ impl<'m> ExecCtx<'m> {
                             .notify_plain_store(adbt_htm::HtmDomain::engine_token(
                                 self.stats.htm_txns as usize,
                             ));
-                        self.trace(
-                            TraceKind::HtmCommit,
-                            self.cpu.pc,
-                            self.txn_retries.min(u32::MAX as u64) as u32,
-                        );
-                        self.trace_htm_streak(self.txn_retries);
+                        // The region became visible as one atomic unit at
+                        // this commit: its held log entries go first.
+                        self.note_htm_commit(self.cpu.pc, self.txn_retries);
                         self.txn_restart = None;
                         self.txn_retries = 0;
-                        // The region became visible as one atomic unit at
-                        // this commit: deliver its buffered events now.
-                        if !self.txn_events.is_empty() {
-                            let mut buffered = std::mem::take(&mut self.txn_events);
-                            self.events.append(&mut buffered);
-                        }
                         Ok(())
                     }
-                    Err(reason) => {
-                        self.discard_txn_events();
-                        Err(Trap::HtmAbort(reason))
-                    }
+                    Err(reason) => Err(Trap::HtmAbort(reason)),
                 }
             }
             None => Ok(()), // SC without LL: scheme already failed it.
@@ -1427,6 +1381,11 @@ impl<'m> ExecCtx<'m> {
             num => Err(Trap::BadSyscall { num }),
         }
     }
+}
+
+/// `n` clamped into an event's 32-bit payload.
+fn saturate(n: u64) -> u32 {
+    u32::try_from(n).unwrap_or(u32::MAX)
 }
 
 impl fmt::Debug for ExecCtx<'_> {

@@ -29,11 +29,15 @@
 //! inline within a block — HST's fused `HtableSet` + store, PICO-CAS's
 //! value-compare — is atomic in the real engine and stays atomic here.
 //!
-//! At pause-point granularity the scheduler *owns* every yield point in
-//! a second sense too: each atomicity-relevant action (LL, SC, guest
-//! store, safepoint, exclusive enter/exit, chaos injection) is streamed
-//! to it as a [`SchedEvent`], which is what the checker's oracle
-//! consumes.
+//! At pause-point granularity the scheduler also sees everything that
+//! happens: every event [`ExecCtx::trace`] raises (LL, SC, guest store,
+//! exclusive enter/exit, chaos injection, translation, …) reaches
+//! [`Scheduler::observe`] as the flight recorder's [`TraceEvent`],
+//! stamped with its atom number. This log is what the checker's oracle
+//! judges. It holds the same events as the vCPU's ring, except that
+//! entries raised inside an open HTM region transaction are held until
+//! the region commits and dropped if it aborts. Guest stores are logged
+//! (and traced) only at this granularity.
 //!
 //! # Schedule encoding
 //!
@@ -47,63 +51,25 @@
 //! explorer's switch-insertion search builds on.
 //!
 //! [`MachineCore::run_scheduled`]: crate::MachineCore::run_scheduled
+//! [`ExecCtx::trace`]: crate::ExecCtx::trace
 //! [`Op::Window`]: adbt_ir::Op::Window
 //! [`Op::Yield`]: adbt_ir::Op::Yield
 
 use crate::stats::{SimCosts, VcpuStats};
-use adbt_chaos::ChaosSite;
-use adbt_mmu::Width;
-
-/// An atomicity-relevant action observed while running an atom, streamed
-/// to [`Scheduler::observe`]. Guest addresses are virtual; `tid` is the
-/// 1-based vCPU id.
-///
-/// Events inside an open HTM region transaction are buffered and only
-/// delivered when the transaction commits (in commit order) — an
-/// aborted transaction's speculative stores never become visible, so
-/// they must not reach the oracle either.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedEvent {
-    /// A load-link armed `tid`'s monitor on `addr`.
-    Ll { tid: u32, addr: u32 },
-    /// A store-conditional by `tid` to `addr` reported success (`ok`)
-    /// or failure; `value` is the word it tried to store.
-    Sc {
-        tid: u32,
-        addr: u32,
-        ok: bool,
-        value: u32,
-    },
-    /// A plain guest store by `tid` became architecturally visible.
-    GuestStore { tid: u32, addr: u32, width: Width },
-    /// `tid` executed `clrex`, disarming its monitor.
-    Clrex { tid: u32 },
-    /// `tid` crossed a block-boundary safepoint.
-    Safepoint { tid: u32 },
-    /// `tid` entered a stop-the-world exclusive section.
-    ExclusiveEnter { tid: u32 },
-    /// `tid` left its stop-the-world exclusive section.
-    ExclusiveExit { tid: u32 },
-    /// The chaos plane injected a fault at `site` while `tid` ran.
-    Chaos { tid: u32, site: ChaosSite },
-    /// A store by `tid` at `addr` invalidated translated code (SMC):
-    /// the overlapping translations were retired and will retranslate
-    /// against the patched bytes on their next dispatch.
-    Invalidate { tid: u32, addr: u32 },
-}
+use adbt_trace::TraceEvent;
 
 /// How finely a [`Scheduler`] cuts vCPUs' execution into atoms.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Granularity {
-    /// One atom is one whole translated block; no events are streamed.
+    /// One atom is one whole translated block; nothing is logged.
     Blocks,
     /// Blocks also split at `Op::Yield` / `Op::Window` pause points, and
-    /// every atomicity event is streamed to [`Scheduler::observe`].
+    /// every event is logged to [`Scheduler::observe`].
     PausePoints,
 }
 
 /// Owns every yield point of a deterministic run: consulted for who runs
-/// next, and shown every atomicity-relevant event.
+/// next, and shown every event (see the module docs).
 pub trait Scheduler {
     /// Picks the vCPU index to run from atom number `atom` on.
     /// `enabled[i]` is false once vCPU `i` has finished; at least one
@@ -112,10 +78,11 @@ pub trait Scheduler {
     /// bug and panics.
     fn pick(&mut self, atom: u64, enabled: &[bool], last: Option<usize>) -> usize;
 
-    /// Observes an event produced while running atom `atom` (pause-point
-    /// granularity only).
-    fn observe(&mut self, atom: u64, event: SchedEvent) {
-        let _ = (atom, event);
+    /// Observes an event raised while running the atom numbered
+    /// `event.ts` (pause-point granularity only). Guest addresses are
+    /// virtual; `event.tid` is the 1-based vCPU id.
+    fn observe(&mut self, event: TraceEvent) {
+        let _ = event;
     }
 
     /// How finely atoms are cut; pause points unless overridden.
@@ -395,8 +362,8 @@ pub struct ScriptedScheduler {
     used: u64,
     /// The vCPU index chosen at each atom, in order.
     pub choices: Vec<u32>,
-    /// Every event observed, tagged with its atom number.
-    pub events: Vec<(u64, SchedEvent)>,
+    /// Every event observed, stamped with its atom number.
+    pub events: Vec<TraceEvent>,
 }
 
 impl ScriptedScheduler {
@@ -530,8 +497,8 @@ impl Scheduler for ScriptedScheduler {
         idx
     }
 
-    fn observe(&mut self, atom: u64, event: SchedEvent) {
-        self.events.push((atom, event));
+    fn observe(&mut self, event: TraceEvent) {
+        self.events.push(event);
     }
 }
 

@@ -189,7 +189,7 @@ impl AtomicScheme for HstWeak {
                 let value = ctx.load(addr, Width::Word)?;
                 ctx.cpu.monitor.addr = Some(addr);
                 ctx.cpu.monitor.value = value;
-                ctx.note_ll(addr);
+                ctx.trace(TraceKind::LlIssue, addr, 0);
                 Ok(value)
             }),
         ));
@@ -341,12 +341,7 @@ impl AtomicScheme for HstHtm {
                     attempt += 1;
                     !retry.exhausted(attempt)
                 } {
-                    ctx.stats.htm_txns += 1;
-                    ctx.trace(
-                        TraceKind::HtmBegin,
-                        addr,
-                        (attempt - 1).min(u32::MAX as u64) as u32,
-                    );
+                    ctx.note_htm_begin(addr, attempt - 1);
                     let mut txn = ctx.machine.htm.begin();
                     // Pull the hash entry's conflict token into the read
                     // set: a competing LL or instrumented store flipping
@@ -381,12 +376,7 @@ impl AtomicScheme for HstHtm {
                     }
                     match txn.commit(ctx.machine.space.mem()) {
                         Ok(()) => {
-                            ctx.trace(
-                                TraceKind::HtmCommit,
-                                addr,
-                                (attempt - 1).min(u32::MAX as u64) as u32,
-                            );
-                            ctx.trace_htm_streak(attempt - 1);
+                            ctx.note_htm_commit(addr, attempt - 1);
                             ctx.cpu.monitor.addr = None;
                             ctx.note_sc(addr, true, new);
                             return Ok(0);
@@ -401,12 +391,7 @@ impl AtomicScheme for HstHtm {
                 // The SC was already charged above, and the world-stop body
                 // does not charge another — `stats.sc` stays one per strex
                 // without ever being decremented.
-                ctx.stats.degradations += 1;
-                ctx.trace(
-                    TraceKind::Degrade,
-                    addr,
-                    attempt.min(u32::MAX as u64) as u32,
-                );
+                ctx.note_degrade(addr, attempt);
                 ctx.trace_htm_streak(attempt);
                 hst_sc_world_stop(ctx, addr, new)
             }),

@@ -11,7 +11,7 @@
 //! [`adbt_engine::VcpuOutcome::Livelocked`] once the per-region retry
 //! budget is exhausted.
 
-use adbt_engine::{AtomicScheme, Atomicity, HelperRegistry};
+use adbt_engine::{AtomicScheme, Atomicity, HelperRegistry, TraceKind};
 use adbt_ir::{BlockBuilder, HelperId, Op, Slot, Src};
 use adbt_mmu::Width;
 
@@ -66,7 +66,7 @@ impl AtomicScheme for PicoHtm {
                 // Inside a live transaction this buffers until commit —
                 // the whole region becomes one atom to observers, exactly
                 // the HTM guarantee.
-                ctx.note_ll(addr);
+                ctx.trace(TraceKind::LlIssue, addr, 0);
                 Ok(value)
             }),
         ));

@@ -19,7 +19,7 @@
 //! as a no-op and interleaves at block boundaries, where the
 //! helper+store pair is never split.
 
-use adbt_engine::{AtomicScheme, Atomicity, ChaosSite, ExecCtx, HelperRegistry, Stat};
+use adbt_engine::{AtomicScheme, Atomicity, ChaosSite, ExecCtx, HelperRegistry, Stat, TraceKind};
 use adbt_ir::{BlockBuilder, HelperId, Op, Slot, Src};
 use adbt_mmu::Width;
 use adbt_sync::{Mutex, MutexGuard};
@@ -127,7 +127,7 @@ impl AtomicScheme for PicoSt {
                 drop(guard);
                 ctx.cpu.monitor.addr = Some(addr);
                 ctx.cpu.monitor.value = value;
-                ctx.note_ll(addr);
+                ctx.trace(TraceKind::LlIssue, addr, 0);
                 Ok(value)
             }),
         ));

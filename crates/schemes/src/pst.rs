@@ -87,13 +87,7 @@ fn lock_registry<'a>(shared: &'a PstShared, ctx: &mut ExecCtx<'_>) -> MutexGuard
 /// exclusivity; the permission change is skipped and the caller unwinds.
 fn timed_protect(ctx: &mut ExecCtx<'_>, page: u32, perms: Perms) -> Result<(), Trap> {
     let start = Instant::now();
-    ctx.stats.mprotect_calls += 1;
-    // Payload 1 = page opened for writes, 0 = write-protected.
-    ctx.trace(
-        TraceKind::Mprotect,
-        page << PAGE_SHIFT,
-        perms.allows_write() as u32,
-    );
+    note_mprotect(ctx, page, perms.allows_write());
     // This really is a stop-the-world section (counted as such so both
     // the wall-clock and virtual-time accounting see it); its *duration*
     // is attributed to the mprotect bucket per the paper's Fig. 12.
@@ -108,6 +102,14 @@ fn timed_protect(ctx: &mut ExecCtx<'_>, page: u32, perms: Perms) -> Result<(), T
     ctx.end_exclusive();
     ctx.stats.mprotect_ns += start.elapsed().as_nanos() as u64;
     Ok(())
+}
+
+/// Counts one page-protection call on `page` and records `mprotect`,
+/// whose payload is 1 when the page opens for writes and 0 when it is
+/// write-protected.
+fn note_mprotect(ctx: &mut ExecCtx<'_>, page: u32, open: bool) {
+    ctx.stats.mprotect_calls += 1;
+    ctx.trace(TraceKind::Mprotect, page << PAGE_SHIFT, open as u32);
 }
 
 /// Whether a store of `width` bytes at `addr` touches the monitored word.
@@ -171,7 +173,7 @@ fn pst_ll(shared: &PstShared, ctx: &mut ExecCtx<'_>, addr: u32) -> Result<u32, T
     let value = ctx.machine.space.mem().load(paddr, Width::Word);
     ctx.cpu.monitor.addr = Some(addr);
     ctx.cpu.monitor.value = value;
-    ctx.note_ll(addr);
+    ctx.trace(TraceKind::LlIssue, addr, 0);
     Ok(value)
 }
 
@@ -301,8 +303,7 @@ impl AtomicScheme for Pst {
                     let start = Instant::now();
                     ctx.start_exclusive()?;
                     ctx.machine.space.protect(page, Perms::RWX);
-                    ctx.stats.mprotect_calls += 1;
-                    ctx.trace(TraceKind::Mprotect, page << PAGE_SHIFT, 1);
+                    note_mprotect(ctx, page, true);
                     let paddr = ctx
                         .machine
                         .space
@@ -318,8 +319,7 @@ impl AtomicScheme for Pst {
                         registry.pages.remove(&page);
                     } else {
                         ctx.machine.space.protect(page, Perms::READ | Perms::EXEC);
-                        ctx.stats.mprotect_calls += 1;
-                        ctx.trace(TraceKind::Mprotect, page << PAGE_SHIFT, 0);
+                        note_mprotect(ctx, page, false);
                     }
                     ctx.end_exclusive();
                     ctx.stats.mprotect_ns += start.elapsed().as_nanos() as u64;

@@ -97,11 +97,14 @@ pub enum TraceKind {
     Chaos = 19,
     /// Throttled watchdog heartbeat; `addr` is the current pc.
     Heartbeat = 20,
-    /// A plain guest store (checker timelines only — never recorded on
-    /// the threaded hot path).
+    /// A plain guest store became visible; `addr` is its address,
+    /// `value` its width in bytes. Raised only at pause-point
+    /// granularity (the checker and `adbt_run --replay`), never on the
+    /// threaded or simulated hot path.
     GuestStore = 21,
-    /// A translated block was invalidated (SMC store, chaos storm);
-    /// `addr` is the victim's guest pc, `value` its cache id.
+    /// Translated blocks were invalidated (SMC store, chaos storm);
+    /// `addr` is the patching store's address (a storm's: the victim's
+    /// guest pc), `value` the first victim's cache id.
     Invalidate = 22,
     /// A cache-pressure flush pass retired a batch of blocks; `addr` is
     /// the number of blocks retired (`value` is unused, 0).

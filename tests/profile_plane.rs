@@ -24,14 +24,14 @@
 //!    value-comparing PICO-CAS (the ABA bug is invisible to it — which
 //!    is the bug).
 
-use adbt::engine::{SchedEvent, ScriptedScheduler, Unit};
+use adbt::engine::{ScriptedScheduler, Unit};
 use adbt::harness::{run_program, ExecMode, ProgramRun};
 use adbt::profile::ProfileSnapshot;
 use adbt::workloads::interleave::Litmus;
 use adbt::workloads::IMAGE_BASE;
 use adbt::{
-    assemble, ChaosCfg, Machine, MachineBuilder, MachineConfig, RunReport, SchemeKind, Vcpu,
-    VcpuOutcome, VcpuStats,
+    assemble, ChaosCfg, Machine, MachineBuilder, MachineConfig, RunReport, SchemeKind, TraceKind,
+    Vcpu, VcpuOutcome, VcpuStats,
 };
 use adbt_isa::{decode, Insn, INSN_SIZE};
 
@@ -392,17 +392,15 @@ fn scheduled_aba_llsc_charges_exactly_one_sc_fail_at_the_victims_strex() {
 
     // Probe: run the victim alone to learn the atom index of its LL —
     // robust against pseudo-instruction expansion and scheme pause
-    // points, because it observes the scheduler's own event stream.
+    // points, because it observes the scheduler's own log.
     let (_, probe_report, probe) = scheduled_aba(SchemeKind::Hst, &source, &[(0, u64::MAX)]);
     assert!(probe_report.all_ok());
     let ll_atom = probe
         .events
         .iter()
-        .find_map(|&(atom, e)| match e {
-            SchedEvent::Ll { tid: 1, .. } => Some(atom),
-            _ => None,
-        })
-        .expect("victim issued an LL");
+        .find(|e| e.kind == TraceKind::LlIssue && e.tid == 1)
+        .expect("victim issued an LL")
+        .ts;
 
     // The attack: deschedule the victim right after its LL, let the
     // attacker drive x through the full 100 → 200 → 100 cycle, then

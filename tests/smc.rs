@@ -11,14 +11,14 @@
 //!    translation-churn workload never exceeds the budget (asserted from
 //!    the occupancy counters), keeps making progress (no `Livelocked`),
 //!    and actually reclaims: retire → grace → free.
-//! 3. **Scheduled-mode observability** — the checker substrate surfaces
-//!    invalidations as `SchedEvent::Invalidate`, at the atom the patch
+//! 3. **Scheduled-mode observability** — the checker substrate logs
+//!    invalidations as `invalidate` events, at the atom the patch
 //!    landed, so schedules around SMC are explorable and replayable.
 
-use adbt::engine::{MachineCore, SchedEvent, ScriptedScheduler};
+use adbt::engine::{MachineCore, ScriptedScheduler};
 use adbt::workloads::interleave::Litmus;
 use adbt::workloads::IMAGE_BASE;
-use adbt::{Machine, MachineBuilder, SchemeKind, Vcpu, VcpuOutcome};
+use adbt::{Machine, MachineBuilder, SchemeKind, TraceEvent, TraceKind, Vcpu, VcpuOutcome};
 
 /// Builds a machine for a litmus-style two-entry program.
 fn build(kind: SchemeKind, source: &str) -> Machine {
@@ -299,7 +299,7 @@ fn reloading_an_image_runs_the_new_program() {
 
 /// Scheduled mode, victim-first: the victim translates its loop before
 /// the patcher's store, so the store must fault, retire the victim's
-/// blocks, and surface as a `SchedEvent::Invalidate` at the patch atom.
+/// blocks, and surface as an `invalidate` event at the patch atom.
 /// The schedule is scripted, so the exit code is exact: two stale
 /// iterations before the patch, four patched after it.
 #[test]
@@ -326,9 +326,9 @@ fn scheduled_smc_cross_surfaces_the_invalidate_event() {
     let invalidate = sched
         .events
         .iter()
-        .find(|(_, e)| matches!(e, SchedEvent::Invalidate { .. }));
-    let Some(&(_, SchedEvent::Invalidate { tid, addr })) = invalidate else {
-        panic!("the patcher's store over translated code emitted no Invalidate event");
+        .find(|e| e.kind == TraceKind::Invalidate);
+    let Some(&TraceEvent { tid, addr, .. }) = invalidate else {
+        panic!("the patcher's store over translated code emitted no invalidate event");
     };
     assert_eq!(tid, 2, "the patcher (tid 2) triggers the invalidation");
     assert_eq!(addr, vpatch, "the event carries the patched address");

@@ -12,9 +12,14 @@
 //! 3. **Off by default** — an untouched config allocates no recorder.
 //! 4. **Payloads follow the schema** — an `htm_abort` event's value is
 //!    its abort reason's code, from both HTM schemes.
+//! 5. **One event stream** — at pause-point granularity the scheduler's
+//!    log carries the ring's events, on every scheme.
 
+use adbt::engine::ScriptedScheduler;
 use adbt::trace::{chrome, validate};
-use adbt::{ChaosCfg, MachineBuilder, SchemeKind, SimCosts, TraceKind, VcpuOutcome};
+use adbt::workloads::interleave::Litmus;
+use adbt::workloads::IMAGE_BASE;
+use adbt::{ChaosCfg, MachineBuilder, SchemeKind, SimCosts, TraceEvent, TraceKind, VcpuOutcome};
 use adbt_htm::AbortReason;
 
 const SEED: u64 = 0xADB7_7ACE;
@@ -288,6 +293,82 @@ fn htm_abort_payloads_are_reason_codes() {
         assert!(
             ok,
             "{kind}: htm_abort values {values:?}, want codes {want:?}"
+        );
+    }
+}
+
+/// An event's payload, without the clock the ring and the log stamp
+/// differently.
+fn payload(e: &TraceEvent) -> (TraceKind, u32, u32) {
+    (e.kind, e.addr, e.value)
+}
+
+/// The ring without the events raised inside HTM regions that never
+/// committed: what the scheduler's log holds back. A region opens after
+/// its `htm_begin` and ends at an `htm_commit`, which delivers what it
+/// raised, or at an `htm_abort`, which drops it. (In these litmus runs
+/// no region ends any other way.)
+fn committed(ring: &[TraceEvent]) -> Vec<(TraceKind, u32, u32)> {
+    let (mut log, mut held) = (Vec::new(), None);
+    for e in ring {
+        match e.kind {
+            TraceKind::HtmBegin => held = Some(Vec::new()),
+            TraceKind::HtmCommit => log.extend(held.take().expect("commit of an open region")),
+            TraceKind::HtmAbort => held = None,
+            _ => {}
+        }
+        match &mut held {
+            Some(region) if e.kind != TraceKind::HtmBegin => region.push(payload(e)),
+            _ => log.push(payload(e)),
+        }
+    }
+    assert!(held.is_none(), "a region was left open");
+    log
+}
+
+/// At pause-point granularity every event reaches both sinks: per vCPU,
+/// the scheduler's log is the ring's sequence, on every scheme. Only
+/// PICO-HTM's log drops anything — the events of regions that aborted
+/// (translating inside a region poisons it, so the first pass of each
+/// aborts).
+#[test]
+fn the_schedulers_log_is_a_view_of_the_ring() {
+    let program = Litmus::AbaStack.program();
+    for scheme in SchemeKind::ALL {
+        let mut machine = MachineBuilder::new(scheme)
+            .memory(1 << 20)
+            .max_block_insns(1)
+            .trace(true)
+            .build()
+            .unwrap();
+        machine.load_asm(&program.source, IMAGE_BASE).unwrap();
+        let vcpus = machine.make_vcpus(2, IMAGE_BASE);
+        let mut sched = ScriptedScheduler::parse("0x11,1x27,0").unwrap();
+        let report = machine.run_scheduled(vcpus, &mut sched, 20_000);
+        assert!(report.all_ok(), "{scheme}: {:?}", report.outcomes);
+        let rec = machine.core().trace.as_ref().expect("recorder armed");
+        let mut dropped = 0;
+        for (tid, ring) in rec.snapshot_all() {
+            let wrapped = rec.ring(tid).recorded() > ring.len() as u64;
+            assert!(!wrapped, "{scheme}: vCPU {tid}'s ring wrapped");
+            let mine = sched.events.iter().filter(|e| e.tid == tid);
+            let log: Vec<_> = mine.map(payload).collect();
+            for kind in [TraceKind::LlIssue, TraceKind::ScOk, TraceKind::GuestStore] {
+                let logged = log.iter().any(|&(k, _, _)| k == kind);
+                assert!(logged, "{scheme}: vCPU {tid} logged no {kind:?}");
+            }
+            let want = if scheme == SchemeKind::PicoHtm {
+                committed(&ring)
+            } else {
+                ring.iter().map(payload).collect()
+            };
+            assert_eq!(log, want, "{scheme}: vCPU {tid}");
+            dropped += ring.len() - log.len();
+        }
+        assert_eq!(
+            dropped > 0,
+            scheme == SchemeKind::PicoHtm,
+            "{scheme}: {dropped} ring events missing from the log"
         );
     }
 }
