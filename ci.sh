@@ -16,6 +16,13 @@ cargo fmt --all --check
 cargo test -q --release --offline --test chaos_soak \
     threaded_soak_with_watchdog_terminates_cleanly
 
+# The held window, again in release (~a second): PICO-HTM regions that
+# can never commit, on real threads with the watchdog armed, must take
+# the degradation ladder's stop-the-world window after 32 aborts and
+# complete — on 1 and 4 vCPUs, and with a cache flush inside the
+# window. Which vCPU holds the window when is a threaded timing path.
+cargo test -q --release --offline --test chaos_soak held_window_
+
 # Invalidation-storm soak (release, ~seconds): all 8 schemes run with a
 # 5% translation-invalidation storm layered on top of the fault chaos,
 # with the watchdog armed. Blocks are retired at dispatch boundaries

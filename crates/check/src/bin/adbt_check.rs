@@ -7,6 +7,9 @@
 //!            [--export-trace FILE]
 //! ```
 //!
+//! Each flag that takes a value may be given once; a repeated one exits
+//! 2 with `{flag} given twice` and the usage text.
+//!
 //! Without filters, checks all 8 schemes against all 3 litmus programs.
 //! Violations print a minimized, replayable trace — feed it straight to
 //! `adbt_run --replay`. `--ci` exits non-zero when any verdict differs
@@ -16,11 +19,10 @@
 //! `--export-trace FILE` additionally writes the *first* violation's
 //! log as Chrome trace-event JSON (Perfetto-loadable, atom clock — the
 //! same exchange format `adbt_run --trace` emits). Combine with
-//! `--scheme`/`--litmus` to pick which counterexample to export; each
-//! may be given once. FILE is created before the search, so a path
-//! that cannot be written exits 2 before any pair is checked; when no
-//! pair violates, nothing is exported, stderr says so, and no FILE is
-//! left behind.
+//! `--scheme`/`--litmus` to pick which counterexample to export. FILE
+//! is created before the search, so a path that cannot be written exits
+//! 2 before any pair is checked; when no pair violates, nothing is
+//! exported, stderr says so, and no FILE is left behind.
 
 use adbt::workloads::interleave::Litmus;
 use adbt::SchemeKind;
@@ -46,15 +48,6 @@ struct Args {
     export_trace: Option<String>,
 }
 
-/// Sets a filter given at most once: a repeated one is a usage error,
-/// where the last would silently win.
-fn once<T>(slot: &mut Option<T>, flag: &str, value: T) {
-    if slot.replace(value).is_some() {
-        eprintln!("{flag} given twice");
-        usage()
-    }
-}
-
 fn parse_args() -> Args {
     let mut args = Args {
         scheme: None,
@@ -63,9 +56,17 @@ fn parse_args() -> Args {
         ci: false,
         export_trace: None,
     };
+    // Each value flag may be given once: repeated, the last would
+    // silently win.
+    let mut given: Vec<String> = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |flag: &str| {
+        let mut value = || {
+            if given.contains(&flag) {
+                eprintln!("{flag} given twice");
+                usage()
+            }
+            given.push(flag.clone());
             it.next().unwrap_or_else(|| {
                 eprintln!("{flag} needs a value");
                 usage()
@@ -73,30 +74,25 @@ fn parse_args() -> Args {
         };
         match flag.as_str() {
             "--scheme" => {
-                let name = value("--scheme");
-                let scheme = SchemeKind::from_name(&name).unwrap_or_else(|| {
+                let name = value();
+                args.scheme = Some(SchemeKind::from_name(&name).unwrap_or_else(|| {
                     eprintln!("unknown scheme '{name}'");
                     usage()
-                });
-                once(&mut args.scheme, "--scheme", scheme);
+                }));
             }
             "--litmus" => {
-                let name = value("--litmus");
-                let litmus = Litmus::by_name(&name).unwrap_or_else(|| {
+                let name = value();
+                args.litmus = Some(Litmus::by_name(&name).unwrap_or_else(|| {
                     eprintln!("unknown litmus '{name}'");
                     usage()
-                });
-                once(&mut args.litmus, "--litmus", litmus);
+                }));
             }
-            "--budget" => args.opts.budget = parse_count(&value("--budget"), "--budget"),
+            "--budget" => args.opts.budget = parse_count(&value(), "--budget"),
             "--preemptions" => {
-                args.opts.max_preemptions =
-                    parse_num(&value("--preemptions"), "--preemptions") as usize
+                args.opts.max_preemptions = parse_num(&value(), "--preemptions") as usize
             }
-            "--max-atoms" => {
-                args.opts.max_atoms = parse_count(&value("--max-atoms"), "--max-atoms")
-            }
-            "--export-trace" => args.export_trace = Some(value("--export-trace")),
+            "--max-atoms" => args.opts.max_atoms = parse_count(&value(), "--max-atoms"),
+            "--export-trace" => args.export_trace = Some(value()),
             "--ci" => args.ci = true,
             "--help" | "-h" => usage(),
             other => {

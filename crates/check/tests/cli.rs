@@ -7,15 +7,17 @@ fn run(args: &[&str]) -> Output {
     Command::new(bin).args(args).output().unwrap()
 }
 
-fn assert_rejected(args: &[&str]) {
+/// Exit 2 with the usage text and nothing checked; returns stderr.
+fn assert_rejected(args: &[&str]) -> String {
     let output = run(args);
     assert_eq!(output.status.code(), Some(2), "{args:?}: {output:?}");
     assert!(
         output.stdout.is_empty(),
         "{args:?} checked before rejecting"
     );
-    let stderr = String::from_utf8_lossy(&output.stderr);
+    let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
     assert!(stderr.contains("usage: adbt_check"), "{args:?}: {stderr}");
+    stderr
 }
 
 /// A run that would explore nothing is a usage error, not a clean
@@ -37,6 +39,26 @@ fn explorations_that_check_nothing_are_rejected() {
 fn repeated_filters_are_rejected() {
     assert_rejected(&["--scheme", "hst", "--scheme", "pico-cas"]);
     assert_rejected(&["--litmus", "aba_llsc", "--litmus", "store_window"]);
+}
+
+/// So may every other flag that takes a value. Repeated, the last used
+/// to win silently: `--budget 5 --budget 800` checked with a budget of
+/// 800.
+#[test]
+fn repeated_value_flags_are_rejected() {
+    let path = concat!(env!("CARGO_TARGET_TMPDIR"), "/adbt_check_twice.json");
+    for (flag, first, second) in [
+        ("--budget", "5", "800"),
+        ("--preemptions", "1", "2"),
+        ("--max-atoms", "100", "200"),
+        ("--export-trace", path, path),
+    ] {
+        let args = [
+            "--scheme", "hst", "--litmus", "smc_self", flag, first, flag, second,
+        ];
+        let stderr = assert_rejected(&args);
+        assert!(stderr.contains(&format!("{flag} given twice")), "{stderr}");
+    }
 }
 
 /// The export file is created before the search: a path that cannot be

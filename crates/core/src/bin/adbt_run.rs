@@ -5,10 +5,13 @@
 //!          [--entry <symbol|addr>] [--sim] [--replay <trace>]
 //!          [--fuse-atomics] [--dump <symbol|addr>] [--memory BYTES]
 //!          [--stats] [--chaos seed=<u64>,rate=<f64>[,invalidate=<f64>]]
-//!          [--watchdog-ms N] [--htm-degrade-after N] [--trace FILE]
-//!          [--histograms] [--cache-limit BYTES] [--profile FILE]
-//!          [--metrics FILE] [--stats-json]
+//!          [--watchdog-ms N] [--trace FILE] [--histograms]
+//!          [--cache-limit BYTES] [--profile FILE] [--metrics FILE]
+//!          [--stats-json]
 //! ```
+//!
+//! Each flag that takes a value may be given once; a repeated one exits
+//! 2 with `{flag} given twice` and the usage text.
 //!
 //! The program is assembled at `--base`, each vCPU starts at `--entry`
 //! (default: the image base) with the launch ABI (r0 = thread index,
@@ -29,6 +32,13 @@
 //! The `--trace`, `--profile` and `--metrics` files are created before
 //! the machine is built, so an unwritable path exits 2 before the guest
 //! runs.
+//!
+//! `--chaos` and `--watchdog-ms` arm the robustness plane. In a threaded
+//! run, a retry loop that fails 32 times in a row — an SC storm, or a
+//! PICO-HTM region that keeps aborting — then runs its next LL→SC
+//! attempt under a held stop-the-world window, where it must complete.
+//! The watchdog samples threaded runs only, so `--watchdog-ms` with
+//! `--sim` or `--replay` exits 2.
 //!
 //! `--cache-limit` bounds the translation cache to the given number of
 //! bytes: under pressure the engine flushes generationally (oldest
@@ -87,10 +97,10 @@ fn usage() -> ! {
          \x20               [--fuse-atomics] [--dump SYM|ADDR]\n\
          \x20               [--memory BYTES] [--stats]\n\
          \x20               [--chaos seed=U64,rate=F64[,invalidate=F64]]\n\
-         \x20               [--watchdog-ms N] [--htm-degrade-after N]\n\
-         \x20               [--trace FILE] [--histograms]\n\
+         \x20               [--watchdog-ms N] [--trace FILE] [--histograms]\n\
          \x20               [--cache-limit BYTES] [--profile FILE]\n\
          \x20               [--metrics FILE] [--stats-json]\n\
+         each value flag at most once; --watchdog-ms only without --sim/--replay\n\
          schemes: {}",
         SchemeKind::ALL.map(|k| k.name()).join(", ")
     );
@@ -255,7 +265,6 @@ fn main() -> ExitCode {
     let mut stats = false;
     let mut chaos: Option<ChaosCfg> = None;
     let mut watchdog_ms: u64 = 0;
-    let mut htm_degrade_after: u64 = 0;
     let mut trace_out: Option<String> = None;
     let mut histograms = false;
     let mut cache_limit: u64 = 0;
@@ -263,47 +272,43 @@ fn main() -> ExitCode {
     let mut metrics_out: Option<String> = None;
     let mut stats_json = false;
 
+    // Each value flag may be given once: repeated, the last would
+    // silently win.
+    let mut given: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        let mut value = || {
+            if given.contains(&arg) {
+                eprintln!("{arg} given twice");
+                usage()
+            }
+            given.push(arg.clone());
+            args.next().unwrap_or_else(|| usage())
+        };
         match arg.as_str() {
             "--scheme" => {
-                let name = args.next().unwrap_or_else(|| usage());
+                let name = value();
                 scheme = resolve_scheme(&name).unwrap_or_else(|why| {
                     eprintln!("{why}");
                     usage()
                 });
             }
             "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|v| parse_u32(&v))
+                threads = parse_u32(&value())
                     .filter(|&n| n > 0)
                     .unwrap_or_else(|| usage())
             }
-            "--base" => {
-                base = args
-                    .next()
-                    .and_then(|v| parse_u32(&v))
-                    .unwrap_or_else(|| usage())
-            }
-            "--memory" => {
-                memory = args
-                    .next()
-                    .and_then(|v| parse_u32(&v))
-                    .unwrap_or_else(|| usage())
-            }
+            "--base" => base = parse_u32(&value()).unwrap_or_else(|| usage()),
+            "--memory" => memory = parse_u32(&value()).unwrap_or_else(|| usage()),
             "--chaos" => {
-                let spec = args.next().unwrap_or_else(|| usage());
+                let spec = value();
                 chaos = Some(parse_chaos(&spec).unwrap_or_else(|why| {
                     eprintln!("bad --chaos spec `{spec}`: {why}");
                     usage()
                 }));
             }
             "--watchdog-ms" => {
-                watchdog_ms = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
+                watchdog_ms = value().parse().unwrap_or_else(|_| usage());
                 if watchdog_ms == 0 {
                     eprintln!(
                         "--watchdog-ms 0 would silently disarm the watchdog; \
@@ -313,23 +318,14 @@ fn main() -> ExitCode {
                 }
             }
             "--replay" => {
-                let trace = args.next().unwrap_or_else(|| usage());
+                let trace = value();
                 replay = Some(ScriptedScheduler::parse(&trace).unwrap_or_else(|why| {
                     eprintln!("bad --replay trace `{trace}`: {why}");
                     usage()
                 }));
             }
-            "--htm-degrade-after" => {
-                htm_degrade_after = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
             "--cache-limit" => {
-                cache_limit = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
+                cache_limit = value().parse().unwrap_or_else(|_| usage());
                 if cache_limit == 0 {
                     eprintln!(
                         "--cache-limit 0 would mean *unlimited* (the engine's \
@@ -339,11 +335,11 @@ fn main() -> ExitCode {
                     usage()
                 }
             }
-            "--entry" => entry = Some(args.next().unwrap_or_else(|| usage())),
-            "--dump" => dump = Some(args.next().unwrap_or_else(|| usage())),
-            "--trace" => trace_out = Some(args.next().unwrap_or_else(|| usage())),
-            "--profile" => profile_out = Some(args.next().unwrap_or_else(|| usage())),
-            "--metrics" => metrics_out = Some(args.next().unwrap_or_else(|| usage())),
+            "--entry" => entry = Some(value()),
+            "--dump" => dump = Some(value()),
+            "--trace" => trace_out = Some(value()),
+            "--profile" => profile_out = Some(value()),
+            "--metrics" => metrics_out = Some(value()),
             "--sim" => sim = true,
             "--fuse-atomics" => fuse = true,
             "--stats" => stats = true,
@@ -371,6 +367,13 @@ fn main() -> ExitCode {
 
     if replay.is_some() && sim {
         eprintln!("--replay and --sim are mutually exclusive");
+        return ExitCode::from(2);
+    }
+    if watchdog_ms > 0 && (sim || replay.is_some()) {
+        eprintln!(
+            "--watchdog-ms samples threaded runs only; --sim and --replay run \
+             every vCPU on one host thread"
+        );
         return ExitCode::from(2);
     }
     if threads > MAX_THREADED_VCPUS && !sim && replay.is_none() {
@@ -406,7 +409,6 @@ fn main() -> ExitCode {
         .fuse_atomics(fuse)
         .chaos(chaos)
         .watchdog_ms(watchdog_ms)
-        .htm_degrade_after(htm_degrade_after)
         .trace(trace_out.is_some() || histograms)
         .profile(profile_out.is_some() || metrics_out.is_some())
         .cache_limit(cache_limit);

@@ -91,7 +91,9 @@ impl MachineBuilder {
 
     /// Arms the liveness watchdog: if no live vCPU makes progress for
     /// `ms` milliseconds, the run halts with a diagnostic dump and
-    /// `Livelocked` outcomes instead of hanging. `0` disables.
+    /// `Livelocked` outcomes instead of hanging. `0` disables. Like
+    /// `chaos`, it arms the degradation ladder's held window for storming
+    /// retry loops in threaded runs ([`MachineConfig::watchdog_ms`]).
     pub fn watchdog_ms(mut self, ms: u64) -> MachineBuilder {
         self.config.watchdog_ms = ms;
         self
@@ -105,13 +107,6 @@ impl MachineBuilder {
     /// ([`MachineCore::MIN_CACHE_LIMIT`]).
     pub fn cache_limit(mut self, bytes: u64) -> MachineBuilder {
         self.config.cache_limit = bytes;
-        self
-    }
-
-    /// Degrades an HTM region to a stop-the-world exclusive section once
-    /// it has aborted `n` times (threaded runs only). `0` disables.
-    pub fn htm_degrade_after(mut self, n: u64) -> MachineBuilder {
-        self.config.htm_degrade_after = n;
         self
     }
 

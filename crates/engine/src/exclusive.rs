@@ -156,8 +156,9 @@ impl ExclusiveBarrier {
     /// Like [`ExclusiveBarrier::start_exclusive`], but records `tid` as the
     /// section's holder so that the holder's own safepoints
     /// ([`ExclusiveBarrier::safepoint_for`]) pass through. Required when an
-    /// exclusive section spans block dispatches (degraded-HTM regions):
-    /// the holder crosses its own safepoint while the section is active.
+    /// exclusive section spans block dispatches (the degradation ladder's
+    /// held window): the holder crosses its own safepoint while the
+    /// section is active.
     #[must_use = "add the returned wait time to VcpuStats::exclusive_ns"]
     pub fn start_exclusive_as(&self, tid: u32) -> Result<u64, Halted> {
         let waited = self.start_exclusive()?;

@@ -36,7 +36,8 @@ const HTM_INDEX_BITS: u8 = 16;
 const HTM_WRITE_CAPACITY: usize = 512;
 /// Page-fault retries per access before declaring livelock.
 pub(crate) const FAULT_RETRY_LIMIT: u64 = 1 << 26;
-/// Consecutive HTM region aborts before declaring livelock — the
+/// The degradation ladder's budget: consecutive failures (HTM region
+/// aborts, or failed SCs in a storm) before the livelock verdict — the
 /// threshold past which PICO-HTM's abort storm is called out.
 const HTM_RETRY_LIMIT: u64 = 1 << 14;
 /// Per-vCPU guest stack size in bytes.
@@ -79,13 +80,11 @@ pub struct MachineConfig {
     /// Liveness watchdog interval in milliseconds for threaded runs
     /// (0 = off). Fires only when **no** live vCPU retires a block for a
     /// whole interval, so it must comfortably exceed the longest
-    /// legitimate stop-the-world pause.
+    /// legitimate stop-the-world pause. Like `chaos`, it arms the
+    /// robustness plane, whose degradation ladder gives a storming retry
+    /// loop (SC failures, PICO-HTM region aborts) the held stop-the-world
+    /// window in threaded runs.
     pub watchdog_ms: u64,
-    /// Consecutive HTM region aborts before the next region degrades to
-    /// the stop-the-world fallback (0 = never degrade). Only effective
-    /// in threaded runs: a degraded region spans block dispatches, which
-    /// the single-threaded deterministic schedulers cannot host.
-    pub htm_degrade_after: u64,
     /// Enables the flight recorder: per-vCPU event rings plus latency
     /// histograms (`false` = tracing off; every trace site then costs a
     /// single predicted branch, same discipline as `chaos`).
@@ -121,7 +120,6 @@ impl Default for MachineConfig {
             chain_limit: 64,
             chaos: None,
             watchdog_ms: 0,
-            htm_degrade_after: 0,
             trace: false,
             profile: false,
             tier_threshold: 0,
@@ -207,9 +205,9 @@ impl RunReport {
     }
 }
 
-/// Blocks a degraded (stop-the-world) HTM region may span before the
-/// engine declares the region livelocked; generous against any real LL→SC
-/// window, tiny against a guest loop that never reaches its SC.
+/// Blocks the held stop-the-world window may span before the engine
+/// declares its holder livelocked; generous against any real LL→SC
+/// attempt, tiny against a guest loop that never reaches its SC.
 const REGION_BLOCK_CAP: u32 = 10_000;
 
 /// The atom cap [`MachineCore::run_sim`] runs under: a livelock safety
@@ -254,8 +252,8 @@ pub struct MachineCore {
     /// The guest-PC attribution plane (per-vCPU profile tables), when
     /// profiling is configured.
     pub profile: Option<Arc<ProfileRecorder>>,
-    /// The shared retry policy for HTM region rollbacks (and any other
-    /// engine retry loop): one place for budgets and backoff stages.
+    /// The degradation ladder's budgets and stages, shared by HTM region
+    /// rollbacks and SC storms (see `MachineCore::ladder_step`).
     pub retry: RetryPolicy,
     /// The quiescent-state tracker gating translation-cache reclamation:
     /// retired blocks are freed only after every registered vCPU has
@@ -313,13 +311,15 @@ impl MachineCore {
                 // Sleeping starts exactly where degradation does, so the
                 // storm path never sleeps (each µs-sleep is a real
                 // millisecond-scale deschedule on a loaded host); only
-                // retry loops without a degraded rung reach the stage.
+                // runs without the robustness plane, which have no held
+                // window, reach the stage.
                 sleep_after: 32,
                 max_sleep_us: 2_000,
                 // A storm that survives this much backoff is structural
                 // (every granted requester finds its claim clobbered by
-                // a competitor's retry); degrade the next attempt to a
-                // held stop-the-world SC window so it must complete.
+                // a competitor's retry, or the region cannot commit at
+                // all); degrade the next attempt to the held
+                // stop-the-world window so it must complete.
                 degrade_after: 32,
             },
             qsbr: Qsbr::new(),
@@ -612,7 +612,7 @@ impl MachineCore {
         let mut link: Option<(&ChainLink, u32, bool)> = None;
         for _ in 0..chain_limit.max(1) {
             // Holder-aware safepoint: identical single-load fast path, but
-            // a degraded region's holder passes through its own pending
+            // the held window's holder passes through its own pending
             // exclusive instead of self-deadlocking.
             let parked = self.exclusive.safepoint_for(ctx.cpu.tid);
             if parked > 0 {
@@ -625,8 +625,9 @@ impl MachineCore {
                     parked.min(u32::MAX as u64) as u32,
                 );
             }
-            // The entire robustness plane (chaos, watchdog, degradation)
-            // costs exactly this one predicted-false branch when disabled.
+            // The entire robustness plane (chaos, watchdog, the held
+            // window) costs exactly this one predicted-false branch when
+            // disabled.
             if ctx.robust {
                 if let Some(outcome) = self.robust_hop(ctx) {
                     return Some(outcome);
@@ -782,31 +783,50 @@ impl MachineCore {
         ctx.cpu.restore(&snapshot);
         ctx.cpu.pc = restart_pc;
         ctx.txn_retries += 1;
-        if self.retry.exhausted(ctx.txn_retries) {
-            return Some(VcpuOutcome::Livelocked { pc: restart_pc });
+        self.ladder_step(ctx, ctx.txn_retries)
+    }
+
+    /// One step down the degradation ladder for a retry loop that has now
+    /// failed `streak` times in a row: a PICO-HTM region rolled back to
+    /// its LL ([`trap`](Self::trap)), or an SC retry loop in a storm
+    /// ([`robust_hop`](Self::robust_hop)). Returns `Some(outcome)` when
+    /// the vCPU is finished.
+    ///
+    /// 1. Past the retry budget, the `Livelocked` verdict, in every mode.
+    /// 2. The deterministic driver has no other thread to park or yield
+    ///    to, so the rest of the ladder is threaded-only.
+    /// 3. With the robustness plane armed (chaos or a watchdog), once the
+    ///    streak reaches `degrade_after`: the held window, under which
+    ///    the next LL→SC attempt runs alone and must complete.
+    /// 4. Otherwise the staged backoff, which keeps hot regions live and
+    ///    desynchronizes a rotating storm (real RTM users do the same in
+    ///    their retry path).
+    fn ladder_step(&self, ctx: &mut ExecCtx<'_>, streak: u64) -> Option<VcpuOutcome> {
+        let pc = ctx.cpu.pc;
+        if self.retry.exhausted(streak) {
+            return Some(VcpuOutcome::Livelocked { pc });
         }
-        // The deterministic driver has no other thread to park or yield
-        // to, so the rest of the ladder is threaded-only.
-        if self.is_threaded() {
-            // Degradation ladder: once the configured abort budget for a
-            // region is spent, retry it under the stop-the-world
-            // fallback, which cannot abort (a degraded region spans
-            // dispatches, parking every other vCPU).
-            if self.config.htm_degrade_after > 0 && ctx.txn_retries >= self.config.htm_degrade_after
-            {
-                ctx.degrade_next_region = true;
+        if !self.is_threaded() {
+            return None;
+        }
+        // The window never opens over a live transaction, and under it
+        // `begin_region_txn` opens none: the two never coexist.
+        if ctx.robust && streak >= self.retry.degrade_after && ctx.txn.is_none() {
+            if !ctx.open_sc_window(streak) {
+                // Halted while waiting for the window's exclusivity:
+                // wind this vCPU down cleanly.
+                return Some(VcpuOutcome::Livelocked { pc });
             }
-            // Staged backoff under abort storms keeps the threaded
-            // engine live on hot regions (real RTM users do the same in
-            // their retry path).
-            ctx.count(Stat::lock_wait_ns, self.retry.backoff(ctx.txn_retries));
+        } else {
+            ctx.count(Stat::lock_wait_ns, self.retry.backoff(streak));
         }
         None
     }
 
     /// The slow lane of the dispatch loop, entered once per hop only when
-    /// a robustness feature is live: publishes the liveness heartbeat,
-    /// observes a watchdog halt, caps degraded regions, and rolls the
+    /// the robustness plane is armed: publishes the liveness heartbeat,
+    /// observes a watchdog halt, feeds SC storms to the degradation
+    /// ladder, closes or caps the held window, and rolls the
     /// block-boundary chaos sites.
     #[inline(never)]
     fn robust_hop(&self, ctx: &mut ExecCtx<'_>) -> Option<VcpuOutcome> {
@@ -826,24 +846,31 @@ impl MachineCore {
             ctx.release_region();
             return Some(VcpuOutcome::Livelocked { pc });
         }
-        if ctx.sc_window && ctx.stats.sc > ctx.sc_window_mark {
-            // An SC ran inside the held window: the attempt is over
-            // either way and the world restarts. Account for it here so
-            // the storm detector below never sees windowed attempts.
-            ctx.close_sc_window();
-            let attempts = ctx.stats.sc - ctx.sc_seen;
+        // SC-storm escape. Stop-the-world SC schemes can rotate forever
+        // under injected stalls: the barrier grants exclusivity roughly
+        // FIFO, and a failed SC's retry re-arms its hash entry / monitor
+        // *before* its next park, so the oldest waiter — the one granted
+        // next — always finds its claim clobbered. A hop whose SCs all
+        // failed therefore takes one ladder step; the first SC under the
+        // held window ends the attempt either way and the world restarts.
+        let attempts = ctx.stats.sc - ctx.sc_seen;
+        if attempts > 0 {
             let failures = ctx.stats.sc_failures - ctx.sc_fail_seen;
             ctx.sc_seen = ctx.stats.sc;
             ctx.sc_fail_seen = ctx.stats.sc_failures;
+            let windowed = ctx.sc_window;
+            if windowed {
+                ctx.close_sc_window();
+            }
             if failures >= attempts {
-                // Failed even running alone — the guest's SC can never
-                // succeed (e.g. a retry loop that skips its LL). Spend
-                // the budget so this becomes a verdict, not a loop.
+                // A windowed failure ran alone, so the guest's SC can
+                // never succeed (e.g. a retry loop that skips its LL):
+                // its streak climbs on to the verdict.
                 ctx.sc_fail_streak += failures;
-                if self.retry.exhausted(ctx.sc_fail_streak) {
-                    return Some(VcpuOutcome::Livelocked { pc: ctx.cpu.pc });
+                if let Some(outcome) = self.ladder_step(ctx, ctx.sc_fail_streak) {
+                    return Some(outcome);
                 }
-            } else {
+            } else if windowed {
                 // Completed under the window. Stay primed at the
                 // degradation threshold (sticky, like a real HTM's
                 // lemming path): while the storm persists the very next
@@ -851,55 +878,6 @@ impl MachineCore {
                 // whole backoff ladder; the first natural success
                 // outside a window resets to fully optimistic.
                 ctx.sc_fail_streak = self.retry.degrade_after;
-            }
-        }
-        if ctx.region_exclusive || ctx.sc_window {
-            // A degraded region (or held SC window) keeps the whole
-            // machine stopped; a guest loop that never reaches its SC
-            // must become a clean livelock verdict, not a permanent
-            // freeze.
-            ctx.region_blocks += 1;
-            if ctx.region_blocks > REGION_BLOCK_CAP {
-                let pc = ctx.cpu.pc;
-                ctx.release_region();
-                return Some(VcpuOutcome::Livelocked { pc });
-            }
-            // No injections inside the degraded rungs: they are the
-            // ladder's guaranteed-completion fallback.
-            return None;
-        }
-        // SC-storm escape. Stop-the-world SC schemes can rotate forever
-        // under injected stalls: the barrier grants exclusivity roughly
-        // FIFO, and a failed SC's retry re-arms its hash entry / monitor
-        // *before* its next park, so the oldest waiter — the one granted
-        // next — always finds its claim clobbered. Consecutive SC
-        // failures therefore climb the shared retry ladder: staged
-        // backoff desynchronizes the rotation; a persistent storm
-        // degrades the next attempt to a held stop-the-world window
-        // (LL→SC runs alone, so it must succeed); and a spent budget
-        // becomes a clean livelock verdict instead of an unbounded spin.
-        let attempts = ctx.stats.sc - ctx.sc_seen;
-        if attempts > 0 {
-            let failures = ctx.stats.sc_failures - ctx.sc_fail_seen;
-            ctx.sc_seen = ctx.stats.sc;
-            ctx.sc_fail_seen = ctx.stats.sc_failures;
-            if failures >= attempts {
-                ctx.sc_fail_streak += failures;
-                if self.retry.exhausted(ctx.sc_fail_streak) {
-                    return Some(VcpuOutcome::Livelocked { pc: ctx.cpu.pc });
-                }
-                if self.is_threaded() {
-                    if ctx.sc_fail_streak >= self.retry.degrade_after && !ctx.region_active() {
-                        if !ctx.open_sc_window() {
-                            // Halted while waiting for the window's
-                            // exclusivity: wind this vCPU down cleanly.
-                            return Some(VcpuOutcome::Livelocked { pc: ctx.cpu.pc });
-                        }
-                    } else {
-                        let backoff = self.retry.backoff(ctx.sc_fail_streak);
-                        ctx.count(Stat::lock_wait_ns, backoff);
-                    }
-                }
             } else {
                 // Geometric decay, not a hard reset: under a persistent
                 // storm a lone natural success should not force the full
@@ -908,6 +886,20 @@ impl MachineCore {
                 // from storms the streak is already ~0 and this is one.
                 ctx.sc_fail_streak /= 2;
             }
+        }
+        if ctx.sc_window {
+            // The held window keeps the whole machine stopped; a guest
+            // loop that never reaches its SC must become a clean
+            // livelock verdict, not a permanent freeze. The window is
+            // injection-free: it is the ladder's guaranteed-completion
+            // rung.
+            ctx.region_blocks += 1;
+            if ctx.region_blocks > REGION_BLOCK_CAP {
+                let pc = ctx.cpu.pc;
+                ctx.release_region();
+                return Some(VcpuOutcome::Livelocked { pc });
+            }
+            return None;
         }
         if ctx.chaos.is_some() {
             if ctx.cpu.monitor.addr.is_some() && ctx.chaos_roll(ChaosSite::MonitorClear) {
@@ -980,7 +972,6 @@ impl MachineCore {
                         // heartbeats): serial context.
                         ctx.parallel = n > 1;
                         if watch {
-                            ctx.robust = true;
                             ctx.beat = Some(Arc::clone(&beat));
                         }
                         let mut l1 = L1Cache::new();
@@ -996,8 +987,8 @@ impl MachineCore {
                                 break outcome;
                             }
                         };
-                        // Leave nothing open (uncommitted transaction or a
-                        // degraded region's exclusive section) on the way out.
+                        // Leave nothing open (uncommitted transaction or the
+                        // held window's exclusive section) on the way out.
                         ctx.release_region();
                         beat.done.store(true, Ordering::Relaxed);
                         self.qsbr.unregister(ctx.qsbr_slot);

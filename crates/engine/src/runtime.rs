@@ -188,19 +188,12 @@ pub struct ExecCtx<'m> {
     /// The guest PC of the current attribution scope: the entered
     /// block's PC.
     pub(crate) prof_pc: u32,
-    /// True while a *degraded* region is open: instead of an HTM
-    /// transaction, the LL→SC window runs under the machine's exclusive
-    /// section (the stop-the-world fallback on the degradation ladder).
-    pub region_exclusive: bool,
-    /// Set when the retry budget for HTM regions is spent: the next
-    /// [`ExecCtx::begin_region_txn`] opens a degraded region instead.
-    pub degrade_next_region: bool,
-    /// Blocks retired inside the current degraded region (capped by the
-    /// run loop to turn a wedged region into a clean livelock verdict).
+    /// Blocks retired inside the current held window (capped by the run
+    /// loop to turn a wedged window into a clean livelock verdict).
     pub region_blocks: u32,
-    /// True when any robustness feature (chaos, watchdog, degradation)
-    /// is live; the dispatch loop's single extra branch keys off this.
-    pub robust: bool,
+    /// True when the robustness plane is armed (chaos or a watchdog);
+    /// the dispatch loop's single extra branch keys off this.
+    pub(crate) robust: bool,
     /// Consecutive failed SCs with no intervening success, fed to the
     /// retry policy by the robust hop (SC-storm backoff + livelock
     /// verdict).
@@ -216,14 +209,13 @@ pub struct ExecCtx<'m> {
     /// One-shot flag set by [`ExecCtx::chaos_sc_fail`] so the SC
     /// outcome note labels the failure injected rather than organic.
     pub(crate) sc_injected: bool,
-    /// True while a *degraded SC window* holds the machine stopped: a
-    /// persistently storming SC retry loop runs its next LL→SC attempt
-    /// alone, so the attempt cannot be clobbered and must make progress
-    /// (the stop-the-world rung of the ladder for non-HTM schemes).
+    /// True while the *held window* keeps the machine stopped: a
+    /// storming retry loop (SC failures, or PICO-HTM region aborts) runs
+    /// its next LL→SC attempt alone, so nothing can clobber or abort it
+    /// and it must make progress (the degradation ladder's one
+    /// stop-the-world rung). The boundary hop closes the window once an
+    /// SC has run under it.
     pub(crate) sc_window: bool,
-    /// `stats.sc` when the window opened; the boundary hop closes the
-    /// window once an SC has run under it.
-    pub(crate) sc_window_mark: u64,
     /// Deterministic runs at pause-point granularity: block execution
     /// pauses at `Op::Yield`/`Op::Window` so the scheduler can
     /// interleave inside marked windows, and every event
@@ -265,9 +257,7 @@ impl<'m> ExecCtx<'m> {
         let trace = machine.trace.as_ref().map(|rec| rec.handle(cpu.tid));
         let prof = machine.profile.as_ref().map(|rec| rec.profile(cpu.tid));
         let prof_pc = cpu.pc;
-        let robust = chaos.is_some()
-            || machine.config.watchdog_ms > 0
-            || machine.config.htm_degrade_after > 0;
+        let robust = chaos.is_some() || machine.config.watchdog_ms > 0;
         ExecCtx {
             cpu,
             stats: VcpuStats::default(),
@@ -281,8 +271,6 @@ impl<'m> ExecCtx<'m> {
             beat: None,
             prof,
             prof_pc,
-            region_exclusive: false,
-            degrade_next_region: false,
             region_blocks: 0,
             robust,
             sc_fail_streak: 0,
@@ -291,7 +279,6 @@ impl<'m> ExecCtx<'m> {
             sc_fail_since: None,
             sc_injected: false,
             sc_window: false,
-            sc_window_mark: 0,
             pause_points: false,
             parallel: true,
             events: Vec::new(),
@@ -530,16 +517,13 @@ impl<'m> ExecCtx<'m> {
     /// plane's per-site tally.
     #[inline]
     fn roll(&mut self, site: ChaosSite, draw: fn(&mut ChaosStream) -> bool) -> bool {
-        // Degraded rungs (exclusive HTM regions, held SC windows) are
-        // injection-free: they are the ladder's guaranteed-completion
-        // fallback, so nothing may spuriously fail inside them.
-        if self.region_exclusive || self.sc_window {
-            return false;
-        }
         let Some(stream) = &mut self.chaos else {
             return false;
         };
-        if !draw(stream) {
+        // The held window is injection-free: it is the ladder's
+        // guaranteed-completion rung, so nothing may spuriously fail
+        // inside it.
+        if self.sc_window || !draw(stream) {
             return false;
         }
         self.stats.injected_faults += 1;
@@ -557,7 +541,7 @@ impl<'m> ExecCtx<'m> {
     /// Scheme SC helpers call this instead of rolling `ScFail` raw.
     #[inline]
     pub fn chaos_sc_fail(&mut self) -> bool {
-        if self.robust && self.chaos_roll(ChaosSite::ScFail) {
+        if self.chaos_roll(ChaosSite::ScFail) {
             self.stats.sc_failures_injected += 1;
             self.sc_injected = true;
             true
@@ -601,55 +585,53 @@ impl<'m> ExecCtx<'m> {
         start.elapsed().as_nanos() as u64
     }
 
-    /// Whether an LL→SC region (transactional or degraded) is open.
+    /// Whether an LL→SC region is open: a region transaction, or the
+    /// held window standing in for one.
     #[inline]
     pub fn region_active(&self) -> bool {
-        self.txn.is_some() || self.region_exclusive
+        self.txn.is_some() || self.sc_window
     }
 
     /// Drops any open region state: discards an uncommitted transaction
-    /// and, crucially, leaves a degraded region's (or SC window's)
-    /// exclusive section so a trap or halt inside it cannot wedge every
-    /// other vCPU.
+    /// and, crucially, leaves the held window's exclusive section so a
+    /// trap or halt inside it cannot wedge every other vCPU.
     pub fn release_region(&mut self) {
         self.txn = None;
         self.txn_restart = None;
         self.txn_retries = 0;
         self.region_blocks = 0;
         self.txn_events.clear();
-        if self.region_exclusive {
-            self.region_exclusive = false;
-            self.leave_exclusive();
-        }
         if self.sc_window {
             self.sc_window = false;
             self.leave_exclusive();
         }
     }
 
-    /// Opens a degraded SC window: holds the machine stopped (as the
-    /// named holder, so this vCPU's own safepoints pass through) across
-    /// the next LL→SC attempt of a persistently storming SC retry loop.
-    /// With the world stopped from *before* the LL, no competitor can
-    /// clobber the claim, so the attempt is guaranteed to succeed —
-    /// the stop-the-world rung of the degradation ladder, generalized
-    /// from HTM regions to every LL/SC scheme. The boundary hop closes
+    /// Opens the held window after a streak of `streak` failed
+    /// attempts: holds the machine stopped (as the named holder, so this
+    /// vCPU's own safepoints pass through) across the next LL→SC
+    /// attempt. With the world stopped from *before* the LL, no
+    /// competitor can clobber the claim and no conflict can abort the
+    /// region, so the attempt must complete. The boundary hop closes
     /// the window once an SC has run under it (or caps a runaway one).
     /// Returns `false` (without opening anything) if the machine halted
     /// while waiting for exclusivity — the caller must abandon the vCPU.
-    pub(crate) fn open_sc_window(&mut self) -> bool {
+    pub(crate) fn open_sc_window(&mut self, streak: u64) -> bool {
         let Ok(waited) = self.machine.exclusive.start_exclusive_as(self.cpu.tid) else {
             return false;
         };
-        self.note_degrade(self.cpu.pc, self.sc_fail_streak);
+        self.note_degrade(self.cpu.pc, streak);
         self.entered_exclusive(waited);
         self.sc_window = true;
-        self.sc_window_mark = self.stats.sc;
+        // The hop's SC deltas restart here, so the first SC counted
+        // after this point is the windowed attempt's.
+        self.sc_seen = self.stats.sc;
+        self.sc_fail_seen = self.stats.sc_failures;
         self.region_blocks = 0;
         true
     }
 
-    /// Closes a degraded SC window, resuming every parked vCPU.
+    /// Closes the held window, resuming every parked vCPU.
     pub(crate) fn close_sc_window(&mut self) {
         self.sc_window = false;
         self.region_blocks = 0;
@@ -1013,7 +995,7 @@ impl<'m> ExecCtx<'m> {
                 what: "machine halted during fault handling",
             });
         }
-        if self.robust && self.chaos_roll(ChaosSite::FaultDelay) {
+        if self.chaos_roll(ChaosSite::FaultDelay) {
             // A latency spike in the fault-handler path (PST's SIGSEGV
             // round trip being slow); charged to the mprotect bucket the
             // page-protection schemes already use.
@@ -1152,14 +1134,7 @@ impl<'m> ExecCtx<'m> {
         if !self.machine.space.write_tracked(page) {
             return Ok(SmcClaim::NotOurs);
         }
-        // A degraded region already holds the world stopped with this
-        // vCPU as the named holder; re-requesting exclusivity would
-        // self-deadlock. (`start_exclusive` handles the SC-window case
-        // the same way itself.)
-        let held_region = self.region_exclusive;
-        if !held_region {
-            self.start_exclusive()?;
-        }
+        self.start_exclusive()?;
         let victims = self.machine.cache.victims_for_store(vaddr, width.bytes());
         if victims.is_empty() {
             // Code/data false sharing: the tracked page holds both
@@ -1170,9 +1145,7 @@ impl<'m> ExecCtx<'m> {
         } else {
             self.invalidate(vaddr, &victims);
         }
-        if !held_region {
-            self.end_exclusive();
-        }
+        self.end_exclusive();
         // The tracking bit's claim is settled; if ordinary permissions
         // forbid the write as well, a scheme also owns this fault (PST's
         // protected pages) — hand it the remainder.
@@ -1219,7 +1192,7 @@ impl<'m> ExecCtx<'m> {
 
     /// Enters the machine's stop-the-world exclusive section, counting
     /// the entry and its wait (`exclusive_entries`, `exclusive_ns`) once
-    /// it is granted. A no-op while a degraded SC window is held — the
+    /// it is granted. A no-op while the held window is open — the
     /// machine is already stopped and this vCPU is the holder.
     ///
     /// # Errors
@@ -1231,7 +1204,7 @@ impl<'m> ExecCtx<'m> {
         if self.sc_window {
             return Ok(());
         }
-        if self.robust && self.chaos_roll(ChaosSite::ExclusiveStall) {
+        if self.chaos_roll(ChaosSite::ExclusiveStall) {
             // An injected stall on the way into the exclusive section
             // (requester descheduled at the worst moment).
             let stall = self.chaos_stall();
@@ -1249,7 +1222,7 @@ impl<'m> ExecCtx<'m> {
         }
     }
 
-    /// Leaves the exclusive section. Under a degraded SC window the
+    /// Leaves the exclusive section. Under the held window the
     /// section is *kept*: the boundary hop owns the close decision, so
     /// the window reliably spans the whole LL→SC attempt regardless of
     /// which scheme helper runs inside it.
@@ -1263,58 +1236,31 @@ impl<'m> ExecCtx<'m> {
     /// back to `restart_pc` with the current register state (PICO-HTM's
     /// `xbegin` at LL).
     ///
-    /// # Errors
-    ///
-    /// [`Trap::Livelock`] if the degraded (stop-the-world) path was
-    /// requested but the machine halted before exclusivity was granted.
-    pub fn begin_region_txn(&mut self, restart_pc: u32) -> Result<(), Trap> {
-        if self.degrade_next_region {
-            // Retry budget spent: run this LL→SC region under the
-            // stop-the-world exclusive section instead of a transaction.
-            // Guaranteed to complete (no conflicts are possible), at the
-            // cost of serializing the whole machine.
-            self.degrade_next_region = false;
-            let waited = self
-                .machine
-                .exclusive
-                .start_exclusive_as(self.cpu.tid)
-                .map_err(|_halted| Trap::Livelock {
-                    pc: self.cpu.pc,
-                    what: "machine halted while awaiting exclusivity",
-                })?;
+    /// Under the held window it opens none: nothing can interrupt the
+    /// region, so it needs no rollback point. The region's stores then
+    /// land directly, and the abort streak that earned the window ends
+    /// here.
+    pub fn begin_region_txn(&mut self, restart_pc: u32) {
+        if self.sc_window {
             self.trace_htm_streak(self.txn_retries);
-            self.note_degrade(restart_pc, self.txn_retries);
-            self.entered_exclusive(waited);
-            self.region_exclusive = true;
-            self.region_blocks = 0;
-            self.txn_restart = None;
             self.txn_retries = 0;
-            return Ok(());
+            return;
         }
         self.note_htm_begin(restart_pc, self.txn_retries);
         self.txn_restart = Some((restart_pc, self.cpu.snapshot()));
         self.txn = Some(self.machine.htm.begin());
-        Ok(())
     }
 
-    /// Commits the open region transaction (or closes the degraded
-    /// exclusive region standing in for one).
+    /// Commits the open region transaction; without one (the held
+    /// window, whose stores already landed) there is nothing to commit.
     ///
     /// # Errors
     ///
     /// [`Trap::HtmAbort`] if validation fails; the run loop rolls back.
     pub fn commit_region_txn(&mut self) -> Result<(), Trap> {
-        if self.region_exclusive {
-            self.region_exclusive = false;
-            self.region_blocks = 0;
-            self.txn_restart = None;
-            self.txn_retries = 0;
-            self.leave_exclusive();
-            return Ok(());
-        }
         match self.txn.take() {
             Some(txn) => {
-                if self.robust && self.chaos_roll(ChaosSite::HtmCommit) {
+                if self.chaos_roll(ChaosSite::HtmCommit) {
                     // Spurious abort at commit, as real HTM is free to do
                     // at any time for any reason (interrupt, cache
                     // eviction, ...). Buffered writes are discarded.
@@ -1347,7 +1293,7 @@ impl<'m> ExecCtx<'m> {
                     Err(reason) => Err(Trap::HtmAbort(reason)),
                 }
             }
-            None => Ok(()), // SC without LL: scheme already failed it.
+            None => Ok(()),
         }
     }
 

@@ -216,9 +216,10 @@ counter_table! {
     /// Faults fired into this vCPU by the chaos injection plane (zero
     /// unless the machine was built with `MachineConfig::chaos`).
     injected_faults: count sum,
-    /// Times an HTM-backed path spent its retry budget and downgraded to
-    /// the stop-the-world fallback (HST-HTM's exclusive SC, PICO-HTM's
-    /// exclusive region when `htm_degrade_after` is enabled).
+    /// Steps onto a stop-the-world rung: HST-HTM's world-stop SC once
+    /// its transaction budget is spent, and the engine's held window,
+    /// which a storming SC retry loop or PICO-HTM region takes in
+    /// threaded runs with chaos or a watchdog armed.
     degradations: count sum,
     /// Always 0: the engine has one translation tier. Kept only
     /// because the frozen `e2ebench/` reads it; it goes at the next

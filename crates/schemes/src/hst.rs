@@ -369,7 +369,7 @@ impl AtomicScheme for HstHtm {
                     }
                     // Injected spurious abort at commit, the point real
                     // HTM is most likely to fail for external reasons.
-                    if ctx.robust && ctx.chaos_roll(ChaosSite::HtmCommit) {
+                    if ctx.chaos_roll(ChaosSite::HtmCommit) {
                         let reason = txn.abort();
                         backoff(ctx, attempt, reason);
                         continue;

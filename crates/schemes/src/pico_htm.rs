@@ -9,7 +9,10 @@
 //! storm. The paper reports frequent crashes/livelocks beyond 8 threads;
 //! this reproduction surfaces the same behaviour as
 //! [`adbt_engine::VcpuOutcome::Livelocked`] once the per-region retry
-//! budget is exhausted.
+//! budget is exhausted. Threaded runs with the robustness plane armed
+//! (chaos or a watchdog) instead give a region that aborted 32 times in
+//! a row the engine's held stop-the-world window, under which its next
+//! attempt opens no transaction and must complete.
 
 use adbt_engine::{AtomicScheme, Atomicity, HelperRegistry, TraceKind};
 use adbt_ir::{BlockBuilder, HelperId, Op, Slot, Src};
@@ -49,17 +52,15 @@ impl AtomicScheme for PicoHtm {
             Box::new(|ctx, args| {
                 let (addr, restart_pc) = (args[0], args[1]);
                 ctx.stats.ll += 1;
-                // A fresh LL while a region is open re-arms: abort the
-                // old region first (nesting is architecturally invalid).
-                // `release_region` also unwinds a degraded region's
-                // exclusive section, which a bare `txn.take()` would leak.
-                if ctx.region_active() {
+                // A fresh LL while a transaction is open re-arms: abort
+                // the old region first (nesting is architecturally
+                // invalid). The held window stays: it spans the attempt.
+                if ctx.txn.is_some() {
                     ctx.release_region();
                 }
                 // `xbegin` with full register rollback to the LL itself
-                // (or, when the abort budget is spent, the stop-the-world
-                // fallback region standing in for a transaction).
-                ctx.begin_region_txn(restart_pc)?;
+                // (none under the held window, which nothing interrupts).
+                ctx.begin_region_txn(restart_pc);
                 let value = ctx.load(addr, Width::Word)?;
                 ctx.cpu.monitor.addr = Some(addr);
                 ctx.cpu.monitor.value = value;
@@ -83,15 +84,15 @@ impl AtomicScheme for PicoHtm {
                     armed = false;
                 }
                 ctx.cpu.monitor.addr = None;
-                // `region_active` (not `txn.is_some()`): a degraded region
-                // holds exclusivity instead of a transaction.
+                // `region_active` (not `txn.is_some()`): the held window
+                // stands in for a transaction.
                 if !armed || !ctx.region_active() {
                     ctx.release_region();
                     ctx.note_sc(addr, false, new);
                     return Ok(1);
                 }
                 // The store joins the transaction (or happens directly,
-                // world-stopped, in a degraded region), then `xend`.
+                // world-stopped, under the held window), then `xend`.
                 ctx.store(addr, Width::Word, new, true)?;
                 ctx.commit_region_txn()?;
                 // The region just committed (txn gone), so this lands

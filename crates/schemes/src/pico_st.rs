@@ -49,7 +49,7 @@ fn lock_registry<'a>(
         ctx.stats.lock_acquisitions += 1;
     }
     // Injected lock-acquire stall: models a descheduled lock holder.
-    if ctx.robust && ctx.chaos_roll(ChaosSite::LockStall) {
+    if ctx.chaos_roll(ChaosSite::LockStall) {
         let stall = ctx.chaos_stall();
         ctx.count(Stat::lock_wait_ns, stall);
     }

@@ -56,7 +56,7 @@ struct PstShared {
 /// waiters must keep servicing safepoints or the machine deadlocks.
 fn lock_registry<'a>(shared: &'a PstShared, ctx: &mut ExecCtx<'_>) -> MutexGuard<'a, PstRegistry> {
     ctx.stats.lock_acquisitions += 1;
-    if ctx.robust && ctx.chaos_roll(ChaosSite::LockStall) {
+    if ctx.chaos_roll(ChaosSite::LockStall) {
         // Injected stall on the way to the registry lock (holder
         // descheduled mid-acquire); widens the contention windows the
         // fault handler and SC race through.
@@ -92,7 +92,7 @@ fn timed_protect(ctx: &mut ExecCtx<'_>, page: u32, perms: Perms) -> Result<(), T
     // the wall-clock and virtual-time accounting see it); its *duration*
     // is attributed to the mprotect bucket per the paper's Fig. 12.
     ctx.start_exclusive()?;
-    if ctx.robust && ctx.chaos_roll(ChaosSite::MprotectDelay) {
+    if ctx.chaos_roll(ChaosSite::MprotectDelay) {
         // Injected mprotect latency spike, taken with the world stopped —
         // the worst possible moment. The stall lands in `mprotect_ns`
         // through the surrounding timer.
@@ -450,7 +450,7 @@ impl AtomicScheme for PstRemap {
                         .expect("monitored page is mapped");
                     // The original page is now unmapped: concurrent
                     // accesses fault MAPERR and wait in the handler.
-                    if ctx.robust && ctx.chaos_roll(ChaosSite::MprotectDelay) {
+                    if ctx.chaos_roll(ChaosSite::MprotectDelay) {
                         // Injected remap latency while the page is away —
                         // stretches the MAPERR window other threads wait in.
                         let _ = ctx.chaos_stall();

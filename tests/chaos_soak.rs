@@ -11,12 +11,16 @@
 //!    clears, HTM commit aborts, and lock/mprotect stalls rain down at
 //!    rate ≥ 0.05. Livelock is an acceptable *clean* outcome; hangs,
 //!    panics, and silent corruption are not.
-//! 3. **Graceful degradation** — threaded HTM runs with an abort budget
-//!    fall back to the stop-the-world path and still complete.
+//! 3. **Graceful degradation** — a threaded PICO-HTM region that can
+//!    never commit takes the held stop-the-world window after 32 aborts
+//!    and completes, also when the translation cache must flush inside
+//!    the window (the `held_window_*` tests).
 
+use adbt::engine::MachineCore;
 use adbt::harness::{run_stack_with, StackRun};
 use adbt::workloads::stack::StackConfig;
-use adbt::{ChaosCfg, MachineConfig, SchemeKind, SimCosts, VcpuOutcome};
+use adbt::workloads::IMAGE_BASE;
+use adbt::{ChaosCfg, MachineBuilder, MachineConfig, RunReport, SchemeKind, SimCosts, VcpuOutcome};
 
 /// Seed pinned so failures reproduce byte-for-byte; rate at the floor
 /// the robustness contract names (≥ 0.05).
@@ -146,17 +150,15 @@ fn all_schemes_survive_injection_or_fail_cleanly() {
     }
 }
 
-/// Threaded soak with the watchdog armed and an HTM degradation budget:
-/// real OS threads, injected aborts, and the stop-the-world fallback.
-/// Must terminate (the watchdog converts any hang into `Livelocked`)
-/// and must not corrupt.
+/// Threaded soak with the watchdog armed: real OS threads, injected
+/// aborts, and the degradation ladder's held window. Must terminate (the
+/// watchdog converts any hang into `Livelocked`) and must not corrupt.
 #[test]
 fn threaded_soak_with_watchdog_terminates_cleanly() {
     for kind in [SchemeKind::Hst, SchemeKind::PicoHtm] {
         let config = MachineConfig {
             chaos: Some(ChaosCfg::new(SEED, RATE)),
             watchdog_ms: 5_000,
-            htm_degrade_after: 4,
             ..MachineConfig::default()
         };
         let run = run_stack_with(kind, 4, stack_config(1_000), config, None).unwrap();
@@ -168,6 +170,93 @@ fn threaded_soak_with_watchdog_terminates_cleanly() {
             run.verdict
         );
     }
+}
+
+/// A PICO-HTM region that can never commit: `ldrex`, then `stores` word
+/// stores into this vCPU's own buffer, then `strex`. Past the 512-word
+/// HTM write set every attempt aborts on capacity. `unrolled` writes the
+/// stores as straight-line code (about 110 blocks and 177 KB of
+/// translations for 1 200 of them) instead of a loop.
+fn capacity_storm(stores: u32, unrolled: bool) -> String {
+    let body = if unrolled {
+        "    str   r1, [r7]\n    add   r7, r7, #4\n".repeat(stores as usize)
+    } else {
+        format!(
+            "    mov32 r6, #{stores}\n\
+             fill:\n\
+             \x20   str   r1, [r7]\n\
+             \x20   add   r7, r7, #4\n\
+             \x20   subs  r6, r6, #1\n\
+             \x20   bne   fill\n"
+        )
+    };
+    format!(
+        "    mov32 r5, flag\n\
+         \x20   mov32 r4, buf\n\
+         \x20   add   r4, r4, r0, lsl #13\n\
+         retry:\n\
+         \x20   ldrex r1, [r5]\n\
+         \x20   mov   r7, r4\n\
+         {body}\
+         \x20   add   r1, r1, #1\n\
+         \x20   strex r2, r1, [r5]\n\
+         \x20   cmp   r2, #0\n\
+         \x20   bne   retry\n\
+         \x20   mov   r0, #0\n\
+         \x20   svc   #0\n\
+         \x20   .align 4096\n\
+         flag:\n\
+         \x20   .word 0\n\
+         \x20   .align 4096\n\
+         buf:\n\
+         \x20   .word 0\n"
+    )
+}
+
+/// Runs `source` under PICO-HTM on `vcpus` real threads with the
+/// watchdog armed, which arms the degradation ladder's held window.
+fn run_region_storm(source: &str, vcpus: u32, cache_limit: u64) -> RunReport {
+    let config = MachineConfig {
+        watchdog_ms: 30_000,
+        cache_limit,
+        ..MachineConfig::default()
+    };
+    let mut machine = MachineBuilder::new(SchemeKind::PicoHtm)
+        .config(config)
+        .build()
+        .unwrap();
+    machine.load_asm(source, IMAGE_BASE).unwrap();
+    let vcpus = machine.make_vcpus(vcpus, IMAGE_BASE);
+    machine.run_vcpus(vcpus)
+}
+
+/// Capacity storm: no attempt can commit, so each vCPU aborts exactly
+/// 32 times and then runs the region once under the held window, which
+/// opens no transaction. Without the window the regions back off to the
+/// `Livelocked` verdict after 16 385 aborts each.
+#[test]
+fn held_window_completes_a_capacity_storm() {
+    let source = capacity_storm(600, false);
+    for vcpus in [1, 4] {
+        let report = run_region_storm(&source, vcpus, 0);
+        let stats = &report.stats;
+        assert!(report.all_ok(), "{vcpus} vCPUs: {:?}", report.outcomes);
+        assert_eq!(stats.degradations, u64::from(vcpus), "{vcpus} vCPUs");
+        assert_eq!(stats.htm_aborts, 32 * u64::from(vcpus), "{vcpus} vCPUs");
+    }
+}
+
+/// Cache pressure inside the window: the unrolled region's translations
+/// overflow the smallest cache budget, so the window's holder flushes
+/// the cache while it keeps the machine stopped. The flush passes
+/// through the held window instead of waiting on it.
+#[test]
+fn held_window_completes_under_cache_pressure() {
+    let source = capacity_storm(1_200, true);
+    let report = run_region_storm(&source, 1, MachineCore::MIN_CACHE_LIMIT);
+    assert!(report.all_ok(), "{:?}", report.outcomes);
+    assert_eq!(report.stats.degradations, 1);
+    assert!(report.stats.flushes >= 1, "the cache never flushed");
 }
 
 /// SC-storm regression: threaded HST under *heavy* injection with the
