@@ -36,7 +36,16 @@ cargo test -q --release --offline --test chaos_soak \
 # links to retired blocks are revoked lazily, when a vCPU next follows
 # them, which is a threaded timing path, and the optimized build
 # interleaves the vCPU threads differently from the debug run above.
+# The same goes for the fault path under a lock: the smc step includes
+# the LL/SC counter that shares its code's page (every scheme, 4
+# threaded vCPUs), and a fused RMW under PST false sharing and PST's
+# store race (stores let through the protection against an LL/SC loop)
+# run beside it.
 cargo test -q --release --offline --test smc
+cargo test -q --release --offline --test fused_atomics \
+    fused_rmw_under_pst_false_sharing_lands_once
+cargo test -q --release --offline -p adbt-schemes --test concurrent \
+    pst_stores_let_through_the_protection_are_never_lost
 cargo test -q --release --offline -p adbt-engine --test chaining
 
 # Traced chaos soak (release, ~a second): a contended LL/SC counter

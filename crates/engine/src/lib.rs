@@ -91,7 +91,7 @@ pub use adbt_trace::{
 pub use cache::CacheOccupancy;
 pub use exclusive::{ExclusiveBarrier, ExclusiveTelemetry, Halted};
 pub use machine::{MachineConfig, MachineCore, RunReport, VcpuOutcome, MAX_THREADED_VCPUS};
-pub use runtime::{ExecCtx, FaultAccess, FaultOutcome, HelperFn, HelperRegistry, Trap};
+pub use runtime::{ExecCtx, FaultOutcome, HelperFn, HelperRegistry, Release, Trap};
 pub use sched::{
     format_choices, Granularity, RoundRobin, Scheduler, ScriptedScheduler, VirtualTimeScheduler,
 };

@@ -108,49 +108,30 @@ impl fmt::Debug for HelperRegistry {
     }
 }
 
-/// What a faulting access was trying to do, given to the scheme's
-/// page-fault handler so it can complete the access itself if it wants.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultAccess {
-    /// A data load.
-    Load,
-    /// A data store of `value` at the given width.
-    Store {
-        /// The value being stored.
-        value: u32,
-        /// The access width.
-        width: Width,
-    },
-    /// An instruction fetch (translation-time).
-    Fetch,
-}
-
-/// The scheme handler's verdict on a page fault.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultOutcome {
+/// How a page fault resolves: the verdict of the translation cache's
+/// SMC claim or of the scheme's handler. Neither performs the access;
+/// the fault path performs the faulting accessor's own access (load,
+/// fetch, plain store, CAS, fused RMW) at the address it resolves.
+pub enum FaultOutcome<'s> {
     /// Conditions changed (permissions restored, page remapped back, …):
-    /// re-execute the faulting access.
+    /// translate the access again.
     Retry,
-    /// The handler performed the access itself; skip it.
-    Done,
+    /// Perform the access through the MMU's permission-blind bypass
+    /// translation: the page keeps its protection or write tracking, and
+    /// this access may pass it. A handler whose decision must still hold
+    /// when the access lands passes its [`Release`], which the fault
+    /// path calls only after the access.
+    Bypass(Option<Release<'s>>),
     /// Not a fault this scheme handles — report a guest crash.
     Fatal,
 }
 
-/// How the translation cache's claim on a faulting store was settled
-/// (see [`ExecCtx::smc_settle`]). Internal to the SMC path.
-enum SmcClaim {
-    /// The page is not write-tracked, or permissions forbid the store
-    /// anyway: the fault belongs to the scheme handler.
-    NotOurs,
-    /// The store's page is no longer tracked (its last translation was
-    /// just retired): retry the access through the normal path.
-    Untracked,
-    /// Other live translations keep the page tracked: the caller must
-    /// complete the access via `translate_bypass`, in its real shape
-    /// (plain store, CAS, fused RMW).
-    Bypass,
-}
+/// Ends a fault handler's hold on its [`FaultOutcome::Bypass`] decision
+/// once the access has landed. PST's drops its registry lock guard: an
+/// LL registering on the page in between would read the word without
+/// the store the handler let through, and its SC could then overwrite
+/// that store.
+pub type Release<'s> = Box<dyn FnOnce() + 's>;
 
 /// Everything a running vCPU thread carries: architectural state, local
 /// statistics, machine services, and (for PICO-HTM) the open transaction
@@ -216,6 +197,10 @@ pub struct ExecCtx<'m> {
     /// stop-the-world rung). The boundary hop closes the window once an
     /// SC has run under it.
     pub(crate) sc_window: bool,
+    /// How many stop-the-world sections this vCPU has entered and not
+    /// yet left. Sections nest: only the outermost one (the held
+    /// window, when it is open) enters and leaves the machine's barrier.
+    exclusive_depth: u32,
     /// Deterministic runs at pause-point granularity: block execution
     /// pauses at `Op::Yield`/`Op::Window` so the scheduler can
     /// interleave inside marked windows, and every event
@@ -279,6 +264,7 @@ impl<'m> ExecCtx<'m> {
             sc_fail_since: None,
             sc_injected: false,
             sc_window: false,
+            exclusive_depth: 0,
             pause_points: false,
             parallel: true,
             events: Vec::new(),
@@ -465,14 +451,16 @@ impl<'m> ExecCtx<'m> {
         }
     }
 
-    /// Records an entry into the stop-the-world section after `waited`
-    /// ns of waiting: the entry and the wait, the entry-wait histogram,
-    /// and the opening edge of the span. Like [`Self::trace_ts`], the
+    /// Records an entry into the stop-the-world section, the outermost
+    /// one, after `waited` ns of waiting: the nesting depth, the entry
+    /// and the wait, the entry-wait histogram, and the opening edge of
+    /// the span. Like [`Self::trace_ts`], the
     /// event suppresses the measured wait in deterministic modes (always
     /// an uncontended acquire there — the measured nanoseconds are
     /// scheduler noise that would make traces of identical runs differ
     /// byte-for-byte).
     fn entered_exclusive(&mut self, waited: u64) {
+        self.exclusive_depth = 1;
         self.count(Stat::exclusive_entries, 1);
         self.count(Stat::exclusive_ns, waited);
         let waited = if self.machine.is_threaded() {
@@ -484,13 +472,6 @@ impl<'m> ExecCtx<'m> {
             handle.recorder.hists.exclusive_wait.record(waited);
         }
         self.trace(TraceKind::ExclusiveEnter, 0, saturate(waited));
-    }
-
-    /// Leaves the stop-the-world section and records the span's closing
-    /// edge.
-    fn leave_exclusive(&mut self) {
-        self.machine.exclusive.end_exclusive();
-        self.trace(TraceKind::ExclusiveExit, 0, 0);
     }
 
     /// Records a completed HTM abort streak (ended by a commit or a
@@ -603,19 +584,21 @@ impl<'m> ExecCtx<'m> {
         self.txn_events.clear();
         if self.sc_window {
             self.sc_window = false;
-            self.leave_exclusive();
+            self.end_exclusive();
         }
     }
 
     /// Opens the held window after a streak of `streak` failed
     /// attempts: holds the machine stopped (as the named holder, so this
     /// vCPU's own safepoints pass through) across the next LL→SC
-    /// attempt. With the world stopped from *before* the LL, no
-    /// competitor can clobber the claim and no conflict can abort the
-    /// region, so the attempt must complete. The boundary hop closes
-    /// the window once an SC has run under it (or caps a runaway one).
-    /// Returns `false` (without opening anything) if the machine halted
-    /// while waiting for exclusivity — the caller must abandon the vCPU.
+    /// attempt, as the outermost exclusive section: the sections the
+    /// attempt enters nest inside it. With the world stopped from
+    /// *before* the LL, no competitor can clobber the claim and no
+    /// conflict can abort the region, so the attempt must complete. The
+    /// boundary hop closes the window once an SC has run under it (or
+    /// caps a runaway one). Returns `false` (without opening anything)
+    /// if the machine halted while waiting for exclusivity — the caller
+    /// must abandon the vCPU.
     pub(crate) fn open_sc_window(&mut self, streak: u64) -> bool {
         let Ok(waited) = self.machine.exclusive.start_exclusive_as(self.cpu.tid) else {
             return false;
@@ -635,7 +618,7 @@ impl<'m> ExecCtx<'m> {
     pub(crate) fn close_sc_window(&mut self) {
         self.sc_window = false;
         self.region_blocks = 0;
-        self.leave_exclusive();
+        self.end_exclusive();
     }
 
     /// Performs a guest load, routing faults to the scheme handler and
@@ -661,41 +644,27 @@ impl<'m> ExecCtx<'m> {
         self.load_slow(vaddr, width)
     }
 
-    /// [`ExecCtx::load`]'s transactional reads and fault/retry loop.
+    /// [`ExecCtx::load`]'s transactional reads and fault path.
     #[cold]
     #[inline(never)]
     fn load_slow(&mut self, vaddr: u32, width: Width) -> Result<u32, Trap> {
-        let mut retries = 0u64;
-        loop {
-            match self.machine.space.translate(vaddr, Access::Load, width) {
-                Ok(paddr) => {
-                    return match &mut self.txn {
-                        Some(txn) => match txn.load(self.machine.space.mem(), paddr, width) {
-                            Ok(v) => Ok(v),
-                            Err(reason) => {
-                                self.txn = None;
-                                Err(Trap::HtmAbort(reason))
-                            }
-                        },
-                        // Under an HTM scheme, plain loads must be atomic
-                        // with respect to commits (as on real HTM); the
-                        // consistent read prevents an LL from observing a
-                        // half-committed SC and re-committing stale data.
-                        None if self.machine.htm_enabled => Ok(self.machine.htm.consistent_load(
-                            self.machine.space.mem(),
-                            paddr,
-                            width,
-                        )),
-                        None => Ok(self.machine.space.mem().load(paddr, width)),
-                    };
+        self.perform(vaddr, Access::Load, width, |ctx, paddr| {
+            let mem = ctx.machine.space.mem();
+            match &mut ctx.txn {
+                Some(txn) => txn.load(mem, paddr, width).map_err(|reason| {
+                    ctx.txn = None;
+                    Trap::HtmAbort(reason)
+                }),
+                // Under an HTM scheme, plain loads must be atomic with
+                // respect to commits (as on real HTM); the consistent read
+                // prevents an LL from observing a half-committed SC and
+                // re-committing stale data.
+                None if ctx.machine.htm_enabled => {
+                    Ok(ctx.machine.htm.consistent_load(mem, paddr, width))
                 }
-                Err(fault) => {
-                    // A handler cannot "perform" a load (`Done` carries no
-                    // value), so both resolutions mean "try again".
-                    let _ = self.handle_fault(fault, FaultAccess::Load, &mut retries)?;
-                }
+                None => Ok(mem.load(paddr, width)),
             }
-        }
+        })
     }
 
     /// Fetches one instruction word for translation, routing faults to
@@ -706,19 +675,9 @@ impl<'m> ExecCtx<'m> {
     ///
     /// Traps on unhandled faults or fault-retry livelock.
     pub fn fetch_word(&mut self, vaddr: u32) -> Result<u32, Trap> {
-        let mut retries = 0u64;
-        loop {
-            match self
-                .machine
-                .space
-                .translate(vaddr, Access::Fetch, Width::Word)
-            {
-                Ok(paddr) => return Ok(self.machine.space.mem().load(paddr, Width::Word)),
-                Err(fault) => {
-                    let _ = self.handle_fault(fault, FaultAccess::Fetch, &mut retries)?;
-                }
-            }
-        }
+        self.perform(vaddr, Access::Fetch, Width::Word, |ctx, paddr| {
+            Ok(ctx.machine.space.mem().load(paddr, Width::Word))
+        })
     }
 
     /// Performs a guest store; `guest_store` marks architectural stores
@@ -772,7 +731,7 @@ impl<'m> ExecCtx<'m> {
     }
 
     /// [`ExecCtx::store`]'s transactional and pause-point paths and its
-    /// fault/retry loop.
+    /// fault path.
     #[cold]
     #[inline(never)]
     fn store_slow(
@@ -782,42 +741,24 @@ impl<'m> ExecCtx<'m> {
         value: u32,
         guest_store: bool,
     ) -> Result<(), Trap> {
-        let mut retries = 0u64;
-        loop {
-            match self.machine.space.translate(vaddr, Access::Store, width) {
-                Ok(paddr) => {
-                    match &mut self.txn {
-                        Some(txn) => {
-                            if let Err(reason) =
-                                txn.store(self.machine.space.mem(), paddr, width, value)
-                            {
-                                self.txn = None;
-                                return Err(Trap::HtmAbort(reason));
-                            }
-                        }
-                        None => {
-                            self.machine.space.mem().store(paddr, width, value);
-                            if guest_store && self.machine.htm_enabled {
-                                self.machine.htm.notify_plain_store(paddr);
-                            }
-                        }
+        self.perform(vaddr, Access::Store, width, |ctx, paddr| {
+            let mem = ctx.machine.space.mem();
+            match &mut ctx.txn {
+                Some(txn) => {
+                    if let Err(reason) = txn.store(mem, paddr, width, value) {
+                        ctx.txn = None;
+                        return Err(Trap::HtmAbort(reason));
                     }
-                    break;
                 }
-                Err(fault) => {
-                    match self.handle_fault(
-                        fault,
-                        FaultAccess::Store { value, width },
-                        &mut retries,
-                    )? {
-                        // The handler stored it; the store is visible all
-                        // the same.
-                        FaultOutcome::Done => break,
-                        _ => continue,
+                None => {
+                    mem.store(paddr, width, value);
+                    if guest_store && ctx.machine.htm_enabled {
+                        ctx.machine.htm.notify_plain_store(paddr);
                     }
                 }
             }
-        }
+            Ok(())
+        })?;
         if guest_store && self.pause_points {
             self.trace(TraceKind::GuestStore, vaddr, width.bytes());
         }
@@ -845,181 +786,152 @@ impl<'m> ExecCtx<'m> {
         if let Some(txn) = &mut self.txn {
             txn.poison();
         }
-        let mut retries = 0u64;
-        loop {
-            match self
-                .machine
-                .space
-                .translate(vaddr, Access::Store, Width::Word)
-            {
-                Ok(paddr) => {
-                    let old = self.machine.space.mem().fetch_rmw_word(paddr, op, operand);
-                    if self.machine.htm_enabled {
-                        self.machine.htm.notify_plain_store(paddr);
-                    }
-                    return Ok(old);
-                }
-                Err(fault) => {
-                    // The SMC claim settles here, not in `handle_fault`:
-                    // the generic path would complete the access as a
-                    // plain store, corrupting the fused RMW's atomicity.
-                    if fault.kind == FaultKind::Protected {
-                        match self.smc_claim_checked(fault, &mut retries)? {
-                            Some(SmcClaim::Untracked) => continue,
-                            Some(SmcClaim::Bypass) => {
-                                let paddr = self
-                                    .machine
-                                    .space
-                                    .translate_bypass(vaddr, Width::Word)
-                                    .map_err(Trap::Fault)?;
-                                let old =
-                                    self.machine.space.mem().fetch_rmw_word(paddr, op, operand);
-                                if self.machine.htm_enabled {
-                                    self.machine.htm.notify_plain_store(paddr);
-                                }
-                                return Ok(old);
-                            }
-                            Some(SmcClaim::NotOurs) | None => {}
-                        }
-                    }
-                    // Any resolved outcome retries the access (`Done`
-                    // cannot express an RMW).
-                    self.handle_fault(
-                        fault,
-                        FaultAccess::Store {
-                            value: operand,
-                            width: Width::Word,
-                        },
-                        &mut retries,
-                    )?;
-                }
+        self.perform(vaddr, Access::Store, Width::Word, |ctx, paddr| {
+            let old = ctx.machine.space.mem().fetch_rmw_word(paddr, op, operand);
+            if ctx.machine.htm_enabled {
+                ctx.machine.htm.notify_plain_store(paddr);
             }
-        }
+            Ok(old)
+        })
     }
 
     /// Host CAS on a guest word (the PICO-CAS `strex` primitive).
-    /// Returns `true` on success. Faults route to the scheme handler;
-    /// a fault resolved as [`FaultOutcome::Done`] counts as failure.
+    /// Returns `true` on success. Faults take the one fault path; the
+    /// CAS is then performed once, at the address it resolved to.
     ///
     /// # Errors
     ///
     /// Traps on unhandled faults or fault-retry livelock.
     pub fn cas_word(&mut self, vaddr: u32, expected: u32, new: u32) -> Result<bool, Trap> {
-        let mut retries = 0u64;
-        loop {
-            match self
-                .machine
-                .space
-                .translate(vaddr, Access::Store, Width::Word)
-            {
-                Ok(paddr) => {
-                    let ok = self
-                        .machine
-                        .space
-                        .mem()
-                        .cas_word(paddr, expected, new)
-                        .is_ok();
-                    if ok && self.machine.htm_enabled {
-                        self.machine.htm.notify_plain_store(paddr);
-                    }
-                    return Ok(ok);
+        self.perform(vaddr, Access::Store, Width::Word, |ctx, paddr| {
+            let mem = ctx.machine.space.mem();
+            let ok = mem.cas_word(paddr, expected, new).is_ok();
+            if ok && ctx.machine.htm_enabled {
+                ctx.machine.htm.notify_plain_store(paddr);
+            }
+            Ok(ok)
+        })
+    }
+
+    /// Translates `vaddr` for `access`, taking the fault path when the
+    /// page faults: the physical address the access must use. A scheme
+    /// helper resolves its target through here before it takes a lock
+    /// or opens a transaction (the fault path may wait for a
+    /// stop-the-world, which a vCPU waiting on that lock or transaction
+    /// would never join). A handler's hold on a `Bypass` decision ends
+    /// when this returns, so a scheme whose handler holds one (PST)
+    /// performs its accesses through an accessor instead.
+    ///
+    /// # Errors
+    ///
+    /// Traps on unhandled faults, a halted machine or fault-retry
+    /// livelock.
+    #[inline(always)]
+    pub fn resolve(&mut self, vaddr: u32, access: Access, width: Width) -> Result<u32, Trap> {
+        self.perform(vaddr, access, width, |_, paddr| Ok(paddr))
+    }
+
+    /// Performs `body`, the accessor's own access, at the physical
+    /// address `vaddr` translates to for `access`: one MMU `translate`,
+    /// and the fault path when the page faults. Every accessor goes
+    /// through here; a handler's hold on a `Bypass` decision ends only
+    /// after `body`.
+    #[inline(always)]
+    fn perform<R>(
+        &mut self,
+        vaddr: u32,
+        access: Access,
+        width: Width,
+        body: impl FnOnce(&mut Self, u32) -> Result<R, Trap>,
+    ) -> Result<R, Trap> {
+        match self.machine.space.translate(vaddr, access, width) {
+            Ok(paddr) => body(self, paddr),
+            Err(fault) => {
+                let (paddr, release) = self.resolve_fault(fault, width)?;
+                let performed = body(self, paddr);
+                if let Some(release) = release {
+                    release();
                 }
-                Err(fault) => {
-                    // The SMC claim settles here, not in `handle_fault`:
-                    // the generic path would complete the access as a
-                    // plain store, and a CAS reported as "failed" after
-                    // its value was stored anyway livelocks the guest's
-                    // retry loop.
-                    if fault.kind == FaultKind::Protected {
-                        match self.smc_claim_checked(fault, &mut retries)? {
-                            Some(SmcClaim::Untracked) => continue,
-                            Some(SmcClaim::Bypass) => {
-                                let paddr = self
-                                    .machine
-                                    .space
-                                    .translate_bypass(vaddr, Width::Word)
-                                    .map_err(Trap::Fault)?;
-                                let ok = self
-                                    .machine
-                                    .space
-                                    .mem()
-                                    .cas_word(paddr, expected, new)
-                                    .is_ok();
-                                if ok && self.machine.htm_enabled {
-                                    self.machine.htm.notify_plain_store(paddr);
-                                }
-                                return Ok(ok);
-                            }
-                            Some(SmcClaim::NotOurs) | None => {}
-                        }
-                    }
-                    match self.handle_fault(
-                        fault,
-                        FaultAccess::Store {
-                            value: new,
-                            width: Width::Word,
-                        },
-                        &mut retries,
-                    )? {
-                        // `Done` (handler performed a plain store) cannot
-                        // express CAS; report failure so the guest retries.
-                        FaultOutcome::Done => return Ok(false),
-                        _ => continue,
-                    }
-                }
+                performed
             }
         }
     }
 
-    /// Routes one fault to the scheme handler. Non-fatal outcomes bump
-    /// `retries` (so even a misbehaving handler cannot loop the engine
-    /// forever) and are returned for the caller to act on.
+    /// The one fault path: resolves `fault` until the access has an
+    /// address. Each round counts the fault, turns a halted machine into
+    /// a clean livelock verdict, rolls the fault-delay chaos site, lets
+    /// the translation cache settle its SMC claim and hands the rest to
+    /// the scheme's handler; a `Retry` translates again, a `Bypass`
+    /// translates past the page's protection and returns the handler's
+    /// [`Release`], if any, for the caller to call after the access.
+    /// Non-fatal rounds are bounded, so even a misbehaving handler
+    /// cannot loop the engine forever.
     // Out of line: inlined into `fetch_word`, which translation calls
-    // once per guest instruction, it cost e2ebench's `big-code` about 6%
-    // of its guest MIPS (interleaved 30 s runs on a 2-CPU x86-64 host).
+    // once per guest instruction, the fault path cost e2ebench's
+    // `big-code` about 6% of its guest MIPS (interleaved 30 s runs on a
+    // 2-CPU x86-64 host).
+    #[cold]
     #[inline(never)]
-    fn handle_fault(
+    fn resolve_fault(
         &mut self,
-        fault: PageFault,
-        access: FaultAccess,
-        retries: &mut u64,
-    ) -> Result<FaultOutcome, Trap> {
-        self.note_fault(fault.vaddr);
-        // A halted machine means the watchdog declared the run dead:
-        // fault handlers that wait on exclusivity (PST's protect paths)
-        // can no longer succeed, so convert what would be an unbounded
-        // retry loop into a clean livelock verdict immediately.
-        if self.machine.exclusive.halted() {
-            return Err(Trap::Livelock {
-                pc: self.cpu.pc,
-                what: "machine halted during fault handling",
-            });
-        }
-        if self.chaos_roll(ChaosSite::FaultDelay) {
-            // A latency spike in the fault-handler path (PST's SIGSEGV
-            // round trip being slow); charged to the mprotect bucket the
-            // page-protection schemes already use.
-            self.stats.mprotect_ns += self.chaos_stall();
-        }
-        // Self-modifying code first: a store faulting into a
-        // write-tracked code page is an *engine* event (the translation
-        // cache hearing about a guest write over translated code),
-        // resolved before any scheme sees the fault. Schemes only ever
-        // handle what remains after the tracking bit's claim is settled.
-        if fault.kind == FaultKind::Protected {
-            if let FaultAccess::Store { value, width } = access {
-                if let Some(outcome) = self.smc_store(fault.vaddr, value, width)? {
-                    self.retry_fault(retries)?;
-                    return Ok(outcome);
-                }
+        mut fault: PageFault,
+        width: Width,
+    ) -> Result<(u32, Option<Release<'m>>), Trap> {
+        let mut retries = 0u64;
+        loop {
+            self.note_fault(fault.vaddr);
+            // A halted machine means the watchdog declared the run dead:
+            // fault handlers that wait on exclusivity (PST's protect
+            // paths) can no longer succeed, so convert what would be an
+            // unbounded retry loop into a clean livelock verdict.
+            if self.machine.exclusive.halted() {
+                return Err(Trap::Livelock {
+                    pc: self.cpu.pc,
+                    what: "machine halted during fault handling",
+                });
             }
-        }
-        let machine = self.machine;
-        match machine.scheme.on_page_fault(self, fault, access) {
-            FaultOutcome::Fatal => Err(Trap::Fault(fault)),
-            outcome => {
-                self.retry_fault(retries)?;
-                Ok(outcome)
+            if self.chaos_roll(ChaosSite::FaultDelay) {
+                // A latency spike in the fault-handler path (PST's
+                // SIGSEGV round trip being slow); charged to the mprotect
+                // bucket the page-protection schemes already use.
+                self.stats.mprotect_ns += self.chaos_stall();
+            }
+            // Self-modifying code first: a store faulting into a
+            // write-tracked code page is an *engine* event (the
+            // translation cache hearing about a guest write over
+            // translated code), settled before any scheme sees the fault.
+            // Schemes only ever handle what remains after the tracking
+            // bit's claim is settled.
+            let claim = if fault.kind == FaultKind::Protected && fault.access == Access::Store {
+                self.smc_claim(fault.vaddr, width)?
+            } else {
+                None
+            };
+            let machine = self.machine;
+            let outcome = match claim {
+                Some(outcome) => outcome,
+                None => machine.scheme.on_page_fault(self, fault, width),
+            };
+            let space = &machine.space;
+            let (translated, release) = match outcome {
+                FaultOutcome::Fatal => return Err(Trap::Fault(fault)),
+                FaultOutcome::Retry => (space.translate(fault.vaddr, fault.access, width), None),
+                FaultOutcome::Bypass(release) => {
+                    (space.translate_bypass(fault.vaddr, width), release)
+                }
+            };
+            retries += 1;
+            if retries > FAULT_RETRY_LIMIT {
+                return Err(Trap::Livelock {
+                    pc: self.cpu.pc,
+                    what: "page-fault retry storm",
+                });
+            }
+            match translated {
+                Ok(paddr) => return Ok((paddr, release)),
+                // A hold not returned ends with this round, before the
+                // next one consults the handler again.
+                Err(next) => fault = next,
             }
         }
     }
@@ -1030,109 +942,27 @@ impl<'m> ExecCtx<'m> {
         self.trace(TraceKind::PageFault, vaddr, 0);
     }
 
-    /// Counts one more retry of a faulting access; past
-    /// `FAULT_RETRY_LIMIT` the access is a livelock, not a loop.
-    fn retry_fault(&self, retries: &mut u64) -> Result<(), Trap> {
-        *retries += 1;
-        if *retries > FAULT_RETRY_LIMIT {
-            return Err(Trap::Livelock {
-                pc: self.cpu.pc,
-                what: "page-fault retry storm",
-            });
-        }
-        Ok(())
-    }
-
-    /// Resolves a store that faulted on a write-tracked code page — the
-    /// SMC path. Retires every translation whose guest bytes overlap the
-    /// store under the stop-the-world window, then completes or retries
-    /// the store. Returns `Ok(None)` when the engine has no claim (page
-    /// not tracked, or ordinary permissions forbid the write too) so the
-    /// fault falls through to the scheme's handler.
-    ///
-    /// # Errors
-    ///
-    /// [`Trap::Livelock`] if the machine halted while awaiting
-    /// exclusivity; [`Trap::HtmAbort`] if completing the store inside an
-    /// open region transaction aborts it.
-    fn smc_store(
-        &mut self,
-        vaddr: u32,
-        value: u32,
-        width: Width,
-    ) -> Result<Option<FaultOutcome>, Trap> {
-        match self.smc_settle(vaddr, width)? {
-            SmcClaim::NotOurs => Ok(None),
-            // The batch retired the page's last translation and untracked
-            // it: the plain store now succeeds on retry.
-            SmcClaim::Untracked => Ok(Some(FaultOutcome::Retry)),
-            SmcClaim::Bypass => {
-                // Other live translations keep the page tracked; complete
-                // the store by bypass so it cannot fault on the tracking
-                // bit again.
-                let paddr = self
-                    .machine
-                    .space
-                    .translate_bypass(vaddr, width)
-                    .map_err(Trap::Fault)?;
-                if let Some(txn) = &mut self.txn {
-                    if let Err(reason) = txn.store(self.machine.space.mem(), paddr, width, value) {
-                        self.txn = None;
-                        return Err(Trap::HtmAbort(reason));
-                    }
-                } else {
-                    self.machine.space.mem().store(paddr, width, value);
-                    if self.machine.htm_enabled {
-                        self.machine.htm.notify_plain_store(paddr);
-                    }
-                }
-                Ok(Some(FaultOutcome::Done))
-            }
-        }
-    }
-
-    /// [`ExecCtx::smc_settle`] plus the fault accounting and retry-storm
-    /// guard that `handle_fault` would otherwise provide — for the
-    /// atomic primitives, which settle the SMC claim before consulting
-    /// the scheme. Folds `NotOurs` into `None` so callers fall through
-    /// to the scheme handler (which does its own accounting).
-    ///
-    /// # Errors
-    ///
-    /// [`Trap::Livelock`] on the retry-storm limit or a halted machine.
-    fn smc_claim_checked(
-        &mut self,
-        fault: PageFault,
-        retries: &mut u64,
-    ) -> Result<Option<SmcClaim>, Trap> {
-        match self.smc_settle(fault.vaddr, Width::Word)? {
-            SmcClaim::NotOurs => Ok(None),
-            claim => {
-                self.note_fault(fault.vaddr);
-                self.retry_fault(retries)?;
-                Ok(Some(claim))
-            }
-        }
-    }
-
     /// Settles the translation cache's claim on a store that faulted on
-    /// `vaddr`'s page: retires overlapping translations under the
-    /// stop-the-world window and reports how the caller should complete
-    /// the access. The caller completes it rather than this function
-    /// because only the caller knows the access's real shape — a plain
-    /// store can be performed here, but a CAS or fused RMW performed as
-    /// a plain store would corrupt the guest's atomicity (the reason
-    /// [`ExecCtx::cas_word`] and [`ExecCtx::atomic_rmw`] settle the SMC
-    /// claim themselves).
+    /// `vaddr`'s page: retires every translation whose guest bytes
+    /// overlap the store, under a stop-the-world section. Returns
+    /// `Retry` once the page's last translation is gone (the page is no
+    /// longer tracked) and `Bypass` while other translations keep it
+    /// tracked. Returns `None` when the fault is not the cache's — the
+    /// page is not tracked, or ordinary permissions forbid the store as
+    /// well (PST's protected pages) — and belongs to the scheme handler.
     ///
     /// # Errors
     ///
     /// [`Trap::Livelock`] if the machine halted while awaiting
     /// exclusivity.
-    fn smc_settle(&mut self, vaddr: u32, width: Width) -> Result<SmcClaim, Trap> {
+    fn smc_claim(
+        &mut self,
+        vaddr: u32,
+        width: Width,
+    ) -> Result<Option<FaultOutcome<'static>>, Trap> {
         let page = page_of(vaddr);
         if !self.machine.space.write_tracked(page) {
-            return Ok(SmcClaim::NotOurs);
+            return Ok(None);
         }
         self.start_exclusive()?;
         let victims = self.machine.cache.victims_for_store(vaddr, width.bytes());
@@ -1146,21 +976,16 @@ impl<'m> ExecCtx<'m> {
             self.invalidate(vaddr, &victims);
         }
         self.end_exclusive();
-        // The tracking bit's claim is settled; if ordinary permissions
-        // forbid the write as well, a scheme also owns this fault (PST's
-        // protected pages) — hand it the remainder.
         let allows = self
             .machine
             .space
             .perms(page)
             .is_some_and(|perms| perms.allows(Access::Store));
-        if !allows {
-            return Ok(SmcClaim::NotOurs);
-        }
-        if !self.machine.space.write_tracked(page) {
-            return Ok(SmcClaim::Untracked);
-        }
-        Ok(SmcClaim::Bypass)
+        Ok(match (allows, self.machine.space.write_tracked(page)) {
+            (false, _) => None,
+            (true, false) => Some(FaultOutcome::Retry),
+            (true, true) => Some(FaultOutcome::Bypass(None)),
+        })
     }
 
     /// Retires the translations `victims` for a write at `addr` (a guest
@@ -1192,8 +1017,10 @@ impl<'m> ExecCtx<'m> {
 
     /// Enters the machine's stop-the-world exclusive section, counting
     /// the entry and its wait (`exclusive_entries`, `exclusive_ns`) once
-    /// it is granted. A no-op while the held window is open — the
-    /// machine is already stopped and this vCPU is the holder.
+    /// it is granted. Sections nest: while this vCPU already holds one
+    /// (an outer section, or the held window) the machine is stopped and
+    /// this only deepens the nesting — a fault settled inside a
+    /// stop-the-world SC does not wait for itself.
     ///
     /// # Errors
     ///
@@ -1201,7 +1028,8 @@ impl<'m> ExecCtx<'m> {
     /// before exclusivity was granted: the caller must not run its
     /// critical section and the vCPU winds down cleanly.
     pub fn start_exclusive(&mut self) -> Result<(), Trap> {
-        if self.sc_window {
+        if self.exclusive_depth > 0 {
+            self.exclusive_depth += 1;
             return Ok(());
         }
         if self.chaos_roll(ChaosSite::ExclusiveStall) {
@@ -1222,13 +1050,17 @@ impl<'m> ExecCtx<'m> {
         }
     }
 
-    /// Leaves the exclusive section. Under the held window the
-    /// section is *kept*: the boundary hop owns the close decision, so
-    /// the window reliably spans the whole LL→SC attempt regardless of
-    /// which scheme helper runs inside it.
+    /// Leaves the innermost exclusive section; leaving the outermost one
+    /// resumes every parked vCPU and records the span's closing edge.
+    /// The held window is the outermost section while it is open, so the
+    /// sections a scheme helper enters inside it leave the machine
+    /// stopped: the boundary hop owns the close decision.
     pub fn end_exclusive(&mut self) {
-        if !self.sc_window {
-            self.leave_exclusive();
+        debug_assert!(self.exclusive_depth > 0, "unbalanced end_exclusive");
+        self.exclusive_depth -= 1;
+        if self.exclusive_depth == 0 {
+            self.machine.exclusive.end_exclusive();
+            self.trace(TraceKind::ExclusiveExit, 0, 0);
         }
     }
 

@@ -6,9 +6,9 @@
 //! CGO'21 paper studies are implemented against this trait in the
 //! `adbt-schemes` crate; the engine is scheme-agnostic.
 
-use crate::runtime::{ExecCtx, FaultAccess, FaultOutcome, HelperRegistry};
+use crate::runtime::{ExecCtx, FaultOutcome, HelperRegistry};
 use adbt_ir::{BlockBuilder, Slot, Src};
-use adbt_mmu::PageFault;
+use adbt_mmu::{PageFault, Width};
 use std::fmt;
 
 /// The atomicity class a scheme guarantees for LL/SC emulation,
@@ -105,7 +105,7 @@ pub trait AtomicScheme: Send + Sync {
     /// hook followed by the store op; PICO-ST overrides this to route the
     /// *whole* store through a locked helper (its check and update must
     /// be one atomic step, per the paper's §II-B).
-    fn lower_store(&self, b: &mut BlockBuilder, src: Src, addr: Src, width: adbt_mmu::Width) {
+    fn lower_store(&self, b: &mut BlockBuilder, src: Src, addr: Src, width: Width) {
         self.instrument_store(b, addr);
         b.push(adbt_ir::Op::Store {
             src,
@@ -115,16 +115,23 @@ pub trait AtomicScheme: Send + Sync {
         });
     }
 
-    /// Handles a page fault raised by a guest access. The default
-    /// declares it fatal (schemes that never protect pages should never
-    /// see faults from healthy guests).
+    /// Handles a page fault raised by a guest access of `width` bytes
+    /// (`fault.access` says which kind), after the translation cache
+    /// settled any SMC claim on it. The handler never performs the
+    /// access: it changes what it must (monitors, permissions) and says
+    /// how the access proceeds, which the fault path then performs in
+    /// the faulting accessor's own shape — a plain store, a CAS or a
+    /// fused RMW. A `Bypass` may carry a [`Release`](crate::Release)
+    /// that keeps the decision in force (a lock guard) until the access
+    /// has landed. The default declares the fault fatal (schemes that
+    /// never protect pages should never see faults from healthy guests).
     fn on_page_fault(
         &self,
         ctx: &mut ExecCtx<'_>,
         fault: PageFault,
-        access: FaultAccess,
-    ) -> FaultOutcome {
-        let _ = (ctx, fault, access);
+        width: Width,
+    ) -> FaultOutcome<'_> {
+        let _ = (ctx, fault, width);
         FaultOutcome::Fatal
     }
 }

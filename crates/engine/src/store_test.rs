@@ -111,7 +111,10 @@ impl StoreTestTable {
     /// an entry whose previous SC is still writing (a lost-update bug).
     /// Strong HST keeps the plain [`StoreTestTable::set`] because its SC
     /// runs with the world stopped. The closure `wait` runs on each
-    /// failed attempt (schemes pass a safepoint-servicing yield).
+    /// failed attempt; HST-WEAK passes a bare spin, which never reaches
+    /// a safepoint. That is sound because no holder of an entry lock
+    /// waits for a stop-the-world: the SC resolves its target, faults
+    /// included, before it takes the lock.
     #[inline]
     pub fn claim_unlocked(&self, addr: u32, tid: u32, mut wait: impl FnMut()) {
         let entry = &self.entries[self.index(addr)];

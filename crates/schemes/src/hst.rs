@@ -198,27 +198,29 @@ impl AtomicScheme for HstWeak {
             Box::new(|ctx, args| {
                 let (addr, new) = (args[0], args[1]);
                 ctx.stats.sc += 1;
-                if ctx.chaos_sc_fail() {
-                    ctx.cpu.monitor.addr = None;
+                // An injected failure draws first, armed or not.
+                let armed = !ctx.chaos_sc_fail() && ctx.cpu.monitor.addr == Some(addr);
+                ctx.cpu.monitor.addr = None;
+                if !armed {
                     ctx.note_sc(addr, false, new);
                     return Ok(1);
                 }
-                let armed = ctx.cpu.monitor.addr == Some(addr);
-                ctx.cpu.monitor.addr = None;
+                // Resolve the target before taking the entry lock: a
+                // fault on the way may wait for a stop-the-world, and an
+                // LL spinning on the locked entry never reaches a
+                // safepoint. A trapping resolve reports no outcome, as in
+                // HST.
+                let paddr = ctx.resolve(addr, Access::Store, Width::Word)?;
                 // One CAS locks the entry iff it still belongs to us; a
                 // competing SC either completed (entry now theirs) or
                 // holds the lock — both must fail us.
-                if armed && ctx.machine.store_test.try_lock(addr, ctx.cpu.tid) {
-                    let result = ctx.store(addr, Width::Word, new, false);
+                let ok = ctx.machine.store_test.try_lock(addr, ctx.cpu.tid);
+                if ok {
+                    ctx.machine.space.mem().store(paddr, Width::Word, new);
                     ctx.machine.store_test.unlock(addr, ctx.cpu.tid);
-                    // A trapping store reports no outcome, as in HST.
-                    result?;
-                    ctx.note_sc(addr, true, new);
-                    Ok(0)
-                } else {
-                    ctx.note_sc(addr, false, new);
-                    Ok(1)
                 }
+                ctx.note_sc(addr, ok, new);
+                Ok(!ok as u32)
             }),
         ));
     }
@@ -306,26 +308,18 @@ impl AtomicScheme for HstHtm {
             Box::new(move |ctx, args| {
                 let (addr, new) = (args[0], args[1]);
                 ctx.stats.sc += 1;
-                if ctx.chaos_sc_fail() {
+                // Fail fast outside any transaction on an injected failure
+                // (drawn first) or when the precondition is already gone.
+                if ctx.chaos_sc_fail() || !sc_precondition(ctx, addr) {
                     ctx.cpu.monitor.addr = None;
                     ctx.note_sc(addr, false, new);
                     return Ok(1);
                 }
-                // Fail fast outside any transaction when the precondition
-                // is already gone.
-                if !sc_precondition(ctx, addr) {
-                    ctx.cpu.monitor.addr = None;
-                    ctx.note_sc(addr, false, new);
-                    return Ok(1);
-                }
-                let paddr = match ctx
-                    .machine
-                    .space
-                    .translate(addr, Access::Store, Width::Word)
-                {
-                    Ok(paddr) => paddr,
-                    Err(fault) => return Err(Trap::Fault(fault)),
-                };
+                // Resolve the target before any transaction opens: a
+                // fault on the way (a store into a tracked code page)
+                // settles under a stop-the-world, which no transaction
+                // may span.
+                let paddr = ctx.resolve(addr, Access::Store, Width::Word)?;
                 let entry_token = ctx.machine.store_test.htm_token(addr);
                 let threaded = ctx.machine.is_threaded();
                 let mut attempt = 0u64;

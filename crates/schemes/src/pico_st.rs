@@ -21,7 +21,7 @@
 
 use adbt_engine::{AtomicScheme, Atomicity, ChaosSite, ExecCtx, HelperRegistry, Stat, TraceKind};
 use adbt_ir::{BlockBuilder, HelperId, Op, Slot, Src};
-use adbt_mmu::Width;
+use adbt_mmu::{Access, Width};
 use adbt_sync::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -138,6 +138,10 @@ impl AtomicScheme for PicoSt {
             Box::new(move |ctx, args| {
                 let (addr, new) = (args[0], args[1]);
                 ctx.stats.sc += 1;
+                // Resolve the target before taking the registry lock: a
+                // fault on the way may wait for a stop-the-world, and a
+                // vCPU blocked on the lock never reaches a safepoint.
+                let paddr = ctx.resolve(addr, Access::Store, Width::Word)?;
                 let mut guard = lock_registry(&shared, ctx, true);
                 let mut ok = guard.monitors.get(&ctx.cpu.tid) == Some(&addr);
                 // Injected spurious SC failure (architecturally legal on
@@ -146,27 +150,24 @@ impl AtomicScheme for PicoSt {
                 if ok && ctx.chaos_sc_fail() {
                     ok = false;
                 }
-                let result = if ok {
+                if ok {
                     // The SC's store breaks every monitor on the stored
                     // word — competing threads' included (Seq2–Seq4) —
                     // not just the executing thread's.
                     guard
                         .monitors
                         .retain(|_, &mut monitored| !overlaps(monitored, addr, Width::Word));
-                    ctx.store(addr, Width::Word, new, false).map(|()| 0)
+                    ctx.machine.space.mem().store(paddr, Width::Word, new);
                 } else {
                     // A failed SC still clears the monitor: drop the
                     // registry entry so a retry without a fresh LL
                     // cannot spuriously succeed.
                     guard.monitors.remove(&ctx.cpu.tid);
-                    Ok(1)
-                };
+                }
                 drop(guard);
                 ctx.cpu.monitor.addr = None;
-                if let Ok(status) = result {
-                    ctx.note_sc(addr, status == 0, new);
-                }
-                result
+                ctx.note_sc(addr, ok, new);
+                Ok(!ok as u32)
             }),
         ));
 

@@ -5,10 +5,10 @@
 //! an LL arms a monitor. Competing plain stores then fault; the handler
 //! distinguishes a *true* conflict (the store overlaps a monitored word —
 //! break those monitors, so their SCs fail) from *false sharing* (same
-//! page, different address — complete the store via the privileged path
-//! and keep the monitors). The SC itself briefly restores write
-//! permission under a stop-the-world section — the `mprotect` +
-//! suspend-everyone cost that dominates PST's profile (Fig. 12).
+//! page, different address — let the store pass the protection and keep
+//! the monitors). The SC itself briefly restores write permission under
+//! a stop-the-world section — the `mprotect` + suspend-everyone cost
+//! that dominates PST's profile (Fig. 12).
 //!
 //! **PST-REMAP** keeps PST's LL but replaces the SC's stop-the-world
 //! permission dance with `mremap`: the page moves to an alias page
@@ -21,11 +21,11 @@
 //! tables + TLB shootdown (see DESIGN.md for the substitution argument).
 
 use adbt_engine::{
-    AtomicScheme, Atomicity, ChaosSite, ExecCtx, FaultAccess, FaultOutcome, HelperRegistry, Stat,
-    TraceKind, Trap,
+    AtomicScheme, Atomicity, ChaosSite, ExecCtx, FaultOutcome, HelperRegistry, Stat, TraceKind,
+    Trap,
 };
 use adbt_ir::{BlockBuilder, HelperId, Op, Slot, Src};
-use adbt_mmu::{FaultKind, PageFault, Perms, Width, PAGE_SHIFT, PAGE_SIZE};
+use adbt_mmu::{Access, FaultKind, PageFault, Perms, Width, PAGE_SHIFT, PAGE_SIZE};
 use adbt_sync::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -188,14 +188,17 @@ fn sc_registered(ctx: &ExecCtx<'_>, reg: &PstRegistry, addr: u32) -> bool {
 }
 
 /// The common store-fault handler (`SEGV_ACCERR` path): break overlapped
-/// monitors of other threads, or complete a false-sharing store.
-fn handle_protected_store(
-    shared: &PstShared,
+/// monitors of other threads, then either unprotect the page (no monitor
+/// left on it) or let the store pass the protection (false sharing, or
+/// our own monitor survived). It never performs the store: the fault
+/// path does, in the accessor's own shape, so a fused RMW stays one
+/// atomic. A store let through lands before the registry unlocks.
+fn handle_protected_store<'s>(
+    shared: &'s PstShared,
     ctx: &mut ExecCtx<'_>,
     fault: PageFault,
-    value: u32,
     width: Width,
-) -> FaultOutcome {
+) -> FaultOutcome<'s> {
     let page = fault.vaddr >> PAGE_SHIFT;
     let mut guard = lock_registry(shared, ctx);
     let reg = &mut *guard;
@@ -222,15 +225,12 @@ fn handle_protected_store(
         let _ = timed_protect(ctx, page, Perms::RWX);
         return FaultOutcome::Retry;
     }
-    // Monitors remain (false sharing, or our own survived): complete the
-    // store through the privileged path.
-    match ctx.machine.space.translate_bypass(fault.vaddr, width) {
-        Ok(paddr) => {
-            ctx.machine.space.mem().store(paddr, width, value);
-            FaultOutcome::Done
-        }
-        Err(_) => FaultOutcome::Fatal,
-    }
+    // Monitors remain (false sharing, or our own survived): the store
+    // passes the protection, which stays. The registry stays locked
+    // until the store has landed, as the store-test requires: an LL
+    // registering on this page before then would read the word without
+    // the store, and its SC would succeed over it.
+    FaultOutcome::Bypass(Some(Box::new(move || drop(guard))))
 }
 
 fn lower_helper2(b: &mut BlockBuilder, id: HelperId, a0: Src, a1: Src, ret: Slot) {
@@ -369,11 +369,11 @@ impl AtomicScheme for Pst {
         &self,
         ctx: &mut ExecCtx<'_>,
         fault: PageFault,
-        access: FaultAccess,
-    ) -> FaultOutcome {
-        match (fault.kind, access) {
-            (FaultKind::Protected, FaultAccess::Store { value, width }) => {
-                handle_protected_store(&self.shared, ctx, fault, value, width)
+        width: Width,
+    ) -> FaultOutcome<'_> {
+        match (fault.kind, fault.access) {
+            (FaultKind::Protected, Access::Store) => {
+                handle_protected_store(&self.shared, ctx, fault, width)
             }
             // PST never unmaps pages and keeps read+exec; anything else
             // is a guest bug.
@@ -521,11 +521,11 @@ impl AtomicScheme for PstRemap {
         &self,
         ctx: &mut ExecCtx<'_>,
         fault: PageFault,
-        access: FaultAccess,
-    ) -> FaultOutcome {
-        match (fault.kind, access) {
-            (FaultKind::Protected, FaultAccess::Store { value, width }) => {
-                handle_protected_store(&self.shared, ctx, fault, value, width)
+        width: Width,
+    ) -> FaultOutcome<'_> {
+        match (fault.kind, fault.access) {
+            (FaultKind::Protected, Access::Store) => {
+                handle_protected_store(&self.shared, ctx, fault, width)
             }
             // MAPERR: the page is (most likely) remapped away by an SC in
             // flight. Taking the registry lock waits for that SC; if the

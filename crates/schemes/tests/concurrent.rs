@@ -233,8 +233,8 @@ fn pst_false_sharing_is_detected_and_survivable() {
 
 /// Deterministic false-sharing check: in lockstep, thread 1 stores to the
 /// protected page while thread 0 sits between LL and SC. The store must
-/// fault, be completed by the handler (false sharing), and leave thread
-/// 0's monitor intact so its SC succeeds.
+/// fault, pass the protection (false sharing), and leave thread 0's
+/// monitor intact so its SC succeeds.
 #[test]
 fn pst_false_sharing_fault_path_is_exact() {
     // Thread 0: LL counter, pause, SC. Thread 1: store to `noise` (same
@@ -299,7 +299,7 @@ fn pst_false_sharing_fault_path_is_exact() {
         assert_eq!(
             machine.space.load(counter + 64, Width::Word).unwrap(),
             9,
-            "{kind}: handler must complete the false-sharing store"
+            "{kind}: the false-sharing store must land"
         );
     }
 }
@@ -357,6 +357,151 @@ fn pst_true_conflict_breaks_the_monitor() {
             "{kind}: the plain store wins; the SC must not have written"
         );
         assert_eq!(report.stats.false_sharing_faults, 0, "{kind}");
+    }
+}
+
+/// Rounds each racer of [`pst_race_program`] runs.
+const RACE_ROUNDS: u32 = 20_000;
+
+/// Three vCPUs race on `word` while vCPU 1 holds an LL on `anchor`, 64
+/// bytes further on the same page, so the page stays write-protected
+/// and every store to `word` takes PST's fault handler.
+/// vCPU 2 runs `writer`: `RACE_ROUNDS` stores that put the round number
+/// in `word`'s high half. vCPU 3 increments `word` with an LL/SC loop
+/// the fusion pass declines (the `nop`). An SC may only succeed on a
+/// value read after the last store to its word, so the high half never
+/// goes back; vCPU 1 watches it and exits 2 if it does, else with its
+/// SC status once both racers are done.
+fn pst_race_program(writer: &str) -> String {
+    format!(
+        r#"
+        svc   #2            ; r0 = tid
+        mov32 r5, word
+        mov32 r7, flags
+        mov32 r8, #{RACE_ROUNDS}
+        cmp   r0, #2
+        beq   writer
+        cmp   r0, #3
+        beq   adder
+        add   r4, r5, #64
+        ldrex r1, [r4]      ; anchor
+        mov   r6, #0        ; highest round seen
+        mov   r2, #1
+        str   r2, [r7]      ; the LL is armed
+    watch:
+        ldr   r2, [r5]
+        lsr   r2, r2, #16
+        cmp   r2, r6
+        bcc   lost        ; unsigned lower
+        mov   r6, r2
+        ldr   r2, [r7, #4]
+        ldr   r3, [r7, #8]
+        add   r2, r2, r3
+        cmp   r2, #2
+        bne   watch
+        strex r0, r1, [r4]  ; exit 0 iff the monitor held throughout
+        svc   #0
+    lost:
+        mov   r0, #2
+        svc   #0
+    writer:
+        ldr   r3, [r7]
+        cmp   r3, #0
+        beq   writer
+        {writer}
+        mov   r2, #1
+        str   r2, [r7, #4]
+        mov   r0, #0
+        svc   #0
+    adder:
+        ldr   r3, [r7]
+        cmp   r3, #0
+        beq   adder
+    aloop:
+        ldrex r1, [r5]
+        add   r1, r1, #1
+        nop
+        strex r2, r1, [r5]
+        cmp   r2, #0
+        bne   aloop
+        subs  r8, r8, #1
+        bne   aloop
+        mov   r2, #1
+        str   r2, [r7, #8]
+        mov   r0, #0
+        svc   #0
+        .align 4096
+    word:
+        .word 0
+        .space 60
+    anchor:
+        .word 0
+        .align 4096
+    flags:
+        .space 12
+    "#
+    )
+}
+
+/// PST's store-test on real threads: no store that meets a protected
+/// page may be lost to an SC, whether the fault handler breaks the
+/// SC's monitor (true conflict) or finds only vCPU 1's (false sharing)
+/// and lets the store pass. Plain stores, and with `fuse_atomics` fused
+/// adds of one round each, race the LL/SC increments; the lost-update
+/// window is a store let through the protection but not yet landed
+/// while an LL registers and reads the word, which no deterministic
+/// schedule reaches.
+#[test]
+fn pst_stores_let_through_the_protection_are_never_lost() {
+    let plain = "
+        mov   r6, #0
+    wloop:
+        add   r6, r6, #1
+        lsl   r1, r6, #16
+        str   r1, [r5]
+        subs  r8, r8, #1
+        bne   wloop";
+    let fused = "
+        mov32 r9, #0x10000
+    wloop:
+        ldrex r1, [r5]
+        add   r1, r1, r9
+        strex r2, r1, [r5]
+        cmp   r2, #0
+        bne   wloop
+        subs  r8, r8, #1
+        bne   wloop";
+    for kind in [SchemeKind::Pst, SchemeKind::PstRemap] {
+        for (writer, fuse) in [(plain, false), (fused, true)] {
+            let machine = MachineCore::new(
+                MachineConfig {
+                    mem_size: 4 << 20,
+                    fuse_atomics: fuse,
+                    ..MachineConfig::default()
+                },
+                kind.build(),
+            )
+            .unwrap();
+            let image = assemble(&pst_race_program(writer), 0x1000).unwrap();
+            machine.load_image(&image);
+            let report = machine.run_threaded(machine.make_vcpus(3, 0x1000));
+            let cell = format!("{kind}, fused writer {fuse}");
+            assert_eq!(
+                report.outcomes,
+                vec![VcpuOutcome::Exited(0); 3],
+                "{cell}: vCPU 1 exits 2 when a store was lost"
+            );
+            let word = machine
+                .space
+                .load(image.symbol("word").unwrap(), Width::Word)
+                .unwrap();
+            assert_eq!(word >> 16, RACE_ROUNDS, "{cell}");
+            if fuse {
+                assert_eq!(word & 0xffff, RACE_ROUNDS, "{cell}: lost increments");
+                assert_eq!(report.stats.fused_rmws, u64::from(RACE_ROUNDS), "{cell}");
+            }
+            assert!(report.stats.false_sharing_faults > 0, "{cell}");
+        }
     }
 }
 

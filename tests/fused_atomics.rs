@@ -158,3 +158,83 @@ fn fused_profile_counts_llsc() {
     assert_eq!(report.stats.ll, report.stats.fused_rmws);
     assert_eq!(report.stats.sc, report.stats.fused_rmws);
 }
+
+/// PST false sharing under a fused RMW. vCPU 1 takes an LL on `lock`
+/// (PST write-protects its page), raises `flag` and waits; vCPU 2 waits
+/// for the flag, runs 100 fused adds on `counter` — the next word, on
+/// the protected page — and then releases vCPU 1, whose SC exits with
+/// its status. Every add faults; the handler finds false sharing, keeps
+/// vCPU 1's monitor and lets the add pass the protection, exactly once.
+const FALSE_SHARING_RMW: &str = r#"
+    svc   #2                ; r0 = tid
+    mov32 r5, lock
+    mov32 r7, flag
+    cmp   r0, #1
+    bne   adder
+    ldrex r1, [r5]
+    mov   r2, #1
+    str   r2, [r7]          ; the LL is armed
+hold:
+    ldr   r3, [r7, #4]
+    cmp   r3, #0
+    beq   hold
+    add   r1, r1, #1
+    strex r0, r1, [r5]      ; exit 0 iff the SC succeeds
+    svc   #0
+adder:
+    ldr   r3, [r7]
+    cmp   r3, #0
+    beq   adder
+    add   r6, r5, #4
+    mov   r4, #100
+add_loop:
+    ldrex r1, [r6]
+    add   r1, r1, #1
+    strex r2, r1, [r6]
+    cmp   r2, #0
+    bne   add_loop
+    subs  r4, r4, #1
+    bne   add_loop
+    mov   r2, #1
+    str   r2, [r7, #4]      ; release vCPU 1
+    mov   r0, #0
+    svc   #0
+    .align 4096
+lock:
+    .word 0
+counter:
+    .word 0
+    .align 4096
+flag:
+    .word 0
+    .word 0
+"#;
+
+#[test]
+fn fused_rmw_under_pst_false_sharing_lands_once() {
+    for kind in [SchemeKind::Pst, SchemeKind::PstRemap] {
+        for sim in [false, true] {
+            let mut machine = MachineBuilder::new(kind)
+                .memory(4 << 20)
+                .fuse_atomics(true)
+                .build()
+                .unwrap();
+            machine.load_asm(FALSE_SHARING_RMW, 0x1_0000).unwrap();
+            let report = if sim {
+                machine.run_sim(2, 0x1_0000)
+            } else {
+                machine.run(2, 0x1_0000)
+            };
+            let cell = format!("{kind}, sim {sim}");
+            assert_eq!(
+                report.outcomes,
+                vec![adbt::VcpuOutcome::Exited(0); 2],
+                "{cell}: vCPU 1's SC must succeed"
+            );
+            let counter = machine.symbol("counter").unwrap();
+            assert_eq!(machine.read_word(counter).unwrap(), 100, "{cell}");
+            assert_eq!(report.stats.fused_rmws, 100, "{cell}");
+            assert!(report.stats.false_sharing_faults > 0, "{cell}");
+        }
+    }
+}

@@ -6,7 +6,9 @@
 //! 1. **SMC is honored everywhere** — a guest store into its own (or
 //!    another vCPU's) translated code, or into a hot chained loop,
 //!    invalidates the stale translation on every scheme, and the
-//!    retranslated code's semantics are observed deterministically.
+//!    retranslated code's semantics are observed deterministically. A
+//!    store into data that shares a page with translated code (an LL/SC
+//!    counter beside its loop) completes on every scheme and driver.
 //! 2. **Bounded memory** — under a `cache_limit` budget a
 //!    translation-churn workload never exceeds the budget (asserted from
 //!    the occupancy counters), keeps making progress (no `Livelocked`),
@@ -16,6 +18,7 @@
 //!    landed, so schedules around SMC are explorable and replayable.
 
 use adbt::engine::{MachineCore, ScriptedScheduler};
+use adbt::mmu::PAGE_SHIFT;
 use adbt::workloads::interleave::Litmus;
 use adbt::workloads::IMAGE_BASE;
 use adbt::{Machine, MachineBuilder, SchemeKind, TraceEvent, TraceKind, Vcpu, VcpuOutcome};
@@ -132,6 +135,66 @@ fn smc_inside_a_hot_loop_lands_on_all_schemes() {
             report.stats.invalidations >= 1,
             "{kind}: the mid-loop patch was not accounted as an invalidation"
         );
+    }
+}
+
+/// An LL/SC counter whose word shares its page with the loop that
+/// updates it (no `.align` between them), so every SC stores into a
+/// write-tracked code page and takes the fault path: the SMC claim finds
+/// code/data false sharing and the store passes the tracking. Each
+/// scheme meets that fault in its own place — inside HST's
+/// stop-the-world SC, under HST-WEAK's entry lock and PICO-ST's registry
+/// lock, in front of HST-HTM's transaction, in PICO-CAS's CAS.
+const CODE_PAGE_COUNTER: &str = r#"
+    mov32 r5, ccount
+    mov32 r6, #20000
+cloop:
+    ldrex r1, [r5]
+    add   r1, r1, #1
+    strex r2, r1, [r5]
+    cmp   r2, #0
+    bne   cloop
+    subs  r6, r6, #1
+    bne   cloop
+    mov   r0, #0
+    svc   #0
+ccount:
+    .word 0
+"#;
+
+/// The code-page counter on every scheme, simulated and on real threads
+/// (with the watchdog armed, so a wedged run ends `Livelocked` rather
+/// than hanging), at 1 and 4 vCPUs: every vCPU exits 0 and no increment
+/// is lost.
+#[test]
+fn llsc_counter_sharing_the_code_page_completes_on_all_schemes() {
+    for kind in SchemeKind::ALL {
+        for sim in [true, false] {
+            for threads in [1, 4] {
+                let cell = format!("{kind}, sim {sim}, {threads} vCPUs");
+                let mut builder = MachineBuilder::new(kind).memory(1 << 20);
+                if !sim {
+                    builder = builder.watchdog_ms(10_000);
+                }
+                let mut machine = builder.build().unwrap();
+                machine.load_asm(CODE_PAGE_COUNTER, IMAGE_BASE).unwrap();
+                let counter = machine.symbol("ccount").unwrap();
+                assert_eq!(counter >> PAGE_SHIFT, IMAGE_BASE >> PAGE_SHIFT);
+                let report = if sim {
+                    machine.run_sim(threads, IMAGE_BASE)
+                } else {
+                    machine.run(threads, IMAGE_BASE)
+                };
+                for (i, outcome) in report.outcomes.iter().enumerate() {
+                    assert_eq!(*outcome, VcpuOutcome::Exited(0), "{cell}: vCPU {i}");
+                }
+                assert_eq!(
+                    machine.read_word(counter).unwrap(),
+                    threads * 20_000,
+                    "{cell}: lost increments"
+                );
+            }
+        }
     }
 }
 
