@@ -36,7 +36,7 @@ fn bench(table: &mut Table, name: &str, batch: u32, reps: u32, mut f: impl FnMut
 }
 
 fn bench_store_test_table(table: &mut Table) {
-    let htable = StoreTestTable::new(16, false);
+    let htable = StoreTestTable::new();
     let mut addr = 0u32;
     bench(table, "store_test_table/set", 100_000, 5, || {
         addr = addr.wrapping_add(4);

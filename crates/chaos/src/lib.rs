@@ -317,7 +317,7 @@ impl RetryPolicy {
 mod tests {
     use super::*;
 
-    /// The `chaos` block of `adbt-metrics-v1`: every site, fired or not.
+    /// The `chaos` block of `adbt-metrics-v2`: every site, fired or not.
     #[test]
     fn snapshot_json_is_pinned() {
         let snapshot = ChaosSnapshot {

@@ -71,13 +71,13 @@
 //! `--replay`, which measure no wall time. Render it with `adbt_prof
 //! FILE` (`--flamegraph` folds it for a flamegraph).
 //!
-//! `--metrics FILE` writes an `adbt-metrics-v1` JSONL stream: threaded
+//! `--metrics FILE` writes an `adbt-metrics-v2` JSONL stream: threaded
 //! runs are sampled periodically (~20 Hz) while they execute, and every
 //! run appends one `"final":true` line carrying the merged stats block,
-//! cache occupancy, exclusive-barrier telemetry, HTM counters and the
-//! chaos snapshot. Deterministic modes (`--sim`, `--replay`) emit only
-//! the final line — mid-run sampling would perturb nothing, but there
-//! is nothing concurrent to watch either.
+//! the cache occupancy gauges and the chaos snapshot. Deterministic
+//! modes (`--sim`, `--replay`) emit only the final line — mid-run
+//! sampling would perturb nothing, but there is nothing concurrent to
+//! watch either.
 //!
 //! `--stats-json` prints the same final snapshot as a single JSON
 //! object on stdout instead of the `--stats` text (combining the two is
@@ -520,16 +520,13 @@ fn main() -> ExitCode {
         }
         let occ = machine.core().cache_occupancy();
         eprintln!(
-            "cache: live_blocks={} bytes={} peak_bytes={} limit={} invalidations={} \
-             flushes={} retired={} reclaimed={} segments_freed={}",
+            "cache: live_blocks={} limbo_blocks={} bytes={} peak_bytes={} limit={} \
+             segments_freed={}",
             occ.live_blocks,
+            occ.limbo_blocks,
             occ.arena_bytes,
             occ.peak_bytes,
             cache_limit,
-            occ.invalidations,
-            occ.flushes,
-            occ.retired_blocks,
-            occ.reclaimed_blocks,
             occ.reclaimed_segments,
         );
         let pct = |num: u64, den: u64| {

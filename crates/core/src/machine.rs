@@ -16,7 +16,6 @@ use adbt_schemes::SchemeKind;
 ///
 /// let machine = MachineBuilder::new(SchemeKind::HstWeak)
 ///     .memory(8 << 20)
-///     .track_collisions(true)
 ///     .build()
 ///     .unwrap();
 /// assert_eq!(machine.scheme(), SchemeKind::HstWeak);
@@ -48,12 +47,6 @@ impl MachineBuilder {
     /// (litmus lockstep, checker exploration, `--replay`).
     pub fn max_block_insns(mut self, n: u32) -> MachineBuilder {
         self.config.max_block_insns = n;
-        self
-    }
-
-    /// Enables store-test hash-table collision tracking (profiling).
-    pub fn track_collisions(mut self, on: bool) -> MachineBuilder {
-        self.config.track_collisions = on;
         self
     }
 

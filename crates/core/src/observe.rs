@@ -1,4 +1,4 @@
-//! Shared run-observation plumbing: the `adbt-metrics-v1` sampling loop
+//! Shared run-observation plumbing: the `adbt-metrics-v2` sampling loop
 //! and the snapshot blocks every metrics line carries.
 //!
 //! `adbt_run --metrics` used to own this loop privately, which left its
@@ -28,20 +28,15 @@ pub fn profile_summary_json(machine: &Machine) -> String {
 }
 
 /// The engine-side blocks every metrics line carries; `report` adds the
-/// end-of-run blocks (merged stats, HTM counters, chaos snapshot) that
-/// only exist once the vCPUs have joined.
+/// end-of-run blocks (merged stats, chaos snapshot) that only exist once
+/// the vCPUs have joined.
 pub fn snapshot_extras(
     machine: &Machine,
     report: Option<&RunReport>,
 ) -> Vec<(&'static str, String)> {
-    let core = machine.core();
-    let mut extras = vec![
-        ("occupancy", core.cache_occupancy().to_json()),
-        ("exclusive", core.exclusive.telemetry().to_json()),
-    ];
+    let mut extras = vec![("occupancy", machine.core().cache_occupancy().to_json())];
     if let Some(report) = report {
         extras.push(("stats", report.stats.to_json()));
-        extras.push(("htm", report.htm.to_json()));
         if let Some(chaos) = &report.chaos {
             extras.push(("chaos", chaos.to_json()));
         }
@@ -68,10 +63,10 @@ pub fn final_metrics_line(
 }
 
 /// Runs pre-built vCPUs on real OS threads while sampling the
-/// `adbt-metrics-v1` stream from a side thread every `interval`.
+/// `adbt-metrics-v2` stream from a side thread every `interval`.
 ///
-/// Mid-run lines sample the shared vantage points only (merged profile,
-/// cache occupancy, exclusive telemetry — all atomics); per-vCPU stats
+/// Mid-run lines sample the shared vantage points only (the merged
+/// profile and the cache occupancy gauges); per-vCPU stats
 /// are thread-owned and appear on the final line. The final line is
 /// appended **unconditionally** once the run returns — including when
 /// the liveness watchdog halted the machine and every outcome is

@@ -173,52 +173,43 @@ pub(crate) struct RetireSummary {
 }
 
 /// A point-in-time cache occupancy snapshot (`--stats`, watchdog
-/// dumps, bounded-memory assertions).
+/// dumps, bounded-memory assertions). Gauges only — what the cache
+/// holds right now, readable mid-run; the lifecycle *events*
+/// (invalidations, flushes, retired and reclaimed blocks) are counter
+/// rows of [`crate::VcpuStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheOccupancy {
     /// Blocks currently live (inserted, not retired).
     pub live_blocks: u64,
+    /// Retired blocks still awaiting their grace period; limbo that
+    /// never drains is a vCPU that never quiesces.
+    pub limbo_blocks: u64,
     /// Bytes currently reserved by live + limbo blocks.
     pub arena_bytes: u64,
     /// High-water mark of `arena_bytes` (never exceeds a configured
     /// cache limit).
     pub peak_bytes: u64,
-    /// Invalidation events (SMC stores, chaos storms, flush passes) —
-    /// batches, not victims.
-    pub invalidations: u64,
-    /// Cache-pressure flush passes.
-    pub flushes: u64,
-    /// Total blocks ever retired.
-    pub retired_blocks: u64,
-    /// Blocks physically freed after their grace period.
-    pub reclaimed_blocks: u64,
     /// Arena segments whose slots are all freed.
     pub reclaimed_segments: u64,
 }
 
 impl CacheOccupancy {
     /// Renders the snapshot as one JSON object — the occupancy block of
-    /// the `adbt-metrics-v1` snapshot schema. Exhaustive destructure so
+    /// the `adbt-metrics-v2` snapshot schema. Exhaustive destructure so
     /// a new field cannot silently miss the export.
     pub fn to_json(&self) -> String {
         let CacheOccupancy {
             live_blocks,
+            limbo_blocks,
             arena_bytes,
             peak_bytes,
-            invalidations,
-            flushes,
-            retired_blocks,
-            reclaimed_blocks,
             reclaimed_segments,
         } = *self;
         adbt_trace::json::object([
             ("live_blocks", live_blocks),
+            ("limbo_blocks", limbo_blocks),
             ("arena_bytes", arena_bytes),
             ("peak_bytes", peak_bytes),
-            ("invalidations", invalidations),
-            ("flushes", flushes),
-            ("retired_blocks", retired_blocks),
-            ("reclaimed_blocks", reclaimed_blocks),
             ("reclaimed_segments", reclaimed_segments),
         ])
     }
@@ -255,10 +246,6 @@ pub(crate) struct TranslationCache {
     /// flush; per-vCPU L1 caches compare against it and clear on
     /// mismatch.
     version: AtomicU32,
-    invalidations: AtomicU64,
-    flushes: AtomicU64,
-    retired: AtomicU64,
-    reclaimed_blocks: AtomicU64,
     reclaimed_segments: AtomicU64,
 }
 
@@ -279,10 +266,6 @@ impl TranslationCache {
             peak_bytes: AtomicU64::new(0),
             limit: AtomicU64::new(0),
             version: AtomicU32::new(0),
-            invalidations: AtomicU64::new(0),
-            flushes: AtomicU64::new(0),
-            retired: AtomicU64::new(0),
-            reclaimed_blocks: AtomicU64::new(0),
             reclaimed_segments: AtomicU64::new(0),
         }
     }
@@ -505,9 +488,6 @@ impl TranslationCache {
             self.limbo_pending.store(true, Ordering::Relaxed);
         }
         if !summary.pcs.is_empty() {
-            let retired = summary.pcs.len() as u64;
-            self.retired.fetch_add(retired, Ordering::Relaxed);
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
             // Invalidate every vCPU's L1 front cache.
             self.version.fetch_add(1, Ordering::Release);
         }
@@ -536,9 +516,7 @@ impl TranslationCache {
                 victims.push(id);
             }
         }
-        let summary = self.retire_batch(&victims, epoch);
-        self.flushes.fetch_add(1, Ordering::Relaxed);
-        summary
+        self.retire_batch(&victims, epoch)
     }
 
     /// Whether limbo holds anything — one relaxed load, cheap enough
@@ -590,10 +568,7 @@ impl TranslationCache {
             self.limbo_pending.store(false, Ordering::Relaxed);
         }
         let freed = (before - limbo.len()) as u64;
-        (freed > 0).then(|| {
-            self.reclaimed_blocks.fetch_add(freed, Ordering::Relaxed);
-            (freed, self.reclaimed_segments.load(Ordering::Relaxed))
-        })
+        (freed > 0).then(|| (freed, self.reclaimed_segments.load(Ordering::Relaxed)))
     }
 
     /// Physically frees one retired slot: swaps the pointer to null,
@@ -621,25 +596,16 @@ impl TranslationCache {
         self.version.load(Ordering::Acquire)
     }
 
-    /// Retired ids still awaiting their grace period (tests).
-    #[cfg(test)]
-    fn limbo_len(&self) -> usize {
-        self.limbo.lock().len()
-    }
-
-    /// A point-in-time occupancy snapshot.
+    /// A point-in-time occupancy snapshot. Every live block has exactly
+    /// one PC-index entry (an insert fills only a vacant entry, and
+    /// retirement removes the victim's), so the shards count them.
     pub(crate) fn occupancy(&self) -> CacheOccupancy {
-        let len = self.len.load(Ordering::Acquire) as u64;
-        let retired = self.retired.load(Ordering::Relaxed);
         let bytes = self.bytes();
         CacheOccupancy {
-            live_blocks: len - retired,
+            live_blocks: self.shards.iter().map(|s| s.read().len() as u64).sum(),
+            limbo_blocks: self.limbo.lock().len() as u64,
             arena_bytes: bytes,
             peak_bytes: self.peak_bytes.load(Ordering::Relaxed).max(bytes),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            flushes: self.flushes.load(Ordering::Relaxed),
-            retired_blocks: retired,
-            reclaimed_blocks: self.reclaimed_blocks.load(Ordering::Relaxed),
             reclaimed_segments: self.reclaimed_segments.load(Ordering::Relaxed),
         }
     }
@@ -666,18 +632,15 @@ mod tests {
     use super::*;
     use adbt_ir::{BlockBuilder, BlockExit};
 
-    /// The occupancy block of `adbt-metrics-v1`, pinned key for key.
+    /// The occupancy block of `adbt-metrics-v2`, pinned key for key.
     #[test]
     fn occupancy_json_is_pinned() {
         let occupancy = CacheOccupancy {
             live_blocks: 11,
-            arena_bytes: 22,
-            peak_bytes: 33,
-            invalidations: 44,
-            flushes: 55,
-            retired_blocks: 66,
-            reclaimed_blocks: 77,
-            reclaimed_segments: 88,
+            limbo_blocks: 22,
+            arena_bytes: 33,
+            peak_bytes: 44,
+            reclaimed_segments: 55,
         };
         let golden = include_str!("../tests/data/cache_occupancy.json");
         assert_eq!(occupancy.to_json(), golden.trim_end());
@@ -782,7 +745,7 @@ mod tests {
         assert_eq!(cache.lookup(0x1004), None, "PC index entry unlinked");
         assert!(cache.block(b).unwrap().invalidated.is_set());
         assert!(cache.limbo_pending());
-        assert_eq!(cache.limbo_len(), 1);
+        assert_eq!(cache.occupancy().limbo_blocks, 1);
         assert!(cache.version() > version_before, "L1 generation bumped");
         assert_eq!(
             cache.block(a).unwrap().links.taken.get(),
@@ -817,9 +780,7 @@ mod tests {
         assert_eq!(cache.bytes(), 0, "reservation released at free");
         assert!(!cache.limbo_pending());
         let occ = cache.occupancy();
-        assert_eq!(occ.live_blocks, 0);
-        assert_eq!(occ.retired_blocks, 1);
-        assert_eq!(occ.reclaimed_blocks, 1);
+        assert_eq!((occ.live_blocks, occ.limbo_blocks), (0, 0));
     }
 
     #[test]
@@ -881,9 +842,12 @@ mod tests {
         let summary = cache.flush_generational(3 * per_block, qsbr.begin_grace());
         assert_eq!(summary.pcs.len(), 5);
         let occ = cache.occupancy();
-        assert_eq!(occ.flushes, 1);
-        assert_eq!(occ.invalidations, 1, "a flush pass is one batch");
-        assert_eq!(cache.version(), version_before + 1, "one L1 generation");
+        assert_eq!((occ.live_blocks, occ.limbo_blocks), (3, 5));
+        assert_eq!(
+            cache.version(),
+            version_before + 1,
+            "a flush pass is one batch"
+        );
         for (i, &id) in ids.iter().enumerate() {
             let pc = 0x1000 + i as u32 * 4;
             let retired = cache.block(id).unwrap().invalidated.is_set();

@@ -13,31 +13,8 @@
 //! [`crate::VcpuStats::exclusive_ns`].
 
 use adbt_sync::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::time::Instant;
-
-/// A point-in-time view of the barrier's cumulative counters.
-///
-/// Per-vCPU stats live in thread-owned contexts and cannot be observed
-/// until a run finishes; the barrier is shared, so it is the one place
-/// machine-wide exclusive-section pressure can be read *mid-run* — which
-/// is exactly what the periodic metrics plane needs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ExclusiveTelemetry {
-    /// Exclusive sections successfully entered since machine start.
-    pub sections: u64,
-    /// Total requester-side wait across those entries, in nanoseconds.
-    pub wait_ns: u64,
-}
-
-impl ExclusiveTelemetry {
-    /// Renders the snapshot as one JSON object — the `exclusive` block
-    /// of the `adbt-metrics-v1` schema.
-    pub fn to_json(&self) -> String {
-        let ExclusiveTelemetry { sections, wait_ns } = *self;
-        adbt_trace::json::object([("sections", sections), ("wait_ns", wait_ns)])
-    }
-}
 
 /// `holder` value when no exclusive section names an owner (plain
 /// `start_exclusive`, or no section at all). Real tids are 1-based.
@@ -75,10 +52,6 @@ pub struct ExclusiveBarrier {
     /// Watchdog teardown: when set, every wait loop exits so wedged
     /// threads drain instead of hanging.
     halted: AtomicBool,
-    /// Cumulative sections entered (see [`ExclusiveTelemetry`]).
-    sections: AtomicU64,
-    /// Cumulative requester wait ns (see [`ExclusiveTelemetry`]).
-    wait_ns_total: AtomicU64,
 }
 
 impl ExclusiveBarrier {
@@ -147,10 +120,7 @@ impl ExclusiveBarrier {
             self.cond.notify_all();
             return Err(Halted);
         }
-        let waited = start.elapsed().as_nanos() as u64;
-        self.sections.fetch_add(1, Ordering::Relaxed);
-        self.wait_ns_total.fetch_add(waited, Ordering::Relaxed);
-        Ok(waited)
+        Ok(start.elapsed().as_nanos() as u64)
     }
 
     /// Like [`ExclusiveBarrier::start_exclusive`], but records `tid` as the
@@ -220,19 +190,12 @@ impl ExclusiveBarrier {
         start.elapsed().as_nanos() as u64
     }
 
-    /// Whether an exclusive section is pending or active (used by tests
-    /// and by handlers that must avoid blocking across safepoints).
+    /// Whether an exclusive section is pending or active: the dispatch
+    /// loop's safepoint poll (one atomic load), also used by tests and
+    /// by handlers that must avoid blocking across safepoints.
+    #[inline]
     pub fn exclusive_pending(&self) -> bool {
         self.pending.load(Ordering::SeqCst)
-    }
-
-    /// A point-in-time view of the cumulative counters; safe to call from
-    /// a sampler thread while vCPUs run.
-    pub fn telemetry(&self) -> ExclusiveTelemetry {
-        ExclusiveTelemetry {
-            sections: self.sections.load(Ordering::Relaxed),
-            wait_ns: self.wait_ns_total.load(Ordering::Relaxed),
-        }
     }
 
     /// Watchdog teardown: releases every wait loop in the barrier so
@@ -272,31 +235,6 @@ mod tests {
         b.end_exclusive();
         b.unregister();
         assert!(waited < 1_000_000_000);
-    }
-
-    #[test]
-    fn telemetry_counts_entered_sections() {
-        let b = ExclusiveBarrier::new();
-        assert_eq!(b.telemetry(), ExclusiveTelemetry::default());
-        b.register();
-        let waited = b.start_exclusive().unwrap();
-        b.end_exclusive();
-        b.unregister();
-        let t = b.telemetry();
-        assert_eq!(t.sections, 1);
-        assert_eq!(t.wait_ns, waited);
-        assert!(t.to_json().starts_with("{\"sections\":1,\"wait_ns\":"));
-    }
-
-    /// The `exclusive` block of `adbt-metrics-v1`, pinned key for key.
-    #[test]
-    fn telemetry_json_is_pinned() {
-        let telemetry = ExclusiveTelemetry {
-            sections: 3,
-            wait_ns: 12_345,
-        };
-        let golden = include_str!("../tests/data/exclusive_telemetry.json");
-        assert_eq!(telemetry.to_json(), golden.trim_end());
     }
 
     /// An exclusive section must be atomic with respect to work done

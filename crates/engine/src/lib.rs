@@ -89,7 +89,7 @@ pub use adbt_trace::{
     TraceRecorder, TraceRing, WATCHDOG_TAIL,
 };
 pub use cache::CacheOccupancy;
-pub use exclusive::{ExclusiveBarrier, ExclusiveTelemetry, Halted};
+pub use exclusive::{ExclusiveBarrier, Halted};
 pub use machine::{MachineConfig, MachineCore, RunReport, VcpuOutcome, MAX_THREADED_VCPUS};
 pub use runtime::{ExecCtx, FaultOutcome, HelperFn, HelperRegistry, Release, Trap};
 pub use sched::{

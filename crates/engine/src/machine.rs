@@ -16,7 +16,7 @@ use crate::stats::{Breakdown, SimBreakdown, SimCosts, Stat, Unit, VcpuStats};
 use crate::store_test::StoreTestTable;
 use crate::watchdog::{self, VcpuBeat, WatchdogDump};
 use adbt_chaos::{ChaosCfg, ChaosPlane, ChaosSite, ChaosSnapshot, RetryPolicy};
-use adbt_htm::{HtmDomain, HtmStats};
+use adbt_htm::HtmDomain;
 use adbt_ir::{BlockExit, ChainLink};
 use adbt_isa::asm::Image;
 use adbt_mmu::{page_of, AddressSpace, PAGE_SHIFT, PAGE_SIZE};
@@ -56,11 +56,6 @@ pub struct MachineConfig {
     /// instruction-granular deterministic runs — litmus lockstep and
     /// the checker's scheduled exploration — larger for throughput).
     pub max_block_insns: u32,
-    /// log2 of the store-test hash-table size.
-    pub htable_bits: u8,
-    /// Track store-test collisions (profiling runs only; adds a shadow
-    /// word per entry).
-    pub track_collisions: bool,
     /// Enables the rule-based translation pass (paper §VI): canonical
     /// compiler-generated LL/SC retry loops are recognized at
     /// translation time and fused into single host atomic built-ins,
@@ -114,8 +109,6 @@ impl Default for MachineConfig {
         MachineConfig {
             mem_size: 32 << 20,
             max_block_insns: 32,
-            htable_bits: 16,
-            track_collisions: false,
             fuse_atomics: false,
             chain_limit: 64,
             chaos: None,
@@ -160,12 +153,8 @@ pub struct RunReport {
     pub stats: VcpuStats,
     /// Wall-clock duration of the run.
     pub wall: Duration,
-    /// HTM domain statistics (all zero for non-HTM schemes).
-    pub htm: HtmStats,
     /// Bytes written through the `putc` syscall.
     pub output: Vec<u8>,
-    /// Store-test collision stats `(collisions, tracked sets)`.
-    pub collisions: (u64, u64),
     /// Watchdog diagnostic, present when the liveness watchdog fired and
     /// halted a stalled run.
     pub watchdog: Option<WatchdogDump>,
@@ -217,6 +206,18 @@ const SIM_MAX_ATOMS: u64 = 200_000_000;
 /// A vCPU paused inside a block at pause-point granularity: the block
 /// id and the op index to resume from.
 type Cursor = Option<(u32, usize)>;
+
+/// What the robustness plane's slow lane decided for one hop.
+enum Hop {
+    /// Run the block.
+    Run,
+    /// Run the block without following the borrowed chain link: the hop
+    /// took a ladder step, which parked this vCPU's QSBR slot, so the
+    /// link's block may have been freed.
+    Unlink,
+    /// The vCPU is finished.
+    Done(VcpuOutcome),
+}
 
 /// The shared machine: memory, scheme, services and translation cache.
 ///
@@ -293,7 +294,7 @@ impl MachineCore {
         Ok(MachineCore {
             space,
             htm: HtmDomain::new(HTM_INDEX_BITS, HTM_WRITE_CAPACITY),
-            store_test: StoreTestTable::new(config.htable_bits, config.track_collisions),
+            store_test: StoreTestTable::new(),
             exclusive: ExclusiveBarrier::new(),
             scheme: Arc::from(scheme),
             helpers,
@@ -479,7 +480,7 @@ impl MachineCore {
             } else {
                 0
             };
-            if ctx.start_exclusive().is_err() {
+            if self.parked(ctx, ExecCtx::start_exclusive).is_err() {
                 return Err(Trap::Livelock {
                     pc: ctx.cpu.pc,
                     what: "machine halted while awaiting a cache flush",
@@ -499,7 +500,7 @@ impl MachineCore {
                 // starved vCPUs stay live; then try to reclaim and
                 // re-reserve.
                 self.quiesce_and_reclaim(ctx);
-                let parked = self.exclusive.safepoint_for(ctx.cpu.tid);
+                let parked = self.parked(ctx, |ctx| self.exclusive.safepoint_for(ctx.cpu.tid));
                 ctx.count(Stat::exclusive_ns, parked);
                 if self.cache.try_reserve(footprint) {
                     return Ok(());
@@ -534,12 +535,54 @@ impl MachineCore {
     /// paused. The deterministic driver runs all its vCPUs through one
     /// QSBR slot, and a paused cursor holds its block across atoms.
     fn quiesce_and_reclaim(&self, ctx: &mut ExecCtx<'_>) {
-        if ctx.qsbr_slot == usize::MAX || self.cursor_pins.load(Ordering::Acquire) > 0 {
+        if !self.announces(ctx) {
             return;
         }
         self.qsbr.quiesce(ctx.qsbr_slot);
         if self.cache.limbo_pending() {
             self.reclaim_now(ctx);
+        }
+    }
+
+    /// Whether `ctx` may announce through its QSBR slot: it has one, and
+    /// no cursor is paused mid-block.
+    fn announces(&self, ctx: &ExecCtx<'_>) -> bool {
+        ctx.qsbr_slot != usize::MAX && self.cursor_pins.load(Ordering::Acquire) == 0
+    }
+
+    /// Runs `wait` — a wait that may block on another vCPU's
+    /// stop-the-world — with `ctx`'s QSBR slot parked, and re-joins the
+    /// slot at the current epoch afterwards. The caller must hold no
+    /// translation-cache borrow: while parked the vCPU counts as
+    /// quiescent, so a stop-the-world section that flushes the cache
+    /// (the held window's holder under cache pressure) can reclaim.
+    fn parked<'m, R>(&self, ctx: &mut ExecCtx<'m>, wait: impl FnOnce(&mut ExecCtx<'m>) -> R) -> R {
+        let announces = self.announces(ctx);
+        if announces {
+            self.qsbr.park(ctx.qsbr_slot);
+        }
+        let result = wait(ctx);
+        if announces {
+            self.qsbr.quiesce(ctx.qsbr_slot);
+        }
+        result
+    }
+
+    /// The hop safepoint's slow lane: parks `ctx` (holding no block) for
+    /// the pending stop-the-world and charges the park to the block
+    /// about to run — the code the stop-the-world held this vCPU away
+    /// from.
+    #[cold]
+    #[inline(never)]
+    fn park_at_safepoint(&self, ctx: &mut ExecCtx<'_>) {
+        let parked = self.parked(ctx, |ctx| self.exclusive.safepoint_for(ctx.cpu.tid));
+        if parked > 0 {
+            ctx.count_at(ctx.cpu.pc, Stat::exclusive_ns, parked);
+            ctx.trace(
+                TraceKind::SafepointPark,
+                ctx.cpu.pc,
+                parked.min(u32::MAX as u64) as u32,
+            );
         }
     }
 
@@ -611,26 +654,24 @@ impl MachineCore {
         // successor's id so the next traversal skips the lookup.
         let mut link: Option<(&ChainLink, u32, bool)> = None;
         for _ in 0..chain_limit.max(1) {
-            // Holder-aware safepoint: identical single-load fast path, but
-            // the held window's holder passes through its own pending
-            // exclusive instead of self-deadlocking.
-            let parked = self.exclusive.safepoint_for(ctx.cpu.tid);
-            if parked > 0 {
-                // The park belongs to the block about to run: that is
-                // the code the stop-the-world held this vCPU away from.
-                ctx.count_at(ctx.cpu.pc, Stat::exclusive_ns, parked);
-                ctx.trace(
-                    TraceKind::SafepointPark,
-                    ctx.cpu.pc,
-                    parked.min(u32::MAX as u64) as u32,
-                );
+            // The safepoint: one load and one branch while no
+            // stop-the-world is pending. A pending one drops the borrowed
+            // link first (the lookup lane re-resolves the edge), so the
+            // park holds no block and counts as quiescent. The held
+            // window's holder passes through its own pending exclusive
+            // instead of self-deadlocking.
+            if self.exclusive.exclusive_pending() {
+                link = None;
+                self.park_at_safepoint(ctx);
             }
             // The entire robustness plane (chaos, watchdog, the held
             // window) costs exactly this one predicted-false branch when
             // disabled.
             if ctx.robust {
-                if let Some(outcome) = self.robust_hop(ctx) {
-                    return Some(outcome);
+                match self.robust_hop(ctx) {
+                    Hop::Run => {}
+                    Hop::Unlink => link = None,
+                    Hop::Done(outcome) => return Some(outcome),
                 }
             }
             let pc = ctx.cpu.pc;
@@ -809,18 +850,23 @@ impl MachineCore {
         if !self.is_threaded() {
             return None;
         }
-        // The window never opens over a live transaction, and under it
-        // `begin_region_txn` opens none: the two never coexist.
-        if ctx.robust && streak >= self.retry.degrade_after && ctx.txn.is_none() {
-            if !ctx.open_sc_window(streak) {
-                // Halted while waiting for the window's exclusivity:
-                // wind this vCPU down cleanly.
-                return Some(VcpuOutcome::Livelocked { pc });
+        // Neither caller touches a block after this (`trap` runs after
+        // its block, and `robust_hop` then answers `Hop::Unlink`), so the
+        // window's wait and the backoff park the QSBR slot.
+        self.parked(ctx, |ctx| {
+            // The window never opens over a live transaction, and under
+            // it `begin_region_txn` opens none: the two never coexist.
+            if ctx.robust && streak >= self.retry.degrade_after && ctx.txn.is_none() {
+                if !ctx.open_sc_window(streak) {
+                    // Halted while waiting for the window's exclusivity:
+                    // wind this vCPU down cleanly.
+                    return Some(VcpuOutcome::Livelocked { pc });
+                }
+            } else {
+                ctx.count(Stat::lock_wait_ns, self.retry.backoff(streak));
             }
-        } else {
-            ctx.count(Stat::lock_wait_ns, self.retry.backoff(streak));
-        }
-        None
+            None
+        })
     }
 
     /// The slow lane of the dispatch loop, entered once per hop only when
@@ -829,7 +875,8 @@ impl MachineCore {
     /// ladder, closes or caps the held window, and rolls the
     /// block-boundary chaos sites.
     #[inline(never)]
-    fn robust_hop(&self, ctx: &mut ExecCtx<'_>) -> Option<VcpuOutcome> {
+    fn robust_hop(&self, ctx: &mut ExecCtx<'_>) -> Hop {
+        let mut hop = Hop::Run;
         if let Some(beat) = &ctx.beat {
             beat.tick(ctx.stats.blocks, ctx.cpu.pc);
             // Throttled ring heartbeat: one event per 1024 retired blocks
@@ -844,7 +891,7 @@ impl MachineCore {
             // stays parked) instead of hanging.
             let pc = ctx.cpu.pc;
             ctx.release_region();
-            return Some(VcpuOutcome::Livelocked { pc });
+            return Hop::Done(VcpuOutcome::Livelocked { pc });
         }
         // SC-storm escape. Stop-the-world SC schemes can rotate forever
         // under injected stalls: the barrier grants exclusivity roughly
@@ -868,8 +915,9 @@ impl MachineCore {
                 // its streak climbs on to the verdict.
                 ctx.sc_fail_streak += failures;
                 if let Some(outcome) = self.ladder_step(ctx, ctx.sc_fail_streak) {
-                    return Some(outcome);
+                    return Hop::Done(outcome);
                 }
+                hop = Hop::Unlink;
             } else if windowed {
                 // Completed under the window. Stay primed at the
                 // degradation threshold (sticky, like a real HTM's
@@ -897,9 +945,9 @@ impl MachineCore {
             if ctx.region_blocks > REGION_BLOCK_CAP {
                 let pc = ctx.cpu.pc;
                 ctx.release_region();
-                return Some(VcpuOutcome::Livelocked { pc });
+                return Hop::Done(VcpuOutcome::Livelocked { pc });
             }
-            return None;
+            return hop;
         }
         if ctx.chaos.is_some() {
             if ctx.cpu.monitor.addr.is_some() && ctx.chaos_roll(ChaosSite::MonitorClear) {
@@ -914,11 +962,11 @@ impl MachineCore {
             }
             if ctx.roll_invalidate() {
                 if let Some(outcome) = self.chaos_invalidate(ctx) {
-                    return Some(outcome);
+                    return Hop::Done(outcome);
                 }
             }
         }
-        None
+        hop
     }
 
     /// An injected invalidation-storm event: retires the translation at
@@ -1209,9 +1257,7 @@ impl MachineCore {
             per_cpu,
             stats: merged,
             wall,
-            htm: self.htm.stats(),
             output: self.output.lock().clone(),
-            collisions: self.store_test.collision_stats(),
             watchdog,
             chaos: self.chaos.as_ref().map(|plane| plane.snapshot()),
         }
@@ -1223,10 +1269,10 @@ impl MachineCore {
         self.cache.len()
     }
 
-    /// A point-in-time translation-cache occupancy snapshot: live
-    /// blocks, arena footprint against the budget, and the lifecycle
-    /// counters (invalidations, flushes, reclamation) — the data behind
-    /// `adbt_run --stats` and watchdog dumps.
+    /// A point-in-time translation-cache occupancy snapshot: live and
+    /// limbo blocks, the arena footprint against the budget, and the
+    /// segments reclaimed — the gauges behind `adbt_run --stats`' cache
+    /// line and watchdog dumps.
     pub fn cache_occupancy(&self) -> CacheOccupancy {
         self.cache.occupancy()
     }

@@ -292,7 +292,7 @@ impl VcpuStats {
     }
 
     /// Renders every counter as one JSON object, keys in table order:
-    /// the stats block of the `adbt-metrics-v1` snapshot schema
+    /// the stats block of the `adbt-metrics-v2` snapshot schema
     /// (`adbt_run --stats-json` and the final `--metrics` line).
     pub fn to_json(&self) -> String {
         adbt_trace::json::object(Self::COUNTERS.iter().map(|row| (row.name, row.get(self))))

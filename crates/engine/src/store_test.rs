@@ -10,66 +10,44 @@
 //!
 //! Hash collisions are benign: a colliding store flips the entry to a
 //! different tid, the victim's SC fails, and the guest's LL/SC retry loop
-//! recovers — the scheme stays conservative. The table can optionally
-//! track collision statistics (a shadow address array) to reproduce the
-//! paper's "only 2.4% conflicts in PARSEC" measurement.
+//! recovers — the scheme stays conservative.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// The lock bit used by HST-WEAK's fine-grained SC serialization.
 const LOCK_BIT: u32 = 1 << 31;
 
 /// The store-test hash table; one per machine, shared by all vCPUs.
 pub struct StoreTestTable {
-    entries: Box<[AtomicU32]>,
-    mask: usize,
-    shadow: Option<Box<[AtomicU32]>>,
-    collisions: AtomicU64,
-    sets: AtomicU64,
+    entries: Box<[AtomicU32; StoreTestTable::ENTRIES]>,
 }
 
 impl StoreTestTable {
-    /// Creates a table with `2^index_bits` entries; collision tracking
-    /// (an extra shadow word per entry plus two counters) is for
-    /// profiling runs only.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= index_bits <= 24`.
-    pub fn new(index_bits: u8, track_collisions: bool) -> StoreTestTable {
-        assert!((1..=24).contains(&index_bits), "index_bits must be 1..=24");
-        let size = 1usize << index_bits;
-        let mut entries = Vec::with_capacity(size);
-        entries.resize_with(size, || AtomicU32::new(0));
-        let shadow = track_collisions.then(|| {
-            let mut s = Vec::with_capacity(size);
-            s.resize_with(size, || AtomicU32::new(0));
-            s.into_boxed_slice()
-        });
+    /// Number of entries: 2¹⁶, a power of two so the hash is a mask.
+    pub const ENTRIES: usize = 1 << 16;
+
+    /// Creates a table with every entry unowned.
+    pub fn new() -> StoreTestTable {
+        let entries: Box<[AtomicU32]> = (0..Self::ENTRIES).map(|_| AtomicU32::new(0)).collect();
         StoreTestTable {
-            entries: entries.into_boxed_slice(),
-            mask: size - 1,
-            shadow,
-            collisions: AtomicU64::new(0),
-            sets: AtomicU64::new(0),
+            entries: entries.try_into().expect("ENTRIES entries"),
         }
     }
 
     /// The paper's hash: drop the two alignment bits, mask to table size.
     #[inline]
     pub fn index(&self, addr: u32) -> usize {
-        ((addr >> 2) as usize) & self.mask
+        ((addr >> 2) as usize) & (Self::ENTRIES - 1)
     }
 
     /// `Htable_set`: claim the entry for `tid` — one SeqCst store, the
     /// ordering every guest access has between parallel host threads.
     ///
     /// Emitted inline (IR-level) for every guest store and LL under HST;
-    /// this function *is* the hot path the paper optimizes, so the
-    /// non-tracking configuration does nothing but the store.
+    /// this function *is* the hot path the paper optimizes.
     #[inline]
     pub fn set(&self, addr: u32, tid: u32) {
-        self.set_with(addr, tid, Ordering::SeqCst);
+        self.entries[self.index(addr)].store(tid, Ordering::SeqCst);
     }
 
     /// [`StoreTestTable::set`] in serial context: the same entry update
@@ -77,21 +55,7 @@ impl StoreTestTable {
     /// while one host thread runs every vCPU.
     #[inline]
     pub fn set_serial(&self, addr: u32, tid: u32) {
-        self.set_with(addr, tid, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn set_with(&self, addr: u32, tid: u32, order: Ordering) {
-        let idx = self.index(addr);
-        if let Some(shadow) = &self.shadow {
-            self.sets.fetch_add(1, Ordering::Relaxed);
-            let prev_addr = shadow[idx].swap(addr, Ordering::Relaxed);
-            let prev_tid = self.entries[idx].load(Ordering::Relaxed);
-            if prev_tid != 0 && prev_tid & !LOCK_BIT != tid && prev_addr != addr {
-                self.collisions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        self.entries[idx].store(tid, order);
+        self.entries[self.index(addr)].store(tid, Ordering::Relaxed);
     }
 
     /// `Htable_check`: read the entry's current owner — one SeqCst load.
@@ -162,32 +126,18 @@ impl StoreTestTable {
     pub fn htm_token(&self, addr: u32) -> u32 {
         0x8000_0000 ^ ((self.index(addr) as u32) << 2)
     }
+}
 
-    /// Collision statistics: `(collisions, total tracked sets)`. Both are
-    /// zero unless the table was built with tracking.
-    pub fn collision_stats(&self) -> (u64, u64) {
-        (
-            self.collisions.load(Ordering::Relaxed),
-            self.sets.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Always false — the table has a fixed power-of-two size.
-    pub fn is_empty(&self) -> bool {
-        false
+impl Default for StoreTestTable {
+    fn default() -> StoreTestTable {
+        StoreTestTable::new()
     }
 }
 
 impl std::fmt::Debug for StoreTestTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StoreTestTable")
-            .field("entries", &self.entries.len())
-            .field("tracking", &self.shadow.is_some())
+            .field("entries", &Self::ENTRIES)
             .finish()
     }
 }
@@ -198,12 +148,12 @@ mod tests {
 
     #[test]
     fn set_then_get() {
-        let t = StoreTestTable::new(8, false);
+        let t = StoreTestTable::new();
         t.set(0x1000, 3);
         assert_eq!(t.get(0x1000), 3);
-        // Different address, same entry (table has 256 entries → addresses
-        // 0x1000 and 0x1000 + 256*4 collide).
-        let colliding = 0x1000 + 256 * 4;
+        // Different address, same entry: addresses one table's worth of
+        // words apart collide.
+        let colliding = 0x1000 + StoreTestTable::ENTRIES as u32 * 4;
         assert_eq!(t.index(0x1000), t.index(colliding));
         t.set(colliding, 7);
         assert_eq!(t.get(0x1000), 7);
@@ -211,7 +161,7 @@ mod tests {
 
     #[test]
     fn aligned_words_spread_across_entries() {
-        let t = StoreTestTable::new(8, false);
+        let t = StoreTestTable::new();
         assert_ne!(t.index(0x0), t.index(0x4));
         // Bytes within one word share an entry (4-byte alignment).
         assert_eq!(t.index(0x101), t.index(0x102));
@@ -219,7 +169,7 @@ mod tests {
 
     #[test]
     fn lock_protocol() {
-        let t = StoreTestTable::new(8, false);
+        let t = StoreTestTable::new();
         t.set(0x20, 5);
         assert!(t.try_lock(0x20, 5));
         // Locked: a second lock attempt fails even for the owner.
@@ -232,65 +182,39 @@ mod tests {
 
     #[test]
     fn lock_fails_for_non_owner() {
-        let t = StoreTestTable::new(8, false);
+        let t = StoreTestTable::new();
         t.set(0x20, 5);
         assert!(!t.try_lock(0x20, 6));
         assert_eq!(t.get(0x20), 5);
     }
 
     #[test]
-    fn collision_tracking_counts_cross_address_overwrites() {
-        let t = StoreTestTable::new(4, true); // 16 entries: collisions likely
-        t.set(0x0, 1);
-        t.set(0x0, 2); // same address: not a collision
-        let colliding = 16 * 4;
-        assert_eq!(t.index(0), t.index(colliding));
-        t.set(colliding, 3); // different address, same entry: collision
-        let (collisions, sets) = t.collision_stats();
-        assert_eq!(sets, 3);
-        assert_eq!(collisions, 1);
-    }
-
-    #[test]
     fn serial_set_equals_set_with_and_without_tracking() {
-        for tracking in [false, true] {
-            let (ordered, serial) = (
-                StoreTestTable::new(4, tracking),
-                StoreTestTable::new(4, tracking),
-            );
-            // Repeats, a same-address overwrite, a collision (16 entries:
-            // 0x0 and 0x40 share one) and a locked entry's overwrite.
-            let sets = [(0x0, 1), (0x0, 2), (0x40, 3), (0x8, 3), (0x8, 4)];
-            for (i, &(addr, tid)) in sets.iter().enumerate() {
-                if i == 4 {
-                    assert!(ordered.try_lock(0x8, 3) && serial.try_lock(0x8, 3));
-                }
-                ordered.set(addr, tid);
-                serial.set_serial(addr, tid);
-                for entry in 0..16 {
-                    assert_eq!(
-                        serial.entries[entry].load(Ordering::SeqCst),
-                        ordered.entries[entry].load(Ordering::SeqCst),
-                        "entry {entry} after set {i}, tracking {tracking}"
-                    );
-                }
+        let (ordered, serial) = (StoreTestTable::new(), StoreTestTable::new());
+        // Repeats, a same-address overwrite, a collision (0x0 and one
+        // table's worth of words above it share an entry) and a locked
+        // entry's overwrite.
+        let colliding = StoreTestTable::ENTRIES as u32 * 4;
+        let sets = [(0x0, 1), (0x0, 2), (colliding, 3), (0x8, 3), (0x8, 4)];
+        for (i, &(addr, tid)) in sets.iter().enumerate() {
+            if i == 4 {
+                assert!(ordered.try_lock(0x8, 3) && serial.try_lock(0x8, 3));
             }
-            assert_eq!(serial.collision_stats(), ordered.collision_stats());
-            let expected = if tracking { (1, 5) } else { (0, 0) };
-            assert_eq!(serial.collision_stats(), expected);
+            ordered.set(addr, tid);
+            serial.set_serial(addr, tid);
+            for entry in 0..StoreTestTable::ENTRIES {
+                assert_eq!(
+                    serial.entries[entry].load(Ordering::SeqCst),
+                    ordered.entries[entry].load(Ordering::SeqCst),
+                    "entry {entry} after set {i}"
+                );
+            }
         }
     }
 
     #[test]
-    fn untracked_table_reports_zero() {
-        let t = StoreTestTable::new(4, false);
-        t.set(0, 1);
-        assert_eq!(t.collision_stats(), (0, 0));
-    }
-
-    #[test]
     fn concurrent_lock_excludes() {
-        let t = StoreTestTable::new(8, false);
+        let t = StoreTestTable::new();
         t.set(0x40, 1);
         // Only the thread whose tid matches the entry can ever lock it.
         std::thread::scope(|s| {

@@ -88,16 +88,12 @@ impl WatchdogDump {
     /// structured and rendered into the text report.
     pub fn attach_occupancy(&mut self, occupancy: CacheOccupancy) {
         self.report.push_str(&format!(
-            "translation cache: {} live blocks, {} arena bytes (peak {}), \
-             {} invalidations, {} flushes, {} retired, {} reclaimed \
-             ({} whole segments)\n",
+            "translation cache: {} live blocks, {} in limbo, {} arena bytes \
+             (peak {}), {} whole segments reclaimed\n",
             occupancy.live_blocks,
+            occupancy.limbo_blocks,
             occupancy.arena_bytes,
             occupancy.peak_bytes,
-            occupancy.invalidations,
-            occupancy.flushes,
-            occupancy.retired_blocks,
-            occupancy.reclaimed_blocks,
             occupancy.reclaimed_segments,
         ));
         self.occupancy = Some(occupancy);

@@ -210,7 +210,7 @@ pub struct Artifact {
     /// Chrome trace-event JSON of a traced sim run of the minimized
     /// program on the offending scheme.
     pub chrome_trace: Option<String>,
-    /// Profile-summary JSON (`adbt-metrics-v1` `profile` object) of a
+    /// Profile-summary JSON (`adbt-metrics-v2` `profile` object) of a
     /// profiled sim run of the minimized program on the offending
     /// scheme — which guest PCs were contending when the bug fired.
     pub profile_summary: Option<String>,

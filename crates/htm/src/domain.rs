@@ -1,56 +1,6 @@
 use crate::txn::Txn;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Aggregate transaction statistics for a domain.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HtmStats {
-    /// Transactions begun.
-    pub begun: u64,
-    /// Transactions committed successfully.
-    pub committed: u64,
-    /// Aborts due to read/write conflicts.
-    pub conflict_aborts: u64,
-    /// Aborts due to capacity overflow.
-    pub capacity_aborts: u64,
-    /// Explicit aborts.
-    pub explicit_aborts: u64,
-    /// Aborts caused by engine work poisoning the transaction.
-    pub interference_aborts: u64,
-}
-
-impl HtmStats {
-    /// Renders the counters as one JSON object — the htm block of the
-    /// `adbt-metrics-v1` snapshot schema. Exhaustive destructure so a
-    /// new counter cannot silently miss the export.
-    pub fn to_json(&self) -> String {
-        let HtmStats {
-            begun,
-            committed,
-            conflict_aborts,
-            capacity_aborts,
-            explicit_aborts,
-            interference_aborts,
-        } = *self;
-        adbt_trace::json::object([
-            ("begun", begun),
-            ("committed", committed),
-            ("conflict_aborts", conflict_aborts),
-            ("capacity_aborts", capacity_aborts),
-            ("explicit_aborts", explicit_aborts),
-            ("interference_aborts", interference_aborts),
-        ])
-    }
-}
-
-pub(crate) struct StatsCells {
-    pub begun: AtomicU64,
-    pub committed: AtomicU64,
-    pub conflict: AtomicU64,
-    pub capacity: AtomicU64,
-    pub explicit: AtomicU64,
-    pub interference: AtomicU64,
-}
-
 /// A transactional-memory domain: the shared versioned-lock table plus
 /// capacity limits.
 ///
@@ -65,7 +15,6 @@ pub struct HtmDomain {
     mask: usize,
     write_capacity: usize,
     read_capacity: usize,
-    stats: StatsCells,
 }
 
 impl HtmDomain {
@@ -86,20 +35,11 @@ impl HtmDomain {
             mask: size - 1,
             write_capacity,
             read_capacity: write_capacity * 8,
-            stats: StatsCells {
-                begun: AtomicU64::new(0),
-                committed: AtomicU64::new(0),
-                conflict: AtomicU64::new(0),
-                capacity: AtomicU64::new(0),
-                explicit: AtomicU64::new(0),
-                interference: AtomicU64::new(0),
-            },
         }
     }
 
     /// Starts a transaction (the `xbegin` analogue).
     pub fn begin(&self) -> Txn<'_> {
-        self.stats.begun.fetch_add(1, Ordering::Relaxed);
         Txn::new(self)
     }
 
@@ -180,18 +120,6 @@ impl HtmDomain {
         }
     }
 
-    /// A snapshot of the domain's transaction statistics.
-    pub fn stats(&self) -> HtmStats {
-        HtmStats {
-            begun: self.stats.begun.load(Ordering::Relaxed),
-            committed: self.stats.committed.load(Ordering::Relaxed),
-            conflict_aborts: self.stats.conflict.load(Ordering::Relaxed),
-            capacity_aborts: self.stats.capacity.load(Ordering::Relaxed),
-            explicit_aborts: self.stats.explicit.load(Ordering::Relaxed),
-            interference_aborts: self.stats.interference.load(Ordering::Relaxed),
-        }
-    }
-
     #[inline]
     pub(crate) fn index(&self, paddr: u32) -> usize {
         ((paddr >> 2) as usize) & self.mask
@@ -213,10 +141,6 @@ impl HtmDomain {
 
     pub(crate) fn read_capacity(&self) -> usize {
         self.read_capacity
-    }
-
-    pub(crate) fn stats_cells(&self) -> &StatsCells {
-        &self.stats
     }
 }
 
@@ -240,21 +164,6 @@ impl std::fmt::Debug for HtmDomain {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The `htm` block of `adbt-metrics-v1`, pinned key for key.
-    #[test]
-    fn stats_json_is_pinned() {
-        let stats = HtmStats {
-            begun: 1,
-            committed: 2,
-            conflict_aborts: 3,
-            capacity_aborts: 4,
-            explicit_aborts: 5,
-            interference_aborts: 6,
-        };
-        let golden = include_str!("../tests/data/htm_stats.json");
-        assert_eq!(stats.to_json(), golden.trim_end());
-    }
 
     #[test]
     fn distinct_words_hash_to_distinct_entries_when_table_is_large() {

@@ -46,5 +46,5 @@
 mod domain;
 mod txn;
 
-pub use domain::{HtmDomain, HtmStats};
+pub use domain::HtmDomain;
 pub use txn::{AbortReason, Txn};

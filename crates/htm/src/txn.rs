@@ -72,7 +72,6 @@ pub struct Txn<'d> {
     /// Buffered writes, word-aligned address → value.
     writes: HashMap<u32, u32>,
     poisoned: bool,
-    finished: bool,
 }
 
 impl<'d> Txn<'d> {
@@ -82,7 +81,6 @@ impl<'d> Txn<'d> {
             reads: Vec::new(),
             writes: HashMap::new(),
             poisoned: false,
-            finished: false,
         }
     }
 
@@ -114,15 +112,15 @@ impl<'d> Txn<'d> {
         let entry = self.domain.entry_by_index(idx);
         let v1 = entry.load(Ordering::SeqCst);
         if v1 & 1 == 1 {
-            return Err(self.record_abort(AbortReason::Conflict));
+            return Err(AbortReason::Conflict);
         }
         let value = mem.load(word_addr, Width::Word);
         let v2 = entry.load(Ordering::SeqCst);
         if v1 != v2 {
-            return Err(self.record_abort(AbortReason::Conflict));
+            return Err(AbortReason::Conflict);
         }
         if self.reads.len() >= self.domain.read_capacity() {
-            return Err(self.record_abort(AbortReason::Capacity));
+            return Err(AbortReason::Capacity);
         }
         self.reads.push((idx, v1));
         Ok(value)
@@ -142,10 +140,10 @@ impl<'d> Txn<'d> {
         let idx = self.domain.index(token_paddr);
         let v = self.domain.entry_by_index(idx).load(Ordering::SeqCst);
         if v & 1 == 1 {
-            return Err(self.record_abort(AbortReason::Conflict));
+            return Err(AbortReason::Conflict);
         }
         if self.reads.len() >= self.domain.read_capacity() {
-            return Err(self.record_abort(AbortReason::Capacity));
+            return Err(AbortReason::Capacity);
         }
         self.reads.push((idx, v));
         Ok(())
@@ -178,7 +176,7 @@ impl<'d> Txn<'d> {
     pub fn store_word(&mut self, paddr: u32, value: u32) -> Result<(), AbortReason> {
         debug_assert_eq!(paddr % 4, 0, "unaligned transactional word store");
         if self.writes.len() >= self.domain.write_capacity() && !self.writes.contains_key(&paddr) {
-            return Err(self.record_abort(AbortReason::Capacity));
+            return Err(AbortReason::Capacity);
         }
         self.writes.insert(paddr, value);
         Ok(())
@@ -215,12 +213,7 @@ impl<'d> Txn<'d> {
     }
 
     /// Explicitly aborts, consuming the transaction.
-    pub fn abort(mut self) -> AbortReason {
-        self.finished = true;
-        self.domain
-            .stats_cells()
-            .explicit
-            .fetch_add(1, Ordering::Relaxed);
+    pub fn abort(self) -> AbortReason {
         AbortReason::Explicit
     }
 
@@ -233,11 +226,8 @@ impl<'d> Txn<'d> {
     /// Returns the abort reason on failure; memory is untouched in that
     /// case. A poisoned transaction always fails with
     /// [`AbortReason::EngineInterference`].
-    pub fn commit(mut self, mem: &GuestMemory) -> Result<(), AbortReason> {
-        self.finished = true;
-        let cells = self.domain.stats_cells();
+    pub fn commit(self, mem: &GuestMemory) -> Result<(), AbortReason> {
         if self.poisoned {
-            cells.interference.fetch_add(1, Ordering::Relaxed);
             return Err(AbortReason::EngineInterference);
         }
 
@@ -276,7 +266,6 @@ impl<'d> Txn<'d> {
                     .is_err()
             {
                 release(&held, false, self.domain);
-                cells.conflict.fetch_add(1, Ordering::Relaxed);
                 return Err(AbortReason::Conflict);
             }
             held.push((idx, v));
@@ -294,7 +283,6 @@ impl<'d> Txn<'d> {
             };
             if !ok {
                 release(&held, false, self.domain);
-                cells.conflict.fetch_add(1, Ordering::Relaxed);
                 return Err(AbortReason::Conflict);
             }
         }
@@ -304,20 +292,7 @@ impl<'d> Txn<'d> {
             mem.store(addr, Width::Word, value);
         }
         release(&held, true, self.domain);
-        cells.committed.fetch_add(1, Ordering::Relaxed);
         Ok(())
-    }
-
-    fn record_abort(&mut self, reason: AbortReason) -> AbortReason {
-        self.finished = true;
-        let cells = self.domain.stats_cells();
-        match reason {
-            AbortReason::Conflict => cells.conflict.fetch_add(1, Ordering::Relaxed),
-            AbortReason::Capacity => cells.capacity.fetch_add(1, Ordering::Relaxed),
-            AbortReason::Explicit => cells.explicit.fetch_add(1, Ordering::Relaxed),
-            AbortReason::EngineInterference => cells.interference.fetch_add(1, Ordering::Relaxed),
-        };
-        reason
     }
 }
 
@@ -328,17 +303,6 @@ impl fmt::Debug for Txn<'_> {
             .field("writes", &self.writes.len())
             .field("poisoned", &self.poisoned)
             .finish()
-    }
-}
-
-impl Drop for Txn<'_> {
-    fn drop(&mut self) {
-        if !self.finished {
-            self.domain
-                .stats_cells()
-                .explicit
-                .fetch_add(1, Ordering::Relaxed);
-        }
     }
 }
 
@@ -367,7 +331,6 @@ mod tests {
         assert_eq!(mem.load(0x20, Width::Word), 0);
         drop(txn);
         assert_eq!(mem.load(0x20, Width::Word), 0);
-        assert_eq!(d.stats().explicit_aborts, 1);
     }
 
     #[test]
@@ -395,7 +358,6 @@ mod tests {
         txn.poison();
         assert_eq!(txn.commit(&mem), Err(AbortReason::EngineInterference));
         assert_eq!(mem.load(0, Width::Word), 0);
-        assert_eq!(d.stats().interference_aborts, 1);
     }
 
     #[test]
@@ -408,7 +370,6 @@ mod tests {
         }
         assert_eq!(txn.store_word(9 * 4, 9), Err(AbortReason::Capacity));
         drop(txn);
-        assert_eq!(d.stats().capacity_aborts, 1);
         // None of the buffered writes leaked.
         assert_eq!(mem.load(0, Width::Word), 0);
     }
@@ -451,8 +412,6 @@ mod tests {
             }
         });
         assert_eq!(mem.load(0x100, Width::Word), THREADS * ITERS);
-        let stats = d.stats();
-        assert_eq!(stats.committed, (THREADS * ITERS) as u64);
     }
 
     #[test]

@@ -373,29 +373,28 @@ impl AddressSpace {
     }
 
     /// Maps `page` to physical `frame` with the given permissions,
-    /// replacing any existing mapping. Returns `false` if `page` or
+    /// replacing any existing mapping. The write-track mark belongs to
+    /// the virtual page and survives. Returns `false` if `page` or
     /// `frame` is out of range.
     pub fn map(&self, page: u32, frame: u32, perms: Perms) -> bool {
         if (frame as u64) >= (self.mem.size() as u64) >> PAGE_SHIFT {
             return false;
         }
-        match self.entry(page) {
-            Some(entry) => {
-                entry.store(
-                    frame as u64 | ((perms.bits() as u64) << ENTRY_PERM_SHIFT) | ENTRY_MAPPED,
-                    Ordering::SeqCst,
-                );
-                true
-            }
-            None => false,
-        }
+        let Some(entry) = self.entry(page) else {
+            return false;
+        };
+        let mapping = frame as u64 | ((perms.bits() as u64) << ENTRY_PERM_SHIFT) | ENTRY_MAPPED;
+        let _ = entry.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |bits| {
+            Some((bits & ENTRY_TRACKED) | mapping)
+        });
+        true
     }
 
     /// Unmaps `page`, returning the frame it pointed to, or `None` if it
-    /// was already unmapped or out of range.
+    /// was already unmapped or out of range. The write-track mark stays
+    /// with the virtual page for its next mapping.
     pub fn unmap(&self, page: u32) -> Option<u32> {
-        let entry = self.entry(page)?;
-        let bits = entry.swap(0, Ordering::SeqCst);
+        let bits = self.entry(page)?.fetch_and(ENTRY_TRACKED, Ordering::SeqCst);
         if bits & ENTRY_MAPPED == 0 {
             None
         } else {
@@ -524,6 +523,24 @@ mod tests {
         // Move back.
         s.move_page(s.high_window_base(), 2, Perms::RWX).unwrap();
         assert_eq!(s.load(2 * PAGE_SIZE + 4, Width::Word).unwrap(), 78);
+    }
+
+    /// PST-REMAP moves a code page to its alias and back inside an SC:
+    /// the page must come back write-tracked, and the alias must not
+    /// pick the mark up.
+    #[test]
+    fn tracking_belongs_to_the_virtual_page_across_a_move() {
+        let s = space();
+        let alias = s.high_window_base();
+        assert!(s.write_track(2));
+        s.move_page(2, alias, Perms::READ | Perms::WRITE).unwrap();
+        assert!(!s.write_tracked(alias));
+        s.store(alias * PAGE_SIZE, Width::Word, 5).unwrap();
+        s.move_page(alias, 2, Perms::RWX).unwrap();
+        assert!(s.write_tracked(2));
+        let fault = s.store(2 * PAGE_SIZE, Width::Word, 6).unwrap_err();
+        assert_eq!(fault.kind, FaultKind::Protected);
+        assert_eq!(s.load(2 * PAGE_SIZE, Width::Word).unwrap(), 5);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The machine-readable metrics plane: `adbt_run --metrics out.jsonl`.
 //!
-//! One JSON object per line, schema `adbt-metrics-v1`. Threaded runs
+//! One JSON object per line, schema `adbt-metrics-v2`. Threaded runs
 //! emit periodic snapshots plus a final one; deterministic modes emit
 //! the final snapshot only. Every line carries cache occupancy and a
 //! profile summary; the final line additionally carries the full merged
@@ -8,7 +8,7 @@
 //! and are not observable mid-run, so periodic lines omit them rather
 //! than lie with stale numbers).
 //!
-//! The engine-side payloads (stats, occupancy, chaos, HTM) render
+//! The engine-side payloads (stats, occupancy, chaos) render
 //! themselves to JSON in their home crates; this module composes the
 //! line envelope and ships the validator CI runs on the emitter's own
 //! output. `adbt_run --stats-json` reuses the final-line schema as a
@@ -25,7 +25,7 @@ use crate::ProfileSnapshot;
 use adbt_trace::json::{object, parse_json, Json, JsonWriter};
 
 /// The schema tag every line carries.
-pub const SCHEMA: &str = "adbt-metrics-v1";
+pub const SCHEMA: &str = "adbt-metrics-v2";
 
 /// Renders the profile-summary object embedded in each line: row and
 /// drop counts plus machine-wide totals per column (zero totals
@@ -44,8 +44,8 @@ pub fn profile_summary(snapshot: &ProfileSnapshot) -> String {
 }
 
 /// Composes one metrics line. `extras` are `(key, pre-rendered JSON
-/// value)` pairs from the engine side — occupancy, chaos, HTM, and (on
-/// the final line) the merged stats block.
+/// value)` pairs from the engine side — occupancy, chaos, and (on the
+/// final line) the merged stats block.
 pub fn render_line(
     seq: u64,
     is_final: bool,

@@ -46,6 +46,14 @@ pub use pico_st::PicoSt;
 pub use pst::{Pst, PstRemap};
 
 use adbt_engine::{AtomicScheme, Atomicity};
+use adbt_mmu::Width;
+
+/// Whether a store of `width` bytes at `addr` touches the monitored word
+/// at `monitored` — the store test of PICO-ST's registry and PST's
+/// fault handler.
+fn overlaps(monitored: u32, addr: u32, width: Width) -> bool {
+    addr < monitored.wrapping_add(4) && monitored < addr.wrapping_add(width.bytes())
+}
 
 /// A scheme selector: enumeration, naming, metadata and construction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -182,6 +190,19 @@ mod tests {
             assert_eq!(scheme.atomicity(), kind.atomicity());
             assert_eq!(scheme.requires_htm(), kind.requires_htm());
         }
+    }
+
+    #[test]
+    fn overlaps_matches_the_monitored_word_footprint() {
+        // Monitored word [0x100, 0x104).
+        assert!(overlaps(0x100, 0x100, Width::Word));
+        assert!(overlaps(0x100, 0x103, Width::Byte));
+        assert!(overlaps(0x100, 0xfe, Width::Word));
+        assert!(overlaps(0x100, 0xff, Width::Half));
+        assert!(!overlaps(0x100, 0x104, Width::Word));
+        assert!(!overlaps(0x100, 0x104, Width::Byte));
+        assert!(!overlaps(0x100, 0xfe, Width::Half));
+        assert!(!overlaps(0x100, 0xff, Width::Byte));
     }
 
     #[test]

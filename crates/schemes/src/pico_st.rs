@@ -19,6 +19,7 @@
 //! as a no-op and interleaves at block boundaries, where the
 //! helper+store pair is never split.
 
+use crate::overlaps;
 use adbt_engine::{AtomicScheme, Atomicity, ChaosSite, ExecCtx, HelperRegistry, Stat, TraceKind};
 use adbt_ir::{BlockBuilder, HelperId, Op, Slot, Src};
 use adbt_mmu::{Access, Width};
@@ -76,14 +77,6 @@ fn width_code(width: Width) -> u32 {
         Width::Half => 1,
         Width::Word => 2,
     }
-}
-
-/// Whether a store of `width` bytes at `addr` touches the monitored word
-/// at `monitored`.
-fn overlaps(monitored: u32, addr: u32, width: Width) -> bool {
-    let m_end = monitored.wrapping_add(4);
-    let s_end = addr.wrapping_add(width.bytes());
-    addr < m_end && monitored < s_end
 }
 
 /// The PICO-ST scheme.
@@ -252,17 +245,6 @@ impl AtomicScheme for PicoSt {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn overlap_detection() {
-        // Monitored word [0x100, 0x104).
-        assert!(overlaps(0x100, 0x100, Width::Word));
-        assert!(overlaps(0x100, 0x103, Width::Byte));
-        assert!(overlaps(0x100, 0xfe, Width::Word));
-        assert!(!overlaps(0x100, 0x104, Width::Word));
-        assert!(!overlaps(0x100, 0xfe, Width::Half));
-        assert!(overlaps(0x100, 0xff, Width::Half));
-    }
 
     #[test]
     fn width_codes_round_trip() {

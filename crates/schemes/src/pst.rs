@@ -20,6 +20,7 @@
 //! immediately visible to all threads, standing in for the kernel's page
 //! tables + TLB shootdown (see DESIGN.md for the substitution argument).
 
+use crate::overlaps;
 use adbt_engine::{
     AtomicScheme, Atomicity, ChaosSite, ExecCtx, FaultOutcome, HelperRegistry, Stat, TraceKind,
     Trap,
@@ -110,11 +111,6 @@ fn timed_protect(ctx: &mut ExecCtx<'_>, page: u32, perms: Perms) -> Result<(), T
 fn note_mprotect(ctx: &mut ExecCtx<'_>, page: u32, open: bool) {
     ctx.stats.mprotect_calls += 1;
     ctx.trace(TraceKind::Mprotect, page << PAGE_SHIFT, open as u32);
-}
-
-/// Whether a store of `width` bytes at `addr` touches the monitored word.
-fn overlaps(monitored: u32, addr: u32, width: Width) -> bool {
-    addr < monitored.wrapping_add(4) && monitored < addr.wrapping_add(width.bytes())
 }
 
 /// Drops every registry entry of the calling thread, unprotecting pages
@@ -549,15 +545,6 @@ impl AtomicScheme for PstRemap {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn overlap_matches_word_footprint() {
-        assert!(overlaps(0x200, 0x200, Width::Word));
-        assert!(overlaps(0x200, 0x203, Width::Byte));
-        assert!(!overlaps(0x200, 0x204, Width::Byte));
-        assert!(overlaps(0x200, 0x1fe, Width::Word));
-        assert!(!overlaps(0x200, 0x1ff, Width::Byte));
-    }
 
     #[test]
     fn schemes_report_page_protection() {

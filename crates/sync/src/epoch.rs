@@ -23,10 +23,15 @@
 //!   the retirement, so no reference to the batch can survive.
 //!
 //! Threads that go **offline** ([`Qsbr::unregister`]) stop blocking
-//! grace — a thread that exited holds nothing. Threads that *never*
-//! quiesce (paused mid-block, spinning in a helper) block grace
-//! indefinitely; that is the safety property, not a bug: their held
-//! references stay valid until they next reach a zero-reference point.
+//! grace — a thread that exited holds nothing. A thread about to block
+//! at a zero-reference point (a safepoint park while another thread
+//! holds the machine stopped) is **parked** ([`Qsbr::park`]): quiescent
+//! for every grace period until its next [`Qsbr::quiesce`] re-joins it,
+//! and, unlike an offline slot, never claimable by [`Qsbr::register`].
+//! Threads that *never* quiesce (paused mid-block, spinning in a helper)
+//! block grace indefinitely; that is the safety property, not a bug:
+//! their held references stay valid until they next reach a
+//! zero-reference point.
 //!
 //! The scheme is deliberately minimal: no per-thread deferral lists
 //! (the cache keeps one global limbo list under its own lock — retiring
@@ -45,6 +50,11 @@ pub const MAX_PARTICIPANTS: usize = 64;
 /// (epochs start at 1 and a u64 counter bumped per retirement batch
 /// cannot reach it).
 const OFFLINE: u64 = u64::MAX;
+
+/// Slot value meaning "claimed, parked at a zero-reference point". Above
+/// every reachable epoch, so [`Qsbr::grace_elapsed`] reads it as
+/// quiescent; distinct from [`OFFLINE`], so [`Qsbr::register`] skips it.
+const PARKED: u64 = u64::MAX - 1;
 
 /// The quiescent-state epoch tracker. One per machine, shared by every
 /// vCPU thread; see the module docs for the protocol.
@@ -99,6 +109,14 @@ impl Qsbr {
         self.slots[slot].store(OFFLINE, Ordering::SeqCst);
     }
 
+    /// Parks a slot: the calling thread holds zero arena references and
+    /// is about to block, so it counts as quiesced for every grace
+    /// period until its next [`Qsbr::quiesce`], which re-joins it at the
+    /// then-current epoch. The slot stays claimed.
+    pub fn park(&self, slot: usize) {
+        self.slots[slot].store(PARKED, Ordering::SeqCst);
+    }
+
     /// Announces a quiescent state: the calling thread holds zero arena
     /// references right now. One global load and one own-slot load, plus
     /// an own-slot store only when the global epoch has moved since the
@@ -151,12 +169,12 @@ impl Qsbr {
     }
 
     /// The local epoch a slot last announced, or `None` if the slot is
-    /// offline. Used by debug-mode reachability checks: a retired
-    /// segment is freeable only when no online slot's local epoch
-    /// predates its retirement.
+    /// offline or parked. Used by debug-mode reachability checks: a
+    /// retired segment is freeable only when no online slot's local
+    /// epoch predates its retirement.
     pub fn local_epoch(&self, slot: usize) -> Option<u64> {
         match self.slots[slot].load(Ordering::SeqCst) {
-            OFFLINE => None,
+            OFFLINE | PARKED => None,
             epoch => Some(epoch),
         }
     }
@@ -209,6 +227,34 @@ mod tests {
         assert!(!q.grace_elapsed(epoch));
         q.unregister(slot);
         assert!(q.grace_elapsed(epoch), "offline threads hold nothing");
+    }
+
+    #[test]
+    fn a_parked_slot_is_quiescent_until_it_rejoins_and_stays_claimed() {
+        let q = Qsbr::new();
+        let parked = q.register();
+        let epoch = q.begin_grace();
+        assert!(!q.grace_elapsed(epoch), "not yet parked");
+        q.park(parked);
+        assert!(q.grace_elapsed(epoch), "a parked thread holds nothing");
+        assert_eq!(q.local_epoch(parked), None);
+        // A late registrant takes a free slot, never the parked one.
+        let late = q.register();
+        assert_ne!(late, parked);
+        q.quiesce(late);
+        // Parked means quiescent for every grace period, later ones too.
+        let later = q.begin_grace();
+        q.quiesce(late);
+        assert!(q.grace_elapsed(later));
+        // Quiescing re-joins at the current epoch: the next grace period
+        // waits for this thread again.
+        q.quiesce(parked);
+        assert_eq!(q.local_epoch(parked), Some(later));
+        let next = q.begin_grace();
+        q.quiesce(late);
+        assert!(!q.grace_elapsed(next), "a re-joined slot blocks grace");
+        q.quiesce(parked);
+        assert!(q.grace_elapsed(next));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! [`JsonWriter`] is the only code that writes separators, quoted keys,
 //! escaped strings and `null`. Every document goes through it: Chrome
-//! traces, `.prof` profiles, `adbt-metrics-v1` lines with their counter
+//! traces, `.prof` profiles, `adbt-metrics-v2` lines with their counter
 //! snapshots and the bench tables.
 //! Callers choose only the structure and, with [`JsonWriter::pad`],
 //! where the line-oriented layouts break their lines.

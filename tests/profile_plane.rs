@@ -17,7 +17,7 @@
 //!    every column counts).
 //! 4. **Crash-proof metrics** — the `--metrics` stream ends with its
 //!    `"final":true` snapshot even when the watchdog halts a livelocked
-//!    run; the stream validates against the `adbt-metrics-v1` schema.
+//!    run; the stream validates against the `adbt-metrics-v2` schema.
 //! 5. **Exact attribution** — a schedule that deschedules the
 //!    `aba_llsc` victim between its LL and SC charges exactly one
 //!    `sc_failures` to the victim's `strex` PC under HST, and none under
